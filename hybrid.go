@@ -217,13 +217,12 @@ type System struct {
 	Engine      *engine.Engine
 	Log         *workload.QueryLog
 
-	cfg       Config
-	cacheCfg  core.Config // effective manager config (after mode/PU wiring)
-	engCfg    engine.Config
-	docBytes  int
-	baseline  engine.ListSource // raw index, for uncached execution
-	uncachedE *engine.Engine
-	obs       *obs.Observer // nil unless EnableObservability was called
+	cfg      Config
+	cacheCfg core.Config // effective manager config (after mode/PU wiring)
+	engCfg   engine.Config
+	docBytes int
+	baseline engine.ListSource // raw index, for uncached execution
+	obs      *obs.Observer     // nil unless EnableObservability was called
 }
 
 // Validate reports configuration errors a System cannot be built from:
@@ -339,7 +338,6 @@ func New(cfg Config) (*System, error) {
 	if s.docBytes <= 0 {
 		s.docBytes = 400
 	}
-	s.uncachedE = engine.New(ix, engCfg)
 
 	if cfg.Mode != CacheNone {
 		cacheCfg := cfg.Cache
@@ -387,7 +385,7 @@ func New(cfg Config) (*System, error) {
 		s.cacheCfg = cacheCfg
 		s.Engine = engine.New(m, engCfg)
 	} else {
-		s.Engine = s.uncachedE
+		s.Engine = engine.New(ix, engCfg)
 	}
 	s.engCfg = engCfg
 

@@ -84,7 +84,10 @@ func ParseBudgetFile(path string) ([]BudgetEntry, error) {
 
 // An escapeSite is one escape-analysis diagnostic position.
 type escapeSite struct {
-	file string // as printed by the compiler (relative to the build dir)
+	// file is the path as the compiler printed it — a spelling that depends
+	// on cwd and build-cache history — until RunAllocBudget replaces it with
+	// the absolute path of the source file.
+	file string
 	line int
 }
 
@@ -185,13 +188,6 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 		return nil, nil
 	}
 	dir := filepath.Dir(budgetPath)
-	// The compiler prints diagnostic paths relative to the module root, not
-	// to the invocation directory, so resolve the root once for joining.
-	rootOut, err := goCommand(dir, "list", "-m", "-f", "{{.Dir}}")
-	if err != nil {
-		return nil, fmt.Errorf("resolving module root: %w", err)
-	}
-	root := strings.TrimSpace(rootOut)
 
 	pkgSet := map[string]bool{}
 	for _, e := range entries {
@@ -216,7 +212,10 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 	}
 
 	// One build per package: the compiler replays its diagnostics from the
-	// build cache, so repeated runs stay cheap.
+	// build cache, so repeated runs stay cheap. The paths it prints are
+	// relative to whichever directory first populated the cache, but each
+	// build covers exactly one package, so a site's file is that package's
+	// directory plus the printed base name.
 	var sites []escapeSite
 	for _, p := range pkgs {
 		flags := fmt.Sprintf("-gcflags=%s=-m", p)
@@ -224,31 +223,26 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 		if err != nil {
 			return nil, fmt.Errorf("escape analysis of %s: %w", p, err)
 		}
-		sites = append(sites, parseEscapeOutput(out)...)
+		for _, s := range parseEscapeOutput(out) {
+			s.file = filepath.Join(pkgDir[p], filepath.Base(s.file))
+			sites = append(sites, s)
+		}
 	}
 
-	// Attribute sites to top-level declarations, per package directory.
+	// Attribute sites to top-level declarations.
 	ranges := map[string][]*funcRange{} // abs file path -> ranges
-	fileOf := func(site escapeSite) string {
-		f := site.file
-		if !filepath.IsAbs(f) {
-			f = filepath.Join(root, f)
-		}
-		return f
-	}
 	for _, s := range sites {
-		f := fileOf(s)
-		if _, ok := ranges[f]; ok {
+		if _, ok := ranges[s.file]; ok {
 			continue
 		}
-		r, err := parseFuncRanges(f)
+		r, err := parseFuncRanges(s.file)
 		if err != nil {
 			return nil, fmt.Errorf("mapping escape sites: %w", err)
 		}
-		ranges[f] = r
+		ranges[s.file] = r
 	}
 	for _, s := range sites {
-		for _, r := range ranges[fileOf(s)] {
+		for _, r := range ranges[s.file] {
 			if s.line >= r.from && s.line <= r.to {
 				r.escapes++
 			}

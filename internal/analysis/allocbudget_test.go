@@ -68,7 +68,41 @@ func TestAllocBudgetGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go build -gcflags=-m over hot-path packages")
 	}
+	gateFromAnalysisDir(t)
+	gateFromRepoRoot(t)
+}
 
+// TestAllocBudgetGateColdCache runs the gate from both directories against
+// one empty build cache. The compiler prints -m paths relative to the
+// invoking directory and the cache replays whichever spelling it recorded
+// first, so the run from the repo root reads paths spelled for this
+// directory — the order that used to fail with "open <repo-parent>/index/...".
+func TestAllocBudgetGateColdCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the hot-path packages' dependencies from an empty GOCACHE")
+	}
+	t.Setenv("GOCACHE", t.TempDir())
+	gateFromAnalysisDir(t)
+	gateFromRepoRoot(t)
+}
+
+// gateFromRepoRoot requires the committed allocbudget.txt to be clean; the
+// go commands run in the module root, where the file lives.
+func gateFromRepoRoot(t *testing.T) {
+	t.Helper()
+	committed, err := RunAllocBudget(filepath.Join("..", "..", BudgetFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range committed {
+		t.Errorf("committed budget not clean: %s", d)
+	}
+}
+
+// gateFromAnalysisDir runs the gate on a seeded budget file in this
+// package's directory, which is then the go commands' working directory.
+func gateFromAnalysisDir(t *testing.T) {
+	t.Helper()
 	seeded, err := os.CreateTemp(".", "allocbudget_seed_*.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -110,13 +144,5 @@ func TestAllocBudgetGate(t *testing.T) {
 	}
 	if !stale {
 		t.Errorf("stale budget entry did not fire; diagnostics: %v", diags)
-	}
-
-	committed, err := RunAllocBudget(filepath.Join("..", "..", BudgetFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range committed {
-		t.Errorf("committed budget not clean: %s", d)
 	}
 }

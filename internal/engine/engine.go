@@ -11,8 +11,10 @@
 // paper's policies exploit.
 //
 // The read side is zero-copy: chunks of whole encoded blocks come straight
-// from the source and an index.BlockCursor decodes them doc-at-a-time — no
-// intermediate []workload.Posting is materialized. Chunking is measured in
+// from the source and an index.BlockCursor decodes them one block at a time
+// into fixed scratch — no []workload.Posting is materialized. Scores
+// accumulate in a sparse set indexed by doc ID (see accumulator), so a
+// posting costs an array slot, not a hash probe. Chunking is measured in
 // blocks (posting counts), not encoded bytes, so scoring, early
 // termination, and therefore results are byte-identical across codecs;
 // only the byte accounting (BytesRead, Utilization) reflects each codec's
@@ -20,8 +22,10 @@
 package engine
 
 import (
+	"cmp"
+	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"hybridstore/internal/index"
@@ -150,9 +154,40 @@ type Engine struct {
 	// Per-Execute scratch, lazily allocated and reused.
 	scanBuf []byte // chunk read buffer, grown to the largest chunk seen
 	cur     index.BlockCursor
-	scores  map[uint32]float64 // per-doc score accumulator
+	acc     accumulator
 	top     *topK
 	terms   []workload.TermID
+
+	// One decoded block: doc IDs, term frequencies, and the accumulator
+	// slots gathered for them.
+	blockDocs [index.BlockLen]uint32
+	blockTFs  [index.BlockLen]uint16
+	blockPos  [index.BlockLen]uint32
+}
+
+// accumulator is the per-query score table: a sparse set (Briggs & Torczon)
+// over doc IDs. slot[doc] indexes the compact docs/vals columns, and doc is
+// a member iff slot[doc] < len(docs) && docs[slot[doc]] == doc — so whatever
+// earlier queries left in slot is harmless, and reset truncates the columns
+// without clearing anything. Memory is 4 B × NumDocs for slot plus 12 B per
+// document the largest query touched.
+type accumulator struct {
+	slot []uint32
+	docs []uint32
+	vals []float64
+}
+
+// reset empties the set for a collection of numDocs documents. slot is
+// allocated on first use and kept; its contents never need clearing.
+func (a *accumulator) reset(numDocs int64) error {
+	if int64(len(a.slot)) != numDocs {
+		if numDocs < 0 || numDocs > 1<<32 {
+			return fmt.Errorf("engine: collection of %d documents is not addressable by 32-bit doc IDs", numDocs)
+		}
+		a.slot = make([]uint32, numDocs)
+	}
+	a.docs, a.vals = a.docs[:0], a.vals[:0]
+	return nil
 }
 
 // New builds an engine over src.
@@ -180,24 +215,19 @@ func idf(numDocs, df int64) float64 {
 // encoded bytes keeps the processing order codec-invariant.
 func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 	var stats ExecStats
-	if e.scores == nil {
-		e.scores = make(map[uint32]float64, 1<<12)
-	} else {
-		clear(e.scores)
-	}
-	scores := e.scores
-
 	e.terms = append(e.terms[:0], q.Terms...)
 	terms := e.terms
-	sort.Slice(terms, func(i, j int) bool {
-		di, dj := e.src.TermDF(terms[i]), e.src.TermDF(terms[j])
-		if di != dj {
-			return di < dj
+	slices.SortFunc(terms, func(a, b workload.TermID) int {
+		if c := cmp.Compare(e.src.TermDF(a), e.src.TermDF(b)); c != 0 {
+			return c
 		}
-		return terms[i] < terms[j]
+		return cmp.Compare(a, b)
 	})
 
 	numDocs := e.src.NumDocs()
+	if err := e.acc.reset(numDocs); err != nil {
+		return nil, stats, err
+	}
 	if e.top == nil {
 		e.top = newTopK(e.cfg.TopK)
 	} else {
@@ -206,7 +236,7 @@ func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 	top := e.top
 	stats.Terms = make([]TermStats, 0, len(terms))
 	for _, t := range terms {
-		ts, err := e.scanList(t, idf(numDocs, e.src.TermDF(t)), scores, top, &stats)
+		ts, err := e.scanList(t, idf(numDocs, e.src.TermDF(t)), top, &stats)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -218,9 +248,9 @@ func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 }
 
 // scanList consumes term t's impact-ordered list chunk by chunk (whole
-// encoded blocks), decoding doc-at-a-time through the block cursor and
-// accumulating scores, until the list ends or early termination fires.
-func (e *Engine) scanList(t workload.TermID, w float64, scores map[uint32]float64, top *topK, stats *ExecStats) (TermStats, error) {
+// encoded blocks), decoding and scoring one block at a time, until the list
+// ends or early termination fires.
+func (e *Engine) scanList(t workload.TermID, w float64, top *topK, stats *ExecStats) (TermStats, error) {
 	total := e.src.ListBytes(t)
 	blocks := e.src.ListBlocks(t)
 	ts := TermStats{Term: t, ListBytes: total}
@@ -253,19 +283,24 @@ func (e *Engine) scanList(t workload.TermID, w float64, scores map[uint32]float6
 				blockEnd = int64(blocks[k+1].Off) - chunkOff
 			}
 			e.cur.Reset(e.codec, buf[blockOff:blockEnd], int(blocks[k].Count))
+			// A directory entry claiming more than BlockLen postings is
+			// drained in BlockLen batches rather than trusted.
 			for {
-				p, ok := e.cur.Next()
-				if !ok {
+				cnt := e.decodeBlock()
+				if err := e.cur.Err(); err != nil {
+					return ts, err
+				}
+				if cnt == 0 {
 					break
 				}
-				s := scores[p.Doc] + float64(p.TF)*w
-				scores[p.Doc] = s
-				top.offer(p.Doc, s)
-				lastTF = p.TF
-				scored++
-			}
-			if err := e.cur.Err(); err != nil {
-				return ts, err
+				if err := e.scoreBlock(t, w, cnt, top); err != nil {
+					return ts, err
+				}
+				lastTF = e.blockTFs[cnt-1]
+				scored += cnt
+				if cnt < index.BlockLen {
+					break
+				}
 			}
 		}
 		stats.PostingsScored += int64(scored)
@@ -290,18 +325,69 @@ func (e *Engine) scanList(t workload.TermID, w float64, scores map[uint32]float6
 	return ts, nil
 }
 
+// decodeBlock drains up to BlockLen postings from the cursor into the block
+// scratch and returns how many it decoded.
+func (e *Engine) decodeBlock() int {
+	n := 0
+	for n < index.BlockLen {
+		p, ok := e.cur.Next()
+		if !ok {
+			break
+		}
+		e.blockDocs[n], e.blockTFs[n] = p.Doc, p.TF
+		n++
+	}
+	return n
+}
+
+// scoreBlock adds w·tf to the score of each of the n postings decoded into
+// the block scratch and offers the new totals to top, in posting order.
+//
+// The slots are gathered first, in a loop of independent loads, because on a
+// large collection slot[doc] is the one cache miss a posting costs and the
+// accumulate loop would otherwise take those misses one after another. Doc
+// IDs come off a device, so each is range-checked before it indexes slot.
+func (e *Engine) scoreBlock(t workload.TermID, w float64, n int, top *topK) error {
+	a := &e.acc
+	docs, tfs, pos := e.blockDocs[:n], e.blockTFs[:n], e.blockPos[:n]
+	slot := a.slot
+	for i, d := range docs {
+		if uint64(d) >= uint64(len(slot)) {
+			return fmt.Errorf("engine: term %d: posting for doc %d outside the collection (NumDocs %d)", t, d, len(slot))
+		}
+		pos[i] = slot[d]
+	}
+	for i, d := range docs {
+		j := pos[i]
+		if int(j) >= len(a.docs) || a.docs[j] != d {
+			// A miss re-reads the slot, because the gathered one predates
+			// any insert made earlier in this block: only a corrupt list
+			// repeats a doc, but its postings must still add up.
+			j = slot[d]
+			if int(j) >= len(a.docs) || a.docs[j] != d {
+				j = uint32(len(a.docs))
+				slot[d] = j
+				a.docs = append(a.docs, d)
+				a.vals = append(a.vals, 0)
+			}
+		}
+		s := a.vals[j] + float64(tfs[i])*w
+		a.vals[j] = s
+		top.offer(d, s)
+	}
+	return nil
+}
+
 // topK maintains the K best (doc, score) pairs seen so far. Scores for a
 // document may be offered repeatedly as later lists add to its total; the
 // structure keeps the latest offer per document.
 //
 // The min-heap is hand-rolled rather than container/heap so offers don't
 // box entries through interface{} on every push/fix; the sift order is
-// identical to the standard library's, so eviction decisions (and thus
-// results) match the previous implementation exactly.
+// identical to the standard library's.
 type topK struct {
-	k     int
-	heap  []scoredRef
-	index map[uint32]int // doc -> heap position
+	k    int
+	heap []scoredRef
 }
 
 type scoredRef struct {
@@ -310,14 +396,11 @@ type scoredRef struct {
 }
 
 func newTopK(k int) *topK {
-	return &topK{k: k, index: make(map[uint32]int, k)}
+	return &topK{k: k, heap: make([]scoredRef, 0, k)}
 }
 
-// reset empties the structure for reuse, keeping its allocations.
-func (t *topK) reset() {
-	t.heap = t.heap[:0]
-	clear(t.index)
-}
+// reset empties the structure for reuse, keeping its allocation.
+func (t *topK) reset() { t.heap = t.heap[:0] }
 
 func (t *topK) full() bool { return len(t.heap) >= t.k }
 
@@ -331,11 +414,7 @@ func (t *topK) min() float64 {
 
 func (t *topK) less(i, j int) bool { return t.heap[i].score < t.heap[j].score }
 
-func (t *topK) swap(i, j int) {
-	t.heap[i], t.heap[j] = t.heap[j], t.heap[i]
-	t.index[t.heap[i].doc] = i
-	t.index[t.heap[j].doc] = j
-}
+func (t *topK) swap(i, j int) { t.heap[i], t.heap[j] = t.heap[j], t.heap[i] }
 
 func (t *topK) up(j int) {
 	for {
@@ -375,26 +454,32 @@ func (t *topK) fix(i int) {
 	}
 }
 
-// offer updates doc's score (monotone increases only, as scores accumulate).
+// offer records doc's new total. Totals only grow (every posting adds
+// tf·idf ≥ 0), which makes the first test exact, not a heuristic: once the
+// heap is full a member's stored score is at least the minimum and its next
+// total is no smaller, so an offer at or below the minimum is either a
+// non-member that cannot enter or a member whose score did not change.
+// Past that test — the rare path — members are found by scanning the ≤ K
+// heap entries.
 func (t *topK) offer(doc uint32, score float64) {
-	if pos, ok := t.index[doc]; ok {
-		t.heap[pos].score = score
-		t.fix(pos)
+	full := t.full()
+	if full && score <= t.heap[0].score {
 		return
 	}
-	if len(t.heap) < t.k {
-		t.index[doc] = len(t.heap)
+	for i := range t.heap {
+		if t.heap[i].doc == doc {
+			t.heap[i].score = score
+			t.fix(i)
+			return
+		}
+	}
+	if !full {
 		t.heap = append(t.heap, scoredRef{doc: doc, score: score})
 		t.up(len(t.heap) - 1)
 		return
 	}
-	if score > t.heap[0].score {
-		evicted := t.heap[0].doc
-		delete(t.index, evicted)
-		t.heap[0] = scoredRef{doc: doc, score: score}
-		t.index[doc] = 0
-		t.fix(0)
-	}
+	t.heap[0] = scoredRef{doc: doc, score: score}
+	t.fix(0)
 }
 
 // ranked returns the top-K docs in descending score order (ties by doc id).
@@ -403,11 +488,11 @@ func (t *topK) ranked() []ScoredDoc {
 	for i, e := range t.heap {
 		out[i] = ScoredDoc{Doc: e.doc, Score: float32(e.score)}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b ScoredDoc) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return out[i].Doc < out[j].Doc
+		return cmp.Compare(a.Doc, b.Doc)
 	})
 	return out
 }

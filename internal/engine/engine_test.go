@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -335,6 +336,53 @@ func TestTopKUpdatesExisting(t *testing.T) {
 	}
 	if len(ranked) != 2 {
 		t.Fatalf("len = %d", len(ranked))
+	}
+}
+
+func TestTopKEqualToMinimumNotAdmitted(t *testing.T) {
+	tk := newTopK(3)
+	tk.offer(1, 10)
+	tk.offer(2, 20)
+	tk.offer(3, 30)
+	tk.offer(4, 10) // ties the minimum: the incumbent stays
+	ranked := tk.ranked()
+	if len(ranked) != 3 || ranked[2].Doc != 1 {
+		t.Fatalf("ranked = %+v, want doc 1 still last", ranked)
+	}
+}
+
+func TestTopKUpdateReordersHeap(t *testing.T) {
+	tk := newTopK(3)
+	tk.offer(1, 10)
+	tk.offer(2, 20)
+	tk.offer(3, 30)
+	tk.offer(1, 25) // the minimum's owner moves up: doc 2 is the new minimum
+	if tk.min() != 20 {
+		t.Fatalf("min = %v after updating the root, want 20", tk.min())
+	}
+	tk.offer(4, 22) // must evict doc 2, not doc 1
+	ranked := tk.ranked()
+	want := []ScoredDoc{{Doc: 3, Score: 30}, {Doc: 1, Score: 25}, {Doc: 4, Score: 22}}
+	if !reflect.DeepEqual(ranked, want) {
+		t.Fatalf("ranked = %+v, want %+v", ranked, want)
+	}
+}
+
+func TestTopKResetForgetsMembers(t *testing.T) {
+	tk := newTopK(2)
+	tk.offer(1, 10)
+	tk.offer(2, 20)
+	tk.reset()
+	if tk.full() || tk.min() != 0 || len(tk.ranked()) != 0 {
+		t.Fatalf("not empty after reset: %+v", tk.ranked())
+	}
+	// An earlier member offered again is a new entry, not an update of a
+	// position remembered from before the reset.
+	tk.offer(3, 5)
+	tk.offer(1, 1)
+	want := []ScoredDoc{{Doc: 3, Score: 5}, {Doc: 1, Score: 1}}
+	if ranked := tk.ranked(); !reflect.DeepEqual(ranked, want) {
+		t.Fatalf("ranked = %+v, want %+v", ranked, want)
 	}
 }
 

@@ -12,7 +12,8 @@
 # cache policy x budget x workload) from the suite output, and writes the
 # whole record to BENCH_pr${PR}.json, extending the perf trajectory
 # (BENCH_pr2.json was the first point). Fails hard if
-# BenchmarkEngineExecute exceeds 8 allocs/op (the PR 2 zero-copy budget).
+# BenchmarkEngineExecute exceeds 4 allocs/op (Result, its Docs, the TermStats
+# slice and the query's own terms; the engine's scratch is reused).
 #
 # Baselines: the microbench "baseline" objects and the suite pre-change
 # number are filled from the newest committed BENCH_pr*.json below the
@@ -108,11 +109,11 @@ BUILD_NS=$(bench_field BenchmarkIndexBuild ns/op)
 BUILD_ALLOCS=$(bench_field BenchmarkIndexBuild allocs/op)
 BUILD_BYTES=$(bench_field BenchmarkIndexBuild B/op)
 
-if [ "${ENGINE_ALLOCS%.*}" -gt 8 ]; then
-    echo "FATAL: BenchmarkEngineExecute allocs/op = $ENGINE_ALLOCS exceeds budget of 8" >&2
+if [ "${ENGINE_ALLOCS%.*}" -gt 4 ]; then
+    echo "FATAL: BenchmarkEngineExecute allocs/op = $ENGINE_ALLOCS exceeds budget of 4" >&2
     exit 1
 fi
-echo "== engine allocs/op = $ENGINE_ALLOCS (budget 8)" >&2
+echo "== engine allocs/op = $ENGINE_ALLOCS (budget 4)" >&2
 
 echo "== codec matrix: table1 under raw and gvarint" >&2
 index_bytes() { # index_bytes <outfile>

@@ -3,6 +3,7 @@ package hybrid
 import (
 	"sort"
 
+	"hybridstore/internal/engine"
 	"hybridstore/internal/workload"
 )
 
@@ -19,9 +20,11 @@ type WarmupStats struct {
 // pins the most valuable result entries and list prefixes into the SSD's
 // static partitions.
 //
-// Pinned results are computed with the uncached engine so the dynamic
+// Pinned results are computed with an uncached engine so the dynamic
 // caches stay cold; the simulated time spent is setup cost, charged on the
-// clock like any other work.
+// clock like any other work. That engine lives only for this call, so its
+// score accumulator (4 B per document) is not held for the system's
+// lifetime beside s.Engine's.
 //
 // It is a no-op (returning zero counts) for policies without a static
 // partition (everything but CBSLRU today).
@@ -54,11 +57,12 @@ func (s *System) WarmupStatic(sampleQueries int) (WarmupStats, error) {
 		}
 		return qids[i] < qids[j]
 	})
+	uncached := engine.New(s.baseline, s.engCfg)
 	for _, qid := range qids {
 		if queryCount[qid] < 2 {
 			break // singletons are not worth pinning
 		}
-		res, stats, err := s.uncachedE.Execute(sample.QueryByID(qid))
+		res, stats, err := uncached.Execute(sample.QueryByID(qid))
 		if err != nil {
 			return ws, err
 		}
