@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -574,5 +575,36 @@ func TestHeteroTierSplitsWear(t *testing.T) {
 	}
 	if h, s := homo.Manager.Stats().CombinedHitRatio(), sys.Manager.Stats().CombinedHitRatio(); h != s {
 		t.Fatalf("hit ratio changed with tiering: homo %v hetero %v", h, s)
+	}
+}
+
+// TestSteadyStateAllocationBudget bounds what a query allocates on the host
+// once the caches are warm. A cache miss extends L1 prefixes in place, pads
+// SSD extents in one staging buffer and programs flash into recycled block
+// buffers, so what is left is what the caches keep (result entries,
+// first-touch prefixes) and the per-query result — not a fresh copy of every
+// list prefix and flash block a miss passes through.
+func TestSteadyStateAllocationBudget(t *testing.T) {
+	const warmup, measured, budget = 3000, 2000, 128 << 10
+	sys, err := New(smallConfig(core.PolicyCBLRU, CacheTwoLevel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, _, err := sys.SearchNext(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(warmup)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(measured)
+	runtime.ReadMemStats(&after)
+	perQuery := (after.TotalAlloc - before.TotalAlloc) / measured
+	t.Logf("%d KiB and %d allocations per query", perQuery>>10, (after.Mallocs-before.Mallocs)/measured)
+	if perQuery > budget {
+		t.Fatalf("steady state allocates %d KiB per query, budget %d KiB", perQuery>>10, budget>>10)
 	}
 }

@@ -108,7 +108,7 @@ func gateFromAnalysisDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Remove(seeded.Name())
-	content := "hybridstore/internal/index (*BlockCursor).Next 0\n" + // has escapes on error paths: must fire
+	content := "hybridstore/internal/index (*BlockCursor).Decode 0\n" + // has an escape on its error path: must fire
 		"hybridstore/internal/index (*BlockCursor).Reset 0\n" + // genuinely zero-escape: must stay clean
 		"hybridstore/internal/index NoSuchFunction 0\n" // stale entry: must fire at the budget file
 	if _, err := seeded.WriteString(content); err != nil {
@@ -128,7 +128,7 @@ func gateFromAnalysisDir(t *testing.T) {
 			t.Errorf("diagnostic under analyzer %q, want %q", d.Analyzer, AllocBudgetName)
 		}
 		switch {
-		case strings.Contains(d.Message, "(*BlockCursor).Next") && strings.Contains(d.Message, "over its committed budget of 0"):
+		case strings.Contains(d.Message, "(*BlockCursor).Decode") && strings.Contains(d.Message, "over its committed budget of 0"):
 			overBudget = true
 		case strings.Contains(d.Message, "(*BlockCursor).Reset"):
 			t.Errorf("zero-escape function reported over budget: %s", d)
@@ -140,7 +140,7 @@ func gateFromAnalysisDir(t *testing.T) {
 		}
 	}
 	if !overBudget {
-		t.Errorf("zero budget on (*BlockCursor).Next did not fire; diagnostics: %v", diags)
+		t.Errorf("zero budget on (*BlockCursor).Decode did not fire; diagnostics: %v", diags)
 	}
 	if !stale {
 		t.Errorf("stale budget entry did not fire; diagnostics: %v", diags)

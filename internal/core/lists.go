@@ -203,11 +203,22 @@ func (m *Manager) fillL1List(t workload.TermID, l1 *memList, off int64, p []byte
 		}
 	}
 
-	grown := make([]byte, target)
-	if l1 != nil {
-		copy(grown, l1.prefix)
+	// The new bytes land past len(prefix), in capacity grown geometrically
+	// (and never past the entry cap), so reading a list in n chunks copies
+	// it once, not n²/2 times. The simulated entry stays len(prefix) bytes:
+	// the prefix is re-sliced only once the cache has made room, so a
+	// failed extension leaves the entry exactly as it was.
+	var grown []byte
+	if l1 == nil {
+		grown = make([]byte, target)
+	} else {
+		if int64(cap(l1.prefix)) < target {
+			newCap := min(max(target, 2*int64(cap(l1.prefix))), capBytes)
+			l1.prefix = append(make([]byte, 0, newCap), l1.prefix...)
+		}
+		grown = l1.prefix[:target]
 	}
-	copy(grown[off:], p)
+	copy(grown[have:endPos], p[have-off:])
 	if target > endPos {
 		m.readThrough(t, endPos, grown[endPos:])
 		m.stats.ListBytesPrefetched += target - endPos
@@ -218,13 +229,13 @@ func (m *Manager) fillL1List(t workload.TermID, l1 *memList, off int64, p []byte
 		return
 	}
 	e, _ := m.ic.Peek(uint64(t))
-	need := int64(len(grown)) - e.Size
+	need := target - e.Size
 	m.makeRoomIC(need, e)
 	if !m.ic.Fits(need) {
 		return // could not free enough without touching this entry
 	}
 	l1.prefix = grown
-	m.ic.Resize(e, int64(len(grown)))
+	m.ic.Resize(e, target)
 	m.memCost(int(need))
 }
 

@@ -167,6 +167,14 @@ type Manager struct {
 	ssdFailStreak    int
 	breakerOpenUntil time.Duration
 
+	// staging holds the one padded extent in flight to the SSD (a list
+	// prefix rounded up to whole blocks, an assembled result block). Devices
+	// copy what they are handed, so every flush reuses it. Everything from
+	// stagingDirty to its capacity is zero, so padding an extent clears only
+	// what the previous payload left behind.
+	staging      []byte
+	stagingDirty int64
+
 	// staticRBScan is the first-free cursor into staticRBs for PinResult:
 	// static slots are never vacated, so RBs fill monotonically and the
 	// cursor only moves forward.
@@ -334,6 +342,19 @@ func (m *Manager) ssdWrite(p []byte, off int64) error {
 	m.ssdFailStreak = 0
 	m.pushBusy(lat)
 	return nil
+}
+
+// stagingBuf returns the staging buffer sized for an n-byte extent whose
+// first payload bytes the caller is about to overwrite; the rest is zero.
+func (m *Manager) stagingBuf(n, payload int64) []byte {
+	if int64(cap(m.staging)) < n {
+		m.staging, m.stagingDirty = make([]byte, n), 0
+	}
+	if payload < m.stagingDirty {
+		clear(m.staging[payload:m.stagingDirty])
+	}
+	m.stagingDirty = payload
+	return m.staging[:n]
 }
 
 // ssdTrim issues a background trim when the device supports it.

@@ -272,7 +272,9 @@ func (m *Manager) flushResultBlock() {
 
 	rb := &resultBlock{num: m.nextRB, off: off, slots: make([]*ssdResult, n)}
 	m.nextRB++
-	buf := make([]byte, m.cfg.BlockBytes)
+	// Entries are exactly ResultEntryBytes each (PutResult enforces it), so
+	// together they overwrite the whole payload.
+	buf := m.stagingBuf(m.cfg.BlockBytes, int64(n)*m.cfg.ResultEntryBytes)
 	for i, b := range batch {
 		copy(buf[int64(i)*m.cfg.ResultEntryBytes:], b.data)
 		loc := &ssdResult{qid: b.qid, rb: rb, slot: i, loadedAt: b.loadedAt}

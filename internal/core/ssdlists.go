@@ -85,7 +85,7 @@ func (m *Manager) flushListToSSD(ml *memList) {
 
 	// One large sequential block-aligned write (the data placement win of
 	// §VI-B): the prefix padded to whole blocks.
-	buf := make([]byte, scBytes)
+	buf := m.stagingBuf(scBytes, validBytes)
 	copy(buf, ml.prefix[:validBytes])
 	if err := m.ssdWrite(buf, m.icBase()+off); err != nil {
 		// Error accounted by ssdWrite; the list is lost from the cache
@@ -282,7 +282,7 @@ func (m *Manager) PinList(t workload.TermID) bool {
 	if validBytes > total {
 		validBytes = total
 	}
-	buf := make([]byte, scBytes)
+	buf := m.stagingBuf(scBytes, validBytes)
 	if err := m.ix.ReadListRange(t, 0, buf[:validBytes]); err != nil {
 		m.icAlloc.Free(off, scBytes)
 		return false

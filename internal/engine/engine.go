@@ -11,14 +11,14 @@
 // paper's policies exploit.
 //
 // The read side is zero-copy: chunks of whole encoded blocks come straight
-// from the source and an index.BlockCursor decodes them one block at a time
-// into fixed scratch — no []workload.Posting is materialized. Scores
-// accumulate in a sparse set indexed by doc ID (see accumulator), so a
-// posting costs an array slot, not a hash probe. Chunking is measured in
-// blocks (posting counts), not encoded bytes, so scoring, early
-// termination, and therefore results are byte-identical across codecs;
-// only the byte accounting (BytesRead, Utilization) reflects each codec's
-// encoded size.
+// from the source and index.BlockCursor's bulk kernel decodes them one block
+// at a time into the engine's fixed doc and tf columns — no
+// []workload.Posting is materialized. Scores accumulate in a sparse set
+// indexed by doc ID (see accumulator), so a posting costs an array slot, not
+// a hash probe. Chunking is measured in blocks (posting counts), not encoded
+// bytes, so scoring, early termination, and therefore results are
+// byte-identical across codecs; only the byte accounting (BytesRead,
+// Utilization) reflects each codec's encoded size.
 package engine
 
 import (
@@ -286,8 +286,8 @@ func (e *Engine) scanList(t workload.TermID, w float64, top *topK, stats *ExecSt
 			// A directory entry claiming more than BlockLen postings is
 			// drained in BlockLen batches rather than trusted.
 			for {
-				cnt := e.decodeBlock()
-				if err := e.cur.Err(); err != nil {
+				cnt, err := e.cur.Decode(&e.blockDocs, &e.blockTFs)
+				if err != nil {
 					return ts, err
 				}
 				if cnt == 0 {
@@ -323,21 +323,6 @@ func (e *Engine) scanList(t workload.TermID, w float64, top *topK, stats *ExecSt
 		ts.Utilization = float64(ts.BytesRead) / float64(total)
 	}
 	return ts, nil
-}
-
-// decodeBlock drains up to BlockLen postings from the cursor into the block
-// scratch and returns how many it decoded.
-func (e *Engine) decodeBlock() int {
-	n := 0
-	for n < index.BlockLen {
-		p, ok := e.cur.Next()
-		if !ok {
-			break
-		}
-		e.blockDocs[n], e.blockTFs[n] = p.Doc, p.TF
-		n++
-	}
-	return n
 }
 
 // scoreBlock adds w·tf to the score of each of the n postings decoded into

@@ -29,6 +29,7 @@ type BlockSSD struct {
 	l2pBlock   []int32 // logical block -> physical block, -1 unmapped
 	p2lBlock   []int32 // physical block -> logical block, -1
 	freeBlocks []int
+	pageBuf    []byte // one page of scratch for read-modify-write
 
 	stats     storage.DeviceStats
 	merges    int64
@@ -54,6 +55,7 @@ func NewBlockMapped(name string, clock *simclock.Clock, p Params) *BlockSSD {
 		nand:     newNANDArray(p.PageSize, p.PagesPerBlock, totalBlocks),
 		l2pBlock: make([]int32, p.ExportedBlocks),
 		p2lBlock: make([]int32, totalBlocks),
+		pageBuf:  make([]byte, p.PageSize),
 	}
 	for i := range d.l2pBlock {
 		d.l2pBlock[i] = -1
@@ -123,12 +125,9 @@ func (d *BlockSSD) ReadAt(p []byte, off int64) (time.Duration, error) {
 			n = int64(len(remaining))
 		}
 		if phys := d.physPage(lp); phys >= 0 && d.nand.pageState[phys] == pageValid {
-			d.nand.data.ReadAt(remaining[:n], d.nand.physOffset(phys)+po)
-			d.nand.reads++
+			d.nand.readAt(phys, int(po), remaining[:n])
 		} else {
-			for i := int64(0); i < n; i++ {
-				remaining[i] = 0
-			}
+			clear(remaining[:n])
 		}
 		lat += d.p.PageReadLatency
 		remaining = remaining[n:]
@@ -150,7 +149,6 @@ func (d *BlockSSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 	var lat time.Duration
 	remaining := p
 	pos := off
-	pageBuf := make([]byte, d.p.PageSize)
 	for len(remaining) > 0 {
 		lp := pos / int64(d.p.PageSize)
 		po := pos % int64(d.p.PageSize)
@@ -158,19 +156,19 @@ func (d *BlockSSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 		if int64(len(remaining)) < n {
 			n = int64(len(remaining))
 		}
+		content := remaining[:n] // a whole page is programmed from the caller's bytes
 		if po != 0 || n != int64(d.p.PageSize) {
 			// Partial page: read-modify-write of the whole page.
+			content = d.pageBuf
 			if phys := d.physPage(lp); phys >= 0 && d.nand.pageState[phys] == pageValid {
-				d.nand.readPage(phys, pageBuf)
+				d.nand.readPage(phys, content)
 				lat += d.p.PageReadLatency
 			} else {
-				clearBuf(pageBuf)
+				clear(content)
 			}
-			copy(pageBuf[po:po+n], remaining[:n])
-		} else {
-			copy(pageBuf, remaining[:n])
+			copy(content[po:po+n], remaining[:n])
 		}
-		lat += d.writePage(lp, pageBuf)
+		lat += d.writePage(lp, content)
 		remaining = remaining[n:]
 		pos += n
 	}
@@ -212,7 +210,6 @@ func (d *BlockSSD) merge(lb, slot int, content []byte) time.Duration {
 	oldPB := d.l2pBlock[lb]
 	newPB := int32(d.takeFree())
 	var lat time.Duration
-	pageBuf := make([]byte, d.p.PageSize)
 	for i := 0; i < d.p.PagesPerBlock; i++ {
 		dst := newPB*int32(d.p.PagesPerBlock) + int32(i)
 		if i == slot {
@@ -224,8 +221,7 @@ func (d *BlockSSD) merge(lb, slot int, content []byte) time.Duration {
 		if d.nand.pageState[src] != pageValid {
 			continue
 		}
-		d.nand.readPage(src, pageBuf)
-		d.nand.programPage(dst, pageBuf)
+		d.nand.copyPage(src, dst)
 		lat += d.p.PageReadLatency + d.p.PageWriteLatency
 	}
 	d.nand.eraseBlock(int(oldPB))
@@ -327,9 +323,3 @@ func (d *BlockSSD) PageSize() int { return d.p.PageSize }
 
 // BlockSize returns the erase-block size in bytes.
 func (d *BlockSSD) BlockSize() int64 { return d.nand.blockBytes() }
-
-func clearBuf(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
-}

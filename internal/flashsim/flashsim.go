@@ -99,9 +99,11 @@ type SSD struct {
 	l2p  []int32 // logical page -> physical page, -1 unmapped
 	p2l  []int32 // physical page -> logical page, -1
 
-	freeBlocks  []int // stack of fully-erased block indices
-	activeBlock int   // block currently accepting programs, -1 none
-	activeNext  int   // next free page index within activeBlock
+	freeBlocks  []int  // stack of fully-erased block indices
+	inFree      []bool // per block: is it on freeBlocks
+	pageBuf     []byte // one page of scratch for read-modify-write
+	activeBlock int    // block currently accepting programs, -1 none
+	activeNext  int    // next free page index within activeBlock
 	gcLowWater  int
 
 	stats        storage.DeviceStats
@@ -156,9 +158,12 @@ func New(name string, clock *simclock.Clock, p Params) *SSD {
 		d.p2l[i] = -1
 	}
 	d.freeBlocks = make([]int, totalBlocks)
+	d.inFree = make([]bool, totalBlocks)
 	for i := range d.freeBlocks {
 		d.freeBlocks[i] = totalBlocks - 1 - i // pop order: block 0 first
+		d.inFree[i] = true
 	}
+	d.pageBuf = make([]byte, p.PageSize)
 	return d
 }
 
@@ -197,12 +202,9 @@ func (d *SSD) ReadAt(p []byte, off int64) (time.Duration, error) {
 		}
 		phys := d.l2p[lp]
 		if phys >= 0 {
-			d.nand.data.ReadAt(remaining[:n], d.nand.physOffset(phys)+po)
-			d.nand.reads++
+			d.nand.readAt(phys, int(po), remaining[:n])
 		} else {
-			for i := int64(0); i < n; i++ {
-				remaining[i] = 0
-			}
+			clear(remaining[:n])
 		}
 		lat += d.p.PageReadLatency
 		remaining = remaining[n:]
@@ -228,7 +230,6 @@ func (d *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 	var lat time.Duration
 	remaining := p
 	pos := off
-	pageBuf := make([]byte, d.p.PageSize)
 	for len(remaining) > 0 {
 		lp := pos / int64(d.p.PageSize)
 		po := pos % int64(d.p.PageSize)
@@ -236,22 +237,19 @@ func (d *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 		if int64(len(remaining)) < n {
 			n = int64(len(remaining))
 		}
-		old := d.l2p[lp]
+		content := remaining[:n] // a whole page is programmed from the caller's bytes
 		if po != 0 || n != int64(d.p.PageSize) {
 			// Partial page: read-modify-write.
-			if old >= 0 {
-				d.nand.readPage(old, pageBuf)
+			content = d.pageBuf
+			if old := d.l2p[lp]; old >= 0 {
+				d.nand.readPage(old, content)
 				lat += d.p.PageReadLatency
 			} else {
-				for i := range pageBuf {
-					pageBuf[i] = 0
-				}
+				clear(content)
 			}
-			copy(pageBuf[po:po+n], remaining[:n])
-		} else {
-			copy(pageBuf, remaining[:n])
+			copy(content[po:po+n], remaining[:n])
 		}
-		lat += d.programPage(lp, pageBuf)
+		lat += d.programPage(lp, content)
 		remaining = remaining[n:]
 		pos += n
 	}
@@ -292,10 +290,16 @@ func (d *SSD) ensureFrontier() time.Duration {
 	if len(d.freeBlocks) == 0 {
 		panic("flashsim: out of free blocks; GC failed to reclaim space")
 	}
+	d.openFreeBlock()
+	return lat
+}
+
+// openFreeBlock pops a free block and makes it the log frontier.
+func (d *SSD) openFreeBlock() {
 	d.activeBlock = d.freeBlocks[len(d.freeBlocks)-1]
 	d.freeBlocks = d.freeBlocks[:len(d.freeBlocks)-1]
+	d.inFree[d.activeBlock] = false
 	d.activeNext = 0
-	return lat
 }
 
 // collectGarbage reclaims blocks until the free count exceeds the low-water
@@ -318,12 +322,8 @@ func (d *SSD) collectGarbage() time.Duration {
 func (d *SSD) pickVictim() int {
 	best := -1
 	bestValid := d.p.PagesPerBlock + 1
-	inFree := make(map[int]bool, len(d.freeBlocks))
-	for _, b := range d.freeBlocks {
-		inFree[b] = true
-	}
 	for b := range d.nand.blockValid {
-		if b == d.activeBlock || inFree[b] {
+		if b == d.activeBlock || d.inFree[b] {
 			continue
 		}
 		if d.nand.blockValid[b] < bestValid {
@@ -341,7 +341,6 @@ func (d *SSD) pickVictim() int {
 // it. Caller holds d.mu.
 func (d *SSD) relocateAndErase(victim int) time.Duration {
 	var lat time.Duration
-	pageBuf := make([]byte, d.p.PageSize)
 	base := victim * d.p.PagesPerBlock
 	for i := 0; i < d.p.PagesPerBlock; i++ {
 		phys := int32(base + i)
@@ -349,7 +348,6 @@ func (d *SSD) relocateAndErase(victim int) time.Duration {
 			continue
 		}
 		lp := d.p2l[phys]
-		d.nand.readPage(phys, pageBuf)
 		lat += d.p.PageReadLatency
 
 		// Program to the frontier. The frontier can never be the victim:
@@ -361,14 +359,12 @@ func (d *SSD) relocateAndErase(victim int) time.Duration {
 			if len(d.freeBlocks) == 0 {
 				panic("flashsim: GC deadlock, no free block for relocation")
 			}
-			d.activeBlock = d.freeBlocks[len(d.freeBlocks)-1]
-			d.freeBlocks = d.freeBlocks[:len(d.freeBlocks)-1]
-			d.activeNext = 0
+			d.openFreeBlock()
 		}
 		dst := int32(d.activeBlock*d.p.PagesPerBlock + d.activeNext)
 		d.activeNext++
+		d.nand.copyPage(phys, dst)
 		d.nand.invalidatePage(phys)
-		d.nand.programPage(dst, pageBuf)
 		lat += d.p.PageWriteLatency
 
 		d.p2l[dst] = lp
@@ -381,6 +377,7 @@ func (d *SSD) relocateAndErase(victim int) time.Duration {
 	}
 	d.nand.eraseBlock(victim)
 	d.freeBlocks = append(d.freeBlocks, victim)
+	d.inFree[victim] = true
 	lat += d.p.BlockEraseLatency
 	d.stats.Record(storage.OpErase, int(d.blockBytes), d.p.BlockEraseLatency)
 	return lat
@@ -400,7 +397,6 @@ func (d *SSD) Trim(off, n int64) (time.Duration, error) {
 	pageSize := int64(d.p.PageSize)
 	pos := off
 	end := off + n
-	zero := make([]byte, d.p.PageSize)
 	for pos < end {
 		lp := pos / pageSize
 		po := pos % pageSize
@@ -415,11 +411,10 @@ func (d *SSD) Trim(off, n int64) (time.Duration, error) {
 			}
 		} else if phys := d.l2p[lp]; phys >= 0 {
 			// Partial-page trim: rewrite the page with the range zeroed.
-			pageBuf := make([]byte, d.p.PageSize)
-			d.nand.readPage(phys, pageBuf)
+			d.nand.readPage(phys, d.pageBuf)
 			lat += d.p.PageReadLatency
-			copy(pageBuf[po:po+span], zero[:span])
-			lat += d.programPage(lp, pageBuf)
+			clear(d.pageBuf[po : po+span])
+			lat += d.programPage(lp, d.pageBuf)
 			d.hostPages-- // RMW bookkeeping, not host payload
 		}
 		pos += span

@@ -33,6 +33,7 @@ type HybridSSD struct {
 	logPool   int             // number of log blocks allowed
 
 	freeBlocks []int
+	pageBuf    []byte // one page of scratch for read-modify-write
 
 	stats     storage.DeviceStats
 	merges    int64
@@ -60,6 +61,7 @@ func NewHybridLog(name string, clock *simclock.Clock, p Params) *HybridSSD {
 		p2lBlock: make([]int32, totalBlocks),
 		logMap:   make(map[int64]int32),
 		logPool:  p.SpareBlocks / 2,
+		pageBuf:  make([]byte, p.PageSize),
 	}
 	if d.logPool < 1 {
 		d.logPool = 1
@@ -128,12 +130,9 @@ func (d *HybridSSD) ReadAt(p []byte, off int64) (time.Duration, error) {
 			n = int64(len(remaining))
 		}
 		if phys := d.latestPhys(lp); phys >= 0 {
-			d.nand.data.ReadAt(remaining[:n], d.nand.physOffset(phys)+po)
-			d.nand.reads++
+			d.nand.readAt(phys, int(po), remaining[:n])
 		} else {
-			for i := int64(0); i < n; i++ {
-				remaining[i] = 0
-			}
+			clear(remaining[:n])
 		}
 		lat += d.p.PageReadLatency
 		remaining = remaining[n:]
@@ -155,7 +154,6 @@ func (d *HybridSSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 	var lat time.Duration
 	remaining := p
 	pos := off
-	pageBuf := make([]byte, d.p.PageSize)
 	for len(remaining) > 0 {
 		lp := pos / int64(d.p.PageSize)
 		po := pos % int64(d.p.PageSize)
@@ -163,18 +161,18 @@ func (d *HybridSSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 		if int64(len(remaining)) < n {
 			n = int64(len(remaining))
 		}
+		content := remaining[:n] // a whole page is programmed from the caller's bytes
 		if po != 0 || n != int64(d.p.PageSize) {
+			content = d.pageBuf
 			if phys := d.latestPhys(lp); phys >= 0 {
-				d.nand.readPage(phys, pageBuf)
+				d.nand.readPage(phys, content)
 				lat += d.p.PageReadLatency
 			} else {
-				clearBuf(pageBuf)
+				clear(content)
 			}
-			copy(pageBuf[po:po+n], remaining[:n])
-		} else {
-			copy(pageBuf, remaining[:n])
+			copy(content[po:po+n], remaining[:n])
 		}
-		lat += d.writePage(lp, pageBuf)
+		lat += d.writePage(lp, content)
 		remaining = remaining[n:]
 		pos += n
 	}
@@ -191,10 +189,12 @@ func (d *HybridSSD) writePage(lp int64, content []byte) time.Duration {
 	slot := int(lp) % d.p.PagesPerBlock
 
 	// Fast path: the slot in the data block is still free (first write or
-	// strictly sequential fill).
+	// strictly sequential fill) and the log holds no copy that would shadow
+	// it — a merge set off by a write to a trimmed page leaves exactly that:
+	// a rebuilt data block with the slot free, and the page in the log.
 	if pb := d.l2pBlock[lb]; pb >= 0 {
 		phys := pb*int32(d.p.PagesPerBlock) + int32(slot)
-		if d.nand.pageState[phys] == pageFree {
+		if _, logged := d.logMap[lp]; !logged && d.nand.pageState[phys] == pageFree {
 			d.nand.programPage(phys, content)
 			return d.p.PageWriteLatency
 		}
@@ -283,7 +283,6 @@ func (d *HybridSSD) fullMerge(lb int) time.Duration {
 	d.merges++
 	var lat time.Duration
 	newPB := int32(d.takeFree())
-	pageBuf := make([]byte, d.p.PageSize)
 	oldPB := d.l2pBlock[lb]
 	for slot := 0; slot < d.p.PagesPerBlock; slot++ {
 		lp := int64(lb*d.p.PagesPerBlock + slot)
@@ -291,11 +290,10 @@ func (d *HybridSSD) fullMerge(lb int) time.Duration {
 		if src < 0 {
 			continue
 		}
-		d.nand.readPage(src, pageBuf)
+		dst := newPB*int32(d.p.PagesPerBlock) + int32(slot)
+		d.nand.copyPage(src, dst)
 		d.nand.invalidatePage(src)
 		delete(d.logMap, lp)
-		dst := newPB*int32(d.p.PagesPerBlock) + int32(slot)
-		d.nand.programPage(dst, pageBuf)
 		lat += d.p.PageReadLatency + d.p.PageWriteLatency
 	}
 	if oldPB >= 0 {

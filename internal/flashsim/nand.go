@@ -1,25 +1,30 @@
 package flashsim
 
-import (
-	"fmt"
-
-	"hybridstore/internal/storage"
-)
+import "fmt"
 
 // nandArray models the raw NAND medium shared by every FTL in this
 // package: physical pages grouped into erase blocks, with program/read/
 // erase mechanics, page states, per-block wear counters and real data
 // storage. It charges no time itself — FTLs account latency — and it is
 // not safe for concurrent use (the owning device serializes).
+//
+// Each erase block owns one host buffer from its first program until its
+// erase, which hands the buffer — uncleared — to the next block that needs
+// one. That is sound because state decides what a read returns, bytes
+// don't: a page is always programmed whole, and a free page reads as zeros
+// whatever an earlier life of its buffer left there. Host memory is
+// therefore bounded by the peak number of simultaneously programmed blocks,
+// and steady-state program/erase cycles allocate and clear nothing.
 type nandArray struct {
 	pageSize      int
 	pagesPerBlock int
 	blocks        int
 
-	data       *storage.SparseBuffer // physical byte space
-	pageState  []int8                // pageFree / pageValid / pageInvalid
-	blockValid []int                 // valid pages per block
-	blockFree  []int                 // free (never-programmed-since-erase) pages per block
+	blockBuf   [][]byte // per block: its bytes, nil while fully erased
+	freeBufs   [][]byte // buffers of erased blocks, reused as they are
+	pageState  []int8   // pageFree / pageValid / pageInvalid
+	blockValid []int    // valid pages per block
+	blockFree  []int    // free (never-programmed-since-erase) pages per block
 	erases     []int64
 
 	totalErases int64
@@ -35,12 +40,12 @@ func newNANDArray(pageSize, pagesPerBlock, blocks int) *nandArray {
 		pageSize:      pageSize,
 		pagesPerBlock: pagesPerBlock,
 		blocks:        blocks,
+		blockBuf:      make([][]byte, blocks),
 		pageState:     make([]int8, blocks*pagesPerBlock),
 		blockValid:    make([]int, blocks),
 		blockFree:     make([]int, blocks),
 		erases:        make([]int64, blocks),
 	}
-	n.data = storage.NewSparseBuffer(int64(blocks) * n.blockBytes())
 	for b := range n.blockFree {
 		n.blockFree[b] = pagesPerBlock
 	}
@@ -49,15 +54,27 @@ func newNANDArray(pageSize, pagesPerBlock, blocks int) *nandArray {
 
 func (n *nandArray) blockBytes() int64 { return int64(n.pageSize * n.pagesPerBlock) }
 
-func (n *nandArray) physOffset(phys int32) int64 { return int64(phys) * int64(n.pageSize) }
-
 func (n *nandArray) blockOf(phys int32) int { return int(phys) / n.pagesPerBlock }
 
-// readPage copies a physical page into buf (len >= pageSize).
-func (n *nandArray) readPage(phys int32, buf []byte) {
-	n.data.ReadAt(buf[:n.pageSize], n.physOffset(phys))
+// page returns the bytes of a programmed (valid or invalid) physical page.
+func (n *nandArray) page(phys int32) []byte {
+	off := int(phys) % n.pagesPerBlock * n.pageSize
+	return n.blockBuf[n.blockOf(phys)][off : off+n.pageSize]
+}
+
+// readAt copies len(p) bytes of a physical page, starting po bytes into it,
+// into p. A free page reads as zeros.
+func (n *nandArray) readAt(phys int32, po int, p []byte) {
+	if n.pageState[phys] == pageFree {
+		clear(p)
+	} else {
+		copy(p, n.page(phys)[po:])
+	}
 	n.reads++
 }
+
+// readPage copies a physical page into buf (len >= pageSize).
+func (n *nandArray) readPage(phys int32, buf []byte) { n.readAt(phys, 0, buf[:n.pageSize]) }
 
 // programPage writes content into a free physical page and marks it valid.
 // Programming a non-free page panics: NAND cannot overwrite in place, and
@@ -66,12 +83,26 @@ func (n *nandArray) programPage(phys int32, content []byte) {
 	if n.pageState[phys] != pageFree {
 		panic(fmt.Sprintf("flashsim: program of non-free page %d (state %d)", phys, n.pageState[phys]))
 	}
-	n.data.WriteAt(content[:n.pageSize], n.physOffset(phys))
-	n.pageState[phys] = pageValid
 	b := n.blockOf(phys)
+	if n.blockBuf[b] == nil {
+		if last := len(n.freeBufs) - 1; last >= 0 {
+			n.blockBuf[b], n.freeBufs = n.freeBufs[last], n.freeBufs[:last]
+		} else {
+			n.blockBuf[b] = make([]byte, n.blockBytes())
+		}
+	}
+	n.pageState[phys] = pageValid
+	copy(n.page(phys), content[:n.pageSize])
 	n.blockValid[b]++
 	n.blockFree[b]--
 	n.programs++
+}
+
+// copyPage programs free page dst with the content of programmed page src:
+// one array read and one program, one host copy.
+func (n *nandArray) copyPage(src, dst int32) {
+	n.reads++
+	n.programPage(dst, n.page(src))
 }
 
 // invalidatePage marks a valid page invalid (its logical content moved or
@@ -89,7 +120,10 @@ func (n *nandArray) eraseBlock(b int) {
 	for i := 0; i < n.pagesPerBlock; i++ {
 		n.pageState[base+i] = pageFree
 	}
-	n.data.Zero(int64(b)*n.blockBytes(), n.blockBytes())
+	if buf := n.blockBuf[b]; buf != nil {
+		n.freeBufs = append(n.freeBufs, buf)
+		n.blockBuf[b] = nil
+	}
 	n.blockValid[b] = 0
 	n.blockFree[b] = n.pagesPerBlock
 	n.erases[b]++

@@ -9,9 +9,9 @@ import (
 
 // FuzzCodecRoundTrip feeds arbitrary bytes in as a posting list and checks
 // the codec invariants: both codecs round-trip the list exactly, block
-// refs agree on counts and max docs, and gvarint block payloads decode
-// without error. Doc IDs are taken raw (unordered lists are legal for
-// impact ordering), TFs are 16-bit.
+// refs agree on counts and max docs, every block decodes without error, and
+// the bulk kernel agrees with the reference decoder on it. Doc IDs are taken
+// raw (unordered lists are legal for impact ordering), TFs are 16-bit.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6})
@@ -58,6 +58,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				if i+1 < len(refs) {
 					end = int(refs[i+1].Off)
 				}
+				requireSameAsRefCursor(t, codec, buf[ref.Off:end], int(ref.Count))
 				cur.Reset(codec, buf[ref.Off:end], int(ref.Count))
 				for {
 					p, ok := cur.Next()

@@ -66,7 +66,8 @@ type Device interface {
 	Size() int64
 	// ReadAt fills p with the bytes at off and returns the simulated cost.
 	ReadAt(p []byte, off int64) (time.Duration, error)
-	// WriteAt stores p at off and returns the simulated cost.
+	// WriteAt stores a copy of p at off and returns the simulated cost. The
+	// device must not retain p: callers reuse the buffer for the next write.
 	WriteAt(p []byte, off int64) (time.Duration, error)
 }
 

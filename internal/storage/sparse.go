@@ -27,11 +27,6 @@ func NewSparseBuffer(size int64) *SparseBuffer {
 // Size returns the logical size in bytes.
 func (b *SparseBuffer) Size() int64 { return b.size }
 
-// AllocatedBytes reports host memory consumed by written chunks.
-func (b *SparseBuffer) AllocatedBytes() int64 {
-	return int64(len(b.chunks)) * sparseChunkSize
-}
-
 // ReadAt copies len(p) bytes at off into p. The range must be in bounds.
 func (b *SparseBuffer) ReadAt(p []byte, off int64) {
 	if err := CheckRange("sparse", b.size, off, len(p)); err != nil {
@@ -47,9 +42,7 @@ func (b *SparseBuffer) ReadAt(p []byte, off int64) {
 		if chunk, ok := b.chunks[ci]; ok {
 			copy(p[:n], chunk[co:co+n])
 		} else {
-			for i := int64(0); i < n; i++ {
-				p[i] = 0
-			}
+			clear(p[:n])
 		}
 		p = p[n:]
 		off += n
@@ -76,30 +69,5 @@ func (b *SparseBuffer) WriteAt(p []byte, off int64) {
 		copy(chunk[co:co+n], p[:n])
 		p = p[n:]
 		off += n
-	}
-}
-
-// Zero clears n bytes at off, releasing whole chunks back to the allocator
-// when the cleared range covers them fully.
-func (b *SparseBuffer) Zero(off, n int64) {
-	if err := CheckRange("sparse", b.size, off, int(n)); err != nil {
-		panic(err)
-	}
-	for n > 0 {
-		ci := off / sparseChunkSize
-		co := off % sparseChunkSize
-		span := sparseChunkSize - co
-		if n < span {
-			span = n
-		}
-		if co == 0 && span == sparseChunkSize {
-			delete(b.chunks, ci)
-		} else if chunk, ok := b.chunks[ci]; ok {
-			for i := co; i < co+span; i++ {
-				chunk[i] = 0
-			}
-		}
-		off += span
-		n -= span
 	}
 }

@@ -71,30 +71,6 @@ func TestSparseBufferCrossChunk(t *testing.T) {
 	}
 }
 
-func TestSparseBufferZeroReleasesChunks(t *testing.T) {
-	b := NewSparseBuffer(1 << 20)
-	data := make([]byte, sparseChunkSize)
-	b.WriteAt(data, 0)
-	if b.AllocatedBytes() == 0 {
-		t.Fatal("write did not allocate")
-	}
-	b.Zero(0, sparseChunkSize)
-	if b.AllocatedBytes() != 0 {
-		t.Fatal("Zero of whole chunk did not release it")
-	}
-}
-
-func TestSparseBufferPartialZero(t *testing.T) {
-	b := NewSparseBuffer(1 << 20)
-	b.WriteAt([]byte{1, 2, 3, 4}, 10)
-	b.Zero(11, 2)
-	got := make([]byte, 4)
-	b.ReadAt(got, 10)
-	if !bytes.Equal(got, []byte{1, 0, 0, 4}) {
-		t.Fatalf("partial zero wrong: %v", got)
-	}
-}
-
 func TestSparseBufferRoundTripProperty(t *testing.T) {
 	f := func(data []byte, offRaw uint16) bool {
 		if len(data) == 0 {
