@@ -102,10 +102,14 @@ func main() {
 		if ok {
 			//hybridlint:allow detclock host-side wall time measuring the linter itself, never simulated state
 			t0 := time.Now()
-			budgetDiags, err := analysis.RunAllocBudget(path)
+			budgetDiags, foreign, err := analysis.RunAllocBudget(path)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "hybridlint: %s: %v\n", analysis.AllocBudgetName, err)
 				os.Exit(2)
+			}
+			for _, f := range foreign {
+				fmt.Fprintf(os.Stderr, "hybridlint: %s: note: %s instantiates generic functions of %s whose escapes (lines %v) no budget counts\n",
+					analysis.AllocBudgetName, f.Pkg, f.File, f.Lines)
 			}
 			//hybridlint:allow detclock host-side wall time measuring the linter itself, never simulated state
 			elapsed[analysis.AllocBudgetName] = time.Since(t0)

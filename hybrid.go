@@ -169,7 +169,9 @@ type Config struct {
 	// when many systems share one collection. The image's spec must equal
 	// Collection and its codec must equal Codec. Stamping charges the same
 	// simulated device writes a direct build would, so the resulting
-	// system is indistinguishable.
+	// system is indistinguishable. An index on the HDD reads through the
+	// image's bytes instead of copying them (later writes go to a private
+	// overlay), so systems sharing an image hold the index once.
 	IndexImage *index.Image
 }
 

@@ -1,8 +1,10 @@
 package hybrid
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -606,5 +608,62 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 	t.Logf("%d KiB and %d allocations per query", perQuery>>10, (after.Mallocs-before.Mallocs)/measured)
 	if perQuery > budget {
 		t.Fatalf("steady state allocates %d KiB per query, budget %d KiB", perQuery>>10, budget>>10)
+	}
+}
+
+// TestSystemsShareOneIndexImage runs two cached systems built from one
+// IndexImage on two goroutines (their HDDs read through the image's bytes;
+// run under -race) and requires each to return what an uncached system over
+// the same image returns.
+func TestSystemsShareOneIndexImage(t *testing.T) {
+	const queries = 250
+	base := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
+	base.Collection.NumDocs = 200_000
+	img, err := index.BuildImage(base.Collection, base.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.IndexImage = img
+	run := func(policy core.Policy, mode CacheMode) ([]*engine.Result, error) {
+		cfg := base
+		cfg.Cache.Policy, cfg.Mode = policy, mode
+		sys, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]*engine.Result, queries)
+		for i := range out {
+			if out[i], _, err = sys.SearchNext(); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+
+	policies := []core.Policy{core.PolicyCBLRU, core.PolicyLRU}
+	got := make([][]*engine.Result, len(policies))
+	var wg sync.WaitGroup
+	for i, p := range policies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if got[i], err = run(p, CacheTwoLevel); err != nil {
+				t.Errorf("%s: %v", p, err)
+			}
+		}()
+	}
+	want, err := run(core.PolicyCBLRU, CacheNone)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+	for i, p := range policies {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%s system sharing the image diverges from the uncached system", p)
+		}
 	}
 }

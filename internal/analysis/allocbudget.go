@@ -31,7 +31,9 @@ import (
 	"go/token"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,11 +86,22 @@ func ParseBudgetFile(path string) ([]BudgetEntry, error) {
 
 // An escapeSite is one escape-analysis diagnostic position.
 type escapeSite struct {
-	// file is the path as the compiler printed it — a spelling that depends
-	// on cwd and build-cache history — until RunAllocBudget replaces it with
-	// the absolute path of the source file.
+	// file is the path as the compiler printed it — under -trimpath,
+	// <import path>/<base name> — until RunAllocBudget replaces it with the
+	// absolute path of the source file.
 	file string
 	line int
+}
+
+// ForeignSites are the escape sites the compiler reported, while building
+// Pkg, in one file of another package: the bodies of generic functions
+// instantiated in Pkg (slices.Grow, say). They belong to no declaration of
+// Pkg, so no budget counts them; where such a body was inlined, the compiler
+// reports its escapes a second time at the call, and those are counted.
+type ForeignSites struct {
+	Pkg   string // budgeted package being built
+	File  string // <import path>/<base name> of the file the sites are in
+	Lines []int  // ascending, each once
 }
 
 // parseEscapeOutput extracts the escape sites from `go build -gcflags=-m`
@@ -178,14 +191,16 @@ func baseTypeIdent(e ast.Expr) (string, bool) {
 // RunAllocBudget replays escape analysis for every package named in the
 // budget file (found at budgetPath; the go commands run in its directory,
 // which must be inside the module) and returns one diagnostic per
-// over-budget function plus one per stale budget entry.
-func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
+// over-budget function plus one per stale budget entry, and separately the
+// escape sites it could not attribute because they lie in other packages'
+// files. Those are information, not findings.
+func RunAllocBudget(budgetPath string) ([]Diagnostic, []ForeignSites, error) {
 	entries, err := ParseBudgetFile(budgetPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(entries) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	dir := filepath.Dir(budgetPath)
 
@@ -203,7 +218,7 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 	pkgDir := map[string]string{}
 	listOut, err := goCommand(dir, append([]string{"list", "-f", "{{.ImportPath}} {{.Dir}}"}, pkgs...)...)
 	if err != nil {
-		return nil, fmt.Errorf("resolving budgeted packages: %w", err)
+		return nil, nil, fmt.Errorf("resolving budgeted packages: %w", err)
 	}
 	for _, line := range strings.Split(strings.TrimSpace(listOut), "\n") {
 		if path, d, ok := strings.Cut(line, " "); ok {
@@ -212,20 +227,37 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 	}
 
 	// One build per package: the compiler replays its diagnostics from the
-	// build cache, so repeated runs stay cheap. The paths it prints are
-	// relative to whichever directory first populated the cache, but each
-	// build covers exactly one package, so a site's file is that package's
-	// directory plus the printed base name.
+	// build cache, so repeated runs stay cheap. Without -trimpath the paths it
+	// prints are relative to whichever directory first populated the cache;
+	// with it they are <import path>/<base name> from any directory, which
+	// also tells the package's own files from those of a generic function's
+	// home package.
 	var sites []escapeSite
+	var foreign []ForeignSites
 	for _, p := range pkgs {
 		flags := fmt.Sprintf("-gcflags=%s=-m", p)
-		out, err := goCommand(dir, "build", flags, p)
+		out, err := goCommand(dir, "build", "-trimpath", flags, p)
 		if err != nil {
-			return nil, fmt.Errorf("escape analysis of %s: %w", p, err)
+			return nil, nil, fmt.Errorf("escape analysis of %s: %w", p, err)
 		}
+		foreignLines := map[string][]int{} // printed file -> lines
 		for _, s := range parseEscapeOutput(out) {
-			s.file = filepath.Join(pkgDir[p], filepath.Base(s.file))
+			if path.Dir(s.file) != p {
+				foreignLines[s.file] = append(foreignLines[s.file], s.line)
+				continue
+			}
+			s.file = filepath.Join(pkgDir[p], path.Base(s.file))
 			sites = append(sites, s)
+		}
+		files := make([]string, 0, len(foreignLines))
+		for f := range foreignLines {
+			files = append(files, f)
+		}
+		sort.Strings(files)
+		for _, f := range files {
+			lines := foreignLines[f]
+			sort.Ints(lines)
+			foreign = append(foreign, ForeignSites{Pkg: p, File: f, Lines: slices.Compact(lines)})
 		}
 	}
 
@@ -237,7 +269,7 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 		}
 		r, err := parseFuncRanges(s.file)
 		if err != nil {
-			return nil, fmt.Errorf("mapping escape sites: %w", err)
+			return nil, nil, fmt.Errorf("mapping escape sites: %w", err)
 		}
 		ranges[s.file] = r
 	}
@@ -267,7 +299,7 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 			var err error
 			fr, err = findFuncInDir(ranges, d, e.Func)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		if fr == nil {
@@ -293,7 +325,7 @@ func RunAllocBudget(budgetPath string) ([]Diagnostic, error) {
 		}
 		return a.Pos.Line < b.Pos.Line
 	})
-	return diags, nil
+	return diags, foreign, nil
 }
 
 // findFunc looks for a named function among the already-parsed files of

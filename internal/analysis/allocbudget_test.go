@@ -86,11 +86,59 @@ func TestAllocBudgetGateColdCache(t *testing.T) {
 	gateFromRepoRoot(t)
 }
 
+// TestAllocBudgetForeignSites runs the gate on the fixture package a, which
+// instantiates slices.Grow and b.Box. The compiler reports those bodies'
+// escapes in slices.go — no such file in a, which used to abort the gate —
+// and in b's helper.go, whose namesake in a holds Quiet on the same lines,
+// which used to charge Quiet. Both must come back as foreign sites, and
+// only the copies inlined at the calls in Grows and Boxes may be counted.
+func TestAllocBudgetForeignSites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go build -gcflags=-m over the fixture packages")
+	}
+	const fixture = "hybridstore/internal/analysis/testdata/src/allocbudget/"
+	seeded := seedBudget(t, fixture+"a Quiet 0\n"+ // must stay clean
+		fixture+"a Grows 4\n"+ // the inlined copy's panic string + make (go1.24), with slack for other compilers
+		fixture+"a Boxes 0\n") // x moved to heap at the call: must fire
+
+	diags, foreign, err := RunAllocBudget(seeded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "function Boxes has 1 heap escapes") {
+		t.Errorf("want exactly Boxes over budget, got %v", diags)
+	}
+	var inSlices, inB bool
+	for _, f := range foreign {
+		if f.Pkg != fixture+"a" {
+			t.Errorf("foreign site %+v not attributed to the build of package a", f)
+		}
+		switch f.File {
+		case "slices/slices.go":
+			inSlices = true
+		case fixture + "b/helper.go":
+			inB = true
+			quiet, err := findFuncInDir(map[string][]*funcRange{}, filepath.Join("testdata", "src", "allocbudget", "a"), "Quiet")
+			if err != nil || quiet == nil {
+				t.Fatalf("fixture function Quiet not found: %v", err)
+			}
+			if len(f.Lines) != 1 || f.Lines[0] < quiet.from || f.Lines[0] > quiet.to {
+				t.Errorf("fixture drifted: b.Box escapes on helper.go lines %v, want one line inside Quiet's %d-%d in a's helper.go", f.Lines, quiet.from, quiet.to)
+			}
+		default:
+			t.Errorf("unexpected foreign site %+v", f)
+		}
+	}
+	if !inSlices || !inB {
+		t.Errorf("foreign sites in slices.go: %v, in b/helper.go: %v; want both (got %v)", inSlices, inB, foreign)
+	}
+}
+
 // gateFromRepoRoot requires the committed allocbudget.txt to be clean; the
 // go commands run in the module root, where the file lives.
 func gateFromRepoRoot(t *testing.T) {
 	t.Helper()
-	committed, err := RunAllocBudget(filepath.Join("..", "..", BudgetFileName))
+	committed, _, err := RunAllocBudget(filepath.Join("..", "..", BudgetFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,26 +147,34 @@ func gateFromRepoRoot(t *testing.T) {
 	}
 }
 
-// gateFromAnalysisDir runs the gate on a seeded budget file in this
-// package's directory, which is then the go commands' working directory.
-func gateFromAnalysisDir(t *testing.T) {
+// seedBudget writes a budget file into this package's directory, which is
+// then the go commands' working directory (it has to be inside the module),
+// and removes it when the test ends.
+func seedBudget(t *testing.T, content string) string {
 	t.Helper()
-	seeded, err := os.CreateTemp(".", "allocbudget_seed_*.txt")
+	f, err := os.CreateTemp(".", "allocbudget_seed_*.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer os.Remove(seeded.Name())
-	content := "hybridstore/internal/index (*BlockCursor).Decode 0\n" + // has an escape on its error path: must fire
-		"hybridstore/internal/index (*BlockCursor).Reset 0\n" + // genuinely zero-escape: must stay clean
-		"hybridstore/internal/index NoSuchFunction 0\n" // stale entry: must fire at the budget file
-	if _, err := seeded.WriteString(content); err != nil {
+	t.Cleanup(func() { os.Remove(f.Name()) })
+	if _, err := f.WriteString(content); err != nil {
 		t.Fatal(err)
 	}
-	if err := seeded.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return f.Name()
+}
 
-	diags, err := RunAllocBudget(seeded.Name())
+// gateFromAnalysisDir runs the gate on a budget file seeded in this
+// package's directory.
+func gateFromAnalysisDir(t *testing.T) {
+	t.Helper()
+	seeded := seedBudget(t, "hybridstore/internal/index (*BlockCursor).Decode 0\n"+ // has an escape on its error path: must fire
+		"hybridstore/internal/index (*BlockCursor).Reset 0\n"+ // genuinely zero-escape: must stay clean
+		"hybridstore/internal/index NoSuchFunction 0\n") // stale entry: must fire at the budget file
+
+	diags, _, err := RunAllocBudget(seeded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +190,8 @@ func gateFromAnalysisDir(t *testing.T) {
 			t.Errorf("zero-escape function reported over budget: %s", d)
 		case strings.Contains(d.Message, "NoSuchFunction") && strings.Contains(d.Message, "stale"):
 			stale = true
-			if d.Pos.Filename != seeded.Name() || d.Pos.Line != 3 {
-				t.Errorf("stale entry reported at %s:%d, want %s:3", d.Pos.Filename, d.Pos.Line, seeded.Name())
+			if d.Pos.Filename != seeded || d.Pos.Line != 3 {
+				t.Errorf("stale entry reported at %s:%d, want %s:3", d.Pos.Filename, d.Pos.Line, seeded)
 			}
 		}
 	}

@@ -109,6 +109,19 @@ func (d *HDD) SetOpHook(fn func(storage.Op)) {
 	d.mu.Unlock()
 }
 
+// AdoptBase makes image the drive's initial content from offset 0 without
+// copying it and without charging anything: it decides where the bytes live
+// on the host, not what the simulated drive did. Writes land in a private
+// copy-on-write overlay, and a write of image[off:off+n] at off — a bulk
+// load of the adopted image — is charged like any write but stores nothing.
+// The caller must never modify image afterwards; drives adopting the same
+// image share it. Adopting onto a drive that has been written panics.
+func (d *HDD) AdoptBase(image []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.buf.SetBase(image)
+}
+
 // seekTime returns the head-travel cost for moving distance bytes,
 // using the standard concave (square-root) seek curve.
 func (d *HDD) seekTime(distance int64) time.Duration {

@@ -166,8 +166,8 @@ func TestExecuteRejectsUnaddressableCollection(t *testing.T) {
 
 // TestExecuteMalformedListsMatchReference feeds the engine lists a corrupt
 // device could produce and the map accumulator tolerated: a doc repeated
-// inside one block (the block gather reads its slot before the first
-// occurrence inserts it) and a directory entry claiming more postings than
+// inside one block (scoreBlock must read its slot after the first
+// occurrence inserted it) and a directory entry claiming more postings than
 // the block scratch holds.
 func TestExecuteMalformedListsMatchReference(t *testing.T) {
 	for _, codec := range bothCodecs {

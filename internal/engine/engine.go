@@ -158,11 +158,12 @@ type Engine struct {
 	top     *topK
 	terms   []workload.TermID
 
-	// One decoded block: doc IDs, term frequencies, and the accumulator
-	// slots gathered for them.
+	// One decoded block: doc IDs and term frequencies.
 	blockDocs [index.BlockLen]uint32
 	blockTFs  [index.BlockLen]uint16
-	blockPos  [index.BlockLen]uint32
+	// touched is written, never read: it keeps scoreBlock's slot-touching
+	// loads from being discarded as dead.
+	touched uint32
 }
 
 // accumulator is the per-query score table: a sparse set (Briggs & Torczon)
@@ -328,38 +329,47 @@ func (e *Engine) scanList(t workload.TermID, w float64, top *topK, stats *ExecSt
 // scoreBlock adds w·tf to the score of each of the n postings decoded into
 // the block scratch and offers the new totals to top, in posting order.
 //
-// The slots are gathered first, in a loop of independent loads, because on a
-// large collection slot[doc] is the one cache miss a posting costs and the
-// accumulate loop would otherwise take those misses one after another. Doc
-// IDs come off a device, so each is range-checked before it indexes slot.
+// The first loop only touches slot[doc] for the whole block — independent
+// loads, so the cache misses a large collection costs (one per posting)
+// overlap instead of queueing behind the accumulate loop's dependent work —
+// and range-checks each doc ID, which comes off a device, before it indexes
+// slot. The second loop then reads each slot again, L1-hot and fresh: a
+// corrupt list may repeat a doc inside a block, and its postings must add up.
 func (e *Engine) scoreBlock(t workload.TermID, w float64, n int, top *topK) error {
 	a := &e.acc
-	docs, tfs, pos := e.blockDocs[:n], e.blockTFs[:n], e.blockPos[:n]
+	docs, tfs := e.blockDocs[:n], e.blockTFs[:n]
 	slot := a.slot
-	for i, d := range docs {
+	var touched uint32
+	for _, d := range docs {
 		if uint64(d) >= uint64(len(slot)) {
 			return fmt.Errorf("engine: term %d: posting for doc %d outside the collection (NumDocs %d)", t, d, len(slot))
 		}
-		pos[i] = slot[d]
+		touched += slot[d]
 	}
+	e.touched = touched
+
+	// Room for n new members up front, so an insert is two stores.
+	m := len(a.docs)
+	adocs := slices.Grow(a.docs, n)[:m+n]
+	avals := slices.Grow(a.vals, n)[:m+n]
+	// offer's early reject, evaluated here: exact for the reason given there.
+	full, kth := top.full(), top.min()
 	for i, d := range docs {
-		j := pos[i]
-		if int(j) >= len(a.docs) || a.docs[j] != d {
-			// A miss re-reads the slot, because the gathered one predates
-			// any insert made earlier in this block: only a corrupt list
-			// repeats a doc, but its postings must still add up.
-			j = slot[d]
-			if int(j) >= len(a.docs) || a.docs[j] != d {
-				j = uint32(len(a.docs))
-				slot[d] = j
-				a.docs = append(a.docs, d)
-				a.vals = append(a.vals, 0)
-			}
+		j := slot[d]
+		if int(j) >= m || adocs[j] != d {
+			j = uint32(m)
+			slot[d] = j
+			adocs[m], avals[m] = d, 0
+			m++
 		}
-		s := a.vals[j] + float64(tfs[i])*w
-		a.vals[j] = s
-		top.offer(d, s)
+		s := avals[j] + float64(tfs[i])*w
+		avals[j] = s
+		if !full || s > kth {
+			top.offer(d, s)
+			full, kth = top.full(), top.min()
+		}
 	}
+	a.docs, a.vals = adocs[:m], avals[:m]
 	return nil
 }
 

@@ -15,12 +15,15 @@ package index
 // index directly.
 //
 // An Image is immutable after BuildImage returns and safe for concurrent
-// Stamp calls from multiple goroutines.
+// Stamp calls from multiple goroutines. A device that can read through
+// shared bytes (baseAdopter: the simulated HDD) is handed the image itself
+// rather than a copy, so N stamped systems hold the index once.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hybridstore/internal/storage"
 	"hybridstore/internal/workload"
@@ -81,7 +84,7 @@ func BuildImage(spec workload.CollectionSpec, codec CodecID) (*Image, error) {
 		terms[t] = TermMeta{Offset: lOff, DF: int64(len(ps)), Size: int64(len(listBuf)) - lOff}
 
 		sorted = append(sorted[:0], ps...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Doc < sorted[j].Doc })
+		slices.SortFunc(sorted, func(a, b workload.Posting) int { return cmp.Compare(a.Doc, b.Doc) })
 		dOff := int64(len(docBuf))
 		docBuf, docBlocks[t] = EncodeList(docBuf, nil, codec, sorted)
 		docTerms[t] = TermMeta{Offset: dOff, DF: terms[t].DF, Size: int64(len(docBuf)) - dOff}
@@ -140,14 +143,27 @@ func BuildImage(spec workload.CollectionSpec, codec CodecID) (*Image, error) {
 	}, nil
 }
 
+// baseAdopter is implemented by devices that can serve an immutable byte
+// slice as their initial content without copying it: reads fall through to
+// the slice, later writes go to a private overlay, and writing a range of
+// the slice onto its own offset is charged but moves no bytes.
+type baseAdopter interface {
+	AdoptBase(image []byte)
+}
+
 // Stamp writes the image onto dev and returns the opened index, charging
 // the same simulated write operations a direct Build would: the header and
 // directories first, the list region in flush-sized sequential chunks,
-// then each doc-sorted payload in one write.
+// then each doc-sorted payload in one write. A baseAdopter shares the
+// image's bytes instead of copying them; the write sequence, and so every
+// simulated charge and counter, is the same either way.
 func (im *Image) Stamp(dev storage.Device) (*Index, error) {
 	if im.Bytes() > dev.Size() {
 		return nil, fmt.Errorf("index: needs %d bytes, device %q holds %d",
 			im.Bytes(), dev.Name(), dev.Size())
+	}
+	if a, ok := dev.(baseAdopter); ok {
+		a.AdoptBase(im.data)
 	}
 	if _, err := dev.WriteAt(im.data[:im.headLen], 0); err != nil {
 		return nil, fmt.Errorf("index: writing directory: %w", err)

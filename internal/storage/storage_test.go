@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -71,20 +73,117 @@ func TestSparseBufferCrossChunk(t *testing.T) {
 	}
 }
 
+// TestSparseBufferRoundTripProperty drives a buffer, with and without a base
+// layer, through random reads and writes against a flat []byte model: partial
+// and cross-chunk writes, writes of base sub-slices onto their own offset (the
+// elided case) and onto other offsets, and writes past the end of the base.
+// The base must come out of it untouched.
 func TestSparseBufferRoundTripProperty(t *testing.T) {
-	f := func(data []byte, offRaw uint16) bool {
-		if len(data) == 0 {
-			return true
+	const size = 5*sparseChunkSize + 1234
+	f := func(seed int64, withBase bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewSparseBuffer(size)
+		model := make([]byte, size)
+		var base []byte
+		if withBase {
+			// Ends mid-chunk, so one chunk is part base, part zeros.
+			base = make([]byte, 3*sparseChunkSize+777)
+			rng.Read(base)
+			b.SetBase(base)
+			copy(model, base)
 		}
-		b := NewSparseBuffer(1 << 20)
-		off := int64(offRaw)
-		b.WriteAt(data, off)
-		got := make([]byte, len(data))
-		b.ReadAt(got, off)
-		return bytes.Equal(got, data)
+		baseCRC := crc32.ChecksumIEEE(base)
+		// span picks a range inside [0, limit): half the time short (inside
+		// one chunk, mostly), otherwise up to two chunks long.
+		span := func(limit int) (off, n int) {
+			maxLen := 300
+			if rng.Intn(2) == 0 {
+				maxLen = 2 * sparseChunkSize
+			}
+			n = 1 + rng.Intn(min(maxLen, limit))
+			return rng.Intn(limit - n + 1), n
+		}
+		for op := 0; op < 60; op++ {
+			switch k := rng.Intn(5); {
+			case k == 0:
+				off, n := span(size)
+				got := make([]byte, n)
+				b.ReadAt(got, int64(off))
+				if !bytes.Equal(got, model[off:off+n]) {
+					t.Logf("seed %d op %d: read [%d,+%d) differs from model", seed, op, off, n)
+					return false
+				}
+			case k <= 2 && withBase:
+				// Source is the base's own memory: onto itself, or elsewhere.
+				off, n := span(len(base))
+				dst := off
+				if k == 2 {
+					dst = rng.Intn(size - n + 1)
+				}
+				b.WriteAt(base[off:off+n], int64(dst))
+				copy(model[dst:], base[off:off+n])
+			default:
+				off, n := span(size)
+				data := make([]byte, n)
+				rng.Read(data)
+				b.WriteAt(data, int64(off))
+				copy(model[off:], data)
+			}
+		}
+		got := make([]byte, size)
+		b.ReadAt(got, 0)
+		if !bytes.Equal(got, model) {
+			t.Logf("seed %d: final content differs from model", seed)
+			return false
+		}
+		if crc32.ChecksumIEEE(base) != baseCRC {
+			t.Logf("seed %d: base was written", seed)
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A write whose source is the base range it targets must store nothing, or a
+// device stamped from a shared image holds a private copy after all.
+func TestSparseBufferBaseSelfWriteStoresNothing(t *testing.T) {
+	base := bytes.Repeat([]byte{0xA5}, 2*sparseChunkSize+100)
+	b := NewSparseBuffer(4 * sparseChunkSize)
+	b.SetBase(base)
+	b.WriteAt(base[10:], 10)
+	if len(b.chunks) != 0 {
+		t.Fatalf("writing the base onto itself materialized %d chunks", len(b.chunks))
+	}
+	b.WriteAt([]byte{1}, sparseChunkSize+5)
+	if len(b.chunks) != 1 {
+		t.Fatalf("one-byte write materialized %d chunks, want 1", len(b.chunks))
+	}
+	// Once a chunk shadows the base, the same self-write has to land in it.
+	b.WriteAt(base[sparseChunkSize:2*sparseChunkSize], sparseChunkSize)
+	got := make([]byte, 1)
+	b.ReadAt(got, sparseChunkSize+5)
+	if got[0] != 0xA5 {
+		t.Fatalf("self-write over a shadowed chunk read back %#x, want 0xa5", got[0])
+	}
+}
+
+func TestSparseBufferSetBaseMisusePanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"after write":    func() { b := NewSparseBuffer(100); b.WriteAt([]byte{1}, 0); b.SetBase(make([]byte, 10)) },
+		"second base":    func() { b := NewSparseBuffer(100); b.SetBase(make([]byte, 10)); b.SetBase(make([]byte, 10)) },
+		"base too large": func() { NewSparseBuffer(100).SetBase(make([]byte, 101)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetBase %s did not panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
