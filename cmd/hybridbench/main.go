@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"hybridstore/internal/core"
 	"hybridstore/internal/experiments"
 	"hybridstore/internal/index"
 	"hybridstore/internal/obs"
@@ -124,7 +123,6 @@ func main() {
 		expFlag   = flag.String("exp", "all", "experiment ID to run (see -list), comma-separated list, or 'all'")
 		scaleFlag = flag.String("scale", "full", "workload scale: 'full' or 'small'")
 		codecFlag = flag.String("codec", "raw", "on-device posting codec: 'raw' or 'gvarint'")
-		polFlag   = flag.String("policies", "", "restrict the zoo sweep to these comma-separated policies: "+strings.Join(core.RegisteredPolicyNames(), ", ")+" (empty = all)")
 		jobsFlag  = flag.Int("jobs", runtime.NumCPU(), "max sweep points run concurrently (must be >= 1)")
 		listFlag  = flag.Bool("list", false, "list experiments and exit")
 		traceFlag = flag.String("trace", "", "write NDJSON query traces from every measured run to this file (forces -jobs 1)")
@@ -157,15 +155,6 @@ func main() {
 		usageExit("%v", err)
 	}
 	sc.Codec = codec
-	if *polFlag != "" {
-		for _, s := range strings.Split(*polFlag, ",") {
-			p, err := core.ParsePolicy(strings.TrimSpace(s))
-			if err != nil {
-				usageExit("%v", err)
-			}
-			sc.ZooPolicies = append(sc.ZooPolicies, p)
-		}
-	}
 
 	targets, err := resolveTargets(*expFlag)
 	if err != nil {

@@ -35,18 +35,6 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// Re-exported policy constants so callers need only this package. The
-// full registry (names, summaries, constraints) is core.Policies().
-const (
-	PolicyLRU     = core.PolicyLRU
-	PolicyCBLRU   = core.PolicyCBLRU
-	PolicyCBSLRU  = core.PolicyCBSLRU
-	PolicyTinyLFU = core.PolicyTinyLFU
-	PolicyARC     = core.PolicyARC
-	Policy2Q      = core.Policy2Q
-	PolicyBidi    = core.PolicyBidi
-)
-
 // IndexPlacement says which device stores the index files (Table I's
 // "HDD"/"SSD" index storage variants of Figs 15 and 18).
 type IndexPlacement int

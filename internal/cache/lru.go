@@ -11,56 +11,57 @@ package cache
 
 import "fmt"
 
-// Entry is one cached item. Entries are owned by the List that holds them;
-// callers keep pointers only while the entry remains resident.
-type Entry struct {
+// Entry is one cached item carrying a payload of type V. Entries are owned
+// by the List that holds them; callers keep pointers only while the entry
+// remains resident.
+type Entry[V any] struct {
 	// Key identifies the item (query ID, term ID, or block number).
 	Key uint64
 	// Size is the item's byte footprint counted against capacity.
 	Size int64
 	// Value is the policy-specific payload.
-	Value any
+	Value V
 
-	prev, next *Entry
-	owner      *List
+	prev, next *Entry[V]
+	owner      *List[V]
 }
 
 // List is a byte-accounted recency list: most recently used at the front,
 // least recently used at the back. It is not safe for concurrent use; the
 // cache manager serializes access.
-type List struct {
+type List[V any] struct {
 	capacity int64
 	used     int64
-	items    map[uint64]*Entry
-	head     Entry // sentinel: head.next is MRU
-	tail     Entry // sentinel: tail.prev is LRU
+	items    map[uint64]*Entry[V]
+	head     Entry[V] // sentinel: head.next is MRU
+	tail     Entry[V] // sentinel: tail.prev is LRU
 }
 
 // NewList builds a list with the given byte capacity (> 0).
-func NewList(capacity int64) *List {
+func NewList[V any](capacity int64) *List[V] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: capacity %d", capacity))
 	}
-	l := &List{capacity: capacity, items: make(map[uint64]*Entry)}
+	l := &List[V]{capacity: capacity, items: make(map[uint64]*Entry[V])}
 	l.head.next = &l.tail
 	l.tail.prev = &l.head
 	return l
 }
 
 // Capacity returns the byte capacity.
-func (l *List) Capacity() int64 { return l.capacity }
+func (l *List[V]) Capacity() int64 { return l.capacity }
 
 // Used returns the bytes currently accounted.
-func (l *List) Used() int64 { return l.used }
+func (l *List[V]) Used() int64 { return l.used }
 
 // Free returns remaining capacity in bytes.
-func (l *List) Free() int64 { return l.capacity - l.used }
+func (l *List[V]) Free() int64 { return l.capacity - l.used }
 
 // Len returns the number of resident entries.
-func (l *List) Len() int { return len(l.items) }
+func (l *List[V]) Len() int { return len(l.items) }
 
 // Get returns the entry for key and promotes it to MRU.
-func (l *List) Get(key uint64) (*Entry, bool) {
+func (l *List[V]) Get(key uint64) (*Entry[V], bool) {
 	e, ok := l.items[key]
 	if !ok {
 		return nil, false
@@ -70,7 +71,7 @@ func (l *List) Get(key uint64) (*Entry, bool) {
 }
 
 // Peek returns the entry for key without promoting it.
-func (l *List) Peek(key uint64) (*Entry, bool) {
+func (l *List[V]) Peek(key uint64) (*Entry[V], bool) {
 	e, ok := l.items[key]
 	return e, ok
 }
@@ -79,7 +80,7 @@ func (l *List) Peek(key uint64) (*Entry, bool) {
 // (update via Get + mutate, or Remove first) or if size exceeds capacity.
 // Put does NOT evict; callers make room first so the policy layer controls
 // victim selection. It returns the new entry.
-func (l *List) Put(key uint64, size int64, value any) *Entry {
+func (l *List[V]) Put(key uint64, size int64, value V) *Entry[V] {
 	if size < 0 {
 		panic(fmt.Sprintf("cache: negative size %d", size))
 	}
@@ -89,7 +90,7 @@ func (l *List) Put(key uint64, size int64, value any) *Entry {
 	if _, ok := l.items[key]; ok {
 		panic(fmt.Sprintf("cache: duplicate key %d", key))
 	}
-	e := &Entry{Key: key, Size: size, Value: value, owner: l}
+	e := &Entry[V]{Key: key, Size: size, Value: value, owner: l}
 	l.items[key] = e
 	l.pushFront(e)
 	l.used += size
@@ -98,10 +99,10 @@ func (l *List) Put(key uint64, size int64, value any) *Entry {
 
 // Fits reports whether an item of the given size can be inserted without
 // eviction.
-func (l *List) Fits(size int64) bool { return l.used+size <= l.capacity }
+func (l *List[V]) Fits(size int64) bool { return l.used+size <= l.capacity }
 
 // Remove detaches the entry for key and returns it.
-func (l *List) Remove(key uint64) (*Entry, bool) {
+func (l *List[V]) Remove(key uint64) (*Entry[V], bool) {
 	e, ok := l.items[key]
 	if !ok {
 		return nil, false
@@ -111,7 +112,7 @@ func (l *List) Remove(key uint64) (*Entry, bool) {
 }
 
 // RemoveEntry detaches a resident entry obtained from Get/Peek/TailWindow.
-func (l *List) RemoveEntry(e *Entry) {
+func (l *List[V]) RemoveEntry(e *Entry[V]) {
 	if e.owner != l {
 		panic("cache: entry does not belong to this list")
 	}
@@ -123,7 +124,7 @@ func (l *List) RemoveEntry(e *Entry) {
 
 // Resize changes an entry's accounted size in place (for example when a
 // cached list prefix grows).
-func (l *List) Resize(e *Entry, size int64) {
+func (l *List[V]) Resize(e *Entry[V], size int64) {
 	if e.owner != l {
 		panic("cache: entry does not belong to this list")
 	}
@@ -135,7 +136,7 @@ func (l *List) Resize(e *Entry, size int64) {
 }
 
 // Touch promotes an entry to MRU.
-func (l *List) Touch(e *Entry) {
+func (l *List[V]) Touch(e *Entry[V]) {
 	if e.owner != l {
 		panic("cache: entry does not belong to this list")
 	}
@@ -143,7 +144,7 @@ func (l *List) Touch(e *Entry) {
 }
 
 // LRUEntry returns the least recently used entry, or nil when empty.
-func (l *List) LRUEntry() *Entry {
+func (l *List[V]) LRUEntry() *Entry[V] {
 	if l.tail.prev == &l.head {
 		return nil
 	}
@@ -153,8 +154,8 @@ func (l *List) LRUEntry() *Entry {
 // TailWindow returns up to w entries from the LRU end, least recent first:
 // the paper's "replace-first region" with window size W. The returned
 // slice is a snapshot; entries remain owned by the list.
-func (l *List) TailWindow(w int) []*Entry {
-	out := make([]*Entry, 0, w)
+func (l *List[V]) TailWindow(w int) []*Entry[V] {
+	out := make([]*Entry[V], 0, w)
 	for e := l.tail.prev; e != &l.head && len(out) < w; e = e.prev {
 		out = append(out, e)
 	}
@@ -162,7 +163,7 @@ func (l *List) TailWindow(w int) []*Entry {
 }
 
 // Ascend calls fn from LRU to MRU until fn returns false.
-func (l *List) Ascend(fn func(*Entry) bool) {
+func (l *List[V]) Ascend(fn func(*Entry[V]) bool) {
 	for e := l.tail.prev; e != &l.head; {
 		prev := e.prev // fn may remove e
 		if !fn(e) {
@@ -172,20 +173,20 @@ func (l *List) Ascend(fn func(*Entry) bool) {
 	}
 }
 
-func (l *List) pushFront(e *Entry) {
+func (l *List[V]) pushFront(e *Entry[V]) {
 	e.prev = &l.head
 	e.next = l.head.next
 	l.head.next.prev = e
 	l.head.next = e
 }
 
-func (l *List) unlink(e *Entry) {
+func (l *List[V]) unlink(e *Entry[V]) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
 }
 
-func (l *List) moveToFront(e *Entry) {
+func (l *List[V]) moveToFront(e *Entry[V]) {
 	l.unlink(e)
 	l.pushFront(e)
 }

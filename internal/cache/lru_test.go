@@ -6,10 +6,10 @@ import (
 )
 
 func TestPutGetPeek(t *testing.T) {
-	l := NewList(100)
+	l := NewList[string](100)
 	l.Put(1, 10, "a")
 	e, ok := l.Get(1)
-	if !ok || e.Value.(string) != "a" || e.Size != 10 {
+	if !ok || e.Value != "a" || e.Size != 10 {
 		t.Fatalf("Get = %+v, %v", e, ok)
 	}
 	if _, ok := l.Peek(2); ok {
@@ -21,7 +21,7 @@ func TestPutGetPeek(t *testing.T) {
 }
 
 func TestLRUOrder(t *testing.T) {
-	l := NewList(100)
+	l := NewList[any](100)
 	l.Put(1, 1, nil)
 	l.Put(2, 1, nil)
 	l.Put(3, 1, nil)
@@ -35,7 +35,7 @@ func TestLRUOrder(t *testing.T) {
 }
 
 func TestPeekDoesNotPromote(t *testing.T) {
-	l := NewList(100)
+	l := NewList[any](100)
 	l.Put(1, 1, nil)
 	l.Put(2, 1, nil)
 	l.Peek(1)
@@ -45,7 +45,7 @@ func TestPeekDoesNotPromote(t *testing.T) {
 }
 
 func TestTouchPromotes(t *testing.T) {
-	l := NewList(100)
+	l := NewList[any](100)
 	e := l.Put(1, 1, nil)
 	l.Put(2, 1, nil)
 	l.Touch(e)
@@ -55,7 +55,7 @@ func TestTouchPromotes(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	l := NewList(100)
+	l := NewList[any](100)
 	l.Put(1, 30, nil)
 	e, ok := l.Remove(1)
 	if !ok || e.Key != 1 {
@@ -70,8 +70,8 @@ func TestRemove(t *testing.T) {
 }
 
 func TestRemoveEntryForeignPanics(t *testing.T) {
-	a := NewList(10)
-	b := NewList(10)
+	a := NewList[any](10)
+	b := NewList[any](10)
 	e := a.Put(1, 1, nil)
 	defer func() {
 		if recover() == nil {
@@ -82,7 +82,7 @@ func TestRemoveEntryForeignPanics(t *testing.T) {
 }
 
 func TestPutDuplicatePanics(t *testing.T) {
-	l := NewList(10)
+	l := NewList[any](10)
 	l.Put(1, 1, nil)
 	defer func() {
 		if recover() == nil {
@@ -93,7 +93,7 @@ func TestPutDuplicatePanics(t *testing.T) {
 }
 
 func TestPutOversizePanics(t *testing.T) {
-	l := NewList(10)
+	l := NewList[any](10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("oversize Put did not panic")
@@ -103,7 +103,7 @@ func TestPutOversizePanics(t *testing.T) {
 }
 
 func TestFits(t *testing.T) {
-	l := NewList(10)
+	l := NewList[any](10)
 	l.Put(1, 6, nil)
 	if !l.Fits(4) {
 		t.Fatal("Fits(4) false with 4 free")
@@ -114,7 +114,7 @@ func TestFits(t *testing.T) {
 }
 
 func TestResize(t *testing.T) {
-	l := NewList(100)
+	l := NewList[any](100)
 	e := l.Put(1, 10, nil)
 	l.Resize(e, 50)
 	if l.Used() != 50 || e.Size != 50 {
@@ -129,7 +129,7 @@ func TestResize(t *testing.T) {
 }
 
 func TestTailWindow(t *testing.T) {
-	l := NewList(100)
+	l := NewList[any](100)
 	for k := uint64(1); k <= 5; k++ {
 		l.Put(k, 1, nil)
 	}
@@ -144,19 +144,19 @@ func TestTailWindow(t *testing.T) {
 	if got := len(l.TailWindow(10)); got != 5 {
 		t.Fatalf("oversized window returned %d", got)
 	}
-	empty := NewList(10)
+	empty := NewList[any](10)
 	if got := len(empty.TailWindow(3)); got != 0 {
 		t.Fatalf("empty list window returned %d", got)
 	}
 }
 
 func TestAscendOrderAndEarlyStop(t *testing.T) {
-	l := NewList(100)
+	l := NewList[any](100)
 	for k := uint64(1); k <= 4; k++ {
 		l.Put(k, 1, nil)
 	}
 	var seen []uint64
-	l.Ascend(func(e *Entry) bool {
+	l.Ascend(func(e *Entry[any]) bool {
 		seen = append(seen, e.Key)
 		return len(seen) < 2
 	})
@@ -166,11 +166,11 @@ func TestAscendOrderAndEarlyStop(t *testing.T) {
 }
 
 func TestAscendSafeRemoval(t *testing.T) {
-	l := NewList(100)
+	l := NewList[any](100)
 	for k := uint64(1); k <= 4; k++ {
 		l.Put(k, 1, nil)
 	}
-	l.Ascend(func(e *Entry) bool {
+	l.Ascend(func(e *Entry[any]) bool {
 		if e.Key%2 == 1 {
 			l.RemoveEntry(e)
 		}
@@ -185,7 +185,7 @@ func TestAscendSafeRemoval(t *testing.T) {
 }
 
 func TestEmptyListLRUEntryNil(t *testing.T) {
-	if NewList(10).LRUEntry() != nil {
+	if NewList[any](10).LRUEntry() != nil {
 		t.Fatal("empty list LRUEntry not nil")
 	}
 }
@@ -196,14 +196,14 @@ func TestZeroCapacityPanics(t *testing.T) {
 			t.Fatal("zero capacity did not panic")
 		}
 	}()
-	NewList(0)
+	NewList[any](0)
 }
 
 func TestAccountingProperty(t *testing.T) {
 	// Property: Used always equals the sum of resident entry sizes, and
 	// never exceeds capacity as long as callers respect Fits.
 	f := func(ops []uint16) bool {
-		l := NewList(1 << 16)
+		l := NewList[any](1 << 16)
 		sizes := make(map[uint64]int64)
 		var key uint64
 		for _, raw := range ops {

@@ -17,44 +17,6 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// Policy selects the replacement algorithm family.
-type Policy int
-
-const (
-	// PolicyLRU is the baseline: strict recency eviction at both levels,
-	// entry-granularity SSD writes, whole-list caching, no selection logic.
-	PolicyLRU Policy = iota
-	// PolicyCBLRU is the paper's cost-based LRU: EV-driven selection,
-	// prefix caching sized by Formula 1, block-aligned log writes, and
-	// replace-first-region victim choice (Figs 11–13).
-	PolicyCBLRU
-	// PolicyCBSLRU adds a static partition holding the most efficient
-	// entries, populated by query-log analysis and exempt from replacement.
-	PolicyCBSLRU
-	// PolicyTinyLFU keeps CBLRU replacement but gates L2 admission on the
-	// decayed frequency sketches: one-hit wonders never reach the flash.
-	PolicyTinyLFU
-	// PolicyARC runs the adaptive replacement cache (T1/T2 + ghost B1/B2)
-	// over the L1 list cache, with the cost-based L2 machinery below.
-	PolicyARC
-	// Policy2Q runs the 2Q scheme (A1in/A1out/Am) over the L1 list cache,
-	// with the cost-based L2 machinery below.
-	Policy2Q
-	// PolicyBidi is the bidirectional cache filter: promotion from SSD to
-	// memory and demotion from memory to SSD both gated on repeat hits.
-	PolicyBidi
-)
-
-// String returns the policy's display name from the registry. The
-// formatted-integer fallback is unreachable for validated configurations:
-// Config.Validate rejects unregistered policy values up front.
-func (p Policy) String() string {
-	if info, ok := lookupPolicy(p); ok {
-		return info.Display
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
-
 // Config sizes and tunes the cache hierarchy.
 type Config struct {
 	// Policy selects the replacement/admission policy pair; see the

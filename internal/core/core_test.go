@@ -274,7 +274,7 @@ func TestWriteElisionOnReplaceableCopy(t *testing.T) {
 	if !ok {
 		t.Fatal("term not back in L1 after read-back")
 	}
-	ml := e.Value.(*memList)
+	ml := e.Value
 	f.m.ic.RemoveEntry(e)
 	f.m.flushListToSSD(ml)
 	if f.m.Stats().ListWritesElided == 0 {

@@ -148,7 +148,7 @@ func TestDropSSDListRewritesLargerPrefix(t *testing.T) {
 	if first == nil || first.validBytes != 8<<10 {
 		t.Fatalf("first flush: %+v", first)
 	}
-	// A larger prefix replaces the old extent (dropSSDList path).
+	// A larger prefix replaces the old extent.
 	bigger := &memList{term: 60, prefix: make([]byte, 200<<10), loadedAt: f.clock.Now()}
 	f.m.flushListToSSD(bigger)
 	second := f.m.ssdListFor(60)

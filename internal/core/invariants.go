@@ -22,8 +22,8 @@ import (
 //  4. Allocator free space + live extents cover each region exactly.
 //  5. L1 byte accounting equals the sum of entry sizes (delegated to the
 //     cache.List internals via Used()).
-//  6. validBytes never exceeds the extent, and extents are block-aligned
-//     under the cost-based policies.
+//  6. validBytes never exceeds the extent, and extents obey the layout's
+//     alignment rule (whole blocks in the block log).
 func (m *Manager) CheckInvariants() error {
 	// (1) result mapping bijectivity.
 	for qid, loc := range m.resultLoc {
@@ -42,12 +42,8 @@ func (m *Manager) CheckInvariants() error {
 	if m.rbLRU != nil {
 		seen := make(map[uint64]bool)
 		var rbBytes int64
-		m.rbLRU.Ascend(func(e *cache.Entry) bool {
-			rb := e.Value.(*resultBlock)
-			if rb.static {
-				// set error via closure: use panic-free path below
-			}
-			seen[rb.num] = true
+		m.rbLRU.Ascend(func(e *cache.Entry[*resultBlock]) bool {
+			seen[e.Value.num] = true
 			rbBytes += e.Size
 			return true
 		})
@@ -67,17 +63,15 @@ func (m *Manager) CheckInvariants() error {
 	// (3)+(6) list extents.
 	type ext struct{ off, n int64 }
 	var extents []ext
-	collect := func(sl *ssdList, dynamic bool) error {
+	collect := func(sl *ssdList) error {
 		if sl.validBytes > sl.blockBytes {
 			return fmt.Errorf("term %d validBytes %d > extent %d", sl.term, sl.validBytes, sl.blockBytes)
 		}
 		if sl.off < 0 || sl.off+sl.blockBytes > m.cfg.SSDListBytes {
 			return fmt.Errorf("term %d extent [%d,+%d) outside region", sl.term, sl.off, sl.blockBytes)
 		}
-		if m.repl.BlockAlignedL2() {
-			if sl.off%m.cfg.BlockBytes != 0 || sl.blockBytes%m.cfg.BlockBytes != 0 {
-				return fmt.Errorf("term %d extent [%d,+%d) not block-aligned", sl.term, sl.off, sl.blockBytes)
-			}
+		if err := m.lay.checkListExtent(sl); err != nil {
+			return err
 		}
 		extents = append(extents, ext{sl.off, sl.blockBytes})
 		return nil
@@ -85,13 +79,13 @@ func (m *Manager) CheckInvariants() error {
 	var walkErr error
 	var listBytes int64
 	if m.icLRU != nil {
-		m.icLRU.Ascend(func(e *cache.Entry) bool {
-			sl := e.Value.(*ssdList)
+		m.icLRU.Ascend(func(e *cache.Entry[*ssdList]) bool {
+			sl := e.Value
 			if sl.static {
 				walkErr = fmt.Errorf("static list %d inside dynamic LRU", sl.term)
 				return false
 			}
-			if err := collect(sl, true); err != nil {
+			if err := collect(sl); err != nil {
 				walkErr = err
 				return false
 			}
@@ -112,7 +106,7 @@ func (m *Manager) CheckInvariants() error {
 		if !sl.static {
 			return fmt.Errorf("icStatic[%d] not marked static", term)
 		}
-		if err := collect(sl, false); err != nil {
+		if err := collect(sl); err != nil {
 			return err
 		}
 	}

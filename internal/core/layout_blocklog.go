@@ -1,0 +1,389 @@
+package core
+
+import (
+	"fmt"
+
+	"hybridstore/internal/cache"
+	"hybridstore/internal/workload"
+)
+
+// blockLogLayout is the cost-based family's placement (§VI): L1 caches the
+// Formula-1 used prefix of a list; L1 evictions pass selection, then land
+// in whole block-aligned extents — list prefixes through the Fig 13 ladder,
+// result entries through the write buffer as assembled result blocks — and
+// an SSD entry whose content was copied back up goes replaceable (Fig 9),
+// to be overwritten first.
+type blockLogLayout struct{ m *Manager }
+
+// fillL1 grows the contiguous used prefix, rounded up by the readahead
+// quantum when the disk head is already positioned past the tail.
+func (l blockLogLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []byte, total int64, hddTail bool) {
+	m := l.m
+	capBytes := m.ic.Capacity() / maxL1EntryShare
+
+	// Extension is only possible when the served range connects to the
+	// existing prefix.
+	have := int64(0)
+	if l1 != nil {
+		have = int64(len(l1.prefix))
+	}
+	endPos := off + int64(len(p))
+	if off > have || endPos <= have {
+		return // gap, or nothing new
+	}
+	if endPos > capBytes {
+		m.stats.ListsTooLargeForL1++
+		return
+	}
+
+	// Readahead: the head just streamed to endPos, so extending the
+	// prefix to the next quantum boundary costs transfer time only and
+	// absorbs the small termination-point variance between queries.
+	target := endPos
+	if hddTail && m.cfg.PrefetchQuantum > 0 {
+		q := m.cfg.PrefetchQuantum
+		target = (endPos + q - 1) / q * q
+		if target > total {
+			target = total
+		}
+		if target > capBytes {
+			target = endPos
+		}
+	}
+
+	// The new bytes land past len(prefix), in capacity grown geometrically
+	// (and never past the entry cap), so reading a list in n chunks copies
+	// it once, not n²/2 times. The simulated entry stays len(prefix) bytes:
+	// the prefix is re-sliced only once the cache has made room, so a
+	// failed extension leaves the entry exactly as it was.
+	var grown []byte
+	if l1 == nil {
+		grown = make([]byte, target)
+	} else {
+		if int64(cap(l1.prefix)) < target {
+			newCap := min(max(target, 2*int64(cap(l1.prefix))), capBytes)
+			l1.prefix = append(make([]byte, 0, newCap), l1.prefix...)
+		}
+		grown = l1.prefix[:target]
+	}
+	copy(grown[have:endPos], p[have-off:])
+	if target > endPos {
+		m.readThrough(t, endPos, grown[endPos:])
+		m.stats.ListBytesPrefetched += target - endPos
+	}
+
+	if l1 == nil {
+		m.insertL1List(t, grown)
+		return
+	}
+	e, _ := m.ic.Peek(uint64(t))
+	need := target - e.Size
+	m.makeRoomIC(need, e)
+	if !m.ic.Fits(need) {
+		return // could not free enough without touching this entry
+	}
+	l1.prefix = grown
+	m.ic.Resize(e, target)
+	m.memCost(int(need))
+}
+
+// flushList applies data selection (Formulas 1–2, TEV), then placement and
+// replacement in the L2 list region (Fig 13).
+func (l blockLogLayout) flushList(ml *memList) {
+	m := l.m
+	// Formula 1: SC = ceil(SI × PU / SB). SI is the list's full size and
+	// PU its utilization rate, so SI × PU is the used prefix — which is
+	// exactly the byte length this entry holds in memory. Rounding that up
+	// to whole blocks keeps every SSD extent block-aligned (§VI-A).
+	si := int64(len(ml.prefix))
+	sc := m.scBlocks(si, 1)
+	scBytes := sc * m.cfg.BlockBytes
+
+	// Selection: the admission policy decides what is worth flash writes
+	// (the paper's EV-vs-TEV check under the cost-based policies; the
+	// frequency doorkeeper additionally rejects one-hit wonders).
+	if !m.adm.AdmitList(ml.term, sc) {
+		m.stats.ListsDiscarded++
+		return
+	}
+	if scBytes > m.icLRU.Capacity() {
+		m.stats.ListsDiscarded++
+		return
+	}
+
+	validBytes := si
+	if validBytes > scBytes {
+		validBytes = scBytes
+	}
+
+	// Unnecessary-write elimination: if the SSD already holds at least as
+	// much of this list — a static pin, or a replaceable copy left by an
+	// earlier read-back — revalidate instead of rewriting (§VI-C1,
+	// write-buffer check). A dynamic overlay larger than a conservative
+	// static pin is allowed: it fills the pin's coverage gap.
+	if existing := m.ssdListFor(ml.term); existing != nil && existing.validBytes >= validBytes {
+		existing.state = stateNormal
+		m.stats.ListWritesElided++
+		return
+	}
+	if e, ok := m.icLRU.Peek(uint64(ml.term)); ok {
+		// A smaller dynamic copy — the one ssdListFor returned, or a
+		// duplicate surviving behind a static pin it preferred — is
+		// replaced rather than double-inserted.
+		m.evictSSDList(e)
+	}
+
+	off, ok := m.placeListExtent(scBytes)
+	if !ok {
+		m.stats.ListsDiscarded++
+		return
+	}
+
+	// One large sequential block-aligned write (the data placement win of
+	// §VI-B): the prefix padded to whole blocks.
+	buf := m.stagingBuf(scBytes, validBytes)
+	copy(buf, ml.prefix[:validBytes])
+	if err := m.ssdWrite(buf, m.icBase()+off); err != nil {
+		// Error accounted by ssdWrite; the list is lost from the cache
+		// (still on the HDD) and the failed extent is retired.
+		m.quarantine(m.icAlloc, off, scBytes)
+		m.stats.ListsDiscarded++
+		return
+	}
+	m.stats.ListBytesToSSD += scBytes
+	m.stats.ListWritesToSSD++
+	m.emit(Event{Kind: EvListFlush, Term: ml.term, Bytes: scBytes})
+
+	sl := &ssdList{term: ml.term, off: off, blockBytes: scBytes, validBytes: validBytes, loadedAt: ml.loadedAt}
+	m.icLRU.Put(uint64(ml.term), scBytes, sl)
+}
+
+// placeListExtent finds a block-aligned extent of scBytes in the list
+// region, applying the CBLRU placement ladder of Fig 13:
+//
+//  1. free space;
+//  2. a replaceable same-size entry in the replace-first region;
+//  3. any same-size entry in the replace-first region;
+//  4. assemble room by evicting replace-first-region entries;
+//  5. widen the search to the whole LRU list (the paper's rare worst case).
+func (m *Manager) placeListExtent(scBytes int64) (int64, bool) {
+	if off, ok := m.icAlloc.AllocAligned(scBytes, m.cfg.BlockBytes); ok {
+		return off, true
+	}
+	window := m.icLRU.TailWindow(m.cfg.WindowW)
+
+	// Steps 2 and 3: in-place overwrite of a same-size entry, replaceable
+	// entries first.
+	for _, wantReplaceable := range []bool{true, false} {
+		for _, e := range window {
+			sl := e.Value
+			if sl.blockBytes != scBytes {
+				continue
+			}
+			if wantReplaceable != (sl.state == stateReplaceable) {
+				continue
+			}
+			off := sl.off
+			m.icLRU.RemoveEntry(e)
+			m.stats.L2ListEvictions++
+			m.stats.ListOverwritesInPlace++
+			m.emit(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
+			return off, true
+		}
+	}
+
+	// Step 4: evict window entries (lowest EV first among the window's
+	// LRU-ordered snapshot) until an aligned allocation succeeds.
+	for _, e := range window {
+		if _, stillThere := m.icLRU.Peek(e.Key); !stillThere {
+			continue
+		}
+		m.evictSSDList(e)
+		if off, ok := m.icAlloc.AllocAligned(scBytes, m.cfg.BlockBytes); ok {
+			return off, true
+		}
+	}
+
+	// Step 5: whole-list sweep, LRU to MRU.
+	var off int64
+	ok := false
+	m.icLRU.Ascend(func(e *cache.Entry[*ssdList]) bool {
+		m.evictSSDList(e)
+		off, ok = m.icAlloc.AllocAligned(scBytes, m.cfg.BlockBytes)
+		return !ok
+	})
+	if ok {
+		m.stats.ListPlacementWorstCase++
+	}
+	return off, ok
+}
+
+// evictResult queues the entry in the write buffer for RB assembly, unless
+// the SSD already holds it or admission turns it away.
+func (l blockLogLayout) evictResult(qid uint64, mr *memResult) {
+	m := l.m
+	// Write-buffer check (Fig 10): if the SSD already holds a valid copy
+	// (left replaceable by an earlier read-back), revalidate it and skip
+	// the write entirely.
+	if loc, ok := m.resultLoc[qid]; ok {
+		loc.state = stateNormal
+		m.stats.ResultWritesElided++
+		return
+	}
+	if !m.adm.AdmitResult(qid) {
+		m.stats.ResultsRejectedByAdmission++
+		return
+	}
+	m.writeBuf = append(m.writeBuf, bufferedResult{qid: qid, data: mr.data, loadedAt: mr.loadedAt})
+	m.memCost(len(mr.data))
+	if len(m.writeBuf) >= m.entriesPerRB {
+		m.flushResultBlock()
+	}
+}
+
+// flushResultBlock assembles entriesPerRB buffered entries into one result
+// block and writes it to the SSD as a single block-aligned sequential
+// write (Fig 10b), choosing the victim RB by IREN within the replace-first
+// region when no free block exists (Fig 11).
+func (m *Manager) flushResultBlock() {
+	n := m.entriesPerRB
+	if len(m.writeBuf) < n {
+		return
+	}
+	batch := m.writeBuf[:n]
+	m.writeBuf = append([]bufferedResult(nil), m.writeBuf[n:]...)
+
+	if !m.ssdHealthy() {
+		// Breaker open: flushing would hammer the failing device. Drop the
+		// batch with accounting instead of letting the buffer grow unbounded.
+		m.stats.ResultsDropped += int64(n)
+		return
+	}
+
+	off, ok := m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes)
+	if !ok {
+		rb := m.chooseVictimRB()
+		if rb == nil {
+			m.stats.ResultsDropped += int64(n)
+			return
+		}
+		m.retireRB(rb)
+		off, ok = m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes)
+		if !ok {
+			m.stats.ResultsDropped += int64(n)
+			return
+		}
+	}
+
+	rb := &resultBlock{num: m.nextRB, off: off, slots: make([]*ssdResult, n)}
+	m.nextRB++
+	// Entries are exactly ResultEntryBytes each (PutResult enforces it), so
+	// together they overwrite the whole payload.
+	buf := m.stagingBuf(m.cfg.BlockBytes, int64(n)*m.cfg.ResultEntryBytes)
+	for i, b := range batch {
+		copy(buf[int64(i)*m.cfg.ResultEntryBytes:], b.data)
+		loc := &ssdResult{qid: b.qid, rb: rb, slot: i, loadedAt: b.loadedAt}
+		rb.slots[i] = loc
+		m.resultLoc[b.qid] = loc
+	}
+	if err := m.ssdWrite(buf, off); err != nil {
+		// The write failed (error accounted by ssdWrite): quarantine the
+		// extent so the bad range is not immediately re-allocated, and
+		// re-queue each entry once — a second failure drops it, counted.
+		m.quarantine(m.rcAlloc, off, m.cfg.BlockBytes)
+		for _, b := range batch {
+			delete(m.resultLoc, b.qid)
+			if b.requeued {
+				m.stats.ResultsDropped++
+				continue
+			}
+			b.requeued = true
+			m.writeBuf = append(m.writeBuf, b)
+			m.stats.ResultsRequeued++
+		}
+		return
+	}
+	m.stats.ResultBytesToSSD += m.cfg.BlockBytes
+	m.stats.RBFlushes++
+	m.emit(Event{Kind: EvResultFlush, Bytes: m.cfg.BlockBytes})
+	m.rbLRU.Put(rb.num, m.cfg.BlockBytes, rb)
+}
+
+// chooseVictimRB returns the RB with the largest IREN inside the
+// replace-first region (Fig 11), or the plain LRU block if the region is
+// empty. Returns nil when no dynamic RB exists.
+func (m *Manager) chooseVictimRB() *resultBlock {
+	window := m.rbLRU.TailWindow(m.cfg.WindowW)
+	if len(window) == 0 {
+		return nil
+	}
+	best := window[0].Value
+	bestIREN := best.iren()
+	for _, e := range window[1:] {
+		rb := e.Value
+		if ir := rb.iren(); ir > bestIREN {
+			best, bestIREN = rb, ir
+		}
+	}
+	return best
+}
+
+// retireRB invalidates an RB's remaining entries and frees its extent.
+func (m *Manager) retireRB(rb *resultBlock) {
+	for _, loc := range rb.slots {
+		if loc != nil {
+			delete(m.resultLoc, loc.qid)
+		}
+	}
+	if e, ok := m.rbLRU.Peek(rb.num); ok {
+		m.rbLRU.RemoveEntry(e)
+	}
+	m.rcAlloc.Free(rb.off, m.cfg.BlockBytes)
+	m.ssdTrim(rb.off, m.cfg.BlockBytes)
+	m.stats.RBRetired++
+	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+}
+
+// copiedUp flips the entry to replaceable: its SSD copy stays readable
+// but may now be overwritten first (Fig 9).
+func (blockLogLayout) copiedUp(st *entryState) { *st = stateReplaceable }
+
+// expireResult invalidates and trims only the slot; the RB lives on for
+// IREN-based replacement.
+func (l blockLogLayout) expireResult(loc *ssdResult) {
+	m := l.m
+	loc.rb.slots[loc.slot] = nil
+	delete(m.resultLoc, loc.qid)
+	m.ssdTrim(loc.rb.off+int64(loc.slot)*m.cfg.ResultEntryBytes, m.cfg.ResultEntryBytes)
+	m.stats.L2ResultEvictions++
+	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+}
+
+// quarantineResult retires the whole RB around the failing entry: mappings
+// are dropped and the extent is quarantined (never re-allocated) instead of
+// freed. No trim — the range is being abandoned, not recycled.
+func (l blockLogLayout) quarantineResult(loc *ssdResult) {
+	m, rb := l.m, loc.rb
+	for _, loc := range rb.slots {
+		if loc != nil {
+			delete(m.resultLoc, loc.qid)
+		}
+	}
+	if e, ok := m.rbLRU.Peek(rb.num); ok {
+		m.rbLRU.RemoveEntry(e)
+	}
+	m.quarantine(m.rcAlloc, rb.off, m.cfg.BlockBytes)
+	m.stats.RBRetired++
+	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+}
+
+// rbExtentBytes is one whole block.
+func (l blockLogLayout) rbExtentBytes() int64 { return l.m.cfg.BlockBytes }
+
+// checkListExtent requires whole, block-aligned extents.
+func (l blockLogLayout) checkListExtent(sl *ssdList) error {
+	if bs := l.m.cfg.BlockBytes; sl.off%bs != 0 || sl.blockBytes%bs != 0 {
+		return fmt.Errorf("term %d extent [%d,+%d) not block-aligned", sl.term, sl.off, sl.blockBytes)
+	}
+	return nil
+}

@@ -17,7 +17,7 @@ import (
 // an extension that needs room cannot get it.
 type noVictim struct{ ReplacementPolicy }
 
-func (noVictim) ChooseL1ListVictim(*cache.Entry) *cache.Entry { return nil }
+func (noVictim) ChooseL1ListVictim(*cache.Entry[*memList]) *cache.Entry[*memList] { return nil }
 
 // TestFailedPrefixExtensionLeavesEntryUntouched: the bytes of an extension
 // are written past len(prefix) before the cache is asked for room. When it
@@ -42,7 +42,7 @@ func TestFailedPrefixExtensionLeavesEntryUntouched(t *testing.T) {
 	if !ok {
 		t.Fatal("term 0 evicted while filling L1")
 	}
-	l1 := e.Value.(*memList)
+	l1 := e.Value
 	have := int64(len(l1.prefix))
 	before := append([]byte(nil), l1.prefix...)
 	used := f.m.ic.Used()
@@ -112,8 +112,8 @@ func TestStagingBufferPadsEveryExtentWithZeros(t *testing.T) {
 	}
 
 	padded := 0
-	f.m.icLRU.Ascend(func(e *cache.Entry) bool {
-		sl := e.Value.(*ssdList)
+	f.m.icLRU.Ascend(func(e *cache.Entry[*ssdList]) bool {
+		sl := e.Value
 		extent := make([]byte, sl.blockBytes)
 		if _, err := fd.Inner().ReadAt(extent, f.m.icBase()+sl.off); err != nil {
 			t.Fatal(err)

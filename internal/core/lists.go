@@ -30,14 +30,11 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 	// Level 1: memory prefix.
 	var l1 *memList
 	if e, ok := m.ic.Get(uint64(t)); ok {
-		l1 = e.Value.(*memList)
+		l1 = e.Value
 		if m.listExpired(l1.loadedAt) {
 			m.ic.RemoveEntry(e)
-			m.repl.NoteL1ListEvict(t)
 			m.stats.ListsExpired++
 			l1 = nil
-		} else {
-			m.repl.NoteL1ListHit(t)
 		}
 	}
 	if l1 != nil {
@@ -78,7 +75,7 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 					m.stats.ListBytesFromSSD += n
 					m.emit(Event{Kind: EvListRead, Term: t, Level: LevelSSD, Bytes: n})
 					pos += n
-					m.onSSDListHit(t, sl)
+					m.onSSDListHit(sl)
 				}
 			}
 		}
@@ -114,7 +111,7 @@ func (m *Manager) ssdListFor(t workload.TermID) *ssdList {
 		return static
 	}
 	if e, ok := m.icLRU.Get(uint64(t)); ok {
-		dyn := e.Value.(*ssdList)
+		dyn := e.Value
 		if m.listExpired(dyn.loadedAt) {
 			m.evictSSDList(e)
 			m.stats.ListsExpired++
@@ -125,118 +122,24 @@ func (m *Manager) ssdListFor(t workload.TermID) *ssdList {
 	return static
 }
 
-// onSSDListHit applies the hybrid-scheme state change of Fig 9: data read
-// back from SSD to memory flips the entry to replaceable (the SSD copy may
-// now be overwritten first) under the cost-based policies. Static entries
-// never change state.
-func (m *Manager) onSSDListHit(t workload.TermID, sl *ssdList) {
-	if sl.static || !m.repl.FlipReplaceableOnHit() {
-		return
+// onSSDListHit records that an SSD list extent was just read back into
+// memory: the layout applies its Fig 9 state change, if it has one. Static
+// entries never change state.
+func (m *Manager) onSSDListHit(sl *ssdList) {
+	if !sl.static {
+		m.lay.copiedUp(&sl.state)
 	}
-	sl.state = stateReplaceable
 }
 
-// fillL1List caches the bytes just served into the L1 prefix for t,
-// respecting the policy's caching unit: the cost-based policies cache the
-// contiguous used prefix (rounded up by the readahead quantum when the
-// disk head is already positioned past the tail); plain LRU caches the
-// whole list (classic list caching, the baseline's capacity handicap the
-// paper calls out in §VII-A).
+// fillL1List caches the bytes just served in L1, in the layout's caching
+// unit, once the policy's first-touch gate lets the list in.
 func (m *Manager) fillL1List(t workload.TermID, l1 *memList, off int64, p []byte, total int64, hddTail bool) {
-	capBytes := m.ic.Capacity() / maxL1EntryShare
-
 	// First-touch admission gate (the bidirectional filter's upward
 	// direction); extensions of a resident prefix are always allowed.
 	if l1 == nil && !m.repl.AdmitNewL1List(t) {
 		return
 	}
-
-	if m.repl.WholeListL1() {
-		if l1 != nil {
-			return // whole list already resident
-		}
-		if total > capBytes {
-			m.stats.ListsTooLargeForL1++
-			return
-		}
-		whole := make([]byte, total)
-		// Reuse the bytes already in hand; fetch the rest from the
-		// hierarchy below L1 (SSD prefix if cached, index otherwise).
-		copy(whole[off:], p)
-		if off > 0 {
-			m.readThrough(t, 0, whole[:off])
-		}
-		if rest := total - (off + int64(len(p))); rest > 0 {
-			m.readThrough(t, off+int64(len(p)), whole[off+int64(len(p)):])
-		}
-		m.insertL1List(t, whole)
-		return
-	}
-
-	// Cost-based policies: grow the contiguous prefix. Extension is only
-	// possible when the served range connects to the existing prefix.
-	have := int64(0)
-	if l1 != nil {
-		have = int64(len(l1.prefix))
-	}
-	endPos := off + int64(len(p))
-	if off > have || endPos <= have {
-		return // gap, or nothing new
-	}
-	if endPos > capBytes {
-		m.stats.ListsTooLargeForL1++
-		return
-	}
-
-	// Readahead: the head just streamed to endPos, so extending the
-	// prefix to the next quantum boundary costs transfer time only and
-	// absorbs the small termination-point variance between queries.
-	target := endPos
-	if hddTail && m.cfg.PrefetchQuantum > 0 {
-		q := m.cfg.PrefetchQuantum
-		target = (endPos + q - 1) / q * q
-		if target > total {
-			target = total
-		}
-		if target > capBytes {
-			target = endPos
-		}
-	}
-
-	// The new bytes land past len(prefix), in capacity grown geometrically
-	// (and never past the entry cap), so reading a list in n chunks copies
-	// it once, not n²/2 times. The simulated entry stays len(prefix) bytes:
-	// the prefix is re-sliced only once the cache has made room, so a
-	// failed extension leaves the entry exactly as it was.
-	var grown []byte
-	if l1 == nil {
-		grown = make([]byte, target)
-	} else {
-		if int64(cap(l1.prefix)) < target {
-			newCap := min(max(target, 2*int64(cap(l1.prefix))), capBytes)
-			l1.prefix = append(make([]byte, 0, newCap), l1.prefix...)
-		}
-		grown = l1.prefix[:target]
-	}
-	copy(grown[have:endPos], p[have-off:])
-	if target > endPos {
-		m.readThrough(t, endPos, grown[endPos:])
-		m.stats.ListBytesPrefetched += target - endPos
-	}
-
-	if l1 == nil {
-		m.insertL1List(t, grown)
-		return
-	}
-	e, _ := m.ic.Peek(uint64(t))
-	need := target - e.Size
-	m.makeRoomIC(need, e)
-	if !m.ic.Fits(need) {
-		return // could not free enough without touching this entry
-	}
-	l1.prefix = grown
-	m.ic.Resize(e, target)
-	m.memCost(int(need))
+	m.lay.fillL1(t, l1, off, p, total, hddTail)
 }
 
 // readThrough reads list bytes from below L1 (SSD prefix then index),
@@ -285,7 +188,6 @@ func (m *Manager) insertL1List(t workload.TermID, data []byte) {
 		return
 	}
 	m.ic.Put(uint64(t), size, &memList{term: t, prefix: data, loadedAt: m.clock.Now()})
-	m.repl.NoteL1ListInsert(t)
 	m.memCost(int(size))
 }
 
@@ -293,23 +195,16 @@ func (m *Manager) insertL1List(t workload.TermID, data []byte) {
 // exclude. Victim choice is the policy's: strict LRU for the baseline, or
 // minimum efficiency value within the replace-first window for the
 // cost-based policies (Fig 12).
-func (m *Manager) makeRoomIC(need int64, exclude *cache.Entry) {
+func (m *Manager) makeRoomIC(need int64, exclude *cache.Entry[*memList]) {
 	for !m.ic.Fits(need) {
-		victim := m.chooseL1ListVictim(exclude)
+		victim := m.repl.ChooseL1ListVictim(exclude)
 		if victim == nil {
 			return
 		}
-		ml := victim.Value.(*memList)
+		ml := victim.Value
 		m.ic.RemoveEntry(victim)
-		m.repl.NoteL1ListEvict(ml.term)
 		m.stats.L1ListEvictions++
 		m.emit(Event{Kind: EvListEvict, Term: ml.term, Level: LevelMem})
 		m.flushListToSSD(ml)
 	}
-}
-
-// chooseL1ListVictim picks the next L1 list eviction victim by delegating
-// to the active replacement policy.
-func (m *Manager) chooseL1ListVictim(exclude *cache.Entry) *cache.Entry {
-	return m.repl.ChooseL1ListVictim(exclude)
 }

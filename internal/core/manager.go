@@ -116,19 +116,21 @@ type Manager struct {
 	ssd   storage.Device // nil = one-level cache (memory only)
 
 	// repl and adm are the pluggable policy pair built from the registry
-	// for cfg.Policy (see policy.go).
+	// for cfg.Policy (see policy.go); lay is the placement the registry
+	// entry's Baseline bit selects (see layout.go).
 	repl ReplacementPolicy
 	adm  AdmissionPolicy
+	lay  layout
 
 	nsPerByteMem float64
 
 	// L1.
-	rc *cache.List // queryID -> []byte (encoded result entry)
-	ic *cache.List // termID -> *memList
+	rc *cache.List[*memResult] // by query ID
+	ic *cache.List[*memList]   // by term ID
 
 	// L2 result cache.
 	entriesPerRB int
-	rbLRU        *cache.List // RB num -> *resultBlock (dynamic RBs only)
+	rbLRU        *cache.List[*resultBlock] // by RB num; dynamic RBs only
 	resultLoc    map[uint64]*ssdResult
 	rcAlloc      *storage.Allocator
 	writeBuf     []bufferedResult
@@ -136,7 +138,7 @@ type Manager struct {
 	staticRBs    []*resultBlock
 
 	// L2 inverted-list cache.
-	icLRU    *cache.List // termID -> *ssdList (dynamic entries only)
+	icLRU    *cache.List[*ssdList] // by term ID; dynamic entries only
 	icAlloc  *storage.Allocator
 	icStatic map[workload.TermID]*ssdList
 
@@ -209,8 +211,8 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		ix:           ix,
 		ssd:          ssd,
 		nsPerByteMem: float64(time.Second) / float64(cfg.MemBytesPerSecond),
-		rc:           cache.NewList(cfg.MemResultBytes),
-		ic:           cache.NewList(cfg.MemListBytes),
+		rc:           cache.NewList[*memResult](cfg.MemResultBytes),
+		ic:           cache.NewList[*memList](cfg.MemListBytes),
 		entriesPerRB: int(cfg.BlockBytes / cfg.ResultEntryBytes),
 		resultLoc:    make(map[uint64]*ssdResult),
 		icStatic:     make(map[workload.TermID]*ssdList),
@@ -224,19 +226,20 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 			cfg.ResultEntryBytes, cfg.BlockBytes)
 	}
 	if cfg.SSDResultBytes > 0 {
-		m.rbLRU = cache.NewList(cfg.SSDResultBytes)
+		m.rbLRU = cache.NewList[*resultBlock](cfg.SSDResultBytes)
 		m.rcAlloc = storage.NewAllocator(cfg.SSDResultBytes)
 	}
 	if cfg.SSDListBytes > 0 {
-		m.icLRU = cache.NewList(cfg.SSDListBytes)
+		m.icLRU = cache.NewList[*ssdList](cfg.SSDListBytes)
 		m.icAlloc = storage.NewAllocator(cfg.SSDListBytes)
 	}
-	info, ok := lookupPolicy(cfg.Policy)
-	if !ok {
-		// Unreachable after Validate; kept as a guard for future registry edits.
-		return nil, fmt.Errorf("core: policy %d not registered", cfg.Policy)
-	}
+	info := policyRegistry[cfg.Policy] // in range: Validate checked it
 	m.repl, m.adm = info.New(m)
+	if info.Baseline {
+		m.lay = entryLayout{m}
+	} else {
+		m.lay = blockLogLayout{m}
+	}
 	return m, nil
 }
 
@@ -246,7 +249,7 @@ func (m *Manager) Policy() Policy { return m.cfg.Policy }
 // UsesStaticPartition reports whether the active policy reserves static
 // SSD partitions populated by query-log analysis (CBSLRU). Callers use it
 // to decide whether a WarmupStatic pass is meaningful.
-func (m *Manager) UsesStaticPartition() bool { return m.repl.UsesStaticPartition() }
+func (m *Manager) UsesStaticPartition() bool { return policyRegistry[m.cfg.Policy].Static }
 
 // Config returns the effective configuration.
 func (m *Manager) Config() Config { return m.cfg }

@@ -65,8 +65,8 @@ func (m *Manager) SaveMappings() error {
 	var rbs []*resultBlock
 	rbs = append(rbs, m.staticRBs...)
 	if m.rbLRU != nil {
-		m.rbLRU.Ascend(func(e *cache.Entry) bool {
-			rbs = append(rbs, e.Value.(*resultBlock))
+		m.rbLRU.Ascend(func(e *cache.Entry[*resultBlock]) bool {
+			rbs = append(rbs, e.Value)
 			return true
 		})
 	}
@@ -94,8 +94,8 @@ func (m *Manager) SaveMappings() error {
 		lists = append(lists, m.icStatic[t])
 	}
 	if m.icLRU != nil {
-		m.icLRU.Ascend(func(e *cache.Entry) bool {
-			lists = append(lists, e.Value.(*ssdList))
+		m.icLRU.Ascend(func(e *cache.Entry[*ssdList]) bool {
+			lists = append(lists, e.Value)
 			return true
 		})
 	}
@@ -112,7 +112,7 @@ func (m *Manager) SaveMappings() error {
 
 	// Term frequencies (EV continuity).
 	w(uint32(len(m.termFreq)))
-	for _, t := range sortedTermKeys2(m.termFreq) {
+	for _, t := range sortedTermKeys(m.termFreq) {
 		w(int32(t))
 		w(m.termFreq[t])
 	}
@@ -199,10 +199,7 @@ func (m *Manager) loadMappings(raw []byte) error {
 		if err := read(&slots); err != nil {
 			return err
 		}
-		size := m.cfg.BlockBytes
-		if !m.repl.BlockAlignedL2() {
-			size = m.cfg.ResultEntryBytes
-		}
+		size := m.lay.rbExtentBytes()
 		if !m.rcAlloc.Reserve(rbOff, size) {
 			return fmt.Errorf("core: RB %d extent [%d,+%d) unreservable", num, rbOff, size)
 		}
@@ -315,16 +312,7 @@ func durationFromI64(v int64) time.Duration { return time.Duration(v) }
 
 // sortedTermKeys returns the map's keys in ascending order so
 // serialization is deterministic.
-func sortedTermKeys(m map[workload.TermID]*ssdList) []workload.TermID {
-	keys := make([]workload.TermID, 0, len(m))
-	for t := range m {
-		keys = append(keys, t)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func sortedTermKeys2(m map[workload.TermID]int64) []workload.TermID {
+func sortedTermKeys[V any](m map[workload.TermID]V) []workload.TermID {
 	keys := make([]workload.TermID, 0, len(m))
 	for t := range m {
 		keys = append(keys, t)

@@ -3,14 +3,16 @@ package core
 // Pluggable replacement and admission policies.
 //
 // The Manager's serving paths are policy-independent plumbing (read
-// through the hierarchy, account every byte, keep the allocator honest);
-// everything that distinguishes LRU from the paper's cost-based schemes —
-// caching unit, victim choice, the replaceable-state dance of Fig 9, L2
-// admission — is behind the ReplacementPolicy/AdmissionPolicy pair. The
-// three policies of the paper (LRU, CBLRU, CBSLRU) are the first three
-// registered implementations; the zoo (TinyLFU admission, ARC, 2Q, the
-// bidirectional cache filter) builds on the same hooks without touching
-// the serving paths.
+// through the hierarchy, account every byte, keep the allocator honest).
+// A policy is three replacement decisions (ReplacementPolicy) and two
+// admission checks (AdmissionPolicy); it decides, it never places. Where
+// and in what unit data is placed — the baseline's whole lists and
+// entry-granular SSD writes, or the cost-based family's Formula-1 prefixes
+// in a block-aligned log with replaceable state — is the layout (layout.go),
+// chosen once in New from the registry entry's Baseline bit. The three
+// policies of the paper (LRU, CBLRU, CBSLRU) are the first three registry
+// entries; the zoo's survivors (TinyLFU admission, the bidirectional cache
+// filter) are built from the same five decisions.
 //
 // Every implementation must preserve the Manager's contracts: the
 // invariant checker (invariants.go), the stats≡trace pairing
@@ -20,35 +22,42 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"hybridstore/internal/cache"
 	"hybridstore/internal/workload"
 )
 
-// ReplacementPolicy captures the policy-dependent decision points of the
-// cache hierarchy's replacement path. Implementations may keep per-manager
-// state (ghost lists, adaptation targets); they are created per Manager by
-// the registry factory and are not safe for concurrent use, matching the
-// Manager itself.
+// Policy selects the replacement algorithm family. The constants index
+// policyRegistry: a policy's value is its registry position.
+type Policy int
+
+const (
+	// PolicyLRU is the baseline: strict recency eviction at both levels,
+	// entry-granularity SSD writes, whole-list caching, no selection logic.
+	PolicyLRU Policy = iota
+	// PolicyCBLRU is the paper's cost-based LRU: EV-driven selection,
+	// prefix caching sized by Formula 1, block-aligned log writes, and
+	// replace-first-region victim choice (Figs 11–13).
+	PolicyCBLRU
+	// PolicyCBSLRU adds a static partition holding the most efficient
+	// entries, populated by query-log analysis and exempt from replacement.
+	PolicyCBSLRU
+	// PolicyTinyLFU keeps CBLRU replacement but gates L2 admission on the
+	// decayed frequency sketches: one-hit wonders never reach the flash.
+	PolicyTinyLFU
+	// PolicyBidi is the bidirectional cache filter: promotion from SSD to
+	// memory and demotion from memory to SSD both gated on repeat hits.
+	PolicyBidi
+)
+
+// ReplacementPolicy is the three replacement decisions of the hierarchy.
+// Implementations are created per Manager by the registry factory and are
+// not safe for concurrent use, matching the Manager itself.
 type ReplacementPolicy interface {
-	// WholeListL1 reports whether L1 caches entire inverted lists (the
-	// LRU baseline's classic list caching) or Formula-1 used prefixes.
-	WholeListL1() bool
-	// BlockAlignedL2 reports whether the L2 cache uses the paper's
-	// block-aligned machinery (result blocks, write buffer, extent
-	// ladder) or the baseline's entry-granularity writes.
-	BlockAlignedL2() bool
-	// FlipReplaceableOnHit reports whether an SSD hit that copies data
-	// back to memory flips the SSD entry to replaceable (Fig 9).
-	FlipReplaceableOnHit() bool
-	// UsesStaticPartition reports whether part of each SSD region is a
-	// static partition populated by query-log analysis (CBSLRU, §VI-C2).
-	UsesStaticPartition() bool
 	// ChooseL1ListVictim picks the next L1 inverted-list eviction victim,
 	// never returning exclude. Nil means nothing evictable.
-	ChooseL1ListVictim(exclude *cache.Entry) *cache.Entry
+	ChooseL1ListVictim(exclude *cache.Entry[*memList]) *cache.Entry[*memList]
 	// PromoteResultToL1 reports whether a result served from the SSD is
 	// copied up into the L1 result cache (the hybrid scheme's promotion;
 	// the bidirectional filter gates it on repeat hits).
@@ -57,12 +66,6 @@ type ReplacementPolicy interface {
 	// inserted into L1 (extensions of an existing prefix are always
 	// allowed). The bidirectional filter gates first-touch inserts.
 	AdmitNewL1List(t workload.TermID) bool
-	// NoteL1ListInsert/Hit/Evict inform the policy of L1 list-cache
-	// lifecycle so segmented schemes (ARC, 2Q) can keep their ghost
-	// bookkeeping. No-ops for the paper's policies.
-	NoteL1ListInsert(t workload.TermID)
-	NoteL1ListHit(t workload.TermID)
-	NoteL1ListEvict(t workload.TermID)
 }
 
 // AdmissionPolicy decides what enters the L2 (SSD) cache. The paper's
@@ -92,60 +95,54 @@ type PolicyInfo struct {
 	// RequiresTwoLevel marks policies meaningless without an SSD level
 	// (hybrid.Config validation rejects them in other cache modes).
 	RequiresTwoLevel bool
+	// Baseline selects the entry layout (whole lists in L1, entry-granular
+	// SSD writes, §VII) instead of the cost-based family's block log (§VI).
+	Baseline bool
+	// Static reserves part of each SSD region as a static partition
+	// populated by query-log analysis (CBSLRU, §VI-C2).
+	Static bool
 	// New builds the policy pair for a manager. Called once per Manager
 	// from core.New, after the configuration has been validated.
 	New func(m *Manager) (ReplacementPolicy, AdmissionPolicy)
 }
 
-// policyRegistry holds every known policy, in Policy-constant order. A
-// fixed slice (not init-time side effects) keeps registration order — and
+// policyRegistry holds every known policy, indexed by its Policy constant.
+// A fixed array (not init-time side effects) keeps registration order — and
 // therefore RegisteredPolicyNames and every error message derived from it
 // — deterministic.
-var policyRegistry = []PolicyInfo{
-	{
+var policyRegistry = [...]PolicyInfo{
+	PolicyLRU: {
 		ID: PolicyLRU, Name: "lru", Display: "LRU",
-		Summary: "recency-only baseline: whole-list caching, entry-granularity SSD writes",
+		Summary:  "recency-only baseline: whole-list caching, entry-granularity SSD writes",
+		Baseline: true,
 		New: func(m *Manager) (ReplacementPolicy, AdmissionPolicy) {
 			return &lruReplacement{m: m}, admitAll{}
 		},
 	},
-	{
+	PolicyCBLRU: {
 		ID: PolicyCBLRU, Name: "cblru", Display: "CBLRU",
 		Summary: "cost-based LRU: EV selection, prefix caching, block-aligned log writes (paper §VI)",
 		New: func(m *Manager) (ReplacementPolicy, AdmissionPolicy) {
 			return &cbReplacement{m: m}, &tevAdmission{m: m}
 		},
 	},
-	{
+	PolicyCBSLRU: {
 		ID: PolicyCBSLRU, Name: "cbslru", Display: "CBSLRU",
 		Summary:          "CBLRU plus a static partition pinned by query-log analysis (paper §VI-C2)",
 		RequiresTwoLevel: true,
+		Static:           true,
 		New: func(m *Manager) (ReplacementPolicy, AdmissionPolicy) {
-			return &cbReplacement{m: m, static: true}, &tevAdmission{m: m}
+			return &cbReplacement{m: m}, &tevAdmission{m: m}
 		},
 	},
-	{
+	PolicyTinyLFU: {
 		ID: PolicyTinyLFU, Name: "tinylfu", Display: "TinyLFU",
 		Summary: "CBLRU replacement with frequency-gated L2 admission from the decaying sketches",
 		New: func(m *Manager) (ReplacementPolicy, AdmissionPolicy) {
 			return &cbReplacement{m: m}, &freqGatedAdmission{m: m}
 		},
 	},
-	{
-		ID: PolicyARC, Name: "arc", Display: "ARC",
-		Summary: "adaptive replacement cache at L1 (T1/T2 + ghost B1/B2), cost-based L2",
-		New: func(m *Manager) (ReplacementPolicy, AdmissionPolicy) {
-			return newARCReplacement(m), &tevAdmission{m: m}
-		},
-	},
-	{
-		ID: Policy2Q, Name: "2q", Display: "2Q",
-		Summary: "2Q at L1 (A1in/A1out/Am), cost-based L2",
-		New: func(m *Manager) (ReplacementPolicy, AdmissionPolicy) {
-			return new2QReplacement(m), &tevAdmission{m: m}
-		},
-	},
-	{
+	PolicyBidi: {
 		ID: PolicyBidi, Name: "bidi", Display: "BiDi",
 		Summary:          "bidirectional cache filter: promote/demote between levels gated on repeat hits",
 		RequiresTwoLevel: true,
@@ -155,21 +152,9 @@ var policyRegistry = []PolicyInfo{
 	},
 }
 
-// lookupPolicy returns the registry entry for p.
-func lookupPolicy(p Policy) (PolicyInfo, bool) {
-	for _, info := range policyRegistry {
-		if info.ID == p {
-			return info, true
-		}
-	}
-	return PolicyInfo{}, false
-}
-
 // Policies returns every registered policy, in registration order.
 func Policies() []PolicyInfo {
-	out := make([]PolicyInfo, len(policyRegistry))
-	copy(out, policyRegistry)
-	return out
+	return append([]PolicyInfo(nil), policyRegistry[:]...)
 }
 
 // RegisteredPolicyNames returns the parse names of every registered
@@ -197,34 +182,34 @@ func ParsePolicy(s string) (Policy, error) {
 // Valid reports whether p is a registered policy. Config validation
 // rejects invalid values up front, so the Policy(%d) String fallback is
 // unreachable from user input.
-func (p Policy) Valid() bool {
-	_, ok := lookupPolicy(p)
-	return ok
+func (p Policy) Valid() bool { return p >= 0 && int(p) < len(policyRegistry) }
+
+// String returns the policy's display name from the registry.
+func (p Policy) String() string {
+	if p.Valid() {
+		return policyRegistry[p].Display
+	}
+	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
 // RequiresTwoLevel reports whether p is only meaningful with an SSD cache
 // level (hybrid.Config validation enforces the pairing).
 func (p Policy) RequiresTwoLevel() bool {
-	info, ok := lookupPolicy(p)
-	return ok && info.RequiresTwoLevel
+	return p.Valid() && policyRegistry[p].RequiresTwoLevel
 }
 
 // ---------------------------------------------------------------------------
 // The paper's policies: LRU baseline and the cost-based family.
 
-// lruReplacement is the baseline of §VII: strict recency at both levels,
-// whole-list caching, entry-granularity SSD writes, no selection logic.
+// lruReplacement is the baseline's decisions (§VII): strict-recency L1
+// victims, everything promoted and admitted. Its placement — whole lists,
+// entry-granularity SSD writes — is entryLayout.
 type lruReplacement struct{ m *Manager }
 
-func (r *lruReplacement) WholeListL1() bool          { return true }
-func (r *lruReplacement) BlockAlignedL2() bool       { return false }
-func (r *lruReplacement) FlipReplaceableOnHit() bool { return false }
-func (r *lruReplacement) UsesStaticPartition() bool  { return false }
-
 // ChooseL1ListVictim picks the least-recently-used entry, skipping exclude.
-func (r *lruReplacement) ChooseL1ListVictim(exclude *cache.Entry) *cache.Entry {
-	var v *cache.Entry
-	r.m.ic.Ascend(func(e *cache.Entry) bool {
+func (r *lruReplacement) ChooseL1ListVictim(exclude *cache.Entry[*memList]) *cache.Entry[*memList] {
+	var v *cache.Entry[*memList]
+	r.m.ic.Ascend(func(e *cache.Entry[*memList]) bool {
 		if e != exclude {
 			v = e
 			return false
@@ -236,40 +221,27 @@ func (r *lruReplacement) ChooseL1ListVictim(exclude *cache.Entry) *cache.Entry {
 
 func (r *lruReplacement) PromoteResultToL1(uint64) bool       { return true }
 func (r *lruReplacement) AdmitNewL1List(workload.TermID) bool { return true }
-func (r *lruReplacement) NoteL1ListInsert(workload.TermID)    {}
-func (r *lruReplacement) NoteL1ListHit(workload.TermID)       {}
-func (r *lruReplacement) NoteL1ListEvict(workload.TermID)     {}
 
-// cbReplacement is the paper's cost-based replacement (CBLRU; with static
-// true, CBSLRU): prefix caching sized by Formula 1, minimum-EV victim
-// choice inside the replace-first window (Fig 12), block-aligned log
-// writes and the replaceable-state hybrid scheme (Fig 9). It is also the
-// base the zoo policies embed for the paper's L2 machinery.
-type cbReplacement struct {
-	m      *Manager
-	static bool
-}
-
-func (r *cbReplacement) WholeListL1() bool          { return false }
-func (r *cbReplacement) BlockAlignedL2() bool       { return true }
-func (r *cbReplacement) FlipReplaceableOnHit() bool { return true }
-func (r *cbReplacement) UsesStaticPartition() bool  { return r.static }
+// cbReplacement is the paper's cost-based replacement (CBLRU and CBSLRU):
+// minimum-EV victim choice inside the replace-first window (Fig 12), every
+// SSD hit promoted. It is also the base the bidirectional filter embeds.
+type cbReplacement struct{ m *Manager }
 
 // ChooseL1ListVictim picks the minimum-EV entry within the replace-first
 // window (Fig 12), skipping exclude.
-func (r *cbReplacement) ChooseL1ListVictim(exclude *cache.Entry) *cache.Entry {
+func (r *cbReplacement) ChooseL1ListVictim(exclude *cache.Entry[*memList]) *cache.Entry[*memList] {
 	m := r.m
 	window := m.cfg.WindowW
 	if window < 8 {
 		window = 8
 	}
-	var best *cache.Entry
+	var best *cache.Entry[*memList]
 	bestEV := 0.0
 	for _, e := range m.ic.TailWindow(window + 1) { // +1 headroom for exclude
 		if e == exclude {
 			continue
 		}
-		ml := e.Value.(*memList)
+		ml := e.Value
 		v := ev(m.termFreq[ml.term], m.scBlocks(int64(len(ml.prefix)), m.pu(ml.term)))
 		if best == nil || v < bestEV {
 			best, bestEV = e, v
@@ -280,9 +252,6 @@ func (r *cbReplacement) ChooseL1ListVictim(exclude *cache.Entry) *cache.Entry {
 
 func (r *cbReplacement) PromoteResultToL1(uint64) bool       { return true }
 func (r *cbReplacement) AdmitNewL1List(workload.TermID) bool { return true }
-func (r *cbReplacement) NoteL1ListInsert(workload.TermID)    {}
-func (r *cbReplacement) NoteL1ListHit(workload.TermID)       {}
-func (r *cbReplacement) NoteL1ListEvict(workload.TermID)     {}
 
 // admitAll is the baseline admission: everything evicted from L1 goes to
 // the SSD (no selection — the write storm the paper's selection avoids).
@@ -302,14 +271,3 @@ func (a *tevAdmission) AdmitList(t workload.TermID, sc int64) bool {
 }
 
 func (a *tevAdmission) AdmitResult(uint64) bool { return true }
-
-// sortedPolicyIDs is a test helper: every registered Policy value,
-// ascending.
-func sortedPolicyIDs() []Policy {
-	ids := make([]Policy, 0, len(policyRegistry))
-	for _, info := range policyRegistry {
-		ids = append(ids, info.ID)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}

@@ -63,37 +63,32 @@ func TestPolicyStringNeverFallsBack(t *testing.T) {
 }
 
 func TestPolicyTraits(t *testing.T) {
-	// The legacy trio's traits are load-bearing: they encode the exact
-	// pre-refactor behavior the byte-identity acceptance check pins.
+	// The registry's two data bits are load-bearing: Baseline picks the
+	// layout, Static the partition — together they encode the exact
+	// behavior the byte-identity goldens pin.
 	cases := []struct {
 		policy                              Policy
-		wholeL1, blockL2, flipHit, static   bool
+		baseline, static                    bool
 		requiresTwoLevel, rejectsSingletons bool
 	}{
-		{PolicyLRU, true, false, false, false, false, false},
-		{PolicyCBLRU, false, true, true, false, false, false},
-		{PolicyCBSLRU, false, true, true, true, true, false},
-		{PolicyTinyLFU, false, true, true, false, false, true},
-		{PolicyARC, false, true, true, false, false, false},
-		{Policy2Q, false, true, true, false, false, false},
-		{PolicyBidi, false, true, true, false, true, true},
+		{PolicyLRU, true, false, false, false},
+		{PolicyCBLRU, false, false, false, false},
+		{PolicyCBSLRU, false, true, true, false},
+		{PolicyTinyLFU, false, false, false, true},
+		{PolicyBidi, false, false, true, true},
+	}
+	if len(cases) != len(policyRegistry) {
+		t.Fatalf("%d cases for %d registered policies", len(cases), len(policyRegistry))
 	}
 	for _, c := range cases {
 		t.Run(c.policy.String(), func(t *testing.T) {
-			cfg := testConfig(c.policy)
-			f := newFixture(t, cfg)
-			r := f.m.repl
-			if r.WholeListL1() != c.wholeL1 {
-				t.Errorf("WholeListL1 = %v", r.WholeListL1())
+			info := policyRegistry[c.policy]
+			if info.Baseline != c.baseline || info.Static != c.static {
+				t.Errorf("registry bits Baseline=%v Static=%v", info.Baseline, info.Static)
 			}
-			if r.BlockAlignedL2() != c.blockL2 {
-				t.Errorf("BlockAlignedL2 = %v", r.BlockAlignedL2())
-			}
-			if r.FlipReplaceableOnHit() != c.flipHit {
-				t.Errorf("FlipReplaceableOnHit = %v", r.FlipReplaceableOnHit())
-			}
-			if r.UsesStaticPartition() != c.static {
-				t.Errorf("UsesStaticPartition = %v", r.UsesStaticPartition())
+			f := newFixture(t, testConfig(c.policy))
+			if _, entry := f.m.lay.(entryLayout); entry != c.baseline {
+				t.Errorf("manager runs layout %T", f.m.lay)
 			}
 			if f.m.UsesStaticPartition() != c.static {
 				t.Errorf("Manager.UsesStaticPartition = %v", f.m.UsesStaticPartition())
@@ -107,6 +102,19 @@ func TestPolicyTraits(t *testing.T) {
 				t.Errorf("AdmitList(cold term) = %v", got)
 			}
 		})
+	}
+}
+
+// TestRegistryIndexedByPolicy: a Policy constant is its registry position,
+// which is what lets Valid, String and core.New index instead of search.
+func TestRegistryIndexedByPolicy(t *testing.T) {
+	for i, info := range policyRegistry {
+		if info.ID != Policy(i) {
+			t.Errorf("policyRegistry[%d].ID = %d", i, info.ID)
+		}
+		if info.New == nil || info.Name == "" || info.Display == "" {
+			t.Errorf("policyRegistry[%d] incomplete: %+v", i, info)
+		}
 	}
 }
 
@@ -146,82 +154,5 @@ func TestBidiPromotionThresholds(t *testing.T) {
 	f.m.termFreq[9] = 2
 	if !r.AdmitNewL1List(9) {
 		t.Fatal("rejected a warm term's list from L1")
-	}
-}
-
-func TestARCGhostsSteerVictims(t *testing.T) {
-	f := newFixture(t, testConfig(PolicyARC))
-	arc, ok := f.m.repl.(*arcReplacement)
-	if !ok {
-		t.Fatalf("ARC manager runs %T", f.m.repl)
-	}
-	// A b1 ghost hit grows the recency target and re-inserts as protected.
-	arc.b1.push(workload.TermID(3))
-	arc.NoteL1ListInsert(workload.TermID(3))
-	if arc.p == 0 {
-		t.Fatal("b1 ghost hit did not grow the recency target")
-	}
-	if arc.seg[workload.TermID(3)] != segProtected {
-		t.Fatal("b1 ghost hit not re-inserted as protected")
-	}
-	if arc.b1.has(workload.TermID(3)) {
-		t.Fatal("ghost entry survived its hit")
-	}
-	// A b2 ghost hit shrinks the target back.
-	p := arc.p
-	arc.b2.push(workload.TermID(4))
-	arc.NoteL1ListInsert(workload.TermID(4))
-	if arc.p >= p {
-		t.Fatal("b2 ghost hit did not shrink the recency target")
-	}
-	// Evictions land in the ghost list matching their segment.
-	arc.NoteL1ListEvict(workload.TermID(3))
-	if !arc.b2.has(workload.TermID(3)) {
-		t.Fatal("protected eviction missing from b2")
-	}
-	arc.NoteL1ListInsert(workload.TermID(5)) // cold insert: probation
-	arc.NoteL1ListEvict(workload.TermID(5))
-	if !arc.b1.has(workload.TermID(5)) {
-		t.Fatal("probation eviction missing from b1")
-	}
-}
-
-func TestGhostListBounded(t *testing.T) {
-	g := newGhostList()
-	for i := 0; i < 3*ghostCap; i++ {
-		g.push(workload.TermID(i))
-	}
-	if len(g.order) != ghostCap || len(g.set) != ghostCap {
-		t.Fatalf("ghost list grew to %d/%d entries (cap %d)", len(g.order), len(g.set), ghostCap)
-	}
-	if g.has(workload.TermID(0)) {
-		t.Fatal("oldest ghost not displaced")
-	}
-	if !g.has(workload.TermID(3*ghostCap - 1)) {
-		t.Fatal("newest ghost missing")
-	}
-}
-
-func Test2QReclaimsFromA1out(t *testing.T) {
-	f := newFixture(t, testConfig(Policy2Q))
-	q, ok := f.m.repl.(*twoQReplacement)
-	if !ok {
-		t.Fatalf("2Q manager runs %T", f.m.repl)
-	}
-	q.NoteL1ListInsert(workload.TermID(1))
-	if q.seg[workload.TermID(1)] != segProbation {
-		t.Fatal("first insert not probationary")
-	}
-	q.NoteL1ListEvict(workload.TermID(1))
-	if !q.a1out.has(workload.TermID(1)) {
-		t.Fatal("probation eviction missing from a1out")
-	}
-	q.NoteL1ListInsert(workload.TermID(1))
-	if q.seg[workload.TermID(1)] != segProtected {
-		t.Fatal("a1out re-reference not promoted to protected")
-	}
-	q.NoteL1ListEvict(workload.TermID(1))
-	if q.a1out.has(workload.TermID(1)) {
-		t.Fatal("protected eviction re-entered a1out")
 	}
 }

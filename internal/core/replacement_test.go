@@ -164,7 +164,7 @@ func TestPrefetchRoundsPrefix(t *testing.T) {
 	if !ok {
 		t.Fatal("list not cached")
 	}
-	if got := int64(len(e.Value.(*memList).prefix)); got != 32<<10 {
+	if got := int64(len(e.Value.prefix)); got != 32<<10 {
 		t.Fatalf("prefix = %d, want 32 KiB (rounded up)", got)
 	}
 	if f.m.Stats().ListBytesPrefetched == 0 {
@@ -182,7 +182,7 @@ func TestPrefetchDisabled(t *testing.T) {
 	if !ok {
 		t.Fatal("list not cached")
 	}
-	if got := int64(len(e.Value.(*memList).prefix)); got != 10<<10 {
+	if got := int64(len(e.Value.prefix)); got != 10<<10 {
 		t.Fatalf("prefix = %d, want exactly 10 KiB with prefetch off", got)
 	}
 	if f.m.Stats().ListBytesPrefetched != 0 {
@@ -242,7 +242,7 @@ func TestLRUWholeListCachingReadsThrough(t *testing.T) {
 	if !ok {
 		t.Skip("list exceeded the baseline cap; pick a smaller term")
 	}
-	got := e.Value.(*memList).prefix
+	got := e.Value.prefix
 	if int64(len(got)) != total {
 		t.Fatalf("baseline cached %d bytes, want whole list %d", len(got), total)
 	}

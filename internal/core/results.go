@@ -22,7 +22,7 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 	bumpFreq(m.queryFreq, qid, m.cfg.FreqCap)
 
 	if e, ok := m.rc.Get(qid); ok {
-		mr := e.Value.(*memResult)
+		mr := e.Value
 		if m.resultExpired(mr.loadedAt) {
 			m.rc.RemoveEntry(e)
 			m.stats.ResultsExpired++
@@ -65,11 +65,11 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 			m.stats.ResultHitsSSD++
 			m.emit(Event{Kind: EvResultHit, Level: LevelSSD, Bytes: int64(len(data))})
 			// Promotion is the policy's call (the bidirectional filter
-			// serves straight from SSD until repeat demand); the Fig 9
-			// replaceable flip only applies when the data actually moved up.
+			// serves straight from SSD until repeat demand); the layout's
+			// Fig 9 transition only applies when the data actually moved up.
 			promote := m.repl.PromoteResultToL1(qid)
-			if !loc.rb.static && m.repl.FlipReplaceableOnHit() && promote {
-				loc.state = stateReplaceable
+			if !loc.rb.static && promote {
+				m.lay.copiedUp(&loc.state)
 			}
 			if m.rbLRU != nil && !loc.rb.static {
 				if e, ok := m.rbLRU.Peek(loc.rb.num); ok {
@@ -88,11 +88,7 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 		// are left in place (the breaker guards repeated failures; the
 		// static partition is rebuilt offline).
 		if !loc.rb.static {
-			if !m.repl.BlockAlignedL2() {
-				m.quarantineLRUResult(loc)
-			} else {
-				m.quarantineRB(loc.rb)
-			}
+			m.lay.quarantineResult(loc)
 		}
 	}
 	m.stats.ResultMisses++
@@ -101,50 +97,11 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 }
 
 // expireSSDResult removes a TTL-expired dynamic SSD result entry with full
-// accounting: the eviction is counted and emitted (stats≡trace, DESIGN §9)
-// and the slot's bytes are trimmed. Under the LRU baseline the whole
-// pseudo-RB is released; under the cost-based policies only the slot is
-// invalidated (the RB lives on for IREN-based replacement).
+// accounting: the layout counts and emits the eviction (stats≡trace,
+// DESIGN §9) and releases what its placement unit allows.
 func (m *Manager) expireSSDResult(loc *ssdResult) {
 	m.stats.ResultsExpired++
-	if !m.repl.BlockAlignedL2() {
-		m.freeLRUResult(loc)
-		return
-	}
-	loc.rb.slots[loc.slot] = nil
-	delete(m.resultLoc, loc.qid)
-	m.ssdTrim(loc.rb.off+int64(loc.slot)*m.cfg.ResultEntryBytes, m.cfg.ResultEntryBytes)
-	m.stats.L2ResultEvictions++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
-}
-
-// quarantineRB retires a dynamic result block whose device range failed:
-// mappings are dropped and the extent is quarantined (never re-allocated)
-// instead of freed. No trim — the range is being abandoned, not recycled.
-func (m *Manager) quarantineRB(rb *resultBlock) {
-	for _, loc := range rb.slots {
-		if loc != nil {
-			delete(m.resultLoc, loc.qid)
-		}
-	}
-	if e, ok := m.rbLRU.Peek(rb.num); ok {
-		m.rbLRU.RemoveEntry(e)
-	}
-	m.quarantine(m.rcAlloc, rb.off, m.cfg.BlockBytes)
-	m.stats.RBRetired++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
-}
-
-// quarantineLRUResult is the baseline counterpart of quarantineRB for a
-// single-entry pseudo-RB.
-func (m *Manager) quarantineLRUResult(loc *ssdResult) {
-	delete(m.resultLoc, loc.qid)
-	if e, ok := m.rbLRU.Peek(loc.rb.num); ok {
-		m.rbLRU.RemoveEntry(e)
-	}
-	m.quarantine(m.rcAlloc, loc.rb.off, m.cfg.ResultEntryBytes)
-	m.stats.L2ResultEvictions++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+	m.lay.expireResult(loc)
 }
 
 // PutResult caches a freshly computed result entry in L1. The entry must
@@ -177,7 +134,7 @@ func (m *Manager) PadResult(data []byte) []byte {
 // every policy; the policies differ below L1).
 func (m *Manager) putResultL1(qid uint64, data []byte) {
 	if e, ok := m.rc.Peek(qid); ok {
-		if !m.resultExpired(e.Value.(*memResult).loadedAt) {
+		if !m.resultExpired(e.Value.loadedAt) {
 			m.rc.Touch(e)
 			return
 		}
@@ -193,8 +150,7 @@ func (m *Manager) putResultL1(qid uint64, data []byte) {
 		m.rc.RemoveEntry(victim)
 		m.stats.L1ResultEvictions++
 		m.emit(Event{Kind: EvResultEvict, Level: LevelMem})
-		mr := victim.Value.(*memResult)
-		m.evictResultToSSD(victim.Key, mr)
+		m.evictResultToSSD(victim.Key, victim.Value)
 	}
 	m.rc.Put(qid, size, &memResult{data: data, loadedAt: m.clock.Now()})
 	m.memCost(int(size))
@@ -212,192 +168,14 @@ func (m *Manager) evictResultToSSD(qid uint64, mr *memResult) {
 		m.stats.ResultsDropped++
 		return
 	}
-	if !m.repl.BlockAlignedL2() {
-		m.evictResultLRU(qid, mr.data)
-		return
-	}
-
-	// Write-buffer check (Fig 10): if the SSD already holds a valid copy
-	// (left replaceable by an earlier read-back), revalidate it and skip
-	// the write entirely.
-	if loc, ok := m.resultLoc[qid]; ok {
-		loc.state = stateNormal
-		m.stats.ResultWritesElided++
-		return
-	}
-	if !m.adm.AdmitResult(qid) {
-		m.stats.ResultsRejectedByAdmission++
-		return
-	}
-	m.writeBuf = append(m.writeBuf, bufferedResult{qid: qid, data: mr.data, loadedAt: mr.loadedAt})
-	m.memCost(len(mr.data))
-	if len(m.writeBuf) >= m.entriesPerRB {
-		m.flushResultBlock()
-	}
-}
-
-// flushResultBlock assembles entriesPerRB buffered entries into one result
-// block and writes it to the SSD as a single block-aligned sequential
-// write (Fig 10b), choosing the victim RB by IREN within the replace-first
-// region when no free block exists (Fig 11).
-func (m *Manager) flushResultBlock() {
-	n := m.entriesPerRB
-	if len(m.writeBuf) < n {
-		return
-	}
-	batch := m.writeBuf[:n]
-	m.writeBuf = append([]bufferedResult(nil), m.writeBuf[n:]...)
-
-	if !m.ssdHealthy() {
-		// Breaker open: flushing would hammer the failing device. Drop the
-		// batch with accounting instead of letting the buffer grow unbounded.
-		m.stats.ResultsDropped += int64(n)
-		return
-	}
-
-	off, ok := m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes)
-	if !ok {
-		rb := m.chooseVictimRB()
-		if rb == nil {
-			m.stats.ResultsDropped += int64(n)
-			return
-		}
-		m.retireRB(rb)
-		off, ok = m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes)
-		if !ok {
-			m.stats.ResultsDropped += int64(n)
-			return
-		}
-	}
-
-	rb := &resultBlock{num: m.nextRB, off: off, slots: make([]*ssdResult, n)}
-	m.nextRB++
-	// Entries are exactly ResultEntryBytes each (PutResult enforces it), so
-	// together they overwrite the whole payload.
-	buf := m.stagingBuf(m.cfg.BlockBytes, int64(n)*m.cfg.ResultEntryBytes)
-	for i, b := range batch {
-		copy(buf[int64(i)*m.cfg.ResultEntryBytes:], b.data)
-		loc := &ssdResult{qid: b.qid, rb: rb, slot: i, loadedAt: b.loadedAt}
-		rb.slots[i] = loc
-		m.resultLoc[b.qid] = loc
-	}
-	if err := m.ssdWrite(buf, off); err != nil {
-		// The write failed (error accounted by ssdWrite): quarantine the
-		// extent so the bad range is not immediately re-allocated, and
-		// re-queue each entry once — a second failure drops it, counted.
-		m.quarantine(m.rcAlloc, off, m.cfg.BlockBytes)
-		for _, b := range batch {
-			delete(m.resultLoc, b.qid)
-			if b.requeued {
-				m.stats.ResultsDropped++
-				continue
-			}
-			b.requeued = true
-			m.writeBuf = append(m.writeBuf, b)
-			m.stats.ResultsRequeued++
-		}
-		return
-	}
-	m.stats.ResultBytesToSSD += m.cfg.BlockBytes
-	m.stats.RBFlushes++
-	m.emit(Event{Kind: EvResultFlush, Bytes: m.cfg.BlockBytes})
-	m.rbLRU.Put(rb.num, m.cfg.BlockBytes, rb)
-}
-
-// chooseVictimRB returns the RB with the largest IREN inside the
-// replace-first region (Fig 11), or the plain LRU block if the region is
-// empty. Returns nil when no dynamic RB exists.
-func (m *Manager) chooseVictimRB() *resultBlock {
-	window := m.rbLRU.TailWindow(m.cfg.WindowW)
-	if len(window) == 0 {
-		return nil
-	}
-	best := window[0].Value.(*resultBlock)
-	bestIREN := best.iren()
-	for _, e := range window[1:] {
-		rb := e.Value.(*resultBlock)
-		if ir := rb.iren(); ir > bestIREN {
-			best, bestIREN = rb, ir
-		}
-	}
-	return best
-}
-
-// retireRB invalidates an RB's remaining entries and frees its extent.
-func (m *Manager) retireRB(rb *resultBlock) {
-	for _, loc := range rb.slots {
-		if loc != nil {
-			delete(m.resultLoc, loc.qid)
-		}
-	}
-	if e, ok := m.rbLRU.Peek(rb.num); ok {
-		m.rbLRU.RemoveEntry(e)
-	}
-	m.rcAlloc.Free(rb.off, m.cfg.BlockBytes)
-	m.ssdTrim(rb.off, m.cfg.BlockBytes)
-	m.stats.RBRetired++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
-}
-
-// evictResultLRU is the baseline path: the 20 KB entry is written
-// immediately at whatever unaligned offset the allocator yields — the
-// small-random-write storm of §VI-C1 — evicting strictly by recency.
-func (m *Manager) evictResultLRU(qid uint64, data []byte) {
-	size := int64(len(data))
-	if !m.ssdHealthy() {
-		m.stats.ResultsDropped++
-		return
-	}
-	if old, ok := m.resultLoc[qid]; ok {
-		m.freeLRUResult(old)
-	}
-	var off int64
-	for {
-		var ok bool
-		if off, ok = m.rcAlloc.Alloc(size); ok {
-			break
-		}
-		e := m.rbLRU.LRUEntry()
-		if e == nil {
-			m.stats.ResultsDropped++
-			return
-		}
-		m.freeLRUResult(e.Value.(*resultBlock).slots[0])
-	}
-	// Baseline entries are modelled as single-slot pseudo-RBs so the same
-	// bookkeeping serves both layouts.
-	rb := &resultBlock{num: m.nextRB, off: off, slots: make([]*ssdResult, 1)}
-	m.nextRB++
-	loc := &ssdResult{qid: qid, rb: rb, slot: 0, loadedAt: m.clock.Now()}
-	rb.slots[0] = loc
-	if err := m.ssdWrite(data, off); err != nil {
-		// Accounted loss: the entry is gone and the failed range is retired.
-		m.quarantine(m.rcAlloc, off, size)
-		m.stats.ResultsDropped++
-		return
-	}
-	m.stats.ResultBytesToSSD += size
-	m.emit(Event{Kind: EvResultFlush, Bytes: size})
-	m.resultLoc[qid] = loc
-	m.rbLRU.Put(rb.num, size, rb)
-}
-
-// freeLRUResult releases a baseline pseudo-RB.
-func (m *Manager) freeLRUResult(loc *ssdResult) {
-	delete(m.resultLoc, loc.qid)
-	if e, ok := m.rbLRU.Peek(loc.rb.num); ok {
-		m.rbLRU.RemoveEntry(e)
-	}
-	m.rcAlloc.Free(loc.rb.off, m.cfg.ResultEntryBytes)
-	m.stats.L2ResultEvictions++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+	m.lay.evictResult(qid, mr)
 }
 
 // PinResult stores an encoded result entry in the static partition of the
 // L2 result cache (CBSLRU). Entries are packed into static RBs that are
 // never replaced. Returns false when the static budget is exhausted.
 func (m *Manager) PinResult(qid uint64, data []byte) bool {
-	if !m.repl.UsesStaticPartition() || m.rbLRU == nil {
+	if !m.UsesStaticPartition() || m.rbLRU == nil {
 		return false
 	}
 	if _, ok := m.resultLoc[qid]; ok {
@@ -453,7 +231,7 @@ func (m *Manager) PinResult(qid uint64, data []byte) bool {
 // StaticResultBudget returns the byte budget of the static result
 // partition.
 func (m *Manager) StaticResultBudget() int64 {
-	if !m.repl.UsesStaticPartition() || m.rbLRU == nil {
+	if !m.UsesStaticPartition() || m.rbLRU == nil {
 		return 0
 	}
 	return int64(float64(m.cfg.SSDResultBytes) * m.cfg.StaticFraction)

@@ -50,7 +50,7 @@ func (f *situationFixture) evictToSSD(t *testing.T, term workload.TermID) {
 	if !ok {
 		t.Fatalf("term %d not in L1", term)
 	}
-	ml := e.Value.(*memList)
+	ml := e.Value
 	f.m.ic.RemoveEntry(e)
 	f.m.flushListToSSD(ml)
 	if f.m.ssdListFor(term) == nil {

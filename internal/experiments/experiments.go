@@ -67,10 +67,6 @@ type Scale struct {
 	// -codec). Results are byte-identical across codecs; byte-denominated
 	// stats (device bytes, cache occupancy) reflect the encoded size.
 	Codec index.CodecID
-	// ZooPolicies restricts the zoo sweep to the listed policies
-	// (hybridbench -policies), registry order; empty means every
-	// registered policy.
-	ZooPolicies []core.Policy
 }
 
 // FullScale is the reference configuration: the regime of the paper's

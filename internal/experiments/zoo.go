@@ -33,19 +33,6 @@ var zooWorkloads = []struct {
 // worker pool.
 func Zoo(w io.Writer, sc Scale) error {
 	policies := core.Policies()
-	if len(sc.ZooPolicies) > 0 {
-		keep := make(map[core.Policy]bool, len(sc.ZooPolicies))
-		for _, p := range sc.ZooPolicies {
-			keep[p] = true
-		}
-		filtered := policies[:0:0]
-		for _, info := range policies {
-			if keep[info.ID] {
-				filtered = append(filtered, info)
-			}
-		}
-		policies = filtered
-	}
 	type cell struct {
 		ric       float64
 		respMs    float64

@@ -50,7 +50,7 @@ func (p Pair) key() uint64 { return uint64(uint32(p.A))<<32 | uint64(uint32(p.B)
 //
 // Cache is not safe for concurrent use.
 type Cache struct {
-	list   *cache.List
+	list   *cache.List[[]Posting]
 	charge func(bytes int)
 	hits   int64
 	misses int64
@@ -62,7 +62,7 @@ func New(capacityBytes int64, charge func(bytes int)) *Cache {
 	if charge == nil {
 		charge = func(int) {}
 	}
-	return &Cache{list: cache.NewList(capacityBytes), charge: charge}
+	return &Cache{list: cache.NewList[[]Posting](capacityBytes), charge: charge}
 }
 
 // Get returns the cached intersection for the pair, ordered so TFA belongs
@@ -74,9 +74,8 @@ func (c *Cache) Get(p Pair) ([]Posting, bool) {
 		return nil, false
 	}
 	c.hits++
-	data := e.Value.([]Posting)
-	c.charge(len(data) * PostingBytes)
-	return data, true
+	c.charge(len(e.Value) * PostingBytes)
+	return e.Value, true
 }
 
 // Put stores an intersection, evicting least-recently-used pairs to fit.

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -49,146 +47,6 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != 10000 {
 		t.Fatalf("Value = %d, want 10000", got)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Fatal("empty ratio should be 0")
-	}
-	r.Hit()
-	r.Hit()
-	r.Hit()
-	r.Miss()
-	if got := r.Value(); got != 0.75 {
-		t.Fatalf("Value = %v, want 0.75", got)
-	}
-	if r.Hits() != 3 || r.Misses() != 1 || r.Total() != 4 {
-		t.Fatalf("tallies wrong: %d/%d/%d", r.Hits(), r.Misses(), r.Total())
-	}
-	r.Record(true)
-	r.Record(false)
-	if r.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", r.Total())
-	}
-	r.Reset()
-	if r.Total() != 0 {
-		t.Fatal("Reset did not clear ratio")
-	}
-}
-
-func TestLatencyRecorderEmpty(t *testing.T) {
-	l := NewLatencyRecorder()
-	if l.Count() != 0 || l.Mean() != 0 || l.Min() != 0 || l.Max() != 0 {
-		t.Fatal("empty recorder should report zeros")
-	}
-	if l.Percentile(50) != 0 {
-		t.Fatal("empty recorder percentile should be 0")
-	}
-}
-
-func TestLatencyRecorderStats(t *testing.T) {
-	l := NewLatencyRecorder()
-	for _, d := range []time.Duration{10, 20, 30, 40} {
-		l.Record(d * time.Microsecond)
-	}
-	if got := l.Count(); got != 4 {
-		t.Fatalf("Count = %d", got)
-	}
-	if got := l.Mean(); got != 25*time.Microsecond {
-		t.Fatalf("Mean = %v", got)
-	}
-	if got := l.Min(); got != 10*time.Microsecond {
-		t.Fatalf("Min = %v", got)
-	}
-	if got := l.Max(); got != 40*time.Microsecond {
-		t.Fatalf("Max = %v", got)
-	}
-	if got := l.Sum(); got != 100*time.Microsecond {
-		t.Fatalf("Sum = %v", got)
-	}
-}
-
-func TestLatencyPercentiles(t *testing.T) {
-	l := NewLatencyRecorder()
-	for i := 1; i <= 100; i++ {
-		l.Record(time.Duration(i))
-	}
-	cases := []struct {
-		p    float64
-		want time.Duration
-	}{{50, 50}, {95, 95}, {99, 99}, {100, 100}, {1, 1}}
-	for _, c := range cases {
-		if got := l.Percentile(c.p); got != c.want {
-			t.Errorf("P%.0f = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestLatencyPercentileBounds(t *testing.T) {
-	l := NewLatencyRecorder()
-	l.Record(1)
-	for _, p := range []float64{0, -1, 101} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Percentile(%v) did not panic", p)
-				}
-			}()
-			l.Percentile(p)
-		}()
-	}
-}
-
-func TestLatencyNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative latency did not panic")
-		}
-	}()
-	NewLatencyRecorder().Record(-1)
-}
-
-func TestLatencyReset(t *testing.T) {
-	l := NewLatencyRecorder()
-	l.Record(5)
-	l.Reset()
-	if l.Count() != 0 || l.Mean() != 0 || l.Min() != 0 {
-		t.Fatal("Reset did not clear recorder")
-	}
-	l.Record(7)
-	if l.Min() != 7 || l.Max() != 7 {
-		t.Fatal("recorder unusable after Reset")
-	}
-}
-
-func TestSnapshotString(t *testing.T) {
-	l := NewLatencyRecorder()
-	l.Record(time.Millisecond)
-	s := l.Snapshot()
-	if s.Count != 1 || s.Mean != time.Millisecond {
-		t.Fatalf("snapshot wrong: %+v", s)
-	}
-	if !strings.Contains(s.String(), "n=1") {
-		t.Fatalf("String() = %q", s.String())
-	}
-}
-
-func TestLatencyMeanMonotoneProperty(t *testing.T) {
-	// Property: mean always lies between min and max.
-	f := func(raw []uint32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		l := NewLatencyRecorder()
-		for _, v := range raw {
-			l.Record(time.Duration(v))
-		}
-		return l.Min() <= l.Mean() && l.Mean() <= l.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
