@@ -211,8 +211,11 @@ type System struct {
 	cacheCfg core.Config // effective manager config (after mode/PU wiring)
 	engCfg   engine.Config
 	docBytes int
-	baseline engine.ListSource // raw index, for uncached execution
-	obs      *obs.Observer     // nil unless EnableObservability was called
+	// entryBytes is the manager's fixed result-entry size; New checked that
+	// TopK documents of docBytes encode within it.
+	entryBytes int64
+	baseline   engine.ListSource // raw index, for uncached execution
+	obs        *obs.Observer     // nil unless EnableObservability was called
 }
 
 // Validate reports configuration errors a System cannot be built from:
@@ -374,6 +377,14 @@ func New(cfg Config) (*System, error) {
 		s.Manager = m
 		s.cacheCfg = cacheCfg
 		s.Engine = engine.New(m, engCfg)
+		// A full result must fit the fixed entry: one that did not would be
+		// cached cut short and fail to decode on its first hit.
+		s.entryBytes = m.Config().ResultEntryBytes
+		topK := s.Engine.Config().TopK
+		if need := engine.EncodedResultBytes(topK, s.docBytes); int64(need) > s.entryBytes {
+			return nil, fmt.Errorf("hybrid: a result of Engine.TopK %d × DocResultBytes %d encodes to %d bytes, over Cache.ResultEntryBytes %d",
+				topK, s.docBytes, need, s.entryBytes)
+		}
 	} else {
 		s.Engine = engine.New(ix, engCfg)
 	}
@@ -496,7 +507,9 @@ func (s *System) search(q workload.Query, wait time.Duration) (*engine.Result, S
 	for _, ts := range stats.Terms {
 		m.RecordUtilization(ts.Term, ts.Utilization)
 	}
-	if err := m.PutResult(q.ID, m.PadResult(res.Encode(s.docBytes))); err != nil {
+	// One entry-sized buffer, encoded in place; New checked that it fits.
+	entry := res.EncodeTo(make([]byte, s.entryBytes), s.docBytes)
+	if err := m.PutResult(q.ID, entry); err != nil {
 		m.EndQuery(sw.Elapsed())
 		return nil, SearchInfo{Elapsed: sw.Elapsed()}, err
 	}

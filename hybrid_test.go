@@ -587,7 +587,7 @@ func TestHeteroTierSplitsWear(t *testing.T) {
 // first-touch prefixes) and the per-query result — not a fresh copy of every
 // list prefix and flash block a miss passes through.
 func TestSteadyStateAllocationBudget(t *testing.T) {
-	const warmup, measured, budget = 3000, 2000, 128 << 10
+	const warmup, measured, budget = 3000, 2000, 96 << 10
 	sys, err := New(smallConfig(core.PolicyCBLRU, CacheTwoLevel))
 	if err != nil {
 		t.Fatal(err)
@@ -608,6 +608,48 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 	t.Logf("%d KiB and %d allocations per query", perQuery>>10, (after.Mallocs-before.Mallocs)/measured)
 	if perQuery > budget {
 		t.Fatalf("steady state allocates %d KiB per query, budget %d KiB", perQuery>>10, budget>>10)
+	}
+}
+
+// TestNewRefusesResultEntryThatCannotFit: a full result of TopK documents
+// must encode within the cache's fixed entry size, or its first result hit
+// would decode a cut entry. 60 × 400 + 16 = 24 016 B does not fit the default
+// 20 KiB entry; 51 × 400 + 16 = 20 416 B does, and then every hit decodes.
+func TestNewRefusesResultEntryThatCannotFit(t *testing.T) {
+	for _, mode := range []CacheMode{CacheOneLevel, CacheTwoLevel} {
+		cfg := smallConfig(core.PolicyCBLRU, mode)
+		cfg.Engine.TopK = 60
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "24016") {
+			t.Fatalf("mode %d: TopK 60 in a 20 KiB entry: %v", mode, err)
+		}
+	}
+	cfg := smallConfig(core.PolicyCBLRU, CacheNone) // no entries to fit
+	cfg.Engine.TopK = 60
+	if _, err := New(cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg = smallConfig(core.PolicyCBLRU, CacheTwoLevel)
+	cfg.Engine.TopK = 51
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := 0
+	for i := 0; i < 3000; i++ {
+		res, info, err := sys.SearchNext()
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if info.Cached {
+			hits++
+			if len(res.Docs) == 0 || len(res.Docs) > 51 {
+				t.Fatalf("query %d: hit decoded to %d docs", i, len(res.Docs))
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no result hit in 3000 queries")
 	}
 }
 

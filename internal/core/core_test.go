@@ -317,6 +317,19 @@ func TestPadResult(t *testing.T) {
 	if int64(len(out)) != f.m.Config().ResultEntryBytes || out[0] != 1 || out[3] != 0 {
 		t.Fatalf("pad wrong: len=%d", len(out))
 	}
+	// An entry that cannot fit is not cut into one that no longer decodes:
+	// it comes back whole, and both ways into the cache refuse it.
+	long := make([]byte, f.m.Config().ResultEntryBytes+1)
+	if out := f.m.PadResult(long); len(out) != len(long) {
+		t.Fatalf("over-long entry cut to %d bytes", len(out))
+	}
+	if err := f.m.PutResult(1, f.m.PadResult(long)); err == nil {
+		t.Fatal("PutResult accepted an over-long entry")
+	}
+	static := newFixture(t, testConfig(PolicyCBSLRU))
+	if static.m.PinResult(1, long) {
+		t.Fatal("PinResult accepted an over-long entry")
+	}
 }
 
 func TestResultEvictionAssemblesRBsAndReadsBack(t *testing.T) {

@@ -106,7 +106,8 @@ func (m *Manager) expireSSDResult(loc *ssdResult) {
 
 // PutResult caches a freshly computed result entry in L1. The entry must
 // be exactly ResultEntryBytes long (the paper's fixed-length entries);
-// shorter payloads are padded by the caller via PadResult.
+// shorter payloads are padded by the caller, via PadResult or by encoding
+// into an entry-sized buffer.
 //
 // Result entries are immutable per query ID: the paper's evaluation is the
 // static scenario (§IV-B), where recomputing a query always yields the same
@@ -119,10 +120,12 @@ func (m *Manager) PutResult(qid uint64, data []byte) error {
 	return nil
 }
 
-// PadResult pads an encoded result to the fixed entry size.
+// PadResult pads an encoded result to the fixed entry size. An entry that
+// is already longer is returned as it is — cutting it would store bytes that
+// no longer decode — for PutResult and PinResult to refuse.
 func (m *Manager) PadResult(data []byte) []byte {
 	if int64(len(data)) >= m.cfg.ResultEntryBytes {
-		return data[:m.cfg.ResultEntryBytes]
+		return data
 	}
 	out := make([]byte, m.cfg.ResultEntryBytes)
 	copy(out, data)
@@ -173,7 +176,8 @@ func (m *Manager) evictResultToSSD(qid uint64, mr *memResult) {
 
 // PinResult stores an encoded result entry in the static partition of the
 // L2 result cache (CBSLRU). Entries are packed into static RBs that are
-// never replaced. Returns false when the static budget is exhausted.
+// never replaced. Returns false when the static budget is exhausted or the
+// entry is longer than ResultEntryBytes.
 func (m *Manager) PinResult(qid uint64, data []byte) bool {
 	if !m.UsesStaticPartition() || m.rbLRU == nil {
 		return false
@@ -184,7 +188,9 @@ func (m *Manager) PinResult(qid uint64, data []byte) bool {
 	if !m.ssdHealthy() {
 		return false
 	}
-	data = m.PadResult(data)
+	if data = m.PadResult(data); int64(len(data)) != m.cfg.ResultEntryBytes {
+		return false
+	}
 
 	// Find (or open) a static RB with a free slot. Static slots are never
 	// vacated, so the first-free cursor only moves forward: pinning N

@@ -1,0 +1,41 @@
+package engine
+
+import (
+	"testing"
+
+	"hybridstore/internal/index"
+	"hybridstore/internal/workload"
+)
+
+// BenchmarkExecute measures Execute alone, lists served from memory, at two
+// collection sizes on either side of the cache: at 200 k documents the 0.8 MB
+// slot array is L2-resident, at 2 M (the -scale full regime no bench/
+// workload reaches) its 8 MB is not. ns/posting divides by PostingsScored,
+// which counts every decoded posting whatever scoreBlock does with it.
+func BenchmarkExecute(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		docs int
+	}{{"200k", 200_000}, {"2M", 2_000_000}} {
+		var ix *index.Index // built on first use, kept across the b.N trials
+		b.Run("docs="+size.name, func(b *testing.B) {
+			spec := workload.DefaultCollection(size.docs)
+			spec.VocabSize = 1000
+			if ix == nil {
+				ix = codecIndex(b, spec, index.CodecRaw)
+			}
+			e := New(ix, DefaultConfig())
+			log := workload.NewQueryLog(workload.DefaultQueryLog(spec.VocabSize))
+			var postings int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, stats, err := e.Execute(log.Next())
+				if err != nil {
+					b.Fatal(err)
+				}
+				postings += stats.PostingsScored
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(postings), "ns/posting")
+		})
+	}
+}

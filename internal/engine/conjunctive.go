@@ -197,13 +197,7 @@ func (e *Conjunctive) Execute(q workload.Query) (*Result, ConjStats, error) {
 
 	terms := make([]workload.TermID, len(q.Terms))
 	copy(terms, q.Terms)
-	sort.Slice(terms, func(i, j int) bool {
-		di, dj := e.src.TermDF(terms[i]), e.src.TermDF(terms[j])
-		if di != dj {
-			return di < dj
-		}
-		return terms[i] < terms[j]
-	})
+	sortByDF(e.src, terms)
 
 	numDocs := e.src.NumDocs()
 	weights := make(map[workload.TermID]float64, len(terms))

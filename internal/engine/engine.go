@@ -14,11 +14,12 @@
 // from the source and index.BlockCursor's bulk kernel decodes them one block
 // at a time into the engine's fixed doc and tf columns — no
 // []workload.Posting is materialized. Scores accumulate in a sparse set
-// indexed by doc ID (see accumulator), so a posting costs an array slot, not
-// a hash probe. Chunking is measured in blocks (posting counts), not encoded
-// bytes, so scoring, early termination, and therefore results are
-// byte-identical across codecs; only the byte accounting (BytesRead,
-// Utilization) reflects each codec's encoded size.
+// indexed by doc ID behind a one-bit-per-document seen set (see accumulator),
+// so a posting that cannot change the answer costs one bit test and any other
+// an array slot, not a hash probe. Chunking is measured in blocks (posting
+// counts), not encoded bytes, so scoring, early termination, and therefore
+// results are byte-identical across codecs; only the byte accounting
+// (BytesRead, Utilization) reflects each codec's encoded size.
 package engine
 
 import (
@@ -161,31 +162,43 @@ type Engine struct {
 	// One decoded block: doc IDs and term frequencies.
 	blockDocs [index.BlockLen]uint32
 	blockTFs  [index.BlockLen]uint16
-	// touched is written, never read: it keeps scoreBlock's slot-touching
-	// loads from being discarded as dead.
-	touched uint32
 }
 
 // accumulator is the per-query score table: a sparse set (Briggs & Torczon)
-// over doc IDs. slot[doc] indexes the compact docs/vals columns, and doc is
-// a member iff slot[doc] < len(docs) && docs[slot[doc]] == doc — so whatever
-// earlier queries left in slot is harmless, and reset truncates the columns
-// without clearing anything. Memory is 4 B × NumDocs for slot plus 12 B per
-// document the largest query touched.
+// over doc IDs behind a bit set of the documents this query has met.
+// slot[doc] indexes the compact docs/vals columns, and doc is a member iff
+// slot[doc] < len(docs) && docs[slot[doc]] == doc — so whatever earlier
+// queries left in slot is harmless, and reset truncates the columns without
+// clearing slot. seen holds one bit per document and is what a posting's
+// random access lands in (NumDocs/8 bytes stays cached where the 4 B ×
+// NumDocs of slot does not): a clear bit means "not a member" without
+// reading slot, and lets scoreBlock drop a posting that cannot change the
+// answer without writing it either. A set bit on a non-member is a document
+// scoreBlock dropped. Memory is 4 B × NumDocs for slot, NumDocs/8 B for seen,
+// plus 12 B per member of the largest query.
 type accumulator struct {
+	seen []uint64
 	slot []uint32
 	docs []uint32
 	vals []float64
 }
 
-// reset empties the set for a collection of numDocs documents. slot is
-// allocated on first use and kept; its contents never need clearing.
+// reset empties the set for a collection of numDocs documents. slot and seen
+// are allocated on first use and kept; only seen is cleared. The bits past
+// numDocs in its last word stay set, so a doc ID there takes scoreBlock's
+// member path and meets the range check against slot.
 func (a *accumulator) reset(numDocs int64) error {
 	if int64(len(a.slot)) != numDocs {
 		if numDocs < 0 || numDocs > 1<<32 {
 			return fmt.Errorf("engine: collection of %d documents is not addressable by 32-bit doc IDs", numDocs)
 		}
 		a.slot = make([]uint32, numDocs)
+		a.seen = make([]uint64, (numDocs+63)/64)
+	} else {
+		clear(a.seen)
+	}
+	if r := numDocs % 64; r != 0 {
+		a.seen[len(a.seen)-1] = ^uint64(0) << r
 	}
 	a.docs, a.vals = a.docs[:0], a.vals[:0]
 	return nil
@@ -209,6 +222,19 @@ func idf(numDocs, df int64) float64 {
 	return math.Log2(1 + float64(numDocs)/float64(df))
 }
 
+// sortByDF puts terms in the order both engines process them: increasing
+// document frequency, ties by term ID.
+func sortByDF(src interface {
+	TermDF(workload.TermID) int64
+}, terms []workload.TermID) {
+	slices.SortFunc(terms, func(a, b workload.TermID) int {
+		if c := cmp.Compare(src.TermDF(a), src.TermDF(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
 // Execute processes q and returns its top-K result plus execution stats.
 // Terms are processed in increasing document-frequency order (ties by term
 // ID) so short lists establish the score threshold before long lists are
@@ -218,12 +244,7 @@ func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 	var stats ExecStats
 	e.terms = append(e.terms[:0], q.Terms...)
 	terms := e.terms
-	slices.SortFunc(terms, func(a, b workload.TermID) int {
-		if c := cmp.Compare(e.src.TermDF(a), e.src.TermDF(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	sortByDF(e.src, terms)
 
 	numDocs := e.src.NumDocs()
 	if err := e.acc.reset(numDocs); err != nil {
@@ -236,8 +257,8 @@ func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 	}
 	top := e.top
 	stats.Terms = make([]TermStats, 0, len(terms))
-	for _, t := range terms {
-		ts, err := e.scanList(t, idf(numDocs, e.src.TermDF(t)), top, &stats)
+	for i, t := range terms {
+		ts, err := e.scanList(t, idf(numDocs, e.src.TermDF(t)), i == len(terms)-1, top, &stats)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -250,8 +271,9 @@ func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 
 // scanList consumes term t's impact-ordered list chunk by chunk (whole
 // encoded blocks), decoding and scoring one block at a time, until the list
-// ends or early termination fires.
-func (e *Engine) scanList(t workload.TermID, w float64, top *topK, stats *ExecStats) (TermStats, error) {
+// ends or early termination fires. last says no list is scanned after this
+// one (see scoreBlock).
+func (e *Engine) scanList(t workload.TermID, w float64, last bool, top *topK, stats *ExecStats) (TermStats, error) {
 	total := e.src.ListBytes(t)
 	blocks := e.src.ListBlocks(t)
 	ts := TermStats{Term: t, ListBytes: total}
@@ -294,7 +316,7 @@ func (e *Engine) scanList(t workload.TermID, w float64, top *topK, stats *ExecSt
 				if cnt == 0 {
 					break
 				}
-				if err := e.scoreBlock(t, w, cnt, top); err != nil {
+				if err := e.scoreBlock(t, w, cnt, last, top); err != nil {
 					return ts, err
 				}
 				lastTF = e.blockTFs[cnt-1]
@@ -329,41 +351,55 @@ func (e *Engine) scanList(t workload.TermID, w float64, top *topK, stats *ExecSt
 // scoreBlock adds w·tf to the score of each of the n postings decoded into
 // the block scratch and offers the new totals to top, in posting order.
 //
-// The first loop only touches slot[doc] for the whole block — independent
-// loads, so the cache misses a large collection costs (one per posting)
-// overlap instead of queueing behind the accumulate loop's dependent work —
-// and range-checks each doc ID, which comes off a device, before it indexes
-// slot. The second loop then reads each slot again, L1-hot and fresh: a
-// corrupt list may repeat a doc inside a block, and its postings must add up.
-func (e *Engine) scoreBlock(t workload.TermID, w float64, n int, top *topK) error {
+// A document met for the first time in the query's last list, with a full
+// heap and w·tf at or below the K-th score, is marked seen and dropped: no
+// slot access, no insert, no offer. That is exact for the reason offer's
+// early reject is — its total is final (no later list can add to it) and
+// the K-th score only grows, so it can never be offered and its entry would
+// never be read again. Every other first meeting inserts without reading
+// slot; only a document already seen pays the sparse set's random access.
+//
+// Doc IDs come off a device. One whose seen word does not exist, or whose
+// preset bit (see reset) leads to the range check, is outside the collection;
+// one that is seen but not a member was dropped above and is repeated by the
+// same scan — the map the engine used to have would have summed the two
+// postings, so the query fails rather than rank differently.
+func (e *Engine) scoreBlock(t workload.TermID, w float64, n int, last bool, top *topK) error {
 	a := &e.acc
 	docs, tfs := e.blockDocs[:n], e.blockTFs[:n]
-	slot := a.slot
-	var touched uint32
-	for _, d := range docs {
-		if uint64(d) >= uint64(len(slot)) {
-			return fmt.Errorf("engine: term %d: posting for doc %d outside the collection (NumDocs %d)", t, d, len(slot))
-		}
-		touched += slot[d]
-	}
-	e.touched = touched
+	seen, slot := a.seen, a.slot
 
-	// Room for n new members up front, so an insert is two stores.
+	// Room for n new members up front, so an insert is three stores.
 	m := len(a.docs)
 	adocs := slices.Grow(a.docs, n)[:m+n]
 	avals := slices.Grow(a.vals, n)[:m+n]
 	// offer's early reject, evaluated here: exact for the reason given there.
 	full, kth := top.full(), top.min()
 	for i, d := range docs {
-		j := slot[d]
-		if int(j) >= m || adocs[j] != d {
-			j = uint32(m)
-			slot[d] = j
-			adocs[m], avals[m] = d, 0
-			m++
+		s := float64(tfs[i]) * w
+		word, bit := d>>6, uint64(1)<<(d&63)
+		if uint64(word) >= uint64(len(seen)) {
+			return errDocOutsideCollection(t, d, len(slot))
 		}
-		s := avals[j] + float64(tfs[i])*w
-		avals[j] = s
+		if sw := seen[word]; sw&bit == 0 {
+			seen[word] = sw | bit
+			if last && full && s <= kth {
+				continue
+			}
+			slot[d] = uint32(m)
+			adocs[m], avals[m] = d, s
+			m++
+		} else {
+			if uint64(d) >= uint64(len(slot)) {
+				return errDocOutsideCollection(t, d, len(slot))
+			}
+			j := slot[d]
+			if int(j) >= m || adocs[j] != d {
+				return errDroppedDocRepeated(t, d)
+			}
+			s += avals[j]
+			avals[j] = s
+		}
 		if !full || s > kth {
 			top.offer(d, s)
 			full, kth = top.full(), top.min()
@@ -371,6 +407,19 @@ func (e *Engine) scoreBlock(t workload.TermID, w float64, n int, top *topK) erro
 	}
 	a.docs, a.vals = adocs[:m], avals[:m]
 	return nil
+}
+
+// scoreBlock's errors are built out of line: they are cold, and their fmt
+// arguments would otherwise be charged to the hot loop's function.
+
+//go:noinline
+func errDocOutsideCollection(t workload.TermID, d uint32, numDocs int) error {
+	return fmt.Errorf("engine: term %d: posting for doc %d outside the collection (NumDocs %d)", t, d, numDocs)
+}
+
+//go:noinline
+func errDroppedDocRepeated(t workload.TermID, d uint32) error {
+	return fmt.Errorf("engine: term %d: doc %d repeated in the list after its first posting was dropped as unable to reach the top-K", t, d)
 }
 
 // topK maintains the K best (doc, score) pairs seen so far. Scores for a

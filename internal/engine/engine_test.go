@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -242,6 +243,27 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	if got.QueryID != 99 || len(got.Docs) != 2 || got.Docs[0] != r.Docs[0] || got.Docs[1] != r.Docs[1] {
 		t.Fatalf("decoded %+v", got)
 	}
+}
+
+// TestEncodeToPadsInPlace: encoding into an entry-sized buffer yields the
+// bytes Encode would, followed by the entry's zero padding, and decodes to the
+// same result; a buffer the encoding does not fit is a caller bug.
+func TestEncodeToPadsInPlace(t *testing.T) {
+	r := &Result{QueryID: 99, Docs: []ScoredDoc{{Doc: 1, Score: 2.5}, {Doc: 7, Score: 1.25}}}
+	entry := r.EncodeTo(make([]byte, 1024), 400)
+	want := append(r.Encode(400), make([]byte, 1024-EncodedResultBytes(2, 400))...)
+	if !bytes.Equal(entry, want) {
+		t.Fatal("EncodeTo differs from Encode followed by zero padding")
+	}
+	if got, err := DecodeResult(entry); err != nil || !reflect.DeepEqual(got, r) {
+		t.Fatalf("decoded %+v, %v", got, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a buffer one byte short did not panic")
+		}
+	}()
+	r.EncodeTo(make([]byte, EncodedResultBytes(2, 400)-1), 400)
 }
 
 func TestResultEntrySizeMatchesPaper(t *testing.T) {

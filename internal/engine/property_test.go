@@ -14,7 +14,7 @@ import (
 )
 
 // codecIndex stamps the engine test collection under the given codec.
-func codecIndex(t *testing.T, spec workload.CollectionSpec, codec index.CodecID) *index.Index {
+func codecIndex(t testing.TB, spec workload.CollectionSpec, codec index.CodecID) *index.Index {
 	t.Helper()
 	img, err := index.BuildImage(spec, codec)
 	if err != nil {

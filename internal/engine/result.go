@@ -21,19 +21,26 @@ func EncodedResultBytes(k, docBytes int) int {
 
 // Encode serializes r with each document padded to docBytes.
 func (r *Result) Encode(docBytes int) []byte {
-	if docBytes < 8 {
-		panic(fmt.Sprintf("engine: docBytes %d below 8-byte record", docBytes))
+	return r.EncodeTo(make([]byte, EncodedResultBytes(len(r.Docs), docBytes)), docBytes)
+}
+
+// EncodeTo is Encode into the front of dst, which must be zeroed and at least
+// EncodedResultBytes(len(r.Docs), docBytes) long, and returns dst whole: a
+// caller that stores fixed-size entries encodes straight into one entry-sized
+// buffer, the bytes past the encoding being the entry's padding.
+func (r *Result) EncodeTo(dst []byte, docBytes int) []byte {
+	if need := EncodedResultBytes(len(r.Docs), docBytes); docBytes < 8 || len(dst) < need {
+		panic(fmt.Sprintf("engine: %d docs of %d bytes (8-byte record) do not fit %d bytes", len(r.Docs), docBytes, len(dst)))
 	}
-	buf := make([]byte, EncodedResultBytes(len(r.Docs), docBytes))
-	binary.LittleEndian.PutUint64(buf[0:8], r.QueryID)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(r.Docs)))
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(docBytes))
+	binary.LittleEndian.PutUint64(dst[0:8], r.QueryID)
+	binary.LittleEndian.PutUint32(dst[8:12], uint32(len(r.Docs)))
+	binary.LittleEndian.PutUint32(dst[12:16], uint32(docBytes))
 	for i, d := range r.Docs {
 		base := resultHeaderSize + i*docBytes
-		binary.LittleEndian.PutUint32(buf[base:base+4], d.Doc)
-		binary.LittleEndian.PutUint32(buf[base+4:base+8], math.Float32bits(d.Score))
+		binary.LittleEndian.PutUint32(dst[base:base+4], d.Doc)
+		binary.LittleEndian.PutUint32(dst[base+4:base+8], math.Float32bits(d.Score))
 	}
-	return buf
+	return dst
 }
 
 // DecodeResult deserializes an entry produced by Encode.
