@@ -6,7 +6,8 @@
 // Analyzers:
 //
 //	detclock     simulated time/randomness must flow through internal/simclock
-//	mapiter      output paths must not range over maps in randomized order
+//	mapiter      output paths and device simulators must not range over maps
+//	             in randomized order
 //	statsevent   paired core.Stats counters must emit their event in the
 //	             same function (stats≡trace)
 //	ioerr        storage-layer errors and allocator results must be handled

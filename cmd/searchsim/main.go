@@ -27,6 +27,7 @@ import (
 	hybrid "hybridstore"
 	"hybridstore/internal/core"
 	"hybridstore/internal/engine"
+	"hybridstore/internal/flashsim"
 	"hybridstore/internal/index"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/serve"
@@ -45,7 +46,7 @@ func main() {
 		modeFlag     = flag.String("mode", "twolevel", "cache mode: none, onelevel, twolevel")
 		indexFlag    = flag.String("index-on", "hdd", "index placement: hdd or ssd")
 		codecFlag    = flag.String("codec", "raw", "on-device posting codec: raw or gvarint")
-		ftlFlag      = flag.String("ftl", "pagemap", "cache SSD FTL: pagemap, blockmap, hybridlog")
+		ftlFlag      = flag.String("ftl", "pagemap", "cache SSD FTL: page-map, block-map, hybrid-log (hyphen optional)")
 		hetero       = flag.Bool("hetero", false, "heterogeneous cache tier: fast SSD for results, slower dense SSD for lists")
 		heteroFactor = flag.Float64("hetero-factor", 0, "slow-tier latency multiplier for -hetero (0 = default 4)")
 		resultTTL    = flag.Duration("result-ttl", 0, "dynamic scenario: TTL for cached results (0 = static)")
@@ -77,25 +78,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	placement := hybrid.IndexOnHDD
-	if strings.EqualFold(*indexFlag, "ssd") {
-		placement = hybrid.IndexOnSSD
+	placement, err := parsePlacement(*indexFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	codec, err := index.ParseCodec(*codecFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var ftl hybrid.FTLKind
-	switch strings.ToLower(*ftlFlag) {
-	case "pagemap":
-		ftl = hybrid.FTLPageMap
-	case "blockmap":
-		ftl = hybrid.FTLBlockMap
-	case "hybridlog":
-		ftl = hybrid.FTLHybridLog
-	default:
-		fmt.Fprintf(os.Stderr, "unknown ftl %q\n", *ftlFlag)
+	ftl, err := flashsim.ParseFTL(*ftlFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -437,5 +432,16 @@ func parseMode(s string) (hybrid.CacheMode, error) {
 		return hybrid.CacheTwoLevel, nil
 	default:
 		return 0, fmt.Errorf("unknown mode %q (want none, onelevel, twolevel)", s)
+	}
+}
+
+func parsePlacement(s string) (hybrid.IndexPlacement, error) {
+	switch strings.ToLower(s) {
+	case "hdd":
+		return hybrid.IndexOnHDD, nil
+	case "ssd":
+		return hybrid.IndexOnSSD, nil
+	default:
+		return 0, fmt.Errorf("unknown index placement %q (want hdd, ssd)", s)
 	}
 }

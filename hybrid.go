@@ -58,30 +58,17 @@ func (p IndexPlacement) String() string {
 }
 
 // FTLKind selects the flash translation layer of the cache SSD (§II-A).
-type FTLKind int
+// The list of FTLs, their names and constructors live in flashsim.
+type FTLKind = flashsim.FTLKind
 
 // FTL choices for the cache SSD. The paper baselines on the ideal
 // page-mapped FTL; the block-mapped and hybrid log-block alternatives it
 // surveys are available for ablation.
 const (
-	FTLPageMap FTLKind = iota
-	FTLBlockMap
-	FTLHybridLog
+	FTLPageMap   = flashsim.FTLPageMap
+	FTLBlockMap  = flashsim.FTLBlockMap
+	FTLHybridLog = flashsim.FTLHybridLog
 )
-
-// String names the FTL.
-func (f FTLKind) String() string {
-	switch f {
-	case FTLPageMap:
-		return "page-map"
-	case FTLBlockMap:
-		return "block-map"
-	case FTLHybridLog:
-		return "hybrid-log"
-	default:
-		return fmt.Sprintf("FTLKind(%d)", int(f))
-	}
-}
 
 // CacheMode selects the hierarchy depth.
 type CacheMode int
@@ -180,7 +167,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// CacheDevice is the surface every cache-SSD FTL variant exposes.
+// CacheDevice is the surface of the cache SSD: one drive (*flashsim.SSD,
+// whatever its FTL) or a heterogeneous two-drive tier (*flashsim.Tiered).
 type CacheDevice interface {
 	storage.Device
 	storage.Trimmer
@@ -234,9 +222,7 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("hybrid: unknown index placement %d", c.IndexOn)
 	}
-	switch c.CacheFTL {
-	case FTLPageMap, FTLBlockMap, FTLHybridLog:
-	default:
+	if !c.CacheFTL.Valid() {
 		return fmt.Errorf("hybrid: unknown cache FTL %d", c.CacheFTL)
 	}
 	if c.Mode != CacheNone {
@@ -315,8 +301,6 @@ func New(cfg Config) (*System, error) {
 	case IndexOnSSD:
 		s.IndexSSD = flashsim.New("index-ssd", clock, flashsim.DefaultParams(ixBytes+(1<<20)))
 		ixDev = s.IndexSSD
-	default:
-		return nil, fmt.Errorf("hybrid: unknown index placement %d", cfg.IndexOn)
 	}
 	ix, err := img.Stamp(ixDev)
 	if err != nil {
@@ -347,22 +331,14 @@ func New(cfg Config) (*System, error) {
 			// foreground read time (including queueing behind background
 			// flushes) onto the shared clock itself.
 			need := cacheCfg.SSDResultBytes + cacheCfg.SSDListBytes + (2 << 20)
-			params := flashsim.DefaultParams(need)
-			switch {
-			case cfg.HeteroCacheTier:
+			if cfg.HeteroCacheTier {
 				dev, err := buildHeteroCache(cacheCfg, cfg.HeteroSlowFactor)
 				if err != nil {
 					return nil, err
 				}
 				s.CacheSSD = dev
-			case cfg.CacheFTL == FTLPageMap:
-				s.CacheSSD = flashsim.New("cache-ssd", simclock.New(), params)
-			case cfg.CacheFTL == FTLBlockMap:
-				s.CacheSSD = flashsim.NewBlockMapped("cache-ssd", simclock.New(), params)
-			case cfg.CacheFTL == FTLHybridLog:
-				s.CacheSSD = flashsim.NewHybridLog("cache-ssd", simclock.New(), params)
-			default:
-				return nil, fmt.Errorf("hybrid: unknown cache FTL %d", cfg.CacheFTL)
+			} else {
+				s.CacheSSD = flashsim.NewFTL(cfg.CacheFTL, "cache-ssd", simclock.New(), flashsim.DefaultParams(need))
 			}
 			cacheDev = s.CacheSSD
 			if cfg.CacheFaults.Enabled() {

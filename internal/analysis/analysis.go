@@ -2,9 +2,10 @@
 // machine-check the repository's load-bearing contracts:
 //
 //   - determinism: simulated time and randomness flow exclusively through
-//     internal/simclock (analyzer detclock), and output paths never iterate
-//     maps in Go's randomized order (analyzer mapiter), so every run is
-//     byte-identical at any -jobs count;
+//     internal/simclock (analyzer detclock), and neither output paths nor
+//     the device simulators iterate maps in Go's randomized order (analyzer
+//     mapiter), so every run is byte-identical at any -jobs count and places
+//     data the same way;
 //   - stats≡trace: every paired core.Stats counter mutation is accompanied
 //     by the matching manager event in the same function, driven by the
 //     pairing table declared next to the counters (analyzer statsevent);

@@ -6,11 +6,16 @@ import (
 	"path/filepath"
 )
 
-// Mapiter protects the byte-identical-output guarantee: in rendering and
-// serialization paths, iterating a Go map directly leaks the runtime's
-// randomized order into the output. In scope are the report renderers
-// (report.go, reportjson.go in any package), the experiment suite
-// (internal/experiments) and the telemetry exposition (internal/obs).
+// Mapiter protects the byte-identical-output guarantee: iterating a Go map
+// directly leaks the runtime's randomized order into whatever the loop
+// produces. In scope are the places where order is observable: the report
+// renderers (report.go, reportjson.go in any package), the experiment suite
+// (internal/experiments), the telemetry exposition (internal/obs) — order
+// reaches the output — and the device simulators (internal/flashsim,
+// internal/disksim), where order decides physical placement and with it
+// per-block wear and seek distances. The bug it names: the hybrid-log FTL
+// chose its merge order with `for lb := range needMerge`, so two identical
+// runs ended with different block maps and per-block erase counters.
 //
 // The one permitted shape is the collect-then-sort idiom: a range whose
 // body only appends the key to a slice (`keys = append(keys, k)`), which
@@ -19,7 +24,7 @@ import (
 // itself with //hybridlint:allow mapiter <reason>.
 var Mapiter = &Analyzer{
 	Name: "mapiter",
-	Doc:  "output paths must not range over maps in randomized order",
+	Doc:  "output paths and device simulators must not range over maps in randomized order",
 	Run:  runMapiter,
 }
 
@@ -29,11 +34,36 @@ var mapiterFiles = map[string]bool{
 	"reportjson.go": true,
 }
 
+// What a map's iteration order reaches in the two kinds of scope, as the
+// diagnostic words it.
+const (
+	inOutputPath = "an output path"
+	inSimulator  = "a device simulator, where order decides physical placement"
+)
+
+// mapiterPackages are the import-path elements that put a whole package in
+// scope.
+var mapiterPackages = []struct{ segment, where string }{
+	{"experiments", inOutputPath},
+	{"obs", inOutputPath},
+	{"flashsim", inSimulator},
+	{"disksim", inSimulator},
+}
+
 func runMapiter(pass *Pass) {
-	pkgInScope := pathSegment(pass.Path, "experiments") || pathSegment(pass.Path, "obs")
+	pkgWhere := ""
+	for _, p := range mapiterPackages {
+		if pathSegment(pass.Path, p.segment) {
+			pkgWhere = p.where
+			break
+		}
+	}
 	for _, f := range pass.Files {
-		name := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		if !pkgInScope && !mapiterFiles[name] {
+		where := pkgWhere
+		if where == "" && mapiterFiles[filepath.Base(pass.Fset.Position(f.Pos()).Filename)] {
+			where = inOutputPath
+		}
+		if where == "" {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -51,7 +81,7 @@ func runMapiter(pass *Pass) {
 			if isKeyCollector(rs) {
 				return true
 			}
-			pass.Reportf(rs.For, "ranges over a map in an output path (iteration order is randomized); iterate sorted keys or collect-and-sort")
+			pass.Reportf(rs.For, "ranges over a map in %s (iteration order is randomized); iterate sorted keys or collect-and-sort", where)
 			return true
 		})
 	}

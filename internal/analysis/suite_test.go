@@ -16,6 +16,7 @@ func TestMapiter(t *testing.T) {
 	td := analysistest.TestData(t)
 	analysistest.Run(t, td, "mapiter/experiments", analysis.Mapiter)
 	analysistest.Run(t, td, "mapiter/other", analysis.Mapiter)
+	analysistest.Run(t, td, "mapiter/flashsim", analysis.Mapiter)
 }
 
 func TestStatsevent(t *testing.T) {

@@ -3,7 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
+	"time"
 
+	"hybridstore/internal/flashsim"
 	"hybridstore/internal/metrics"
 )
 
@@ -28,11 +31,20 @@ func Tables23Environment(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "\n# Table III — simulated SSD parameters (identical to the paper)")
 	ssd := metrics.NewTable("parameter", "value")
 	ssd.AddRow("FTL", "page-mapping")
-	ssd.AddRow("page size", "2 KB")
-	ssd.AddRow("block size", "128 KB (64 pages)")
-	ssd.AddRow("page read", "32.725 µs")
-	ssd.AddRow("page write", "101.475 µs")
-	ssd.AddRow("block erase", "1.5 ms")
+	p := flashsim.DefaultParams(0) // geometry and timings do not depend on capacity
+	ssd.AddRow("page size", fmt.Sprintf("%d KB", p.PageSize>>10))
+	ssd.AddRow("block size", fmt.Sprintf("%d KB (%d pages)", p.PageSize*p.PagesPerBlock>>10, p.PagesPerBlock))
+	ssd.AddRow("page read", spacedUnit(p.PageReadLatency))
+	ssd.AddRow("page write", spacedUnit(p.PageWriteLatency))
+	ssd.AddRow("block erase", spacedUnit(p.BlockEraseLatency))
 	_, err := io.WriteString(w, ssd.String())
 	return err
+}
+
+// spacedUnit renders d as the paper's tables do: Duration's shortest form
+// with a space between number and unit ("32.725 µs", "1.5 ms").
+func spacedUnit(d time.Duration) string {
+	s := d.String()
+	unit := strings.IndexFunc(s, func(r rune) bool { return r != '.' && (r < '0' || r > '9') })
+	return s[:unit] + " " + s[unit:]
 }

@@ -1,16 +1,18 @@
-// Package flashsim simulates a NAND-flash solid state drive behind an ideal
-// page-mapping flash translation layer, the FTL baseline the paper adopts
-// (§II-A, Table III).
+// Package flashsim simulates a NAND-flash solid state drive: one device
+// shell (SSD) in front of one of the three flash translation layers the
+// paper surveys in §II-A — the ideal page-mapped FTL it baselines on
+// (Table III), a block-mapped table and a hybrid log-block scheme (NewFTL).
 //
 // The simulator models what the paper's evaluation measures inside the SSD:
 //
 //   - a page (2 KB) is the read/program unit, a block (64 pages = 128 KB)
 //     is the erase unit;
-//   - writes are out-of-place: each logical-page write programs a fresh
-//     physical page at the log frontier and invalidates the old copy;
-//   - when free blocks run low, greedy garbage collection relocates the
-//     valid pages of the block with the fewest valid pages and erases it,
-//     charging read+program per relocated page and one erase per block;
+//   - writes are out-of-place: a page is programmed once per erase cycle,
+//     so an overwrite lands on a fresh physical page and the FTL's mapping
+//     table decides where, and what reclaiming the stale copy costs;
+//   - page-mapped: greedy garbage collection relocates the valid pages of
+//     the block with the fewest valid pages and erases it, charging
+//     read+program per relocated page and one erase per block;
 //   - Trim invalidates pages without erasing, making future GC cheaper;
 //   - per-block erase counts provide the wear metric of Fig 19(a).
 //
@@ -28,6 +30,16 @@ import (
 	"hybridstore/internal/storage"
 )
 
+// The paper's Table III medium: the one spelling of each number, feeding
+// DefaultParams and the defaults of a Params that leaves a latency zero.
+const (
+	tablePageSize      = 2 << 10
+	tablePagesPerBlock = 64
+	tablePageRead      = 32725 * time.Nanosecond
+	tablePageWrite     = 101475 * time.Nanosecond
+	tableBlockErase    = 1500 * time.Microsecond
+)
+
 // Params configures the simulated drive. The zero value is invalid; start
 // from DefaultParams.
 type Params struct {
@@ -37,8 +49,9 @@ type Params struct {
 	PagesPerBlock int
 	// ExportedBlocks is the number of blocks of logical (user) capacity.
 	ExportedBlocks int
-	// SpareBlocks is over-provisioned space invisible to the host. Must be
-	// at least 2 so garbage collection can always make progress.
+	// SpareBlocks is over-provisioned space invisible to the host. Each FTL
+	// has a minimum below which its reclamation cannot make progress (the
+	// ftls table); NewFTL panics under it.
 	SpareBlocks int
 	// PageReadLatency is the cost of reading one page (paper: 32.725 µs).
 	PageReadLatency time.Duration
@@ -46,8 +59,8 @@ type Params struct {
 	PageWriteLatency time.Duration
 	// BlockEraseLatency is the cost of erasing one block (paper: 1.5 ms).
 	BlockEraseLatency time.Duration
-	// GCLowWater triggers garbage collection when the free-block count
-	// drops to this value. Defaults to max(2, SpareBlocks/2).
+	// GCLowWater triggers page-mapped garbage collection when the free-block
+	// count drops to this value. Defaults to max(2, SpareBlocks/2).
 	GCLowWater int
 }
 
@@ -55,25 +68,16 @@ type Params struct {
 // given logical capacity in bytes (rounded up to whole blocks), with 7%
 // over-provisioning like the Intel 320.
 func DefaultParams(logicalBytes int64) Params {
-	const pageSize = 2 << 10
-	const pagesPerBlock = 64
-	blockBytes := int64(pageSize * pagesPerBlock)
-	blocks := int((logicalBytes + blockBytes - 1) / blockBytes)
-	if blocks < 1 {
-		blocks = 1
-	}
-	spare := blocks * 7 / 100
-	if spare < 4 {
-		spare = 4
-	}
+	blockBytes := int64(tablePageSize * tablePagesPerBlock)
+	blocks := max(1, int((logicalBytes+blockBytes-1)/blockBytes))
 	return Params{
-		PageSize:          pageSize,
-		PagesPerBlock:     pagesPerBlock,
+		PageSize:          tablePageSize,
+		PagesPerBlock:     tablePagesPerBlock,
 		ExportedBlocks:    blocks,
-		SpareBlocks:       spare,
-		PageReadLatency:   32725 * time.Nanosecond,
-		PageWriteLatency:  101475 * time.Nanosecond,
-		BlockEraseLatency: 1500 * time.Microsecond,
+		SpareBlocks:       max(4, blocks*7/100),
+		PageReadLatency:   tablePageRead,
+		PageWriteLatency:  tablePageWrite,
+		BlockEraseLatency: tableBlockErase,
 	}
 }
 
@@ -83,87 +87,89 @@ const (
 	pageInvalid
 )
 
+// ftl is the part of a drive that differs between FTL families: the
+// logical-to-physical mapping tables and the reclamation they force. The
+// SSD in front of it splits host ranges into pages, completes partial
+// pages, charges the clock and keeps the counters; an ftl only ever sees
+// whole logical pages, and runs under the SSD's lock.
+type ftl interface {
+	// lookup returns the newest valid physical page of logical page lp, or
+	// -1 when lp holds no data (never written, or trimmed).
+	lookup(lp int) int32
+	// program stores one whole page of content as lp's new copy and returns
+	// the charged latency: the program plus any GC or merge it set off.
+	program(lp int, content []byte) time.Duration
+	// discard drops lp's mapping (a whole-page trim) and returns the latency
+	// of any reclamation done eagerly.
+	discard(lp int) time.Duration
+}
+
 // SSD is a simulated flash drive implementing storage.Device and
-// storage.Trimmer.
+// storage.Trimmer. It owns everything a drive does whatever its mapping —
+// lock, geometry, the NAND medium, the free-block stack, page splitting
+// and read-modify-write, clock charges, counters and the op hook — and
+// delegates placement to its ftl.
 type SSD struct {
 	mu    sync.Mutex
 	name  string
 	clock *simclock.Clock
 	p     Params
 
-	logicalPages  int
-	physicalPages int
-	blockBytes    int64
+	logicalPages int
+	nand         *nandArray
+	ftl          ftl
+	freeBlocks   []int  // stack of fully-erased blocks no FTL structure holds
+	pageBuf      []byte // one page of scratch for read-modify-write
 
-	nand *nandArray
-	l2p  []int32 // logical page -> physical page, -1 unmapped
-	p2l  []int32 // physical page -> logical page, -1
-
-	freeBlocks  []int  // stack of fully-erased block indices
-	inFree      []bool // per block: is it on freeBlocks
-	pageBuf     []byte // one page of scratch for read-modify-write
-	activeBlock int    // block currently accepting programs, -1 none
-	activeNext  int    // next free page index within activeBlock
-	gcLowWater  int
-
-	stats        storage.DeviceStats
-	gcPageCopies int64
-	gcRuns       int64
-	hostPages    int64 // pages programmed on behalf of the host
-	onOp         func(storage.Op)
+	stats     storage.DeviceStats
+	gcRuns    int64 // GC victims reclaimed / block merges, counted by the ftl
+	hostPages int64 // pages programmed by WriteAt
+	onOp      func(storage.Op)
 }
 
-// New builds an SSD on the shared clock. It panics on invalid geometry so
-// misconfiguration fails loudly at setup time.
+// New builds a page-mapped SSD — the paper's baseline — on the shared
+// clock. Like NewFTL it panics on invalid geometry so misconfiguration
+// fails loudly at setup time.
 func New(name string, clock *simclock.Clock, p Params) *SSD {
+	return NewFTL(FTLPageMap, name, clock, p)
+}
+
+// NewFTL builds an SSD behind the given FTL.
+func NewFTL(kind FTLKind, name string, clock *simclock.Clock, p Params) *SSD {
+	if !kind.Valid() {
+		panic(fmt.Sprintf("flashsim: unknown FTL %d", int(kind)))
+	}
+	f := ftls[kind]
 	if p.PageSize <= 0 || p.PagesPerBlock <= 0 || p.ExportedBlocks <= 0 {
 		panic(fmt.Sprintf("flashsim: invalid geometry %+v", p))
 	}
-	if p.SpareBlocks < 2 {
-		panic("flashsim: need at least 2 spare blocks for GC progress")
-	}
-	if p.GCLowWater == 0 {
-		p.GCLowWater = p.SpareBlocks / 2
-		if p.GCLowWater < 2 {
-			p.GCLowWater = 2
-		}
+	if p.SpareBlocks < f.minSpare {
+		panic(fmt.Sprintf("flashsim: %s FTL needs at least %d spare blocks (%s), have %d",
+			f.name, f.minSpare, f.spareFor, p.SpareBlocks))
 	}
 	if p.PageReadLatency == 0 {
-		p.PageReadLatency = 32725 * time.Nanosecond
+		p.PageReadLatency = tablePageRead
 	}
 	if p.PageWriteLatency == 0 {
-		p.PageWriteLatency = 101475 * time.Nanosecond
+		p.PageWriteLatency = tablePageWrite
 	}
 	if p.BlockEraseLatency == 0 {
-		p.BlockEraseLatency = 1500 * time.Microsecond
+		p.BlockEraseLatency = tableBlockErase
 	}
 	totalBlocks := p.ExportedBlocks + p.SpareBlocks
 	d := &SSD{
-		name:          name,
-		clock:         clock,
-		p:             p,
-		logicalPages:  p.ExportedBlocks * p.PagesPerBlock,
-		physicalPages: totalBlocks * p.PagesPerBlock,
-		blockBytes:    int64(p.PageSize * p.PagesPerBlock),
-		nand:          newNANDArray(p.PageSize, p.PagesPerBlock, totalBlocks),
-		activeBlock:   -1,
-		gcLowWater:    p.GCLowWater,
+		name:         name,
+		clock:        clock,
+		p:            p,
+		logicalPages: p.ExportedBlocks * p.PagesPerBlock,
+		nand:         newNANDArray(p.PageSize, p.PagesPerBlock, totalBlocks),
+		freeBlocks:   make([]int, totalBlocks),
+		pageBuf:      make([]byte, p.PageSize),
 	}
-	d.l2p = make([]int32, d.logicalPages)
-	d.p2l = make([]int32, d.physicalPages)
-	for i := range d.l2p {
-		d.l2p[i] = -1
-	}
-	for i := range d.p2l {
-		d.p2l[i] = -1
-	}
-	d.freeBlocks = make([]int, totalBlocks)
-	d.inFree = make([]bool, totalBlocks)
 	for i := range d.freeBlocks {
 		d.freeBlocks[i] = totalBlocks - 1 - i // pop order: block 0 first
-		d.inFree[i] = true
 	}
-	d.pageBuf = make([]byte, p.PageSize)
+	d.ftl = f.build(d)
 	return d
 }
 
@@ -180,10 +186,19 @@ func (d *SSD) SetOpHook(fn func(storage.Op)) {
 	d.mu.Unlock()
 }
 
+// pageSpan cuts the byte range [pos, end) at its first page boundary: the
+// logical page holding pos, pos's offset in it, and how many bytes of the
+// range lie in that page.
+func (d *SSD) pageSpan(pos, end int64) (lp, po, n int) {
+	pageSize := int64(d.p.PageSize)
+	inPage := pos % pageSize
+	return int(pos / pageSize), int(inPage), int(min(pageSize-inPage, end-pos))
+}
+
 // ReadAt implements storage.Device. Cost is one page-read per logical page
-// touched; unmapped pages return zeros but still pay the page read (the
-// controller cannot know the page is unmapped before the lookup completes
-// in an ideal page-mapped FTL we charge the array access uniformly).
+// touched; pages holding no data return zeros but still pay the page read
+// (the controller cannot know a page is unmapped before the lookup
+// completes, so the array access is charged uniformly).
 func (d *SSD) ReadAt(p []byte, off int64) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -191,34 +206,24 @@ func (d *SSD) ReadAt(p []byte, off int64) (time.Duration, error) {
 		return 0, err
 	}
 	var lat time.Duration
-	remaining := p
-	pos := off
-	for len(remaining) > 0 {
-		lp := pos / int64(d.p.PageSize)
-		po := pos % int64(d.p.PageSize)
-		n := int64(d.p.PageSize) - po
-		if int64(len(remaining)) < n {
-			n = int64(len(remaining))
-		}
-		phys := d.l2p[lp]
-		if phys >= 0 {
-			d.nand.readAt(phys, int(po), remaining[:n])
+	for pos, end := off, off+int64(len(p)); pos < end; {
+		lp, po, n := d.pageSpan(pos, end)
+		dst := p[pos-off:][:n]
+		if phys := d.ftl.lookup(lp); phys >= 0 {
+			d.nand.readAt(phys, po, dst)
 		} else {
-			clear(remaining[:n])
+			clear(dst)
 		}
 		lat += d.p.PageReadLatency
-		remaining = remaining[n:]
-		pos += n
+		pos += int64(n)
 	}
 	d.clock.AdvanceAttr(lat, simclock.CompSSDRead)
-	d.stats.Record(storage.OpRead, len(p), lat)
-	d.emit(storage.Op{Device: d.name, Kind: storage.OpRead, Offset: off, Len: len(p), Latency: lat})
-	return lat, nil
+	return d.done(storage.OpRead, off, len(p), lat)
 }
 
 // WriteAt implements storage.Device. Every touched logical page is written
-// out-of-place to the log frontier; pages only partially covered by the
-// write incur a read-modify-write (one extra page read). Garbage-collection
+// out-of-place wherever the FTL puts it; pages only partially covered by
+// the write incur a read-modify-write (one extra page read). Reclamation
 // work triggered by the write is charged to the write's latency, exactly as
 // a host would observe it.
 func (d *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
@@ -228,165 +233,33 @@ func (d *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 		return 0, err
 	}
 	var lat time.Duration
-	remaining := p
-	pos := off
-	for len(remaining) > 0 {
-		lp := pos / int64(d.p.PageSize)
-		po := pos % int64(d.p.PageSize)
-		n := int64(d.p.PageSize) - po
-		if int64(len(remaining)) < n {
-			n = int64(len(remaining))
-		}
-		content := remaining[:n] // a whole page is programmed from the caller's bytes
-		if po != 0 || n != int64(d.p.PageSize) {
+	for pos, end := off, off+int64(len(p)); pos < end; {
+		lp, po, n := d.pageSpan(pos, end)
+		src := p[pos-off:][:n]
+		content := src // a whole page is programmed from the caller's bytes
+		if n != d.p.PageSize {
 			// Partial page: read-modify-write.
 			content = d.pageBuf
-			if old := d.l2p[lp]; old >= 0 {
+			if old := d.ftl.lookup(lp); old >= 0 {
 				d.nand.readPage(old, content)
 				lat += d.p.PageReadLatency
 			} else {
 				clear(content)
 			}
-			copy(content[po:po+n], remaining[:n])
+			copy(content[po:], src)
 		}
-		lat += d.programPage(lp, content)
-		remaining = remaining[n:]
-		pos += n
+		lat += d.ftl.program(lp, content)
+		d.hostPages++
+		pos += int64(n)
 	}
 	d.clock.AdvanceAttr(lat, simclock.CompSSDProgram)
-	d.stats.Record(storage.OpWrite, len(p), lat)
-	d.emit(storage.Op{Device: d.name, Kind: storage.OpWrite, Offset: off, Len: len(p), Latency: lat})
-	return lat, nil
-}
-
-// programPage writes one full page of content for logical page lp at the
-// log frontier and returns the charged latency (program + any GC work).
-// Caller holds d.mu.
-func (d *SSD) programPage(lp int64, content []byte) time.Duration {
-	lat := d.ensureFrontier()
-	phys := int32(d.activeBlock*d.p.PagesPerBlock + d.activeNext)
-	d.activeNext++
-	d.nand.programPage(phys, content)
-	if old := d.l2p[lp]; old >= 0 {
-		d.invalidatePhys(old)
-	}
-	d.l2p[lp] = phys
-	d.p2l[phys] = int32(lp)
-	d.hostPages++
-	return lat + d.p.PageWriteLatency
-}
-
-// ensureFrontier guarantees the active block has a free page, opening a new
-// block (and running GC when free blocks are scarce) as needed. It returns
-// any latency incurred by GC. Caller holds d.mu.
-func (d *SSD) ensureFrontier() time.Duration {
-	var lat time.Duration
-	if d.activeBlock >= 0 && d.activeNext < d.p.PagesPerBlock {
-		return 0
-	}
-	if len(d.freeBlocks) <= d.gcLowWater {
-		lat += d.collectGarbage()
-	}
-	if len(d.freeBlocks) == 0 {
-		panic("flashsim: out of free blocks; GC failed to reclaim space")
-	}
-	d.openFreeBlock()
-	return lat
-}
-
-// openFreeBlock pops a free block and makes it the log frontier.
-func (d *SSD) openFreeBlock() {
-	d.activeBlock = d.freeBlocks[len(d.freeBlocks)-1]
-	d.freeBlocks = d.freeBlocks[:len(d.freeBlocks)-1]
-	d.inFree[d.activeBlock] = false
-	d.activeNext = 0
-}
-
-// collectGarbage reclaims blocks until the free count exceeds the low-water
-// mark. Victims are chosen greedily (fewest valid pages). Caller holds d.mu.
-func (d *SSD) collectGarbage() time.Duration {
-	var lat time.Duration
-	for len(d.freeBlocks) <= d.gcLowWater {
-		victim := d.pickVictim()
-		if victim < 0 {
-			break // nothing reclaimable; drive is genuinely full of valid data
-		}
-		d.gcRuns++
-		lat += d.relocateAndErase(victim)
-	}
-	return lat
-}
-
-// pickVictim returns the non-active block with the fewest valid pages that
-// has at least one reclaimable (non-valid) page, or -1 when none exists.
-func (d *SSD) pickVictim() int {
-	best := -1
-	bestValid := d.p.PagesPerBlock + 1
-	for b := range d.nand.blockValid {
-		if b == d.activeBlock || d.inFree[b] {
-			continue
-		}
-		if d.nand.blockValid[b] < bestValid {
-			bestValid = d.nand.blockValid[b]
-			best = b
-		}
-	}
-	if best >= 0 && bestValid == d.p.PagesPerBlock {
-		return -1 // every candidate is fully valid; erasing gains nothing
-	}
-	return best
-}
-
-// relocateAndErase moves victim's valid pages to the frontier and erases
-// it. Caller holds d.mu.
-func (d *SSD) relocateAndErase(victim int) time.Duration {
-	var lat time.Duration
-	base := victim * d.p.PagesPerBlock
-	for i := 0; i < d.p.PagesPerBlock; i++ {
-		phys := int32(base + i)
-		if d.nand.pageState[phys] != pageValid {
-			continue
-		}
-		lp := d.p2l[phys]
-		lat += d.p.PageReadLatency
-
-		// Program to the frontier. The frontier can never be the victim:
-		// the victim is not the active block, and if the active block fills
-		// mid-relocation we open a fresh free block (freeBlocks is non-empty
-		// because GC only starts with at least one free block and erasing
-		// the victim at the end adds another).
-		if d.activeBlock < 0 || d.activeNext >= d.p.PagesPerBlock {
-			if len(d.freeBlocks) == 0 {
-				panic("flashsim: GC deadlock, no free block for relocation")
-			}
-			d.openFreeBlock()
-		}
-		dst := int32(d.activeBlock*d.p.PagesPerBlock + d.activeNext)
-		d.activeNext++
-		d.nand.copyPage(phys, dst)
-		d.nand.invalidatePage(phys)
-		lat += d.p.PageWriteLatency
-
-		d.p2l[dst] = lp
-		d.l2p[lp] = dst
-		d.gcPageCopies++
-	}
-	// Erase the victim.
-	for i := 0; i < d.p.PagesPerBlock; i++ {
-		d.p2l[base+i] = -1
-	}
-	d.nand.eraseBlock(victim)
-	d.freeBlocks = append(d.freeBlocks, victim)
-	d.inFree[victim] = true
-	lat += d.p.BlockEraseLatency
-	d.stats.Record(storage.OpErase, int(d.blockBytes), d.p.BlockEraseLatency)
-	return lat
+	return d.done(storage.OpWrite, off, len(p), lat)
 }
 
 // Trim implements storage.Trimmer: logical pages fully covered by the range
-// are unmapped (their physical copies become invalid, reclaimable for free
-// by GC); partially covered edge pages are zero-filled via read-modify-
-// write. Trimmed ranges read back as zeros.
+// are unmapped (their physical copies become invalid, reclaimable without
+// relocation); partially covered edge pages are zero-filled via read-
+// modify-write, whatever the FTL. Trimmed ranges read back as zeros.
 func (d *SSD) Trim(off, n int64) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -394,49 +267,56 @@ func (d *SSD) Trim(off, n int64) (time.Duration, error) {
 		return 0, err
 	}
 	var lat time.Duration
-	pageSize := int64(d.p.PageSize)
-	pos := off
-	end := off + n
-	for pos < end {
-		lp := pos / pageSize
-		po := pos % pageSize
-		span := pageSize - po
-		if end-pos < span {
-			span = end - pos
-		}
-		if po == 0 && span == pageSize {
-			if phys := d.l2p[lp]; phys >= 0 {
-				d.invalidatePhys(phys)
-				d.l2p[lp] = -1
-			}
-		} else if phys := d.l2p[lp]; phys >= 0 {
+	for pos, end := off, off+n; pos < end; {
+		lp, po, span := d.pageSpan(pos, end)
+		if span == d.p.PageSize {
+			lat += d.ftl.discard(lp)
+		} else if old := d.ftl.lookup(lp); old >= 0 {
 			// Partial-page trim: rewrite the page with the range zeroed.
-			d.nand.readPage(phys, d.pageBuf)
-			lat += d.p.PageReadLatency
+			// Bookkeeping, not host payload: hostPages does not move.
+			d.nand.readPage(old, d.pageBuf)
 			clear(d.pageBuf[po : po+span])
-			lat += d.programPage(lp, d.pageBuf)
-			d.hostPages-- // RMW bookkeeping, not host payload
+			lat += d.p.PageReadLatency + d.ftl.program(lp, d.pageBuf)
 		}
-		pos += span
+		pos += int64(span)
 	}
 	// Command processing cost for the trim itself is negligible next to
 	// page operations; charge a fixed 10 µs like real NCQ trim commands.
 	lat += 10 * time.Microsecond
 	d.clock.AdvanceAttr(lat, simclock.CompSSDProgram)
-	d.stats.Record(storage.OpTrim, int(n), lat)
-	d.emit(storage.Op{Device: d.name, Kind: storage.OpTrim, Offset: off, Len: int(n), Latency: lat})
+	return d.done(storage.OpTrim, off, int(n), lat)
+}
+
+// done counts one finished host operation and reports it to the op hook.
+// Caller holds d.mu and has charged the clock (with the operation's own
+// attribution label, which is why that call is not in here).
+func (d *SSD) done(kind storage.OpKind, off int64, n int, lat time.Duration) (time.Duration, error) {
+	d.stats.Record(kind, n, lat)
+	if d.onOp != nil {
+		d.onOp(storage.Op{Device: d.name, Kind: kind, Offset: off, Len: n, Latency: lat})
+	}
 	return lat, nil
 }
 
-func (d *SSD) invalidatePhys(phys int32) {
-	d.nand.invalidatePage(phys)
-	d.p2l[phys] = -1
+// takeFree pops a fully-erased block for the ftl to fill. Caller holds d.mu.
+func (d *SSD) takeFree() int {
+	last := len(d.freeBlocks) - 1
+	if last < 0 {
+		panic("flashsim: out of free blocks; the FTL failed to reclaim space")
+	}
+	b := d.freeBlocks[last]
+	d.freeBlocks = d.freeBlocks[:last]
+	return b
 }
 
-func (d *SSD) emit(op storage.Op) {
-	if d.onOp != nil {
-		d.onOp(op)
-	}
+// erase erases block b, accounts for it and returns it to the free stack:
+// the one place a block is erased. It returns the latency for the ftl to
+// charge to whatever operation forced the erase. Caller holds d.mu.
+func (d *SSD) erase(b int) time.Duration {
+	d.nand.eraseBlock(b)
+	d.stats.Record(storage.OpErase, int(d.nand.blockBytes()), d.p.BlockEraseLatency)
+	d.freeBlocks = append(d.freeBlocks, b)
+	return d.p.BlockEraseLatency
 }
 
 // Stats returns host-visible operation counters (erases included).
@@ -446,38 +326,40 @@ func (d *SSD) Stats() storage.DeviceStats {
 	return d.stats
 }
 
-// WearStats summarizes flash wear and garbage-collection overhead.
+// WearStats summarizes flash wear and reclamation overhead. The definitions
+// are the same for every FTL.
 type WearStats struct {
 	// TotalErases counts block erasures since creation (Fig 19a metric).
 	TotalErases int64
 	// MaxBlockErases is the most-worn block's erase count.
 	MaxBlockErases int64
-	// GCRuns counts garbage-collection victim reclamations.
+	// GCRuns counts garbage-collection victim reclamations (page-map) or
+	// block merges (block-map, hybrid-log).
 	GCRuns int64
-	// GCPageCopies counts valid pages relocated by GC.
+	// GCPageCopies counts valid pages relocated by GC or merges.
 	GCPageCopies int64
 	// HostPagesWritten counts pages programmed for host writes.
 	HostPagesWritten int64
-	// WriteAmplification is (host + GC pages programmed) / host pages.
+	// WriteAmplification is (host + relocated pages programmed) / host pages.
 	WriteAmplification float64
 	// FreeBlocks is the current count of erased, writable blocks.
 	FreeBlocks int
 }
 
-// Wear returns a snapshot of wear and GC counters.
+// Wear returns a snapshot of wear and reclamation counters.
 func (d *SSD) Wear() WearStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	total, maxE := d.nand.wearSummary()
 	wa := 0.0
 	if d.hostPages > 0 {
-		wa = float64(d.hostPages+d.gcPageCopies) / float64(d.hostPages)
+		wa = float64(d.hostPages+d.nand.copies) / float64(d.hostPages)
 	}
 	return WearStats{
 		TotalErases:        total,
 		MaxBlockErases:     maxE,
 		GCRuns:             d.gcRuns,
-		GCPageCopies:       d.gcPageCopies,
+		GCPageCopies:       d.nand.copies,
 		HostPagesWritten:   d.hostPages,
 		WriteAmplification: wa,
 		FreeBlocks:         len(d.freeBlocks),
@@ -488,4 +370,4 @@ func (d *SSD) Wear() WearStats {
 func (d *SSD) PageSize() int { return d.p.PageSize }
 
 // BlockSize returns the erase-block size in bytes.
-func (d *SSD) BlockSize() int64 { return d.blockBytes }
+func (d *SSD) BlockSize() int64 { return d.nand.blockBytes() }

@@ -3,23 +3,14 @@ package flashsim
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"hybridstore/internal/simclock"
-	"hybridstore/internal/storage"
 )
-
-// ftlDevice is the common surface of all three FTL implementations.
-type ftlDevice interface {
-	storage.Device
-	storage.Trimmer
-	Wear() WearStats
-	Stats() storage.DeviceStats
-	PageSize() int
-	BlockSize() int64
-}
 
 func smallParams(exported, spare int) Params {
 	return Params{
@@ -30,13 +21,17 @@ func smallParams(exported, spare int) Params {
 	}
 }
 
-// makeFTLs builds one drive per FTL with identical geometry.
-func makeFTLs(exported, spare int) map[string]ftlDevice {
-	return map[string]ftlDevice{
-		"pagemap":   New("pm", simclock.New(), smallParams(exported, spare)),
-		"blockmap":  NewBlockMapped("bm", simclock.New(), smallParams(exported, spare)),
-		"hybridlog": NewHybridLog("hl", simclock.New(), smallParams(exported, spare)),
+// subtestName is the FTL's printed name without its hyphen ("pagemap",
+// "blockmap", "hybridlog"): what the per-FTL subtests have always run as.
+func subtestName(k FTLKind) string { return strings.ReplaceAll(k.String(), "-", "") }
+
+// makeFTLs builds one drive per FTL in the table, with identical geometry.
+func makeFTLs(exported, spare int) map[string]*SSD {
+	drives := make(map[string]*SSD)
+	for k := FTLPageMap; k.Valid(); k++ {
+		drives[subtestName(k)] = NewFTL(k, subtestName(k), simclock.New(), smallParams(exported, spare))
 	}
+	return drives
 }
 
 func TestAllFTLsReadBackWrite(t *testing.T) {
@@ -147,7 +142,7 @@ func TestFTLRandomWriteCostOrdering(t *testing.T) {
 	// The paper's §II-A hierarchy under random single-page overwrites:
 	// block mapping amplifies writes catastrophically, the hybrid log
 	// sits in between, the ideal page map is cheapest.
-	wearOf := func(d ftlDevice) float64 {
+	wearOf := func(d *SSD) float64 {
 		rng := simclock.NewRNG(11)
 		pageSize := int64(d.PageSize())
 		pages := int(d.Size() / pageSize)
@@ -190,7 +185,7 @@ func TestFTLSequentialRewrite(t *testing.T) {
 	// invalid), tolerable for the hybrid log, and expensive for naive
 	// block mapping (every in-place overwrite forces a merge) — the
 	// weakness [7] is cited for in §II-A.
-	wearAfterRewrites := func(d ftlDevice) float64 {
+	wearAfterRewrites := func(d *SSD) float64 {
 		buf := make([]byte, d.PageSize())
 		for round := 0; round < 3; round++ {
 			for off := int64(0); off < d.Size(); off += int64(len(buf)) {
@@ -211,7 +206,7 @@ func TestFTLSequentialRewrite(t *testing.T) {
 }
 
 func TestBlockMappedMergeCounted(t *testing.T) {
-	d := NewBlockMapped("bm", simclock.New(), smallParams(4, 2))
+	d := NewFTL(FTLBlockMap, "bm", simclock.New(), smallParams(4, 2))
 	page := make([]byte, d.PageSize())
 	d.WriteAt(page, 0)
 	d.WriteAt(page, 0) // overwrite → merge
@@ -225,7 +220,7 @@ func TestBlockMappedMergeCounted(t *testing.T) {
 }
 
 func TestBlockMappedOverwriteLatencyIncludesMerge(t *testing.T) {
-	d := NewBlockMapped("bm", simclock.New(), smallParams(4, 2))
+	d := NewFTL(FTLBlockMap, "bm", simclock.New(), smallParams(4, 2))
 	page := make([]byte, d.PageSize())
 	first, _ := d.WriteAt(page, 0)
 	second, _ := d.WriteAt(page, 0)
@@ -239,7 +234,7 @@ func TestBlockMappedOverwriteLatencyIncludesMerge(t *testing.T) {
 
 func TestHybridLogAbsorbsOverwrites(t *testing.T) {
 	// A few overwrites should land in the log with no merge at all.
-	d := NewHybridLog("hl", simclock.New(), smallParams(8, 6))
+	d := NewFTL(FTLHybridLog, "hl", simclock.New(), smallParams(8, 6))
 	page := make([]byte, d.PageSize())
 	for i := 0; i < 10; i++ {
 		d.WriteAt(page, 0)
@@ -253,7 +248,7 @@ func TestHybridLogAbsorbsOverwrites(t *testing.T) {
 }
 
 func TestHybridLogMergesWhenLogFull(t *testing.T) {
-	d := NewHybridLog("hl", simclock.New(), smallParams(6, 4))
+	d := NewFTL(FTLHybridLog, "hl", simclock.New(), smallParams(6, 4))
 	rng := simclock.NewRNG(3)
 	page := make([]byte, d.PageSize())
 	pages := int(d.Size() / int64(d.PageSize()))
@@ -271,10 +266,11 @@ func TestHybridLogMergesWhenLogFull(t *testing.T) {
 
 func TestFTLGeometryValidation(t *testing.T) {
 	cases := []func(){
-		func() { NewBlockMapped("x", simclock.New(), Params{}) },
-		func() { NewBlockMapped("x", simclock.New(), smallParams(4, 0)) },
-		func() { NewHybridLog("x", simclock.New(), Params{}) },
-		func() { NewHybridLog("x", simclock.New(), smallParams(4, 2)) },
+		func() { NewFTL(FTLBlockMap, "x", simclock.New(), Params{}) },
+		func() { NewFTL(FTLBlockMap, "x", simclock.New(), smallParams(4, 0)) },
+		func() { NewFTL(FTLHybridLog, "x", simclock.New(), Params{}) },
+		func() { NewFTL(FTLHybridLog, "x", simclock.New(), smallParams(4, 2)) },
+		func() { NewFTL(FTLKind(3), "x", simclock.New(), smallParams(4, 4)) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -288,16 +284,25 @@ func TestFTLGeometryValidation(t *testing.T) {
 	}
 }
 
-func TestFTLLastWriteWinsProperty(t *testing.T) {
-	// Same invariant as the page-map property test, across all FTLs.
-	mk := map[string]func() ftlDevice{
-		"blockmap":  func() ftlDevice { return NewBlockMapped("bm", simclock.New(), smallParams(4, 2)) },
-		"hybridlog": func() ftlDevice { return NewHybridLog("hl", simclock.New(), smallParams(4, 3)) },
+func TestFTLNamesParseBack(t *testing.T) {
+	for k := FTLPageMap; k.Valid(); k++ {
+		if got, err := ParseFTL(k.String()); err != nil || got != k {
+			t.Errorf("ParseFTL(%q) = %v, %v", k.String(), got, err)
+		}
 	}
-	for name, build := range mk {
-		t.Run(name, func(t *testing.T) {
-			f := func(writes []uint16) bool {
-				d := build()
+	if _, err := ParseFTL("flash"); err == nil {
+		t.Error("unknown FTL name parsed")
+	}
+}
+
+func TestFTLLastWriteWinsProperty(t *testing.T) {
+	// Property: after an arbitrary series of page-sized writes the last
+	// write to each page wins, even with GC or merge churn in between —
+	// each FTL on the fewest spare blocks it accepts.
+	for k := FTLPageMap; k.Valid(); k++ {
+		t.Run(subtestName(k), func(t *testing.T) {
+			check := func(writes []uint16) bool {
+				d := NewFTL(k, "ssd", simclock.New(), smallParams(4, ftls[k].minSpare))
 				pageSize := int64(d.PageSize())
 				pages := int(d.Size() / pageSize)
 				last := make(map[int]byte)
@@ -322,31 +327,51 @@ func TestFTLLastWriteWinsProperty(t *testing.T) {
 				}
 				return true
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// nandOf reaches the medium behind any of the three FTLs.
-func nandOf(d ftlDevice) *nandArray {
-	switch d := d.(type) {
-	case *SSD:
-		return d.nand
-	case *BlockSSD:
-		return d.nand
-	case *HybridSSD:
-		return d.nand
+// TestHybridLogMergeOrderRepeats feeds two hybrid-log drives the same seeded
+// overwrite stream: they must end with the same logical→physical block map
+// and the same per-block erase counters. Merge order decides which free
+// block each rebuilt logical block lands in, so an order taken from a Go
+// map made the two differ on nearly every run.
+func TestHybridLogMergeOrderRepeats(t *testing.T) {
+	run := func() (*SSD, *hybridLog) {
+		d := NewFTL(FTLHybridLog, "hl", simclock.New(), smallParams(16, 6))
+		rng := simclock.NewRNG(2561)
+		pageSize := int64(d.PageSize())
+		pages := int(d.Size() / pageSize)
+		buf := make([]byte, pageSize)
+		for i := 0; i < 4000; i++ {
+			if _, err := d.WriteAt(buf, int64(rng.Intn(pages))*pageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d, d.ftl.(*hybridLog)
 	}
-	panic("unknown FTL")
+	a, am := run()
+	b, bm := run()
+	if a.Wear().GCRuns == 0 {
+		t.Fatal("the stream never filled the log pool: nothing was merged")
+	}
+	if !slices.Equal(a.nand.erases, b.nand.erases) {
+		t.Errorf("per-block erase counters differ between identical runs:\n%v\n%v", a.nand.erases, b.nand.erases)
+	}
+	if !slices.Equal(am.l2pBlock, bm.l2pBlock) || !slices.Equal(am.logBlocks, bm.logBlocks) {
+		t.Errorf("block maps differ between identical runs:\n%v log %v\n%v log %v",
+			am.l2pBlock, am.logBlocks, bm.l2pBlock, bm.logBlocks)
+	}
 }
 
 // checkMediumInvariants asserts the bookkeeping the recycled block buffers
-// and the page-mapped FTL's free-block bitmap rest on.
-func checkMediumInvariants(t *testing.T, d ftlDevice) {
+// and the page-mapped FTL's victim choice rest on.
+func checkMediumInvariants(t *testing.T, d *SSD) {
 	t.Helper()
-	n := nandOf(d)
+	n := d.nand
 	owned := 0
 	for b, buf := range n.blockBuf {
 		if erased := n.blockFree[b] == n.pagesPerBlock; erased != (buf == nil) {
@@ -359,20 +384,22 @@ func checkMediumInvariants(t *testing.T, d ftlDevice) {
 	if owned+len(n.freeBufs) > n.blocks {
 		t.Fatalf("%d owned + %d idle buffers for %d blocks", owned, len(n.freeBufs), n.blocks)
 	}
-	if ssd, ok := d.(*SSD); ok {
-		marked := 0
-		for _, in := range ssd.inFree {
-			if in {
-				marked++
+	for _, b := range d.freeBlocks {
+		if n.blockFree[b] != n.pagesPerBlock {
+			t.Fatalf("block %d on freeBlocks with %d of %d pages free", b, n.blockFree[b], n.pagesPerBlock)
+		}
+	}
+	if pm, ok := d.ftl.(*pageMap); ok {
+		// pickVictim tells a free block by its free-page count alone: off
+		// the frontier, the erased blocks must be exactly the free stack.
+		erased := 0
+		for b, free := range n.blockFree {
+			if b != pm.active && free == n.pagesPerBlock {
+				erased++
 			}
 		}
-		if marked != len(ssd.freeBlocks) {
-			t.Fatalf("inFree marks %d blocks, freeBlocks holds %d", marked, len(ssd.freeBlocks))
-		}
-		for _, b := range ssd.freeBlocks {
-			if !ssd.inFree[b] {
-				t.Fatalf("block %d on freeBlocks but not marked in inFree", b)
-			}
+		if erased != len(d.freeBlocks) {
+			t.Fatalf("%d erased blocks off the frontier, freeBlocks holds %d", erased, len(d.freeBlocks))
 		}
 	}
 }
@@ -386,15 +413,9 @@ func checkMediumInvariants(t *testing.T, d ftlDevice) {
 // partially written page.
 func TestAllFTLsMatchByteModelAcrossRecycling(t *testing.T) {
 	params := Params{PageSize: 256, PagesPerBlock: 8, ExportedBlocks: 6, SpareBlocks: 4}
-	builds := map[string]func() ftlDevice{
-		"pagemap":   func() ftlDevice { return New("pm", simclock.New(), params) },
-		"blockmap":  func() ftlDevice { return NewBlockMapped("bm", simclock.New(), params) },
-		"hybridlog": func() ftlDevice { return NewHybridLog("hl", simclock.New(), params) },
-	}
-	for name, build := range builds {
-		t.Run(name, func(t *testing.T) {
-			d := build()
-			_, trimsPartialPages := d.(*SSD) // the other two leave edge pages alone
+	for k := FTLPageMap; k.Valid(); k++ {
+		t.Run(subtestName(k), func(t *testing.T) {
+			d := NewFTL(k, "ssd", simclock.New(), params)
 			rng := rand.New(rand.NewSource(42))
 			size := int(d.Size())
 			pageSize := d.PageSize()
@@ -420,14 +441,7 @@ func TestAllFTLsMatchByteModelAcrossRecycling(t *testing.T) {
 					if _, err := d.Trim(int64(off), int64(n)); err != nil {
 						t.Fatal(err)
 					}
-					lo, hi := off, off+n
-					if !trimsPartialPages {
-						lo = (off + pageSize - 1) / pageSize * pageSize
-						hi = (off + n) / pageSize * pageSize
-					}
-					if lo < hi {
-						clear(model[lo:hi])
-					}
+					clear(model[off : off+n])
 				default:
 					off, n := span()
 					if op%100 == 0 {
@@ -449,7 +463,7 @@ func TestAllFTLsMatchByteModelAcrossRecycling(t *testing.T) {
 				}
 				checkMediumInvariants(t, d)
 			}
-			if n := nandOf(d); n.totalErases < 5*int64(n.blocks) {
+			if n := d.nand; n.totalErases < 5*int64(n.blocks) {
 				t.Errorf("%d erases over %d blocks: the sequence is too short to recycle them", n.totalErases, n.blocks)
 			}
 		})

@@ -30,6 +30,7 @@ type nandArray struct {
 	totalErases int64
 	programs    int64
 	reads       int64
+	copies      int64 // copyPage calls: pages an FTL relocated
 }
 
 func newNANDArray(pageSize, pagesPerBlock, blocks int) *nandArray {
@@ -102,6 +103,7 @@ func (n *nandArray) programPage(phys int32, content []byte) {
 // one array read and one program, one host copy.
 func (n *nandArray) copyPage(src, dst int32) {
 	n.reads++
+	n.copies++
 	n.programPage(dst, n.page(src))
 }
 

@@ -90,4 +90,8 @@ func TestNANDCountersTrackOps(t *testing.T) {
 	if n.programs != 2 || n.reads != 1 {
 		t.Fatalf("programs=%d reads=%d", n.programs, n.reads)
 	}
+	n.copyPage(1, 2) // a relocation is one read, one program, one copy
+	if n.programs != 3 || n.reads != 2 || n.copies != 1 {
+		t.Fatalf("after copyPage: programs=%d reads=%d copies=%d", n.programs, n.reads, n.copies)
+	}
 }
