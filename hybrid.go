@@ -327,18 +327,25 @@ func New(cfg Config) (*System, error) {
 		}
 		var cacheDev storage.Device
 		if cfg.Mode == CacheTwoLevel {
-			// The cache SSD lives on a private clock: the manager charges
-			// foreground read time (including queueing behind background
-			// flushes) onto the shared clock itself.
+			// The cache SSD lives on a private clock: the manager spends the
+			// service times it returns on the shared clock itself, reads at
+			// once and flushes through its command queue.
 			need := cacheCfg.SSDResultBytes + cacheCfg.SSDListBytes + (2 << 20)
+			eff := cacheCfg.Effective()
 			if cfg.HeteroCacheTier {
-				dev, err := buildHeteroCache(cacheCfg, cfg.HeteroSlowFactor)
+				dev, err := buildHeteroCache(eff, cfg.HeteroSlowFactor)
 				if err != nil {
 					return nil, err
 				}
 				s.CacheSSD = dev
 			} else {
 				s.CacheSSD = flashsim.NewFTL(cfg.CacheFTL, "cache-ssd", simclock.New(), flashsim.DefaultParams(need))
+			}
+			// The manager places, flushes and trims in units of BlockBytes on
+			// the premise that each is one erase block of the device.
+			if eb := s.CacheSSD.BlockSize(); eff.BlockBytes != eb {
+				return nil, fmt.Errorf("hybrid: Cache.BlockBytes %d differs from the cache SSD's erase block %d",
+					eff.BlockBytes, eb)
 			}
 			cacheDev = s.CacheSSD
 			if cfg.CacheFaults.Enabled() {
@@ -378,16 +385,11 @@ const defaultHeteroSlowFactor = 4.0
 // buildHeteroCache assembles the heterogeneous cache device: a fast SSD
 // sized to the (block-rounded) result region, backed by a slower dense SSD
 // holding the list region and the mapping-table metadata. Both tiers share
-// one private clock, mirroring the single-device cache wiring.
-func buildHeteroCache(cacheCfg core.Config, slowFactor float64) (*flashsim.Tiered, error) {
-	// Replicate the manager's region rounding (core fillDefaults) so the
-	// tier boundary lands exactly where the list region starts.
-	bb := cacheCfg.BlockBytes
-	if bb <= 0 {
-		bb = 128 << 10
-	}
-	resultBytes := (cacheCfg.SSDResultBytes + bb - 1) / bb * bb
-	listBytes := (cacheCfg.SSDListBytes + bb - 1) / bb * bb
+// one private clock, mirroring the single-device cache wiring. eff is the
+// manager's effective configuration, whose block-rounded regions put the
+// tier boundary exactly where the list region starts.
+func buildHeteroCache(eff core.Config, slowFactor float64) (*flashsim.Tiered, error) {
+	resultBytes, listBytes := eff.SSDResultBytes, eff.SSDListBytes
 
 	fastParams := flashsim.DefaultParams(resultBytes)
 	flashBlock := int64(fastParams.PageSize * fastParams.PagesPerBlock)

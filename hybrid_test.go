@@ -653,6 +653,26 @@ func TestNewRefusesResultEntryThatCannotFit(t *testing.T) {
 	}
 }
 
+// TestNewRefusesBlockBytesOffTheEraseBlock: the manager's placement unit and
+// the cache SSD's erase block are one number, whichever side it is set on.
+func TestNewRefusesBlockBytesOffTheEraseBlock(t *testing.T) {
+	base := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
+	base.Collection.NumDocs = 50_000
+	for _, hetero := range []bool{false, true} {
+		cfg := base
+		cfg.HeteroCacheTier = hetero
+		cfg.Cache.BlockBytes = 64 << 10
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), "65536") || !strings.Contains(err.Error(), "131072") {
+			t.Fatalf("hetero=%v: 64 KiB BlockBytes on a 128 KiB erase block: %v", hetero, err)
+		}
+		cfg.Cache.BlockBytes = 0 // the default is the device's block
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("hetero=%v: default BlockBytes refused: %v", hetero, err)
+		}
+	}
+}
+
 // TestSystemsShareOneIndexImage runs two cached systems built from one
 // IndexImage on two goroutines (their HDDs read through the image's bytes;
 // run under -race) and requires each to return what an uncached system over

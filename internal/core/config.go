@@ -111,6 +111,14 @@ func DefaultConfig(memBytes int64) Config {
 	}
 }
 
+// Effective returns the configuration a manager built from c runs with:
+// defaults filled in, SSD regions rounded up to whole blocks. It is for
+// reading (device geometry has to agree with it); hand New the original.
+func (c Config) Effective() Config {
+	c.fillDefaults()
+	return c
+}
+
 func (c *Config) fillDefaults() {
 	if c.BlockBytes <= 0 {
 		c.BlockBytes = 128 << 10

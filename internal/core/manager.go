@@ -156,12 +156,12 @@ type Manager struct {
 	// events, when set, receives fine-grained manager events (see events.go).
 	events func(Event)
 
-	// ssdBusyUntil is the simulated time at which the SSD finishes its
-	// queued background work. Cache flushes are asynchronous (the paper's
-	// write buffer decouples them from queries), but they occupy the
-	// device: foreground reads arriving before the horizon must wait,
-	// which is how background write pressure degrades read latency (§VII-D).
-	ssdBusyUntil time.Duration
+	// ssdq orders the cache SSD's work on the shared clock. Cache flushes
+	// are asynchronous (the paper's write buffer decouples them from
+	// queries) but occupy the device: they queue behind each other, yield
+	// to foreground reads, and stall their issuer once the queue is full,
+	// which is how background write pressure reaches queries (§VII-D).
+	ssdq ssdQueue
 
 	// SSD circuit breaker: consecutive device failures trip it, after
 	// which the manager serves around the L2 tier until the cooldown
@@ -189,10 +189,10 @@ type Manager struct {
 // device (nil for a one-level, memory-only cache).
 //
 // The backing index's device must share clock. The SSD cache device must
-// be bound to its OWN private clock: the manager charges foreground SSD
-// read time onto the shared clock itself (including queueing behind
-// background flushes) and treats SSD writes as background work that only
-// pushes the device's busy horizon.
+// be bound to its OWN private clock: the manager takes the service time each
+// device call returns and spends it on the shared clock through its command
+// queue (ssdQueue) — reads at once and at their own cost, writes and trims
+// as background work that drains while the device is not reading.
 func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config) (*Manager, error) {
 	cfg.fillDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -210,6 +210,7 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		clock:        clock,
 		ix:           ix,
 		ssd:          ssd,
+		ssdq:         ssdQueue{clock: clock},
 		nsPerByteMem: float64(time.Second) / float64(cfg.MemBytesPerSecond),
 		rc:           cache.NewList[*memResult](cfg.MemResultBytes),
 		ic:           cache.NewList[*memList](cfg.MemListBytes),
@@ -313,9 +314,8 @@ func ev(freq, scBlocks int64) float64 {
 	return float64(freq) / float64(scBlocks)
 }
 
-// ssdRead performs a foreground SSD read: the caller waits for any queued
-// background work, then for the read itself. The wait plus service time is
-// charged on the shared clock.
+// ssdRead performs a foreground SSD read: it goes ahead of any queued
+// background work and its service time is charged on the shared clock.
 func (m *Manager) ssdRead(p []byte, off int64) error {
 	lat, err := m.ssd.ReadAt(p, off)
 	if err != nil {
@@ -323,19 +323,13 @@ func (m *Manager) ssdRead(p []byte, off int64) error {
 		return err
 	}
 	m.ssdFailStreak = 0
-	// Waiting for queued background program/erase work is an erase stall;
-	// the read's own service time is flash read cost. Splitting the two
-	// advances keeps the attribution honest while landing at the same
-	// completion instant as a single AdvanceTo.
-	m.clock.AdvanceToAttr(m.ssdBusyUntil, simclock.CompSSDEraseStall)
-	finish := m.clock.AdvanceAttr(lat, simclock.CompSSDRead)
-	m.ssdBusyUntil = finish
+	m.ssdq.read(lat)
 	return nil
 }
 
-// ssdWrite performs a background SSD write: it costs no foreground time
-// but extends the device's busy horizon by its service time (including any
-// garbage collection it triggered).
+// ssdWrite performs a background SSD write: its service time (including any
+// garbage collection it triggered) joins the device's command queue, and
+// costs foreground time only when the queue is full.
 func (m *Manager) ssdWrite(p []byte, off int64) error {
 	lat, err := m.ssd.WriteAt(p, off)
 	if err != nil {
@@ -343,7 +337,7 @@ func (m *Manager) ssdWrite(p []byte, off int64) error {
 		return err
 	}
 	m.ssdFailStreak = 0
-	m.pushBusy(lat)
+	m.ssdq.enqueue(lat)
 	return nil
 }
 
@@ -372,7 +366,7 @@ func (m *Manager) ssdTrim(off, n int64) {
 		return
 	}
 	m.ssdFailStreak = 0
-	m.pushBusy(lat)
+	m.ssdq.enqueue(lat)
 }
 
 // noteSSDError accounts one failed SSD operation: per-kind counter, an
@@ -424,14 +418,6 @@ func (m *Manager) quarantine(a *storage.Allocator, off, n int64) {
 	a.Quarantine(off, n)
 	m.stats.ExtentsQuarantined++
 	m.stats.QuarantinedBytes += n
-}
-
-func (m *Manager) pushBusy(lat time.Duration) {
-	start := m.clock.Now()
-	if m.ssdBusyUntil > start {
-		start = m.ssdBusyUntil
-	}
-	m.ssdBusyUntil = start + lat
 }
 
 // resultExpired reports whether a result entry loaded at the given

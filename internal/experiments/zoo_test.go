@@ -17,20 +17,26 @@ import (
 // the diff of the golden files show which rows moved.
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current microScale output")
 
-// runMicro renders one experiment at microScale with the given worker count.
-func runMicro(t *testing.T, id string, jobs int) string {
+// render runs one experiment at the given scale and returns its stdout.
+func render(t *testing.T, id string, sc Scale) string {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
-	sc := microScale()
-	sc.Jobs = jobs
 	var buf bytes.Buffer
 	if err := e.Run(&buf, sc); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
+}
+
+// runMicro renders one experiment at microScale with the given worker count.
+func runMicro(t *testing.T, id string, jobs int) string {
+	t.Helper()
+	sc := microScale()
+	sc.Jobs = jobs
+	return render(t, id, sc)
 }
 
 // checkGolden renders experiment id at microScale with one and with four

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // ExpBounds returns n strictly ascending bucket bounds starting at start
@@ -200,12 +201,12 @@ func (t *Table) AddRow(cells ...any) {
 func (t *Table) String() string {
 	widths := make([]int, len(t.header))
 	for i, hkr := range t.header {
-		widths[i] = len(hkr)
+		widths[i] = utf8.RuneCountInString(hkr)
 	}
 	for _, row := range t.rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if n := utf8.RuneCountInString(cell); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -217,7 +218,7 @@ func (t *Table) String() string {
 			}
 			sb.WriteString(cell)
 			if i < len(cells)-1 {
-				for p := len(cell); p < widths[i]; p++ {
+				for p := utf8.RuneCountInString(cell); p < widths[i]; p++ {
 					sb.WriteByte(' ')
 				}
 			}

@@ -121,3 +121,16 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("missing separator line:\n%s", out)
 	}
 }
+
+// TestTableAlignsByRunes: a cell's width is what it occupies on screen, so
+// a multi-byte rune (the µ of a time.Duration) must not shift the columns
+// after it.
+func TestTableAlignsByRunes(t *testing.T) {
+	tab := NewTable("t", "x")
+	tab.AddRow("5µs", "a")
+	tab.AddRow("5ms", "b")
+	lines := strings.Split(tab.String(), "\n")
+	if strings.IndexRune(lines[2], 'a') != strings.IndexRune(lines[3], 'b')+len("µ")-1 {
+		t.Fatalf("columns misaligned:\n%s", tab.String())
+	}
+}

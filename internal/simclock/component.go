@@ -22,7 +22,8 @@ const (
 	// CompSSDProgram is flash program/trim service time.
 	CompSSDProgram
 	// CompSSDEraseStall is foreground time spent waiting for the cache SSD
-	// to drain background program/erase work before a read can start.
+	// to finish background program/erase work: the issuer of a flush or
+	// trim waits here while the device's command queue is full.
 	CompSSDEraseStall
 	// CompCPUIntersect is engine CPU cost: postings decode and list
 	// intersection.
@@ -65,7 +66,7 @@ var componentTable = map[Component]string{
 	CompHDDTransfer:      "command overhead plus media transfer; scales with request size where seek does not",
 	CompSSDRead:          "flash read service time on either SSD role (cache or index)",
 	CompSSDProgram:       "program/trim cost of cache admission; the write-amplification side of caching on flash",
-	CompSSDEraseStall:    "foreground reads stalled behind background program/erase; the GC-interference term",
+	CompSSDEraseStall:    "queries stalled behind background program/erase when the cache SSD's command queue is full; the GC-interference term",
 	CompCPUIntersect:     "postings decode and list intersection; the CPU term that block compression trades against I/O",
 	CompCacheBookkeeping: "L1 memory probes and transfers in the cache manager",
 	CompQueueWait:        "shard-queue delay and coalesced-serve latency in the serving layer; the only component born outside the device stack",
