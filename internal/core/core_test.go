@@ -35,7 +35,7 @@ func testConfig(policy Policy) Config {
 	}
 }
 
-func newFixture(t *testing.T, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	clock := simclock.New()
 	spec := workload.DefaultCollection(200000)
@@ -59,7 +59,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	return &fixture{clock: clock, ix: ix, ssd: ssd, m: m, spec: spec}
 }
 
-func (f *fixture) wantList(t *testing.T, term workload.TermID, off, n int64) []byte {
+func (f *fixture) wantList(t testing.TB, term workload.TermID, off, n int64) []byte {
 	t.Helper()
 	want := make([]byte, n)
 	if err := f.ix.ReadListRange(term, off, want); err != nil {
@@ -70,7 +70,7 @@ func (f *fixture) wantList(t *testing.T, term workload.TermID, off, n int64) []b
 
 // readSome reads up to n bytes of term's list through the manager, clamped
 // to the list length, failing the test on error. It returns the bytes read.
-func (f *fixture) readSome(t *testing.T, term workload.TermID, n int64) int64 {
+func (f *fixture) readSome(t testing.TB, term workload.TermID, n int64) int64 {
 	t.Helper()
 	if total := f.ix.ListBytes(term); n > total {
 		n = total
@@ -208,6 +208,7 @@ func TestEvictionFlowsToSSDAndBack(t *testing.T) {
 		f.readSome(t, workload.TermID(30+i), 12<<10)
 	}
 	f.readSome(t, termB, 12<<10)
+	f.m.flushListBuffer()
 	if f.m.Stats().ListWritesToSSD == 0 {
 		t.Fatal("no list flushed to SSD under L1 pressure")
 	}

@@ -100,12 +100,14 @@ func TestPlaceListExtentEvictionAndWorstCase(t *testing.T) {
 	cfg.SSDListBytes = 6 * cfg.BlockBytes
 	f := newFixture(t, cfg)
 
-	// Fill the region with six 1-block entries via direct flushes.
+	// Fill the region with six 1-block extents via direct flushes, the
+	// write buffer forced out after each.
 	for i := 0; i < 6; i++ {
 		ml := &memList{term: workload.TermID(100 + i), prefix: make([]byte, 8<<10),
 			loadedAt: f.clock.Now()}
 		f.m.termFreq[ml.term] = 5
 		f.m.flushListToSSD(ml)
+		f.m.flushListBuffer()
 	}
 	if f.m.icAlloc.FreeBytes() != 0 {
 		t.Fatalf("region not full: %d free", f.m.icAlloc.FreeBytes())
@@ -144,8 +146,9 @@ func TestDropSSDListRewritesLargerPrefix(t *testing.T) {
 	small := &memList{term: 60, prefix: make([]byte, 8<<10), loadedAt: f.clock.Now()}
 	f.m.termFreq[60] = 10
 	f.m.flushListToSSD(small)
+	f.m.flushListBuffer()
 	first := f.m.ssdListFor(60)
-	if first == nil || first.validBytes != 8<<10 {
+	if first == nil || first.ext == nil || first.validBytes != 8<<10 {
 		t.Fatalf("first flush: %+v", first)
 	}
 	// A larger prefix replaces the old extent.

@@ -41,7 +41,9 @@ const (
 	EvResultHit
 	// EvResultMiss: a result-cache probe that found nothing.
 	EvResultMiss
-	// EvListFlush: Bytes of an inverted-list extent written to the SSD cache.
+	// EvListFlush: one device write of Bytes into the SSD list region — an
+	// extent (Term is the first list it holds) or a pin appended to a static
+	// block.
 	EvListFlush
 	// EvResultFlush: Bytes of result data written to the SSD cache (an
 	// assembled RB under the cost-based policies, a single entry under LRU).
@@ -131,6 +133,8 @@ var statsUnpaired = map[string]string{
 	"ListsExpired":               "TTL bookkeeping folded into the read-path events",
 	"ListsDiscarded":             "terminal loss accounting; the failed device call already emitted EvIOError",
 	"ListWritesElided":           "elision means nothing moved; no bytes to attribute",
+	"ListsWrittenToSSD":          "sub-classifies a device write already evented as EvListFlush, whose Bytes is the whole write",
+	"ListPayloadBytesToSSD":      "sub-classifies a device write already evented as EvListFlush, whose Bytes is the whole write",
 	"ListRequests":               "per-term demand folded at EndQuery; traffic is evented per level as EvListRead",
 	"ListHits":                   "per-term demand folded at EndQuery; traffic is evented per level as EvListRead",
 	"ListBytesRequested":         "demand-side counter; served bytes are evented per level as EvListRead",

@@ -19,21 +19,25 @@ import (
 
 var errFlaky = errors.New("flaky: scripted device failure")
 
-// flakyDevice wraps a Device with script-controlled per-op-kind failures.
-// It always implements Trimmer (no-op trims) so trim error paths are
-// reachable over a MemDevice inner.
+// flakyDevice wraps a Device with script-controlled per-op-kind failures,
+// counting reads and trims and recording the range of every write it lets
+// through. It always implements Trimmer (trims are forwarded to an inner
+// Trimmer, no-ops otherwise) so trim error paths are reachable over a
+// MemDevice inner.
 type flakyDevice struct {
-	inner      storage.Device
-	failReads  bool
-	failWrites bool
-	failTrims  bool
-	trims      int
+	inner        storage.Device
+	failReads    bool
+	failWrites   bool
+	failTrims    bool
+	reads, trims int
+	writes       [][2]int64 // off, len
 }
 
 func (d *flakyDevice) Name() string { return d.inner.Name() }
 func (d *flakyDevice) Size() int64  { return d.inner.Size() }
 
 func (d *flakyDevice) ReadAt(p []byte, off int64) (time.Duration, error) {
+	d.reads++
 	if d.failReads {
 		return 0, errFlaky
 	}
@@ -44,6 +48,7 @@ func (d *flakyDevice) WriteAt(p []byte, off int64) (time.Duration, error) {
 	if d.failWrites {
 		return 0, errFlaky
 	}
+	d.writes = append(d.writes, [2]int64{off, int64(len(p))})
 	return d.inner.WriteAt(p, off)
 }
 
@@ -51,6 +56,9 @@ func (d *flakyDevice) Trim(off, n int64) (time.Duration, error) {
 	d.trims++
 	if d.failTrims {
 		return 0, errFlaky
+	}
+	if t, ok := d.inner.(storage.Trimmer); ok {
+		return t.Trim(off, n)
 	}
 	return 0, nil
 }
@@ -337,6 +345,7 @@ func TestListReadErrorFallsBackToHDD(t *testing.T) {
 	for i := 0; i < 20; i++ { // force termA's eviction → flush to SSD
 		f.readSome(t, workload.TermID(30+i), 12<<10)
 	}
+	f.m.flushListBuffer()
 	if f.m.Stats().ListWritesToSSD == 0 {
 		t.Fatal("setup: no list flushed to SSD")
 	}
@@ -378,6 +387,7 @@ func TestListFlushWriteErrorQuarantines(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		f.readSome(t, workload.TermID(30+i), 12<<10)
 	}
+	f.m.flushListBuffer()
 	s := f.m.Stats()
 	if s.SSDWriteErrors == 0 || s.ListsDiscarded == 0 {
 		t.Fatalf("write errors %d discarded %d, want both > 0", s.SSDWriteErrors, s.ListsDiscarded)
@@ -594,7 +604,9 @@ func (s *eventSums) check(t *testing.T, st Stats) {
 // stats≡trace contract (DESIGN §9): under probabilistic fault injection —
 // transient errors on every op class, sticky bad extents, a pre-seeded dead
 // range — summing event payloads still reproduces core.Stats exactly, the
-// invariants hold throughout, and nothing panics.
+// invariants hold after every step, and nothing panics. Each policy runs
+// twice: over the fixture's roomy list region, and over one of four blocks,
+// where packed extents are replaced, quarantined and superseded all the time.
 func TestDivergenceUnderInjectedFaults(t *testing.T) {
 	spec := storage.FaultSpec{
 		Seed:       99,
@@ -605,57 +617,71 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 		BadExtents: 1,
 	}
 	for _, policy := range allPolicies() {
-		t.Run(policy.String(), func(t *testing.T) {
+		for _, fourBlocks := range []bool{false, true} {
 			cfg := testConfig(policy)
 			cfg.BreakerThreshold = 2 // make degraded windows likely
-			f := newFaultFixture(t, cfg, func(inner storage.Device) storage.Device {
-				return storage.NewFaultyDevice(&flakyDevice{inner: inner}, spec, nil)
-			})
-			sums := newEventSums()
-			f.m.SetEventSink(sums.handle)
-
-			if policy == PolicyCBSLRU {
-				for qid := uint64(1); qid <= 10; qid++ {
-					f.m.PinResult(qid, entryOf(qid, 0x11, cfg.ResultEntryBytes))
-				}
-				for term := workload.TermID(0); term < 5; term++ {
-					f.m.PinList(term)
-				}
+			name := policy.String()
+			if fourBlocks { // of 16 KiB, so the fixture's short lists wrap it
+				cfg.BlockBytes, cfg.ResultEntryBytes = 16<<10, 4<<10
+				cfg.MemListBytes, cfg.SSDListBytes = 4*cfg.BlockBytes, 4*cfg.BlockBytes
+				name += "_four_blocks"
 			}
+			t.Run(name, func(t *testing.T) {
+				f := newFaultFixture(t, cfg, func(inner storage.Device) storage.Device {
+					return storage.NewFaultyDevice(&flakyDevice{inner: inner}, spec, nil)
+				})
+				sums := newEventSums()
+				f.m.SetEventSink(sums.handle)
 
-			rng := simclock.NewRNG(17)
-			for i := 0; i < 4000; i++ {
-				qid := rng.Uint64() % 300
-				if _, src := f.m.GetResult(qid); src == ResultMiss {
-					if err := f.m.PutResult(qid, entryOf(qid, byte(qid), cfg.ResultEntryBytes)); err != nil {
-						t.Fatal(err)
+				if policy == PolicyCBSLRU {
+					for qid := uint64(1); qid <= 10; qid++ {
+						f.m.PinResult(qid, entryOf(qid, 0x11, cfg.ResultEntryBytes))
+					}
+					for term := workload.TermID(0); term < 5; term++ {
+						f.m.PinList(term)
 					}
 				}
-				term := workload.TermID(rng.Uint64() % uint64(f.spec.VocabSize))
-				n := int64(1<<10) + int64(rng.Uint64()%(16<<10))
-				if total := f.ix.ListBytes(term); n > total {
-					n = total
-				}
-				buf := make([]byte, n)
-				if err := f.m.ReadListRange(term, 0, buf); err != nil {
-					t.Fatalf("iter %d: list read failed despite HDD fallback: %v", i, err)
-				}
-				if i%500 == 499 {
+
+				rng := simclock.NewRNG(17)
+				for i := 0; i < 4000; i++ {
+					qid := rng.Uint64() % 300
+					if _, src := f.m.GetResult(qid); src == ResultMiss {
+						if err := f.m.PutResult(qid, entryOf(qid, byte(qid), cfg.ResultEntryBytes)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					term := workload.TermID(rng.Uint64() % uint64(f.spec.VocabSize))
+					n := int64(1<<10) + int64(rng.Uint64()%(16<<10))
+					if total := f.ix.ListBytes(term); n > total {
+						n = total
+					}
+					buf := make([]byte, n)
+					if err := f.m.ReadListRange(term, 0, buf); err != nil {
+						t.Fatalf("iter %d: list read failed despite HDD fallback: %v", i, err)
+					}
+					if !bytes.Equal(buf, f.wantList(t, term, 0, n)) {
+						t.Fatalf("iter %d: term %d read returned bytes that are not the list's", i, term)
+					}
 					if err := f.m.CheckInvariants(); err != nil {
 						t.Fatalf("iter %d: %v", i, err)
 					}
 				}
-			}
-			f.m.FlushWriteBuffer()
+				f.m.FlushWriteBuffer()
+				f.m.flushListBuffer()
 
-			st := f.m.Stats()
-			if st.SSDReadErrors+st.SSDWriteErrors+st.SSDTrimErrors == 0 {
-				t.Fatal("fault injection produced no device errors — test exercised nothing")
-			}
-			sums.check(t, st)
-			if err := f.m.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
+				st := f.m.Stats()
+				if st.SSDReadErrors+st.SSDWriteErrors+st.SSDTrimErrors == 0 {
+					t.Fatal("fault injection produced no device errors — test exercised nothing")
+				}
+				if fourBlocks && !policyRegistry[policy].Baseline && (st.ListOverwritesInPlace == 0 || st.ListsPerSSDWrite() < 2) {
+					t.Fatalf("%d in-place overwrites at %.1f lists per write: packed extents were not replaced",
+						st.ListOverwritesInPlace, st.ListsPerSSDWrite())
+				}
+				sums.check(t, st)
+				if err := f.m.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

@@ -17,13 +17,17 @@ import (
 //  1. Every resultLoc entry points at a live slot of its RB, and that slot
 //     points back (mapping bijectivity, Fig 7a/7b).
 //  2. Dynamic RBs are exactly the rbLRU contents; static RBs are marked.
-//  3. SSD list extents are disjoint and inside the list region, and their
-//     accounted sizes match the LRU accounting.
+//  3. SSD list extents are disjoint and inside the list region, dynamic ones
+//     are exactly the icLRU contents with matching keys and sizes, and static
+//     ones add up to staticListTaken.
 //  4. Allocator free space + live extents cover each region exactly.
-//  5. L1 byte accounting equals the sum of entry sizes (delegated to the
-//     cache.List internals via Used()).
-//  6. validBytes never exceeds the extent, and extents obey the layout's
-//     alignment rule (whole blocks in the block log).
+//  5. The L1 caches are within capacity, and L1 list bytes plus the list
+//     write buffer are within MemListBytes (the buffer is paid-for memory).
+//  6. Extents obey the layout's alignment rule (whole blocks in the block
+//     log); the lists of one are disjoint, inside it, in offset order and
+//     mapped back by icDyn or icStatic, which map nothing else but the
+//     buffered prefixes — each held in memory, not yet placed, and summing to
+//     listBufBytes.
 func (m *Manager) CheckInvariants() error {
 	// (1) result mapping bijectivity.
 	for qid, loc := range m.resultLoc {
@@ -60,37 +64,48 @@ func (m *Manager) CheckInvariants() error {
 		}
 	}
 
-	// (3)+(6) list extents.
-	type ext struct{ off, n int64 }
-	var extents []ext
-	collect := func(sl *ssdList) error {
-		if sl.validBytes > sl.blockBytes {
-			return fmt.Errorf("term %d validBytes %d > extent %d", sl.term, sl.validBytes, sl.blockBytes)
+	// (3)+(6) list extents and the term maps.
+	var extents []*listExtent
+	var staticBytes int64
+	mapped := map[bool]int{} // lists found inside extents, by extent.static
+	collect := func(x *listExtent) error {
+		if x.off < 0 || x.off+x.bytes > m.cfg.SSDListBytes {
+			return fmt.Errorf("list extent [%d,+%d) outside region", x.off, x.bytes)
 		}
-		if sl.off < 0 || sl.off+sl.blockBytes > m.cfg.SSDListBytes {
-			return fmt.Errorf("term %d extent [%d,+%d) outside region", sl.term, sl.off, sl.blockBytes)
-		}
-		if err := m.lay.checkListExtent(sl); err != nil {
+		if err := m.lay.checkListExtent(x); err != nil {
 			return err
 		}
-		extents = append(extents, ext{sl.off, sl.blockBytes})
+		if len(x.lists) == 0 {
+			return fmt.Errorf("list extent [%d,+%d) holds no live list", x.off, x.bytes)
+		}
+		end := x.off
+		for _, sl := range x.lists {
+			switch {
+			case sl.ext != x || sl.data != nil || m.listsByTerm(x.static)[sl.term] != sl:
+				return fmt.Errorf("term %d in extent [%d,+%d) not mapped back", sl.term, x.off, x.bytes)
+			case sl.validBytes <= 0 || sl.off < end || sl.off+sl.validBytes > x.off+x.bytes:
+				return fmt.Errorf("term %d at [%d,+%d) overlaps its neighbour or leaves extent [%d,+%d)",
+					sl.term, sl.off, sl.validBytes, x.off, x.bytes)
+			}
+			end = sl.off + sl.validBytes
+		}
+		mapped[x.static] += len(x.lists)
+		extents = append(extents, x)
 		return nil
 	}
-	var walkErr error
-	var listBytes int64
 	if m.icLRU != nil {
-		m.icLRU.Ascend(func(e *cache.Entry[*ssdList]) bool {
-			sl := e.Value
-			if sl.static {
-				walkErr = fmt.Errorf("static list %d inside dynamic LRU", sl.term)
-				return false
-			}
-			if err := collect(sl); err != nil {
-				walkErr = err
-				return false
+		var walkErr error
+		var listBytes int64
+		m.icLRU.Ascend(func(e *cache.Entry[*listExtent]) bool {
+			x := e.Value
+			if x.static || e.Key != uint64(x.off) || e.Size != x.bytes {
+				walkErr = fmt.Errorf("list extent [%d,+%d) in icLRU as key %d, %d bytes, static %v",
+					x.off, x.bytes, e.Key, e.Size, x.static)
+			} else {
+				walkErr = collect(x)
 			}
 			listBytes += e.Size
-			return true
+			return walkErr == nil
 		})
 		if walkErr != nil {
 			return walkErr
@@ -100,23 +115,41 @@ func (m *Manager) CheckInvariants() error {
 		}
 	}
 	for term, sl := range m.icStatic {
-		if sl.term != term {
-			return fmt.Errorf("icStatic[%d] carries term %d", term, sl.term)
+		if sl.term != term || sl.ext == nil || !sl.ext.static {
+			return fmt.Errorf("icStatic[%d] carries term %d outside a static extent", term, sl.term)
 		}
-		if !sl.static {
-			return fmt.Errorf("icStatic[%d] not marked static", term)
+		if len(sl.ext.lists) > 0 && sl.ext.lists[0] != sl {
+			continue // its extent is collected once, from its first list
 		}
-		if err := collect(sl); err != nil {
+		if err := collect(sl.ext); err != nil {
 			return err
 		}
+		staticBytes += sl.ext.bytes
+	}
+	if staticBytes != m.staticListTaken {
+		return fmt.Errorf("static extents hold %d bytes, staticListTaken %d", staticBytes, m.staticListTaken)
+	}
+	var buffered int64
+	for _, sl := range m.listBuf {
+		if sl.ext != nil || int64(len(sl.data)) != sl.validBytes || m.icDyn[sl.term] != sl {
+			return fmt.Errorf("buffered term %d placed, without its bytes or not mapped back", sl.term)
+		}
+		buffered += sl.validBytes
+	}
+	if buffered != m.listBufBytes || buffered > m.listBufCap {
+		return fmt.Errorf("list write buffer holds %d bytes, accounted %d, capacity %d",
+			buffered, m.listBufBytes, m.listBufCap)
+	}
+	if mapped[false]+len(m.listBuf) != len(m.icDyn) || mapped[true] != len(m.icStatic) {
+		return fmt.Errorf("term maps hold %d dynamic and %d static lists, extents and buffer %d and %d",
+			len(m.icDyn), len(m.icStatic), mapped[false]+len(m.listBuf), mapped[true])
 	}
 	// Extent disjointness (O(n²); n is small in tests).
-	for i := 0; i < len(extents); i++ {
-		for j := i + 1; j < len(extents); j++ {
-			a, b := extents[i], extents[j]
-			if a.off < b.off+b.n && b.off < a.off+a.n {
+	for i, a := range extents {
+		for _, b := range extents[i+1:] {
+			if a.off < b.off+b.bytes && b.off < a.off+a.bytes {
 				return fmt.Errorf("list extents overlap: [%d,+%d) and [%d,+%d)",
-					a.off, a.n, b.off, b.n)
+					a.off, a.bytes, b.off, b.bytes)
 			}
 		}
 	}
@@ -126,8 +159,8 @@ func (m *Manager) CheckInvariants() error {
 	// to be accounted for, or faults would masquerade as leaks.
 	if m.icAlloc != nil {
 		var live int64
-		for _, e := range extents {
-			live += e.n
+		for _, x := range extents {
+			live += x.bytes
 		}
 		if live+m.icAlloc.FreeBytes()+m.icAlloc.QuarantinedBytes() != m.cfg.SSDListBytes {
 			return fmt.Errorf("list region leak: live %d + free %d + quarantined %d != %d",
@@ -139,8 +172,9 @@ func (m *Manager) CheckInvariants() error {
 	if m.rc.Used() > m.rc.Capacity() {
 		return fmt.Errorf("L1 RC over capacity: %d > %d", m.rc.Used(), m.rc.Capacity())
 	}
-	if m.ic.Used() > m.ic.Capacity() {
-		return fmt.Errorf("L1 IC over capacity: %d > %d", m.ic.Used(), m.ic.Capacity())
+	if m.ic.Used() > m.ic.Capacity() || m.ic.Used()+m.listBufBytes > m.cfg.MemListBytes {
+		return fmt.Errorf("L1 IC over capacity: %d > %d, or with %d buffered over %d",
+			m.ic.Used(), m.ic.Capacity(), m.listBufBytes, m.cfg.MemListBytes)
 	}
 	return nil
 }

@@ -32,6 +32,6 @@ type layout interface {
 	// rbExtentBytes is the size of the device extent behind one resultBlock.
 	rbExtentBytes() int64
 	// checkListExtent reports a violation of the layout's alignment rule
-	// for one L2 list extent (CheckInvariants).
-	checkListExtent(sl *ssdList) error
+	// for one L2 list extent (CheckInvariants, Restore).
+	checkListExtent(x *listExtent) error
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hybridstore/internal/cache"
 	"hybridstore/internal/workload"
@@ -87,14 +88,14 @@ func (l blockLogLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []by
 	m.memCost(int(need))
 }
 
-// flushList applies data selection (Formulas 1–2, TEV), then placement and
-// replacement in the L2 list region (Fig 13).
+// flushList applies data selection (Formulas 1–2, TEV), then hands the
+// prefix to placement: one of a block or more is written at once into SC
+// blocks of its own, a shorter one joins the list write buffer.
 func (l blockLogLayout) flushList(ml *memList) {
 	m := l.m
 	// Formula 1: SC = ceil(SI × PU / SB). SI is the list's full size and
 	// PU its utilization rate, so SI × PU is the used prefix — which is
-	// exactly the byte length this entry holds in memory. Rounding that up
-	// to whole blocks keeps every SSD extent block-aligned (§VI-A).
+	// exactly the byte length this entry holds in memory.
 	si := int64(len(ml.prefix))
 	sc := m.scBlocks(si, 1)
 	scBytes := sc * m.cfg.BlockBytes
@@ -102,120 +103,141 @@ func (l blockLogLayout) flushList(ml *memList) {
 	// Selection: the admission policy decides what is worth flash writes
 	// (the paper's EV-vs-TEV check under the cost-based policies; the
 	// frequency doorkeeper additionally rejects one-hit wonders).
-	if !m.adm.AdmitList(ml.term, sc) {
-		m.stats.ListsDiscarded++
-		return
-	}
-	if scBytes > m.icLRU.Capacity() {
+	if !m.adm.AdmitList(ml.term, sc) || scBytes > m.icLRU.Capacity() {
 		m.stats.ListsDiscarded++
 		return
 	}
 
-	validBytes := si
-	if validBytes > scBytes {
-		validBytes = scBytes
-	}
-
-	// Unnecessary-write elimination: if the SSD already holds at least as
-	// much of this list — a static pin, or a replaceable copy left by an
-	// earlier read-back — revalidate instead of rewriting (§VI-C1,
-	// write-buffer check). A dynamic overlay larger than a conservative
-	// static pin is allowed: it fills the pin's coverage gap.
-	if existing := m.ssdListFor(ml.term); existing != nil && existing.validBytes >= validBytes {
+	// Unnecessary-write elimination: if L2 already holds at least as much
+	// of this list — a static pin, or a copy in the write buffer or on the
+	// SSD left replaceable by an earlier read-back — revalidate instead of
+	// rewriting (§VI-C1, write-buffer check). A dynamic overlay larger than
+	// a conservative static pin is allowed: it fills the pin's coverage gap.
+	if existing := m.ssdListFor(ml.term); existing != nil && existing.validBytes >= si {
 		existing.state = stateNormal
 		m.stats.ListWritesElided++
 		return
 	}
-	if e, ok := m.icLRU.Peek(uint64(ml.term)); ok {
-		// A smaller dynamic copy — the one ssdListFor returned, or a
-		// duplicate surviving behind a static pin it preferred — is
-		// replaced rather than double-inserted.
-		m.evictSSDList(e)
+	if old := m.icDyn[ml.term]; old != nil {
+		// A shorter dynamic copy — the one ssdListFor returned, or one
+		// behind a static pin it preferred — is replaced, not doubled.
+		m.dropSSDList(old)
 	}
 
-	off, ok := m.placeListExtent(scBytes)
-	if !ok {
-		m.stats.ListsDiscarded++
+	sl := &ssdList{term: ml.term, validBytes: si, loadedAt: ml.loadedAt, data: ml.prefix}
+	m.icDyn[sl.term] = sl
+	if si >= m.cfg.BlockBytes {
+		m.writeListExtent(scBytes, []*ssdList{sl})
 		return
 	}
-
-	// One large sequential block-aligned write (the data placement win of
-	// §VI-B): the prefix padded to whole blocks.
-	buf := m.stagingBuf(scBytes, validBytes)
-	copy(buf, ml.prefix[:validBytes])
-	if err := m.ssdWrite(buf, m.icBase()+off); err != nil {
-		// Error accounted by ssdWrite; the list is lost from the cache
-		// (still on the HDD) and the failed extent is retired.
-		m.quarantine(m.icAlloc, off, scBytes)
-		m.stats.ListsDiscarded++
-		return
+	if m.listBufBytes+si > m.listBufCap {
+		m.flushListBuffer()
 	}
-	m.stats.ListBytesToSSD += scBytes
-	m.stats.ListWritesToSSD++
-	m.emit(Event{Kind: EvListFlush, Term: ml.term, Bytes: scBytes})
-
-	sl := &ssdList{term: ml.term, off: off, blockBytes: scBytes, validBytes: validBytes, loadedAt: ml.loadedAt}
-	m.icLRU.Put(uint64(ml.term), scBytes, sl)
+	m.listBuf = append(m.listBuf, sl)
+	m.listBufBytes += si
+	m.memCost(int(si))
 }
 
-// placeListExtent finds a block-aligned extent of scBytes in the list
-// region, applying the CBLRU placement ladder of Fig 13:
+// flushListBuffer writes the buffered prefixes out, packed end to end into
+// one block: the write buffer turns sub-block lists into the same whole,
+// aligned, sequential writes long lists and result blocks are (§VI-B).
+func (m *Manager) flushListBuffer() {
+	if len(m.listBuf) == 0 {
+		return
+	}
+	batch := slices.Clone(m.listBuf)
+	clear(m.listBuf)
+	m.listBuf, m.listBufBytes = m.listBuf[:0], 0
+	m.writeListExtent(m.cfg.BlockBytes, batch)
+}
+
+// writeListExtent places an extent of the given whole blocks in the list
+// region (Fig 13) and writes the lists' prefixes into it end to end, padded
+// with zeros, as one block-aligned sequential write. When the SSD is failing,
+// has no room or fails the write (the extent is then quarantined), every one
+// of the lists is lost from the cache — still on the HDD — and counted
+// discarded once.
+func (m *Manager) writeListExtent(bytes int64, batch []*ssdList) {
+	x := &listExtent{bytes: bytes, lists: batch}
+	var payload int64
+	for _, sl := range batch {
+		sl.ext = x
+		payload += sl.validBytes
+	}
+	lists, first := int64(len(batch)), batch[0].term
+	if !m.ssdHealthy() || !m.placeListExtent(x) {
+		m.unmapListExtent(x)
+		m.stats.ListsDiscarded += lists
+		return
+	}
+	buf := m.stagingBuf(x.bytes, payload)
+	fill := x.off
+	for _, sl := range x.lists {
+		copy(buf[fill-x.off:], sl.data)
+		sl.off, sl.data = fill, nil
+		fill += sl.validBytes
+	}
+	if err := m.ssdWrite(buf, m.icBase()+x.off); err != nil {
+		// Error accounted by ssdWrite; the failed extent is retired.
+		m.quarantineListExtent(x)
+		m.stats.ListsDiscarded += lists
+		return
+	}
+	m.noteListWrite(first, x.bytes, lists, payload)
+	m.icLRU.Put(uint64(x.off), x.bytes, x)
+}
+
+// placeListExtent finds x a block-aligned home of x.bytes in the list
+// region, applying the CBLRU placement ladder of Fig 13 over extents:
 //
 //  1. free space;
-//  2. a replaceable same-size entry in the replace-first region;
-//  3. any same-size entry in the replace-first region;
-//  4. assemble room by evicting replace-first-region entries;
-//  5. widen the search to the whole LRU list (the paper's rare worst case).
-func (m *Manager) placeListExtent(scBytes int64) (int64, bool) {
-	if off, ok := m.icAlloc.AllocAligned(scBytes, m.cfg.BlockBytes); ok {
-		return off, true
+//  2. overwrite in place the same-size extent of the replace-first region
+//     that holds the fewest normal bytes, the least recent on ties — for one
+//     list per extent that is steps 2–3 of the figure (a replaceable entry,
+//     else any), for packed extents the IREN rule of Fig 11;
+//  3. assemble room by evicting replace-first-region extents;
+//  4. widen the search to the whole LRU list (the paper's rare worst case).
+func (m *Manager) placeListExtent(x *listExtent) (ok bool) {
+	if x.off, ok = m.icAlloc.AllocAligned(x.bytes, m.cfg.BlockBytes); ok {
+		return true
 	}
 	window := m.icLRU.TailWindow(m.cfg.WindowW)
 
-	// Steps 2 and 3: in-place overwrite of a same-size entry, replaceable
-	// entries first.
-	for _, wantReplaceable := range []bool{true, false} {
-		for _, e := range window {
-			sl := e.Value
-			if sl.blockBytes != scBytes {
-				continue
-			}
-			if wantReplaceable != (sl.state == stateReplaceable) {
-				continue
-			}
-			off := sl.off
-			m.icLRU.RemoveEntry(e)
-			m.stats.L2ListEvictions++
-			m.stats.ListOverwritesInPlace++
-			m.emit(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
-			return off, true
-		}
-	}
-
-	// Step 4: evict window entries (lowest EV first among the window's
-	// LRU-ordered snapshot) until an aligned allocation succeeds.
+	var victim *listExtent
+	var least int64
 	for _, e := range window {
-		if _, stillThere := m.icLRU.Peek(e.Key); !stillThere {
-			continue
+		if v := e.Value; v.bytes == x.bytes {
+			if nb := v.normalBytes(); victim == nil || nb < least {
+				victim, least = v, nb
+			}
 		}
-		m.evictSSDList(e)
-		if off, ok := m.icAlloc.AllocAligned(scBytes, m.cfg.BlockBytes); ok {
-			return off, true
+	}
+	if victim != nil {
+		m.unmapListExtent(victim)
+		m.stats.ListOverwritesInPlace++
+		x.off = victim.off
+		return true
+	}
+
+	// Evict window extents, least recent first, until an aligned allocation
+	// succeeds.
+	for _, e := range window {
+		m.evictListExtent(e.Value)
+		if x.off, ok = m.icAlloc.AllocAligned(x.bytes, m.cfg.BlockBytes); ok {
+			return true
 		}
 	}
 
-	// Step 5: whole-list sweep, LRU to MRU.
-	var off int64
-	ok := false
-	m.icLRU.Ascend(func(e *cache.Entry[*ssdList]) bool {
-		m.evictSSDList(e)
-		off, ok = m.icAlloc.AllocAligned(scBytes, m.cfg.BlockBytes)
+	// Whole-list sweep, LRU to MRU.
+	m.icLRU.Ascend(func(e *cache.Entry[*listExtent]) bool {
+		m.evictListExtent(e.Value)
+		x.off, ok = m.icAlloc.AllocAligned(x.bytes, m.cfg.BlockBytes)
 		return !ok
 	})
 	if ok {
 		m.stats.ListPlacementWorstCase++
 	}
-	return off, ok
+	return ok
 }
 
 // evictResult queues the entry in the write buffer for RB assembly, unless
@@ -381,9 +403,9 @@ func (l blockLogLayout) quarantineResult(loc *ssdResult) {
 func (l blockLogLayout) rbExtentBytes() int64 { return l.m.cfg.BlockBytes }
 
 // checkListExtent requires whole, block-aligned extents.
-func (l blockLogLayout) checkListExtent(sl *ssdList) error {
-	if bs := l.m.cfg.BlockBytes; sl.off%bs != 0 || sl.blockBytes%bs != 0 {
-		return fmt.Errorf("term %d extent [%d,+%d) not block-aligned", sl.term, sl.off, sl.blockBytes)
+func (l blockLogLayout) checkListExtent(x *listExtent) error {
+	if bs := l.m.cfg.BlockBytes; x.off%bs != 0 || x.bytes%bs != 0 {
+		return fmt.Errorf("list extent [%d,+%d) not block-aligned", x.off, x.bytes)
 	}
 	return nil
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"hybridstore/internal/cache"
-	"hybridstore/internal/workload"
-)
+import "hybridstore/internal/workload"
 
 // entryLayout is the LRU baseline's placement (§VII): L1 caches whole
 // inverted lists, and every L1 eviction is written to the SSD at once as
@@ -45,8 +42,8 @@ func (l entryLayout) flushList(ml *memList) {
 		m.stats.ListsDiscarded++
 		return
 	}
-	if old, ok := m.icLRU.Peek(uint64(ml.term)); ok {
-		m.freeLRUList(old) // the stale copy
+	if old := m.icDyn[ml.term]; old != nil {
+		m.freeLRUList(old.ext) // the stale copy
 	}
 	var off int64
 	for {
@@ -59,29 +56,28 @@ func (l entryLayout) flushList(ml *memList) {
 			m.stats.ListsDiscarded++
 			return
 		}
-		m.freeLRUList(lru)
+		m.freeLRUList(lru.Value)
 	}
 	if err := m.ssdWrite(ml.prefix, m.icBase()+off); err != nil {
 		m.quarantine(m.icAlloc, off, size)
 		m.stats.ListsDiscarded++
 		return
 	}
-	m.stats.ListBytesToSSD += size
-	m.stats.ListWritesToSSD++
-	m.emit(Event{Kind: EvListFlush, Term: ml.term, Bytes: size})
-	m.icLRU.Put(uint64(ml.term), size, &ssdList{
-		term: ml.term, off: off, blockBytes: size, validBytes: size, loadedAt: ml.loadedAt,
-	})
+	m.noteListWrite(ml.term, size, 1, size)
+	// Baseline entries are single-list extents, as its results are
+	// single-slot pseudo-RBs, so the same bookkeeping serves both layouts.
+	x := &listExtent{off: off, bytes: size}
+	sl := &ssdList{term: ml.term, ext: x, off: off, validBytes: size, loadedAt: ml.loadedAt}
+	x.lists = []*ssdList{sl}
+	m.icDyn[sl.term] = sl
+	m.icLRU.Put(uint64(off), size, x)
 }
 
-// freeLRUList releases a baseline L2 list entry: unlike evictSSDList, the
+// freeLRUList releases a baseline L2 list entry: unlike evictListExtent, the
 // extent goes back to the allocator without a trim.
-func (m *Manager) freeLRUList(e *cache.Entry[*ssdList]) {
-	sl := e.Value
-	m.icLRU.RemoveEntry(e)
-	m.icAlloc.Free(sl.off, sl.blockBytes)
-	m.stats.L2ListEvictions++
-	m.emit(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
+func (m *Manager) freeLRUList(x *listExtent) {
+	m.unmapListExtent(x)
+	m.icAlloc.Free(x.off, x.bytes)
 }
 
 // evictResult writes the 20 KB entry immediately at whatever unaligned
@@ -161,4 +157,4 @@ func (l entryLayout) quarantineResult(loc *ssdResult) {
 func (l entryLayout) rbExtentBytes() int64 { return l.m.cfg.ResultEntryBytes }
 
 // checkListExtent accepts any extent: the baseline writes unaligned.
-func (entryLayout) checkListExtent(*ssdList) error { return nil }
+func (entryLayout) checkListExtent(*listExtent) error { return nil }

@@ -85,14 +85,38 @@ func TestFailedPrefixExtensionLeavesEntryUntouched(t *testing.T) {
 	}
 }
 
-// TestStagingBufferPadsEveryExtentWithZeros flushes long and short list
-// prefixes alternately through a device that fails half its writes. Every
-// extent is assembled in the same staging buffer, so a short prefix follows
-// a long one — written or failed — into memory that still holds the long
-// one's bytes; what reaches the SSD must be the prefix and then zeros.
+// checkExtentOnDevice reads extent x back from dev and requires exactly what
+// the packer promises to have written: every list's prefix at its offset,
+// index-equal, and zeros from the end of the last one to the end of the
+// extent. Exact only while no list of x has been dropped, so tests call it
+// from the EvListFlush sink, right after the write.
+func checkExtentOnDevice(t *testing.T, f *fixture, dev storage.Device, x *listExtent) {
+	t.Helper()
+	got := make([]byte, x.bytes)
+	if _, err := dev.ReadAt(got, f.m.icBase()+x.off); err != nil {
+		t.Fatal(err)
+	}
+	for _, sl := range x.lists {
+		if !bytes.Equal(got[sl.off-x.off:][:sl.validBytes], f.wantList(t, sl.term, 0, sl.validBytes)) {
+			t.Errorf("term %d: extent [%d,+%d) does not hold the list prefix at %d", sl.term, x.off, x.bytes, sl.off)
+		}
+	}
+	for i, b := range got[x.fill():] {
+		if b != 0 {
+			t.Errorf("extent [%d,+%d): pad byte %d is %#x: an earlier extent's bytes reached the SSD",
+				x.off, x.bytes, x.fill()+int64(i), b)
+			break
+		}
+	}
+}
+
+// TestStagingBufferPadsEveryExtentWithZeros writes well filled and lightly
+// filled blocks alternately through a device that fails half its writes.
+// Every block is assembled in the same staging buffer, so a light one follows
+// a full one — written or failed — into memory that still holds the full
+// one's bytes; what reaches the SSD must be the prefixes and then zeros.
 func TestStagingBufferPadsEveryExtentWithZeros(t *testing.T) {
 	cfg := testConfig(PolicyCBLRU)
-	cfg.MemListBytes = 256 << 10
 	cfg.SSDListBytes = 16 << 20
 	cfg.BreakerThreshold = -1 // keep writing through the failures
 	var fd *storage.FaultyDevice
@@ -100,40 +124,29 @@ func TestStagingBufferPadsEveryExtentWithZeros(t *testing.T) {
 		fd = storage.NewFaultyDevice(inner, storage.FaultSpec{Seed: 9, Write: storage.OpFaults{ErrProb: 0.5}}, nil)
 		return fd
 	})
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 12; i++ {
-			f.readSome(t, workload.TermID(i), 100<<10)
-			f.readSome(t, workload.TermID(40+12*round+i), 3<<10)
+	full, light := 0, 0
+	f.m.SetEventSink(func(e Event) {
+		if e.Kind != EvListFlush {
+			return
 		}
-	}
-	s := f.m.Stats()
-	if s.SSDWriteErrors == 0 || s.ListWritesToSSD == 0 {
-		t.Fatalf("%d failed and %d successful list writes: the test needs both", s.SSDWriteErrors, s.ListWritesToSSD)
-	}
-
-	padded := 0
-	f.m.icLRU.Ascend(func(e *cache.Entry[*ssdList]) bool {
-		sl := e.Value
-		extent := make([]byte, sl.blockBytes)
-		if _, err := fd.Inner().ReadAt(extent, f.m.icBase()+sl.off); err != nil {
-			t.Fatal(err)
+		x := f.m.icDyn[e.Term].ext
+		checkExtentOnDevice(t, f, fd.Inner(), x)
+		if pad := x.bytes - x.fill(); pad > 64<<10 {
+			light++
+		} else if pad < 32<<10 {
+			full++
 		}
-		if !bytes.Equal(extent[:sl.validBytes], f.wantList(t, sl.term, 0, sl.validBytes)) {
-			t.Errorf("term %d: SSD extent does not hold the list prefix", sl.term)
-		}
-		for i, b := range extent[sl.validBytes:] {
-			if b != 0 {
-				t.Errorf("term %d: pad byte %d of the extent is %#x: an earlier extent's bytes reached the SSD",
-					sl.term, sl.validBytes+int64(i), b)
-				break
+	})
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 40; i++ {
+			f.readSome(t, workload.TermID(5+40*(round%2)+i), 32<<10)
+			if b := f.m.listBufBytes; i%3 == 0 && b > 0 && b < 24<<10 {
+				f.m.flushListBuffer() // the little a full block left over
 			}
 		}
-		if sl.blockBytes-sl.validBytes > 64<<10 {
-			padded++
-		}
-		return true
-	})
-	if padded == 0 {
-		t.Fatal("no short prefix among the L2 entries: nothing exercised the pad")
+	}
+	if s := f.m.Stats(); s.SSDWriteErrors == 0 || full == 0 || light == 0 {
+		t.Fatalf("%d failed writes, %d well filled and %d lightly filled blocks written: the test needs all three",
+			s.SSDWriteErrors, full, light)
 	}
 }

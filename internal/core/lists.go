@@ -52,32 +52,12 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 		}
 	}
 
-	// Level 2: SSD-cached prefix. A device failure here must not fail the
-	// query — the same bytes exist in the backing index, so a failed (or
-	// breaker-gated) SSD read simply leaves pos where it is and the next
-	// stage serves the remainder from the HDD.
+	// Level 2: the list write buffer or the SSD-cached prefix.
 	if pos < end {
-		if sl := m.ssdListFor(t); sl != nil && pos < sl.validBytes {
-			switch {
-			case !m.ssdHealthy():
-				m.noteDegraded()
-			default:
-				n := sl.validBytes - pos
-				if end-pos < n {
-					n = end - pos
-				}
-				if err := m.ssdRead(p[pos-off:pos-off+n], m.icBase()+sl.off+pos); err != nil {
-					// Error accounted by ssdRead; retire the failing extent
-					// so it is neither re-read nor re-allocated.
-					m.quarantineSSDList(sl)
-				} else {
-					m.noteTermSource(t, srcSSD)
-					m.stats.ListBytesFromSSD += n
-					m.emit(Event{Kind: EvListRead, Term: t, Level: LevelSSD, Bytes: n})
-					pos += n
-					m.onSSDListHit(sl)
-				}
-			}
+		n, sl := m.readL2(t, pos, p[pos-off:])
+		pos += n
+		if sl != nil {
+			m.onSSDListHit(sl)
 		}
 	}
 
@@ -99,34 +79,71 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 	return nil
 }
 
+// readL2 serves the head of p, which starts at list offset pos, from t's L2
+// copy — the list write buffer at memory cost, else the SSD — and returns
+// the bytes served and the entry they came from (0, nil when none were). A
+// device failure here must not fail the query: the same bytes exist in the
+// backing index, so a failed read retires the extent, a breaker-gated one is
+// a degraded serve, and either way the caller reads on from the HDD. Only
+// bytes actually delivered count as served traffic.
+func (m *Manager) readL2(t workload.TermID, pos int64, p []byte) (int64, *ssdList) {
+	sl := m.ssdListFor(t)
+	if sl == nil || pos >= sl.validBytes {
+		return 0, nil
+	}
+	n := min(sl.validBytes-pos, int64(len(p)))
+	level, src := LevelSSD, srcSSD
+	switch {
+	case sl.data != nil:
+		copy(p[:n], sl.data[pos:])
+		m.memCost(int(n))
+		level, src = LevelMem, srcMem
+		m.stats.ListBytesFromMem += n
+	case !m.ssdHealthy():
+		m.noteDegraded()
+		return 0, nil
+	default:
+		if err := m.ssdRead(p[:n], m.icBase()+sl.off+pos); err != nil {
+			// Error accounted by ssdRead; retire the failing extent so it
+			// is neither re-read nor re-allocated.
+			m.quarantineListExtent(sl.ext)
+			return 0, nil
+		}
+		m.stats.ListBytesFromSSD += n
+	}
+	m.noteTermSource(t, src)
+	m.emit(Event{Kind: EvListRead, Term: t, Level: level, Bytes: n})
+	return n, sl
+}
+
 // ssdListFor returns the L2 entry for t: the static pin or the dynamic
 // entry, whichever covers more of the list (a dynamic overlay may exceed a
-// conservatively sized pin). Looking a dynamic entry up promotes it.
+// conservatively sized pin). Looking a dynamic entry up promotes its extent.
 func (m *Manager) ssdListFor(t workload.TermID) *ssdList {
-	var static *ssdList
-	if sl, ok := m.icStatic[t]; ok {
-		static = sl
-	}
-	if m.icLRU == nil {
+	static := m.icStatic[t]
+	dyn := m.icDyn[t]
+	if dyn == nil {
 		return static
 	}
-	if e, ok := m.icLRU.Get(uint64(t)); ok {
-		dyn := e.Value
-		if m.listExpired(dyn.loadedAt) {
-			m.evictSSDList(e)
-			m.stats.ListsExpired++
-		} else if static == nil || dyn.validBytes > static.validBytes {
-			return dyn
-		}
+	if m.listExpired(dyn.loadedAt) {
+		m.dropSSDList(dyn)
+		m.stats.ListsExpired++
+		return static
+	}
+	if dyn.ext != nil {
+		m.icLRU.Get(uint64(dyn.ext.off)) // promotes
+	}
+	if static == nil || dyn.validBytes > static.validBytes {
+		return dyn
 	}
 	return static
 }
 
-// onSSDListHit records that an SSD list extent was just read back into
-// memory: the layout applies its Fig 9 state change, if it has one. Static
-// entries never change state.
+// onSSDListHit records that an L2 list copy was just read back into memory:
+// the layout applies its Fig 9 state change, if it has one. Static entries
+// never change state.
 func (m *Manager) onSSDListHit(sl *ssdList) {
-	if !sl.static {
+	if sl.ext == nil || !sl.ext.static {
 		m.lay.copiedUp(&sl.state)
 	}
 }
@@ -142,37 +159,16 @@ func (m *Manager) fillL1List(t workload.TermID, l1 *memList, off int64, p []byte
 	m.lay.fillL1(t, l1, off, p, total, hddTail)
 }
 
-// readThrough reads list bytes from below L1 (SSD prefix then index),
-// without touching L1 state. Used by whole-list fetches. An SSD failure
-// falls through to the index, and stats/events are only recorded for bytes
-// actually delivered — a failed read must not count as served traffic.
+// readThrough reads list bytes from below L1 (L2 copy then index), without
+// touching L1 or Fig 9 state. Used by whole-list fetches and readahead. A
+// failed index read leaves the tail unserved and uncounted.
 func (m *Manager) readThrough(t workload.TermID, off int64, p []byte) {
-	pos := off
-	end := off + int64(len(p))
-	if sl := m.ssdListFor(t); sl != nil && pos < sl.validBytes {
-		switch {
-		case !m.ssdHealthy():
-			m.noteDegraded()
-		default:
-			n := sl.validBytes - pos
-			if end-pos < n {
-				n = end - pos
-			}
-			if err := m.ssdRead(p[:n], m.icBase()+sl.off+pos); err != nil {
-				m.quarantineSSDList(sl)
-			} else {
-				m.stats.ListBytesFromSSD += n
-				m.noteTermSource(t, srcSSD)
-				m.emit(Event{Kind: EvListRead, Term: t, Level: LevelSSD, Bytes: n})
-				pos += n
-			}
-		}
-	}
-	if pos < end {
-		if err := m.ix.ReadListRange(t, pos, p[pos-off:]); err == nil {
-			m.stats.ListBytesFromHDD += end - pos
+	n, _ := m.readL2(t, off, p)
+	if rest := p[n:]; len(rest) > 0 {
+		if err := m.ix.ReadListRange(t, off+n, rest); err == nil {
+			m.stats.ListBytesFromHDD += int64(len(rest))
 			m.noteTermSource(t, srcHDD)
-			m.emit(Event{Kind: EvListRead, Term: t, Level: LevelHDD, Bytes: end - pos})
+			m.emit(Event{Kind: EvListRead, Term: t, Level: LevelHDD, Bytes: int64(len(rest))})
 		}
 	}
 }

@@ -29,16 +29,49 @@ type memList struct {
 	loadedAt time.Duration // simulated insertion time, for ListTTL
 }
 
-// ssdList is an L2 inverted-list cache entry: a block-aligned prefix of the
-// list stored in the SSD cache file (Fig 7c).
+// ssdList is an L2 inverted-list cache entry: a prefix of the list, either
+// waiting in the list write buffer (ext nil, data set) or stored in the SSD
+// cache file inside an extent (Fig 7c).
 type ssdList struct {
 	term       workload.TermID
-	off        int64 // device offset, block-aligned
-	blockBytes int64 // extent length, whole blocks (SC × SB)
-	validBytes int64 // prefix bytes actually present (≤ blockBytes)
+	ext        *listExtent // nil while the prefix waits in the list write buffer
+	off        int64       // list-region offset of the prefix's first byte
+	validBytes int64       // prefix bytes present
 	state      entryState
-	static     bool
 	loadedAt   time.Duration // age of the content, for ListTTL
+	data       []byte        // the prefix, until it is on the SSD
+}
+
+// listExtent is the placement and replacement unit of the L2 list cache, as
+// the RB is for results: SC whole blocks under the block log (any byte range
+// under the baseline) holding one prefix of a block or more, or several
+// sub-block prefixes packed end to end. A list that is superseded or expires
+// leaves dead bytes behind; the extent goes when its last live list does.
+type listExtent struct {
+	off, bytes int64
+	static     bool       // holds CBSLRU pins: never replaced, not in icLRU
+	lists      []*ssdList // live lists, by ascending offset
+}
+
+// normalBytes is the valid, non-replaceable payload an overwrite of the
+// extent would lose — for lists what an RB's valid count is in Fig 11.
+func (x *listExtent) normalBytes() int64 {
+	var n int64
+	for _, sl := range x.lists {
+		if sl.state == stateNormal {
+			n += sl.validBytes
+		}
+	}
+	return n
+}
+
+// fill returns the extent-relative offset just past the last live list.
+func (x *listExtent) fill() int64 {
+	if len(x.lists) == 0 {
+		return 0
+	}
+	last := x.lists[len(x.lists)-1]
+	return last.off + last.validBytes - x.off
 }
 
 // ssdResult locates one cached result entry inside a result block (Fig 7a).
@@ -137,10 +170,26 @@ type Manager struct {
 	nextRB       uint64
 	staticRBs    []*resultBlock
 
-	// L2 inverted-list cache.
-	icLRU    *cache.List[*ssdList] // by term ID; dynamic entries only
+	// L2 inverted-list cache. Dynamic lists are found by term in icDyn,
+	// whether still in the list write buffer or inside an extent of icLRU;
+	// pins live in static extents that only icStatic reaches.
+	icLRU    *cache.List[*listExtent] // by extent offset; dynamic extents only
 	icAlloc  *storage.Allocator
+	icDyn    map[workload.TermID]*ssdList
 	icStatic map[workload.TermID]*ssdList
+
+	// listBuf is the list write buffer (§VI-B applied to lists): admitted
+	// prefixes shorter than a block wait here, readable, until the next one
+	// would overflow listBufCap, then go out as one whole block. Its capacity
+	// is memory taken out of the L1 list budget.
+	listBuf      []*ssdList
+	listBufBytes int64
+	listBufCap   int64
+
+	// staticOpen is the static block sub-block pins are appended to, and
+	// staticListTaken the bytes of the list region static extents hold.
+	staticOpen      *listExtent
+	staticListTaken int64
 
 	// Frequency and utilization tracking for Formulas 1–2.
 	termFreq   map[workload.TermID]int64
@@ -213,9 +262,9 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		ssdq:         ssdQueue{clock: clock},
 		nsPerByteMem: float64(time.Second) / float64(cfg.MemBytesPerSecond),
 		rc:           cache.NewList[*memResult](cfg.MemResultBytes),
-		ic:           cache.NewList[*memList](cfg.MemListBytes),
 		entriesPerRB: int(cfg.BlockBytes / cfg.ResultEntryBytes),
 		resultLoc:    make(map[uint64]*ssdResult),
+		icDyn:        make(map[workload.TermID]*ssdList),
 		icStatic:     make(map[workload.TermID]*ssdList),
 		termFreq:     make(map[workload.TermID]int64),
 		queryFreq:    make(map[uint64]int64),
@@ -231,7 +280,7 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		m.rcAlloc = storage.NewAllocator(cfg.SSDResultBytes)
 	}
 	if cfg.SSDListBytes > 0 {
-		m.icLRU = cache.NewList[*ssdList](cfg.SSDListBytes)
+		m.icLRU = cache.NewList[*listExtent](cfg.SSDListBytes)
 		m.icAlloc = storage.NewAllocator(cfg.SSDListBytes)
 	}
 	info := policyRegistry[cfg.Policy] // in range: Validate checked it
@@ -240,7 +289,13 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		m.lay = entryLayout{m}
 	} else {
 		m.lay = blockLogLayout{m}
+		if m.icLRU != nil {
+			// One block of write buffer, paid for out of the L1 list budget
+			// so policies are compared at equal memory.
+			m.listBufCap = min(cfg.BlockBytes, cfg.MemListBytes/2)
+		}
 	}
+	m.ic = cache.NewList[*memList](cfg.MemListBytes - m.listBufCap)
 	return m, nil
 }
 

@@ -11,17 +11,17 @@ package core
 // SSD cache. This mirrors what production flash caches (and the paper's
 // "cache file" framing) do.
 //
-// Layout of the metadata region (little-endian):
+// Layout of the metadata region: a little-endian sequence of the fixed-size
+// records below, each written and read whole by encoding/binary —
 //
-//	magic "HSCM" | version u32 | policy u32
-//	rbCount u32 | rb × { num u64, off i64, static u8, slots u16,
-//	                     slots × { present u8, qid u64, state u8, loadedAt i64 } }
-//	listCount u32 | list × { term i32, off i64, blockBytes i64,
-//	                         validBytes i64, state u8, static u8, loadedAt i64 }
-//	freqCount u32 | freq × { term i32, count i64 }
+//	mappingHeader
+//	u32 count | count × (rbRecord, then rbRecord.Slots × slotRecord)
+//	u32 count | count × listRecord
+//	u32 count | count × freqRecord
 //
-// RBs and list entries are serialized in LRU→MRU order so recency
-// survives the restart.
+// RBs and list extents are serialized static first, then dynamic in LRU→MRU
+// order so recency survives the restart; the lists of one extent are
+// consecutive and in offset order.
 
 import (
 	"bytes"
@@ -39,31 +39,64 @@ import (
 
 var mappingMagic = [4]byte{'H', 'S', 'C', 'M'}
 
-const mappingVersion = 1
+// mappingVersion 2 records every list with the extent that holds it.
+const mappingVersion = 2
+
+type mappingHeader struct {
+	Magic           [4]byte
+	Version, Policy uint32
+}
+
+type rbRecord struct {
+	Num    uint64
+	Off    int64
+	Static uint8
+	Slots  uint16
+}
+
+// slotRecord is all zero for an empty slot.
+type slotRecord struct {
+	Present  uint8
+	QID      uint64
+	State    uint8
+	LoadedAt int64
+}
+
+type listRecord struct {
+	Term             int32
+	ExtOff, ExtBytes int64 // the extent holding the list
+	Off, ValidBytes  int64 // the list inside it, as a region offset
+	State, Static    uint8
+	LoadedAt         int64
+}
+
+type freqRecord struct {
+	Term  int32
+	Count int64
+}
 
 // metaOffset returns the device offset of the mapping metadata region.
 func (m *Manager) metaOffset() int64 {
 	return m.cfg.SSDResultBytes + m.cfg.SSDListBytes
 }
 
-// SaveMappings flushes complete result blocks, then serializes the SSD
-// cache mappings into the metadata region after the cache regions. It
-// fails when the manager has no SSD or the device lacks space.
+// SaveMappings flushes complete result blocks and writes the list write
+// buffer's partial block out (a restart must not silently lose admitted
+// lists), then serializes the SSD cache mappings into the metadata region
+// after the cache regions. It fails when the manager has no SSD or the
+// device lacks space.
 func (m *Manager) SaveMappings() error {
 	if m.ssd == nil {
 		return fmt.Errorf("core: no SSD to save mappings to")
 	}
 	m.FlushWriteBuffer()
+	m.flushListBuffer()
 
 	var buf bytes.Buffer
 	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) } //nolint:errcheck
-	buf.Write(mappingMagic[:])
-	w(uint32(mappingVersion))
-	w(uint32(m.cfg.Policy))
+	w(mappingHeader{mappingMagic, mappingVersion, uint32(m.cfg.Policy)})
 
-	// Result blocks: static first, then dynamic in LRU→MRU order.
-	var rbs []*resultBlock
-	rbs = append(rbs, m.staticRBs...)
+	rbs := append([]*resultBlock(nil), m.staticRBs...)
 	if m.rbLRU != nil {
 		m.rbLRU.Ascend(func(e *cache.Entry[*resultBlock]) bool {
 			rbs = append(rbs, e.Value)
@@ -72,49 +105,43 @@ func (m *Manager) SaveMappings() error {
 	}
 	w(uint32(len(rbs)))
 	for _, rb := range rbs {
-		w(rb.num)
-		w(rb.off)
-		w(boolByte(rb.static))
-		w(uint16(len(rb.slots)))
+		w(rbRecord{rb.num, rb.off, boolByte(rb.static), uint16(len(rb.slots))})
 		for _, loc := range rb.slots {
-			if loc == nil {
-				w(uint8(0))
-				continue
+			var rec slotRecord
+			if loc != nil {
+				rec = slotRecord{1, loc.qid, uint8(loc.state), int64(loc.loadedAt)}
 			}
-			w(uint8(1))
-			w(loc.qid)
-			w(uint8(loc.state))
-			w(int64(loc.loadedAt))
+			w(rec)
 		}
 	}
 
-	// List entries: static pins first, then dynamic LRU→MRU.
-	var lists []*ssdList
+	// Static extents in the order of their first pin's term, then dynamic.
+	var extents []*listExtent
+	lists := len(m.icStatic)
 	for _, t := range sortedTermKeys(m.icStatic) {
-		lists = append(lists, m.icStatic[t])
+		if sl := m.icStatic[t]; sl.ext.lists[0] == sl {
+			extents = append(extents, sl.ext)
+		}
 	}
 	if m.icLRU != nil {
-		m.icLRU.Ascend(func(e *cache.Entry[*ssdList]) bool {
-			lists = append(lists, e.Value)
+		m.icLRU.Ascend(func(e *cache.Entry[*listExtent]) bool {
+			extents = append(extents, e.Value)
+			lists += len(e.Value.lists)
 			return true
 		})
 	}
-	w(uint32(len(lists)))
-	for _, sl := range lists {
-		w(int32(sl.term))
-		w(sl.off)
-		w(sl.blockBytes)
-		w(sl.validBytes)
-		w(uint8(sl.state))
-		w(boolByte(sl.static))
-		w(int64(sl.loadedAt))
+	w(uint32(lists))
+	for _, x := range extents {
+		for _, sl := range x.lists {
+			w(listRecord{int32(sl.term), x.off, x.bytes, sl.off, sl.validBytes,
+				uint8(sl.state), boolByte(x.static), int64(sl.loadedAt)})
+		}
 	}
 
 	// Term frequencies (EV continuity).
 	w(uint32(len(m.termFreq)))
 	for _, t := range sortedTermKeys(m.termFreq) {
-		w(int32(t))
-		w(m.termFreq[t])
+		w(freqRecord{int32(t), m.termFreq[t]})
 	}
 
 	off := m.metaOffset()
@@ -161,142 +188,117 @@ func Restore(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Con
 	return m, nil
 }
 
+// loadMappings adopts a serialized mapping image, validating every record
+// against the regions it claims: NAND is recycled uncleared, so a mapping
+// adopted in error would serve another entry's bytes, not zeros.
 func (m *Manager) loadMappings(raw []byte) error {
 	r := bytes.NewReader(raw)
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
+	read := func(v any) error {
+		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
+			return fmt.Errorf("core: truncated mappings: %w", err)
+		}
+		return nil
+	}
 
-	var magic [4]byte
-	if err := read(&magic); err != nil || magic != mappingMagic {
-		return fmt.Errorf("core: bad mapping magic %q", magic[:])
+	var head mappingHeader
+	if err := read(&head); err != nil || head.Magic != mappingMagic {
+		return fmt.Errorf("core: bad mapping magic %q", head.Magic[:])
 	}
-	var version, policy uint32
-	if err := read(&version); err != nil || version != mappingVersion {
-		return fmt.Errorf("core: unsupported mapping version %d", version)
+	if head.Version != mappingVersion {
+		return fmt.Errorf("core: unsupported mapping version %d", head.Version)
 	}
-	if err := read(&policy); err != nil || Policy(policy) != m.cfg.Policy {
+	if Policy(head.Policy) != m.cfg.Policy {
 		return fmt.Errorf("core: mappings saved under policy %v, manager runs %v",
-			Policy(policy), m.cfg.Policy)
+			Policy(head.Policy), m.cfg.Policy)
 	}
 
-	var rbCount uint32
-	if err := read(&rbCount); err != nil {
+	var count uint32
+	if err := read(&count); err != nil {
 		return err
 	}
-	for i := uint32(0); i < rbCount; i++ {
-		var num uint64
-		var rbOff int64
-		var staticB uint8
-		var slots uint16
-		if err := read(&num); err != nil {
-			return err
-		}
-		if err := read(&rbOff); err != nil {
-			return err
-		}
-		if err := read(&staticB); err != nil {
-			return err
-		}
-		if err := read(&slots); err != nil {
+	rbSeen := make(map[uint64]bool)
+	for ; count > 0; count-- {
+		var rec rbRecord
+		if err := read(&rec); err != nil {
 			return err
 		}
 		size := m.lay.rbExtentBytes()
-		if !m.rcAlloc.Reserve(rbOff, size) {
-			return fmt.Errorf("core: RB %d extent [%d,+%d) unreservable", num, rbOff, size)
+		if rbSeen[rec.Num] || int64(rec.Slots) != size/m.cfg.ResultEntryBytes ||
+			m.rcAlloc == nil || !m.rcAlloc.Reserve(rec.Off, size) {
+			return fmt.Errorf("core: RB %d repeated, with %d slots or extent [%d,+%d) unreservable",
+				rec.Num, rec.Slots, rec.Off, size)
 		}
-		rb := &resultBlock{num: num, off: rbOff, static: staticB != 0,
-			slots: make([]*ssdResult, slots)}
-		for s := uint16(0); s < slots; s++ {
-			var present uint8
-			if err := read(&present); err != nil {
+		rbSeen[rec.Num] = true
+		rb := &resultBlock{num: rec.Num, off: rec.Off, static: rec.Static != 0,
+			slots: make([]*ssdResult, rec.Slots)}
+		for s := range rb.slots {
+			var slot slotRecord
+			if err := read(&slot); err != nil {
 				return err
 			}
-			if present == 0 {
+			if slot.Present == 0 {
 				continue
 			}
-			var qid uint64
-			var state uint8
-			var loadedAt int64
-			if err := read(&qid); err != nil {
-				return err
+			if _, dup := m.resultLoc[slot.QID]; dup {
+				return fmt.Errorf("core: query %d mapped twice", slot.QID)
 			}
-			if err := read(&state); err != nil {
-				return err
-			}
-			if err := read(&loadedAt); err != nil {
-				return err
-			}
-			loc := &ssdResult{qid: qid, rb: rb, slot: int(s),
-				state: entryState(state), loadedAt: durationFromI64(loadedAt)}
-			rb.slots[s] = loc
-			m.resultLoc[qid] = loc
+			rb.slots[s] = &ssdResult{qid: slot.QID, rb: rb, slot: s,
+				state: entryState(slot.State), loadedAt: time.Duration(slot.LoadedAt)}
+			m.resultLoc[slot.QID] = rb.slots[s]
 		}
-		if num >= m.nextRB {
-			m.nextRB = num + 1
-		}
+		m.nextRB = max(m.nextRB, rb.num+1)
 		if rb.static {
 			m.staticRBs = append(m.staticRBs, rb)
-		} else if m.rbLRU != nil {
+		} else {
 			m.rbLRU.Put(rb.num, size, rb)
 		}
 	}
 
-	var listCount uint32
-	if err := read(&listCount); err != nil {
+	if err := read(&count); err != nil {
 		return err
 	}
-	for i := uint32(0); i < listCount; i++ {
-		var term int32
-		var lOff, blockBytes, validBytes int64
-		var state, staticB uint8
-		var loadedAt int64
-		if err := read(&term); err != nil {
+	var x *listExtent
+	for ; count > 0; count-- {
+		var rec listRecord
+		if err := read(&rec); err != nil {
 			return err
 		}
-		if err := read(&lOff); err != nil {
-			return err
+		t, static := workload.TermID(rec.Term), rec.Static != 0
+		if x == nil || x.off != rec.ExtOff || x.static != static {
+			x = &listExtent{off: rec.ExtOff, bytes: rec.ExtBytes, static: static}
+			if m.icAlloc == nil || m.lay.checkListExtent(x) != nil || !m.icAlloc.Reserve(x.off, x.bytes) {
+				return fmt.Errorf("core: term %d in unreservable extent [%d,+%d)", t, x.off, x.bytes)
+			}
+			if static {
+				m.staticListTaken += x.bytes
+			} else {
+				m.icLRU.Put(uint64(x.off), x.bytes, x)
+			}
 		}
-		if err := read(&blockBytes); err != nil {
-			return err
+		byTerm := m.listsByTerm(static)
+		switch {
+		case t < 0 || int(t) >= m.ix.NumTerms() || byTerm[t] != nil:
+			return fmt.Errorf("core: term %d unknown or mapped twice", t)
+		case rec.ExtBytes != x.bytes || rec.Off < x.off+x.fill() || rec.ValidBytes <= 0 ||
+			rec.ValidBytes > x.off+x.bytes-rec.Off || rec.ValidBytes > m.ix.ListBytes(t):
+			return fmt.Errorf("core: term %d at [%d,+%d) overlaps its neighbour, leaves extent [%d,+%d) or outgrows its list",
+				t, rec.Off, rec.ValidBytes, rec.ExtOff, rec.ExtBytes)
 		}
-		if err := read(&validBytes); err != nil {
-			return err
-		}
-		if err := read(&state); err != nil {
-			return err
-		}
-		if err := read(&staticB); err != nil {
-			return err
-		}
-		if err := read(&loadedAt); err != nil {
-			return err
-		}
-		if m.icAlloc == nil || !m.icAlloc.Reserve(lOff, blockBytes) {
-			return fmt.Errorf("core: list extent [%d,+%d) unreservable", lOff, blockBytes)
-		}
-		sl := &ssdList{term: workload.TermID(term), off: lOff, blockBytes: blockBytes,
-			validBytes: validBytes, state: entryState(state), static: staticB != 0,
-			loadedAt: durationFromI64(loadedAt)}
-		if sl.static {
-			m.icStatic[sl.term] = sl
-		} else {
-			m.icLRU.Put(uint64(sl.term), blockBytes, sl)
-		}
+		sl := &ssdList{term: t, ext: x, off: rec.Off, validBytes: rec.ValidBytes,
+			state: entryState(rec.State), loadedAt: time.Duration(rec.LoadedAt)}
+		x.lists = append(x.lists, sl)
+		byTerm[t] = sl
 	}
 
-	var freqCount uint32
-	if err := read(&freqCount); err != nil {
+	if err := read(&count); err != nil {
 		return err
 	}
-	for i := uint32(0); i < freqCount; i++ {
-		var term int32
-		var count int64
-		if err := read(&term); err != nil {
+	for ; count > 0; count-- {
+		var rec freqRecord
+		if err := read(&rec); err != nil {
 			return err
 		}
-		if err := read(&count); err != nil {
-			return err
-		}
-		m.termFreq[workload.TermID(term)] = count
+		m.termFreq[workload.TermID(rec.Term)] = rec.Count
 	}
 	return nil
 }
@@ -307,8 +309,6 @@ func boolByte(b bool) uint8 {
 	}
 	return 0
 }
-
-func durationFromI64(v int64) time.Duration { return time.Duration(v) }
 
 // sortedTermKeys returns the map's keys in ascending order so
 // serialization is deterministic.

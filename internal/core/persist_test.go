@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
+	"hybridstore/internal/simclock"
 	"hybridstore/internal/workload"
 )
 
 // populate pushes results and lists through the manager so both SSD
 // regions hold data.
-func populate(t *testing.T, f *fixture) {
+func populate(t testing.TB, f *fixture) {
 	t.Helper()
 	size := f.m.Config().ResultEntryBytes
 	for q := uint64(1); q <= 25; q++ {
@@ -123,7 +126,7 @@ func TestRestorePreservesStaticPins(t *testing.T) {
 	if len(m2.StaticPinnedLists()) != 1 {
 		t.Fatal("pinned list lost")
 	}
-	if sl := m2.ssdListFor(5); sl == nil || !sl.static {
+	if sl := m2.ssdListFor(5); sl == nil || !sl.ext.static {
 		t.Fatal("restored pin not static")
 	}
 }
@@ -178,4 +181,107 @@ func TestRestoredRecencySurvives(t *testing.T) {
 	if origLRU.Key != newLRU.Key {
 		t.Fatalf("LRU order lost: %d vs %d", origLRU.Key, newLRU.Key)
 	}
+}
+
+// mappingImage serializes a mapping image holding no RBs, the given list
+// records and no frequencies.
+func mappingImage(version uint32, policy Policy, lists ...listRecord) []byte {
+	var buf bytes.Buffer
+	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) } //nolint:errcheck
+	w(mappingHeader{mappingMagic, version, uint32(policy)})
+	w(uint32(0))
+	w(uint32(len(lists)))
+	for _, rec := range lists {
+		w(rec)
+	}
+	w(uint32(0))
+	return buf.Bytes()
+}
+
+// TestLoadMappingsValidatesLists: Restore adopts a list only inside a
+// reservable extent, clear of its neighbours and mapped once — NAND is
+// recycled uncleared, so anything else would serve another list's bytes —
+// and every refusal names the term. A v1 image is refused by version.
+func TestLoadMappingsValidatesLists(t *testing.T) {
+	cfg := testConfig(PolicyCBLRU)
+	bb := cfg.BlockBytes
+	list := func(term int32, extOff, extBytes, off, valid int64) listRecord {
+		return listRecord{Term: term, ExtOff: extOff, ExtBytes: extBytes, Off: off, ValidBytes: valid}
+	}
+	good := list(7, bb, bb, bb, 2<<10)
+	cases := []struct {
+		name  string
+		lists []listRecord
+		want  string // "" = accepted
+	}{
+		{"packed pair", []listRecord{good, list(8, bb, bb, bb+2<<10, 2<<10)}, ""},
+		{"before its extent", []listRecord{list(7, bb, bb, bb-1, 2<<10)}, "term 7"},
+		{"past its extent", []listRecord{list(7, bb, bb, 2*bb-1<<10, 2<<10)}, "term 7"},
+		{"overlapping its neighbour", []listRecord{good, list(8, bb, bb, bb+1<<10, 2<<10)}, "term 8"},
+		{"mapped twice", []listRecord{good, list(7, bb, bb, bb+2<<10, 2<<10)}, "term 7"},
+		{"no bytes", []listRecord{list(7, bb, bb, bb, 0)}, "term 7"},
+		{"longer than the list", []listRecord{list(199, bb, bb, bb, 2<<10)}, "term 199"},
+		{"unknown term", []listRecord{list(200, bb, bb, bb, 1<<10)}, "term 200"},
+		{"unaligned extent", []listRecord{list(7, bb+512, bb, bb+512, 1<<10)}, "term 7"},
+		{"extent outside the region", []listRecord{list(7, cfg.SSDListBytes, bb, cfg.SSDListBytes, 1<<10)}, "term 7"},
+		{"extents overlapping", []listRecord{good, list(8, 0, 2*bb, 0, 1<<10)}, "term 8"},
+		{"extent size changing", []listRecord{good, list(8, bb, 2*bb, bb+2<<10, 1<<10)}, "term 8"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newFixture(t, cfg).m
+			err := m.loadMappings(mappingImage(mappingVersion, cfg.Policy, tc.lists...))
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("refused: %v", err)
+			case tc.want == "":
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			case err == nil || !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+	m := newFixture(t, cfg).m
+	if err := m.loadMappings(mappingImage(1, cfg.Policy, good)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 image: error %v, want a refusal by version", err)
+	}
+}
+
+// FuzzLoadMappings: whatever bytes the metadata region holds, loadMappings
+// never panics, and an image it accepts leaves a manager that passes
+// CheckInvariants.
+func FuzzLoadMappings(f *testing.F) {
+	for _, policy := range []Policy{PolicyLRU, PolicyCBSLRU} {
+		cfg := testConfig(policy)
+		cfg.MemListBytes = 64 << 10
+		fx := newFixture(f, cfg)
+		fx.m.PinList(5)
+		fx.m.PinList(40)
+		fx.m.PinResult(500, entryOf(500, 0x77, cfg.ResultEntryBytes))
+		populate(f, fx)
+		if err := fx.m.SaveMappings(); err != nil {
+			f.Fatal(err)
+		}
+		head := make([]byte, 8)
+		fx.ssd.ReadAt(head, fx.m.metaOffset())
+		raw := make([]byte, binary.LittleEndian.Uint64(head))
+		fx.ssd.ReadAt(raw, fx.m.metaOffset()+8)
+		f.Add(raw)
+	}
+	f.Add(mappingImage(mappingVersion, PolicyCBSLRU, listRecord{Term: 7, ExtBytes: 128 << 10, ValidBytes: 1 << 10, Static: 1}))
+	cfg := testConfig(PolicyCBSLRU)
+	fx := newFixture(f, cfg) // loadMappings touches neither device
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, err := New(simclock.New(), fx.ix, fx.ssd, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.loadMappings(raw) == nil {
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("accepted image breaks an invariant: %v", err)
+			}
+		}
+	})
 }

@@ -92,10 +92,12 @@ func TestSSDListSameSizeOverwrite(t *testing.T) {
 	cfg.MemListBytes = 64 << 10
 	cfg.SSDListBytes = 4 * cfg.BlockBytes // room for only 4 one-block entries
 	f := newFixture(t, cfg)
-	// Stream enough single-block lists through that the region overflows
-	// and the same-size in-place overwrite path triggers.
+	// Stream enough lists through, the write buffer forced out after each
+	// so every block holds one or two, that the region overflows and the
+	// same-size in-place overwrite path triggers.
 	for i := 0; i < 40; i++ {
 		f.readSome(t, workload.TermID(30+i), 12<<10)
+		f.m.flushListBuffer()
 	}
 	s := f.m.Stats()
 	if s.ListWritesToSSD == 0 {

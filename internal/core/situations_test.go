@@ -43,7 +43,8 @@ func (f *situationFixture) classify(t *testing.T, qid uint64, reads map[workload
 	return 0
 }
 
-// evictToSSD forces term's L1 entry to the SSD by flushing it directly.
+// evictToSSD forces term's L1 entry to the SSD by flushing it directly and
+// writing the list write buffer out behind it.
 func (f *situationFixture) evictToSSD(t *testing.T, term workload.TermID) {
 	t.Helper()
 	e, ok := f.m.ic.Peek(uint64(term))
@@ -53,7 +54,8 @@ func (f *situationFixture) evictToSSD(t *testing.T, term workload.TermID) {
 	ml := e.Value
 	f.m.ic.RemoveEntry(e)
 	f.m.flushListToSSD(ml)
-	if f.m.ssdListFor(term) == nil {
+	f.m.flushListBuffer()
+	if sl := f.m.ssdListFor(term); sl == nil || sl.ext == nil {
 		t.Fatalf("term %d did not reach SSD", term)
 	}
 }

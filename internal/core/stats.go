@@ -149,8 +149,10 @@ type Stats struct {
 	ListBytesFromMem       int64
 	ListBytesFromSSD       int64
 	ListBytesFromHDD       int64
-	ListBytesToSSD         int64
-	ListWritesToSSD        int64
+	ListBytesToSSD         int64 // bytes of the device writes into the list region
+	ListWritesToSSD        int64 // those device writes
+	ListsWrittenToSSD      int64 // list prefixes they carried
+	ListPayloadBytesToSSD  int64 // prefix bytes among ListBytesToSSD; the rest is padding
 	ListWritesElided       int64
 	ListsDiscarded         int64
 	ListOverwritesInPlace  int64
@@ -242,6 +244,24 @@ func (s Stats) CombinedHitRatio() float64 {
 	hits := float64(s.ResultHitsMem+s.ResultHitsSSD) +
 		s.ListHitRatio()*float64(s.ListRequests)
 	return hits / float64(probes)
+}
+
+// ListsPerSSDWrite returns the packing factor of the L2 list region: list
+// prefixes carried per device write (1 when every list is written alone).
+func (s Stats) ListsPerSSDWrite() float64 {
+	if s.ListWritesToSSD == 0 {
+		return 0
+	}
+	return float64(s.ListsWrittenToSSD) / float64(s.ListWritesToSSD)
+}
+
+// ListPaddingShare returns the share of ListBytesToSSD that was zero padding
+// rounding extents up to whole blocks, not list bytes.
+func (s Stats) ListPaddingShare() float64 {
+	if s.ListBytesToSSD == 0 {
+		return 0
+	}
+	return 1 - float64(s.ListPayloadBytesToSSD)/float64(s.ListBytesToSSD)
 }
 
 // MeanQueryTime returns average simulated response time per query.

@@ -73,12 +73,12 @@ func (tb parsedTable) num(t *testing.T, row []string, col string) float64 {
 	return v
 }
 
-// TestPaperShapes runs table1, fig16 and fig18 once and asserts, from the
-// printed tables, the orderings the paper's argument rests on: a query
+// TestPaperShapes runs table1, fig14b and fig16–fig19 once and asserts, from
+// the printed tables, the orderings the paper's argument rests on: a query
 // served from the SSD cache costs what flash costs and far less than one
-// served from the HDD, and the two-level cache beats the one-level cache it
-// extends. Fig 17's sign (CBLRU vs LRU) is not asserted: it is inverted at
-// these scales until the geometry is the paper's (ROADMAP item 1).
+// served from the HDD, the two-level cache beats the one-level cache it
+// extends, and the cost-based policies beat LRU in response time (the
+// headline, Fig 17), hit ratio and block erasures.
 func TestPaperShapes(t *testing.T) {
 	sc := SmallScale()
 	if *shapesFull {
@@ -105,22 +105,35 @@ func TestPaperShapes(t *testing.T) {
 			}
 			cost[tb.cell(t, row, "situation")] = d
 		}
-		for _, s := range []string{"S1", "S2", "S5", "S9"} {
+		for _, s := range []string{"S1", "S2", "S5"} {
 			if cost[s] == 0 {
 				t.Fatalf("situation %s did not occur:\n%s", s, tb.text)
 			}
+		}
+		// The HDD side of the comparison is the cheapest situation that read
+		// any list bytes from the disk: with sub-block lists packed, queries
+		// whose lists all come from the HDD (S9) are under 1 % at small scale
+		// and do not occur at full scale.
+		var hdd time.Duration
+		for _, s := range []string{"S6", "S7", "S8", "S9"} {
+			if cost[s] > 0 && (hdd == 0 || cost[s] < hdd) {
+				hdd = cost[s]
+			}
+		}
+		if hdd == 0 {
+			t.Fatalf("no situation read the HDD:\n%s", tb.text)
 		}
 		flash := flashsim.DefaultParams(1 << 20)
 		entryRead := time.Duration(sc.cacheConfig(core.PolicyCBSLRU).ResultEntryBytes/int64(flash.PageSize)) * flash.PageReadLatency
 		if cost["S2"] > 2*entryRead {
 			t.Errorf("S2 = %v, over twice the %v of flash page reads a result entry takes:\n%s", cost["S2"], entryRead, tb.text)
 		}
-		if cost["S5"] >= cost["S9"]/4 {
-			t.Errorf("S5 = %v is not under a quarter of S9 = %v:\n%s", cost["S5"], cost["S9"], tb.text)
+		if cost["S5"] >= hdd/4 {
+			t.Errorf("S5 = %v is not under a quarter of the cheapest HDD situation's %v:\n%s", cost["S5"], hdd, tb.text)
 		}
-		if !(cost["S1"] < cost["S2"] && cost["S2"] < cost["S5"] && cost["S5"] < cost["S9"]) {
-			t.Errorf("want T(S1) < T(S2) < T(S5) < T(S9), got %v, %v, %v, %v:\n%s",
-				cost["S1"], cost["S2"], cost["S5"], cost["S9"], tb.text)
+		if !(cost["S1"] < cost["S2"] && cost["S2"] < cost["S5"] && cost["S5"] < hdd) {
+			t.Errorf("want T(S1) < T(S2) < T(S5) < T(cheapest of S6..S9), got %v, %v, %v, %v:\n%s",
+				cost["S1"], cost["S2"], cost["S5"], hdd, tb.text)
 		}
 	})
 
@@ -131,6 +144,50 @@ func TestPaperShapes(t *testing.T) {
 			if !(ri < r && r < one) {
 				t.Errorf("%s docs: want 2LC(RI) < 2LC(R) < 1LC(R)-HDD, got %v, %v, %v:\n%s",
 					tb.cell(t, row, "docs"), ri, r, one, tb.text)
+			}
+		}
+	})
+
+	// sweepMean returns the mean of a column over a table's rows.
+	sweepMean := func(t *testing.T, tb parsedTable, col string) float64 {
+		var sum float64
+		for _, row := range tb.rows {
+			sum += tb.num(t, row, col)
+		}
+		return sum / float64(len(tb.rows))
+	}
+
+	t.Run("fig17", func(t *testing.T) {
+		tb := tables(t, "fig17", 2)[0] // response time; the second is throughput
+		for _, row := range tb.rows {
+			lru, cb, cbs := tb.num(t, row, "LRU_ms"), tb.num(t, row, "CBLRU_ms"), tb.num(t, row, "CBSLRU_ms")
+			if !(cb < lru && cbs < lru) {
+				t.Errorf("%s docs: want CBLRU and CBSLRU under LRU, got %v and %v against %v:\n%s",
+					tb.cell(t, row, "docs"), cb, cbs, lru, tb.text)
+			}
+		}
+		if cb, cbs := sweepMean(t, tb, "CBLRU_ms"), sweepMean(t, tb, "CBSLRU_ms"); cbs > cb {
+			t.Errorf("CBSLRU averages %v ms over the sweep, above CBLRU's %v:\n%s", cbs, cb, tb.text)
+		}
+	})
+
+	t.Run("fig19", func(t *testing.T) {
+		tb := tables(t, "fig19", 2)[0] // cumulative erases; the second is access time
+		for _, row := range tb.rows {
+			lru, cb, cbs := tb.num(t, row, "LRU"), tb.num(t, row, "CBLRU"), tb.num(t, row, "CBSLRU")
+			if !(cb < lru && cbs < lru) {
+				t.Errorf("after %s queries: want CBLRU and CBSLRU erases under LRU's, got %v and %v against %v:\n%s",
+					tb.cell(t, row, "queries"), cb, cbs, lru, tb.text)
+			}
+		}
+	})
+
+	t.Run("fig14b", func(t *testing.T) {
+		tb := tables(t, "fig14b", 1)[0]
+		lru := sweepMean(t, tb, "LRU")
+		for _, policy := range []string{"CBLRU", "CBSLRU"} {
+			if ric := sweepMean(t, tb, policy); ric <= lru {
+				t.Errorf("%s averages RIC %v, not above LRU's %v:\n%s", policy, ric, lru, tb.text)
 			}
 		}
 	})

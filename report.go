@@ -27,9 +27,10 @@ func (s *System) Report() string {
 			st.Queries, st.MeanQueryTime(), st.Throughput())
 		fmt.Fprintf(&sb, "hit ratios: RC=%.3f IC=%.3f RIC=%.3f\n",
 			st.ResultHitRatio(), st.ListHitRatio(), st.CombinedHitRatio())
-		fmt.Fprintf(&sb, "list bytes: mem=%d ssd=%d hdd=%d to_ssd=%d elided=%d discarded=%d\n",
+		fmt.Fprintf(&sb, "list bytes: mem=%d ssd=%d hdd=%d to_ssd=%d elided=%d discarded=%d lists_per_write=%.1f padding=%.3f\n",
 			st.ListBytesFromMem, st.ListBytesFromSSD, st.ListBytesFromHDD,
-			st.ListBytesToSSD, st.ListWritesElided, st.ListsDiscarded)
+			st.ListBytesToSSD, st.ListWritesElided, st.ListsDiscarded,
+			st.ListsPerSSDWrite(), st.ListPaddingShare())
 		fmt.Fprintf(&sb, "results: mem_hits=%d ssd_hits=%d misses=%d rb_flushes=%d elided=%d\n",
 			st.ResultHitsMem, st.ResultHitsSSD, st.ResultMisses,
 			st.RBFlushes, st.ResultWritesElided)

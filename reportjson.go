@@ -100,6 +100,12 @@ type JSONReport struct {
 	MeanResponseUS int64   `json:"mean_response_us"`
 	ThroughputQPS  float64 `json:"throughput_qps"`
 
+	// ListsPerSSDWrite and ListPaddingShare are the placement regime of the
+	// SSD list region: list prefixes per device write (the packing factor)
+	// and the share of the bytes written there that was zero padding.
+	ListsPerSSDWrite float64 `json:"lists_per_ssd_write"`
+	ListPaddingShare float64 `json:"list_padding_share"`
+
 	HitRatios  *HitRatioReport       `json:"hit_ratios,omitempty"`
 	Situations []SituationReport     `json:"situations,omitempty"`
 	Stats      *core.Stats           `json:"stats,omitempty"`
@@ -138,6 +144,7 @@ func (s *System) BuildReport() *JSONReport {
 			IC:  st.ListHitRatio(),
 			RIC: st.CombinedHitRatio(),
 		}
+		r.ListsPerSSDWrite, r.ListPaddingShare = st.ListsPerSSDWrite(), st.ListPaddingShare()
 		r.Stats = &st
 		for _, row := range st.Situations.Table() {
 			sr := SituationReport{
