@@ -199,9 +199,11 @@ type System struct {
 	cacheCfg core.Config // effective manager config (after mode/PU wiring)
 	engCfg   engine.Config
 	docBytes int
-	// entryBytes is the manager's fixed result-entry size; New checked that
-	// TopK documents of docBytes encode within it.
-	entryBytes int64
+	// entry is the scratch results are encoded into, of the manager's fixed
+	// entry size (New checked that TopK documents of docBytes fit; PutResult
+	// copies it). Everything from entryDirty on is zero: padding stays zero.
+	entry      []byte
+	entryDirty int
 	baseline   engine.ListSource // raw index, for uncached execution
 	obs        *obs.Observer     // nil unless EnableObservability was called
 }
@@ -362,11 +364,11 @@ func New(cfg Config) (*System, error) {
 		s.Engine = engine.New(m, engCfg)
 		// A full result must fit the fixed entry: one that did not would be
 		// cached cut short and fail to decode on its first hit.
-		s.entryBytes = m.Config().ResultEntryBytes
+		s.entry = make([]byte, m.Config().ResultEntryBytes)
 		topK := s.Engine.Config().TopK
-		if need := engine.EncodedResultBytes(topK, s.docBytes); int64(need) > s.entryBytes {
+		if need := engine.EncodedResultBytes(topK, s.docBytes); need > len(s.entry) {
 			return nil, fmt.Errorf("hybrid: a result of Engine.TopK %d × DocResultBytes %d encodes to %d bytes, over Cache.ResultEntryBytes %d",
-				topK, s.docBytes, need, s.entryBytes)
+				topK, s.docBytes, need, len(s.entry))
 		}
 	} else {
 		s.Engine = engine.New(ix, engCfg)
@@ -485,15 +487,24 @@ func (s *System) search(q workload.Query, wait time.Duration) (*engine.Result, S
 	for _, ts := range stats.Terms {
 		m.RecordUtilization(ts.Term, ts.Utilization)
 	}
-	// One entry-sized buffer, encoded in place; New checked that it fits.
-	entry := res.EncodeTo(make([]byte, s.entryBytes), s.docBytes)
-	if err := m.PutResult(q.ID, entry); err != nil {
+	if err := m.PutResult(q.ID, s.encodeEntry(res)); err != nil {
 		m.EndQuery(sw.Elapsed())
 		return nil, SearchInfo{Elapsed: sw.Elapsed()}, err
 	}
 	info := SearchInfo{Elapsed: sw.Elapsed(), BytesRead: stats.BytesRead}
 	m.EndQuery(info.Elapsed)
 	return res, info, nil
+}
+
+// encodeEntry encodes res into the scratch, valid until the next call, after
+// clearing what a longer previous result left past this one's end.
+func (s *System) encodeEntry(res *engine.Result) []byte {
+	need := engine.EncodedResultBytes(len(res.Docs), s.docBytes)
+	if need < s.entryDirty {
+		clear(s.entry[need:s.entryDirty])
+	}
+	s.entryDirty = need
+	return res.EncodeTo(s.entry, s.docBytes)
 }
 
 // SaveCacheMappings persists the SSD cache's mapping tables to the cache

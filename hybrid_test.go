@@ -582,13 +582,38 @@ func TestHeteroTierSplitsWear(t *testing.T) {
 
 // TestSteadyStateAllocationBudget bounds what a query allocates on the host
 // once the caches are warm. A cache miss extends L1 prefixes in place, pads
-// SSD extents in one staging buffer and programs flash into recycled block
-// buffers, so what is left is what the caches keep (result entries,
-// first-touch prefixes) and the per-query result — not a fresh copy of every
-// list prefix and flash block a miss passes through.
+// SSD extents in one staging buffer, programs flash into recycled block
+// buffers and encodes its result into the System's scratch for a recycled
+// entry buffer of the cache, so what is left is the first-touch prefixes the
+// list cache keeps and the per-query result — not a fresh copy of every list
+// prefix, flash block and result entry a miss passes through.
 func TestSteadyStateAllocationBudget(t *testing.T) {
-	const warmup, measured, budget = 3000, 2000, 96 << 10
-	sys, err := New(smallConfig(core.PolicyCBLRU, CacheTwoLevel))
+	checkAllocationBudget(t, smallConfig(core.PolicyCBLRU, CacheTwoLevel), 3000, 2000, 72<<10)
+}
+
+// TestResultHitAllocationBudget is the hit path's budget, on a system shaped
+// like the benchmark's hot_results: every query's entry fits the result
+// caches, four hits in five are read from flash and promoted into the buffer
+// of the entry they evict, and what a query allocates is its decoded result.
+func TestResultHitAllocationBudget(t *testing.T) {
+	cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
+	cfg.QueryLog.DistinctQueries = 2000
+	cache := core.DefaultConfig(4 << 20)
+	cache.Policy, cache.TEV = cfg.Cache.Policy, cfg.Cache.TEV
+	cache.SSDResultBytes, cache.SSDListBytes = 64<<20, cfg.Cache.SSDListBytes
+	cfg.Cache = cache
+	sys := checkAllocationBudget(t, cfg, 20000, 5000, 2<<10)
+	if st := sys.Manager.Stats(); st.ResultHitsSSD < st.ResultHitsMem || st.ResultMisses > 2100 {
+		t.Fatalf("%d SSD hits, %d memory hits, %d misses: not the hot_results regime",
+			st.ResultHitsSSD, st.ResultHitsMem, st.ResultMisses)
+	}
+}
+
+// checkAllocationBudget builds cfg's system, warms it and fails the test if
+// the measured queries allocate more than budget bytes each.
+func checkAllocationBudget(t *testing.T, cfg Config, warmup, measured int, budget uint64) *System {
+	t.Helper()
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,11 +629,84 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	run(measured)
 	runtime.ReadMemStats(&after)
-	perQuery := (after.TotalAlloc - before.TotalAlloc) / measured
-	t.Logf("%d KiB and %d allocations per query", perQuery>>10, (after.Mallocs-before.Mallocs)/measured)
+	perQuery := (after.TotalAlloc - before.TotalAlloc) / uint64(measured)
+	t.Logf("%d B and %d allocations per query", perQuery, (after.Mallocs-before.Mallocs)/uint64(measured))
 	if perQuery > budget {
-		t.Fatalf("steady state allocates %d KiB per query, budget %d KiB", perQuery>>10, budget>>10)
+		t.Fatalf("steady state allocates %d B per query, budget %d B", perQuery, budget)
 	}
+	return sys
+}
+
+// TestShorterResultLeavesNoBytesOfALongerOne: results are encoded into one
+// scratch the System reuses, so a short result computed after a full one must
+// still reach the cache SSD as its encoding followed by zeros only.
+func TestShorterResultLeavesNoBytesOfALongerOne(t *testing.T) {
+	cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
+	cfg.Collection = workload.DefaultCollection(30000) // small, so rare terms match a handful of documents
+	cfg.Collection.VocabSize = 3000
+	cfg.Cache.MemResultBytes = 2 * cfg.Cache.ResultEntryBytes
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topK := sys.Engine.Config().TopK
+	common, rare := workload.TermID(-1), workload.TermID(-1)
+	for term := workload.TermID(0); int(term) < cfg.Collection.VocabSize; term++ {
+		switch df := sys.Index.TermDF(term); {
+		case common < 0 && df >= int64(4*topK):
+			common = term
+		case rare < 0 && df >= 1 && df <= 10:
+			rare = term
+		}
+	}
+	if common < 0 || rare < 0 {
+		t.Fatalf("collection has no term for a full result (%d) or for a short one (%d)", common, rare)
+	}
+	const longID, shortID = 900001, 900002
+	long, _, err := sys.Search(workload.Query{ID: longID, Terms: []workload.TermID{common}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, _, err := sys.Search(workload.Query{ID: shortID, Terms: []workload.TermID{rare}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(long.Docs) != topK || len(short.Docs) == 0 || len(short.Docs) >= topK {
+		t.Fatalf("results of %d and %d documents, want %d and fewer", len(long.Docs), len(short.Docs), topK)
+	}
+	// Push both out of L1 and through the write buffer onto the SSD.
+	for i := 0; sys.Manager.Stats().RBFlushes < 2 && i < 200; i++ {
+		if _, _, err := sys.Search(workload.Query{ID: uint64(910000 + i), Terms: []workload.TermID{rare}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Manager.FlushWriteBuffer()
+
+	entry := make([]byte, cfg.Cache.ResultEntryBytes)
+	for off := int64(0); off+int64(len(entry)) <= cfg.Cache.SSDResultBytes; off += int64(len(entry)) {
+		if off%cfg.Cache.BlockBytes+int64(len(entry)) > cfg.Cache.BlockBytes {
+			off = (off/cfg.Cache.BlockBytes+1)*cfg.Cache.BlockBytes - int64(len(entry))
+			continue // slots do not straddle blocks
+		}
+		if _, err := sys.CacheSSD.ReadAt(entry, off); err != nil {
+			t.Fatal(err)
+		}
+		res, err := engine.DecodeResult(entry)
+		if err != nil || res.QueryID != shortID {
+			continue
+		}
+		enc := engine.EncodedResultBytes(len(res.Docs), sys.Engine.Config().DocResultBytes)
+		if !reflect.DeepEqual(res.Docs, short.Docs) {
+			t.Fatal("the slot on the SSD decodes to other documents than the query returned")
+		}
+		for i, b := range entry[enc:] {
+			if b != 0 {
+				t.Fatalf("byte %d past the %d-byte encoding is %#x, want zero padding", i, enc, b)
+			}
+		}
+		return
+	}
+	t.Fatal("the short result's entry was not found in the SSD result region")
 }
 
 // TestNewRefusesResultEntryThatCannotFit: a full result of TopK documents

@@ -35,6 +35,9 @@ type List[V any] struct {
 	items    map[uint64]*Entry[V]
 	head     Entry[V] // sentinel: head.next is MRU
 	tail     Entry[V] // sentinel: tail.prev is LRU
+	// spare is the entry removed last. A full cache pairs every insert with
+	// an eviction, so the next Put reuses it instead of allocating.
+	spare *Entry[V]
 }
 
 // NewList builds a list with the given byte capacity (> 0).
@@ -77,7 +80,7 @@ func (l *List[V]) Peek(key uint64) (*Entry[V], bool) {
 }
 
 // Put inserts a new MRU entry. It panics if the key is already resident
-// (update via Get + mutate, or Remove first) or if size exceeds capacity.
+// (update via Get + mutate, or RemoveEntry first) or if size exceeds capacity.
 // Put does NOT evict; callers make room first so the policy layer controls
 // victim selection. It returns the new entry.
 func (l *List[V]) Put(key uint64, size int64, value V) *Entry[V] {
@@ -90,7 +93,12 @@ func (l *List[V]) Put(key uint64, size int64, value V) *Entry[V] {
 	if _, ok := l.items[key]; ok {
 		panic(fmt.Sprintf("cache: duplicate key %d", key))
 	}
-	e := &Entry[V]{Key: key, Size: size, Value: value, owner: l}
+	e := l.spare
+	if e == nil {
+		e = new(Entry[V])
+	}
+	l.spare = nil
+	*e = Entry[V]{Key: key, Size: size, Value: value, owner: l}
 	l.items[key] = e
 	l.pushFront(e)
 	l.used += size
@@ -101,17 +109,8 @@ func (l *List[V]) Put(key uint64, size int64, value V) *Entry[V] {
 // eviction.
 func (l *List[V]) Fits(size int64) bool { return l.used+size <= l.capacity }
 
-// Remove detaches the entry for key and returns it.
-func (l *List[V]) Remove(key uint64) (*Entry[V], bool) {
-	e, ok := l.items[key]
-	if !ok {
-		return nil, false
-	}
-	l.RemoveEntry(e)
-	return e, true
-}
-
 // RemoveEntry detaches a resident entry obtained from Get/Peek/TailWindow.
+// Its fields stay readable until the next Put, which may reuse it.
 func (l *List[V]) RemoveEntry(e *Entry[V]) {
 	if e.owner != l {
 		panic("cache: entry does not belong to this list")
@@ -120,6 +119,7 @@ func (l *List[V]) RemoveEntry(e *Entry[V]) {
 	delete(l.items, e.Key)
 	l.used -= e.Size
 	e.owner = nil
+	l.spare = e
 }
 
 // Resize changes an entry's accounted size in place (for example when a

@@ -57,15 +57,49 @@ func TestTouchPromotes(t *testing.T) {
 func TestRemove(t *testing.T) {
 	l := NewList[any](100)
 	l.Put(1, 30, nil)
-	e, ok := l.Remove(1)
-	if !ok || e.Key != 1 {
-		t.Fatalf("Remove = %+v, %v", e, ok)
+	e, _ := l.Peek(1)
+	l.RemoveEntry(e)
+	if e.Key != 1 || e.Size != 30 {
+		t.Fatalf("removed entry no longer readable: %+v", e)
 	}
 	if l.Used() != 0 || l.Len() != 0 {
 		t.Fatal("accounting not restored")
 	}
-	if _, ok := l.Remove(1); ok {
-		t.Fatal("double remove succeeded")
+	if _, ok := l.Peek(1); ok {
+		t.Fatal("removed key still resident")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double remove succeeded")
+		}
+	}()
+	l.RemoveEntry(e)
+}
+
+// TestPutRecyclesRemovedEntry: an insert paired with an eviction — every
+// insert into a full cache — reuses the victim's entry and allocates nothing.
+func TestPutRecyclesRemovedEntry(t *testing.T) {
+	l := NewList[int](3)
+	for k := uint64(0); k < 3; k++ {
+		l.Put(k, 1, int(k))
+	}
+	next := uint64(3)
+	allocs := testing.AllocsPerRun(100, func() {
+		victim := l.LRUEntry()
+		l.RemoveEntry(victim)
+		if e := l.Put(next, 1, int(next)); e != victim || e.Key != next || e.Value != int(next) {
+			t.Fatalf("Put(%d) = %+v, want the victim's entry reused", next, e)
+		}
+		next++
+	})
+	if allocs != 0 || l.Len() != 3 || l.Used() != 3 {
+		t.Fatalf("%v allocations per paired insert, %d entries, %d bytes", allocs, l.Len(), l.Used())
+	}
+	for k := next - 3; k < next; k++ { // LRU to MRU order survives recycling
+		if e := l.LRUEntry(); e.Key != k {
+			t.Fatalf("LRU = %d, want %d", e.Key, k)
+		}
+		l.RemoveEntry(l.LRUEntry())
 	}
 }
 

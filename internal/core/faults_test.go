@@ -23,10 +23,12 @@ var errFlaky = errors.New("flaky: scripted device failure")
 // counting reads and trims and recording the range of every write it lets
 // through. It always implements Trimmer (trims are forwarded to an inner
 // Trimmer, no-ops otherwise) so trim error paths are reachable over a
-// MemDevice inner.
+// MemDevice inner. readsLeft, when set, counts down the reads that still
+// succeed before failReads sets itself.
 type flakyDevice struct {
 	inner        storage.Device
 	failReads    bool
+	readsLeft    int
 	failWrites   bool
 	failTrims    bool
 	reads, trims int
@@ -40,6 +42,10 @@ func (d *flakyDevice) ReadAt(p []byte, off int64) (time.Duration, error) {
 	d.reads++
 	if d.failReads {
 		return 0, errFlaky
+	}
+	if d.readsLeft > 0 {
+		d.readsLeft--
+		d.failReads = d.readsLeft == 0
 	}
 	return d.inner.ReadAt(p, off)
 }
@@ -604,7 +610,8 @@ func (s *eventSums) check(t *testing.T, st Stats) {
 // stats≡trace contract (DESIGN §9): under probabilistic fault injection —
 // transient errors on every op class, sticky bad extents, a pre-seeded dead
 // range — summing event payloads still reproduces core.Stats exactly, the
-// invariants hold after every step, and nothing panics. Each policy runs
+// invariants hold after every step, every result hit is the query's own entry
+// although freed entry buffers are poisoned, and nothing panics. Each policy runs
 // twice: over the fixture's roomy list region, and over one of four blocks,
 // where packed extents are replaced, quarantined and superseded all the time.
 func TestDivergenceUnderInjectedFaults(t *testing.T) {
@@ -645,11 +652,12 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 				rng := simclock.NewRNG(17)
 				for i := 0; i < 4000; i++ {
 					qid := rng.Uint64() % 300
-					if _, src := f.m.GetResult(qid); src == ResultMiss {
-						if err := f.m.PutResult(qid, entryOf(qid, byte(qid), cfg.ResultEntryBytes)); err != nil {
-							t.Fatal(err)
-						}
+					if got, src := f.m.GetResult(qid); src != ResultMiss {
+						checkResultHit(t, i, qid, got, byte(qid), 0x11) // computed, or pinned
+					} else if err := f.m.PutResult(qid, entryOf(qid, byte(qid), cfg.ResultEntryBytes)); err != nil {
+						t.Fatal(err)
 					}
+					poisonFreeEntries(f.m) // a freed buffer something still reads shows as wrong bytes
 					term := workload.TermID(rng.Uint64() % uint64(f.spec.VocabSize))
 					n := int64(1<<10) + int64(rng.Uint64()%(16<<10))
 					if total := f.ix.ListBytes(term); n > total {

@@ -28,6 +28,8 @@ import (
 //     mapped back by icDyn or icStatic, which map nothing else but the
 //     buffered prefixes — each held in memory, not yet placed, and summing to
 //     listBufBytes.
+//  7. Every free entry buffer is whole, listed once and held by neither L1 nor
+//     the write buffer; all of them fit a full L1, a full write buffer and one.
 func (m *Manager) CheckInvariants() error {
 	// (1) result mapping bijectivity.
 	for qid, loc := range m.resultLoc {
@@ -175,6 +177,28 @@ func (m *Manager) CheckInvariants() error {
 	if m.ic.Used() > m.ic.Capacity() || m.ic.Used()+m.listBufBytes > m.cfg.MemListBytes {
 		return fmt.Errorf("L1 IC over capacity: %d > %d, or with %d buffered over %d",
 			m.ic.Used(), m.ic.Capacity(), m.listBufBytes, m.cfg.MemListBytes)
+	}
+
+	// (7) entry buffers, by the address of their first byte.
+	holder := make(map[*byte]string)
+	m.rc.Ascend(func(e *cache.Entry[memResult]) bool {
+		holder[&e.Value.data[0]] = "L1"
+		return true
+	})
+	for _, b := range m.writeBuf {
+		holder[&b.data[0]] = "the write buffer"
+	}
+	for _, buf := range m.freeEntries {
+		if int64(len(buf)) != m.cfg.ResultEntryBytes {
+			return fmt.Errorf("free entry buffer of %d bytes, want %d", len(buf), m.cfg.ResultEntryBytes)
+		}
+		if by, ok := holder[&buf[0]]; ok {
+			return fmt.Errorf("free entry buffer is also held by %s", by)
+		}
+		holder[&buf[0]] = "the free list"
+	}
+	if bound := int(m.cfg.MemResultBytes/m.cfg.ResultEntryBytes) + m.entriesPerRB + 1; len(holder) > bound {
+		return fmt.Errorf("%d entry buffers in existence, bound %d", len(holder), bound)
 	}
 	return nil
 }

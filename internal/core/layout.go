@@ -19,7 +19,8 @@ type layout interface {
 	// region, or discards it. The region exists and the SSD is healthy.
 	flushList(ml *memList)
 	// evictResult places a result entry evicted from L1 in the L2 result
-	// region, or drops it. The region exists.
+	// region, or drops it, and owns mr.data from the call on (freeEntry once
+	// nothing needs it). The region exists.
 	evictResult(qid uint64, mr *memResult)
 	// copiedUp applies the Fig 9 transition to a dynamic SSD entry whose
 	// content was just copied back into memory.

@@ -69,7 +69,9 @@ func (l blockLogLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []by
 	}
 	copy(grown[have:endPos], p[have-off:])
 	if target > endPos {
-		m.readThrough(t, endPos, grown[endPos:])
+		// The prefix reaches as far as readahead bytes arrived.
+		target = endPos + m.readThrough(t, endPos, grown[endPos:])
+		grown = grown[:target]
 		m.stats.ListBytesPrefetched += target - endPos
 	}
 
@@ -250,10 +252,12 @@ func (l blockLogLayout) evictResult(qid uint64, mr *memResult) {
 	if loc, ok := m.resultLoc[qid]; ok {
 		loc.state = stateNormal
 		m.stats.ResultWritesElided++
+		m.freeEntry(mr.data)
 		return
 	}
 	if !m.adm.AdmitResult(qid) {
 		m.stats.ResultsRejectedByAdmission++
+		m.freeEntry(mr.data)
 		return
 	}
 	m.writeBuf = append(m.writeBuf, bufferedResult{qid: qid, data: mr.data, loadedAt: mr.loadedAt})
@@ -272,29 +276,27 @@ func (m *Manager) flushResultBlock() {
 	if len(m.writeBuf) < n {
 		return
 	}
-	batch := m.writeBuf[:n]
-	m.writeBuf = append([]bufferedResult(nil), m.writeBuf[n:]...)
+	// The batch moves to its own scratch and the buffer shifts down in place,
+	// so a failed write re-queues behind the entries that arrived since.
+	batch := m.rbBatch[:copy(m.rbBatch, m.writeBuf)]
+	m.writeBuf = m.writeBuf[:copy(m.writeBuf, m.writeBuf[n:])]
 
-	if !m.ssdHealthy() {
-		// Breaker open: flushing would hammer the failing device. Drop the
-		// batch with accounting instead of letting the buffer grow unbounded.
-		m.stats.ResultsDropped += int64(n)
-		return
+	// Breaker open (flushing would hammer the failing device) or no block to
+	// be had: drop the batch with accounting, not let the buffer grow unbounded.
+	var off int64
+	ok := m.ssdHealthy()
+	if ok {
+		if off, ok = m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes); !ok {
+			if rb := m.chooseVictimRB(); rb != nil {
+				m.retireRB(rb)
+				off, ok = m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes)
+			}
+		}
 	}
-
-	off, ok := m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes)
 	if !ok {
-		rb := m.chooseVictimRB()
-		if rb == nil {
-			m.stats.ResultsDropped += int64(n)
-			return
-		}
-		m.retireRB(rb)
-		off, ok = m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes)
-		if !ok {
-			m.stats.ResultsDropped += int64(n)
-			return
-		}
+		m.stats.ResultsDropped += int64(n)
+		m.freeBatch(batch)
+		return
 	}
 
 	rb := &resultBlock{num: m.nextRB, off: off, slots: make([]*ssdResult, n)}
@@ -317,6 +319,7 @@ func (m *Manager) flushResultBlock() {
 			delete(m.resultLoc, b.qid)
 			if b.requeued {
 				m.stats.ResultsDropped++
+				m.freeEntry(b.data)
 				continue
 			}
 			b.requeued = true
@@ -325,10 +328,18 @@ func (m *Manager) flushResultBlock() {
 		}
 		return
 	}
+	m.freeBatch(batch) // staging holds the bytes now
 	m.stats.ResultBytesToSSD += m.cfg.BlockBytes
 	m.stats.RBFlushes++
 	m.emit(Event{Kind: EvResultFlush, Bytes: m.cfg.BlockBytes})
 	m.rbLRU.Put(rb.num, m.cfg.BlockBytes, rb)
+}
+
+// freeBatch takes back the buffers of write-buffer entries leaving memory.
+func (m *Manager) freeBatch(batch []bufferedResult) {
+	for _, b := range batch {
+		m.freeEntry(b.data)
+	}
 }
 
 // chooseVictimRB returns the RB with the largest IREN inside the
@@ -350,8 +361,9 @@ func (m *Manager) chooseVictimRB() *resultBlock {
 	return best
 }
 
-// retireRB invalidates an RB's remaining entries and frees its extent.
-func (m *Manager) retireRB(rb *resultBlock) {
+// unmapRB drops the mappings of an RB's remaining entries and takes it off
+// the LRU list; what becomes of its extent is the caller's business.
+func (m *Manager) unmapRB(rb *resultBlock) {
 	for _, loc := range rb.slots {
 		if loc != nil {
 			delete(m.resultLoc, loc.qid)
@@ -360,6 +372,11 @@ func (m *Manager) retireRB(rb *resultBlock) {
 	if e, ok := m.rbLRU.Peek(rb.num); ok {
 		m.rbLRU.RemoveEntry(e)
 	}
+}
+
+// retireRB invalidates an RB's remaining entries and frees its extent.
+func (m *Manager) retireRB(rb *resultBlock) {
+	m.unmapRB(rb)
 	m.rcAlloc.Free(rb.off, m.cfg.BlockBytes)
 	m.ssdTrim(rb.off, m.cfg.BlockBytes)
 	m.stats.RBRetired++
@@ -386,14 +403,7 @@ func (l blockLogLayout) expireResult(loc *ssdResult) {
 // freed. No trim — the range is being abandoned, not recycled.
 func (l blockLogLayout) quarantineResult(loc *ssdResult) {
 	m, rb := l.m, loc.rb
-	for _, loc := range rb.slots {
-		if loc != nil {
-			delete(m.resultLoc, loc.qid)
-		}
-	}
-	if e, ok := m.rbLRU.Peek(rb.num); ok {
-		m.rbLRU.RemoveEntry(e)
-	}
+	m.unmapRB(rb)
 	m.quarantine(m.rcAlloc, rb.off, m.cfg.BlockBytes)
 	m.stats.RBRetired++
 	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})

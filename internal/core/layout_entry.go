@@ -22,13 +22,13 @@ func (l entryLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []byte,
 	}
 	whole := make([]byte, total)
 	// Reuse the bytes already in hand; fetch the rest from the
-	// hierarchy below L1 (SSD prefix if cached, index otherwise).
+	// hierarchy below L1 (SSD prefix if cached, index otherwise). A list
+	// that did not arrive whole is not cached.
 	copy(whole[off:], p)
-	if off > 0 {
-		m.readThrough(t, 0, whole[:off])
-	}
-	if rest := total - (off + int64(len(p))); rest > 0 {
-		m.readThrough(t, off+int64(len(p)), whole[off+int64(len(p)):])
+	end := off + int64(len(p))
+	if (off > 0 && m.readThrough(t, 0, whole[:off]) < off) ||
+		(end < total && m.readThrough(t, end, whole[end:]) < total-end) {
+		return
 	}
 	m.insertL1List(t, whole)
 }
@@ -84,6 +84,7 @@ func (m *Manager) freeLRUList(x *listExtent) {
 // offset the allocator yields — the small-random-write storm of §VI-C1.
 func (l entryLayout) evictResult(qid uint64, mr *memResult) {
 	m := l.m
+	defer m.freeEntry(mr.data) // written or lost, memory is done with it
 	size := int64(len(mr.data))
 	if !m.ssdHealthy() {
 		m.stats.ResultsDropped++
@@ -125,10 +126,7 @@ func (l entryLayout) evictResult(qid uint64, mr *memResult) {
 
 // freeLRUResult releases a baseline pseudo-RB.
 func (m *Manager) freeLRUResult(loc *ssdResult) {
-	delete(m.resultLoc, loc.qid)
-	if e, ok := m.rbLRU.Peek(loc.rb.num); ok {
-		m.rbLRU.RemoveEntry(e)
-	}
+	m.unmapRB(loc.rb)
 	m.rcAlloc.Free(loc.rb.off, m.cfg.ResultEntryBytes)
 	m.stats.L2ResultEvictions++
 	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
@@ -144,10 +142,7 @@ func (l entryLayout) expireResult(loc *ssdResult) { l.m.freeLRUResult(loc) }
 // failed: the extent is quarantined (never re-allocated) instead of freed.
 func (l entryLayout) quarantineResult(loc *ssdResult) {
 	m := l.m
-	delete(m.resultLoc, loc.qid)
-	if e, ok := m.rbLRU.Peek(loc.rb.num); ok {
-		m.rbLRU.RemoveEntry(e)
-	}
+	m.unmapRB(loc.rb)
 	m.quarantine(m.rcAlloc, loc.rb.off, m.cfg.ResultEntryBytes)
 	m.stats.L2ResultEvictions++
 	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})

@@ -160,17 +160,20 @@ func (m *Manager) fillL1List(t workload.TermID, l1 *memList, off int64, p []byte
 }
 
 // readThrough reads list bytes from below L1 (L2 copy then index), without
-// touching L1 or Fig 9 state. Used by whole-list fetches and readahead. A
-// failed index read leaves the tail unserved and uncounted.
-func (m *Manager) readThrough(t workload.TermID, off int64, p []byte) {
+// touching L1 or Fig 9 state, and returns how many leading bytes of p it
+// delivered. Used by whole-list fetches and readahead. A failed index read
+// leaves the tail unserved and uncounted, and the caller must not cache it.
+func (m *Manager) readThrough(t workload.TermID, off int64, p []byte) int64 {
 	n, _ := m.readL2(t, off, p)
 	if rest := p[n:]; len(rest) > 0 {
-		if err := m.ix.ReadListRange(t, off+n, rest); err == nil {
-			m.stats.ListBytesFromHDD += int64(len(rest))
-			m.noteTermSource(t, srcHDD)
-			m.emit(Event{Kind: EvListRead, Term: t, Level: LevelHDD, Bytes: int64(len(rest))})
+		if err := m.ix.ReadListRange(t, off+n, rest); err != nil {
+			return n
 		}
+		m.stats.ListBytesFromHDD += int64(len(rest))
+		m.noteTermSource(t, srcHDD)
+		m.emit(Event{Kind: EvListRead, Term: t, Level: LevelHDD, Bytes: int64(len(rest))})
 	}
+	return int64(len(p))
 }
 
 // insertL1List makes room and inserts a fresh L1 entry for t.

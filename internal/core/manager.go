@@ -130,7 +130,8 @@ type bufferedResult struct {
 	requeued bool
 }
 
-// memResult is an L1 result-cache payload.
+// memResult is an L1 result-cache payload. data is an entry buffer of the
+// cache's own: whoever drops its last reference hands it to freeEntry.
 type memResult struct {
 	data     []byte
 	loadedAt time.Duration
@@ -158,8 +159,8 @@ type Manager struct {
 	nsPerByteMem float64
 
 	// L1.
-	rc *cache.List[*memResult] // by query ID
-	ic *cache.List[*memList]   // by term ID
+	rc *cache.List[memResult] // by query ID
+	ic *cache.List[*memList]  // by term ID
 
 	// L2 result cache.
 	entriesPerRB int
@@ -168,7 +169,13 @@ type Manager struct {
 	rcAlloc      *storage.Allocator
 	writeBuf     []bufferedResult
 	nextRB       uint64
-	staticRBs    []*resultBlock
+	rbBatch      []bufferedResult // flushResultBlock's batch, entriesPerRB long
+	// freeEntries is the LIFO of entry buffers nothing references any more.
+	// L1 holds a fixed number of fixed-size entries, so an insert takes its
+	// victim's buffer; one is made only while the list is empty, which keeps
+	// buffers in existence within the entries alive at once (CheckInvariants).
+	freeEntries [][]byte
+	staticRBs   []*resultBlock
 
 	// L2 inverted-list cache. Dynamic lists are found by term in icDyn,
 	// whether still in the list write buffer or inside an extent of icLRU;
@@ -261,7 +268,7 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		ssd:          ssd,
 		ssdq:         ssdQueue{clock: clock},
 		nsPerByteMem: float64(time.Second) / float64(cfg.MemBytesPerSecond),
-		rc:           cache.NewList[*memResult](cfg.MemResultBytes),
+		rc:           cache.NewList[memResult](cfg.MemResultBytes),
 		entriesPerRB: int(cfg.BlockBytes / cfg.ResultEntryBytes),
 		resultLoc:    make(map[uint64]*ssdResult),
 		icDyn:        make(map[workload.TermID]*ssdList),
@@ -275,6 +282,7 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		return nil, fmt.Errorf("core: result entry %d larger than block %d",
 			cfg.ResultEntryBytes, cfg.BlockBytes)
 	}
+	m.rbBatch = make([]bufferedResult, m.entriesPerRB)
 	if cfg.SSDResultBytes > 0 {
 		m.rbLRU = cache.NewList[*resultBlock](cfg.SSDResultBytes)
 		m.rcAlloc = storage.NewAllocator(cfg.SSDResultBytes)
@@ -395,6 +403,22 @@ func (m *Manager) ssdWrite(p []byte, off int64) error {
 	m.ssdq.enqueue(lat)
 	return nil
 }
+
+// entryBuf returns an entry buffer for the caller to overwrite whole: recycled,
+// dirty on purpose, before new. Out of line: its make is one allocbudget row.
+//
+//go:noinline
+func (m *Manager) entryBuf() []byte {
+	if n := len(m.freeEntries); n > 0 {
+		buf := m.freeEntries[n-1]
+		m.freeEntries = m.freeEntries[:n-1]
+		return buf
+	}
+	return make([]byte, m.cfg.ResultEntryBytes)
+}
+
+// freeEntry takes back an entry buffer whose last reference was just dropped.
+func (m *Manager) freeEntry(buf []byte) { m.freeEntries = append(m.freeEntries, buf) }
 
 // stagingBuf returns the staging buffer sized for an n-byte extent whose
 // first payload bytes the caller is about to overwrite; the rest is zero.

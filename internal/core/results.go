@@ -15,52 +15,54 @@ const (
 )
 
 // GetResult looks a query's cached result entry up: L1, then the write
-// buffer (still memory), then the L2 result cache on SSD. A hit is copied
-// to the caller and — per the hybrid scheme — an SSD hit is promoted to L1
-// while the SSD copy goes replaceable (Fig 9).
+// buffer (still memory), then the L2 result cache on SSD. Per the hybrid
+// scheme an SSD hit is promoted to L1 while the SSD copy goes replaceable
+// (Fig 9). The slice returned is a view of a cache-owned buffer, valid until
+// the next call into the Manager: decode it or copy it, never keep or write it.
 func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 	bumpFreq(m.queryFreq, qid, m.cfg.FreqCap)
 
 	if e, ok := m.rc.Get(qid); ok {
-		mr := e.Value
-		if m.resultExpired(mr.loadedAt) {
-			m.rc.RemoveEntry(e)
-			m.stats.ResultsExpired++
-		} else {
-			m.memCost(len(mr.data))
-			m.noteResultSource(srcMem)
-			m.stats.ResultHitsMem++
-			m.emit(Event{Kind: EvResultHit, Level: LevelMem, Bytes: int64(len(mr.data))})
-			return mr.data, ResultFromMemory
+		mr := &e.Value
+		if !m.resultExpired(mr.loadedAt) {
+			return m.resultMemHit(mr.data)
 		}
+		m.rc.RemoveEntry(e)
+		m.freeEntry(mr.data)
+		m.stats.ResultsExpired++
 	}
 	for _, b := range m.writeBuf {
 		if b.qid == qid && !m.resultExpired(b.loadedAt) {
-			m.memCost(len(b.data))
-			m.noteResultSource(srcMem)
-			m.stats.ResultHitsMem++
-			m.emit(Event{Kind: EvResultHit, Level: LevelMem, Bytes: int64(len(b.data))})
-			return b.data, ResultFromMemory
+			return m.resultMemHit(b.data)
 		}
 	}
 	if loc, ok := m.resultLoc[qid]; ok {
-		if !loc.rb.static && m.resultExpired(loc.loadedAt) {
-			m.expireSSDResult(loc)
-			m.stats.ResultMisses++
-			m.emit(Event{Kind: EvResultMiss})
-			return nil, ResultMiss
-		}
-		if !m.ssdHealthy() {
+		switch {
+		case !loc.rb.static && m.resultExpired(loc.loadedAt):
+			// The layout counts and emits the eviction (stats≡trace, DESIGN
+			// §9) and releases what its placement unit allows.
+			m.stats.ResultsExpired++
+			m.lay.expireResult(loc)
+		case !m.ssdHealthy():
 			// Breaker open: route around the SSD tier. The mapping stays —
 			// the entry may still be readable once the breaker closes.
 			m.noteDegraded()
-			m.stats.ResultMisses++
-			m.emit(Event{Kind: EvResultMiss})
-			return nil, ResultMiss
-		}
-		data := make([]byte, m.cfg.ResultEntryBytes)
-		off := loc.rb.off + int64(loc.slot)*m.cfg.ResultEntryBytes
-		if err := m.ssdRead(data, off); err == nil {
+		default:
+			data := m.entryBuf() // dirty: the device overwrites all of it
+			off := loc.rb.off + int64(loc.slot)*m.cfg.ResultEntryBytes
+			if err := m.ssdRead(data, off); err != nil {
+				// Read failure (error already accounted by ssdRead). A dynamic
+				// extent that failed a read is retired and quarantined — on real
+				// SSDs a failing range tends to keep failing, so re-reading or
+				// re-allocating it would convert one fault into many. Static RBs
+				// are left in place (the breaker guards repeated failures; the
+				// static partition is rebuilt offline).
+				m.freeEntry(data)
+				if !loc.rb.static {
+					m.lay.quarantineResult(loc)
+				}
+				break
+			}
 			m.noteResultSource(srcSSD)
 			m.stats.ResultHitsSSD++
 			m.emit(Event{Kind: EvResultHit, Level: LevelSSD, Bytes: int64(len(data))})
@@ -68,27 +70,18 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 			// serves straight from SSD until repeat demand); the layout's
 			// Fig 9 transition only applies when the data actually moved up.
 			promote := m.repl.PromoteResultToL1(qid)
-			if !loc.rb.static && promote {
-				m.lay.copiedUp(&loc.state)
-			}
-			if m.rbLRU != nil && !loc.rb.static {
-				if e, ok := m.rbLRU.Peek(loc.rb.num); ok {
-					m.rbLRU.Touch(e)
+			if !loc.rb.static {
+				if promote {
+					m.lay.copiedUp(&loc.state)
 				}
+				m.rbLRU.Get(loc.rb.num) // promotes the RB
 			}
 			if promote {
 				m.putResultL1(qid, data)
+			} else {
+				m.freeEntry(data) // the caller's view outlives this call only
 			}
 			return data, ResultFromSSD
-		}
-		// Read failure (error already accounted by ssdRead). A dynamic
-		// extent that failed a read is retired and quarantined — on real
-		// SSDs a failing range tends to keep failing, so re-reading or
-		// re-allocating it would convert one fault into many. Static RBs
-		// are left in place (the breaker guards repeated failures; the
-		// static partition is rebuilt offline).
-		if !loc.rb.static {
-			m.lay.quarantineResult(loc)
 		}
 	}
 	m.stats.ResultMisses++
@@ -96,33 +89,47 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 	return nil, ResultMiss
 }
 
-// expireSSDResult removes a TTL-expired dynamic SSD result entry with full
-// accounting: the layout counts and emits the eviction (stats≡trace,
-// DESIGN §9) and releases what its placement unit allows.
-func (m *Manager) expireSSDResult(loc *ssdResult) {
-	m.stats.ResultsExpired++
-	m.lay.expireResult(loc)
+// resultMemHit accounts a result served from memory, L1 or the write buffer.
+func (m *Manager) resultMemHit(data []byte) ([]byte, ResultSource) {
+	m.memCost(len(data))
+	m.noteResultSource(srcMem)
+	m.stats.ResultHitsMem++
+	m.emit(Event{Kind: EvResultHit, Level: LevelMem, Bytes: int64(len(data))})
+	return data, ResultFromMemory
 }
 
 // PutResult caches a freshly computed result entry in L1. The entry must
 // be exactly ResultEntryBytes long (the paper's fixed-length entries);
 // shorter payloads are padded by the caller, via PadResult or by encoding
-// into an entry-sized buffer.
+// into an entry-sized buffer. data is copied into a cache-owned buffer and
+// not retained (storage.Device.WriteAt's contract): the caller may reuse it.
 //
 // Result entries are immutable per query ID: the paper's evaluation is the
 // static scenario (§IV-B), where recomputing a query always yields the same
-// entry. Re-putting an ID refreshes recency, not content.
+// entry. Re-putting an ID refreshes recency, not content, and copies nothing.
 func (m *Manager) PutResult(qid uint64, data []byte) error {
 	if int64(len(data)) != m.cfg.ResultEntryBytes {
 		return fmt.Errorf("core: result entry %d bytes, want %d", len(data), m.cfg.ResultEntryBytes)
 	}
-	m.putResultL1(qid, data)
+	if e, ok := m.rc.Peek(qid); ok {
+		if !m.resultExpired(e.Value.loadedAt) {
+			m.rc.Touch(e)
+			return nil
+		}
+		m.rc.RemoveEntry(e) // refresh expired content below
+		m.freeEntry(e.Value.data)
+		m.stats.ResultsExpired++
+	}
+	buf := m.entryBuf()
+	copy(buf, data)
+	m.putResultL1(qid, buf)
 	return nil
 }
 
-// PadResult pads an encoded result to the fixed entry size. An entry that
-// is already longer is returned as it is — cutting it would store bytes that
-// no longer decode — for PutResult and PinResult to refuse.
+// PadResult pads an encoded result to the fixed entry size in a new slice
+// the caller owns. An entry that is already longer is returned as it is —
+// cutting it would store bytes that no longer decode — for PutResult and
+// PinResult to refuse.
 func (m *Manager) PadResult(data []byte) []byte {
 	if int64(len(data)) >= m.cfg.ResultEntryBytes {
 		return data
@@ -132,46 +139,40 @@ func (m *Manager) PadResult(data []byte) []byte {
 	return out
 }
 
-// putResultL1 inserts into the L1 result cache, evicting LRU entries into
-// the SSD path as needed (§VI-C1: L1 RC victims are chosen by LRU under
-// every policy; the policies differ below L1).
+// putResultL1 inserts a non-resident query's entry buffer into the L1 result
+// cache, which owns it from here, evicting LRU entries into the SSD path as
+// needed (§VI-C1: L1 RC victims are chosen by LRU under every policy; the
+// policies differ below L1).
 func (m *Manager) putResultL1(qid uint64, data []byte) {
-	if e, ok := m.rc.Peek(qid); ok {
-		if !m.resultExpired(e.Value.loadedAt) {
-			m.rc.Touch(e)
-			return
-		}
-		m.rc.RemoveEntry(e) // refresh expired content below
-		m.stats.ResultsExpired++
-	}
 	size := int64(len(data))
 	for !m.rc.Fits(size) {
 		victim := m.rc.LRUEntry()
 		if victim == nil {
+			m.freeEntry(data)
 			return
 		}
 		m.rc.RemoveEntry(victim)
 		m.stats.L1ResultEvictions++
 		m.emit(Event{Kind: EvResultEvict, Level: LevelMem})
-		m.evictResultToSSD(victim.Key, victim.Value)
+		m.evictResultToSSD(victim.Key, &victim.Value)
 	}
-	m.rc.Put(qid, size, &memResult{data: data, loadedAt: m.clock.Now()})
+	m.rc.Put(qid, size, memResult{data: data, loadedAt: m.clock.Now()})
 	m.memCost(int(size))
 }
 
 // evictResultToSSD routes an L1 result eviction to the L2 result cache.
-// Expired entries are dropped instead of flushed: stale data is not worth
-// SSD writes.
+// Expired entries are dropped instead of flushed: stale data is not worth SSD
+// writes. The buffer goes with the entry: to the layout, or to the free list.
 func (m *Manager) evictResultToSSD(qid uint64, mr *memResult) {
 	if m.resultExpired(mr.loadedAt) {
 		m.stats.ResultsExpired++
-		return
-	}
-	if m.rbLRU == nil {
+	} else if m.rbLRU == nil {
 		m.stats.ResultsDropped++
+	} else {
+		m.lay.evictResult(qid, mr)
 		return
 	}
-	m.lay.evictResult(qid, mr)
+	m.freeEntry(mr.data)
 }
 
 // PinResult stores an encoded result entry in the static partition of the

@@ -71,7 +71,7 @@ func (s *System) WarmupStatic(sampleQueries int) (WarmupStats, error) {
 		for _, ts := range stats.Terms {
 			s.Manager.RecordUtilization(ts.Term, ts.Utilization)
 		}
-		if !s.Manager.PinResult(qid, res.EncodeTo(make([]byte, s.entryBytes), s.docBytes)) {
+		if !s.Manager.PinResult(qid, s.encodeEntry(res)) {
 			break
 		}
 		ws.PinnedResults++
