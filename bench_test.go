@@ -1,17 +1,9 @@
-// Package hybrid_test is the benchmark harness: one benchmark per
-// table/figure of the paper's evaluation (each regenerates its rows at
-// SmallScale, output discarded), plus microbenchmarks of the substrates.
-// Run the full-scale printed versions with
-// `go run ./cmd/hybridbench -scale full`.
+// Package hybrid_test holds microbenchmarks of the substrates. The paper's
+// experiments are timed by the benchmark in bench/ (its basket workload runs
+// every one of them) and printed by `go run ./cmd/hybridbench`.
 package hybrid_test
 
-// The benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (each regenerates its rows at SmallScale and prints nothing),
-// plus microbenchmarks of the substrates. Run the full-scale printed
-// versions with `go run ./cmd/hybridbench -scale full`.
-
 import (
-	"io"
 	"testing"
 
 	hybrid "hybridstore"
@@ -26,41 +18,6 @@ import (
 	"hybridstore/internal/storage"
 	"hybridstore/internal/workload"
 )
-
-// benchExperiment runs one experiment regenerator per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	exp, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	sc := experiments.SmallScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := exp.Run(io.Discard, sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig01_IOTrace(b *testing.B)           { benchExperiment(b, "fig1") }
-func BenchmarkSec3_IOStats(b *testing.B)            { benchExperiment(b, "iostats") }
-func BenchmarkFig03_Distributions(b *testing.B)     { benchExperiment(b, "fig3") }
-func BenchmarkTable1_Situations(b *testing.B)       { benchExperiment(b, "table1") }
-func BenchmarkFig14a_HitRatioRCIC(b *testing.B)     { benchExperiment(b, "fig14a") }
-func BenchmarkFig14b_HitRatioPolicies(b *testing.B) { benchExperiment(b, "fig14b") }
-func BenchmarkFig15_NoCache(b *testing.B)           { benchExperiment(b, "fig15") }
-func BenchmarkFig16_OneVsTwoLevel(b *testing.B)     { benchExperiment(b, "fig16") }
-func BenchmarkFig17_PolicyPerformance(b *testing.B) { benchExperiment(b, "fig17") }
-func BenchmarkFig18_CostPerformance(b *testing.B)   { benchExperiment(b, "fig18") }
-func BenchmarkFig19_InsideSSD(b *testing.B)         { benchExperiment(b, "fig19") }
-func BenchmarkTables23_Environment(b *testing.B)    { benchExperiment(b, "tables23") }
-func BenchmarkAblations_DesignChoices(b *testing.B) { benchExperiment(b, "ablate") }
-func BenchmarkFTLComparison(b *testing.B)           { benchExperiment(b, "ftl") }
-func BenchmarkDynamicScenarioTTL(b *testing.B)      { benchExperiment(b, "dynamic") }
-func BenchmarkThreeLevelIntersections(b *testing.B) { benchExperiment(b, "threelevel") }
-
-// --- substrate microbenchmarks ---
 
 func BenchmarkSSDSequentialBlockWrite(b *testing.B) {
 	d := flashsim.New("ssd", simclock.New(), flashsim.DefaultParams(64<<20))
@@ -135,25 +92,6 @@ func BenchmarkIndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dev := storage.NewMemDevice("idx", need, simclock.New(), storage.DefaultMemParams())
 		if _, err := index.Build(dev, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEngineExecute(b *testing.B) {
-	spec := workload.DefaultCollection(200_000)
-	spec.VocabSize = 1000
-	dev := storage.NewMemDevice("idx", index.RequiredBytes(spec)+4096,
-		simclock.New(), storage.DefaultMemParams())
-	ix, err := index.Build(dev, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := engine.New(ix, engine.DefaultConfig())
-	log := workload.NewQueryLog(workload.DefaultQueryLog(spec.VocabSize))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Execute(log.Next()); err != nil {
 			b.Fatal(err)
 		}
 	}

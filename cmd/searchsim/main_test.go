@@ -4,14 +4,16 @@ import (
 	"testing"
 
 	hybrid "hybridstore"
+	"hybridstore/internal/core"
 	"hybridstore/internal/flashsim"
 )
 
-// TestFlagParsers covers the three enum flags searchsim parses itself or
-// through flashsim: every accepted spelling maps to its constant, and a
-// value that is not on the list is an error (main exits 2), never a silent
-// default.
+// TestFlagParsers covers the four enum flags searchsim parses itself or
+// through core and flashsim: every accepted spelling maps to its constant,
+// and a value that is not on the list is an error (main exits 2), never a
+// silent default.
 func TestFlagParsers(t *testing.T) {
+	policy := func(s string) (any, error) { return core.ParsePolicy(s) }
 	mode := func(s string) (any, error) { return parseMode(s) }
 	placement := func(s string) (any, error) { return parsePlacement(s) }
 	ftl := func(s string) (any, error) { return flashsim.ParseFTL(s) }
@@ -21,6 +23,10 @@ func TestFlagParsers(t *testing.T) {
 		in    string
 		want  any // nil: must be rejected
 	}{
+		{"-policy", policy, "lru", core.PolicyLRU},
+		{"-policy", policy, "CBSLRU", core.PolicyCBSLRU},
+		{"-policy", policy, "TinyLFU", core.PolicyTinyLFU},
+		{"-policy", policy, "bidi", nil},
 		{"-mode", mode, "none", hybrid.CacheNone},
 		{"-mode", mode, "onelevel", hybrid.CacheOneLevel},
 		{"-mode", mode, "TwoLevel", hybrid.CacheTwoLevel},
@@ -48,5 +54,11 @@ func TestFlagParsers(t *testing.T) {
 		case c.want != nil && got != c.want:
 			t.Errorf("%s %q = %v, want %v", c.flag, c.in, got, c.want)
 		}
+	}
+	// The error names every policy that is left, so a stale script learns
+	// what to run instead.
+	_, err := core.ParsePolicy("bidi")
+	if want := `unknown policy "bidi" (want lru, cblru, cbslru, tinylfu)`; err == nil || err.Error() != want {
+		t.Errorf("-policy bidi: %v, want %s", err, want)
 	}
 }

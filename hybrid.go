@@ -21,6 +21,7 @@ package hybrid
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -209,10 +210,10 @@ type System struct {
 }
 
 // Validate reports configuration errors a System cannot be built from:
-// unknown enum values, and policy×mode pairings that would silently
-// misconfigure (a static-partition or bidirectional policy without an SSD
-// level, a heterogeneous tier without a two-level cache). New calls it
-// first, so CLIs and library users get identical rejections.
+// unknown enum values, pairings that would silently misconfigure (a
+// static-partition policy without an SSD level, a heterogeneous tier without
+// a two-level cache), and a slow-tier factor that is negative or not finite.
+// New calls it first, so CLIs and library users get identical rejections.
 func (c Config) Validate() error {
 	switch c.Mode {
 	case CacheNone, CacheOneLevel, CacheTwoLevel:
@@ -247,8 +248,8 @@ func (c Config) Validate() error {
 		if c.Cache.SSDResultBytes <= 0 || c.Cache.SSDListBytes <= 0 {
 			return fmt.Errorf("hybrid: HeteroCacheTier needs both SSD cache regions configured")
 		}
-		if c.HeteroSlowFactor < 0 {
-			return fmt.Errorf("hybrid: negative HeteroSlowFactor %g", c.HeteroSlowFactor)
+		if f := c.HeteroSlowFactor; f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("hybrid: HeteroSlowFactor %g, want a finite factor ≥ 0", f)
 		}
 	}
 	return nil
@@ -402,9 +403,15 @@ func buildHeteroCache(eff core.Config, slowFactor float64) (*flashsim.Tiered, er
 		factor = defaultHeteroSlowFactor
 	}
 	slowParams := flashsim.DefaultParams(listBytes + (2 << 20))
-	slowParams.PageReadLatency = time.Duration(float64(slowParams.PageReadLatency) * factor)
-	slowParams.PageWriteLatency = time.Duration(float64(slowParams.PageWriteLatency) * factor)
-	slowParams.BlockEraseLatency = time.Duration(float64(slowParams.BlockEraseLatency) * factor)
+	for _, lat := range []*time.Duration{&slowParams.PageReadLatency, &slowParams.PageWriteLatency, &slowParams.BlockEraseLatency} {
+		// A latency past the int64 range would convert to garbage, and one
+		// that rounds to zero or below would run the clock backwards.
+		scaled := float64(*lat) * factor
+		if !(scaled < 1<<63) || time.Duration(scaled) <= 0 {
+			return nil, fmt.Errorf("hybrid: HeteroSlowFactor %g scales a %v flash latency out of range", factor, *lat)
+		}
+		*lat = time.Duration(scaled)
+	}
 
 	tierClock := simclock.New()
 	fast := flashsim.New("cache-ssd-fast", tierClock, fastParams)

@@ -1,16 +1,22 @@
 package core
 
-import "hybridstore/internal/workload"
+import (
+	"hybridstore/internal/cache"
+	"hybridstore/internal/workload"
+)
 
-// layout is the placement half of a cache configuration: the unit L1 caches
-// an inverted list in, and where, in what unit and with which state
-// transitions evicted data lands on the SSD. The paper compares exactly two
-// — the LRU baseline's entries (§VII, layout_entry.go) and the cost-based
+// layout is what a cache configuration does: the unit L1 caches an inverted
+// list in and which entry it evicts, and where, in what unit and with which
+// state transitions evicted data lands on the SSD. The paper compares exactly
+// two — the LRU baseline's entries (§VII, layout_entry.go) and the cost-based
 // family's block-aligned log (§VI, layout_blocklog.go) — and New picks one
-// from the policy's registry entry. Policies decide (policy.go); layouts
-// place. Each method has exactly one call site in the Manager's serving
-// paths, which therefore carry no policy conditional of their own.
+// from the policy's registry entry (policy.go). Each method has exactly one
+// call site in the Manager's serving paths, which therefore carry no policy
+// conditional of their own.
 type layout interface {
+	// chooseL1ListVictim picks the next L1 inverted-list eviction victim,
+	// never returning exclude. Nil means nothing evictable.
+	chooseL1ListVictim(exclude *cache.Entry[*memList]) *cache.Entry[*memList]
 	// fillL1 caches the bytes ReadListRange just served for t (p, at list
 	// offset off of a total-byte list) in the L1 list cache. l1 is t's
 	// resident entry or nil; hddTail says the disk head sits at the end of p.

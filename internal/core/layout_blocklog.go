@@ -8,13 +8,41 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// blockLogLayout is the cost-based family's placement (§VI): L1 caches the
-// Formula-1 used prefix of a list; L1 evictions pass selection, then land
-// in whole block-aligned extents — list prefixes through the Fig 13 ladder,
-// result entries through the write buffer as assembled result blocks — and
-// an SSD entry whose content was copied back up goes replaceable (Fig 9),
-// to be overwritten first.
-type blockLogLayout struct{ m *Manager }
+// blockLogLayout is the cost-based family (§VI): L1 caches the Formula-1 used
+// prefix of a list and evicts by efficiency value (Fig 12); L1 evictions pass
+// selection, then land in whole block-aligned extents — list prefixes through
+// the Fig 13 ladder, result entries through the write buffer as assembled
+// result blocks — and an SSD entry whose content was copied back up goes
+// replaceable (Fig 9), to be overwritten first. doorkeeper is the registry's
+// Doorkeeper bit: selection first turns away what the frequency sketches have
+// seen less than twice.
+type blockLogLayout struct {
+	m          *Manager
+	doorkeeper bool
+}
+
+// chooseL1ListVictim picks the minimum-EV entry within the replace-first
+// window (Fig 12), skipping exclude.
+func (l blockLogLayout) chooseL1ListVictim(exclude *cache.Entry[*memList]) *cache.Entry[*memList] {
+	m := l.m
+	window := m.cfg.WindowW
+	if window < 8 {
+		window = 8
+	}
+	var best *cache.Entry[*memList]
+	bestEV := 0.0
+	for _, e := range m.ic.TailWindow(window + 1) { // +1 headroom for exclude
+		if e == exclude {
+			continue
+		}
+		ml := e.Value
+		v := ev(m.termFreq[ml.term], m.scBlocks(int64(len(ml.prefix)), m.pu(ml.term)))
+		if best == nil || v < bestEV {
+			best, bestEV = e, v
+		}
+	}
+	return best
+}
 
 // fillL1 grows the contiguous used prefix, rounded up by the readahead
 // quantum when the disk head is already positioned past the tail.
@@ -102,10 +130,14 @@ func (l blockLogLayout) flushList(ml *memList) {
 	sc := m.scBlocks(si, 1)
 	scBytes := sc * m.cfg.BlockBytes
 
-	// Selection: the admission policy decides what is worth flash writes
-	// (the paper's EV-vs-TEV check under the cost-based policies; the
-	// frequency doorkeeper additionally rejects one-hit wonders).
-	if !m.adm.AdmitList(ml.term, sc) || scBytes > m.icLRU.Capacity() {
+	// Selection: what is worth flash writes is the paper's EV-vs-TEV check,
+	// behind the doorkeeper, which rejects one-hit wonders first.
+	if l.doorkeeper && m.termFreq[ml.term] < 2 {
+		m.stats.ListsRejectedByAdmission++
+		m.stats.ListsDiscarded++
+		return
+	}
+	if ev(m.termFreq[ml.term], sc) < m.cfg.TEV || scBytes > m.icLRU.Capacity() {
 		m.stats.ListsDiscarded++
 		return
 	}
@@ -243,7 +275,8 @@ func (m *Manager) placeListExtent(x *listExtent) (ok bool) {
 }
 
 // evictResult queues the entry in the write buffer for RB assembly, unless
-// the SSD already holds it or admission turns it away.
+// the SSD already holds it or the doorkeeper turns it away. The paper buffers
+// every other evicted result entry.
 func (l blockLogLayout) evictResult(qid uint64, mr *memResult) {
 	m := l.m
 	// Write-buffer check (Fig 10): if the SSD already holds a valid copy
@@ -255,7 +288,7 @@ func (l blockLogLayout) evictResult(qid uint64, mr *memResult) {
 		m.freeEntry(mr.data)
 		return
 	}
-	if !m.adm.AdmitResult(qid) {
+	if l.doorkeeper && m.queryFreq[qid] < 2 {
 		m.stats.ResultsRejectedByAdmission++
 		m.freeEntry(mr.data)
 		return

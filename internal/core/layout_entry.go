@@ -1,13 +1,29 @@
 package core
 
-import "hybridstore/internal/workload"
+import (
+	"hybridstore/internal/cache"
+	"hybridstore/internal/workload"
+)
 
-// entryLayout is the LRU baseline's placement (§VII): L1 caches whole
-// inverted lists, and every L1 eviction is written to the SSD at once as
-// one entry, at whatever unaligned offset the allocator yields, evicting
-// strictly by recency. No selection, no write buffer, no replaceable state,
-// no trim — the write pattern the paper blames for block erasures.
+// entryLayout is the LRU baseline (§VII): L1 caches whole inverted lists, and
+// every L1 eviction is written to the SSD at once as one entry, at whatever
+// unaligned offset the allocator yields, evicting strictly by recency at both
+// levels. No selection, no write buffer, no replaceable state, no trim — the
+// write pattern the paper blames for block erasures.
 type entryLayout struct{ m *Manager }
+
+// chooseL1ListVictim picks the least-recently-used entry, skipping exclude.
+func (l entryLayout) chooseL1ListVictim(exclude *cache.Entry[*memList]) *cache.Entry[*memList] {
+	var v *cache.Entry[*memList]
+	l.m.ic.Ascend(func(e *cache.Entry[*memList]) bool {
+		if e != exclude {
+			v = e
+			return false
+		}
+		return true
+	})
+	return v
+}
 
 // fillL1 caches the whole list (classic list caching, the baseline's
 // capacity handicap the paper calls out in §VII-A).

@@ -13,11 +13,11 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// noVictim is a replacement policy that finds nothing to evict from L1, so
-// an extension that needs room cannot get it.
-type noVictim struct{ ReplacementPolicy }
+// noVictim is a layout that finds nothing to evict from L1, so an extension
+// that needs room cannot get it.
+type noVictim struct{ layout }
 
-func (noVictim) ChooseL1ListVictim(*cache.Entry[*memList]) *cache.Entry[*memList] { return nil }
+func (noVictim) chooseL1ListVictim(*cache.Entry[*memList]) *cache.Entry[*memList] { return nil }
 
 // TestFailedPrefixExtensionLeavesEntryUntouched: the bytes of an extension
 // are written past len(prefix) before the cache is asked for room. When it
@@ -47,8 +47,8 @@ func TestFailedPrefixExtensionLeavesEntryUntouched(t *testing.T) {
 	before := append([]byte(nil), l1.prefix...)
 	used := f.m.ic.Used()
 
-	policy := f.m.repl
-	f.m.repl = noVictim{policy}
+	lay := f.m.lay
+	f.m.lay = noVictim{lay}
 	for attempt := 0; attempt < 3; attempt++ {
 		got := make([]byte, have+chunk)
 		if err := f.m.ReadListRange(term, 0, got); err != nil {
@@ -69,7 +69,7 @@ func TestFailedPrefixExtensionLeavesEntryUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f.m.repl = policy
+	f.m.lay = lay
 	got := make([]byte, have+chunk)
 	if err := f.m.ReadListRange(term, 0, got); err != nil {
 		t.Fatal(err)

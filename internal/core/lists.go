@@ -13,8 +13,8 @@ const maxL1EntryShare = 2
 
 // ReadListRange implements engine.ListSource: it serves list bytes from the
 // memory cache, then the SSD cache, then the backing index, charging each
-// level's simulated cost, and caches what it read according to the active
-// policy. This is the paper's Query Management path for inverted lists.
+// level's simulated cost, and caches what it read in the layout's unit. This
+// is the paper's Query Management path for inverted lists.
 func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 	total := m.ix.ListBytes(t)
 	if off < 0 || off+int64(len(p)) > total {
@@ -75,7 +75,7 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 		hddTail = true
 	}
 
-	m.fillL1List(t, l1, off, p, total, hddTail)
+	m.lay.fillL1(t, l1, off, p, total, hddTail)
 	return nil
 }
 
@@ -148,17 +148,6 @@ func (m *Manager) onSSDListHit(sl *ssdList) {
 	}
 }
 
-// fillL1List caches the bytes just served in L1, in the layout's caching
-// unit, once the policy's first-touch gate lets the list in.
-func (m *Manager) fillL1List(t workload.TermID, l1 *memList, off int64, p []byte, total int64, hddTail bool) {
-	// First-touch admission gate (the bidirectional filter's upward
-	// direction); extensions of a resident prefix are always allowed.
-	if l1 == nil && !m.repl.AdmitNewL1List(t) {
-		return
-	}
-	m.lay.fillL1(t, l1, off, p, total, hddTail)
-}
-
 // readThrough reads list bytes from below L1 (L2 copy then index), without
 // touching L1 or Fig 9 state, and returns how many leading bytes of p it
 // delivered. Used by whole-list fetches and readahead. A failed index read
@@ -191,12 +180,12 @@ func (m *Manager) insertL1List(t workload.TermID, data []byte) {
 }
 
 // makeRoomIC evicts L1 list entries until need bytes fit, never evicting
-// exclude. Victim choice is the policy's: strict LRU for the baseline, or
+// exclude. Victim choice is the layout's: strict LRU for the baseline, or
 // minimum efficiency value within the replace-first window for the
 // cost-based policies (Fig 12).
 func (m *Manager) makeRoomIC(need int64, exclude *cache.Entry[*memList]) {
 	for !m.ic.Fits(need) {
-		victim := m.repl.ChooseL1ListVictim(exclude)
+		victim := m.lay.chooseL1ListVictim(exclude)
 		if victim == nil {
 			return
 		}

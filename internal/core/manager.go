@@ -149,12 +149,9 @@ type Manager struct {
 	ix    *index.Index
 	ssd   storage.Device // nil = one-level cache (memory only)
 
-	// repl and adm are the pluggable policy pair built from the registry
-	// for cfg.Policy (see policy.go); lay is the placement the registry
-	// entry's Baseline bit selects (see layout.go).
-	repl ReplacementPolicy
-	adm  AdmissionPolicy
-	lay  layout
+	// lay is the layout the registry entry's Baseline bit selects for
+	// cfg.Policy (see policy.go, layout.go).
+	lay layout
 
 	nsPerByteMem float64
 
@@ -292,11 +289,10 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		m.icAlloc = storage.NewAllocator(cfg.SSDListBytes)
 	}
 	info := policyRegistry[cfg.Policy] // in range: Validate checked it
-	m.repl, m.adm = info.New(m)
 	if info.Baseline {
 		m.lay = entryLayout{m}
 	} else {
-		m.lay = blockLogLayout{m}
+		m.lay = blockLogLayout{m: m, doorkeeper: info.Doorkeeper}
 		if m.icLRU != nil {
 			// One block of write buffer, paid for out of the L1 list budget
 			// so policies are compared at equal memory.

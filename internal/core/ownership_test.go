@@ -123,38 +123,6 @@ func TestPutResultCopiesAndDoesNotRetain(t *testing.T) {
 	}
 }
 
-// TestGetResultViewLastsUntilNextCall: an SSD hit the policy does not
-// promote is served from a buffer that is already back on the free list;
-// the view is good until the next call into the Manager reuses it.
-func TestGetResultViewLastsUntilNextCall(t *testing.T) {
-	f := newFixture(t, testConfig(PolicyBidi))
-	size := f.m.Config().ResultEntryBytes
-	for q := uint64(1); q <= 40; q++ {
-		f.m.GetResult(q)
-		f.m.GetResult(q) // seen twice, so admission lets it down to the SSD
-		f.m.PutResult(q, entryOf(q, byte(q), size))
-	}
-	for q := uint64(1); q <= 40; q++ {
-		if _, onSSD := f.m.resultLoc[q]; !onSSD {
-			continue
-		}
-		f.m.queryFreq[q] = 1 // demand has decayed: the hit below is served, not promoted
-		got, src := f.m.GetResult(q)
-		if _, promoted := f.m.rc.Peek(q); src != ResultFromSSD || promoted {
-			t.Fatalf("query %d: src %v, promoted %v, want an un-promoted SSD hit", q, src, promoted)
-		}
-		checkResultHit(t, 0, q, got, byte(q))
-		if n := len(f.m.freeEntries); n == 0 || &f.m.freeEntries[n-1][0] != &got[0] {
-			t.Fatal("un-promoted SSD read did not return its buffer to the free list")
-		}
-		if err := f.m.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	t.Fatal("nothing reached the SSD")
-}
-
 // TestCheckInvariantsCoversFreeEntries plants each violation clause 7 names.
 func TestCheckInvariantsCoversFreeEntries(t *testing.T) {
 	plant := func(name, want string, corrupt func(m *Manager)) {

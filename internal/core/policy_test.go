@@ -63,19 +63,17 @@ func TestPolicyStringNeverFallsBack(t *testing.T) {
 }
 
 func TestPolicyTraits(t *testing.T) {
-	// The registry's two data bits are load-bearing: Baseline picks the
-	// layout, Static the partition — together they encode the exact
-	// behavior the byte-identity goldens pin.
+	// The registry's three data bits are load-bearing: Baseline picks the
+	// layout, Static the partition, Doorkeeper the block log's frequency gate
+	// — together they encode the exact behavior the byte-identity goldens pin.
 	cases := []struct {
-		policy                              Policy
-		baseline, static                    bool
-		requiresTwoLevel, rejectsSingletons bool
+		policy                       Policy
+		baseline, static, doorkeeper bool
 	}{
-		{PolicyLRU, true, false, false, false},
-		{PolicyCBLRU, false, false, false, false},
-		{PolicyCBSLRU, false, true, true, false},
-		{PolicyTinyLFU, false, false, false, true},
-		{PolicyBidi, false, false, true, true},
+		{PolicyLRU, true, false, false},
+		{PolicyCBLRU, false, false, false},
+		{PolicyCBSLRU, false, true, false},
+		{PolicyTinyLFU, false, false, true},
 	}
 	if len(cases) != len(policyRegistry) {
 		t.Fatalf("%d cases for %d registered policies", len(cases), len(policyRegistry))
@@ -83,8 +81,8 @@ func TestPolicyTraits(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.policy.String(), func(t *testing.T) {
 			info := policyRegistry[c.policy]
-			if info.Baseline != c.baseline || info.Static != c.static {
-				t.Errorf("registry bits Baseline=%v Static=%v", info.Baseline, info.Static)
+			if info.Baseline != c.baseline || info.Static != c.static || info.Doorkeeper != c.doorkeeper {
+				t.Errorf("registry bits Baseline=%v Static=%v Doorkeeper=%v", info.Baseline, info.Static, info.Doorkeeper)
 			}
 			f := newFixture(t, testConfig(c.policy))
 			if _, entry := f.m.lay.(entryLayout); entry != c.baseline {
@@ -93,13 +91,14 @@ func TestPolicyTraits(t *testing.T) {
 			if f.m.UsesStaticPartition() != c.static {
 				t.Errorf("Manager.UsesStaticPartition = %v", f.m.UsesStaticPartition())
 			}
-			if c.policy.RequiresTwoLevel() != c.requiresTwoLevel {
-				t.Errorf("RequiresTwoLevel = %v", c.policy.RequiresTwoLevel())
+			if c.policy.RequiresTwoLevel() != c.static {
+				t.Errorf("RequiresTwoLevel = %v, want Static", c.policy.RequiresTwoLevel())
 			}
-			// A term never seen before: frequency-gated admission rejects it,
-			// the TEV-style admissions accept it (TEV=0 in testConfig).
-			if got := f.m.adm.AdmitList(workload.TermID(150), 1); got == c.rejectsSingletons {
-				t.Errorf("AdmitList(cold term) = %v", got)
+			// A term never seen before: the doorkeeper rejects its evicted
+			// list, TEV selection accepts it (TEV=0 in testConfig).
+			f.m.lay.flushList(&memList{term: 150, prefix: make([]byte, 4<<10)})
+			if rejected := f.m.Stats().ListsRejectedByAdmission == 1; rejected != c.doorkeeper {
+				t.Errorf("flushList(cold term) rejected = %v", rejected)
 			}
 		})
 	}
@@ -112,47 +111,37 @@ func TestRegistryIndexedByPolicy(t *testing.T) {
 		if info.ID != Policy(i) {
 			t.Errorf("policyRegistry[%d].ID = %d", i, info.ID)
 		}
-		if info.New == nil || info.Name == "" || info.Display == "" {
+		if info.Name == "" || info.Display == "" {
 			t.Errorf("policyRegistry[%d] incomplete: %+v", i, info)
 		}
 	}
 }
 
+// TestFreqGatedAdmissionWarmsUp probes the doorkeeper at its two sites, the
+// block log's list flush and result eviction, below and at the threshold.
 func TestFreqGatedAdmissionWarmsUp(t *testing.T) {
-	f := newFixture(t, testConfig(PolicyTinyLFU))
+	m := newFixture(t, testConfig(PolicyTinyLFU)).m
 	term := workload.TermID(42)
-	if f.m.adm.AdmitList(term, 1) {
+	flush := func() { m.lay.flushList(&memList{term: term, prefix: make([]byte, 4<<10)}) }
+	flush()
+	if m.icDyn[term] != nil || m.stats.ListsRejectedByAdmission != 1 || m.stats.ListsDiscarded != 1 {
 		t.Fatal("admitted a never-seen term")
 	}
-	f.m.stats.ListsRejectedByAdmission = 0 // only count the probe above
-	f.m.termFreq[term] = 2
-	if !f.m.adm.AdmitList(term, 1) {
+	m.termFreq[term] = 2
+	flush()
+	if m.icDyn[term] == nil || m.stats.ListsRejectedByAdmission != 1 {
 		t.Fatal("rejected a term at the frequency threshold")
 	}
-	if f.m.adm.AdmitResult(7) {
+	m.lay.evictResult(7, &memResult{data: m.entryBuf()})
+	if len(m.writeBuf) != 0 || m.stats.ResultsRejectedByAdmission != 1 {
 		t.Fatal("admitted a never-seen query result")
 	}
-	f.m.queryFreq[7] = 2
-	if !f.m.adm.AdmitResult(7) {
+	m.queryFreq[7] = 2
+	m.lay.evictResult(7, &memResult{data: m.entryBuf()})
+	if len(m.writeBuf) != 1 || m.stats.ResultsRejectedByAdmission != 1 {
 		t.Fatal("rejected a query at the frequency threshold")
 	}
-}
-
-func TestBidiPromotionThresholds(t *testing.T) {
-	f := newFixture(t, testConfig(PolicyBidi))
-	r := f.m.repl
-	if r.PromoteResultToL1(5) {
-		t.Fatal("promoted a cold query's result")
-	}
-	f.m.queryFreq[5] = 3
-	if !r.PromoteResultToL1(5) {
-		t.Fatal("did not promote a hot query's result")
-	}
-	if r.AdmitNewL1List(9) {
-		t.Fatal("admitted a cold term's list into L1")
-	}
-	f.m.termFreq[9] = 2
-	if !r.AdmitNewL1List(9) {
-		t.Fatal("rejected a warm term's list from L1")
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -66,21 +66,11 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 			m.noteResultSource(srcSSD)
 			m.stats.ResultHitsSSD++
 			m.emit(Event{Kind: EvResultHit, Level: LevelSSD, Bytes: int64(len(data))})
-			// Promotion is the policy's call (the bidirectional filter
-			// serves straight from SSD until repeat demand); the layout's
-			// Fig 9 transition only applies when the data actually moved up.
-			promote := m.repl.PromoteResultToL1(qid)
 			if !loc.rb.static {
-				if promote {
-					m.lay.copiedUp(&loc.state)
-				}
+				m.lay.copiedUp(&loc.state)
 				m.rbLRU.Get(loc.rb.num) // promotes the RB
 			}
-			if promote {
-				m.putResultL1(qid, data)
-			} else {
-				m.freeEntry(data) // the caller's view outlives this call only
-			}
+			m.putResultL1(qid, data)
 			return data, ResultFromSSD
 		}
 	}

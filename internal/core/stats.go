@@ -161,9 +161,9 @@ type Stats struct {
 	L1ListEvictions        int64
 	L2ListEvictions        int64
 
-	// Admission-policy accounting (the zoo's frequency doorkeepers).
+	// Admission accounting (TinyLFU's frequency doorkeeper).
 	// ListsRejectedByAdmission sub-classifies ListsDiscarded: evicted
-	// lists the admission policy's frequency gate kept off the flash.
+	// lists the doorkeeper kept off the flash.
 	// ResultsRejectedByAdmission counts evicted result entries the gate
 	// dropped before they reached the write buffer.
 	ListsRejectedByAdmission   int64

@@ -7,6 +7,34 @@ import (
 	"hybridstore/internal/workload"
 )
 
+// TestExecuteAllocBudget: once the engine's scratch has grown, a query costs
+// 3 host allocations — its Result, the Result's Docs and the TermStats slice.
+// (The root-package benchmark this replaces budgeted 4 per op because it drew
+// each query from the log inside the timed loop, the query's terms included.)
+func TestExecuteAllocBudget(t *testing.T) {
+	spec := workload.DefaultCollection(200_000)
+	spec.VocabSize = 1000
+	e := New(codecIndex(t, spec, index.CodecRaw), DefaultConfig())
+	log := workload.NewQueryLog(workload.DefaultQueryLog(spec.VocabSize))
+	queries := make([]workload.Query, 500)
+	for i := range queries {
+		queries[i] = log.Next()
+		if _, _, err := e.Execute(queries[i]); err != nil { // grows the scratch
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(queries), func() {
+		if _, _, err := e.Execute(queries[i%len(queries)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 3 {
+		t.Fatalf("Execute: %.0f allocs per query, budget 3", allocs)
+	}
+}
+
 // BenchmarkExecute measures Execute alone, lists served from memory, at two
 // collection sizes on either side of the cache: at 200 k documents the 0.8 MB
 // slot array is L2-resident, at 2 M (the -scale full regime no bench/
