@@ -84,19 +84,6 @@ func BenchmarkHDDRandomRead(b *testing.B) {
 	}
 }
 
-func BenchmarkIndexBuild(b *testing.B) {
-	spec := workload.DefaultCollection(100_000)
-	spec.VocabSize = 1000
-	need := index.RequiredBytes(spec) + 4096
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dev := storage.NewMemDevice("idx", need, simclock.New(), storage.DefaultMemParams())
-		if _, err := index.Build(dev, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCacheManagerListRead(b *testing.B) {
 	clock := simclock.New()
 	spec := workload.DefaultCollection(200_000)

@@ -27,6 +27,8 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"hybridstore/internal/workload"
 )
@@ -93,73 +95,62 @@ func unzigzag32(z uint32) int32 { return int32(z>>1) ^ -int32(z&1) }
 
 // appendBlockRaw encodes ps as fixed-width postings.
 func appendBlockRaw(dst []byte, ps []workload.Posting) []byte {
-	for _, p := range ps {
-		var b [PostingSize]byte
-		EncodePosting(b[:], p)
-		dst = append(dst, b[:]...)
+	n := len(dst)
+	dst = slices.Grow(dst, len(ps)*PostingSize)[:n+len(ps)*PostingSize]
+	for i, p := range ps {
+		EncodePosting(dst[n+i*PostingSize:], p)
 	}
 	return dst
 }
 
 // appendBlockGVarint encodes ps as delta-packed groups; the delta base is
-// zero so the block decodes independently.
+// zero so the block decodes independently. Each group is written into
+// gvGroupMaxBytes of spare capacity with whole 4-byte delta stores, each
+// overwritten past its length by what follows it.
 func appendBlockGVarint(dst []byte, ps []workload.Posting) []byte {
 	var prev uint32
 	for g := 0; g < len(ps); g += 4 {
-		n := len(ps) - g
-		if n > 4 {
-			n = 4
+		n := len(dst)
+		dst = slices.Grow(dst, gvGroupMaxBytes)
+		out := dst[n : n+gvGroupMaxBytes]
+		grp := ps[g:min(g+4, len(ps))]
+		tag, p := byte(0), 1
+		for k, q := range grp {
+			z := zigzag32(int32(q.Doc - prev))
+			prev = q.Doc
+			binary.LittleEndian.PutUint32(out[p:], z)
+			extra := (bits.Len32(z|1) - 1) / 8 // bytes past the first
+			tag |= byte(extra) << (2 * k)
+			p += 1 + extra
 		}
-		tagPos := len(dst)
-		dst = append(dst, 0)
-		var tag byte
-		for k := 0; k < n; k++ {
-			z := zigzag32(int32(ps[g+k].Doc - prev))
-			prev = ps[g+k].Doc
-			bl := 1
-			for z >= 1<<(8*bl) && bl < 4 {
-				bl++
+		out[0] = tag
+		for _, q := range grp {
+			v := uint32(q.TF)
+			for ; v >= 0x80; v >>= 7 {
+				out[p] = byte(v) | 0x80
+				p++
 			}
-			tag |= byte(bl-1) << (2 * k)
-			for j := 0; j < bl; j++ {
-				dst = append(dst, byte(z>>(8*j)))
-			}
+			out[p] = byte(v)
+			p++
 		}
-		dst[tagPos] = tag
-		for k := 0; k < n; k++ {
-			v := uint32(ps[g+k].TF)
-			for v >= 0x80 {
-				dst = append(dst, byte(v)|0x80)
-				v >>= 7
-			}
-			dst = append(dst, byte(v))
-		}
+		dst = dst[:n+p]
 	}
 	return dst
 }
 
 // EncodeList appends ps to dst as codec blocks of BlockLen postings,
 // appending one BlockRef per block to refs. Block offsets are relative to
-// the first byte this call appends (the list payload start).
+// the first byte this call appends (the list payload start). Gvarint
+// blocks may also write junk into dst's capacity past the returned length.
 func EncodeList(dst []byte, refs []BlockRef, c CodecID, ps []workload.Posting) ([]byte, []BlockRef) {
 	base := len(dst)
 	for i := 0; i < len(ps); i += BlockLen {
-		j := i + BlockLen
-		if j > len(ps) {
-			j = len(ps)
+		block := ps[i:min(i+BlockLen, len(ps))]
+		var maxDoc uint32
+		for _, p := range block {
+			maxDoc = max(maxDoc, p.Doc)
 		}
-		block := ps[i:j]
-		maxDoc := block[0].Doc
-		for _, p := range block[1:] {
-			if p.Doc > maxDoc {
-				maxDoc = p.Doc
-			}
-		}
-		refs = append(refs, BlockRef{
-			MaxDoc: maxDoc,
-			Off:    uint32(len(dst) - base),
-			Count:  uint32(len(block)),
-		})
+		refs = append(refs, BlockRef{MaxDoc: maxDoc, Off: uint32(len(dst) - base), Count: uint32(len(block))})
 		switch c {
 		case CodecGVarint:
 			dst = appendBlockGVarint(dst, block)

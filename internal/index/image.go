@@ -20,9 +20,9 @@ package index
 // rather than a copy, so N stamped systems hold the index once.
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"hybridstore/internal/storage"
@@ -41,7 +41,6 @@ type Image struct {
 	data       []byte // header + directories + payloads
 	headLen    int64  // end of header + term dir + block dir
 	listsEnd   int64  // end of the impact-ordered payload region
-	numDocs    int64
 	terms      []TermMeta
 	docTerms   []TermMeta
 	listBlocks [][]BlockRef
@@ -67,80 +66,106 @@ func BuildImage(spec workload.CollectionSpec, codec CodecID) (*Image, error) {
 		return nil, fmt.Errorf("index: unknown codec %d", codec)
 	}
 	v := spec.VocabSize
-	terms := make([]TermMeta, v)
-	docTerms := make([]TermMeta, v)
-	listBlocks := make([][]BlockRef, v)
-	docBlocks := make([][]BlockRef, v)
+	im := &Image{spec: spec, codec: codec, terms: make([]TermMeta, v), docTerms: make([]TermMeta, v),
+		listBlocks: make([][]BlockRef, v), docBlocks: make([][]BlockRef, v)}
 
-	// Encode both payload regions; offsets are rebased once the directory
-	// sizes are known.
+	// DocFreq fixes all but the encoded payload sizes: the block directory,
+	// and so where the payloads start, is known before a posting exists, and
+	// a raw payload is PostingSize bytes per posting.
+	var rawLen, nRefs int64
+	for t := range im.terms {
+		df := int64(spec.DocFreq(workload.TermID(t)))
+		im.terms[t].DF, im.docTerms[t].DF = df, df
+		rawLen += df * PostingSize
+		nRefs += 2 * blockCount(df)
+	}
+	im.headLen = int64(headerSize+dirEntrySize*v) + nRefs*blockRefSize
+
+	// Raw payloads are encoded in place in the image. Gvarint payloads go to
+	// two scratch regions (raw size as the capacity hint) and are copied into
+	// an exactly sized image once their lengths are known.
 	var listBuf, docBuf []byte
-	var sorted []workload.Posting
-	var totalRefs int64
+	if codec == CodecRaw {
+		im.data = make([]byte, im.headLen+2*rawLen)
+		listBuf, docBuf = im.data[im.headLen:im.headLen:im.headLen+rawLen], im.data[im.headLen+rawLen:im.headLen+rawLen]
+	} else {
+		listBuf, docBuf = make([]byte, 0, rawLen), make([]byte, 0, rawLen)
+	}
+	refs := make([]BlockRef, 0, nRefs) // never regrows, so terms keep subslices of it
+	encode := func(buf []byte, ps []workload.Posting, m *TermMeta, blocks *[]BlockRef) []byte {
+		off, r := len(buf), len(refs)
+		buf, refs = EncodeList(buf, refs, codec, ps)
+		m.Offset, m.Size, *blocks = int64(off), int64(len(buf)-off), refs[r:len(refs):len(refs)]
+		return buf
+	}
+	var ps, scratch []workload.Posting
+	passes := (bits.Len64(uint64(spec.NumDocs-1)) + 7) / 8
 	for t := 0; t < v; t++ {
-		ps := spec.Postings(workload.TermID(t))
-		lOff := int64(len(listBuf))
-		listBuf, listBlocks[t] = EncodeList(listBuf, nil, codec, ps)
-		terms[t] = TermMeta{Offset: lOff, DF: int64(len(ps)), Size: int64(len(listBuf)) - lOff}
-
-		sorted = append(sorted[:0], ps...)
-		slices.SortFunc(sorted, func(a, b workload.Posting) int { return cmp.Compare(a.Doc, b.Doc) })
-		dOff := int64(len(docBuf))
-		docBuf, docBlocks[t] = EncodeList(docBuf, nil, codec, sorted)
-		docTerms[t] = TermMeta{Offset: dOff, DF: terms[t].DF, Size: int64(len(docBuf)) - dOff}
-		totalRefs += int64(len(listBlocks[t]) + len(docBlocks[t]))
+		ps = spec.AppendPostings(ps[:0], workload.TermID(t))
+		listBuf = encode(listBuf, ps, &im.terms[t], &im.listBlocks[t])
+		docBuf = encode(docBuf, sortByDoc(ps, &scratch, passes), &im.docTerms[t], &im.docBlocks[t])
+	}
+	im.listsEnd = im.headLen + int64(len(listBuf))
+	if codec != CodecRaw {
+		im.data = make([]byte, im.listsEnd+int64(len(docBuf)))
+		copy(im.data[im.headLen:], listBuf)
+		copy(im.data[im.listsEnd:], docBuf)
 	}
 
-	headLen := int64(headerSize+dirEntrySize*v) + totalRefs*blockRefSize
-	listsEnd := headLen + int64(len(listBuf))
-	for t := 0; t < v; t++ {
-		terms[t].Offset += headLen
-		docTerms[t].Offset += listsEnd
-	}
-
-	data := make([]byte, 0, listsEnd+int64(len(docBuf)))
-	data = data[:headerSize+dirEntrySize*v]
+	data := im.data
 	copy(data[0:4], magic[:])
 	binary.LittleEndian.PutUint32(data[4:8], indexVersion)
 	binary.LittleEndian.PutUint64(data[8:16], uint64(v))
 	binary.LittleEndian.PutUint64(data[16:24], uint64(spec.NumDocs))
 	binary.LittleEndian.PutUint32(data[24:28], uint32(codec))
-	for t := 0; t < v; t++ {
-		base := headerSize + t*dirEntrySize
-		binary.LittleEndian.PutUint64(data[base:base+8], uint64(terms[t].Offset))
-		binary.LittleEndian.PutUint64(data[base+8:base+16], uint64(terms[t].DF))
-		binary.LittleEndian.PutUint64(data[base+16:base+24], uint64(terms[t].Size))
-		binary.LittleEndian.PutUint64(data[base+24:base+32], uint64(docTerms[t].Offset))
-		binary.LittleEndian.PutUint64(data[base+32:base+40], uint64(docTerms[t].Size))
+	for t := range im.terms {
+		im.terms[t].Offset += im.headLen
+		im.docTerms[t].Offset += im.listsEnd
+		d := data[headerSize+t*dirEntrySize:]
+		binary.LittleEndian.PutUint64(d[0:8], uint64(im.terms[t].Offset))
+		binary.LittleEndian.PutUint64(d[8:16], uint64(im.terms[t].DF))
+		binary.LittleEndian.PutUint64(d[16:24], uint64(im.terms[t].Size))
+		binary.LittleEndian.PutUint64(d[24:32], uint64(im.docTerms[t].Offset))
+		binary.LittleEndian.PutUint64(d[32:40], uint64(im.docTerms[t].Size))
 	}
-	var refB [blockRefSize]byte
-	appendRefs := func(refs []BlockRef) {
-		for _, r := range refs {
-			binary.LittleEndian.PutUint32(refB[0:4], r.MaxDoc)
-			binary.LittleEndian.PutUint32(refB[4:8], r.Off)
-			binary.LittleEndian.PutUint32(refB[8:12], r.Count)
-			data = append(data, refB[:]...)
-		}
+	for i, r := range refs {
+		d := data[headerSize+dirEntrySize*v+i*blockRefSize:]
+		binary.LittleEndian.PutUint32(d[0:4], r.MaxDoc)
+		binary.LittleEndian.PutUint32(d[4:8], r.Off)
+		binary.LittleEndian.PutUint32(d[8:12], r.Count)
 	}
-	for t := 0; t < v; t++ {
-		appendRefs(listBlocks[t])
-		appendRefs(docBlocks[t])
-	}
-	data = append(data, listBuf...)
-	data = append(data, docBuf...)
+	return im, nil
+}
 
-	return &Image{
-		spec:       spec,
-		codec:      codec,
-		data:       data,
-		headLen:    headLen,
-		listsEnd:   listsEnd,
-		numDocs:    int64(spec.NumDocs),
-		terms:      terms,
-		docTerms:   docTerms,
-		listBlocks: listBlocks,
-		docBlocks:  docBlocks,
-	}, nil
+// sortByDoc orders ps by Doc with an LSD radix sort over its low passes
+// bytes, overwriting ps. One read counts every digit; each digit's stable
+// scatter then ping-pongs between ps and *scratch, which is grown and kept
+// for the next list. The result lies in one of the two. Doc IDs are
+// distinct, so this is the order any correct sort gives; they fit 32 bits
+// because Validate bounds NumDocs by 2^32.
+func sortByDoc(ps []workload.Posting, scratch *[]workload.Posting, passes int) []workload.Posting {
+	var counts [4][256]uint32
+	for _, p := range ps {
+		counts[0][uint8(p.Doc)]++
+		counts[1][uint8(p.Doc>>8)]++
+		counts[2][uint8(p.Doc>>16)]++
+		counts[3][uint8(p.Doc>>24)]++
+	}
+	*scratch = slices.Grow((*scratch)[:0], len(ps))[:len(ps)]
+	src, dst := ps, *scratch
+	for i := range passes {
+		c, sum := &counts[i], uint32(0)
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, p := range src {
+			b := uint8(p.Doc >> (8 * i))
+			dst[c[b]] = p
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // baseAdopter is implemented by devices that can serve an immutable byte
@@ -189,7 +214,7 @@ func (im *Image) Stamp(dev storage.Device) (*Index, error) {
 		}
 	}
 	return &Index{
-		dev: dev, codec: im.codec, numDocs: im.numDocs, size: im.Bytes(),
+		dev: dev, codec: im.codec, numDocs: int64(im.spec.NumDocs), size: im.Bytes(),
 		terms: im.terms, docTerms: im.docTerms,
 		listBlocks: im.listBlocks, docBlocks: im.docBlocks,
 	}, nil

@@ -120,29 +120,6 @@ func EncodePosting(buf []byte, p workload.Posting) {
 	binary.LittleEndian.PutUint16(buf[4:6], p.TF)
 }
 
-// DecodePosting deserializes one raw posting from buf.
-func DecodePosting(buf []byte) workload.Posting {
-	return workload.Posting{
-		Doc: binary.LittleEndian.Uint32(buf[0:4]),
-		TF:  binary.LittleEndian.Uint16(buf[4:6]),
-	}
-}
-
-// DecodePostings deserializes as many whole raw postings as buf holds.
-func DecodePostings(buf []byte) []workload.Posting {
-	return AppendPostings(make([]workload.Posting, 0, len(buf)/PostingSize), buf)
-}
-
-// AppendPostings decodes as many whole raw postings as buf holds, appending
-// them to dst.
-func AppendPostings(dst []workload.Posting, buf []byte) []workload.Posting {
-	n := len(buf) / PostingSize
-	for i := 0; i < n; i++ {
-		dst = append(dst, DecodePosting(buf[i*PostingSize:]))
-	}
-	return dst
-}
-
 // Build synthesizes the collection described by spec and serializes its
 // inverted index onto dev under the raw codec, returning the opened index.
 // Lists are laid out back-to-back after the header and directories, in

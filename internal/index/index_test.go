@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -14,6 +15,20 @@ func testSpec() workload.CollectionSpec {
 	spec := workload.DefaultCollection(20000)
 	spec.VocabSize = 200
 	return spec
+}
+
+// DecodePosting deserializes one raw posting from buf.
+func DecodePosting(buf []byte) workload.Posting {
+	return workload.Posting{Doc: binary.LittleEndian.Uint32(buf[0:4]), TF: binary.LittleEndian.Uint16(buf[4:6])}
+}
+
+// DecodePostings deserializes as many whole raw postings as buf holds.
+func DecodePostings(buf []byte) []workload.Posting {
+	out := make([]workload.Posting, len(buf)/PostingSize)
+	for i := range out {
+		out[i] = DecodePosting(buf[i*PostingSize:])
+	}
+	return out
 }
 
 func buildTestIndex(t *testing.T) (*Index, workload.CollectionSpec) {

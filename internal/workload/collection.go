@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hybridstore/internal/simclock"
 )
@@ -48,6 +49,8 @@ func (s CollectionSpec) Validate() error {
 	switch {
 	case s.NumDocs <= 0:
 		return fmt.Errorf("workload: NumDocs = %d", s.NumDocs)
+	case uint64(s.NumDocs) > 1<<32:
+		return fmt.Errorf("workload: NumDocs = %d exceeds 2^32, the uint32 doc ID space", s.NumDocs)
 	case s.VocabSize <= 0:
 		return fmt.Errorf("workload: VocabSize = %d", s.VocabSize)
 	case s.DFExponent <= 0:
@@ -88,6 +91,12 @@ type Posting struct {
 // the "frequency-sorted" impact order the paper's filtered vector model
 // relies on (§VI). Documents are distinct and deterministic per spec.
 func (s CollectionSpec) Postings(t TermID) []Posting {
+	return s.AppendPostings(make([]Posting, 0, s.DocFreq(t)), t)
+}
+
+// AppendPostings appends term t's inverted list (see Postings) to dst, so a
+// builder walking the vocabulary can generate every list into one buffer.
+func (s CollectionSpec) AppendPostings(dst []Posting, t TermID) []Posting {
 	df := s.DocFreq(t)
 	rng := simclock.NewRNG(s.Seed).Split(uint64(t) + 1)
 	// A full-period affine walk over [0, NumDocs) yields df distinct docs.
@@ -100,13 +109,17 @@ func (s CollectionSpec) Postings(t TermID) []Posting {
 			step = 1
 		}
 	}
-	out := make([]Posting, df)
+	dst = slices.Grow(dst, df)
+	out := dst[len(dst) : len(dst)+df]
 	doc := start
-	for i := 0; i < df; i++ {
+	for i := range out {
 		out[i] = Posting{Doc: uint32(doc), TF: s.tfAtImpactRank(i, df)}
-		doc = (doc + step) % n
+		// doc < n and step ≤ n, so one subtraction is the modulo.
+		if doc += step; doc >= n {
+			doc -= n
+		}
 	}
-	return out
+	return dst[:len(dst)+df]
 }
 
 // tfAtImpactRank returns the term frequency of the i-th posting in impact
@@ -116,11 +129,10 @@ func (s CollectionSpec) tfAtImpactRank(i, df int) uint16 {
 	if df > 1 {
 		frac = float64(i) / float64(df-1)
 	}
-	tf := float64(s.MaxTF) * math.Pow(1-frac, 2)
-	if tf < 1 {
-		tf = 1
-	}
-	return uint16(tf)
+	// x*x is math.Pow(x, 2) to the bit: Pow squares the mantissa once, and
+	// x is 0 or above 2^-33, so the square stays clear of subnormals.
+	x := 1 - frac
+	return uint16(max(1, float64(s.MaxTF)*(x*x)))
 }
 
 // ListBytes returns the serialized size of term t's inverted list under the

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -108,6 +109,19 @@ func TestCollectionValidate(t *testing.T) {
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d validated", i)
+		}
+	}
+
+	// Doc IDs are uint32: 2^32 documents fit, one more would wrap a doc ID.
+	if math.MaxInt > math.MaxUint32 {
+		limit := uint64(math.MaxUint32) + 1
+		s := DefaultCollection(int(limit))
+		if err := s.Validate(); err != nil {
+			t.Errorf("2^32 docs: %v", err)
+		}
+		s.NumDocs = int(limit + 1)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "2^32") {
+			t.Errorf("2^32+1 docs: error %v, want one naming the 2^32 limit", err)
 		}
 	}
 }
