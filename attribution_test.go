@@ -1,6 +1,8 @@
 package hybrid
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -135,11 +137,10 @@ func TestAttributionReportSections(t *testing.T) {
 	}
 }
 
-// TestGaugesSurviveRestartWarm is the regression test for the observe.go
-// gauge closures: after RestartWarm swaps the manager, the gauges must
-// read the new manager's counters, not a captured stale one — and clock
-// attribution must keep working on the swapped system.
-func TestGaugesSurviveRestartWarm(t *testing.T) {
+// TestProgressSurvivesRestartWarm: after RestartWarm swaps the manager,
+// Progress must read the new manager's counters, not a captured stale one
+// — and clock attribution must keep working on the swapped system.
+func TestProgressSurvivesRestartWarm(t *testing.T) {
 	sys, err := New(smallConfig(core.PolicyCBLRU, CacheTwoLevel))
 	if err != nil {
 		t.Fatal(err)
@@ -164,19 +165,10 @@ func TestGaugesSurviveRestartWarm(t *testing.T) {
 	}
 
 	st := sys.Manager.Stats()
-	for name, want := range map[string]float64{
-		obs.GaugeRCHitRatio:       st.ResultHitRatio(),
-		obs.GaugeICHitRatio:       st.ListHitRatio(),
-		obs.GaugeRICHitRatio:      st.CombinedHitRatio(),
-		obs.GaugeQuarantinedBytes: float64(st.QuarantinedBytes),
-	} {
-		got, ok := o.Registry.GaugeValue(name)
-		if !ok {
-			t.Fatalf("gauge %s unregistered after RestartWarm", name)
-		}
-		if got != want {
-			t.Fatalf("gauge %s = %v, new manager says %v (stale closure?)", name, got, want)
-		}
+	p := sys.Progress()
+	if p.RC != st.ResultHitRatio() || p.IC != st.ListHitRatio() || p.RIC != st.CombinedHitRatio() {
+		t.Fatalf("Progress RC/IC/RIC = %v/%v/%v, restored manager says %v/%v/%v (stale manager?)",
+			p.RC, p.IC, p.RIC, st.ResultHitRatio(), st.ListHitRatio(), st.CombinedHitRatio())
 	}
 	if st.Queries != 200 {
 		t.Fatalf("restored manager counted %d queries, want 200", st.Queries)
@@ -187,6 +179,44 @@ func TestGaugesSurviveRestartWarm(t *testing.T) {
 	for _, tr := range o.Tracer.Recent(10) {
 		if tr.Attrib == nil || tr.Attrib.Sum() != tr.ElapsedNS {
 			t.Fatalf("seq %d: attribution broken after RestartWarm", tr.Seq)
+		}
+	}
+}
+
+// TestReportSeries: a run of N queries sampled every k queries carries
+// ⌊N/k⌋ series points in its JSON report. When k divides N the last point
+// is the report's own hit ratios and wear, and forks of one observer keep
+// their series private to their own system.
+func TestReportSeries(t *testing.T) {
+	const k = 100
+	parent := obs.New(obs.Options{TraceRing: 1, SampleEvery: k})
+	for _, n := range []int{450, 300} {
+		sys, err := New(smallConfig(core.PolicyCBLRU, CacheTwoLevel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.EnableObservability(parent.Fork())
+		if _, err := sys.Run(n); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sys.WriteJSONReport(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var r JSONReport
+		if err := json.Unmarshal(buf.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Series) != n/k {
+			t.Fatalf("N=%d: %d series points, want %d", n, len(r.Series), n/k)
+		}
+		if n%k != 0 {
+			continue
+		}
+		last, h, w := r.Series[len(r.Series)-1], r.HitRatios, r.Wear["cache-ssd"]
+		if last.RC != h.RC || last.IC != h.IC || last.RIC != h.RIC ||
+			last.SSDErases != w.Erases || last.SSDWriteAmp != w.WriteAmplification {
+			t.Fatalf("N=%d: last point %+v, report says hit ratios %+v, wear %+v", n, last, *h, w)
 		}
 	}
 }

@@ -36,39 +36,6 @@ func usageExit(format string, args ...any) {
 	os.Exit(2)
 }
 
-// writeProfilePair writes one experiment's simulated-time latency profile
-// as gzipped pprof plus folded flamegraph stacks, rooted at the experiment
-// ID. Both artifacts are deterministic: same seed, same bytes, at any
-// -jobs count.
-func writeProfilePair(base, expID string, p *obs.Profile) error {
-	pbPath := base + "." + expID + ".pb.gz"
-	f, err := os.Create(pbPath)
-	if err != nil {
-		return err
-	}
-	werr := p.WritePprof(f, expID)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("profile %s: %w", pbPath, werr)
-	}
-	foldedPath := base + "." + expID + ".folded"
-	g, err := os.Create(foldedPath)
-	if err != nil {
-		return err
-	}
-	werr = p.WriteFolded(g, expID)
-	if cerr := g.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("profile %s: %w", foldedPath, werr)
-	}
-	fmt.Fprintf(os.Stderr, "wrote latency profile %s (+ %s)\n", pbPath, foldedPath)
-	return nil
-}
-
 // resolveScale maps the -scale flag to a Scale.
 func resolveScale(name string) (experiments.Scale, error) {
 	switch name {
@@ -225,12 +192,16 @@ func main() {
 			os.Exit(1)
 		}
 		if *profFlag != "" {
-			if err := writeProfilePair(*profFlag, e.ID, sc.Profile); err != nil {
+			// One pair per experiment, rooted at its ID; same seed, same
+			// bytes, at any -jobs count.
+			pbPath, foldedPath := *profFlag+"."+e.ID+".pb.gz", *profFlag+"."+e.ID+".folded"
+			if err := sc.Profile.WriteFiles(pbPath, foldedPath, e.ID); err != nil {
 				out.Flush()
 				fmt.Fprintf(os.Stderr, "experiment %s: %v\n", e.ID, err)
 				stopCPU()
 				os.Exit(1)
 			}
+			fmt.Fprintf(os.Stderr, "wrote latency profile %s (+ %s)\n", pbPath, foldedPath)
 		}
 		fmt.Fprintln(out)
 		out.Flush()

@@ -48,7 +48,6 @@ func main() {
 		codecFlag    = flag.String("codec", "raw", "on-device posting codec: raw or gvarint")
 		ftlFlag      = flag.String("ftl", "pagemap", "cache SSD FTL: page-map, block-map, hybrid-log (hyphen optional)")
 		hetero       = flag.Bool("hetero", false, "heterogeneous cache tier: fast SSD for results, slower dense SSD for lists")
-		heteroFactor = flag.Float64("hetero-factor", 0, "slow-tier latency multiplier for -hetero (0 = default 4)")
 		resultTTL    = flag.Duration("result-ttl", 0, "dynamic scenario: TTL for cached results (0 = static)")
 		listTTL      = flag.Duration("list-ttl", 0, "dynamic scenario: TTL for cached lists (0 = static)")
 		aolFile      = flag.String("aol", "", "replay queries from an AOL-format log file instead of the synthetic stream")
@@ -118,8 +117,7 @@ func main() {
 		UseModelPU: true,
 		CacheFTL:   ftl,
 
-		HeteroCacheTier:  *hetero,
-		HeteroSlowFactor: *heteroFactor,
+		HeteroCacheTier: *hetero,
 	}
 
 	if *serveMode {
@@ -243,25 +241,7 @@ func main() {
 		fmt.Printf("wrote %d trace records to %s\n", observer.Tracer.Completed(), *traceFile)
 	}
 	if *profileFile != "" {
-		prof := observer.Profile()
-		f, err := os.Create(*profileFile)
-		if err == nil {
-			err = prof.WritePprof(f, "query")
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err == nil {
-			var g *os.File
-			g, err = os.Create(*profileFile + ".folded")
-			if err == nil {
-				err = prof.WriteFolded(g, "query")
-				if cerr := g.Close(); err == nil {
-					err = cerr
-				}
-			}
-		}
-		if err != nil {
+		if err := observer.Profile().WriteFiles(*profileFile, *profileFile+".folded", "query"); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -397,24 +377,7 @@ func runServe(base hybrid.Config, opt serveOptions) {
 	if opt.profileFile != "" {
 		prof := obs.NewProfile()
 		pool.MergeProfile(prof)
-		f, err := os.Create(opt.profileFile)
-		if err == nil {
-			err = prof.WritePprof(f, "query")
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err == nil {
-			var g *os.File
-			g, err = os.Create(opt.profileFile + ".folded")
-			if err == nil {
-				err = prof.WriteFolded(g, "query")
-				if cerr := g.Close(); err == nil {
-					err = cerr
-				}
-			}
-		}
-		if err != nil {
+		if err := prof.WriteFiles(opt.profileFile, opt.profileFile+".folded", "query"); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

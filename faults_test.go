@@ -12,7 +12,7 @@ import (
 // two-level system with fault injection on every cache-SSD op class runs a
 // query stream without panics or query failures, every injected error is
 // visible to the manager, and the loss accounting surfaces through the
-// observer registry and the JSON report.
+// event stream and the JSON report.
 func TestFaultedRunAccountedEndToEnd(t *testing.T) {
 	cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
 	cfg.CacheFaults = storage.FaultSpec{
@@ -29,8 +29,15 @@ func TestFaultedRunAccountedEndToEnd(t *testing.T) {
 	if sys.CacheFaults == nil {
 		t.Fatal("fault spec set but no injector wired")
 	}
-	o := obs.New(obs.Options{})
-	sys.EnableObservability(o)
+	sys.EnableObservability(obs.New(obs.Options{}))
+	// A test sink in front of the observer's counts the failed device calls.
+	var ioErrors int64
+	sys.Manager.SetEventSink(func(e core.Event) {
+		if e.Kind == core.EvIOError {
+			ioErrors++
+		}
+		sys.Obs().HandleEvent(e)
+	})
 
 	if _, err := sys.Run(1500); err != nil {
 		t.Fatalf("faulted run failed: %v", err)
@@ -53,15 +60,9 @@ func TestFaultedRunAccountedEndToEnd(t *testing.T) {
 			st.SSDReadErrors, st.SSDWriteErrors, st.SSDTrimErrors)
 	}
 
-	// The event stream feeds the registry: the io-error counter matches.
-	if got := o.Registry.Counter("ssd_io_errors_total").Value(); got != managerErrs {
-		t.Fatalf("registry ssd_io_errors_total = %d, stats %d", got, managerErrs)
-	}
-	if _, ok := o.Registry.GaugeValue(obs.GaugeDegradedMode); !ok {
-		t.Fatal("degraded-mode gauge not registered")
-	}
-	if v, ok := o.Registry.GaugeValue(obs.GaugeQuarantinedBytes); !ok || v != float64(st.QuarantinedBytes) {
-		t.Fatalf("quarantined-bytes gauge %v (ok=%v), want %d", v, ok, st.QuarantinedBytes)
+	// One EvIOError per failed device call.
+	if ioErrors != managerErrs {
+		t.Fatalf("%d EvIOError events, stats count %d SSD errors", ioErrors, managerErrs)
 	}
 
 	// The JSON report carries the full fault section.

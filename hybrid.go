@@ -21,7 +21,6 @@ package hybrid
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -134,11 +133,6 @@ type Config struct {
 	// SSD regions must be configured. Wear splits per tier are available
 	// via System.CacheTiered.
 	HeteroCacheTier bool
-	// HeteroSlowFactor scales the slow tier's page-read, page-program and
-	// block-erase latencies relative to the paper's Table III device
-	// (which the fast tier uses unchanged). Zero selects the default (4),
-	// roughly a dense QLC drive against a fast SLC cache drive.
-	HeteroSlowFactor float64
 	// IndexImage, when non-nil, supplies a prebuilt serialized index for
 	// Collection: New stamps it onto the index device instead of
 	// re-synthesizing postings, which skips the CPU-heavy part of setup
@@ -177,7 +171,6 @@ type CacheDevice interface {
 	Stats() storage.DeviceStats
 	PageSize() int
 	BlockSize() int64
-	SetOpHook(func(storage.Op))
 }
 
 // System is an assembled simulation: devices, index, caches, engine, log.
@@ -189,7 +182,7 @@ type System struct {
 	// CacheFaults is the fault injector wrapping CacheSSD; nil unless
 	// Config.CacheFaults enables injection. The manager performs all cache
 	// I/O through it, while CacheSSD stays directly reachable for wear and
-	// op-hook wiring.
+	// device counters.
 	CacheFaults *storage.FaultyDevice
 	Index       *index.Index
 	Manager     *core.Manager // nil when Mode == CacheNone
@@ -212,8 +205,8 @@ type System struct {
 // Validate reports configuration errors a System cannot be built from:
 // unknown enum values, pairings that would silently misconfigure (a
 // static-partition policy without an SSD level, a heterogeneous tier without
-// a two-level cache), and a slow-tier factor that is negative or not finite.
-// New calls it first, so CLIs and library users get identical rejections.
+// a two-level cache). New calls it first, so CLIs and library users get
+// identical rejections.
 func (c Config) Validate() error {
 	switch c.Mode {
 	case CacheNone, CacheOneLevel, CacheTwoLevel:
@@ -247,9 +240,6 @@ func (c Config) Validate() error {
 		}
 		if c.Cache.SSDResultBytes <= 0 || c.Cache.SSDListBytes <= 0 {
 			return fmt.Errorf("hybrid: HeteroCacheTier needs both SSD cache regions configured")
-		}
-		if f := c.HeteroSlowFactor; f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("hybrid: HeteroSlowFactor %g, want a finite factor ≥ 0", f)
 		}
 	}
 	return nil
@@ -336,7 +326,7 @@ func New(cfg Config) (*System, error) {
 			need := cacheCfg.SSDResultBytes + cacheCfg.SSDListBytes + (2 << 20)
 			eff := cacheCfg.Effective()
 			if cfg.HeteroCacheTier {
-				dev, err := buildHeteroCache(eff, cfg.HeteroSlowFactor)
+				dev, err := buildHeteroCache(eff)
 				if err != nil {
 					return nil, err
 				}
@@ -380,10 +370,11 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// defaultHeteroSlowFactor is the slow tier's latency multiplier when
-// Config.HeteroSlowFactor is zero: roughly a dense QLC drive behind the
-// paper's Table III device.
-const defaultHeteroSlowFactor = 4.0
+// heteroSlowFactor scales the slow tier's page-read, page-program and
+// block-erase latencies relative to the paper's Table III device (which
+// the fast tier uses unchanged): roughly a dense QLC drive behind a fast
+// SLC cache drive.
+const heteroSlowFactor = 4.0
 
 // buildHeteroCache assembles the heterogeneous cache device: a fast SSD
 // sized to the (block-rounded) result region, backed by a slower dense SSD
@@ -391,26 +382,16 @@ const defaultHeteroSlowFactor = 4.0
 // one private clock, mirroring the single-device cache wiring. eff is the
 // manager's effective configuration, whose block-rounded regions put the
 // tier boundary exactly where the list region starts.
-func buildHeteroCache(eff core.Config, slowFactor float64) (*flashsim.Tiered, error) {
+func buildHeteroCache(eff core.Config) (*flashsim.Tiered, error) {
 	resultBytes, listBytes := eff.SSDResultBytes, eff.SSDListBytes
 
 	fastParams := flashsim.DefaultParams(resultBytes)
 	flashBlock := int64(fastParams.PageSize * fastParams.PagesPerBlock)
 	boundary := (resultBytes + flashBlock - 1) / flashBlock * flashBlock
 
-	factor := slowFactor
-	if factor == 0 {
-		factor = defaultHeteroSlowFactor
-	}
 	slowParams := flashsim.DefaultParams(listBytes + (2 << 20))
 	for _, lat := range []*time.Duration{&slowParams.PageReadLatency, &slowParams.PageWriteLatency, &slowParams.BlockEraseLatency} {
-		// A latency past the int64 range would convert to garbage, and one
-		// that rounds to zero or below would run the clock backwards.
-		scaled := float64(*lat) * factor
-		if !(scaled < 1<<63) || time.Duration(scaled) <= 0 {
-			return nil, fmt.Errorf("hybrid: HeteroSlowFactor %g scales a %v flash latency out of range", factor, *lat)
-		}
-		*lat = time.Duration(scaled)
+		*lat = time.Duration(float64(*lat) * heteroSlowFactor)
 	}
 
 	tierClock := simclock.New()

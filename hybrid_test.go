@@ -1,7 +1,6 @@
 package hybrid
 
 import (
-	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -530,37 +529,6 @@ func TestInvalidConfigsRejected(t *testing.T) {
 	bad7.CacheFTL = FTLBlockMap
 	if _, err := New(bad7); err == nil {
 		t.Fatal("hetero tier accepted on a non-page-mapped FTL")
-	}
-	bad8 := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
-	bad8.HeteroCacheTier = true
-	bad8.HeteroSlowFactor = -1
-	if _, err := New(bad8); err == nil {
-		t.Fatal("negative hetero slow factor accepted")
-	}
-}
-
-// TestHeteroSlowFactorOutOfRange: a slow-tier factor that is not finite, or
-// that scales a flash latency to what no positive time.Duration holds, is an
-// error from New, not a device whose latencies run the clock backwards.
-func TestHeteroSlowFactorOutOfRange(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		factor float64
-		want   string
-	}{
-		{"NaN", math.NaN(), "want a finite factor"},
-		{"+Inf", math.Inf(1), "want a finite factor"},
-		{"1e15", 1e15, "out of range"},
-		{"1e-30", 1e-30, "out of range"},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
-			cfg.HeteroCacheTier = true
-			cfg.HeteroSlowFactor = c.factor
-			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("New = %v, want an error containing %q", err, c.want)
-			}
-		})
 	}
 }
 

@@ -1,6 +1,13 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"hybridstore/internal/index"
+	"hybridstore/internal/simclock"
+	"hybridstore/internal/storage"
+	"hybridstore/internal/workload"
+)
 
 // warmResultFixture returns a CBLRU manager that has seen 40 queries, the
 // first 24 of them in whole result blocks on the SSD, with an L1 of five
@@ -54,4 +61,33 @@ func BenchmarkGetResultSSDHit(b *testing.B) {
 
 func BenchmarkGetResultMemHit(b *testing.B) {
 	benchGetResult(b, ResultFromMemory, func(i int) uint64 { return uint64(i%5 + 1) })
+}
+
+func BenchmarkCacheManagerListRead(b *testing.B) {
+	clock := simclock.New()
+	spec := workload.DefaultCollection(200_000)
+	spec.VocabSize = 1000
+	hdd := storage.NewMemDevice("hdd", index.RequiredBytes(spec)+4096, clock, storage.DefaultMemParams())
+	ix, err := index.Build(hdd, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(2 << 20)
+	cfg.SSDResultBytes = 2 << 20
+	cfg.SSDListBytes = 16 << 20
+	ssd := storage.NewMemDevice("ssd", 20<<20, simclock.New(), storage.DefaultMemParams())
+	m, err := New(clock, ix, ssd, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	zipf := workload.NewZipf(simclock.NewRNG(5), spec.VocabSize, 0.9)
+	buf := make([]byte, 8<<10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := workload.TermID(zipf.Next())
+		n := min(ix.ListBytes(t), int64(len(buf)))
+		if err := m.ReadListRange(t, 0, buf[:n]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -82,9 +82,6 @@ type Config struct {
 	// selects the default (1<<16 entries); negative disables bounding.
 	FreqCap int
 
-	// MemAccessLatency and MemBytesPerSecond model L1 access cost.
-	MemAccessLatency  time.Duration
-	MemBytesPerSecond int64
 	// PU supplies the per-term utilization rate of Formula 1. Nil selects
 	// the measured-PU tracker fed by recorded executions.
 	PU func(t workload.TermID) float64
@@ -149,12 +146,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FreqCap < 0 { // explicit opt-out
 		c.FreqCap = 0
-	}
-	if c.MemAccessLatency <= 0 {
-		c.MemAccessLatency = 100 * time.Nanosecond
-	}
-	if c.MemBytesPerSecond <= 0 {
-		c.MemBytesPerSecond = 10 << 30
 	}
 	// SSD regions operate on whole blocks; round them up so region bases
 	// and extents stay block-aligned on the device.

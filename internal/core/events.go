@@ -45,8 +45,9 @@ const (
 	// extent (Term is the first list it holds) or a pin appended to a static
 	// block.
 	EvListFlush
-	// EvResultFlush: Bytes of result data written to the SSD cache (an
-	// assembled RB under the cost-based policies, a single entry under LRU).
+	// EvResultFlush: Bytes of result data written to the SSD cache, one
+	// event per device write (an assembled RB under the cost-based
+	// policies, a single entry under LRU or as a CBSLRU pin).
 	EvResultFlush
 	// EvListEvict: an inverted-list entry evicted from the cache at Level.
 	EvListEvict
@@ -103,7 +104,6 @@ var statsEventPairs = map[string]EventKind{
 	"L1ResultEvictions":   EvResultEvict,
 	"L2ResultEvictions":   EvResultEvict,
 	"RBRetired":           EvResultEvict,
-	"RBFlushes":           EvResultFlush,
 	"ResultBytesToSSD":    EvResultFlush,
 	"ListBytesFromMem":    EvListRead,
 	"ListBytesFromSSD":    EvListRead,
@@ -127,6 +127,7 @@ var statsEventPairs = map[string]EventKind{
 // requires every Stats field to appear in exactly one of the two tables.
 var statsUnpaired = map[string]string{
 	"ResultWritesElided":         "elision means nothing moved; the probe outcome was already evented",
+	"RBFlushes":                  "sub-classifies the block-log RB writes among EvResultFlush, which also fires for CBSLRU pins and LRU entry writes",
 	"ResultsDropped":             "terminal loss accounting; the failed flush already emitted EvIOError",
 	"ResultsRequeued":            "retry bookkeeping; the triggering failure already emitted EvIOError",
 	"ResultsExpired":             "TTL bookkeeping folded into the probe outcome (hit/miss) event",

@@ -153,8 +153,6 @@ type Manager struct {
 	// cfg.Policy (see policy.go, layout.go).
 	lay layout
 
-	nsPerByteMem float64
-
 	// L1.
 	rc *cache.List[memResult] // by query ID
 	ic *cache.List[*memList]  // by term ID
@@ -264,7 +262,6 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		ix:           ix,
 		ssd:          ssd,
 		ssdq:         ssdQueue{clock: clock},
-		nsPerByteMem: float64(time.Second) / float64(cfg.MemBytesPerSecond),
 		rc:           cache.NewList[memResult](cfg.MemResultBytes),
 		entriesPerRB: int(cfg.BlockBytes / cfg.ResultEntryBytes),
 		resultLoc:    make(map[uint64]*ssdResult),
@@ -314,9 +311,16 @@ func (m *Manager) UsesStaticPartition() bool { return policyRegistry[m.cfg.Polic
 // Config returns the effective configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
+// L1 access costs a fixed latency plus the transfer at memory bandwidth
+// (10 GiB/s).
+const (
+	memAccessLatency = 100 * time.Nanosecond
+	memNSPerByte     = float64(time.Second) / (10 << 30)
+)
+
 // memCost charges L1 access time for an n-byte transfer.
 func (m *Manager) memCost(n int) {
-	m.clock.AdvanceAttr(m.cfg.MemAccessLatency+time.Duration(float64(n)*m.nsPerByteMem),
+	m.clock.AdvanceAttr(memAccessLatency+time.Duration(float64(n)*memNSPerByte),
 		simclock.CompCacheBookkeeping)
 }
 

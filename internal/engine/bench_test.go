@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"hybridstore/internal/index"
+	"hybridstore/internal/intersect"
+	"hybridstore/internal/simclock"
+	"hybridstore/internal/storage"
 	"hybridstore/internal/workload"
 )
 
@@ -65,5 +68,28 @@ func BenchmarkExecute(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(postings), "ns/posting")
 		})
+	}
+}
+
+func BenchmarkConjunctiveExecute(b *testing.B) {
+	spec := workload.DefaultCollection(200_000)
+	spec.VocabSize = 1000
+	dev := storage.NewMemDevice("idx", index.RequiredBytes(spec)+4096,
+		simclock.New(), storage.DefaultMemParams())
+	ix, err := index.Build(dev, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	conj := NewConjunctive(ix, DefaultConfig(), intersect.New(4<<20, nil))
+	log := workload.NewQueryLog(workload.DefaultQueryLog(spec.VocabSize))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := log.Next()
+		if len(q.Terms) < 2 {
+			continue
+		}
+		if _, _, err := conj.Execute(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

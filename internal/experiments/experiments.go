@@ -48,7 +48,7 @@ type Scale struct {
 	// SizeSteps is the number of x-axis points for cache-size sweeps.
 	SizeSteps int
 	// Obs, when non-nil, is attached to every measured system so experiment
-	// runs emit per-query traces and registry metrics (hybridbench -trace).
+	// runs emit per-query traces (hybridbench -trace).
 	// Attaching an observer forces serial execution (Jobs = 1): the tracer
 	// assumes one query in flight at a time.
 	Obs *obs.Observer
@@ -166,7 +166,8 @@ func runMeasured(sys *hybrid.System, sc Scale) (hybrid.RunStats, core.Stats, err
 	switch {
 	case sc.Obs != nil:
 		// Fork per system: every system's clock restarts at zero, so
-		// gauges/series must be private while traces share one stream.
+		// histograms and samples must be private while traces share one
+		// stream.
 		o = sc.Obs.Fork()
 		sys.EnableObservability(o)
 	case sc.Profile != nil:

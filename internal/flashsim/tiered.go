@@ -145,12 +145,6 @@ func (t *Tiered) PageSize() int { return t.fast.PageSize() }
 // BlockSize returns the fast tier's erase-block size.
 func (t *Tiered) BlockSize() int64 { return t.fast.BlockSize() }
 
-// SetOpHook installs the hook on both tiers.
-func (t *Tiered) SetOpHook(fn func(storage.Op)) {
-	t.fast.SetOpHook(fn)
-	t.slow.SetOpHook(fn)
-}
-
 // Stats returns the combined device statistics of both tiers.
 func (t *Tiered) Stats() storage.DeviceStats {
 	a, b := t.fast.Stats(), t.slow.Stats()

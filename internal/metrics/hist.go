@@ -1,3 +1,9 @@
+// Package metrics provides the histograms and tables used to report every
+// experiment in the reproduction.
+//
+// The types here count simulated quantities (simulated nanoseconds, cache
+// probes, device operations); nothing in this package touches wall-clock
+// time. All types are safe for concurrent use unless stated otherwise.
 package metrics
 
 import (

@@ -2,53 +2,8 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
-
-func TestCounterBasics(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatal("zero counter not zero")
-	}
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("Value = %d, want 5", got)
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("Reset did not zero counter")
-	}
-}
-
-func TestCounterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add(-1) did not panic")
-		}
-	}()
-	var c Counter
-	c.Add(-1)
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != 10000 {
-		t.Fatalf("Value = %d, want 10000", got)
-	}
-}
 
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]int64{10, 100, 1000})

@@ -12,22 +12,6 @@ import (
 	"hybridstore/internal/storage"
 )
 
-// Well-known gauge names the system wiring registers and the live-progress
-// reporters sample. Checkpoints turn each into a same-named time series.
-const (
-	GaugeRCHitRatio  = "rc_hit_ratio"
-	GaugeICHitRatio  = "ic_hit_ratio"
-	GaugeRICHitRatio = "ric_hit_ratio"
-	GaugeSSDErases   = "cache_ssd_erases"
-	GaugeSSDWriteAmp = "cache_ssd_write_amp"
-	// GaugeDegradedMode is 1 while the cache manager's SSD circuit breaker
-	// is open (reads routed around the L2 tier), 0 otherwise.
-	GaugeDegradedMode = "cache_degraded_mode"
-	// GaugeQuarantinedBytes tracks SSD cache capacity retired after device
-	// errors.
-	GaugeQuarantinedBytes = "cache_quarantined_bytes"
-)
-
 // numSituations mirrors core's Table I situation count; slot numSituations
 // holds uncached executions (no manager, hence no classification).
 const numSituations = 9
@@ -45,39 +29,54 @@ type Options struct {
 	// SpanLimit caps per-trace span lists (0 = DefaultSpanLimit; negative
 	// disables span capture, keeping only aggregate fields and attribution).
 	SpanLimit int
-	// SampleEvery checkpoints every gauge into its time series after this
-	// many queries (0 = 1000).
+	// SampleEvery appends one Sample to the series every this many queries
+	// (0 = 1000).
 	SampleEvery int
 }
 
-// Observer is the per-run observability hub: it owns the Tracer and the
-// Registry, consumes the cache manager's event stream and the devices' op
-// hooks, and maintains per-situation latency histograms.
+// Sample is one reading of a run's headline quantities, taken through the
+// system at call time: the Fig 14 hit ratios, the cache SSD's erase count
+// and write amplification (Fig 19), the fault-handling state and the
+// HDD's sequential share. A quantity the configuration lacks (no cache
+// manager, no cache SSD, no fault injector) reads zero.
+type Sample struct {
+	AtUS             int64   `json:"at_us"`
+	RC               float64 `json:"rc"`
+	IC               float64 `json:"ic"`
+	RIC              float64 `json:"ric"`
+	SSDErases        int64   `json:"ssd_erases"`
+	SSDWriteAmp      float64 `json:"ssd_write_amp"`
+	Degraded         bool    `json:"degraded"`
+	QuarantinedBytes int64   `json:"quarantined_bytes"`
+	InjectedErrors   int64   `json:"injected_errors"`
+	HDDSeqHitRatio   float64 `json:"hdd_seq_hit_ratio"`
+}
+
+// Observer is the per-run observability hub: it owns the Tracer, the
+// latency-attribution Profile, the per-situation latency histograms and the
+// series of Samples, and consumes the cache manager's event stream and the
+// backing store's op hook.
 type Observer struct {
-	Tracer   *Tracer
-	Registry *Registry
+	Tracer *Tracer
 
 	latAll  *metrics.Histogram
 	latSit  [numSituations + 1]*metrics.Histogram
 	profile *Profile
 
 	mu          sync.Mutex
+	sampler     func() Sample // nil until SetSampler
 	queries     int64
 	sampleEvery int64
+	series      []Sample
 	curSit      core.Situation
 	curSitSeen  bool
 	intQueries  int64
 	intTime     time.Duration
 }
 
-// New builds an Observer with a fresh Tracer and Registry.
+// New builds an Observer with a fresh Tracer.
 func New(opts Options) *Observer {
-	o := &Observer{
-		Tracer:      NewTracer(opts.TraceRing),
-		Registry:    NewRegistry(),
-		profile:     NewProfile(),
-		sampleEvery: int64(opts.SampleEvery),
-	}
+	o := fresh(NewTracer(opts.TraceRing), int64(opts.SampleEvery))
 	if o.sampleEvery <= 0 {
 		o.sampleEvery = 1000
 	}
@@ -87,36 +86,33 @@ func New(opts Options) *Observer {
 	if opts.TraceOut != nil {
 		o.Tracer.StreamTo(opts.TraceOut)
 	}
-	o.initHistograms()
 	return o
 }
 
 // Fork returns an Observer that shares o's Tracer — and therefore its
-// ring buffer, NDJSON stream and completed-trace count — but owns a fresh
-// Registry. Drivers that measure a sequence of systems need this: each
-// system's virtual clock restarts at zero, so gauges and time series must
-// be private per system (a shared Registry would interleave samples from
-// unrelated clocks, which TimeSeries.Record rejects), while all traces
-// still land in one stream.
-func (o *Observer) Fork() *Observer {
-	f := &Observer{
-		Tracer:      o.Tracer,
-		Registry:    NewRegistry(),
-		profile:     NewProfile(),
-		sampleEvery: o.sampleEvery,
+// ring buffer, NDJSON stream and completed-trace count — but owns fresh
+// histograms, profile and series. Drivers that measure a sequence of
+// systems need this: each system's virtual clock restarts at zero, so its
+// samples must be private, while all traces still land in one stream.
+func (o *Observer) Fork() *Observer { return fresh(o.Tracer, o.sampleEvery) }
+
+// fresh returns an Observer over tr with empty histograms and series.
+func fresh(tr *Tracer, sampleEvery int64) *Observer {
+	o := &Observer{Tracer: tr, profile: NewProfile(), sampleEvery: sampleEvery}
+	for i := range o.latSit {
+		o.latSit[i] = metrics.NewHistogram(LatencyBounds())
 	}
-	f.initHistograms()
-	return f
+	o.latAll = metrics.NewHistogram(LatencyBounds())
+	return o
 }
 
-// initHistograms registers the query-latency histograms on o.Registry.
-func (o *Observer) initHistograms() {
-	bounds := LatencyBounds()
-	o.latAll = o.Registry.Histogram("query_latency_us", bounds)
-	for i := 0; i < numSituations; i++ {
-		o.latSit[i] = o.Registry.Histogram(fmt.Sprintf("query_latency_s%d_us", i+1), bounds)
-	}
-	o.latSit[numSituations] = o.Registry.Histogram("query_latency_uncached_us", bounds)
+// SetSampler installs the function Progress and the series read the run's
+// headline quantities through. It is called at sampling time, so it sees
+// whatever the system holds then.
+func (o *Observer) SetSampler(fn func() Sample) {
+	o.mu.Lock()
+	o.sampler = fn
+	o.mu.Unlock()
 }
 
 // BeginQuery opens tracing for one query at simulated time now.
@@ -132,43 +128,25 @@ func (o *Observer) BeginQuery(qid uint64, now time.Duration) {
 func (o *Observer) HandleEvent(e core.Event) {
 	switch e.Kind {
 	case core.EvListRead:
-		level := e.Level.String()
-		o.Tracer.ListRead(int64(e.Term), level, e.Bytes)
-		o.Registry.Counter("list_bytes_" + level + "_total").Add(e.Bytes)
+		o.Tracer.ListRead(int64(e.Term), e.Level.String(), e.Bytes)
 	case core.EvResultHit:
-		level := e.Level.String()
-		o.Tracer.ResultProbe(level, e.Bytes)
-		o.Registry.Counter("result_hits_" + level + "_total").Inc()
+		o.Tracer.ResultProbe(e.Level.String(), e.Bytes)
 	case core.EvResultMiss:
 		o.Tracer.ResultProbe("miss", 0)
-		o.Registry.Counter("result_misses_total").Inc()
 	case core.EvListFlush:
 		o.Tracer.Flush("flush_list", int64(e.Term), e.Bytes)
-		o.Registry.Counter("ssd_list_flushes_total").Inc()
-		o.Registry.Counter("ssd_flush_bytes_total").Add(e.Bytes)
 	case core.EvResultFlush:
 		o.Tracer.Flush("flush_result", 0, e.Bytes)
-		o.Registry.Counter("ssd_result_flushes_total").Inc()
-		o.Registry.Counter("ssd_flush_bytes_total").Add(e.Bytes)
 	case core.EvListEvict:
-		level := e.Level.String()
-		o.Tracer.Evict("evict_list", int64(e.Term), level)
-		o.Registry.Counter("list_evictions_" + level + "_total").Inc()
+		o.Tracer.Evict("evict_list", int64(e.Term), e.Level.String())
 	case core.EvResultEvict:
-		level := e.Level.String()
-		o.Tracer.Evict("evict_result", 0, level)
-		o.Registry.Counter("result_evictions_" + level + "_total").Inc()
+		o.Tracer.Evict("evict_result", 0, e.Level.String())
 	case core.EvQueryEnd:
 		o.mu.Lock()
 		o.curSit = e.Sit
 		o.curSitSeen = true
 		o.mu.Unlock()
 		o.Tracer.SetSituation(e.Sit.String())
-	case core.EvIOError:
-		o.Registry.Counter("ssd_io_errors_total").Inc()
-		o.Registry.Counter("ssd_io_error_bytes_total").Add(e.Bytes)
-	case core.EvDegraded:
-		o.Registry.Counter("degraded_serves_total").Inc()
 	}
 }
 
@@ -185,32 +163,17 @@ func (o *Observer) HandleClockAdvance(c simclock.Component, d time.Duration) {
 func (o *Observer) Profile() *Profile { return o.profile }
 
 // HandleBackingOp consumes one backing-store (index device) operation,
-// attributing seeks to the in-flight query.
+// attributing reads and seeks to the in-flight query.
 func (o *Observer) HandleBackingOp(op storage.Op) {
 	if op.Kind == storage.OpRead {
 		o.Tracer.HDDOp(op.Seek)
-	}
-	o.Registry.Counter("backing_ops_total").Inc()
-	if op.Seek {
-		o.Registry.Counter("backing_seeks_total").Inc()
-	}
-}
-
-// HandleCacheOp consumes one cache-SSD operation.
-func (o *Observer) HandleCacheOp(op storage.Op) {
-	switch op.Kind {
-	case storage.OpRead:
-		o.Registry.Counter("cache_ssd_reads_total").Inc()
-	case storage.OpWrite:
-		o.Registry.Counter("cache_ssd_writes_total").Inc()
-	case storage.OpTrim:
-		o.Registry.Counter("cache_ssd_trims_total").Inc()
 	}
 }
 
 // EndQuery finalizes the in-flight query: the trace is completed, the
 // latency lands in the overall and per-situation histograms, and every
-// SampleEvery queries the gauges are checkpointed at simulated time now.
+// SampleEvery queries one Sample stamped with simulated time now joins the
+// series.
 func (o *Observer) EndQuery(now, elapsed time.Duration) QueryTrace {
 	tr := o.Tracer.End(elapsed)
 	if tr.Attrib != nil {
@@ -229,16 +192,21 @@ func (o *Observer) EndQuery(now, elapsed time.Duration) QueryTrace {
 	o.queries++
 	o.intQueries++
 	o.intTime += elapsed
-	checkpoint := o.queries%o.sampleEvery == 0
+	var sampler func() Sample
+	if o.queries%o.sampleEvery == 0 {
+		sampler = o.sampler
+	}
 	o.mu.Unlock()
 
 	us := elapsed.Microseconds()
 	o.latAll.Observe(us)
 	o.latSit[slot].Observe(us)
-	o.Registry.Counter("queries_total").Inc()
-
-	if checkpoint {
-		o.Registry.Checkpoint(now)
+	if sampler != nil {
+		s := sampler()
+		s.AtUS = now.Microseconds()
+		o.mu.Lock()
+		o.series = append(o.series, s)
+		o.mu.Unlock()
 	}
 	return tr
 }
@@ -250,8 +218,8 @@ func (o *Observer) EndQuery(now, elapsed time.Duration) QueryTrace {
 // attribution contract Attrib.Sum() == ElapsedNS holds by construction.
 // The trace opens and closes in one synchronous step because the Tracer
 // holds at most one open trace and the shard's real queries own it between
-// their own Begin/End. now is the checkpoint timestamp and must be
-// monotone per Observer — serving callers pass the shard clock's Now, not
+// their own Begin/End. now is the sample timestamp and must be monotone
+// per Observer — serving callers pass the shard clock's Now, not
 // the arrival-timeline completion instant.
 func (o *Observer) CoalescedQuery(qid uint64, start, wait, now time.Duration) QueryTrace {
 	o.BeginQuery(qid, start)
@@ -282,9 +250,21 @@ func (o *Observer) SituationLatency(sit core.Situation) HistogramSnapshot {
 	return histSnapshot(o.latSit[sit])
 }
 
-// UncachedLatency summarizes queries that ran without a cache manager.
-func (o *Observer) UncachedLatency() HistogramSnapshot {
-	return histSnapshot(o.latSit[numSituations])
+// Series returns a copy of the Samples taken so far, oldest first.
+func (o *Observer) Series() []Sample {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]Sample(nil), o.series...)
+}
+
+// HistogramSnapshot summarizes one latency histogram (µs) for the reports.
+type HistogramSnapshot struct {
+	Count int64   `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+	P999  float64 `json:"p999"`
 }
 
 func histSnapshot(h *metrics.Histogram) HistogramSnapshot {
@@ -307,11 +287,11 @@ type Progress struct {
 	IntervalMeanTime time.Duration
 	P50, P95, P99    time.Duration
 	RC, IC, RIC      float64
-	SSDErases        float64
+	SSDErases        int64
 	SSDWriteAmp      float64
 }
 
-// Progress samples the registry and drains the interval accumulators.
+// Progress reads the sampler and drains the interval accumulators.
 func (o *Observer) Progress() Progress {
 	o.mu.Lock()
 	p := Progress{Queries: o.queries, IntervalQueries: o.intQueries}
@@ -319,23 +299,24 @@ func (o *Observer) Progress() Progress {
 		p.IntervalMeanTime = o.intTime / time.Duration(o.intQueries)
 	}
 	o.intQueries, o.intTime = 0, 0
+	sampler := o.sampler
 	o.mu.Unlock()
 
 	p.P50 = time.Duration(o.latAll.Quantile(50)) * time.Microsecond
 	p.P95 = time.Duration(o.latAll.Quantile(95)) * time.Microsecond
 	p.P99 = time.Duration(o.latAll.Quantile(99)) * time.Microsecond
-	p.RC, _ = o.Registry.GaugeValue(GaugeRCHitRatio)
-	p.IC, _ = o.Registry.GaugeValue(GaugeICHitRatio)
-	p.RIC, _ = o.Registry.GaugeValue(GaugeRICHitRatio)
-	p.SSDErases, _ = o.Registry.GaugeValue(GaugeSSDErases)
-	p.SSDWriteAmp, _ = o.Registry.GaugeValue(GaugeSSDWriteAmp)
+	if sampler != nil {
+		s := sampler()
+		p.RC, p.IC, p.RIC = s.RC, s.IC, s.RIC
+		p.SSDErases, p.SSDWriteAmp = s.SSDErases, s.SSDWriteAmp
+	}
 	return p
 }
 
 // String renders a compact single progress line.
 func (p Progress) String() string {
 	return fmt.Sprintf(
-		"q=%d mean=%v p50=%v p95=%v p99=%v RC=%.3f IC=%.3f RIC=%.3f erases=%.0f WA=%.3f",
+		"q=%d mean=%v p50=%v p95=%v p99=%v RC=%.3f IC=%.3f RIC=%.3f erases=%d WA=%.3f",
 		p.Queries, p.IntervalMeanTime.Round(time.Microsecond),
 		p.P50, p.P95, p.P99, p.RC, p.IC, p.RIC, p.SSDErases, p.SSDWriteAmp)
 }

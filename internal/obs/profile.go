@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 
@@ -126,4 +127,30 @@ func (p *Profile) WriteFolded(w io.Writer, root string) error {
 // order.
 func (p *Profile) WritePprof(w io.Writer, root string) error {
 	return writePprof(w, root, p.Rows())
+}
+
+// WriteFiles writes the profile as gzipped pprof to pprofPath and as folded
+// stacks to foldedPath, both rooted at root, and returns the first error.
+func (p *Profile) WriteFiles(pprofPath, foldedPath, root string) error {
+	if err := writeFile(pprofPath, func(w io.Writer) error { return p.WritePprof(w, root) }); err != nil {
+		return err
+	}
+	return writeFile(foldedPath, func(w io.Writer) error { return p.WriteFolded(w, root) })
+}
+
+// writeFile creates path and fills it with write, reporting a failed write
+// or close with the path.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("profile %s: %w", path, err)
+	}
+	return nil
 }

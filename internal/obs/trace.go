@@ -1,10 +1,12 @@
 // Package obs is the observability layer of the reproduction: per-query
-// tracing with storage-level attribution, and a unified metrics registry
-// exposing counters, latency histograms and checkpointed time series.
+// tracing with storage-level attribution, latency histograms, the
+// simulated-time latency profile and a series of Samples of the run's
+// headline quantities. Every count lives where it is made (core.Stats, the
+// device counters); obs reads them, it keeps no copy.
 //
 // The simulator's serving path stays synchronous and single-threaded; the
 // types here are nevertheless mutex-guarded so exports (NDJSON dumps,
-// registry expositions) can run concurrently with a driver.
+// reports) can run concurrently with a driver.
 package obs
 
 import (

@@ -51,9 +51,9 @@ type Config struct {
 	// phase (per shard, ranked by the manager's queryFreq sketch) so the
 	// hottest results are resident when the open-loop run starts.
 	HotWarm int
-	// Observer, when non-nil, is forked per shard: every shard's clock and
-	// event stream feeds its own registry while all traces land in one
-	// shared stream, including synthetic traces for coalesced queries.
+	// Observer, when non-nil, is forked per shard: every shard keeps its
+	// own histograms and samples while all traces land in one shared
+	// stream, including synthetic traces for coalesced queries.
 	Observer *obs.Observer
 }
 
@@ -220,9 +220,10 @@ func (p *Pool) Run(n int) (Result, error) {
 	if n <= 0 {
 		return Result{}, fmt.Errorf("serve: Run(%d)", n)
 	}
-	// Observability attaches here, not in New, so traces and registry
-	// metrics cover exactly the measured open-loop window — the warm
-	// phase stays invisible, like runMeasured's post-warm stats reset.
+	// Observability attaches here, not in New, so traces, latency
+	// histograms and samples cover exactly the measured open-loop window —
+	// the warm phase stays invisible, like runMeasured's post-warm stats
+	// reset.
 	if p.cfg.Observer != nil && !p.obsOn {
 		p.obsOn = true
 		for _, sh := range p.shards {
@@ -317,7 +318,7 @@ func (p *Pool) complete(sh *shard, fl *flight, at time.Duration) {
 		d := at - w
 		p.lat.Observe(d.Microseconds())
 		if sh.obs != nil {
-			// The checkpoint timestamp is the shard clock's Now — monotone
+			// The sample timestamp is the shard clock's Now — monotone
 			// per observer — not the arrival-timeline instant, which would
 			// run backwards relative to eagerly executed queries.
 			sh.obs.CoalescedQuery(fl.qid, w, d, sh.sys.Clock.Now())

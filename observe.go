@@ -5,11 +5,11 @@ import (
 )
 
 // EnableObservability wires an Observer into the assembled system: the
-// cache manager's event stream feeds the per-query tracer, the devices'
-// op hooks attribute seeks and flash traffic, and the registry gains
-// gauges for the run's headline quantities (hit ratios, SSD erase count,
-// write amplification). Call once, after New; Search then produces one
-// trace per query.
+// cache manager's event stream feeds the per-query tracer, the backing
+// store's op hook attributes reads and seeks, and the observer samples the
+// run's headline quantities (hit ratios, SSD erase count, write
+// amplification) through the system. Call once, after New; Search then
+// produces one trace per query.
 func (s *System) EnableObservability(o *obs.Observer) {
 	s.obs = o
 	// Label every advance of the shared clock onto the in-flight trace;
@@ -26,67 +26,33 @@ func (s *System) EnableObservability(o *obs.Observer) {
 	if s.IndexSSD != nil {
 		s.IndexSSD.SetOpHook(o.HandleBackingOp)
 	}
-	if s.CacheSSD != nil {
-		s.CacheSSD.SetOpHook(o.HandleCacheOp)
-	}
+	o.SetSampler(s.sample)
+}
 
-	// Gauges read through s so RestartWarm's manager swap stays covered.
+// sample reads the headline quantities through s at call time, so
+// RestartWarm's manager swap is always seen.
+func (s *System) sample() obs.Sample {
+	var p obs.Sample
 	if s.Manager != nil {
-		o.Registry.Gauge(obs.GaugeRCHitRatio, func() float64 {
-			if s.Manager == nil {
-				return 0
-			}
-			return s.Manager.Stats().ResultHitRatio()
-		})
-		o.Registry.Gauge(obs.GaugeICHitRatio, func() float64 {
-			if s.Manager == nil {
-				return 0
-			}
-			return s.Manager.Stats().ListHitRatio()
-		})
-		o.Registry.Gauge(obs.GaugeRICHitRatio, func() float64 {
-			if s.Manager == nil {
-				return 0
-			}
-			return s.Manager.Stats().CombinedHitRatio()
-		})
-		o.Registry.Gauge(obs.GaugeDegradedMode, func() float64 {
-			if s.Manager == nil || !s.Manager.DegradedMode() {
-				return 0
-			}
-			return 1
-		})
-		o.Registry.Gauge(obs.GaugeQuarantinedBytes, func() float64 {
-			if s.Manager == nil {
-				return 0
-			}
-			return float64(s.Manager.Stats().QuarantinedBytes)
-		})
+		st := s.Manager.Stats()
+		p.RC, p.IC, p.RIC = st.ResultHitRatio(), st.ListHitRatio(), st.CombinedHitRatio()
+		p.Degraded = s.Manager.DegradedMode()
+		p.QuarantinedBytes = st.QuarantinedBytes
 	}
 	if s.CacheSSD != nil {
-		o.Registry.Gauge(obs.GaugeSSDErases, func() float64 {
-			return float64(s.CacheSSD.Wear().TotalErases)
-		})
-		o.Registry.Gauge(obs.GaugeSSDWriteAmp, func() float64 {
-			return s.CacheSSD.Wear().WriteAmplification
-		})
+		w := s.CacheSSD.Wear()
+		p.SSDErases, p.SSDWriteAmp = w.TotalErases, w.WriteAmplification
 	}
 	if s.CacheFaults != nil {
-		o.Registry.Gauge("cache_injected_errors", func() float64 {
-			fs := s.CacheFaults.FaultStats()
-			return float64(fs.ReadErrors + fs.WriteErrors + fs.TrimErrors)
-		})
+		fs := s.CacheFaults.FaultStats()
+		p.InjectedErrors = fs.ReadErrors + fs.WriteErrors + fs.TrimErrors
 	}
 	if s.HDD != nil {
-		o.Registry.Gauge("hdd_seq_hit_ratio", func() float64 {
-			st := s.HDD.Stats()
-			total := st.Reads + st.Writes
-			if total == 0 {
-				return 0
-			}
-			return float64(s.HDD.SequentialHits()) / float64(total)
-		})
+		if st := s.HDD.Stats(); st.Reads+st.Writes > 0 {
+			p.HDDSeqHitRatio = float64(s.HDD.SequentialHits()) / float64(st.Reads+st.Writes)
+		}
 	}
+	return p
 }
 
 // Obs returns the attached observer, or nil when observability is off.

@@ -29,6 +29,7 @@ type DeviceReport struct {
 	Name        string `json:"name"`
 	Reads       int64  `json:"reads"`
 	Writes      int64  `json:"writes"`
+	Trims       int64  `json:"trims"`
 	BytesRead   int64  `json:"bytes_read"`
 	BytesWrit   int64  `json:"bytes_written"`
 	AvgAccessUS int64  `json:"avg_access_us"`
@@ -112,15 +113,18 @@ type JSONReport struct {
 	Faults     *FaultReport          `json:"faults,omitempty"`
 	Devices    []DeviceReport        `json:"devices"`
 	Wear       map[string]WearReport `json:"wear,omitempty"`
-	Registry   *obs.RegistrySnapshot `json:"registry,omitempty"`
-	Traces     int64                 `json:"traces,omitempty"`
+	// Latency summarizes every observed query's latency, and Series holds
+	// the Samples taken every SampleEvery queries (observability only).
+	Latency *obs.HistogramSnapshot `json:"latency,omitempty"`
+	Series  []obs.Sample           `json:"series,omitempty"`
+	Traces  int64                  `json:"traces,omitempty"`
 	// Attribution is the per-situation latency breakdown, present when
 	// observability is enabled and at least one query was attributed.
 	Attribution []AttribReport `json:"attribution,omitempty"`
 }
 
 // jsonReportSchemaVersion bumps when the report layout changes shape.
-const jsonReportSchemaVersion = 1
+const jsonReportSchemaVersion = 2
 
 // BuildReport assembles the JSON report from the current system state.
 func (s *System) BuildReport() *JSONReport {
@@ -190,6 +194,7 @@ func (s *System) BuildReport() *JSONReport {
 			Name:        name,
 			Reads:       st.Reads,
 			Writes:      st.Writes,
+			Trims:       st.Trims,
 			BytesRead:   st.BytesRead,
 			BytesWrit:   st.BytesWrit,
 			AvgAccessUS: st.AvgAccessTime().Microseconds(),
@@ -222,8 +227,9 @@ func (s *System) BuildReport() *JSONReport {
 	}
 
 	if s.obs != nil {
-		snap := s.obs.Registry.Snapshot()
-		r.Registry = &snap
+		lat := s.obs.OverallLatency()
+		r.Latency = &lat
+		r.Series = s.obs.Series()
 		r.Traces = s.obs.Tracer.Completed()
 		rows := s.obs.Profile().Rows()
 		var grand int64
@@ -244,7 +250,6 @@ func (s *System) BuildReport() *JSONReport {
 		}
 		if s.Manager == nil {
 			r.Queries = s.obs.Queries()
-			lat := s.obs.OverallLatency()
 			r.MeanResponseUS = int64(lat.Mean)
 		}
 	}
