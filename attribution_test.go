@@ -17,12 +17,13 @@ import (
 // durations never exceed it.
 func checkAttributionContract(t *testing.T, sys *System, n int) {
 	t.Helper()
-	o := obs.New(obs.Options{TraceRing: n})
+	var buf bytes.Buffer
+	o := obs.New(obs.Options{TraceOut: &buf})
 	sys.EnableObservability(o)
 	if _, err := sys.Run(n); err != nil {
 		t.Fatal(err)
 	}
-	traces := o.Tracer.Recent(0)
+	traces := readTraces(t, &buf)
 	if len(traces) != n {
 		t.Fatalf("got %d traces, want %d", len(traces), n)
 	}
@@ -50,6 +51,21 @@ func checkAttributionContract(t *testing.T, sys *System, n int) {
 		t.Fatalf("profile totals queries=%d elapsed=%d attrib=%d, want %d/%d/%d",
 			queries, elapsedNS, attrib.Sum(), n, sumElapsed, sumElapsed)
 	}
+}
+
+// readTraces decodes the NDJSON trace stream an observer wrote to buf.
+func readTraces(t *testing.T, buf *bytes.Buffer) []obs.QueryTrace {
+	t.Helper()
+	var out []obs.QueryTrace
+	dec := json.NewDecoder(buf)
+	for dec.More() {
+		var tr obs.QueryTrace
+		if err := dec.Decode(&tr); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tr)
+	}
+	return out
 }
 
 // TestAttributionSumsToElapsed is the attribution≡elapsed contract across
@@ -112,7 +128,7 @@ func TestAttributionReportSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.EnableObservability(obs.New(obs.Options{TraceRing: 64}))
+	sys.EnableObservability(obs.New(obs.Options{}))
 	if _, err := sys.Run(300); err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +161,8 @@ func TestProgressSurvivesRestartWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.New(obs.Options{TraceRing: 64})
-	sys.EnableObservability(o)
+	var buf bytes.Buffer
+	sys.EnableObservability(obs.New(obs.Options{TraceOut: &buf}))
 	if _, err := sys.Run(400); err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +172,7 @@ func TestProgressSurvivesRestartWarm(t *testing.T) {
 	if err := sys.RestartWarm(); err != nil {
 		t.Fatal(err)
 	}
+	buf.Reset()
 	oldManager := sys.Manager
 	if _, err := sys.Run(200); err != nil {
 		t.Fatal(err)
@@ -176,7 +193,11 @@ func TestProgressSurvivesRestartWarm(t *testing.T) {
 
 	// Attribution still exact on the restarted system (the clock hook
 	// survives because RestartWarm keeps the clock).
-	for _, tr := range o.Tracer.Recent(10) {
+	traces := readTraces(t, &buf)
+	if len(traces) != 200 {
+		t.Fatalf("got %d traces after RestartWarm, want 200", len(traces))
+	}
+	for _, tr := range traces {
 		if tr.Attrib == nil || tr.Attrib.Sum() != tr.ElapsedNS {
 			t.Fatalf("seq %d: attribution broken after RestartWarm", tr.Seq)
 		}
@@ -189,7 +210,7 @@ func TestProgressSurvivesRestartWarm(t *testing.T) {
 // their series private to their own system.
 func TestReportSeries(t *testing.T) {
 	const k = 100
-	parent := obs.New(obs.Options{TraceRing: 1, SampleEvery: k})
+	parent := obs.New(obs.Options{SampleEvery: k})
 	for _, n := range []int{450, 300} {
 		sys, err := New(smallConfig(core.PolicyCBLRU, CacheTwoLevel))
 		if err != nil {

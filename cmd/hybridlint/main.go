@@ -8,11 +8,7 @@
 //	detclock     simulated time/randomness must flow through internal/simclock
 //	mapiter      output paths and device simulators must not range over maps
 //	             in randomized order
-//	statsevent   paired core.Stats counters must emit their event in the
-//	             same function (stats≡trace)
 //	ioerr        storage-layer errors and allocator results must be handled
-//	attrib       clock advances must carry a declared attribution Component
-//	             (Σattrib≡elapsed)
 //	bufalias     device-loaned buffers may not outlive the read call
 //	             (zero-copy lifetime)
 //	confine      concurrent closures in serve/experiments touch only state
@@ -61,7 +57,7 @@ func main() {
 	timing := flag.Bool("timing", false, "print per-analyzer wall time to stderr")
 	budgetMode := flag.String("allocbudget", "auto", `escape-analysis budget gate: "auto", "off", or a budget file path`)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hybridlint [-json] [-timing] [-allocbudget=auto|off|FILE] [packages]\n\nRuns the hybridstore contract analyzers (detclock, mapiter, statsevent, ioerr,\nattrib, bufalias, confine, allocbudget) over the given go-list package\npatterns (default ./...).\n")
+		fmt.Fprintf(os.Stderr, "usage: hybridlint [-json] [-timing] [-allocbudget=auto|off|FILE] [packages]\n\nRuns the hybridstore contract analyzers (detclock, mapiter, ioerr, bufalias,\nconfine, allocbudget) over the given go-list package patterns\n(default ./...).\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

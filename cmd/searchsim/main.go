@@ -6,7 +6,7 @@
 //
 //	searchsim -queries 10000 -policy cbslru
 //	searchsim -queries 5000 -policy lru -mode onelevel
-//	searchsim -docs 2000000 -mem 3145728 -report-every 2000
+//	searchsim -docs 2000000 -mem 3145728 -metrics-every 2000
 //	searchsim -ftl blockmap -queries 3000         # §II-A FTL ablation
 //	searchsim -result-ttl 30s -list-ttl 30s       # §IV-B dynamic scenario
 //	searchsim -aol user-ct-test.txt               # replay a real AOL log
@@ -51,7 +51,6 @@ func main() {
 		resultTTL    = flag.Duration("result-ttl", 0, "dynamic scenario: TTL for cached results (0 = static)")
 		listTTL      = flag.Duration("list-ttl", 0, "dynamic scenario: TTL for cached lists (0 = static)")
 		aolFile      = flag.String("aol", "", "replay queries from an AOL-format log file instead of the synthetic stream")
-		reportEvery  = flag.Int("report-every", 0, "print a progress line every N queries (0 = off)")
 		traceFile    = flag.String("trace", "", "write one NDJSON trace record per query to this file")
 		metricsEvery = flag.Int("metrics-every", 0, "print a live metrics line every N queries (0 = off)")
 		jsonFile     = flag.String("json", "", "write the machine-readable JSON report to this file ('-' = stdout)")
@@ -121,8 +120,10 @@ func main() {
 	}
 
 	if *serveMode {
-		if *aolFile != "" {
-			fmt.Fprintln(os.Stderr, "-serve does not support -aol replay")
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if err := serveConflict(set); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		runServe(baseCfg, serveOptions{
@@ -207,19 +208,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fireReport := *reportEvery > 0 && done%*reportEvery == 0
-		fireMetrics := *metricsEvery > 0 && done%*metricsEvery == 0
-		if fireReport || fireMetrics {
-			// One Progress sample per boundary: it drains the interval
-			// accumulators, so both lines must share it.
-			p := sys.Progress()
-			if fireReport {
-				fmt.Printf("[%6d] mean_resp=%v RC=%.3f IC=%.3f RIC=%.3f\n",
-					done, p.IntervalMeanTime, p.RC, p.IC, p.RIC)
-			}
-			if fireMetrics {
-				fmt.Println(p.String())
-			}
+		if *metricsEvery > 0 && done%*metricsEvery == 0 {
+			fmt.Println(sys.Progress().String())
 		}
 	}
 	fmt.Println()
@@ -266,6 +256,22 @@ func main() {
 			fmt.Printf("wrote JSON report to %s\n", *jsonFile)
 		}
 	}
+}
+
+// serveIgnored are the flags of the closed-loop run that the -serve pool
+// has no counterpart for: it replays no AOL log, writes no JSON report and
+// prints no live metrics.
+var serveIgnored = []string{"aol", "json", "metrics-every"}
+
+// serveConflict names the first flag in set that -serve cannot honour, so
+// such a run is refused instead of silently dropping the flag.
+func serveConflict(set map[string]bool) error {
+	for _, name := range serveIgnored {
+		if set[name] {
+			return fmt.Errorf("-serve does not support -%s", name)
+		}
+	}
+	return nil
 }
 
 // serveOptions carries the -serve flag set.

@@ -11,12 +11,14 @@ import (
 // TestFlagParsers covers the four enum flags searchsim parses itself or
 // through core and flashsim: every accepted spelling maps to its constant,
 // and a value that is not on the list is an error (main exits 2), never a
-// silent default.
+// silent default. The same holds for a closed-loop flag given with -serve,
+// whose pool has no use for it.
 func TestFlagParsers(t *testing.T) {
 	policy := func(s string) (any, error) { return core.ParsePolicy(s) }
 	mode := func(s string) (any, error) { return parseMode(s) }
 	placement := func(s string) (any, error) { return parsePlacement(s) }
 	ftl := func(s string) (any, error) { return flashsim.ParseFTL(s) }
+	serve := func(s string) (any, error) { return s, serveConflict(map[string]bool{s: true}) }
 	for _, c := range []struct {
 		flag  string
 		parse func(string) (any, error)
@@ -44,6 +46,11 @@ func TestFlagParsers(t *testing.T) {
 		{"-ftl", ftl, "hybrid-log", hybrid.FTLHybridLog},
 		{"-ftl", ftl, "page", nil},
 		{"-ftl", ftl, "", nil},
+		{"-serve with", serve, "shards", "shards"},
+		{"-serve with", serve, "trace", "trace"},
+		{"-serve with", serve, "aol", nil},
+		{"-serve with", serve, "json", nil},
+		{"-serve with", serve, "metrics-every", nil},
 	} {
 		got, err := c.parse(c.in)
 		switch {

@@ -58,10 +58,9 @@ func main() {
 }
 
 // summaryOrder is the canonical component rendering order shared by
-// summary, topk and diff. hybridlint's attrib analyzer (and the mirror test
-// in main_test.go) checks it lists every declared simclock.Component
-// exactly once, so a newly added component cannot silently vanish from
-// reports.
+// summary, topk and diff. TestSummaryOrderCoversEveryComponent checks it
+// lists every declared simclock.Component exactly once, so a newly added
+// component cannot silently vanish from reports.
 var summaryOrder = []simclock.Component{
 	simclock.CompOther,
 	simclock.CompHDDSeek,

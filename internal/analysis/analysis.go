@@ -1,33 +1,33 @@
 // Package analysis implements hybridlint, a suite of static analyzers that
-// machine-check the repository's load-bearing contracts:
+// machine-check the repository's load-bearing contracts where no test can:
 //
 //   - determinism: simulated time and randomness flow exclusively through
 //     internal/simclock (analyzer detclock), and neither output paths nor
 //     the device simulators iterate maps in Go's randomized order (analyzer
 //     mapiter), so every run is byte-identical at any -jobs count and places
 //     data the same way;
-//   - stats≡trace: every paired core.Stats counter mutation is accompanied
-//     by the matching manager event in the same function, driven by the
-//     pairing table declared next to the counters (analyzer statsevent);
 //   - error accounting: no storage-device or allocator result is silently
 //     discarded, so injected faults can never vanish (analyzer ioerr);
-//   - Σattrib≡elapsed: every clock advance carries a Component constant
-//     declared in simclock's componentTable, and tracetool renders every
-//     declared component (analyzer attrib);
 //   - zero-copy lifetime: a buffer filled by a device read is on loan for
 //     decoding only and may not outlive the read (analyzer bufalias);
 //   - shard confinement: concurrently launched closures and event-queue
 //     callbacks touch only state bound to them at creation (analyzer
 //     confine).
 //
-// The attrib, bufalias and confine analyzers share a small intra-procedural
+// The stats≡trace and Σattrib≡elapsed contracts have no analyzer: tests
+// check them (TestStatsEventTables and the stats≡trace divergence test in
+// internal/core, TestComponentTable in internal/simclock,
+// TestSummaryOrderCoversEveryComponent in cmd/tracetool), and the clock has
+// no advance without a Component.
+//
+// The bufalias and confine analyzers share a small intra-procedural
 // dataflow layer (dataflow.go): def/use value tracking over go/ast+go/types
 // that follows local aliases of a value through assignments and reslicings
 // inside one function body. Analysis never crosses function boundaries —
 // which is a feature, not a shortcut: a callee that wants to keep bytes
 // must copy them, and the copy is visible in the caller.
 //
-// An eighth check, allocbudget (allocbudget.go), is not AST-based at all:
+// A sixth check, allocbudget (allocbudget.go), is not AST-based at all:
 // it replays the compiler's escape analysis (`go build -gcflags=-m`)
 // against the committed per-function heap-allocation budget in
 // allocbudget.txt, turning the hot path's allocation discipline into a
@@ -285,12 +285,12 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // All returns the full AST-based hybridlint suite in reporting order. The
-// eighth check, allocbudget, is not package-scoped (it runs the compiler's
+// sixth check, allocbudget, is not package-scoped (it runs the compiler's
 // escape analysis over the whole module) and is invoked separately via
 // RunAllocBudget; its name is still known to the directive audit through
 // AllocBudgetName.
 func All() []*Analyzer {
-	return []*Analyzer{Detclock, Mapiter, Statsevent, Ioerr, Attrib, Bufalias, Confine}
+	return []*Analyzer{Detclock, Mapiter, Ioerr, Bufalias, Confine}
 }
 
 // pathSegment reports whether the import path contains seg as a whole

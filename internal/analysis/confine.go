@@ -64,7 +64,7 @@ func isEventQueueSchedule(pass *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	sig := fn.Type().(*types.Signature)
-	return typeIs(sig.Recv().Type(), clockPkgName, "EventQueue")
+	return typeIs(sig.Recv().Type(), "simclock", "EventQueue")
 }
 
 // confineClosure checks one concurrently-launched closure.

@@ -1,7 +1,7 @@
 package analysis
 
 // dataflow.go is the small intra-procedural def/use layer shared by the
-// attrib, bufalias and confine analyzers: value tracking over go/ast +
+// bufalias and confine analyzers: value tracking over go/ast +
 // go/types that follows local aliases of a value through assignments and
 // reslicings inside one function body. It is deliberately flow-insensitive
 // (a variable that ever aliases a tracked value stays tracked for the whole

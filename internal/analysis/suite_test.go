@@ -19,29 +19,8 @@ func TestMapiter(t *testing.T) {
 	analysistest.Run(t, td, "mapiter/flashsim", analysis.Mapiter)
 }
 
-func TestStatsevent(t *testing.T) {
-	td := analysistest.TestData(t)
-	analysistest.Run(t, td, "statsevent/core", analysis.Statsevent)
-	analysistest.Run(t, td, "statsevent/missing", analysis.Statsevent)
-}
-
 func TestIoerr(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), "ioerr/a", analysis.Ioerr)
-}
-
-// TestAttrib covers the Σattrib≡elapsed analyzer: call sites must pass
-// declared Component constants (attrib/a), the bare-call allowlist
-// suppresses by package path (attrib/allowedpkg), and the componentTable /
-// summaryOrder declarations must be total (attrib/badtable, attrib/notable,
-// attrib/order; attrib/clockpkg is the clean shape).
-func TestAttrib(t *testing.T) {
-	td := analysistest.TestData(t)
-	analysistest.Run(t, td, "attrib/clockpkg", analysis.Attrib)
-	analysistest.Run(t, td, "attrib/a", analysis.Attrib)
-	analysistest.Run(t, td, "attrib/allowedpkg", analysis.Attrib)
-	analysistest.Run(t, td, "attrib/badtable", analysis.Attrib)
-	analysistest.Run(t, td, "attrib/notable", analysis.Attrib)
-	analysistest.Run(t, td, "attrib/order", analysis.Attrib)
 }
 
 // TestBufalias covers the zero-copy lifetime analyzer: every escape of a

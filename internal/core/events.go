@@ -91,12 +91,11 @@ type Event struct {
 
 // statsEventPairs declares the stats≡trace pairing: every listed Stats
 // counter fires the mapped event at the moment it is bumped, so a sink
-// that sums event payloads reproduces the Stats totals exactly. The
-// statsevent analyzer (internal/analysis, run via cmd/hybridlint) reads
-// this table and fails the lint when a paired counter is mutated without
-// emitting its event in the same function — and when a new Stats field is
-// added without an entry here or in statsUnpaired. TestStatsEventTables
-// cross-checks the same totality at run time.
+// that sums event payloads reproduces the Stats totals exactly.
+// TestStatsEventTables fails when a new Stats field is added without an
+// entry here or in statsUnpaired, and the stats≡trace divergence test
+// (eventSums in faults_test.go) fails when a paired counter is bumped
+// without its event: dropping any one emit call fails it.
 var statsEventPairs = map[string]EventKind{
 	"ResultHitsMem":       EvResultHit,
 	"ResultHitsSSD":       EvResultHit,
@@ -123,7 +122,7 @@ var statsEventPairs = map[string]EventKind{
 }
 
 // statsUnpaired lists the Stats fields that deliberately fire no event,
-// each with the reason the omission is sound. The statsevent analyzer
+// each with the reason the omission is sound. TestStatsEventTables
 // requires every Stats field to appear in exactly one of the two tables.
 var statsUnpaired = map[string]string{
 	"ResultWritesElided":         "elision means nothing moved; the probe outcome was already evented",

@@ -250,7 +250,7 @@ func TestBreakerOpensRoutesAroundAndCools(t *testing.T) {
 
 	// Device recovers, cooldown elapses: the same entry hits SSD again.
 	fd.failWrites = false
-	f.clock.Advance(f.m.cfg.BreakerCooldown + time.Millisecond)
+	f.clock.AdvanceAttr(f.m.cfg.BreakerCooldown+time.Millisecond, simclock.CompOther)
 	if f.m.DegradedMode() {
 		t.Fatal("breaker still open after cooldown")
 	}
@@ -320,7 +320,7 @@ func TestTrimErrorCounted(t *testing.T) {
 	f, fd := newFlakyFixture(t, cfg)
 	putEntries(t, f, 1, 11) // RB with qids 1..6 on SSD
 	fd.failTrims = true
-	f.clock.Advance(2 * time.Millisecond)
+	f.clock.AdvanceAttr(2*time.Millisecond, simclock.CompOther)
 	if _, src := f.m.GetResult(1); src != ResultMiss {
 		t.Fatal("expired probe not a miss")
 	}
@@ -612,8 +612,11 @@ func (s *eventSums) check(t *testing.T, st Stats) {
 // range — summing event payloads still reproduces core.Stats exactly, the
 // invariants hold after every step, every result hit is the query's own entry
 // although freed entry buffers are poisoned, and nothing panics. Each policy runs
-// twice: over the fixture's roomy list region, and over one of four blocks,
-// where packed extents are replaced, quarantined and superseded all the time.
+// three times: over the fixture's roomy list region; over one of four blocks,
+// where packed extents are replaced, quarantined and superseded all the time;
+// and over four blocks with result and list TTLs of about forty steps, so
+// entries also expire on the SSD, lists inside packed extents and inside the
+// list write buffer among them.
 func TestDivergenceUnderInjectedFaults(t *testing.T) {
 	spec := storage.FaultSpec{
 		Seed:       99,
@@ -624,16 +627,19 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 		BadExtents: 1,
 	}
 	for _, policy := range allPolicies() {
-		for _, fourBlocks := range []bool{false, true} {
+		for _, v := range []struct {
+			suffix     string
+			fourBlocks bool          // of 16 KiB, so the fixture's short lists wrap it
+			ttl        time.Duration // the clock also moves 1 ms a step
+		}{{"", false, 0}, {"_four_blocks", true, 0}, {"_ttl", true, 40 * time.Millisecond}} {
 			cfg := testConfig(policy)
 			cfg.BreakerThreshold = 2 // make degraded windows likely
-			name := policy.String()
-			if fourBlocks { // of 16 KiB, so the fixture's short lists wrap it
+			if v.fourBlocks {
 				cfg.BlockBytes, cfg.ResultEntryBytes = 16<<10, 4<<10
 				cfg.MemListBytes, cfg.SSDListBytes = 4*cfg.BlockBytes, 4*cfg.BlockBytes
-				name += "_four_blocks"
 			}
-			t.Run(name, func(t *testing.T) {
+			cfg.ResultTTL, cfg.ListTTL = v.ttl, v.ttl
+			t.Run(policy.String()+v.suffix, func(t *testing.T) {
 				f := newFaultFixture(t, cfg, func(inner storage.Device) storage.Device {
 					return storage.NewFaultyDevice(&flakyDevice{inner: inner}, spec, nil)
 				})
@@ -651,6 +657,9 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 
 				rng := simclock.NewRNG(17)
 				for i := 0; i < 4000; i++ {
+					if v.ttl > 0 {
+						f.clock.AdvanceAttr(time.Millisecond, simclock.CompOther)
+					}
 					qid := rng.Uint64() % 300
 					if got, src := f.m.GetResult(qid); src != ResultMiss {
 						checkResultHit(t, i, qid, got, byte(qid), 0x11) // computed, or pinned
@@ -681,9 +690,12 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 				if st.SSDReadErrors+st.SSDWriteErrors+st.SSDTrimErrors == 0 {
 					t.Fatal("fault injection produced no device errors — test exercised nothing")
 				}
-				if fourBlocks && !policyRegistry[policy].Baseline && (st.ListOverwritesInPlace == 0 || st.ListsPerSSDWrite() < 2) {
+				if v.fourBlocks && !policyRegistry[policy].Baseline && (st.ListOverwritesInPlace == 0 || st.ListsPerSSDWrite() < 2) {
 					t.Fatalf("%d in-place overwrites at %.1f lists per write: packed extents were not replaced",
 						st.ListOverwritesInPlace, st.ListsPerSSDWrite())
+				}
+				if v.ttl > 0 && (st.ResultsExpired == 0 || st.ListsExpired == 0) {
+					t.Fatalf("%d results and %d lists expired: the TTL paths were not exercised", st.ResultsExpired, st.ListsExpired)
 				}
 				sums.check(t, st)
 				if err := f.m.CheckInvariants(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hybridstore/internal/simclock"
 	"hybridstore/internal/workload"
 )
 
@@ -82,7 +83,7 @@ func TestInvariantsHoldWithTTLChurn(t *testing.T) {
 		f.m.PutResult(q, entryOf(q, byte(q), size))
 		f.m.GetResult(uint64(i%60 + 1))
 		if i%10 == 0 {
-			f.clock.Advance(20 * time.Millisecond)
+			f.clock.AdvanceAttr(20*time.Millisecond, simclock.CompOther)
 		}
 	}
 	if err := f.m.CheckInvariants(); err != nil {

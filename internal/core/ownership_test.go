@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hybridstore/internal/simclock"
 )
 
 // poisonFreeEntries overwrites every buffer on the free list.
@@ -66,7 +68,7 @@ func TestEntryBuffersRecycledNeverAliased(t *testing.T) {
 					} else if err := f.m.PutResult(qid, entryOf(qid, byte(qid*3+1), size)); err != nil {
 						t.Fatal(err)
 					}
-					f.clock.Advance(time.Millisecond)
+					f.clock.AdvanceAttr(time.Millisecond, simclock.CompOther)
 					poisonFreeEntries(f.m)
 					if err := f.m.CheckInvariants(); err != nil {
 						t.Fatalf("step %d: %v", i, err)

@@ -240,10 +240,10 @@ func TestPackedListExpiresAlone(t *testing.T) {
 	cfg.ListTTL = time.Second
 	f, _ := newPackerFixture(t, cfg)
 	f.evict(t, 7, 2<<10)
-	f.clock.Advance(600 * time.Millisecond)
+	f.clock.AdvanceAttr(600*time.Millisecond, simclock.CompOther)
 	f.evict(t, 8, 2<<10)
 	f.m.flushListBuffer()
-	f.clock.Advance(600 * time.Millisecond)
+	f.clock.AdvanceAttr(600*time.Millisecond, simclock.CompOther)
 	if f.m.ssdListFor(7) != nil || f.m.Stats().ListsExpired != 1 {
 		t.Fatal("term 7 did not expire")
 	}

@@ -15,10 +15,10 @@ package core
 // measured and removed (DESIGN.md §15).
 //
 // Every policy must preserve the Manager's contracts: the invariant checker
-// (invariants.go), the stats≡trace pairing (events.go, enforced by hybridlint
-// statsevent), deterministic behavior under a fixed seed (byte-identical
-// experiment output at any -jobs), and exact accounting under injected
-// device faults.
+// (invariants.go), the stats≡trace pairing (events.go, enforced by the
+// divergence test in faults_test.go), deterministic behavior under a fixed
+// seed (byte-identical experiment output at any -jobs), and exact
+// accounting under injected device faults.
 
 import (
 	"fmt"

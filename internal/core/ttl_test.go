@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hybridstore/internal/simclock"
 	"hybridstore/internal/workload"
 )
 
@@ -16,7 +17,7 @@ func TestResultTTLExpiresL1(t *testing.T) {
 	if _, src := f.m.GetResult(1); src != ResultFromMemory {
 		t.Fatal("fresh entry missed")
 	}
-	f.clock.Advance(2 * time.Second)
+	f.clock.AdvanceAttr(2*time.Second, simclock.CompOther)
 	if _, src := f.m.GetResult(1); src != ResultMiss {
 		t.Fatalf("expired entry served (src=%v)", src)
 	}
@@ -44,7 +45,7 @@ func TestResultTTLExpiresSSDCopies(t *testing.T) {
 	if onSSD == 0 {
 		t.Skip("nothing reached SSD")
 	}
-	f.clock.Advance(time.Minute)
+	f.clock.AdvanceAttr(time.Minute, simclock.CompOther)
 	if _, src := f.m.GetResult(onSSD); src != ResultMiss {
 		t.Fatalf("expired SSD entry served (src=%v)", src)
 	}
@@ -59,7 +60,7 @@ func TestResultTTLRefreshOnReput(t *testing.T) {
 	f := newFixture(t, cfg)
 	size := f.m.Config().ResultEntryBytes
 	f.m.PutResult(1, entryOf(1, 5, size))
-	f.clock.Advance(2 * time.Second)
+	f.clock.AdvanceAttr(2*time.Second, simclock.CompOther)
 	f.m.PutResult(1, entryOf(1, 5, size)) // recompute refreshes the stamp
 	if _, src := f.m.GetResult(1); src != ResultFromMemory {
 		t.Fatal("refreshed entry missed")
@@ -77,7 +78,7 @@ func TestListTTLExpires(t *testing.T) {
 	if f.m.Stats().ListBytesFromHDD != hddBefore {
 		t.Fatal("fresh list re-read from HDD")
 	}
-	f.clock.Advance(time.Minute)
+	f.clock.AdvanceAttr(time.Minute, simclock.CompOther)
 	f.readSome(t, term, 8<<10) // expired: back to HDD
 	s := f.m.Stats()
 	if s.ListBytesFromHDD == hddBefore {
@@ -94,7 +95,7 @@ func TestExpiredListNotFlushedToSSD(t *testing.T) {
 	cfg.MemListBytes = 64 << 10
 	f := newFixture(t, cfg)
 	f.readSome(t, 20, 12<<10)
-	f.clock.Advance(time.Minute) // entry is now stale in L1
+	f.clock.AdvanceAttr(time.Minute, simclock.CompOther) // entry is now stale in L1
 	writesBefore := f.m.Stats().ListWritesToSSD
 	// Evict it by filling L1.
 	for i := 0; i < 20; i++ {
@@ -112,7 +113,7 @@ func TestZeroTTLMeansStatic(t *testing.T) {
 	f := newFixture(t, testConfig(PolicyCBLRU))
 	size := f.m.Config().ResultEntryBytes
 	f.m.PutResult(1, entryOf(1, 5, size))
-	f.clock.Advance(24 * 365 * time.Hour)
+	f.clock.AdvanceAttr(24*365*time.Hour, simclock.CompOther)
 	if _, src := f.m.GetResult(1); src != ResultFromMemory {
 		t.Fatal("static-scenario entry expired")
 	}
@@ -129,7 +130,7 @@ func TestStaticPinsExemptFromTTL(t *testing.T) {
 	if !f.m.PinResult(9, entryOf(9, 3, size)) {
 		t.Fatal("pin failed")
 	}
-	f.clock.Advance(time.Hour)
+	f.clock.AdvanceAttr(time.Hour, simclock.CompOther)
 	if _, src := f.m.GetResult(9); src != ResultFromSSD {
 		t.Fatalf("static pin expired (src=%v)", src)
 	}

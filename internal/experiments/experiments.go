@@ -172,9 +172,9 @@ func runMeasured(sys *hybrid.System, sc Scale) (hybrid.RunStats, core.Stats, err
 		sys.EnableObservability(o)
 	case sc.Profile != nil:
 		// Profiling without tracing: a private throwaway observer collects
-		// attribution (span capture off, minimal ring) and only its
-		// commutative profile totals leave the point.
-		o = obs.New(obs.Options{TraceRing: 1, SpanLimit: -1})
+		// attribution (span capture off) and only its commutative profile
+		// totals leave the point.
+		o = obs.New(obs.Options{SpanLimit: -1})
 		sys.EnableObservability(o)
 	}
 	if sys.Manager != nil && sys.Manager.UsesStaticPartition() {

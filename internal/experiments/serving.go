@@ -78,7 +78,7 @@ func Serving(w io.Writer, sc Scale) error {
 		case sc.Obs != nil:
 			o = sc.Obs.Fork()
 		case sc.Profile != nil:
-			o = obs.New(obs.Options{TraceRing: 1, SpanLimit: -1})
+			o = obs.New(obs.Options{SpanLimit: -1})
 		}
 		cfg.Observer = o
 		pool, err := serve.New(cfg)

@@ -58,7 +58,7 @@ func TestAttribZeroMarshalsEmpty(t *testing.T) {
 // the next recorded span as start/duration, and the per-query attribution
 // equals the total time added.
 func TestTracerAddTimeTilesSpans(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer()
 	tr.Begin(7, 0)
 	tr.AddTime(simclock.CompCacheBookkeeping, 10*time.Microsecond)
 	tr.ResultProbe("miss", 0)
@@ -93,7 +93,7 @@ func TestTracerAddTimeTilesSpans(t *testing.T) {
 // synthetic "truncated" span carries the residual time so span durations
 // still sum to the elapsed time.
 func TestTracerTruncationKeepsTiming(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer()
 	tr.SetSpanLimit(2)
 	tr.Begin(1, 0)
 	for i := 0; i < 6; i++ {
@@ -130,7 +130,7 @@ func TestTracerTruncationKeepsTiming(t *testing.T) {
 // TestTracerSpanCaptureDisabled: a negative span limit keeps attribution
 // exact without recording any spans (and without a synthetic one).
 func TestTracerSpanCaptureDisabled(t *testing.T) {
-	o := New(Options{TraceRing: 2, SpanLimit: -1})
+	o := New(Options{SpanLimit: -1})
 	o.Tracer.Begin(1, 0)
 	o.Tracer.AddTime(simclock.CompHDDSeek, 5*time.Millisecond)
 	o.Tracer.ListRead(1, "hdd", 10)
@@ -145,7 +145,7 @@ func TestTracerSpanCaptureDisabled(t *testing.T) {
 }
 
 func TestObserverFoldsProfile(t *testing.T) {
-	o := New(Options{TraceRing: 8})
+	o := New(Options{})
 	for i := 0; i < 3; i++ {
 		o.BeginQuery(uint64(i), 0)
 		o.Tracer.AddTime(simclock.CompSSDRead, 2*time.Millisecond)

@@ -22,8 +22,6 @@ func LatencyBounds() []int64 { return metrics.ExpBounds(16, 2, 22) }
 
 // Options configures an Observer.
 type Options struct {
-	// TraceRing is the trace ring-buffer capacity (0 = 4096).
-	TraceRing int
 	// TraceOut, when non-nil, receives every completed trace as NDJSON.
 	TraceOut io.Writer
 	// SpanLimit caps per-trace span lists (0 = DefaultSpanLimit; negative
@@ -76,7 +74,7 @@ type Observer struct {
 
 // New builds an Observer with a fresh Tracer.
 func New(opts Options) *Observer {
-	o := fresh(NewTracer(opts.TraceRing), int64(opts.SampleEvery))
+	o := fresh(NewTracer(), int64(opts.SampleEvery))
 	if o.sampleEvery <= 0 {
 		o.sampleEvery = 1000
 	}
@@ -90,7 +88,7 @@ func New(opts Options) *Observer {
 }
 
 // Fork returns an Observer that shares o's Tracer — and therefore its
-// ring buffer, NDJSON stream and completed-trace count — but owns fresh
+// NDJSON stream and completed-trace count — but owns fresh
 // histograms, profile and series. Drivers that measure a sequence of
 // systems need this: each system's virtual clock restarts at zero, so its
 // samples must be private, while all traces still land in one stream.

@@ -5,8 +5,8 @@
 // device counters); obs reads them, it keeps no copy.
 //
 // The simulator's serving path stays synchronous and single-threaded; the
-// types here are nevertheless mutex-guarded so exports (NDJSON dumps,
-// reports) can run concurrently with a driver.
+// types here are nevertheless mutex-guarded so reports and progress reads
+// can run concurrently with a driver.
 package obs
 
 import (
@@ -90,14 +90,12 @@ type QueryTrace struct {
 	SpansDropped int `json:"spans_dropped,omitempty"`
 }
 
-// Tracer records per-query traces into a bounded ring buffer and,
-// optionally, streams every completed trace to a writer as NDJSON.
+// Tracer builds one per-query trace at a time and, optionally, streams
+// every completed trace to a writer as NDJSON. It keeps no completed
+// traces: End returns each one to its caller.
 type Tracer struct {
-	mu    sync.Mutex
-	ring  []QueryTrace
-	start int   // index of the oldest element
-	count int   // elements in the ring
-	seq   int64 // next completion sequence number
+	mu  sync.Mutex
+	seq int64 // next completion sequence number
 
 	cur       *QueryTrace
 	spanLimit int
@@ -116,13 +114,9 @@ type Tracer struct {
 // cannot balloon one record.
 const DefaultSpanLimit = 256
 
-// NewTracer returns a tracer whose ring holds the last capacity completed
-// traces (minimum 1; 4096 when capacity <= 0).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	return &Tracer{ring: make([]QueryTrace, 0, capacity), spanLimit: DefaultSpanLimit}
+// NewTracer returns a tracer with the default span limit.
+func NewTracer() *Tracer {
+	return &Tracer{spanLimit: DefaultSpanLimit}
 }
 
 // SetSpanLimit overrides the per-trace span cap (n <= 0 disables span
@@ -134,7 +128,7 @@ func (t *Tracer) SetSpanLimit(n int) {
 }
 
 // StreamTo makes the tracer write every completed trace to w as one JSON
-// object per line (NDJSON), in completion order, in addition to the ring.
+// object per line (NDJSON), in completion order.
 func (t *Tracer) StreamTo(w io.Writer) {
 	t.mu.Lock()
 	t.enc = json.NewEncoder(w)
@@ -172,13 +166,6 @@ func (t *Tracer) AddTime(c simclock.Component, d time.Duration) {
 	}
 	t.cur.Attrib.Add(c, d)
 	t.pendNS += int64(d)
-}
-
-// Active reports whether a trace is currently open.
-func (t *Tracer) Active() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cur != nil
 }
 
 // addSpan appends a span to the current trace under the span cap. A
@@ -292,10 +279,9 @@ func (t *Tracer) SetSituation(sit string) {
 	t.cur.Situation = sit
 }
 
-// End finalizes the current trace with its simulated elapsed time, pushes
-// it into the ring (overwriting the oldest entry when full) and streams it
-// to the NDJSON sink when one is attached. It returns the completed trace;
-// the zero trace is returned when no trace was open.
+// End finalizes the current trace with its simulated elapsed time and
+// streams it to the NDJSON sink when one is attached. It returns the
+// completed trace; the zero trace is returned when no trace was open.
 func (t *Tracer) End(elapsed time.Duration) QueryTrace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -316,14 +302,6 @@ func (t *Tracer) End(elapsed time.Duration) QueryTrace {
 	tr.Seq = t.seq
 	t.seq++
 
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, tr)
-	} else {
-		t.ring[t.start] = tr
-		t.start = (t.start + 1) % cap(t.ring)
-	}
-	t.count = len(t.ring)
-
 	if t.enc != nil {
 		if err := t.enc.Encode(&tr); err != nil && t.sinkErr == nil {
 			t.sinkErr = fmt.Errorf("obs: trace sink: %w", err)
@@ -332,36 +310,9 @@ func (t *Tracer) End(elapsed time.Duration) QueryTrace {
 	return tr
 }
 
-// Completed returns the total number of traces finished since creation
-// (not just those still in the ring).
+// Completed returns the total number of traces finished since creation.
 func (t *Tracer) Completed() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.seq
-}
-
-// Recent returns up to n of the most recent completed traces, oldest
-// first. n <= 0 returns everything the ring holds.
-func (t *Tracer) Recent(n int) []QueryTrace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n <= 0 || n > t.count {
-		n = t.count
-	}
-	out := make([]QueryTrace, 0, n)
-	for i := t.count - n; i < t.count; i++ {
-		out = append(out, t.ring[(t.start+i)%len(t.ring)])
-	}
-	return out
-}
-
-// WriteNDJSON dumps the ring's traces (oldest first) to w as NDJSON.
-func (t *Tracer) WriteNDJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, tr := range t.Recent(0) {
-		if err := enc.Encode(&tr); err != nil {
-			return err
-		}
-	}
-	return nil
 }

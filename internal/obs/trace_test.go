@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -16,50 +15,11 @@ func endTrace(t *Tracer, qid uint64) QueryTrace {
 	return t.End(time.Millisecond)
 }
 
-func TestTracerRingWraparound(t *testing.T) {
-	const capacity = 4
-	tr := NewTracer(capacity)
-	for qid := uint64(1); qid <= 10; qid++ {
-		endTrace(tr, qid)
-	}
-	if got := tr.Completed(); got != 10 {
-		t.Fatalf("Completed=%d want 10", got)
-	}
-	recent := tr.Recent(0)
-	if len(recent) != capacity {
-		t.Fatalf("ring holds %d traces, want %d", len(recent), capacity)
-	}
-	// Oldest first: qids 7..10, with monotonically increasing Seq that keeps
-	// counting across the wraparound (Seq = qid-1 here).
-	for i, q := range recent {
-		wantQID := uint64(7 + i)
-		if q.QID != wantQID {
-			t.Fatalf("recent[%d].QID=%d want %d", i, q.QID, wantQID)
-		}
-		if q.Seq != int64(wantQID-1) {
-			t.Fatalf("recent[%d].Seq=%d want %d", i, q.Seq, wantQID-1)
-		}
-	}
-	// Recent(n) returns the n newest, still oldest-first.
-	last2 := tr.Recent(2)
-	if len(last2) != 2 || last2[0].QID != 9 || last2[1].QID != 10 {
-		t.Fatalf("Recent(2) = %+v, want qids 9,10", last2)
-	}
-}
-
-func TestTracerRingPartialFill(t *testing.T) {
-	tr := NewTracer(8)
-	endTrace(tr, 1)
-	endTrace(tr, 2)
-	recent := tr.Recent(0)
-	if len(recent) != 2 || recent[0].QID != 1 || recent[1].QID != 2 {
-		t.Fatalf("Recent(0) = %+v, want qids 1,2", recent)
-	}
-}
-
-func TestTracerStreamsNDJSONPastRingCapacity(t *testing.T) {
+// TestTracerStreamsNDJSON: every completed trace reaches the stream as one
+// NDJSON line, in completion order, numbered by Seq from 0.
+func TestTracerStreamsNDJSON(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(2) // tiny ring; the stream must still see everything
+	tr := NewTracer()
 	tr.StreamTo(&buf)
 	for qid := uint64(1); qid <= 5; qid++ {
 		endTrace(tr, qid)
@@ -67,30 +27,31 @@ func TestTracerStreamsNDJSONPastRingCapacity(t *testing.T) {
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
-	var seqs []int64
+	if got := tr.Completed(); got != 5 {
+		t.Fatalf("Completed=%d want 5", got)
+	}
+	var n int64
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
 		var q QueryTrace
 		if err := json.Unmarshal(sc.Bytes(), &q); err != nil {
 			t.Fatalf("invalid NDJSON line: %v", err)
 		}
-		seqs = append(seqs, q.Seq)
+		if q.Seq != n || q.QID != uint64(n+1) {
+			t.Fatalf("line %d: seq=%d qid=%d, want %d/%d", n, q.Seq, q.QID, n, n+1)
+		}
 		if q.SSDBytes != 100 {
 			t.Fatalf("ssd_bytes=%d want 100", q.SSDBytes)
 		}
+		n++
 	}
-	if len(seqs) != 5 {
-		t.Fatalf("streamed %d records, want 5", len(seqs))
-	}
-	for i, s := range seqs {
-		if s != int64(i) {
-			t.Fatalf("stream seq[%d]=%d want %d", i, s, i)
-		}
+	if n != 5 {
+		t.Fatalf("streamed %d records, want 5", n)
 	}
 }
 
 func TestTracerAttribution(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer()
 	tr.Begin(42, 0)
 	tr.ResultProbe("miss", 0)
 	tr.ListRead(1, "mem", 10)
@@ -127,7 +88,7 @@ func TestTracerAttribution(t *testing.T) {
 }
 
 func TestTracerSpanLimit(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer()
 	tr.SetSpanLimit(3)
 	tr.Begin(1, 0)
 	for i := 0; i < 10; i++ {
@@ -143,32 +104,9 @@ func TestTracerSpanLimit(t *testing.T) {
 }
 
 func TestTracerEventsOutsideQueryDropped(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer()
 	tr.ListRead(1, "mem", 100) // no open trace: must not panic or leak
-	if tr.Active() {
-		t.Fatal("tracer active without Begin")
-	}
 	if q := tr.End(0); q.QID != 0 || tr.Completed() != 0 {
 		t.Fatalf("End without Begin produced a trace: %+v", q)
-	}
-}
-
-func TestTracerWriteNDJSON(t *testing.T) {
-	tr := NewTracer(4)
-	endTrace(tr, 1)
-	endTrace(tr, 2)
-	var buf bytes.Buffer
-	if err := tr.WriteNDJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	for _, line := range lines {
-		var q QueryTrace
-		if err := json.Unmarshal([]byte(line), &q); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
 	}
 }

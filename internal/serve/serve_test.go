@@ -135,7 +135,7 @@ func TestCoalescedTraces(t *testing.T) {
 	mu := calibratedQPS(t)
 	var buf bytes.Buffer
 	cfg := poolConfig(t, 2, 3*mu)
-	cfg.Observer = obs.New(obs.Options{TraceRing: 1, SpanLimit: 8, TraceOut: &buf})
+	cfg.Observer = obs.New(obs.Options{SpanLimit: 8, TraceOut: &buf})
 	r := runPool(t, cfg, 800)
 
 	type trace struct {
@@ -195,7 +195,7 @@ func TestRunDeterminism(t *testing.T) {
 		cfg.Arrivals.BurstEvery = 200 * time.Millisecond
 		cfg.Arrivals.BurstDuration = 50 * time.Millisecond
 		cfg.Arrivals.BurstFactor = 3
-		cfg.Observer = obs.New(obs.Options{TraceRing: 1, SpanLimit: 8, TraceOut: &buf})
+		cfg.Observer = obs.New(obs.Options{SpanLimit: 8, TraceOut: &buf})
 		r := runPool(t, cfg, 500)
 		return r.String(), buf.String()
 	}

@@ -46,16 +46,10 @@ func (c *Clock) OnAdvance(fn func(Component, time.Duration)) {
 	c.mu.Unlock()
 }
 
-// Advance moves simulated time forward by d and returns the new time.
-// Advance panics if d is negative: simulated time never runs backwards.
-// The time is attributed to CompOther; components that know what the time
-// was spent on use AdvanceAttr.
-func (c *Clock) Advance(d time.Duration) time.Duration {
-	return c.AdvanceAttr(d, CompOther)
-}
-
 // AdvanceAttr moves simulated time forward by d, attributing the time to
-// component comp, and returns the new time. It panics if d is negative.
+// component comp, and returns the new time. It panics if d is negative:
+// simulated time never runs backwards. There is no unlabeled advance, so
+// every slice of simulated time is claimed by a component.
 func (c *Clock) AdvanceAttr(d time.Duration, comp Component) time.Duration {
 	if d < 0 {
 		panic(fmt.Sprintf("simclock: negative advance %v", d))
@@ -71,18 +65,11 @@ func (c *Clock) AdvanceAttr(d time.Duration, comp Component) time.Duration {
 	return now
 }
 
-// AdvanceTo moves simulated time forward to t if t is later than the current
-// time; otherwise it leaves the clock unchanged. It returns the resulting
-// time. This is the idiom for components that compute an absolute completion
-// time (for example a rotating disk whose platter position is periodic).
-// The time is attributed to CompOther.
-func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
-	return c.AdvanceToAttr(t, CompOther)
-}
-
 // AdvanceToAttr moves simulated time forward to t if t is later than the
-// current time, attributing the covered interval to component comp, and
-// returns the resulting time.
+// current time, attributing the covered interval to component comp;
+// otherwise it leaves the clock unchanged. It returns the resulting time.
+// This is the idiom for components that compute an absolute completion time
+// (for example a rotating disk whose platter position is periodic).
 func (c *Clock) AdvanceToAttr(t time.Duration, comp Component) time.Duration {
 	c.mu.Lock()
 	d := t - c.now

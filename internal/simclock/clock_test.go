@@ -15,10 +15,10 @@ func TestClockStartsAtZero(t *testing.T) {
 
 func TestClockAdvance(t *testing.T) {
 	c := New()
-	if got := c.Advance(5 * time.Millisecond); got != 5*time.Millisecond {
-		t.Fatalf("Advance returned %v, want 5ms", got)
+	if got := c.AdvanceAttr(5*time.Millisecond, CompOther); got != 5*time.Millisecond {
+		t.Fatalf("AdvanceAttr returned %v, want 5ms", got)
 	}
-	c.Advance(20 * time.Microsecond)
+	c.AdvanceAttr(20*time.Microsecond, CompOther)
 	want := 5*time.Millisecond + 20*time.Microsecond
 	if got := c.Now(); got != want {
 		t.Fatalf("Now = %v, want %v", got, want)
@@ -27,8 +27,8 @@ func TestClockAdvance(t *testing.T) {
 
 func TestClockAdvanceZeroIsNoop(t *testing.T) {
 	c := New()
-	c.Advance(time.Second)
-	c.Advance(0)
+	c.AdvanceAttr(time.Second, CompOther)
+	c.AdvanceAttr(0, CompOther)
 	if got := c.Now(); got != time.Second {
 		t.Fatalf("Now = %v, want 1s", got)
 	}
@@ -37,26 +37,26 @@ func TestClockAdvanceZeroIsNoop(t *testing.T) {
 func TestClockAdvanceNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Advance(-1) did not panic")
+			t.Fatal("AdvanceAttr(-1) did not panic")
 		}
 	}()
-	New().Advance(-1)
+	New().AdvanceAttr(-1, CompOther)
 }
 
 func TestClockAdvanceTo(t *testing.T) {
 	c := New()
-	c.Advance(time.Second)
-	if got := c.AdvanceTo(500 * time.Millisecond); got != time.Second {
-		t.Fatalf("AdvanceTo backwards moved clock to %v", got)
+	c.AdvanceAttr(time.Second, CompOther)
+	if got := c.AdvanceToAttr(500*time.Millisecond, CompOther); got != time.Second {
+		t.Fatalf("AdvanceToAttr backwards moved clock to %v", got)
 	}
-	if got := c.AdvanceTo(2 * time.Second); got != 2*time.Second {
-		t.Fatalf("AdvanceTo(2s) = %v", got)
+	if got := c.AdvanceToAttr(2*time.Second, CompOther); got != 2*time.Second {
+		t.Fatalf("AdvanceToAttr(2s) = %v", got)
 	}
 }
 
 func TestClockReset(t *testing.T) {
 	c := New()
-	c.Advance(time.Hour)
+	c.AdvanceAttr(time.Hour, CompOther)
 	c.Reset()
 	if got := c.Now(); got != 0 {
 		t.Fatalf("after Reset, Now = %v", got)
@@ -73,7 +73,7 @@ func TestClockConcurrentAdvance(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perWorker; j++ {
-				c.Advance(time.Nanosecond)
+				c.AdvanceAttr(time.Nanosecond, CompOther)
 			}
 		}()
 	}
@@ -86,11 +86,11 @@ func TestClockConcurrentAdvance(t *testing.T) {
 func TestStopwatch(t *testing.T) {
 	c := New()
 	sw := StartStopwatch(c)
-	c.Advance(3 * time.Millisecond)
+	c.AdvanceAttr(3*time.Millisecond, CompOther)
 	if got := sw.Elapsed(); got != 3*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 3ms", got)
 	}
-	c.Advance(time.Millisecond)
+	c.AdvanceAttr(time.Millisecond, CompOther)
 	if got := sw.Elapsed(); got != 4*time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 4ms", got)
 	}

@@ -1,7 +1,7 @@
 package simclock
 
 // Component labels where a slice of simulated time is spent. Every clock
-// advance carries one; unlabeled advances fall into CompOther. The taxonomy
+// advance carries one: the Clock has no advance without it. The taxonomy
 // partitions a query's elapsed time for latency attribution: because the
 // labels are applied at the clock itself, the per-component sums are equal
 // to elapsed time by construction, not by reconciliation.
@@ -10,7 +10,7 @@ type Component uint8
 // The attribution components, in canonical rendering order.
 const (
 	// CompOther is time not claimed by any specific component (RAM device
-	// transfers, unlabeled fixture advances).
+	// transfers, test-fixture advances).
 	CompOther Component = iota
 	// CompHDDSeek is mechanical positioning: head travel plus rotational
 	// latency on the backing drive.
@@ -55,13 +55,13 @@ var componentNames = [NumComponents]string{
 }
 
 // componentTable declares, for every attribution component, why it exists
-// as a distinct slice of the taxonomy. hybridlint's attrib analyzer checks
-// the table is total — adding a Component constant without an entry (or
-// leaving a stale entry behind) fails the build, the same way
-// statsEventPairs keeps the stats≡trace pairing total. NumComponents is the
-// array bound, not a component, and must not appear here.
+// as a distinct slice of the taxonomy. TestComponentTable checks the table
+// is total — adding a Component constant without an entry (or leaving a
+// stale entry behind) fails the tests, the same way TestStatsEventTables
+// keeps the stats≡trace pairing total. NumComponents is the array bound,
+// not a component, and must not appear here.
 var componentTable = map[Component]string{
-	CompOther:            "the residual bucket: RAM transfers and unlabeled fixture advances, kept explicit so Σattrib≡elapsed never needs a fudge term",
+	CompOther:            "the residual bucket: RAM transfers and test-fixture advances, kept explicit so Σattrib≡elapsed never needs a fudge term",
 	CompHDDSeek:          "mechanical positioning dominates HDD latency; the paper's core argument prices it separately from transfer",
 	CompHDDTransfer:      "command overhead plus media transfer; scales with request size where seek does not",
 	CompSSDRead:          "flash read service time on either SSD role (cache or index)",

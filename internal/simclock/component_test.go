@@ -65,7 +65,7 @@ func TestOnAdvanceSeesEveryAdvance(t *testing.T) {
 
 	start := c.Now()
 	c.AdvanceAttr(3*time.Millisecond, CompHDDSeek)
-	c.Advance(1 * time.Millisecond) // unlabeled -> other
+	c.AdvanceAttr(1*time.Millisecond, CompOther)
 	c.AdvanceToAttr(c.Now()+2*time.Millisecond, CompSSDEraseStall)
 	c.AdvanceToAttr(0, CompSSDEraseStall) // backwards: no movement, no hook
 	c.AdvanceAttr(0, CompSSDRead)         // zero: no hook

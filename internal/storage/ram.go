@@ -80,7 +80,7 @@ func (d *MemDevice) ReadAt(p []byte, off int64) (time.Duration, error) {
 	}
 	d.buf.ReadAt(p, off)
 	lat := d.cost(len(p))
-	d.clock.Advance(lat)
+	d.clock.AdvanceAttr(lat, simclock.CompOther)
 	d.stats.Record(OpRead, len(p), lat)
 	d.emit(Op{Device: d.name, Kind: OpRead, Offset: off, Len: len(p), Latency: lat})
 	return lat, nil
@@ -95,7 +95,7 @@ func (d *MemDevice) WriteAt(p []byte, off int64) (time.Duration, error) {
 	}
 	d.buf.WriteAt(p, off)
 	lat := d.cost(len(p))
-	d.clock.Advance(lat)
+	d.clock.AdvanceAttr(lat, simclock.CompOther)
 	d.stats.Record(OpWrite, len(p), lat)
 	d.emit(Op{Device: d.name, Kind: OpWrite, Offset: off, Len: len(p), Latency: lat})
 	return lat, nil

@@ -2,7 +2,6 @@ package trace_test
 
 import (
 	"fmt"
-	"strings"
 
 	"hybridstore/internal/storage"
 	"hybridstore/internal/trace"
@@ -20,16 +19,4 @@ func ExampleAnalyze() {
 	fmt.Printf("reads %.0f%%, sequential %.2f\n", 100*ch.ReadFraction, ch.SequentialFraction)
 	// Output:
 	// reads 75%, sequential 0.33
-}
-
-// ExampleParseSPC reads a UMass-style SPC trace snippet.
-func ExampleParseSPC() {
-	in := "0,303567,8192,R,0.011413\n0,1055948,8192,R,0.012\n"
-	recs, err := trace.ParseSPC(strings.NewReader(in), 0)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%d reads, first LBA %d\n", len(recs), recs[0].LBA)
-	// Output:
-	// 2 reads, first LBA 303567
 }

@@ -8,8 +8,8 @@
 #   2. go vet      (toolchain vet)
 #   3. staticcheck (version pinned in tools/tools.go)
 #   4. hybridlint  (the repo's contract analyzers: detclock, mapiter,
-#                   statsevent, ioerr, attrib, bufalias, confine — see
-#                   internal/analysis — plus the allocbudget gate, which
+#                   ioerr, bufalias, confine — see internal/analysis —
+#                   plus the allocbudget gate, which
 #                   replays compiler escape analysis against the budgets
 #                   committed in allocbudget.txt; any over-budget hot-path
 #                   function makes hybridlint, and this script, exit
