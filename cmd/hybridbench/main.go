@@ -132,24 +132,16 @@ func main() {
 		if *jobsFlag > 1 {
 			fmt.Fprintln(os.Stderr, "note: -trace serializes execution (running with -jobs 1)")
 		}
-		f, err := os.Create(*traceFlag)
+		o, closeTrace, err := obs.NewTraceFile(*traceFlag, obs.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		w := bufio.NewWriterSize(f, 1<<20)
-		sc.Obs = obs.New(obs.Options{TraceOut: w})
+		sc.Obs = o
 		defer func() {
-			if err := w.Flush(); err != nil {
+			if err := closeTrace(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			if err := sc.Obs.Tracer.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "trace stream: %v\n", err)
-			}
-			fmt.Printf("wrote %d trace records to %s\n", sc.Obs.Tracer.Completed(), *traceFlag)
 		}()
 	}
 

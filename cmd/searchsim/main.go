@@ -17,7 +17,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -150,18 +149,11 @@ func main() {
 	if *metricsEvery > 0 {
 		obsOpts.SampleEvery = *metricsEvery
 	}
-	var traceF *os.File
-	var traceW *bufio.Writer
-	if *traceFile != "" {
-		traceF, err = os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		traceW = bufio.NewWriterSize(traceF, 1<<20)
-		obsOpts.TraceOut = traceW
+	observer, closeTrace, err := obs.NewTraceFile(*traceFile, obsOpts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	observer := obs.New(obsOpts)
 	sys.EnableObservability(observer)
 
 	var replay *workload.ReplayLog
@@ -215,20 +207,9 @@ func main() {
 	fmt.Println()
 	fmt.Print(sys.Report())
 
-	if traceW != nil {
-		if err := traceW.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := traceF.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := observer.Tracer.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace stream: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d trace records to %s\n", observer.Tracer.Completed(), *traceFile)
+	if err := closeTrace(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if *profileFile != "" {
 		if err := observer.Profile().WriteFiles(*profileFile, *profileFile+".folded", "query"); err != nil {
@@ -309,21 +290,11 @@ func runServe(base hybrid.Config, opt serveOptions) {
 		spec.BurstFactor = opt.burstFactor
 	}
 
-	obsOpts := obs.Options{}
-	var traceF *os.File
-	var traceW *bufio.Writer
-	if opt.traceFile != "" {
-		var err error
-		traceF, err = os.Create(opt.traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		traceW = bufio.NewWriterSize(traceF, 1<<20)
-		obsOpts.TraceOut = traceW
+	observer, closeTrace, err := obs.NewTraceFile(opt.traceFile, obs.Options{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	observer := obs.New(obsOpts)
-
 	pool, err := serve.New(serve.Config{
 		Base:        base,
 		Shards:      opt.shards,
@@ -365,20 +336,9 @@ func runServe(base hybrid.Config, opt serveOptions) {
 			i, st.Queries, st.ResultHitRatio(), st.ListHitRatio(), st.CombinedHitRatio())
 	}
 
-	if traceW != nil {
-		if err := traceW.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := traceF.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := observer.Tracer.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace stream: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d trace records to %s\n", observer.Tracer.Completed(), opt.traceFile)
+	if err := closeTrace(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if opt.profileFile != "" {
 		prof := obs.NewProfile()

@@ -57,22 +57,6 @@ func main() {
 	}
 }
 
-// summaryOrder is the canonical component rendering order shared by
-// summary, topk and diff. TestSummaryOrderCoversEveryComponent checks it
-// lists every declared simclock.Component exactly once, so a newly added
-// component cannot silently vanish from reports.
-var summaryOrder = []simclock.Component{
-	simclock.CompOther,
-	simclock.CompHDDSeek,
-	simclock.CompHDDTransfer,
-	simclock.CompSSDRead,
-	simclock.CompSSDProgram,
-	simclock.CompSSDEraseStall,
-	simclock.CompCPUIntersect,
-	simclock.CompCacheBookkeeping,
-	simclock.CompQueueWait,
-}
-
 func usage() {
 	fmt.Fprint(os.Stderr, `usage: tracetool <command> [flags] <trace.ndjson>...
 
@@ -184,7 +168,7 @@ func runSummary(args []string) error {
 	fmt.Fprintf(w, "traces=%d attributed=%d total_elapsed_ns=%d\n", len(traces), attributed, grand)
 	for _, row := range rows {
 		fmt.Fprintf(w, "%-18s n=%-7d total_ns=%-14d", row.Situation, row.Queries, row.ElapsedNS)
-		for _, c := range summaryOrder {
+		for c := range simclock.NumComponents {
 			v := row.Attrib[c]
 			// queue_wait prints even at zero: the serving layer's
 			// saturation signal should be visible (as its absence) at a
@@ -231,7 +215,7 @@ func runTopK(args []string) error {
 	for _, tr := range traces {
 		fmt.Fprintf(w, "seq=%-7d qid=%-10d %-18s elapsed_ns=%-12d", tr.Seq, tr.QID, situation(tr), tr.ElapsedNS)
 		if tr.Attrib != nil {
-			for _, c := range summaryOrder {
+			for c := range simclock.NumComponents {
 				v := tr.Attrib[c]
 				if v == 0 {
 					continue
@@ -271,7 +255,7 @@ func runDiff(args []string) error {
 	fmt.Fprintf(w, "a=%s traces=%d elapsed_ns=%d\n", paths[0], count[0], elapsed[0])
 	fmt.Fprintf(w, "b=%s traces=%d elapsed_ns=%d\n", paths[1], count[1], elapsed[1])
 	fmt.Fprintf(w, "%-18s %14s %14s %14s\n", "component", "a_ns", "b_ns", "delta_ns")
-	for _, c := range summaryOrder {
+	for c := range simclock.NumComponents {
 		a, b := totals[0][c], totals[1][c]
 		if a == 0 && b == 0 {
 			continue

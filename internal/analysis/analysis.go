@@ -16,9 +16,9 @@
 //
 // The stats≡trace and Σattrib≡elapsed contracts have no analyzer: tests
 // check them (TestStatsEventTables and the stats≡trace divergence test in
-// internal/core, TestComponentTable in internal/simclock,
-// TestSummaryOrderCoversEveryComponent in cmd/tracetool), and the clock has
-// no advance without a Component.
+// internal/core, TestComponentTable in internal/simclock), tracetool ranges
+// over the Component enum itself, and the clock has no advance without a
+// Component.
 //
 // The bufalias and confine analyzers share a small intra-procedural
 // dataflow layer (dataflow.go): def/use value tracking over go/ast+go/types

@@ -31,42 +31,23 @@ func Ablations(w io.Writer, sc Scale) error {
 	}
 
 	// One point per variant on the worker pool; all stamp the same index.
-	type row struct {
-		ric     float64
-		respMs  float64
-		erases  int64
-		writeMB float64
-	}
-	rows := make([]row, len(variants))
-	err := sc.forPoints(len(variants), func(p int) error {
-		v := variants[p]
-		cfg := sc.cacheConfig(v.policy)
+	cfgs := make([]hybrid.Config, len(variants))
+	for i, v := range variants {
+		cache := sc.cacheConfig(v.policy)
 		if v.mutate != nil {
-			v.mutate(&cfg)
+			v.mutate(&cache)
 		}
-		sys, err := sc.system(v.policy, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.BaseDocs, cfg)
-		if err != nil {
-			return err
-		}
-		rs, ms, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		rows[p] = row{
-			ric:     ms.CombinedHitRatio(),
-			respMs:  float64(rs.MeanResponseTime().Microseconds()) / 1000,
-			erases:  sys.CacheSSD.Wear().TotalErases,
-			writeMB: float64(ms.ListBytesToSSD+ms.ResultBytesToSSD) / (1 << 20),
-		}
-		return nil
-	})
+		cfgs[i] = sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, cache)
+	}
+	pts, err := sc.measure(cfgs)
 	if err != nil {
 		return err
 	}
 	tab := metrics.NewTable("variant", "RIC", "resp_ms", "erases", "ssd_write_MB")
-	for p, v := range variants {
-		tab.AddRow(v.name, rows[p].ric, rows[p].respMs, rows[p].erases,
-			fmt.Sprintf("%.1f", rows[p].writeMB))
+	for i, v := range variants {
+		p := pts[i]
+		tab.AddRow(v.name, p.st.CombinedHitRatio(), p.respMS(), p.wear.TotalErases,
+			fmt.Sprintf("%.1f", float64(p.st.ListBytesToSSD+p.st.ResultBytesToSSD)/(1<<20)))
 	}
 	_, err = io.WriteString(w, tab.String())
 	fmt.Fprintln(w, "(each row isolates one design choice of §VI; erases are cumulative from cold)")

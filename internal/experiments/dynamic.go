@@ -26,41 +26,21 @@ func DynamicScenario(w io.Writer, sc Scale) error {
 		{"TTL 2s", 2 * time.Second},
 	}
 	// One point per TTL scenario on the worker pool.
-	type row struct {
-		rc, ic, ric        float64
-		respMs             float64
-		expiredR, expiredI int64
+	cfgs := make([]hybrid.Config, len(ttls))
+	for i, c := range ttls {
+		cache := sc.cacheConfig(core.PolicyCBLRU)
+		cache.ResultTTL, cache.ListTTL = c.ttl, c.ttl
+		cfgs[i] = sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, cache)
 	}
-	rows := make([]row, len(ttls))
-	err := sc.forPoints(len(ttls), func(p int) error {
-		cfg := sc.cacheConfig(core.PolicyCBLRU)
-		cfg.ResultTTL = ttls[p].ttl
-		cfg.ListTTL = ttls[p].ttl
-		sys, err := sc.system(core.PolicyCBLRU, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.BaseDocs, cfg)
-		if err != nil {
-			return err
-		}
-		rs, ms, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		rows[p] = row{
-			rc:       ms.ResultHitRatio(),
-			ic:       ms.ListHitRatio(),
-			ric:      ms.CombinedHitRatio(),
-			respMs:   float64(rs.MeanResponseTime().Microseconds()) / 1000,
-			expiredR: ms.ResultsExpired,
-			expiredI: ms.ListsExpired,
-		}
-		return nil
-	})
+	pts, err := sc.measure(cfgs)
 	if err != nil {
 		return err
 	}
 	tab := metrics.NewTable("scenario", "RC", "IC", "RIC", "resp_ms", "expired(R)", "expired(I)")
-	for p, c := range ttls {
-		tab.AddRow(c.name, rows[p].rc, rows[p].ic, rows[p].ric, rows[p].respMs,
-			rows[p].expiredR, rows[p].expiredI)
+	for i, c := range ttls {
+		st := pts[i].st
+		tab.AddRow(c.name, st.ResultHitRatio(), st.ListHitRatio(), st.CombinedHitRatio(), pts[i].respMS(),
+			st.ResultsExpired, st.ListsExpired)
 	}
 	if _, err := io.WriteString(w, tab.String()); err != nil {
 		return err

@@ -137,17 +137,14 @@ func (sc Scale) cacheConfig(policy core.Policy) core.Config {
 	return cfg
 }
 
-// system assembles a hybrid.System for the given knobs. The index is
-// stamped from the shared artifact cache, so sweep points agreeing on
-// (docs, vocab, seed, ...) synthesize the collection once.
-func (sc Scale) system(policy core.Policy, mode hybrid.CacheMode, indexOn hybrid.IndexPlacement, numDocs int, cache core.Config) (*hybrid.System, error) {
-	spec := sc.collection(numDocs)
-	img, err := sharedImage(spec, sc.Codec)
-	if err != nil {
-		return nil, err
-	}
-	return hybrid.New(hybrid.Config{
-		Collection: spec,
+// config is the one system assembly of the evaluation: the collection at
+// numDocs, the query log, the engine tuning, the codec and the PU model
+// around the given cache. It is a pure value; a sweep sets its own delta
+// (CacheFTL, CacheFaults, HeteroCacheTier, QueryLog.DistinctQueries) on
+// the result, and build stamps the index image.
+func (sc Scale) config(numDocs int, mode hybrid.CacheMode, indexOn hybrid.IndexPlacement, cache core.Config) hybrid.Config {
+	return hybrid.Config{
+		Collection: sc.collection(numDocs),
 		QueryLog:   sc.log(),
 		Cache:      cache,
 		Mode:       mode,
@@ -155,26 +152,47 @@ func (sc Scale) system(policy core.Policy, mode hybrid.CacheMode, indexOn hybrid
 		Codec:      sc.Codec,
 		Engine:     sc.engineConfig(),
 		UseModelPU: true,
-		IndexImage: img,
-	})
+	}
+}
+
+// stamp attaches the shared index image of cfg's collection and codec, so
+// systems agreeing on (docs, vocab, seed, ...) synthesize the collection
+// once.
+func stamp(cfg hybrid.Config) (hybrid.Config, error) {
+	img, err := sharedImage(cfg.Collection, cfg.Codec)
+	cfg.IndexImage = img
+	return cfg, err
+}
+
+// build assembles the system cfg describes over the shared index image.
+func build(cfg hybrid.Config) (*hybrid.System, error) {
+	cfg, err := stamp(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return hybrid.New(cfg)
+}
+
+// observer returns the observer a measured system attaches, or nil. With
+// sc.Obs it is a fork: every system's clock restarts at zero, so
+// histograms and samples must be private while traces share one stream.
+// With only sc.Profile it is a private span-less observer whose
+// commutative profile totals are all that leave the point.
+func (sc Scale) observer() *obs.Observer {
+	switch {
+	case sc.Obs != nil:
+		return sc.Obs.Fork()
+	case sc.Profile != nil:
+		return obs.New(obs.Options{SpanLimit: -1})
+	}
+	return nil
 }
 
 // runMeasured warms the system, resets counters, and measures. CBSLRU
 // systems are statically warmed from the query log first (§VI-C2).
 func runMeasured(sys *hybrid.System, sc Scale) (hybrid.RunStats, core.Stats, error) {
-	var o *obs.Observer
-	switch {
-	case sc.Obs != nil:
-		// Fork per system: every system's clock restarts at zero, so
-		// histograms and samples must be private while traces share one
-		// stream.
-		o = sc.Obs.Fork()
-		sys.EnableObservability(o)
-	case sc.Profile != nil:
-		// Profiling without tracing: a private throwaway observer collects
-		// attribution (span capture off) and only its commutative profile
-		// totals leave the point.
-		o = obs.New(obs.Options{SpanLimit: -1})
+	o := sc.observer()
+	if o != nil {
 		sys.EnableObservability(o)
 	}
 	if sys.Manager != nil && sys.Manager.UsesStaticPartition() {

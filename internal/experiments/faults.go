@@ -34,28 +34,6 @@ func faultSpec(rate float64) storage.FaultSpec {
 	}
 }
 
-// faultSystem assembles a two-level CBLRU system with the given fault spec
-// (mirrors Scale.system, which has no fault knob).
-func (sc Scale) faultSystem(spec storage.FaultSpec, mode hybrid.CacheMode) (*hybrid.System, error) {
-	colSpec := sc.collection(sc.BaseDocs)
-	img, err := sharedImage(colSpec, sc.Codec)
-	if err != nil {
-		return nil, err
-	}
-	return hybrid.New(hybrid.Config{
-		Collection:  colSpec,
-		QueryLog:    sc.log(),
-		Cache:       sc.cacheConfig(core.PolicyCBLRU),
-		Mode:        mode,
-		IndexOn:     hybrid.IndexOnHDD,
-		Codec:       sc.Codec,
-		Engine:      sc.engineConfig(),
-		UseModelPU:  true,
-		IndexImage:  img,
-		CacheFaults: spec,
-	})
-}
-
 // Faults sweeps the injected SSD op-error rate on the two-level CBLRU
 // system and reports how hit ratios, latency and the fault counters react,
 // against the one-level (memory + HDD, no SSD to fail) baseline. Every
@@ -63,66 +41,32 @@ func (sc Scale) faultSystem(spec storage.FaultSpec, mode hybrid.CacheMode) (*hyb
 // injected error counts, and the quarantine/breaker columns show the
 // manager routing around the failing device.
 func Faults(w io.Writer, sc Scale) error {
-	type cell struct {
-		rc, ic, ric float64
-		respMS      float64
-		qps         float64
-		ioErrs      int64
-		requeued    int64
-		dropped     int64
-		discarded   int64
-		quarKB      int64
-		trips       int64
-		degraded    int64
-	}
 	// Points: one per fault rate, plus the one-level baseline at the end.
-	cells := make([]cell, len(faultRates)+1)
-	err := sc.forPoints(len(cells), func(p int) error {
-		var sys *hybrid.System
-		var err error
-		if p < len(faultRates) {
-			sys, err = sc.faultSystem(faultSpec(faultRates[p]), hybrid.CacheTwoLevel)
-		} else {
-			sys, err = sc.faultSystem(storage.FaultSpec{}, hybrid.CacheOneLevel)
-		}
-		if err != nil {
-			return err
-		}
-		rs, ms, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		cells[p] = cell{
-			rc:        ms.ResultHitRatio(),
-			ic:        ms.ListHitRatio(),
-			ric:       ms.CombinedHitRatio(),
-			respMS:    float64(rs.MeanResponseTime().Microseconds()) / 1000,
-			qps:       rs.Throughput(),
-			ioErrs:    ms.SSDReadErrors + ms.SSDWriteErrors + ms.SSDTrimErrors,
-			requeued:  ms.ResultsRequeued,
-			dropped:   ms.ResultsDropped,
-			discarded: ms.ListsDiscarded,
-			quarKB:    ms.QuarantinedBytes >> 10,
-			trips:     ms.BreakerTrips,
-			degraded:  ms.DegradedServes,
-		}
-		return nil
-	})
+	var cfgs []hybrid.Config
+	for _, rate := range faultRates {
+		cfg := sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.cacheConfig(core.PolicyCBLRU))
+		cfg.CacheFaults = faultSpec(rate)
+		cfgs = append(cfgs, cfg)
+	}
+	cfgs = append(cfgs, sc.config(sc.BaseDocs, hybrid.CacheOneLevel, hybrid.IndexOnHDD, sc.cacheConfig(core.PolicyCBLRU)))
+	pts, err := sc.measure(cfgs)
 	if err != nil {
 		return err
 	}
 
 	tab := metrics.NewTable("err_rate", "RC", "IC", "RIC", "resp_ms", "qps",
 		"io_errs", "requeued", "dropped", "discarded", "quar_kb", "trips", "degraded")
-	for i, c := range cells {
+	for i, p := range pts {
 		label := "1LC(no SSD)"
 		if i < len(faultRates) {
 			label = fmt.Sprintf("%.3f", faultRates[i])
 		}
+		st := p.st
 		tab.AddRow(label,
-			fmt.Sprintf("%.3f", c.rc), fmt.Sprintf("%.3f", c.ic), fmt.Sprintf("%.3f", c.ric),
-			fmt.Sprintf("%.2f", c.respMS), fmtQPS(c.qps),
-			c.ioErrs, c.requeued, c.dropped, c.discarded, c.quarKB, c.trips, c.degraded)
+			fmt.Sprintf("%.3f", st.ResultHitRatio()), fmt.Sprintf("%.3f", st.ListHitRatio()),
+			fmt.Sprintf("%.3f", st.CombinedHitRatio()), fmt.Sprintf("%.2f", p.respMS()), fmtQPS(p.run.Throughput()),
+			st.SSDReadErrors+st.SSDWriteErrors+st.SSDTrimErrors, st.ResultsRequeued, st.ResultsDropped,
+			st.ListsDiscarded, st.QuarantinedBytes>>10, st.BreakerTrips, st.DegradedServes)
 	}
 	fmt.Fprintln(w, "# Faults — SSD op-error rate sweep, two-level CBLRU vs one-level baseline")
 	io.WriteString(w, tab.String())

@@ -14,7 +14,7 @@ import (
 // records the disk's read stream — the reproduction of the paper's
 // DiskMon capture behind Fig 1(b).
 func engineTrace(sc Scale, queries int) ([]trace.Point, trace.Characteristics, error) {
-	sys, err := sc.system(core.PolicyLRU, hybrid.CacheNone, hybrid.IndexOnHDD, sc.BaseDocs/2, core.Config{})
+	sys, err := build(sc.config(sc.BaseDocs/2, hybrid.CacheNone, hybrid.IndexOnHDD, core.Config{}))
 	if err != nil {
 		return nil, trace.Characteristics{}, err
 	}

@@ -18,7 +18,7 @@ import (
 func Fig03Distributions(w io.Writer, sc Scale) error {
 	// (a) measured utilization: execute queries uncached and average the
 	// fraction of each touched list the engine actually read.
-	sys, err := sc.system(core.PolicyLRU, hybrid.CacheNone, hybrid.IndexOnHDD, sc.BaseDocs/2, core.Config{})
+	sys, err := build(sc.config(sc.BaseDocs/2, hybrid.CacheNone, hybrid.IndexOnHDD, core.Config{}))
 	if err != nil {
 		return err
 	}

@@ -31,49 +31,34 @@ func (sc Scale) memSizes() []int64 {
 // pair is one independent point on the worker pool.
 func Fig14aHitRatioComposition(w io.Writer, sc Scale) error {
 	sizes := sc.memSizes()
-	comps := []string{"RC", "IC", "RIC"}
-	ratios := make([]float64, len(sizes)*len(comps))
-	err := sc.forPoints(len(ratios), func(p int) error {
-		size := sizes[p/len(comps)]
-		comp := comps[p%len(comps)]
-		cfg := sc.cacheConfig(core.PolicyCBLRU)
-		cfg.SSDResultBytes, cfg.SSDListBytes = 0, 0
-		switch comp {
-		case "RC":
-			cfg.MemResultBytes = size - cfg.ResultEntryBytes
-			cfg.MemListBytes = cfg.ResultEntryBytes // token IC
-		case "IC":
-			cfg.MemResultBytes = cfg.ResultEntryBytes // one entry
-			cfg.MemListBytes = size - cfg.ResultEntryBytes
-		case "RIC":
-			cfg.MemResultBytes = size / 5
-			cfg.MemListBytes = size - size/5
+	var cfgs []hybrid.Config
+	for _, size := range sizes {
+		for _, comp := range []string{"RC", "IC", "RIC"} {
+			cache := sc.cacheConfig(core.PolicyCBLRU)
+			cache.SSDResultBytes, cache.SSDListBytes = 0, 0
+			switch comp {
+			case "RC":
+				cache.MemResultBytes = size - cache.ResultEntryBytes
+				cache.MemListBytes = cache.ResultEntryBytes // token IC
+			case "IC":
+				cache.MemResultBytes = cache.ResultEntryBytes // one entry
+				cache.MemListBytes = size - cache.ResultEntryBytes
+			case "RIC":
+				cache.MemResultBytes = size / 5
+				cache.MemListBytes = size - size/5
+			}
+			cfgs = append(cfgs, sc.config(sc.BaseDocs, hybrid.CacheOneLevel, hybrid.IndexOnHDD, cache))
 		}
-		sys, err := sc.system(core.PolicyCBLRU, hybrid.CacheOneLevel, hybrid.IndexOnHDD, sc.BaseDocs, cfg)
-		if err != nil {
-			return err
-		}
-		_, ms, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		switch comp {
-		case "RC":
-			ratios[p] = ms.ResultHitRatio()
-		case "IC":
-			ratios[p] = ms.ListHitRatio()
-		case "RIC":
-			ratios[p] = ms.CombinedHitRatio()
-		}
-		return nil
-	})
+	}
+	pts, err := sc.measure(cfgs)
 	if err != nil {
 		return err
 	}
 	tab := metrics.NewTable("cache_size_MB", "RC", "IC", "RIC")
 	for si, size := range sizes {
-		row := ratios[si*len(comps) : (si+1)*len(comps)]
-		tab.AddRow(fmt.Sprintf("%.1f", float64(size)/(1<<20)), row[0], row[1], row[2])
+		row := pts[3*si:]
+		tab.AddRow(fmt.Sprintf("%.1f", float64(size)/(1<<20)),
+			row[0].st.ResultHitRatio(), row[1].st.ListHitRatio(), row[2].st.CombinedHitRatio())
 	}
 	_, err = io.WriteString(w, tab.String())
 	fmt.Fprintln(w, "(paper: ratios grow with capacity then flatten; RC saturates early, so IC deserves the larger share — the basis of the 20/80 split)")
@@ -87,33 +72,26 @@ func Fig14aHitRatioComposition(w io.Writer, sc Scale) error {
 func Fig14bHitRatioPolicies(w io.Writer, sc Scale) error {
 	policies := []core.Policy{core.PolicyLRU, core.PolicyCBLRU, core.PolicyCBSLRU}
 	sizes := sc.memSizes()
-	ratios := make([]float64, len(sizes)*len(policies))
-	err := sc.forPoints(len(ratios), func(p int) error {
-		size := sizes[p/len(policies)]
-		policy := policies[p%len(policies)]
-		cfg := sc.cacheConfig(policy)
-		cfg.MemResultBytes = size / 5
-		cfg.MemListBytes = size - size/5
-		sys, err := sc.system(policy, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.BaseDocs, cfg)
-		if err != nil {
-			return err
+	var cfgs []hybrid.Config
+	for _, size := range sizes {
+		for _, policy := range policies {
+			cache := sc.cacheConfig(policy)
+			cache.MemResultBytes = size / 5
+			cache.MemListBytes = size - size/5
+			cfgs = append(cfgs, sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, cache))
 		}
-		_, ms, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		ratios[p] = ms.CombinedHitRatio()
-		return nil
-	})
+	}
+	pts, err := sc.measure(cfgs)
 	if err != nil {
 		return err
 	}
 	tab := metrics.NewTable("cache_size_MB", "LRU", "CBLRU", "CBSLRU")
 	var sums [3]float64
 	for si, size := range sizes {
-		row := ratios[si*len(policies) : (si+1)*len(policies)]
-		for i, v := range row {
-			sums[i] += v
+		var row [3]float64
+		for i, p := range pts[si*len(policies) : (si+1)*len(policies)] {
+			row[i] = p.st.CombinedHitRatio()
+			sums[i] += row[i]
 		}
 		tab.AddRow(fmt.Sprintf("%.1f", float64(size)/(1<<20)), row[0], row[1], row[2])
 	}

@@ -21,34 +21,25 @@ func Fig15NoCache(w io.Writer, sc Scale) error {
 	}
 	docs := sc.docSweep()
 	placements := []hybrid.IndexPlacement{hybrid.IndexOnHDD, hybrid.IndexOnSSD}
-	type cell struct {
-		resp float64
-		qps  float64
-	}
-	cells := make([]cell, len(docs)*len(placements))
-	err := sc.forPoints(len(cells), func(p int) error {
-		sys, err := sc.system(core.PolicyLRU, hybrid.CacheNone, placements[p%len(placements)],
-			docs[p/len(placements)], core.Config{})
+	// Points run cold and unobserved, so they skip measure: runMeasured
+	// would warm them and add them to the -trace and -profile output.
+	pts := make([]point, len(docs)*len(placements))
+	err := sc.forPoints(len(pts), func(p int) error {
+		sys, err := build(sc.config(docs[p/len(placements)], hybrid.CacheNone,
+			placements[p%len(placements)], core.Config{}))
 		if err != nil {
 			return err
 		}
-		rs, err := sys.Run(queries)
-		if err != nil {
-			return err
-		}
-		cells[p] = cell{
-			resp: float64(rs.MeanResponseTime().Microseconds()) / 1000,
-			qps:  rs.Throughput(),
-		}
-		return nil
+		pts[p].run, err = sys.Run(queries)
+		return err
 	})
 	if err != nil {
 		return err
 	}
 	tab := metrics.NewTable("docs", "HDD_resp_ms", "SSD_resp_ms", "HDD_qps", "SSD_qps")
 	for di, d := range docs {
-		hdd, ssd := cells[di*2], cells[di*2+1]
-		tab.AddRow(d, hdd.resp, ssd.resp, fmtQPS(hdd.qps), fmtQPS(ssd.qps))
+		hdd, ssd := pts[di*2], pts[di*2+1]
+		tab.AddRow(d, hdd.respMS(), ssd.respMS(), fmtQPS(hdd.run.Throughput()), fmtQPS(ssd.run.Throughput()))
 	}
 	_, err = io.WriteString(w, tab.String())
 	fmt.Fprintln(w, "(paper: both degrade with collection size; SSD helps but not dramatically without cache)")

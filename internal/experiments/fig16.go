@@ -51,42 +51,23 @@ func Fig16OneVsTwoLevel(w io.Writer, sc Scale) error {
 		{"2LC(RI)-HDD", hybrid.CacheTwoLevel, hybrid.IndexOnHDD, true, true},
 	}
 	docs := sc.docSweep()
-	type cell struct {
-		resp float64
-		qps  float64
+	var cfgs []hybrid.Config
+	for _, d := range docs {
+		for _, st := range setups {
+			cfgs = append(cfgs, sc.config(d, st.mode, st.placement, sc.fig16Config(st.twoLevel, st.withLists)))
+		}
 	}
-	cells := make([]cell, len(docs)*len(setups))
-	err := sc.forPoints(len(cells), func(p int) error {
-		st := setups[p%len(setups)]
-		cfg := sc.fig16Config(st.twoLevel, st.withLists)
-		sys, err := sc.system(core.PolicyCBLRU, st.mode, st.placement, docs[p/len(setups)], cfg)
-		if err != nil {
-			return err
-		}
-		rs, _, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		cells[p] = cell{
-			resp: float64(rs.MeanResponseTime().Microseconds()) / 1000,
-			qps:  rs.Throughput(),
-		}
-		return nil
-	})
+	pts, err := sc.measure(cfgs)
 	if err != nil {
 		return err
 	}
 	respTab := metrics.NewTable("docs", setups[0].name, setups[1].name, setups[2].name, setups[3].name)
 	thrTab := metrics.NewTable("docs", setups[0].name, setups[1].name, setups[2].name, setups[3].name)
 	for di, d := range docs {
-		resp := make([]any, 0, len(setups)+1)
-		thr := make([]any, 0, len(setups)+1)
-		resp = append(resp, d)
-		thr = append(thr, d)
-		for si := range setups {
-			c := cells[di*len(setups)+si]
-			resp = append(resp, c.resp)
-			thr = append(thr, fmtQPS(c.qps))
+		resp, thr := []any{d}, []any{d}
+		for _, p := range pts[di*len(setups) : (di+1)*len(setups)] {
+			resp = append(resp, p.respMS())
+			thr = append(thr, fmtQPS(p.run.Throughput()))
 		}
 		respTab.AddRow(resp...)
 		thrTab.AddRow(thr...)

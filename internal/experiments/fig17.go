@@ -16,28 +16,13 @@ import (
 func Fig17PolicyPerformance(w io.Writer, sc Scale) error {
 	policies := []core.Policy{core.PolicyLRU, core.PolicyCBLRU, core.PolicyCBSLRU}
 	docs := sc.docSweep()
-	type cell struct {
-		resp float64
-		qps  float64
+	var cfgs []hybrid.Config
+	for _, d := range docs {
+		for _, policy := range policies {
+			cfgs = append(cfgs, sc.config(d, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.cacheConfig(policy)))
+		}
 	}
-	cells := make([]cell, len(docs)*len(policies))
-	err := sc.forPoints(len(cells), func(p int) error {
-		policy := policies[p%len(policies)]
-		sys, err := sc.system(policy, hybrid.CacheTwoLevel, hybrid.IndexOnHDD,
-			docs[p/len(policies)], sc.cacheConfig(policy))
-		if err != nil {
-			return err
-		}
-		rs, _, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		cells[p] = cell{
-			resp: float64(rs.MeanResponseTime().Microseconds()) / 1000,
-			qps:  rs.Throughput(),
-		}
-		return nil
-	})
+	pts, err := sc.measure(cfgs)
 	if err != nil {
 		return err
 	}
@@ -45,13 +30,14 @@ func Fig17PolicyPerformance(w io.Writer, sc Scale) error {
 	thrTab := metrics.NewTable("docs", "LRU_qps", "CBLRU_qps", "CBSLRU_qps")
 	var respSum, thrSum [3]float64
 	for di, d := range docs {
-		row := cells[di*len(policies) : (di+1)*len(policies)]
-		for i, c := range row {
-			respSum[i] += c.resp
-			thrSum[i] += c.qps
+		var resp, thr [3]float64
+		for i, p := range pts[di*len(policies) : (di+1)*len(policies)] {
+			resp[i], thr[i] = p.respMS(), p.run.Throughput()
+			respSum[i] += resp[i]
+			thrSum[i] += thr[i]
 		}
-		respTab.AddRow(d, row[0].resp, row[1].resp, row[2].resp)
-		thrTab.AddRow(d, fmtQPS(row[0].qps), fmtQPS(row[1].qps), fmtQPS(row[2].qps))
+		respTab.AddRow(d, resp[0], resp[1], resp[2])
+		thrTab.AddRow(d, fmtQPS(thr[0]), fmtQPS(thr[1]), fmtQPS(thr[2]))
 	}
 	fmt.Fprintln(w, "# Fig 17(a) — mean response time (ms)")
 	io.WriteString(w, respTab.String())

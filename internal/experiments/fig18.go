@@ -25,7 +25,7 @@ func configCost(memBytes, ssdBytes int64) float64 {
 // Fig18CostPerformance regenerates Fig 18: (a) mean response time of
 // 1LC-HDD, 1LC-SSD and the hybrid 2LC-HDD over collection size; (b) the
 // capacity-mix study — big memory vs small memory + SSD — with the cost of
-// each configuration. Both parts fan their points out on the worker pool.
+// each configuration. Both parts are one list of points on the worker pool.
 func Fig18CostPerformance(w io.Writer, sc Scale) error {
 	setups := []struct {
 		mode      hybrid.CacheMode
@@ -36,33 +36,6 @@ func Fig18CostPerformance(w io.Writer, sc Scale) error {
 		{hybrid.CacheOneLevel, hybrid.IndexOnSSD, core.PolicyCBLRU},
 		{hybrid.CacheTwoLevel, hybrid.IndexOnHDD, core.PolicyCBSLRU},
 	}
-	docs := sc.docSweep()
-	resps := make([]float64, len(docs)*len(setups))
-	err := sc.forPoints(len(resps), func(p int) error {
-		st := setups[p%len(setups)]
-		sys, err := sc.system(st.policy, st.mode, st.placement, docs[p/len(setups)], sc.cacheConfig(st.policy))
-		if err != nil {
-			return err
-		}
-		rs, _, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		resps[p] = float64(rs.MeanResponseTime().Microseconds()) / 1000
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "# Fig 18(a) — mean response time (ms), CBSLRU for the two-level setup")
-	tab := metrics.NewTable("docs", "1LC-HDD", "1LC-SSD", "2LC-HDD")
-	for di, d := range docs {
-		row := resps[di*len(setups) : (di+1)*len(setups)]
-		tab.AddRow(d, row[0], row[1], row[2])
-	}
-	io.WriteString(w, tab.String())
-
-	fmt.Fprintln(w, "\n# Fig 18(b) — capacity mixes: response time and configuration cost")
 	mixes := []struct {
 		name     string
 		mem      int64
@@ -74,46 +47,47 @@ func Fig18CostPerformance(w io.Writer, sc Scale) error {
 		{"2LC:MM(0.2x)+SSD", sc.MemBytes / 5, sc.SSDResultBytes + sc.SSDListBytes, true},
 		{"2LC:MM(0.5x)+SSD", sc.MemBytes / 2, sc.SSDResultBytes + sc.SSDListBytes, true},
 	}
-	mixResps := make([]float64, len(mixes))
-	err = sc.forPoints(len(mixes), func(p int) error {
-		mix := mixes[p]
-		policy := core.PolicyCBLRU
+	docs := sc.docSweep()
+	var cfgs []hybrid.Config
+	for _, d := range docs {
+		for _, st := range setups {
+			cfgs = append(cfgs, sc.config(d, st.mode, st.placement, sc.cacheConfig(st.policy)))
+		}
+	}
+	for _, mix := range mixes {
 		mode := hybrid.CacheOneLevel
-		cfg := sc.cacheConfig(policy)
-		cfg.MemResultBytes = mix.mem / 5
-		if cfg.MemResultBytes < cfg.ResultEntryBytes {
-			cfg.MemResultBytes = cfg.ResultEntryBytes
-		}
-		cfg.MemListBytes = mix.mem - cfg.MemResultBytes
+		cache := sc.cacheConfig(core.PolicyCBLRU)
+		cache.MemResultBytes = max(mix.mem/5, cache.ResultEntryBytes)
+		cache.MemListBytes = mix.mem - cache.MemResultBytes
+		cache.SSDResultBytes, cache.SSDListBytes = 0, 0
 		if mix.twoLevel {
-			policy = core.PolicyCBSLRU
-			cfg.Policy = policy
 			mode = hybrid.CacheTwoLevel
-			cfg.SSDResultBytes = mix.ssd / 13 // keep ~1:12 RC:IC split
-			cfg.SSDListBytes = mix.ssd - cfg.SSDResultBytes
-		} else {
-			cfg.SSDResultBytes, cfg.SSDListBytes = 0, 0
+			cache.Policy = core.PolicyCBSLRU
+			cache.SSDResultBytes = mix.ssd / 13 // keep ~1:12 RC:IC split
+			cache.SSDListBytes = mix.ssd - cache.SSDResultBytes
 		}
-		sys, err := sc.system(policy, mode, hybrid.IndexOnHDD, sc.BaseDocs, cfg)
-		if err != nil {
-			return err
-		}
-		rs, _, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		mixResps[p] = float64(rs.MeanResponseTime().Microseconds()) / 1000
-		return nil
-	})
+		cfgs = append(cfgs, sc.config(sc.BaseDocs, mode, hybrid.IndexOnHDD, cache))
+	}
+	pts, err := sc.measure(cfgs)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "# Fig 18(a) — mean response time (ms), CBSLRU for the two-level setup")
+	tab := metrics.NewTable("docs", "1LC-HDD", "1LC-SSD", "2LC-HDD")
+	for di, d := range docs {
+		row := pts[di*len(setups):]
+		tab.AddRow(d, row[0].respMS(), row[1].respMS(), row[2].respMS())
+	}
+	io.WriteString(w, tab.String())
+
+	fmt.Fprintln(w, "\n# Fig 18(b) — capacity mixes: response time and configuration cost")
+	mixPts := pts[len(docs)*len(setups):]
 	mixTab := metrics.NewTable("config", "mem_MB", "ssd_MB", "resp_ms", "cost_m$")
 	for mi, mix := range mixes {
 		mixTab.AddRow(mix.name,
 			fmt.Sprintf("%.1f", float64(mix.mem)/(1<<20)),
 			fmt.Sprintf("%.1f", float64(mix.ssd)/(1<<20)),
-			mixResps[mi],
+			mixPts[mi].respMS(),
 			configCost(mix.mem, mix.ssd))
 	}
 	io.WriteString(w, mixTab.String())

@@ -31,8 +31,7 @@ func Fig19InsideSSD(w io.Writer, sc Scale) error {
 	byPolicy := make([]*series, len(policies))
 	err := sc.forPoints(len(policies), func(p int) error {
 		policy := policies[p]
-		sys, err := sc.system(policy, hybrid.CacheTwoLevel, hybrid.IndexOnHDD,
-			sc.BaseDocs, sc.cacheConfig(policy))
+		sys, err := build(sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.cacheConfig(policy)))
 		if err != nil {
 			return err
 		}

@@ -19,57 +19,20 @@ import (
 func FTLComparison(w io.Writer, sc Scale) error {
 	ftls := []hybrid.FTLKind{hybrid.FTLPageMap, hybrid.FTLHybridLog, hybrid.FTLBlockMap}
 	// One point per FTL on the worker pool; all stamp the same index image.
-	type row struct {
-		respMs float64
-		ric    float64
-		erases int64
-		wa     float64
-		gcRuns int64
+	cfgs := make([]hybrid.Config, len(ftls))
+	for i, ftl := range ftls {
+		cfgs[i] = sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.cacheConfig(core.PolicyCBLRU))
+		cfgs[i].CacheFTL = ftl
 	}
-	rows := make([]row, len(ftls))
-	err := sc.forPoints(len(ftls), func(p int) error {
-		spec := sc.collection(sc.BaseDocs)
-		img, err := sharedImage(spec, sc.Codec)
-		if err != nil {
-			return err
-		}
-		cfg := hybrid.Config{
-			Collection: spec,
-			QueryLog:   sc.log(),
-			Cache:      sc.cacheConfig(core.PolicyCBLRU),
-			Mode:       hybrid.CacheTwoLevel,
-			IndexOn:    hybrid.IndexOnHDD,
-			Codec:      sc.Codec,
-			Engine:     sc.engineConfig(),
-			UseModelPU: true,
-			CacheFTL:   ftls[p],
-			IndexImage: img,
-		}
-		sys, err := hybrid.New(cfg)
-		if err != nil {
-			return err
-		}
-		rs, ms, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		wear := sys.CacheSSD.Wear()
-		rows[p] = row{
-			respMs: float64(rs.MeanResponseTime().Microseconds()) / 1000,
-			ric:    ms.CombinedHitRatio(),
-			erases: wear.TotalErases,
-			wa:     wear.WriteAmplification,
-			gcRuns: wear.GCRuns,
-		}
-		return nil
-	})
+	pts, err := sc.measure(cfgs)
 	if err != nil {
 		return err
 	}
 	tab := metrics.NewTable("FTL", "resp_ms", "RIC", "erases", "WA", "merges/GC")
-	for p, ftl := range ftls {
-		tab.AddRow(ftl.String(), rows[p].respMs, rows[p].ric, rows[p].erases,
-			fmt.Sprintf("%.2f", rows[p].wa), rows[p].gcRuns)
+	for i, ftl := range ftls {
+		p := pts[i]
+		tab.AddRow(ftl.String(), p.respMS(), p.st.CombinedHitRatio(), p.wear.TotalErases,
+			fmt.Sprintf("%.2f", p.wear.WriteAmplification), p.wear.GCRuns)
 	}
 	if _, err := io.WriteString(w, tab.String()); err != nil {
 		return err

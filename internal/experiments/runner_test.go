@@ -13,11 +13,13 @@ import (
 
 // TestParallelOutputIdentical is the determinism contract for the worker
 // pool: running a sweep experiment with Jobs=1 and Jobs=8 must produce
-// byte-identical output. It covers several sweeps with different point
-// shapes (size×component grid, doc×placement grid, policy list) and runs
-// under -race in CI, so it also exercises the pool for data races.
+// byte-identical output. It covers every sweep that measures through
+// Scale.measure (zoo has its own check in zoo_test.go), with their
+// different point shapes (size×component grid, doc×placement grid, policy
+// list, two tables from one list, injected faults), and runs under -race
+// in CI, so it also exercises the pool for data races.
 func TestParallelOutputIdentical(t *testing.T) {
-	ids := []string{"fig14a", "fig16", "fig17", "dynamic"}
+	ids := []string{"fig14a", "fig14b", "fig16", "fig17", "fig18", "ablate", "ftl", "dynamic", "faults"}
 	for _, id := range ids {
 		id := id
 		t.Run(id, func(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	hybrid "hybridstore"
 	"hybridstore/internal/core"
 	"hybridstore/internal/metrics"
-	"hybridstore/internal/obs"
 	"hybridstore/internal/serve"
 	"hybridstore/internal/workload"
 )
@@ -20,27 +19,6 @@ import (
 var servingShards = []int{1, 2, 4}
 var servingLoads = []float64{0.5, 1.5, 3.0}
 
-// servingBase assembles the full-system configuration the serving pool
-// partitions, stamping the shared index image.
-func (sc Scale) servingBase() (hybrid.Config, error) {
-	spec := sc.collection(sc.BaseDocs)
-	img, err := sharedImage(spec, sc.Codec)
-	if err != nil {
-		return hybrid.Config{}, err
-	}
-	return hybrid.Config{
-		Collection: spec,
-		QueryLog:   sc.log(),
-		Cache:      sc.cacheConfig(core.PolicyCBLRU),
-		Mode:       hybrid.CacheTwoLevel,
-		IndexOn:    hybrid.IndexOnHDD,
-		Codec:      sc.Codec,
-		Engine:     sc.engineConfig(),
-		UseModelPU: true,
-		IndexImage: img,
-	}, nil
-}
-
 // Serving measures the concurrent serving layer: shard count × offered
 // load under open-loop Poisson arrivals (diurnal-modulated), reporting
 // delivered throughput and p99/p999 simulated-time tail latency. Offered
@@ -49,7 +27,7 @@ func (sc Scale) servingBase() (hybrid.Config, error) {
 // and deep saturation at any Scale. Each grid cell is one independent
 // point on the worker pool; output is byte-identical at any -jobs.
 func Serving(w io.Writer, sc Scale) error {
-	base, err := sc.servingBase()
+	base, err := stamp(sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.cacheConfig(core.PolicyCBLRU)))
 	if err != nil {
 		return err
 	}
@@ -72,15 +50,8 @@ func Serving(w io.Writer, sc Scale) error {
 			Arrivals:    workload.DefaultArrivals(load * mu),
 			WarmQueries: sc.WarmQueries,
 			HotWarm:     32,
+			Observer:    sc.observer(),
 		}
-		var o *obs.Observer
-		switch {
-		case sc.Obs != nil:
-			o = sc.Obs.Fork()
-		case sc.Profile != nil:
-			o = obs.New(obs.Options{SpanLimit: -1})
-		}
-		cfg.Observer = o
 		pool, err := serve.New(cfg)
 		if err != nil {
 			return err

@@ -19,8 +19,7 @@ import (
 // a cache-served situation that mostly waits is visible here, without a
 // second tool.
 func Table1Situations(w io.Writer, sc Scale) error {
-	sys, err := sc.system(core.PolicyCBSLRU, hybrid.CacheTwoLevel, hybrid.IndexOnHDD,
-		sc.BaseDocs, sc.cacheConfig(core.PolicyCBSLRU))
+	sys, err := build(sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.cacheConfig(core.PolicyCBSLRU)))
 	if err != nil {
 		return err
 	}

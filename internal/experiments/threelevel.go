@@ -26,7 +26,7 @@ func ThreeLevel(w io.Writer, sc Scale) error {
 	run := func(icacheBytes int64) (time.Duration, float64, int64, int64, error) {
 		// Fresh uncached system; the conjunctive path reads the index
 		// device directly, so the intersection cache is the only cache.
-		sys, err := sc.system(core.PolicyLRU, hybrid.CacheNone, hybrid.IndexOnHDD, sc.BaseDocs, core.Config{})
+		sys, err := build(sc.config(sc.BaseDocs, hybrid.CacheNone, hybrid.IndexOnHDD, core.Config{}))
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}

@@ -33,44 +33,22 @@ var zooWorkloads = []struct {
 // worker pool.
 func Zoo(w io.Writer, sc Scale) error {
 	policies := core.Policies()
-	type cell struct {
-		ric       float64
-		respMs    float64
-		hostPages int64
-		erases    int64
+	var cfgs []hybrid.Config
+	for _, wl := range zooWorkloads {
+		for _, factor := range zooBudgetFactors {
+			for _, info := range policies {
+				cache := sc.cacheConfig(info.ID)
+				cache.MemResultBytes = int64(float64(cache.MemResultBytes) * factor)
+				cache.MemListBytes = int64(float64(cache.MemListBytes) * factor)
+				cache.SSDResultBytes = int64(float64(cache.SSDResultBytes) * factor)
+				cache.SSDListBytes = int64(float64(cache.SSDListBytes) * factor)
+				cfg := sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, cache)
+				cfg.QueryLog.DistinctQueries *= wl.distinctMult
+				cfgs = append(cfgs, cfg)
+			}
+		}
 	}
-	points := len(policies) * len(zooBudgetFactors) * len(zooWorkloads)
-	cells := make([]cell, points)
-	err := sc.forPoints(points, func(p int) error {
-		info := policies[p%len(policies)]
-		factor := zooBudgetFactors[p/len(policies)%len(zooBudgetFactors)]
-		wl := zooWorkloads[p/len(policies)/len(zooBudgetFactors)]
-
-		cfg := sc.cacheConfig(info.ID)
-		cfg.MemResultBytes = int64(float64(cfg.MemResultBytes) * factor)
-		cfg.MemListBytes = int64(float64(cfg.MemListBytes) * factor)
-		cfg.SSDResultBytes = int64(float64(cfg.SSDResultBytes) * factor)
-		cfg.SSDListBytes = int64(float64(cfg.SSDListBytes) * factor)
-
-		scWL := sc
-		scWL.DistinctQueries *= wl.distinctMult
-		sys, err := scWL.system(info.ID, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.BaseDocs, cfg)
-		if err != nil {
-			return err
-		}
-		rs, ms, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		wear := sys.CacheSSD.Wear()
-		cells[p] = cell{
-			ric:       ms.CombinedHitRatio(),
-			respMs:    float64(rs.MeanResponseTime().Microseconds()) / 1000,
-			hostPages: wear.HostPagesWritten,
-			erases:    wear.TotalErases,
-		}
-		return nil
-	})
+	pts, err := sc.measure(cfgs)
 	if err != nil {
 		return err
 	}
@@ -80,9 +58,9 @@ func Zoo(w io.Writer, sc Scale) error {
 	for wi, wl := range zooWorkloads {
 		for fi, factor := range zooBudgetFactors {
 			for pi, info := range policies {
-				c := cells[(wi*len(zooBudgetFactors)+fi)*len(policies)+pi]
+				p := pts[(wi*len(zooBudgetFactors)+fi)*len(policies)+pi]
 				tab.AddRow(wl.name, fmt.Sprintf("%.1fx", factor), info.Name,
-					c.ric, c.respMs, c.hostPages, c.erases)
+					p.st.CombinedHitRatio(), p.respMS(), p.wear.HostPagesWritten, p.wear.TotalErases)
 			}
 		}
 	}
@@ -100,65 +78,28 @@ func Zoo(w io.Writer, sc Scale) error {
 // lands on the fast device while bulk list flushes wear the dense one.
 func zooHetero(w io.Writer, sc Scale) error {
 	policies := []core.Policy{core.PolicyCBLRU, core.PolicyTinyLFU}
-	type cell struct {
-		ric                  float64
-		respMs               float64
-		fastPages, slowPages int64
+	var cfgs []hybrid.Config
+	for _, policy := range policies {
+		for _, hetero := range []bool{false, true} {
+			cfg := sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.cacheConfig(policy))
+			cfg.HeteroCacheTier = hetero
+			cfgs = append(cfgs, cfg)
+		}
 	}
-	points := len(policies) * 2 // homogeneous, heterogeneous
-	cells := make([]cell, points)
-	err := sc.forPoints(points, func(p int) error {
-		policy := policies[p/2]
-		hetero := p%2 == 1
-		spec := sc.collection(sc.BaseDocs)
-		img, err := sharedImage(spec, sc.Codec)
-		if err != nil {
-			return err
-		}
-		sys, err := hybrid.New(hybrid.Config{
-			Collection:      spec,
-			QueryLog:        sc.log(),
-			Cache:           sc.cacheConfig(policy),
-			Mode:            hybrid.CacheTwoLevel,
-			IndexOn:         hybrid.IndexOnHDD,
-			Codec:           sc.Codec,
-			Engine:          sc.engineConfig(),
-			UseModelPU:      true,
-			IndexImage:      img,
-			HeteroCacheTier: hetero,
-		})
-		if err != nil {
-			return err
-		}
-		rs, ms, err := runMeasured(sys, sc)
-		if err != nil {
-			return err
-		}
-		c := cell{
-			ric:    ms.CombinedHitRatio(),
-			respMs: float64(rs.MeanResponseTime().Microseconds()) / 1000,
-		}
-		if t := sys.CacheTiered(); t != nil {
-			c.fastPages = t.Fast().Wear().HostPagesWritten
-			c.slowPages = t.Slow().Wear().HostPagesWritten
-		} else {
-			c.fastPages = sys.CacheSSD.Wear().HostPagesWritten
-		}
-		cells[p] = c
-		return nil
-	})
+	pts, err := sc.measure(cfgs)
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintln(w, "\n# Heterogeneous cache tier — homogeneous SSD vs fast/slow two-device tier")
 	tab := metrics.NewTable("policy", "tier", "RIC", "resp_ms", "fast_pages", "slow_pages")
-	for p, c := range cells {
-		tier := "homogeneous"
-		if p%2 == 1 {
-			tier = "hetero"
+	for i, p := range pts {
+		tier, fast := "homogeneous", p.wear
+		if cfgs[i].HeteroCacheTier {
+			tier, fast = "hetero", p.fast
 		}
-		tab.AddRow(policies[p/2].String(), tier, c.ric, c.respMs, c.fastPages, c.slowPages)
+		tab.AddRow(policies[i/2].String(), tier, p.st.CombinedHitRatio(), p.respMS(),
+			fast.HostPagesWritten, p.slow.HostPagesWritten)
 	}
 	if _, err := io.WriteString(w, tab.String()); err != nil {
 		return err

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"time"
 
@@ -85,6 +87,38 @@ func New(opts Options) *Observer {
 		o.Tracer.StreamTo(opts.TraceOut)
 	}
 	return o
+}
+
+// NewTraceFile is New with every completed trace streamed as NDJSON into a
+// file created at path, behind a 1 MiB buffer; an empty path is New alone.
+// closeTrace flushes and closes the file and returns the first error of the
+// buffer, the file or the tracer's stream; on success it writes "wrote N
+// trace records to <path>" to report. Without a path it does nothing.
+func NewTraceFile(path string, opts Options) (o *Observer, closeTrace func(report io.Writer) error, err error) {
+	if path == "" {
+		return New(opts), func(io.Writer) error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := bufio.NewWriterSize(f, 1<<20)
+	opts.TraceOut = w
+	o = New(opts)
+	return o, func(report io.Writer) error {
+		err := w.Flush()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if terr := o.Tracer.Err(); err == nil && terr != nil {
+			err = fmt.Errorf("trace stream: %w", terr)
+		}
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(report, "wrote %d trace records to %s\n", o.Tracer.Completed(), path)
+		return err
+	}, nil
 }
 
 // Fork returns an Observer that shares o's Tracer — and therefore its

@@ -1,6 +1,10 @@
 package obs
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -57,5 +61,43 @@ func TestObserverFork(t *testing.T) {
 	}
 	if got := parent.Tracer.Completed(); got != 5 {
 		t.Fatalf("shared tracer completed %d traces, want 5", got)
+	}
+}
+
+// TestNewTraceFile: the file holds one NDJSON line per completed query only
+// after closeTrace, which then reports the count; an empty path writes
+// nothing and reports nothing.
+func TestNewTraceFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.ndjson")
+	o, closeTrace, err := NewTraceFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		o.BeginQuery(uint64(i), 0)
+		o.EndQuery(time.Duration(i)*time.Millisecond, time.Millisecond)
+	}
+	var report bytes.Buffer
+	if err := closeTrace(&report); err != nil {
+		t.Fatal(err)
+	}
+	if want := "wrote 3 trace records to " + path + "\n"; report.String() != want {
+		t.Fatalf("report %q, want %q", report.String(), want)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n != 3 {
+		t.Fatalf("trace file holds %d lines, want 3", n)
+	}
+
+	o, closeTrace, err = NewTraceFile("", Options{})
+	if err != nil || o == nil {
+		t.Fatalf("empty path: observer %v, err %v", o, err)
+	}
+	report.Reset()
+	if err := closeTrace(&report); err != nil || report.Len() != 0 {
+		t.Fatalf("empty path: closeTrace wrote %q, err %v", report.String(), err)
 	}
 }

@@ -366,13 +366,20 @@ func (p *Pool) result() Result {
 // CalibrateQPS measures a configuration's single-shard closed-loop
 // capacity: a fresh unsharded system serves n queries back-to-back after
 // warm queries of cache warm-up, and the measured throughput is the
-// saturation rate μ one shard can sustain. Sweeps express offered load as
-// multiples of μ so "below/past saturation" means the same thing at every
-// scale.
+// saturation rate μ one shard can sustain. A static-partition policy is
+// first statically warmed from 2·warm sampled queries, as Warm does, so μ
+// is measured on the system the pool serves with. Sweeps express offered
+// load as multiples of μ so "below/past saturation" means the same thing at
+// every scale.
 func CalibrateQPS(base hybrid.Config, warm, n int) (float64, error) {
 	sys, err := hybrid.New(base)
 	if err != nil {
 		return 0, err
+	}
+	if sys.Manager != nil && sys.Manager.UsesStaticPartition() {
+		if _, err := sys.WarmupStatic(2 * warm); err != nil {
+			return 0, err
+		}
 	}
 	if _, err := sys.Run(warm); err != nil {
 		return 0, err

@@ -79,6 +79,37 @@ func calibratedQPS(t *testing.T) float64 {
 	return muQPS
 }
 
+// TestCalibrateWarmsStaticPartition: for a static-partition policy μ comes
+// from a system statically warmed the way Pool.Warm warms each shard, not
+// from one whose static partition is still empty.
+func TestCalibrateWarmsStaticPartition(t *testing.T) {
+	base := testBase(t)
+	base.Cache.Policy = core.PolicyCBSLRU
+	const warm, n = 200, 300
+	got, err := CalibrateQPS(base, warm, n)
+	if err != nil {
+		t.Fatalf("CalibrateQPS: %v", err)
+	}
+	sys, err := hybrid.New(base)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := sys.WarmupStatic(2 * warm); err != nil {
+		t.Fatalf("WarmupStatic: %v", err)
+	}
+	if _, err := sys.Run(warm); err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+	sys.Manager.ResetStats()
+	rs, err := sys.Run(n)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := rs.Throughput(); got != want {
+		t.Fatalf("CalibrateQPS = %.3f q/s, statically warmed system sustains %.3f q/s", got, want)
+	}
+}
+
 func poolConfig(t *testing.T, shards int, rate float64) Config {
 	t.Helper()
 	return Config{

@@ -36,9 +36,8 @@ func TestComponentNames(t *testing.T) {
 // TestComponentTable is the runtime mirror of the attrib analyzer's
 // totality check, the way TestStatsEventTables mirrors statsevent: every
 // Component constant must carry a componentTable rationale, the table must
-// hold nothing else, and the sentinel must not appear. (The tracetool half
-// of the ordering contract — every component has a summaryOrder slot — is
-// TestSummaryOrderCoversEveryComponent in cmd/tracetool.)
+// hold nothing else, and the sentinel must not appear. (tracetool renders
+// components by ranging over NumComponents, so its order needs no test.)
 func TestComponentTable(t *testing.T) {
 	for c := Component(0); c < NumComponents; c++ {
 		reason, ok := componentTable[c]
