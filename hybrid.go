@@ -485,9 +485,9 @@ func (s *System) search(q workload.Query, wait time.Duration) (*engine.Result, S
 }
 
 // encodeEntry encodes res into the scratch, valid until the next call, after
-// clearing what a longer previous result left past this one's end.
+// clearing what a longer previous result left past this one's records.
 func (s *System) encodeEntry(res *engine.Result) []byte {
-	need := engine.EncodedResultBytes(len(res.Docs), s.docBytes)
+	need := engine.WrittenResultBytes(len(res.Docs))
 	if need < s.entryDirty {
 		clear(s.entry[need:s.entryDirty])
 	}

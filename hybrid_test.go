@@ -633,7 +633,7 @@ func checkAllocationBudget(t *testing.T, cfg Config, warmup, measured int, budge
 
 // TestShorterResultLeavesNoBytesOfALongerOne: results are encoded into one
 // scratch the System reuses, so a short result computed after a full one must
-// still reach the cache SSD as its encoding followed by zeros only.
+// still reach the cache SSD as exactly its encoding padded with zeros.
 func TestShorterResultLeavesNoBytesOfALongerOne(t *testing.T) {
 	cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
 	cfg.Collection = workload.DefaultCollection(30000) // small, so rare terms match a handful of documents
@@ -689,13 +689,17 @@ func TestShorterResultLeavesNoBytesOfALongerOne(t *testing.T) {
 		if err != nil || res.QueryID != shortID {
 			continue
 		}
-		enc := engine.EncodedResultBytes(len(res.Docs), sys.Engine.Config().DocResultBytes)
 		if !reflect.DeepEqual(res.Docs, short.Docs) {
 			t.Fatal("the slot on the SSD decodes to other documents than the query returned")
 		}
-		for i, b := range entry[enc:] {
-			if b != 0 {
-				t.Fatalf("byte %d past the %d-byte encoding is %#x, want zero padding", i, enc, b)
+		// Byte for byte: a stale record of the long result would sit inside
+		// the short one's docBytes-per-document span, where decoding never
+		// looks.
+		enc := short.Encode(sys.Engine.Config().DocResultBytes)
+		want := append(enc, make([]byte, len(entry)-len(enc))...)
+		for i := range entry {
+			if entry[i] != want[i] {
+				t.Fatalf("slot byte %d is %#x, want %#x: not the short result's encoding padded with zeros", i, entry[i], want[i])
 			}
 		}
 		return

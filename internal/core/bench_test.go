@@ -3,11 +3,22 @@ package core
 import (
 	"testing"
 
+	"hybridstore/internal/engine"
 	"hybridstore/internal/index"
 	"hybridstore/internal/simclock"
 	"hybridstore/internal/storage"
 	"hybridstore/internal/workload"
 )
+
+// resultEntry is query q's entry shaped like a real one: a result of 50
+// documents encoded into size bytes, header and records, then zero padding.
+func resultEntry(q uint64, size int64) []byte {
+	r := &engine.Result{QueryID: q, Docs: make([]engine.ScoredDoc, 50)}
+	for i := range r.Docs {
+		r.Docs[i] = engine.ScoredDoc{Doc: uint32(q)*1000 + uint32(i), Score: float32(50 - i)}
+	}
+	return r.EncodeTo(make([]byte, size), 400)
+}
 
 // warmResultFixture returns a CBLRU manager that has seen 40 queries, the
 // first 24 of them in whole result blocks on the SSD, with an L1 of five
@@ -21,7 +32,7 @@ func warmResultFixture(b *testing.B) *fixture {
 	for round := 0; round < 2; round++ {
 		for q := uint64(1); q <= 40; q++ {
 			if _, src := f.m.GetResult(q); src == ResultMiss {
-				f.m.PutResult(q, entryOf(q, byte(q), cfg.ResultEntryBytes))
+				f.m.PutResult(q, resultEntry(q, cfg.ResultEntryBytes))
 			}
 		}
 	}

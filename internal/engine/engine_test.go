@@ -285,6 +285,11 @@ func TestDecodeResultRejectsCorrupt(t *testing.T) {
 	if _, err := DecodeResult(buf[:len(buf)-50]); err == nil {
 		t.Fatal("truncated buffer accepted")
 	}
+	// The records sit side by side, so these three fit in the first 8·3
+	// bytes after the header; the entry is still short of 3 × 100 bytes.
+	if _, err := DecodeResult(buf[:16+8*3]); err == nil {
+		t.Fatal("an entry holding its records but not its padding accepted")
+	}
 }
 
 func TestDecodeResultRejectsOverflowHeader(t *testing.T) {

@@ -404,68 +404,123 @@ func checkMediumInvariants(t *testing.T, d *SSD) {
 	}
 }
 
+// byteModel is a drive under test beside a plain []byte copy of its logical
+// space: every write, trim and read goes to both, and a read that differs from
+// the model fails the test.
+type byteModel struct {
+	t     testing.TB
+	d     *SSD
+	model []byte
+	got   []byte
+}
+
+func newByteModel(t testing.TB, d *SSD) *byteModel {
+	size := int(d.Size())
+	return &byteModel{t: t, d: d, model: make([]byte, size), got: make([]byte, size)}
+}
+
+// write stores data at off on the drive and in the model.
+func (m *byteModel) write(off int, data []byte) {
+	copy(m.model[off:], data)
+	if _, err := m.d.WriteAt(data, int64(off)); err != nil {
+		m.t.Fatal(err)
+	}
+}
+
+func (m *byteModel) trim(off, n int) {
+	clear(m.model[off : off+n])
+	if _, err := m.d.Trim(int64(off), int64(n)); err != nil {
+		m.t.Fatal(err)
+	}
+}
+
+// read checks n bytes at off against the model.
+func (m *byteModel) read(off, n int) {
+	got := m.got[:n]
+	for i := range got {
+		got[i] = 0xEE // a read must overwrite every byte it returns
+	}
+	if _, err := m.d.ReadAt(got, int64(off)); err != nil {
+		m.t.Fatal(err)
+	}
+	if !bytes.Equal(got, m.model[off:off+n]) {
+		for i := range got {
+			if got[i] != m.model[off+i] {
+				m.t.Fatalf("%s: byte %d reads %#x, model %#x", m.d.name, off+i, got[i], m.model[off+i])
+			}
+		}
+	}
+}
+
 // TestAllFTLsMatchByteModelAcrossRecycling drives each FTL with a seeded
 // random mix of writes, trims and reads — unaligned, page-straddling, long
 // enough to erase and reuse every block several times — and checks every
 // read byte for byte against a plain []byte model of the logical space.
 // Erased blocks hand their buffers on uncleared, so this is the test that a
 // recycled buffer's old bytes never surface in an unmapped, trimmed or
-// partially written page.
+// partially written page. Most writes store no zero byte, so stale bytes
+// show; two write kinds store zeros — a span of any alignment, and whole
+// aligned pages — so zero pages, which keep no bytes, land in recycled
+// buffers and are then relocated by GC or merges and completed by
+// read-modify-write.
 func TestAllFTLsMatchByteModelAcrossRecycling(t *testing.T) {
 	params := Params{PageSize: 256, PagesPerBlock: 8, ExportedBlocks: 6, SpareBlocks: 4}
 	for k := FTLPageMap; k.Valid(); k++ {
 		t.Run(subtestName(k), func(t *testing.T) {
 			d := NewFTL(k, "ssd", simclock.New(), params)
+			m := newByteModel(t, d)
 			rng := rand.New(rand.NewSource(42))
 			size := int(d.Size())
 			pageSize := d.PageSize()
-			model := make([]byte, size)
-			got := make([]byte, size)
+			zeros := make([]byte, 3*pageSize)
+			data := make([]byte, 3*pageSize)
 			span := func() (off, n int) {
 				n = 1 + rng.Intn(3*pageSize)
 				off = rng.Intn(size - n + 1)
 				return off, n
 			}
-			for op := 0; op < 6000; op++ {
-				switch k := rng.Intn(10); {
+			for op := 0; op < 8000; op++ {
+				switch k := rng.Intn(12); {
 				case k < 5:
 					off, n := span()
-					for i := off; i < off+n; i++ {
-						model[i] = byte(1 + rng.Intn(255)) // never zero: stale bytes must show
+					for i := range data[:n] {
+						data[i] = byte(1 + rng.Intn(255)) // never zero: stale bytes must show
 					}
-					if _, err := d.WriteAt(model[off:off+n], int64(off)); err != nil {
-						t.Fatal(err)
-					}
-				case k < 7:
+					m.write(off, data[:n])
+				case k < 6:
 					off, n := span()
-					if _, err := d.Trim(int64(off), int64(n)); err != nil {
-						t.Fatal(err)
-					}
-					clear(model[off : off+n])
+					m.write(off, zeros[:n])
+				case k < 7:
+					pages := 1 + rng.Intn(3)
+					m.write(rng.Intn(size/pageSize-pages+1)*pageSize, zeros[:pages*pageSize])
+				case k < 9:
+					m.trim(span())
 				default:
 					off, n := span()
 					if op%100 == 0 {
 						off, n = 0, size
 					}
-					for i := range got[:n] {
-						got[i] = 0xEE // a read must overwrite every byte it returns
-					}
-					if _, err := d.ReadAt(got[:n], int64(off)); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got[:n], model[off:off+n]) {
-						for i := range got[:n] {
-							if got[i] != model[off+i] {
-								t.Fatalf("op %d: byte %d reads %#x, model %#x", op, off+i, got[i], model[off+i])
-							}
-						}
-					}
+					m.read(off, n)
 				}
 				checkMediumInvariants(t, d)
 			}
 			if n := d.nand; n.totalErases < 5*int64(n.blocks) {
 				t.Errorf("%d erases over %d blocks: the sequence is too short to recycle them", n.totalErases, n.blocks)
 			}
+			if zeroPages(d.nand) == 0 {
+				t.Error("no programmed zero page at the end: the zero writes never reached the medium")
+			}
 		})
 	}
+}
+
+// zeroPages counts the programmed pages whose zero bit is set.
+func zeroPages(n *nandArray) int {
+	c := 0
+	for p, z := range n.zero {
+		if z && n.pageState[p] != pageFree {
+			c++
+		}
+	}
+	return c
 }

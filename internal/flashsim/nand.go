@@ -1,6 +1,9 @@
 package flashsim
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // nandArray models the raw NAND medium shared by every FTL in this
 // package: physical pages grouped into erase blocks, with program/read/
@@ -15,6 +18,10 @@ import "fmt"
 // whatever an earlier life of its buffer left there. Host memory is
 // therefore bounded by the peak number of simultaneously programmed blocks,
 // and steady-state program/erase cycles allocate and clear nothing.
+//
+// By the same rule a page programmed with all-zero content stores no bytes:
+// its zero bit, set on every program, makes a read clear the destination and
+// a relocation carry the bit instead of the bytes.
 type nandArray struct {
 	pageSize      int
 	pagesPerBlock int
@@ -23,6 +30,8 @@ type nandArray struct {
 	blockBuf   [][]byte // per block: its bytes, nil while fully erased
 	freeBufs   [][]byte // buffers of erased blocks, reused as they are
 	pageState  []int8   // pageFree / pageValid / pageInvalid
+	zero       []bool   // per programmed page: its content is all zeros
+	zeroPage   []byte   // pageSize zeros, what programPage compares against
 	blockValid []int    // valid pages per block
 	blockFree  []int    // free (never-programmed-since-erase) pages per block
 	erases     []int64
@@ -43,6 +52,8 @@ func newNANDArray(pageSize, pagesPerBlock, blocks int) *nandArray {
 		blocks:        blocks,
 		blockBuf:      make([][]byte, blocks),
 		pageState:     make([]int8, blocks*pagesPerBlock),
+		zero:          make([]bool, blocks*pagesPerBlock),
+		zeroPage:      make([]byte, pageSize),
 		blockValid:    make([]int, blocks),
 		blockFree:     make([]int, blocks),
 		erases:        make([]int64, blocks),
@@ -64,9 +75,9 @@ func (n *nandArray) page(phys int32) []byte {
 }
 
 // readAt copies len(p) bytes of a physical page, starting po bytes into it,
-// into p. A free page reads as zeros.
+// into p. A free page and a zero page read as zeros.
 func (n *nandArray) readAt(phys int32, po int, p []byte) {
-	if n.pageState[phys] == pageFree {
+	if n.pageState[phys] == pageFree || n.zero[phys] {
 		clear(p)
 	} else {
 		copy(p, n.page(phys)[po:])
@@ -93,18 +104,26 @@ func (n *nandArray) programPage(phys int32, content []byte) {
 		}
 	}
 	n.pageState[phys] = pageValid
-	copy(n.page(phys), content[:n.pageSize])
+	n.zero[phys] = bytes.Equal(content[:n.pageSize], n.zeroPage)
+	if !n.zero[phys] {
+		copy(n.page(phys), content[:n.pageSize])
+	}
 	n.blockValid[b]++
 	n.blockFree[b]--
 	n.programs++
 }
 
 // copyPage programs free page dst with the content of programmed page src:
-// one array read and one program, one host copy.
+// one array read and one program, one host copy unless src is a zero page
+// (comparing zeroPage with itself costs nothing).
 func (n *nandArray) copyPage(src, dst int32) {
 	n.reads++
 	n.copies++
-	n.programPage(dst, n.page(src))
+	content := n.zeroPage
+	if !n.zero[src] {
+		content = n.page(src)
+	}
+	n.programPage(dst, content)
 }
 
 // invalidatePage marks a valid page invalid (its logical content moved or
