@@ -190,7 +190,6 @@ type System struct {
 	Log         *workload.QueryLog
 
 	cfg      Config
-	cacheCfg core.Config // effective manager config (after mode/PU wiring)
 	engCfg   engine.Config
 	docBytes int
 	// entry is the scratch results are encoded into, of the manager's fixed
@@ -323,7 +322,7 @@ func New(cfg Config) (*System, error) {
 			// The cache SSD lives on a private clock: the manager spends the
 			// service times it returns on the shared clock itself, reads at
 			// once and flushes through its command queue.
-			need := cacheCfg.SSDResultBytes + cacheCfg.SSDListBytes + (2 << 20)
+			need := cacheCfg.SSDResultBytes + cacheCfg.SSDListBytes + cacheSSDSpareBytes
 			eff := cacheCfg.Effective()
 			if cfg.HeteroCacheTier {
 				dev, err := buildHeteroCache(eff)
@@ -351,7 +350,6 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 		s.Manager = m
-		s.cacheCfg = cacheCfg
 		s.Engine = engine.New(m, engCfg)
 		// A full result must fit the fixed entry: one that did not would be
 		// cached cut short and fail to decode on its first hit.
@@ -370,6 +368,14 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
+// cacheSSDSpareBytes is the space a cache SSD (the slow tier, for a
+// heterogeneous one) holds beyond the cache regions. The manager never
+// writes it, so to the FTL it is over-provisioning (and it sizes the spare
+// blocks DefaultParams derives): GC page copies, write amplification and
+// erase counts depend on it. Changing it moves every wear number, and
+// bench/traced.go sizes its cache drive with the same sum.
+const cacheSSDSpareBytes = 2 << 20
+
 // heteroSlowFactor scales the slow tier's page-read, page-program and
 // block-erase latencies relative to the paper's Table III device (which
 // the fast tier uses unchanged): roughly a dense QLC drive behind a fast
@@ -378,10 +384,10 @@ const heteroSlowFactor = 4.0
 
 // buildHeteroCache assembles the heterogeneous cache device: a fast SSD
 // sized to the (block-rounded) result region, backed by a slower dense SSD
-// holding the list region and the mapping-table metadata. Both tiers share
-// one private clock, mirroring the single-device cache wiring. eff is the
-// manager's effective configuration, whose block-rounded regions put the
-// tier boundary exactly where the list region starts.
+// holding the list region and the spare area. Both tiers share one private
+// clock, mirroring the single-device cache wiring. eff is the manager's
+// effective configuration, whose block-rounded regions put the tier
+// boundary exactly where the list region starts.
 func buildHeteroCache(eff core.Config) (*flashsim.Tiered, error) {
 	resultBytes, listBytes := eff.SSDResultBytes, eff.SSDListBytes
 
@@ -389,7 +395,7 @@ func buildHeteroCache(eff core.Config) (*flashsim.Tiered, error) {
 	flashBlock := int64(fastParams.PageSize * fastParams.PagesPerBlock)
 	boundary := (resultBytes + flashBlock - 1) / flashBlock * flashBlock
 
-	slowParams := flashsim.DefaultParams(listBytes + (2 << 20))
+	slowParams := flashsim.DefaultParams(listBytes + cacheSSDSpareBytes)
 	for _, lat := range []*time.Duration{&slowParams.PageReadLatency, &slowParams.PageWriteLatency, &slowParams.BlockEraseLatency} {
 		*lat = time.Duration(float64(*lat) * heteroSlowFactor)
 	}
@@ -493,41 +499,6 @@ func (s *System) encodeEntry(res *engine.Result) []byte {
 	}
 	s.entryDirty = need
 	return res.EncodeTo(s.entry, s.docBytes)
-}
-
-// SaveCacheMappings persists the SSD cache's mapping tables to the cache
-// device so a later RestartWarm (or an out-of-process restart against the
-// same device) resumes with a warm L2 cache. Two-level systems only.
-func (s *System) SaveCacheMappings() error {
-	if s.Manager == nil || s.CacheSSD == nil {
-		return fmt.Errorf("hybrid: no two-level cache to persist")
-	}
-	return s.Manager.SaveMappings()
-}
-
-// RestartWarm simulates a process restart with a persistent SSD: the
-// in-memory L1 caches and mapping tables are discarded, then the manager
-// is rebuilt from the mappings SaveCacheMappings stored on the cache
-// device. The restored manager serves SSD-resident data without cold
-// misses.
-func (s *System) RestartWarm() error {
-	if s.Manager == nil || s.CacheSSD == nil {
-		return fmt.Errorf("hybrid: no two-level cache to restore")
-	}
-	var cacheDev storage.Device = s.CacheSSD
-	if s.CacheFaults != nil {
-		cacheDev = s.CacheFaults
-	}
-	m, err := core.Restore(s.Clock, s.Index, cacheDev, s.cacheCfg)
-	if err != nil {
-		return err
-	}
-	s.Manager = m
-	s.Engine = engine.New(m, s.engCfg)
-	if s.obs != nil {
-		m.SetEventSink(s.obs.HandleEvent)
-	}
-	return nil
 }
 
 // SearchNext pulls the next query from the log and Searches it.

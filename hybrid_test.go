@@ -394,47 +394,6 @@ func TestResultsIdenticalAcrossCodecs(t *testing.T) {
 	}
 }
 
-func TestWarmRestartKeepsSSDCache(t *testing.T) {
-	sys, err := New(smallConfig(core.PolicyCBLRU, CacheTwoLevel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(1200); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SaveCacheMappings(); err != nil {
-		t.Fatal(err)
-	}
-	preStats := sys.Manager.Stats()
-	if preStats.ResultHitsSSD+preStats.ResultHitsMem == 0 {
-		t.Skip("nothing cached before restart")
-	}
-	if err := sys.RestartWarm(); err != nil {
-		t.Fatal(err)
-	}
-	// The restarted system must serve SSD hits immediately.
-	if _, err := sys.Run(600); err != nil {
-		t.Fatal(err)
-	}
-	post := sys.Manager.Stats()
-	if post.ResultHitsSSD == 0 && post.ListBytesFromSSD == 0 {
-		t.Fatal("warm restart served nothing from the SSD")
-	}
-}
-
-func TestWarmRestartRequiresTwoLevel(t *testing.T) {
-	sys, err := New(smallConfig(core.PolicyCBLRU, CacheOneLevel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SaveCacheMappings(); err == nil {
-		t.Fatal("save succeeded without an SSD")
-	}
-	if err := sys.RestartWarm(); err == nil {
-		t.Fatal("restart succeeded without an SSD")
-	}
-}
-
 func TestCacheFTLVariantsRun(t *testing.T) {
 	for _, ftl := range []FTLKind{FTLPageMap, FTLBlockMap, FTLHybridLog} {
 		cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
@@ -765,6 +724,30 @@ func TestNewRefusesBlockBytesOffTheEraseBlock(t *testing.T) {
 		cfg.Cache.BlockBytes = 0 // the default is the device's block
 		if _, err := New(cfg); err != nil {
 			t.Fatalf("hetero=%v: default BlockBytes refused: %v", hetero, err)
+		}
+	}
+}
+
+// TestCacheSSDSize pins the cache drive's size, spare area included, as
+// literal numbers: the spare is over-provisioning the wear counts depend on.
+func TestCacheSSDSize(t *testing.T) {
+	base := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
+	base.Collection.NumDocs = 50_000
+	for _, tc := range []struct {
+		hetero bool
+		want   int64
+	}{
+		{false, 13_631_488}, // 2 MiB results + 9 MiB lists + 2 MiB spare
+		{true, 13_631_488},  // fast tier 2 MiB, slow tier 9 MiB + 2 MiB spare
+	} {
+		cfg := base
+		cfg.HeteroCacheTier = tc.hetero
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.CacheSSD.Size(); got != tc.want {
+			t.Fatalf("hetero=%v: cache SSD holds %d bytes, want %d", tc.hetero, got, tc.want)
 		}
 	}
 }

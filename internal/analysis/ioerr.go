@@ -11,8 +11,8 @@ import (
 // silently discarded — an injected device fault that is dropped on the
 // floor would vanish from Stats/FaultReport and the run would lie about
 // its own data loss. The allocator's boolean success results (Alloc,
-// AllocAligned, Reserve) are covered for the same reason: ignoring a
-// failed reservation silently corrupts space accounting.
+// AllocAligned) are covered for the same reason: ignoring a failed
+// allocation silently corrupts space accounting.
 //
 // Flagged shapes: a bare call statement, `_ =` / `_, _ =` assignments of
 // the error (or allocator bool) position, and go/defer statements that
@@ -33,7 +33,7 @@ var ioerrPackages = map[string]bool{
 // allocBoolFuncs are the storage functions whose boolean result reports
 // allocation success and therefore must be consumed.
 var allocBoolFuncs = map[string]bool{
-	"Alloc": true, "AllocAligned": true, "Reserve": true,
+	"Alloc": true, "AllocAligned": true,
 }
 
 func runIoerr(pass *Pass) {

@@ -27,7 +27,7 @@ func good(d storage.Device, al *storage.Allocator) error {
 	if _, err := d.ReadAt(nil, 0); err != nil {
 		return err
 	}
-	if !al.Reserve(0, 8) {
+	if _, ok := al.Alloc(8); !ok {
 		return nil
 	}
 	lat, err := d.WriteAt(nil, 0)

@@ -15,8 +15,6 @@ type Allocator struct{}
 
 func (a *Allocator) Alloc(n int64) (int64, bool) { return 0, n == 0 }
 
-func (a *Allocator) Reserve(off, n int64) bool { return off >= 0 && n > 0 }
-
 func (a *Allocator) Free(off, n int64) {}
 
 func CheckRange(size, off int64, n int) error { return nil }

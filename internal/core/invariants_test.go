@@ -54,23 +54,6 @@ func TestInvariantsHoldUnderChurn(t *testing.T) {
 	}
 }
 
-func TestInvariantsHoldAfterRestore(t *testing.T) {
-	cfg := testConfig(PolicyCBLRU)
-	cfg.MemListBytes = 64 << 10
-	f := newFixture(t, cfg)
-	populate(t, f)
-	if err := f.m.CheckInvariants(); err != nil {
-		t.Fatalf("pre-save: %v", err)
-	}
-	if err := f.m.SaveMappings(); err != nil {
-		t.Fatal(err)
-	}
-	m2 := f.restore(t, cfg)
-	if err := m2.CheckInvariants(); err != nil {
-		t.Fatalf("post-restore: %v", err)
-	}
-}
-
 func TestInvariantsHoldWithTTLChurn(t *testing.T) {
 	cfg := testConfig(PolicyCBLRU)
 	cfg.MemListBytes = 64 << 10

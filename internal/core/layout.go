@@ -36,9 +36,7 @@ type layout interface {
 	// quarantineResult retires the extent behind a dynamic SSD result entry
 	// whose read failed.
 	quarantineResult(loc *ssdResult)
-	// rbExtentBytes is the size of the device extent behind one resultBlock.
-	rbExtentBytes() int64
 	// checkListExtent reports a violation of the layout's alignment rule
-	// for one L2 list extent (CheckInvariants, Restore).
+	// for one L2 list extent (CheckInvariants).
 	checkListExtent(x *listExtent) error
 }

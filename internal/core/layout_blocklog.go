@@ -442,9 +442,6 @@ func (l blockLogLayout) quarantineResult(loc *ssdResult) {
 	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
 }
 
-// rbExtentBytes is one whole block.
-func (l blockLogLayout) rbExtentBytes() int64 { return l.m.cfg.BlockBytes }
-
 // checkListExtent requires whole, block-aligned extents.
 func (l blockLogLayout) checkListExtent(x *listExtent) error {
 	if bs := l.m.cfg.BlockBytes; x.off%bs != 0 || x.bytes%bs != 0 {

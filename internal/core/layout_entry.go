@@ -164,8 +164,5 @@ func (l entryLayout) quarantineResult(loc *ssdResult) {
 	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
 }
 
-// rbExtentBytes is one result entry: a pseudo-RB holds exactly one.
-func (l entryLayout) rbExtentBytes() int64 { return l.m.cfg.ResultEntryBytes }
-
 // checkListExtent accepts any extent: the baseline writes unaligned.
 func (entryLayout) checkListExtent(*listExtent) error { return nil }

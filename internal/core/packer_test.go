@@ -2,14 +2,13 @@ package core
 
 // Tests for the list write buffer and packed extents: what reaches the
 // device, what is served from memory, and what supersession, expiry, device
-// errors, replacement and a restart do to lists that share a block.
+// errors and replacement do to lists that share a block.
 
 import (
 	"bytes"
 	"testing"
 	"time"
 
-	"hybridstore/internal/cache"
 	"hybridstore/internal/flashsim"
 	"hybridstore/internal/simclock"
 	"hybridstore/internal/storage"
@@ -279,47 +278,4 @@ func TestLadderOverSingleListExtents(t *testing.T) {
 		t.Fatalf("%d in-place overwrites, %d evictions, want 2 and 2", s.ListOverwritesInPlace, s.L2ListEvictions)
 	}
 	f.checkInvariants(t)
-}
-
-// TestSaveRestorePackedExtents: SaveMappings writes the partial block out,
-// and Restore brings back every packed list where it was, in recency order,
-// serving index-equal bytes without the HDD.
-func TestSaveRestorePackedExtents(t *testing.T) {
-	cfg := packerConfig(PolicyCBLRU)
-	f, dev := newPackerFixture(t, cfg)
-	for term := workload.TermID(1); term <= 18; term++ { // two full blocks and two prefixes over
-		f.evict(t, term, 2<<10)
-	}
-	f.m.ssdListFor(3) // promote the first extent over the second
-	if err := f.m.SaveMappings(); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.m.listBuf) != 0 || f.m.Stats().ListWritesToSSD != 3 {
-		t.Fatalf("%d prefixes still buffered after %d block writes: SaveMappings must write the partial block out",
-			len(f.m.listBuf), f.m.Stats().ListWritesToSSD)
-	}
-	m2 := f.restore(t, cfg)
-	if err := m2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	var order, order2 []uint64
-	f.m.icLRU.Ascend(func(e *cache.Entry[*listExtent]) bool { order = append(order, e.Key); return true })
-	m2.icLRU.Ascend(func(e *cache.Entry[*listExtent]) bool { order2 = append(order2, e.Key); return true })
-	if len(order) != 3 || len(order2) != 3 || order[0] != order2[0] || order[1] != order2[1] || order[2] != order2[2] {
-		t.Fatalf("extent recency %v restored as %v", order, order2)
-	}
-	for term, sl := range f.m.icDyn {
-		got := m2.icDyn[term]
-		if got == nil || got.off != sl.off || got.validBytes != sl.validBytes || got.ext.off != sl.ext.off {
-			t.Fatalf("term %d at %d in extent %d restored as %+v", term, sl.off, sl.ext.off, got)
-		}
-	}
-	f.m = m2
-	dev.reads = 0
-	for term := workload.TermID(1); term <= 18; term++ {
-		f.readBack(t, term, 2<<10)
-	}
-	if s := m2.Stats(); s.ListBytesFromSSD != 18*(2<<10) || s.ListBytesFromHDD != 0 {
-		t.Fatalf("%d SSD and %d HDD bytes after restore, want every list from the SSD", s.ListBytesFromSSD, s.ListBytesFromHDD)
-	}
 }

@@ -102,31 +102,6 @@ func (a *Allocator) AllocAligned(n, align int64) (int64, bool) {
 	return 0, false
 }
 
-// Reserve claims the exact extent [off, off+n) from the free pool,
-// returning false when any part of it is already allocated. Cache-mapping
-// restoration uses it to re-establish a saved layout.
-func (a *Allocator) Reserve(off, n int64) bool {
-	if n <= 0 || off < 0 || off+n > a.size {
-		return false
-	}
-	for i := range a.free {
-		e := a.free[i]
-		if off < e.off || off+n > e.off+e.len {
-			continue
-		}
-		// Split e into up-to-two remainders around the reservation.
-		a.free = append(a.free[:i], a.free[i+1:]...)
-		if pre := off - e.off; pre > 0 {
-			a.insertFree(extent{e.off, pre})
-		}
-		if post := (e.off + e.len) - (off + n); post > 0 {
-			a.insertFree(extent{off + n, post})
-		}
-		return true
-	}
-	return false
-}
-
 // Free returns the extent [off, off+n) to the free pool, coalescing with
 // neighbours. Freeing an unallocated or overlapping range panics: that is
 // always a bookkeeping bug in the caller.

@@ -348,41 +348,6 @@ func TestAllocatorFragmentationBlocksLargeAlloc(t *testing.T) {
 	}
 }
 
-func TestAllocatorReserve(t *testing.T) {
-	a := NewAllocator(1000)
-	if !a.Reserve(100, 200) {
-		t.Fatal("reserve of free range failed")
-	}
-	if a.FreeBytes() != 800 {
-		t.Fatalf("FreeBytes = %d", a.FreeBytes())
-	}
-	if a.Reserve(150, 50) {
-		t.Fatal("overlapping reserve succeeded")
-	}
-	if a.Reserve(900, 200) {
-		t.Fatal("out-of-range reserve succeeded")
-	}
-	// The split remainders are still allocatable and coalesce on free.
-	if off, ok := a.Alloc(100); !ok || off != 0 {
-		t.Fatalf("pre-gap alloc at %d ok=%v", off, ok)
-	}
-	a.Free(100, 200)
-	a.Free(0, 100)
-	if a.FragmentCount() != 1 || a.FreeBytes() != 1000 {
-		t.Fatalf("after frees: frags=%d free=%d", a.FragmentCount(), a.FreeBytes())
-	}
-}
-
-func TestAllocatorReserveExactExtent(t *testing.T) {
-	a := NewAllocator(100)
-	if !a.Reserve(0, 100) {
-		t.Fatal("whole-space reserve failed")
-	}
-	if _, ok := a.Alloc(1); ok {
-		t.Fatal("alloc succeeded after full reserve")
-	}
-}
-
 func TestAllocatorProperty(t *testing.T) {
 	// Property: after any sequence of allocs and frees, FreeBytes plus the
 	// sum of live extents equals the managed size.

@@ -122,7 +122,7 @@ func TestReplayLogEmptyPanics(t *testing.T) {
 
 func TestFNVStable(t *testing.T) {
 	// Guard the hash against accidental changes: query IDs derived from
-	// it are persisted by cache-mapping snapshots.
+	// it key the result cache, so a new hash moves replayed-log results.
 	if fnv64("lottery") != fnv64("lottery") {
 		t.Fatal("hash unstable")
 	}

@@ -14,8 +14,7 @@ func (s *System) EnableObservability(o *obs.Observer) {
 	s.obs = o
 	// Label every advance of the shared clock onto the in-flight trace;
 	// this is what makes per-query latency attribution sum exactly to the
-	// elapsed time. RestartWarm keeps the same clock, so the hook survives
-	// a warm restart.
+	// elapsed time.
 	s.Clock.OnAdvance(o.HandleClockAdvance)
 	if s.Manager != nil {
 		s.Manager.SetEventSink(o.HandleEvent)
@@ -29,8 +28,8 @@ func (s *System) EnableObservability(o *obs.Observer) {
 	o.SetSampler(s.sample)
 }
 
-// sample reads the headline quantities through s at call time, so
-// RestartWarm's manager swap is always seen.
+// sample reads the headline quantities through s at call time; the observer
+// keeps no copy of them.
 func (s *System) sample() obs.Sample {
 	var p obs.Sample
 	if s.Manager != nil {
