@@ -14,11 +14,12 @@
 //     callbacks touch only state bound to them at creation (analyzer
 //     confine).
 //
-// The stats≡trace and Σattrib≡elapsed contracts have no analyzer: tests
-// check them (TestStatsEventTables and the stats≡trace divergence test in
-// internal/core, TestComponentTable in internal/simclock), tracetool ranges
-// over the Component enum itself, and the clock has no advance without a
-// Component.
+// The stats≡trace and Σattrib≡elapsed contracts have no analyzer. Stats is
+// the fold of the event stream, and tests check the rest:
+// TestOnlyApplyWritesStats in internal/core fails on a counter written
+// outside that fold, and TestComponentTable in internal/simclock keeps the
+// component table total. tracetool ranges over the Component enum itself,
+// and the clock has no advance without a Component.
 //
 // The bufalias and confine analyzers share a small intra-procedural
 // dataflow layer (dataflow.go): def/use value tracking over go/ast+go/types

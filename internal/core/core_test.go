@@ -383,6 +383,14 @@ func TestResultSSDHitPromotesToL1(t *testing.T) {
 	if _, src := f.m.GetResult(promoted); src != ResultFromMemory {
 		t.Fatalf("second lookup src=%v, want memory", src)
 	}
+	// Evicted again, it finds its SSD copy still there: the write is
+	// elided and the copy revalidated.
+	for q := uint64(100); q < 105; q++ {
+		f.m.PutResult(q, entryOf(q, byte(q), size))
+	}
+	if s := f.m.Stats(); s.ResultWritesElided != 1 || f.m.resultLoc[promoted].state != stateNormal {
+		t.Fatalf("%d result writes elided: want the re-evicted entry's SSD copy revalidated", s.ResultWritesElided)
+	}
 }
 
 func TestLRUBaselineWritesResultsImmediately(t *testing.T) {
@@ -405,6 +413,14 @@ func TestLRUBaselineWritesResultsImmediately(t *testing.T) {
 	got, src := f.m.GetResult(1)
 	if src != ResultFromSSD || got[0] != 1 {
 		t.Fatalf("src=%v", src)
+	}
+	// Past the 52 entries the region holds, each write frees the least
+	// recent entry.
+	for q := uint64(9); q <= 70; q++ {
+		f.m.PutResult(q, entryOf(q, byte(q), size))
+	}
+	if s := f.m.Stats(); s.L2ResultEvictions == 0 {
+		t.Fatal("baseline never freed an SSD entry for a new one")
 	}
 }
 
@@ -464,7 +480,7 @@ func TestStaticPinningCBSLRU(t *testing.T) {
 	if f.m.Stats().ListBytesFromHDD != hddBefore {
 		t.Fatal("pinned list read touched HDD")
 	}
-	if len(f.m.StaticPinnedLists()) != 1 {
+	if len(f.m.icStatic) != 1 {
 		t.Fatal("pinned list not tracked")
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"time"
+
+	"hybridstore/internal/storage"
 	"hybridstore/internal/workload"
 )
 
@@ -31,11 +34,10 @@ func (l Level) String() string {
 // EventKind classifies one manager event.
 type EventKind uint8
 
-// Manager event kinds. Each fires at the moment the corresponding stats
-// counter is bumped, so a sink that sums event payloads reproduces the
-// Stats totals exactly.
+// Manager event kinds. The manager's counters are the fold of its event
+// stream (Stats.apply), so every counter change is one event of these.
 const (
-	// EvListRead: Bytes of term Term's list served from Level.
+	// EvListRead: Bytes of term Term's list served from Level to the engine.
 	EvListRead EventKind = iota
 	// EvResultHit: a result-cache probe served from Level (Bytes = entry size).
 	EvResultHit
@@ -43,110 +45,183 @@ const (
 	EvResultMiss
 	// EvListFlush: one device write of Bytes into the SSD list region — an
 	// extent (Term is the first list it holds) or a pin appended to a static
-	// block.
+	// block — carrying N list prefixes of Part bytes in all; the rest is
+	// padding.
 	EvListFlush
-	// EvResultFlush: Bytes of result data written to the SSD cache, one
-	// event per device write (an assembled RB under the cost-based
-	// policies, a single entry under LRU or as a CBSLRU pin).
+	// EvResultFlush: Bytes of result data written to the SSD cache in one
+	// device write: a CBSLRU pin or a single entry under LRU.
 	EvResultFlush
 	// EvListEvict: an inverted-list entry evicted from the cache at Level.
 	EvListEvict
-	// EvResultEvict: a result entry (or RB) evicted from the cache at Level.
+	// EvResultEvict: a result entry evicted from the cache at Level.
 	EvResultEvict
-	// EvQueryEnd: the current query was classified into situation Sit.
+	// EvQueryEnd: the current query took Elapsed and was classified into
+	// situation Sit; it requested N terms' lists, Part of them with no HDD
+	// bytes.
 	EvQueryEnd
-	// EvIOError: an SSD cache operation failed; Bytes is the size of the
-	// failed transfer, Level is always LevelSSD. One event per failed
-	// device call, so the event count equals SSDReadErrors +
-	// SSDWriteErrors + SSDTrimErrors.
+	// EvIOError: an SSD cache operation Op failed; Bytes is the size of the
+	// failed transfer, Level is always LevelSSD.
 	EvIOError
 	// EvDegraded: a request was served around the SSD tier because the
-	// circuit breaker is open (count == Stats.DegradedServes).
+	// circuit breaker is open.
 	EvDegraded
+	// EvListFill: Bytes of Term's list read from Level beyond the engine's
+	// request, to fill L1 (readahead, or the rest of a whole list).
+	EvListFill
+	// EvRBFlush: an assembled result block of Bytes written to the SSD.
+	EvRBFlush
+	// EvRBRetire: a result block replaced or quarantined at LevelSSD.
+	EvRBRetire
+	// EvListRequest: the engine asked for Bytes of Term's list.
+	EvListRequest
+	// EvListPrefetch: Bytes of readahead joined an L1 prefix.
+	EvListPrefetch
+	// EvListTooLarge: a list too long for an L1 entry was not cached there.
+	EvListTooLarge
+	// EvListExpire, EvResultExpire: an entry outlived its TTL.
+	EvListExpire
+	EvResultExpire
+	// EvListElide, EvResultElide: an eviction found its SSD copy still there
+	// and revalidated it instead of writing.
+	EvListElide
+	EvResultElide
+	// EvListOverwrite: a list extent was placed over a same-size victim.
+	EvListOverwrite
+	// EvListWorstCase: placing a list extent swept the whole LRU list.
+	EvListWorstCase
+	// EvListDiscard: N evicted lists were not written to the SSD.
+	EvListDiscard
+	// EvListReject, EvResultReject: the doorkeeper kept an evicted list
+	// (one more discard) or result entry off the flash.
+	EvListReject
+	EvResultReject
+	// EvResultDrop: N evicted result entries were lost before the SSD.
+	EvResultDrop
+	// EvResultRequeue: a result entry whose RB write failed went back to
+	// the write buffer.
+	EvResultRequeue
+	// EvQuarantine: an SSD extent of Bytes was retired after a device error.
+	EvQuarantine
+	// EvBreakerTrip: the SSD circuit breaker opened.
+	EvBreakerTrip
 )
-
-// String names the event kind.
-func (k EventKind) String() string {
-	names := [...]string{
-		"list_read", "result_hit", "result_miss", "list_flush",
-		"result_flush", "list_evict", "result_evict", "query_end",
-		"io_error", "degraded",
-	}
-	if int(k) < len(names) {
-		return names[k]
-	}
-	return "event?"
-}
 
 // Event is one fine-grained cache-manager occurrence, emitted synchronously
 // on the serving path for tracing and metrics. Fields beyond Kind are
 // populated per kind (see the kind constants).
 type Event struct {
-	Kind  EventKind
-	Term  workload.TermID
-	Level Level
-	Bytes int64
-	Sit   Situation
+	Kind    EventKind
+	Level   Level
+	Op      storage.OpKind
+	Term    workload.TermID
+	Sit     Situation
+	Bytes   int64
+	N, Part int64
+	Elapsed time.Duration
 }
 
-// statsEventPairs declares the stats≡trace pairing: every listed Stats
-// counter fires the mapped event at the moment it is bumped, so a sink
-// that sums event payloads reproduces the Stats totals exactly.
-// TestStatsEventTables fails when a new Stats field is added without an
-// entry here or in statsUnpaired, and the stats≡trace divergence test
-// (eventSums in faults_test.go) fails when a paired counter is bumped
-// without its event: dropping any one emit call fails it.
-var statsEventPairs = map[string]EventKind{
-	"ResultHitsMem":       EvResultHit,
-	"ResultHitsSSD":       EvResultHit,
-	"ResultMisses":        EvResultMiss,
-	"L1ResultEvictions":   EvResultEvict,
-	"L2ResultEvictions":   EvResultEvict,
-	"RBRetired":           EvResultEvict,
-	"ResultBytesToSSD":    EvResultFlush,
-	"ListBytesFromMem":    EvListRead,
-	"ListBytesFromSSD":    EvListRead,
-	"ListBytesFromHDD":    EvListRead,
-	"ListReqBytesFromHDD": EvListRead,
-	"ListBytesToSSD":      EvListFlush,
-	"ListWritesToSSD":     EvListFlush,
-	"L1ListEvictions":     EvListEvict,
-	"L2ListEvictions":     EvListEvict,
-	"SSDReadErrors":       EvIOError,
-	"SSDWriteErrors":      EvIOError,
-	"SSDTrimErrors":       EvIOError,
-	"DegradedServes":      EvDegraded,
-	"Queries":             EvQueryEnd,
-	"QueryTime":           EvQueryEnd,
-	"Situations":          EvQueryEnd,
-}
-
-// statsUnpaired lists the Stats fields that deliberately fire no event,
-// each with the reason the omission is sound. TestStatsEventTables
-// requires every Stats field to appear in exactly one of the two tables.
-var statsUnpaired = map[string]string{
-	"ResultWritesElided":         "elision means nothing moved; the probe outcome was already evented",
-	"RBFlushes":                  "sub-classifies the block-log RB writes among EvResultFlush, which also fires for CBSLRU pins and LRU entry writes",
-	"ResultsDropped":             "terminal loss accounting; the failed flush already emitted EvIOError",
-	"ResultsRequeued":            "retry bookkeeping; the triggering failure already emitted EvIOError",
-	"ResultsExpired":             "TTL bookkeeping folded into the probe outcome (hit/miss) event",
-	"ListsExpired":               "TTL bookkeeping folded into the read-path events",
-	"ListsDiscarded":             "terminal loss accounting; the failed device call already emitted EvIOError",
-	"ListWritesElided":           "elision means nothing moved; no bytes to attribute",
-	"ListsWrittenToSSD":          "sub-classifies a device write already evented as EvListFlush, whose Bytes is the whole write",
-	"ListPayloadBytesToSSD":      "sub-classifies a device write already evented as EvListFlush, whose Bytes is the whole write",
-	"ListRequests":               "per-term demand folded at EndQuery; traffic is evented per level as EvListRead",
-	"ListHits":                   "per-term demand folded at EndQuery; traffic is evented per level as EvListRead",
-	"ListBytesRequested":         "demand-side counter; served bytes are evented per level as EvListRead",
-	"ListBytesPrefetched":        "readahead beyond the request; the SSD write is evented as EvListFlush",
-	"ListOverwritesInPlace":      "placement detail of a flush that already emitted EvListFlush",
-	"ListPlacementWorstCase":     "placement detail of a flush that already emitted EvListFlush",
-	"ListsTooLargeForL1":         "admission decision; no cache state changed",
-	"ListsRejectedByAdmission":   "admission decision; no bytes moved, sub-classifies ListsDiscarded",
-	"ResultsRejectedByAdmission": "admission decision; the entry was dropped before any device traffic",
-	"ExtentsQuarantined":         "capacity retirement; the triggering failure already emitted EvIOError",
-	"QuarantinedBytes":           "capacity retirement; the triggering failure already emitted EvIOError",
-	"BreakerTrips":               "breaker state change; each contributing failure already emitted EvIOError",
+// apply folds one event into the counters. Besides ResetStats it is the only
+// writer of Stats, so a sink that applies the events it receives to a zero
+// Stats holds the manager's counters.
+func (s *Stats) apply(e Event) {
+	switch e.Kind {
+	case EvListRead, EvListFill:
+		switch e.Level {
+		case LevelMem:
+			s.ListBytesFromMem += e.Bytes
+		case LevelSSD:
+			s.ListBytesFromSSD += e.Bytes
+		default:
+			s.ListBytesFromHDD += e.Bytes
+			if e.Kind == EvListRead {
+				s.ListReqBytesFromHDD += e.Bytes
+			}
+		}
+	case EvResultHit:
+		if e.Level == LevelMem {
+			s.ResultHitsMem++
+		} else {
+			s.ResultHitsSSD++
+		}
+	case EvResultMiss:
+		s.ResultMisses++
+	case EvListFlush:
+		s.ListBytesToSSD += e.Bytes
+		s.ListWritesToSSD++
+		s.ListsWrittenToSSD += e.N
+		s.ListPayloadBytesToSSD += e.Part
+	case EvRBFlush:
+		s.RBFlushes++
+		s.ResultBytesToSSD += e.Bytes
+	case EvResultFlush:
+		s.ResultBytesToSSD += e.Bytes
+	case EvListEvict:
+		if e.Level == LevelMem {
+			s.L1ListEvictions++
+		} else {
+			s.L2ListEvictions++
+		}
+	case EvResultEvict:
+		if e.Level == LevelMem {
+			s.L1ResultEvictions++
+		} else {
+			s.L2ResultEvictions++
+		}
+	case EvRBRetire:
+		s.RBRetired++
+	case EvQueryEnd:
+		s.Queries++
+		s.QueryTime += e.Elapsed
+		s.Situations.Counts[e.Sit]++
+		s.Situations.Time[e.Sit] += e.Elapsed
+		s.ListRequests += e.N
+		s.ListHits += e.Part
+	case EvIOError:
+		switch e.Op {
+		case storage.OpRead:
+			s.SSDReadErrors++
+		case storage.OpWrite:
+			s.SSDWriteErrors++
+		default:
+			s.SSDTrimErrors++
+		}
+	case EvDegraded:
+		s.DegradedServes++
+	case EvListRequest:
+		s.ListBytesRequested += e.Bytes
+	case EvListPrefetch:
+		s.ListBytesPrefetched += e.Bytes
+	case EvListTooLarge:
+		s.ListsTooLargeForL1++
+	case EvListExpire:
+		s.ListsExpired++
+	case EvResultExpire:
+		s.ResultsExpired++
+	case EvListElide:
+		s.ListWritesElided++
+	case EvResultElide:
+		s.ResultWritesElided++
+	case EvListOverwrite:
+		s.ListOverwritesInPlace++
+	case EvListWorstCase:
+		s.ListPlacementWorstCase++
+	case EvListDiscard:
+		s.ListsDiscarded += e.N
+	case EvListReject:
+		s.ListsRejectedByAdmission++
+		s.ListsDiscarded++
+	case EvResultReject:
+		s.ResultsRejectedByAdmission++
+	case EvResultDrop:
+		s.ResultsDropped += e.N
+	case EvResultRequeue:
+		s.ResultsRequeued++
+	case EvQuarantine:
+		s.ExtentsQuarantined++
+		s.QuarantinedBytes += e.Bytes
+	case EvBreakerTrip:
+		s.BreakerTrips++
+	}
 }
 
 // SetEventSink installs a callback receiving every manager event, or removes
@@ -155,8 +230,18 @@ var statsUnpaired = map[string]string{
 // into the manager.
 func (m *Manager) SetEventSink(fn func(Event)) { m.events = fn }
 
-// emit delivers an event to the sink, if any.
+// emit folds an event into the counters and, inside a query, into the
+// levels its terms and result came from, then delivers it to the sink.
 func (m *Manager) emit(e Event) {
+	m.stats.apply(e)
+	if m.curQueryActive {
+		switch e.Kind {
+		case EvListRead, EvListFill:
+			m.curTermSrc[e.Term] |= 1 << e.Level
+		case EvResultHit:
+			m.curResultSrc |= 1 << e.Level
+		}
+	}
 	if m.events != nil {
 		m.events(e)
 	}

@@ -201,8 +201,8 @@ func TestGetResultReadErrorLRUQuarantinesEntry(t *testing.T) {
 		t.Fatal("read-error probe not a miss")
 	}
 	s := f.m.Stats()
-	if s.SSDReadErrors != 1 || s.ExtentsQuarantined != 1 {
-		t.Fatalf("errors %d quarantined %d, want 1/1", s.SSDReadErrors, s.ExtentsQuarantined)
+	if s.SSDReadErrors != 1 || s.ExtentsQuarantined != 1 || s.L2ResultEvictions != 1 {
+		t.Fatalf("errors %d quarantined %d L2 evictions %d, want 1/1/1", s.SSDReadErrors, s.ExtentsQuarantined, s.L2ResultEvictions)
 	}
 	if s.QuarantinedBytes != f.m.cfg.ResultEntryBytes {
 		t.Fatalf("quarantined %d bytes, want one entry (%d)", s.QuarantinedBytes, f.m.cfg.ResultEntryBytes)
@@ -226,6 +226,8 @@ func TestBreakerOpensRoutesAroundAndCools(t *testing.T) {
 	cfg.BreakerThreshold = 3
 	f, fd := newFlakyFixture(t, cfg)
 	putEntries(t, f, 1, 11) // healthy warmup: RB with qids 1..6 on SSD
+	f.m.flushListToSSD(&memList{term: 7, prefix: f.wantList(t, 7, 0, 2<<10)})
+	f.m.flushListBuffer() // and term 7's list
 
 	fd.failWrites = true
 	putEntries(t, f, 12, 23) // three failed flushes → streak hits 3
@@ -246,6 +248,11 @@ func TestBreakerOpensRoutesAroundAndCools(t *testing.T) {
 	}
 	if _, ok := f.m.resultLoc[1]; !ok {
 		t.Fatal("degraded probe dropped the mapping")
+	}
+	// So does the SSD-resident list, read from the HDD instead.
+	f.readSome(t, 7, 2<<10)
+	if s := f.m.Stats(); s.DegradedServes != 2 || s.ListReqBytesFromHDD != 2<<10 || f.m.icDyn[7] == nil {
+		t.Fatalf("DegradedServes = %d, %d requested bytes from HDD: want the list read around the SSD, mapping kept", s.DegradedServes, s.ListReqBytesFromHDD)
 	}
 
 	// Device recovers, cooldown elapses: the same entry hits SSD again.
@@ -309,6 +316,35 @@ func TestLRUEvictionDropsWhileBreakerOpen(t *testing.T) {
 	}
 	if s.ExtentsQuarantined != 1 || s.QuarantinedBytes != f.m.cfg.ResultEntryBytes {
 		t.Fatalf("quarantine accounting: %d extents / %d bytes", s.ExtentsQuarantined, s.QuarantinedBytes)
+	}
+}
+
+// TestLRUBaselineLosesWhatItCannotPlace: the baseline discards a list longer
+// than its whole region, and a list or result entry its region can no longer
+// hold once failed writes have quarantined it and nothing is left to evict —
+// each loss counted once.
+func TestLRUBaselineLosesWhatItCannotPlace(t *testing.T) {
+	cfg := packerConfig(PolicyLRU)
+	cfg.SSDListBytes = 2 * cfg.BlockBytes
+	cfg.BreakerThreshold = -1
+	f, fd := newFlakyFixture(t, cfg)
+	flush := func(term workload.TermID, n int64) {
+		f.m.flushListToSSD(&memList{term: term, prefix: f.wantList(t, term, 0, n)})
+	}
+	flush(0, 40<<10) // longer than the 32 KiB list region
+	fd.failWrites = true
+	flush(1, 20<<10)       // quarantines 20 KiB of it
+	putEntries(t, f, 1, 8) // four failed entry writes quarantine the result region
+	fd.failWrites = false
+	flush(2, 16<<10)       // 12 KiB are left
+	putEntries(t, f, 9, 9) // no room, no entry to free
+	s := f.m.Stats()
+	if s.ListsDiscarded != 3 || s.ResultsDropped != 5 || s.ExtentsQuarantined != 5 || s.ListWritesToSSD+s.ResultBytesToSSD != 0 {
+		t.Fatalf("%d lists discarded, %d entries dropped, %d extents quarantined, %d list writes, %d result bytes written: want 3/5/5/0/0",
+			s.ListsDiscarded, s.ResultsDropped, s.ExtentsQuarantined, s.ListWritesToSSD, s.ResultBytesToSSD)
+	}
+	if err := f.m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -532,84 +568,10 @@ func TestBumpFreqDecayPreservesOrder(t *testing.T) {
 	}
 }
 
-// eventSums accumulates an event stream for stats≡trace verification.
-type eventSums struct {
-	ioErrors, ioErrorBytes int64
-	degraded               int64
-	listReadBytes          map[Level]int64
-	resultHits             map[Level]int64
-	resultMisses           int64
-	resultEvicts           map[Level]int64
-	listEvicts             map[Level]int64
-	resultFlushBytes       int64
-	listFlushBytes         int64
-	listFlushes            int64
-}
-
-func newEventSums() *eventSums {
-	return &eventSums{
-		listReadBytes: map[Level]int64{},
-		resultHits:    map[Level]int64{},
-		resultEvicts:  map[Level]int64{},
-		listEvicts:    map[Level]int64{},
-	}
-}
-
-func (s *eventSums) handle(e Event) {
-	switch e.Kind {
-	case EvIOError:
-		s.ioErrors++
-		s.ioErrorBytes += e.Bytes
-	case EvDegraded:
-		s.degraded++
-	case EvListRead:
-		s.listReadBytes[e.Level] += e.Bytes
-	case EvResultHit:
-		s.resultHits[e.Level]++
-	case EvResultMiss:
-		s.resultMisses++
-	case EvResultEvict:
-		s.resultEvicts[e.Level]++
-	case EvListEvict:
-		s.listEvicts[e.Level]++
-	case EvResultFlush:
-		s.resultFlushBytes += e.Bytes
-	case EvListFlush:
-		s.listFlushBytes += e.Bytes
-		s.listFlushes++
-	}
-}
-
-// check asserts every stats≡trace equation against the manager's counters.
-func (s *eventSums) check(t *testing.T, st Stats) {
-	t.Helper()
-	eq := func(name string, got, want int64) {
-		t.Helper()
-		if got != want {
-			t.Errorf("stats≡trace divergence: %s: events %d, stats %d", name, got, want)
-		}
-	}
-	eq("io errors", s.ioErrors, st.SSDReadErrors+st.SSDWriteErrors+st.SSDTrimErrors)
-	eq("degraded serves", s.degraded, st.DegradedServes)
-	eq("list bytes mem", s.listReadBytes[LevelMem], st.ListBytesFromMem)
-	eq("list bytes ssd", s.listReadBytes[LevelSSD], st.ListBytesFromSSD)
-	eq("list bytes hdd", s.listReadBytes[LevelHDD], st.ListBytesFromHDD)
-	eq("result hits mem", s.resultHits[LevelMem], st.ResultHitsMem)
-	eq("result hits ssd", s.resultHits[LevelSSD], st.ResultHitsSSD)
-	eq("result misses", s.resultMisses, st.ResultMisses)
-	eq("result evicts mem", s.resultEvicts[LevelMem], st.L1ResultEvictions)
-	eq("result evicts ssd", s.resultEvicts[LevelSSD], st.L2ResultEvictions+st.RBRetired)
-	eq("list evicts mem", s.listEvicts[LevelMem], st.L1ListEvictions)
-	eq("list evicts ssd", s.listEvicts[LevelSSD], st.L2ListEvictions)
-	eq("result flush bytes", s.resultFlushBytes, st.ResultBytesToSSD)
-	eq("list flush bytes", s.listFlushBytes, st.ListBytesToSSD)
-	eq("list flushes", s.listFlushes, st.ListWritesToSSD)
-}
-
 // TestDivergenceUnderInjectedFaults is the extended divergence test of the
 // stats≡trace contract (DESIGN §9): under probabilistic fault injection —
 // transient errors on every op class, sticky bad extents, a pre-seeded dead
-// range — summing event payloads still reproduces core.Stats exactly, the
+// range — the event stream a sink receives folds to core.Stats exactly, the
 // invariants hold after every step, every result hit is the query's own entry
 // although freed entry buffers are poisoned, and nothing panics. Each policy runs
 // three times: over the fixture's roomy list region; over one of four blocks,
@@ -643,8 +605,8 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 				f := newFaultFixture(t, cfg, func(inner storage.Device) storage.Device {
 					return storage.NewFaultyDevice(&flakyDevice{inner: inner}, spec, nil)
 				})
-				sums := newEventSums()
-				f.m.SetEventSink(sums.handle)
+				var folded Stats
+				f.m.SetEventSink(folded.apply)
 
 				if policy == PolicyCBSLRU {
 					for qid := uint64(1); qid <= 10; qid++ {
@@ -697,7 +659,9 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 				if v.ttl > 0 && (st.ResultsExpired == 0 || st.ListsExpired == 0) {
 					t.Fatalf("%d results and %d lists expired: the TTL paths were not exercised", st.ResultsExpired, st.ListsExpired)
 				}
-				sums.check(t, st)
+				if folded != st {
+					t.Errorf("stats≡trace divergence: the events fold to\n%+v\nthe manager holds\n%+v", folded, st)
+				}
 				if err := f.m.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}

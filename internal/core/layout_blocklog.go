@@ -61,7 +61,7 @@ func (l blockLogLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []by
 		return // gap, or nothing new
 	}
 	if endPos > capBytes {
-		m.stats.ListsTooLargeForL1++
+		m.emit(Event{Kind: EvListTooLarge, Term: t})
 		return
 	}
 
@@ -100,7 +100,7 @@ func (l blockLogLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []by
 		// The prefix reaches as far as readahead bytes arrived.
 		target = endPos + m.readThrough(t, endPos, grown[endPos:])
 		grown = grown[:target]
-		m.stats.ListBytesPrefetched += target - endPos
+		m.emit(Event{Kind: EvListPrefetch, Term: t, Bytes: target - endPos})
 	}
 
 	if l1 == nil {
@@ -133,12 +133,11 @@ func (l blockLogLayout) flushList(ml *memList) {
 	// Selection: what is worth flash writes is the paper's EV-vs-TEV check,
 	// behind the doorkeeper, which rejects one-hit wonders first.
 	if l.doorkeeper && m.termFreq[ml.term] < 2 {
-		m.stats.ListsRejectedByAdmission++
-		m.stats.ListsDiscarded++
+		m.emit(Event{Kind: EvListReject, Term: ml.term})
 		return
 	}
 	if ev(m.termFreq[ml.term], sc) < m.cfg.TEV || scBytes > m.icLRU.Capacity() {
-		m.stats.ListsDiscarded++
+		m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
 		return
 	}
 
@@ -149,7 +148,7 @@ func (l blockLogLayout) flushList(ml *memList) {
 	// a conservative static pin is allowed: it fills the pin's coverage gap.
 	if existing := m.ssdListFor(ml.term); existing != nil && existing.validBytes >= si {
 		existing.state = stateNormal
-		m.stats.ListWritesElided++
+		m.emit(Event{Kind: EvListElide, Term: ml.term})
 		return
 	}
 	if old := m.icDyn[ml.term]; old != nil {
@@ -201,7 +200,7 @@ func (m *Manager) writeListExtent(bytes int64, batch []*ssdList) {
 	lists, first := int64(len(batch)), batch[0].term
 	if !m.ssdHealthy() || !m.placeListExtent(x) {
 		m.unmapListExtent(x)
-		m.stats.ListsDiscarded += lists
+		m.emit(Event{Kind: EvListDiscard, Term: first, N: lists})
 		return
 	}
 	buf := m.stagingBuf(x.bytes, payload)
@@ -214,10 +213,10 @@ func (m *Manager) writeListExtent(bytes int64, batch []*ssdList) {
 	if err := m.ssdWrite(buf, m.icBase()+x.off); err != nil {
 		// Error accounted by ssdWrite; the failed extent is retired.
 		m.quarantineListExtent(x)
-		m.stats.ListsDiscarded += lists
+		m.emit(Event{Kind: EvListDiscard, Term: first, N: lists})
 		return
 	}
-	m.noteListWrite(first, x.bytes, lists, payload)
+	m.emit(Event{Kind: EvListFlush, Term: first, Bytes: x.bytes, N: lists, Part: payload})
 	m.icLRU.Put(uint64(x.off), x.bytes, x)
 }
 
@@ -248,7 +247,7 @@ func (m *Manager) placeListExtent(x *listExtent) (ok bool) {
 	}
 	if victim != nil {
 		m.unmapListExtent(victim)
-		m.stats.ListOverwritesInPlace++
+		m.emit(Event{Kind: EvListOverwrite})
 		x.off = victim.off
 		return true
 	}
@@ -269,7 +268,7 @@ func (m *Manager) placeListExtent(x *listExtent) (ok bool) {
 		return !ok
 	})
 	if ok {
-		m.stats.ListPlacementWorstCase++
+		m.emit(Event{Kind: EvListWorstCase})
 	}
 	return ok
 }
@@ -284,12 +283,12 @@ func (l blockLogLayout) evictResult(qid uint64, mr *memResult) {
 	// the write entirely.
 	if loc, ok := m.resultLoc[qid]; ok {
 		loc.state = stateNormal
-		m.stats.ResultWritesElided++
+		m.emit(Event{Kind: EvResultElide})
 		m.freeEntry(mr.data)
 		return
 	}
 	if l.doorkeeper && m.queryFreq[qid] < 2 {
-		m.stats.ResultsRejectedByAdmission++
+		m.emit(Event{Kind: EvResultReject})
 		m.freeEntry(mr.data)
 		return
 	}
@@ -327,7 +326,7 @@ func (m *Manager) flushResultBlock() {
 		}
 	}
 	if !ok {
-		m.stats.ResultsDropped += int64(n)
+		m.emit(Event{Kind: EvResultDrop, N: int64(n)})
 		m.freeBatch(batch)
 		return
 	}
@@ -351,20 +350,18 @@ func (m *Manager) flushResultBlock() {
 		for _, b := range batch {
 			delete(m.resultLoc, b.qid)
 			if b.requeued {
-				m.stats.ResultsDropped++
+				m.emit(Event{Kind: EvResultDrop, N: 1})
 				m.freeEntry(b.data)
 				continue
 			}
 			b.requeued = true
 			m.writeBuf = append(m.writeBuf, b)
-			m.stats.ResultsRequeued++
+			m.emit(Event{Kind: EvResultRequeue})
 		}
 		return
 	}
 	m.freeBatch(batch) // staging holds the bytes now
-	m.stats.ResultBytesToSSD += m.cfg.BlockBytes
-	m.stats.RBFlushes++
-	m.emit(Event{Kind: EvResultFlush, Bytes: m.cfg.BlockBytes})
+	m.emit(Event{Kind: EvRBFlush, Bytes: m.cfg.BlockBytes})
 	m.rbLRU.Put(rb.num, m.cfg.BlockBytes, rb)
 }
 
@@ -412,8 +409,7 @@ func (m *Manager) retireRB(rb *resultBlock) {
 	m.unmapRB(rb)
 	m.rcAlloc.Free(rb.off, m.cfg.BlockBytes)
 	m.ssdTrim(rb.off, m.cfg.BlockBytes)
-	m.stats.RBRetired++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+	m.emit(Event{Kind: EvRBRetire, Level: LevelSSD})
 }
 
 // copiedUp flips the entry to replaceable: its SSD copy stays readable
@@ -427,7 +423,6 @@ func (l blockLogLayout) expireResult(loc *ssdResult) {
 	loc.rb.slots[loc.slot] = nil
 	delete(m.resultLoc, loc.qid)
 	m.ssdTrim(loc.rb.off+int64(loc.slot)*m.cfg.ResultEntryBytes, m.cfg.ResultEntryBytes)
-	m.stats.L2ResultEvictions++
 	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
 }
 
@@ -438,8 +433,7 @@ func (l blockLogLayout) quarantineResult(loc *ssdResult) {
 	m, rb := l.m, loc.rb
 	m.unmapRB(rb)
 	m.quarantine(m.rcAlloc, rb.off, m.cfg.BlockBytes)
-	m.stats.RBRetired++
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+	m.emit(Event{Kind: EvRBRetire, Level: LevelSSD})
 }
 
 // checkListExtent requires whole, block-aligned extents.

@@ -33,7 +33,7 @@ func (l entryLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []byte,
 		return // whole list already resident
 	}
 	if total > m.ic.Capacity()/maxL1EntryShare {
-		m.stats.ListsTooLargeForL1++
+		m.emit(Event{Kind: EvListTooLarge, Term: t})
 		return
 	}
 	whole := make([]byte, total)
@@ -55,7 +55,7 @@ func (l entryLayout) flushList(ml *memList) {
 	m := l.m
 	size := int64(len(ml.prefix))
 	if size == 0 || size > m.icLRU.Capacity() {
-		m.stats.ListsDiscarded++
+		m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
 		return
 	}
 	if old := m.icDyn[ml.term]; old != nil {
@@ -69,17 +69,17 @@ func (l entryLayout) flushList(ml *memList) {
 		}
 		lru := m.icLRU.LRUEntry()
 		if lru == nil {
-			m.stats.ListsDiscarded++
+			m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
 			return
 		}
 		m.freeLRUList(lru.Value)
 	}
 	if err := m.ssdWrite(ml.prefix, m.icBase()+off); err != nil {
 		m.quarantine(m.icAlloc, off, size)
-		m.stats.ListsDiscarded++
+		m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
 		return
 	}
-	m.noteListWrite(ml.term, size, 1, size)
+	m.emit(Event{Kind: EvListFlush, Term: ml.term, Bytes: size, N: 1, Part: size})
 	// Baseline entries are single-list extents, as its results are
 	// single-slot pseudo-RBs, so the same bookkeeping serves both layouts.
 	x := &listExtent{off: off, bytes: size}
@@ -103,7 +103,7 @@ func (l entryLayout) evictResult(qid uint64, mr *memResult) {
 	defer m.freeEntry(mr.data) // written or lost, memory is done with it
 	size := int64(len(mr.data))
 	if !m.ssdHealthy() {
-		m.stats.ResultsDropped++
+		m.emit(Event{Kind: EvResultDrop, N: 1})
 		return
 	}
 	if old, ok := m.resultLoc[qid]; ok {
@@ -117,7 +117,7 @@ func (l entryLayout) evictResult(qid uint64, mr *memResult) {
 		}
 		e := m.rbLRU.LRUEntry()
 		if e == nil {
-			m.stats.ResultsDropped++
+			m.emit(Event{Kind: EvResultDrop, N: 1})
 			return
 		}
 		m.freeLRUResult(e.Value.slots[0])
@@ -131,10 +131,9 @@ func (l entryLayout) evictResult(qid uint64, mr *memResult) {
 	if err := m.ssdWrite(mr.data, off); err != nil {
 		// Accounted loss: the entry is gone and the failed range is retired.
 		m.quarantine(m.rcAlloc, off, size)
-		m.stats.ResultsDropped++
+		m.emit(Event{Kind: EvResultDrop, N: 1})
 		return
 	}
-	m.stats.ResultBytesToSSD += size
 	m.emit(Event{Kind: EvResultFlush, Bytes: size})
 	m.resultLoc[qid] = loc
 	m.rbLRU.Put(rb.num, size, rb)
@@ -144,7 +143,6 @@ func (l entryLayout) evictResult(qid uint64, mr *memResult) {
 func (m *Manager) freeLRUResult(loc *ssdResult) {
 	m.unmapRB(loc.rb)
 	m.rcAlloc.Free(loc.rb.off, m.cfg.ResultEntryBytes)
-	m.stats.L2ResultEvictions++
 	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
 }
 
@@ -160,7 +158,6 @@ func (l entryLayout) quarantineResult(loc *ssdResult) {
 	m := l.m
 	m.unmapRB(loc.rb)
 	m.quarantine(m.rcAlloc, loc.rb.off, m.cfg.ResultEntryBytes)
-	m.stats.L2ResultEvictions++
 	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
 }
 

@@ -22,7 +22,7 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 			t, off, len(p), total)
 	}
 	m.noteTermAccess(t)
-	m.stats.ListBytesRequested += int64(len(p))
+	m.emit(Event{Kind: EvListRequest, Term: t, Bytes: int64(len(p))})
 
 	pos := off
 	end := off + int64(len(p))
@@ -33,7 +33,7 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 		l1 = e.Value
 		if m.listExpired(l1.loadedAt) {
 			m.ic.RemoveEntry(e)
-			m.stats.ListsExpired++
+			m.emit(Event{Kind: EvListExpire, Term: t})
 			l1 = nil
 		}
 	}
@@ -45,8 +45,6 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 			}
 			copy(p[:n], l1.prefix[pos:pos+n])
 			m.memCost(int(n))
-			m.noteTermSource(t, srcMem)
-			m.stats.ListBytesFromMem += n
 			m.emit(Event{Kind: EvListRead, Term: t, Level: LevelMem, Bytes: n})
 			pos += n
 		}
@@ -54,7 +52,7 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 
 	// Level 2: the list write buffer or the SSD-cached prefix.
 	if pos < end {
-		n, sl := m.readL2(t, pos, p[pos-off:])
+		n, sl := m.readL2(EvListRead, t, pos, p[pos-off:])
 		pos += n
 		if sl != nil {
 			m.onSSDListHit(sl)
@@ -67,9 +65,6 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 		if err := m.ix.ReadListRange(t, pos, p[pos-off:]); err != nil {
 			return fmt.Errorf("core: index read: %w", err)
 		}
-		m.noteTermSource(t, srcHDD)
-		m.stats.ListBytesFromHDD += end - pos
-		m.stats.ListReqBytesFromHDD += end - pos
 		m.emit(Event{Kind: EvListRead, Term: t, Level: LevelHDD, Bytes: end - pos})
 		pos = end
 		hddTail = true
@@ -81,26 +76,26 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 
 // readL2 serves the head of p, which starts at list offset pos, from t's L2
 // copy — the list write buffer at memory cost, else the SSD — and returns
-// the bytes served and the entry they came from (0, nil when none were). A
+// the bytes served and the entry they came from (0, nil when none were),
+// evented as kind: EvListRead for the engine's request, EvListFill past it. A
 // device failure here must not fail the query: the same bytes exist in the
 // backing index, so a failed read retires the extent, a breaker-gated one is
 // a degraded serve, and either way the caller reads on from the HDD. Only
 // bytes actually delivered count as served traffic.
-func (m *Manager) readL2(t workload.TermID, pos int64, p []byte) (int64, *ssdList) {
+func (m *Manager) readL2(kind EventKind, t workload.TermID, pos int64, p []byte) (int64, *ssdList) {
 	sl := m.ssdListFor(t)
 	if sl == nil || pos >= sl.validBytes {
 		return 0, nil
 	}
 	n := min(sl.validBytes-pos, int64(len(p)))
-	level, src := LevelSSD, srcSSD
+	level := LevelSSD
 	switch {
 	case sl.data != nil:
 		copy(p[:n], sl.data[pos:])
 		m.memCost(int(n))
-		level, src = LevelMem, srcMem
-		m.stats.ListBytesFromMem += n
+		level = LevelMem
 	case !m.ssdHealthy():
-		m.noteDegraded()
+		m.emit(Event{Kind: EvDegraded, Level: LevelSSD})
 		return 0, nil
 	default:
 		if err := m.ssdRead(p[:n], m.icBase()+sl.off+pos); err != nil {
@@ -109,10 +104,8 @@ func (m *Manager) readL2(t workload.TermID, pos int64, p []byte) (int64, *ssdLis
 			m.quarantineListExtent(sl.ext)
 			return 0, nil
 		}
-		m.stats.ListBytesFromSSD += n
 	}
-	m.noteTermSource(t, src)
-	m.emit(Event{Kind: EvListRead, Term: t, Level: level, Bytes: n})
+	m.emit(Event{Kind: kind, Term: t, Level: level, Bytes: n})
 	return n, sl
 }
 
@@ -127,7 +120,7 @@ func (m *Manager) ssdListFor(t workload.TermID) *ssdList {
 	}
 	if m.listExpired(dyn.loadedAt) {
 		m.dropSSDList(dyn)
-		m.stats.ListsExpired++
+		m.emit(Event{Kind: EvListExpire, Term: t})
 		return static
 	}
 	if dyn.ext != nil {
@@ -153,14 +146,12 @@ func (m *Manager) onSSDListHit(sl *ssdList) {
 // delivered. Used by whole-list fetches and readahead. A failed index read
 // leaves the tail unserved and uncounted, and the caller must not cache it.
 func (m *Manager) readThrough(t workload.TermID, off int64, p []byte) int64 {
-	n, _ := m.readL2(t, off, p)
+	n, _ := m.readL2(EvListFill, t, off, p)
 	if rest := p[n:]; len(rest) > 0 {
 		if err := m.ix.ReadListRange(t, off+n, rest); err != nil {
 			return n
 		}
-		m.stats.ListBytesFromHDD += int64(len(rest))
-		m.noteTermSource(t, srcHDD)
-		m.emit(Event{Kind: EvListRead, Term: t, Level: LevelHDD, Bytes: int64(len(rest))})
+		m.emit(Event{Kind: EvListFill, Term: t, Level: LevelHDD, Bytes: int64(len(rest))})
 	}
 	return int64(len(p))
 }
@@ -191,7 +182,6 @@ func (m *Manager) makeRoomIC(need int64, exclude *cache.Entry[*memList]) {
 		}
 		ml := victim.Value
 		m.ic.RemoveEntry(victim)
-		m.stats.L1ListEvictions++
 		m.emit(Event{Kind: EvListEvict, Term: ml.term, Level: LevelMem})
 		m.flushListToSSD(ml)
 	}

@@ -448,20 +448,12 @@ func (m *Manager) ssdTrim(off, n int64) {
 	m.ssdq.enqueue(lat)
 }
 
-// noteSSDError accounts one failed SSD operation: per-kind counter, an
-// EvIOError event (so trace sinks see every device failure), and the
-// circuit-breaker streak. BreakerThreshold consecutive failures open the
-// breaker for BreakerCooldown simulated time.
-func (m *Manager) noteSSDError(kind storage.OpKind, n int64) {
-	switch kind {
-	case storage.OpRead:
-		m.stats.SSDReadErrors++
-	case storage.OpWrite:
-		m.stats.SSDWriteErrors++
-	default:
-		m.stats.SSDTrimErrors++
-	}
-	m.emit(Event{Kind: EvIOError, Level: LevelSSD, Bytes: n})
+// noteSSDError accounts one failed SSD operation — an EvIOError event, so
+// trace sinks see every device failure — and the circuit-breaker streak.
+// BreakerThreshold consecutive failures open the breaker for
+// BreakerCooldown simulated time.
+func (m *Manager) noteSSDError(op storage.OpKind, n int64) {
+	m.emit(Event{Kind: EvIOError, Level: LevelSSD, Op: op, Bytes: n})
 	if m.cfg.BreakerThreshold <= 0 {
 		return
 	}
@@ -469,7 +461,7 @@ func (m *Manager) noteSSDError(kind storage.OpKind, n int64) {
 	if m.ssdFailStreak >= m.cfg.BreakerThreshold {
 		m.ssdFailStreak = 0
 		m.breakerOpenUntil = m.clock.Now() + m.cfg.BreakerCooldown
-		m.stats.BreakerTrips++
+		m.emit(Event{Kind: EvBreakerTrip})
 	}
 }
 
@@ -485,18 +477,11 @@ func (m *Manager) DegradedMode() bool {
 	return m.ssd != nil && m.clock.Now() < m.breakerOpenUntil
 }
 
-// noteDegraded accounts one request served around the open breaker.
-func (m *Manager) noteDegraded() {
-	m.stats.DegradedServes++
-	m.emit(Event{Kind: EvDegraded, Level: LevelSSD})
-}
-
 // quarantine retires an allocator extent whose device range failed and
 // accounts the lost capacity.
 func (m *Manager) quarantine(a *storage.Allocator, off, n int64) {
 	a.Quarantine(off, n)
-	m.stats.ExtentsQuarantined++
-	m.stats.QuarantinedBytes += n
+	m.emit(Event{Kind: EvQuarantine, Bytes: n})
 }
 
 // resultExpired reports whether a result entry loaded at the given

@@ -181,6 +181,9 @@ func TestLongerPrefixSupersedes(t *testing.T) {
 		t.Fatalf("%d trims, %d bytes free, %d extents: want the emptied extent freed and trimmed at once",
 			dev.trims, f.m.icAlloc.FreeBytes(), f.m.icLRU.Len())
 	}
+	if got := f.m.Stats().L2ListEvictions; got != 3 {
+		t.Fatalf("%d L2 list evictions, want one per superseded copy: 3", got)
+	}
 	f.checkInvariants(t)
 }
 
@@ -249,6 +252,25 @@ func TestPackedListExpiresAlone(t *testing.T) {
 	f.readBack(t, 8, 2<<10)
 	if s := f.m.Stats(); s.ListBytesFromSSD != 2<<10 || f.m.icLRU.Len() != 1 {
 		t.Fatalf("%d SSD bytes, %d extents: want the neighbour still served from its extent", s.ListBytesFromSSD, f.m.icLRU.Len())
+	}
+	f.checkInvariants(t)
+}
+
+// TestPlacementSweepsPastTheWindow: when evicting the replace-first window
+// frees no aligned room, placement evicts on through the whole LRU list — the
+// paper's rare worst case, counted.
+func TestPlacementSweepsPastTheWindow(t *testing.T) {
+	cfg := packerConfig(PolicyCBLRU)
+	cfg.WindowW = 1
+	f, _ := newPackerFixture(t, cfg)
+	for term := workload.TermID(11); term <= 14; term++ { // one extent a block
+		f.evict(t, term, 2<<10)
+		f.m.flushListBuffer()
+	}
+	f.evict(t, 1, 2*cfg.BlockBytes) // term 11's block alone is no room for two
+	if s := f.m.Stats(); s.ListPlacementWorstCase != 1 || s.L2ListEvictions != 2 || f.m.icDyn[1] == nil {
+		t.Fatalf("%d worst-case placements, %d evictions: want term 1 placed after evicting terms 11 and 12",
+			s.ListPlacementWorstCase, s.L2ListEvictions)
 	}
 	f.checkInvariants(t)
 }

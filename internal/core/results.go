@@ -29,7 +29,7 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 		}
 		m.rc.RemoveEntry(e)
 		m.freeEntry(mr.data)
-		m.stats.ResultsExpired++
+		m.emit(Event{Kind: EvResultExpire})
 	}
 	for _, b := range m.writeBuf {
 		if b.qid == qid && !m.resultExpired(b.loadedAt) {
@@ -39,14 +39,14 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 	if loc, ok := m.resultLoc[qid]; ok {
 		switch {
 		case !loc.rb.static && m.resultExpired(loc.loadedAt):
-			// The layout counts and emits the eviction (stats≡trace, DESIGN
-			// §9) and releases what its placement unit allows.
-			m.stats.ResultsExpired++
+			// The layout emits the eviction (stats≡trace, DESIGN §9) and
+			// releases what its placement unit allows.
+			m.emit(Event{Kind: EvResultExpire})
 			m.lay.expireResult(loc)
 		case !m.ssdHealthy():
 			// Breaker open: route around the SSD tier. The mapping stays —
 			// the entry may still be readable once the breaker closes.
-			m.noteDegraded()
+			m.emit(Event{Kind: EvDegraded, Level: LevelSSD})
 		default:
 			data := m.entryBuf() // dirty: the device overwrites all of it
 			off := loc.rb.off + int64(loc.slot)*m.cfg.ResultEntryBytes
@@ -63,8 +63,6 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 				}
 				break
 			}
-			m.noteResultSource(srcSSD)
-			m.stats.ResultHitsSSD++
 			m.emit(Event{Kind: EvResultHit, Level: LevelSSD, Bytes: int64(len(data))})
 			if !loc.rb.static {
 				m.lay.copiedUp(&loc.state)
@@ -74,7 +72,6 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 			return data, ResultFromSSD
 		}
 	}
-	m.stats.ResultMisses++
 	m.emit(Event{Kind: EvResultMiss})
 	return nil, ResultMiss
 }
@@ -82,8 +79,6 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 // resultMemHit accounts a result served from memory, L1 or the write buffer.
 func (m *Manager) resultMemHit(data []byte) ([]byte, ResultSource) {
 	m.memCost(len(data))
-	m.noteResultSource(srcMem)
-	m.stats.ResultHitsMem++
 	m.emit(Event{Kind: EvResultHit, Level: LevelMem, Bytes: int64(len(data))})
 	return data, ResultFromMemory
 }
@@ -108,7 +103,7 @@ func (m *Manager) PutResult(qid uint64, data []byte) error {
 		}
 		m.rc.RemoveEntry(e) // refresh expired content below
 		m.freeEntry(e.Value.data)
-		m.stats.ResultsExpired++
+		m.emit(Event{Kind: EvResultExpire})
 	}
 	buf := m.entryBuf()
 	copy(buf, data)
@@ -142,7 +137,6 @@ func (m *Manager) putResultL1(qid uint64, data []byte) {
 			return
 		}
 		m.rc.RemoveEntry(victim)
-		m.stats.L1ResultEvictions++
 		m.emit(Event{Kind: EvResultEvict, Level: LevelMem})
 		m.evictResultToSSD(victim.Key, &victim.Value)
 	}
@@ -155,9 +149,9 @@ func (m *Manager) putResultL1(qid uint64, data []byte) {
 // writes. The buffer goes with the entry: to the layout, or to the free list.
 func (m *Manager) evictResultToSSD(qid uint64, mr *memResult) {
 	if m.resultExpired(mr.loadedAt) {
-		m.stats.ResultsExpired++
+		m.emit(Event{Kind: EvResultExpire})
 	} else if m.rbLRU == nil {
-		m.stats.ResultsDropped++
+		m.emit(Event{Kind: EvResultDrop, N: 1})
 	} else {
 		m.lay.evictResult(qid, mr)
 		return
@@ -217,7 +211,6 @@ func (m *Manager) PinResult(qid uint64, data []byte) bool {
 		// against repeatedly.
 		return false
 	}
-	m.stats.ResultBytesToSSD += int64(len(data))
 	m.emit(Event{Kind: EvResultFlush, Bytes: int64(len(data))})
 	loc := &ssdResult{qid: qid, rb: rb, slot: i}
 	rb.slots[i] = loc

@@ -15,17 +15,14 @@ func (m *Manager) icBase() int64 { return m.cfg.SSDResultBytes }
 // places and writes it in the L2 list region.
 func (m *Manager) flushListToSSD(ml *memList) {
 	if m.listExpired(ml.loadedAt) {
-		m.stats.ListsExpired++
+		m.emit(Event{Kind: EvListExpire, Term: ml.term})
 		return
 	}
-	if m.icLRU == nil {
-		m.stats.ListsDiscarded++
-		return
-	}
-	if !m.ssdHealthy() {
-		// Breaker open: discard instead of writing into a failing device.
-		// The list is still fully readable from the backing index.
-		m.stats.ListsDiscarded++
+	if m.icLRU == nil || !m.ssdHealthy() {
+		// No L2 tier, or the breaker is open: discard instead of writing
+		// into a failing device. The list is still fully readable from the
+		// backing index.
+		m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
 		return
 	}
 	m.lay.flushList(ml)
@@ -50,7 +47,6 @@ func (m *Manager) unmapListExtent(x *listExtent) {
 	}
 	for _, sl := range x.lists {
 		delete(m.listsByTerm(x.static), sl.term)
-		m.stats.L2ListEvictions++
 		m.emit(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
 	}
 	x.lists = nil
@@ -83,7 +79,6 @@ func (m *Manager) dropSSDList(sl *ssdList) {
 		x.lists = slices.DeleteFunc(x.lists, same)
 	}
 	delete(m.icDyn, sl.term)
-	m.stats.L2ListEvictions++
 	m.emit(Event{Kind: EvListEvict, Term: sl.term, Level: LevelSSD})
 }
 
@@ -101,16 +96,6 @@ func (m *Manager) quarantineListExtent(x *listExtent) {
 		}
 	}
 	m.quarantine(m.icAlloc, x.off, x.bytes)
-}
-
-// noteListWrite accounts one successful device write of n bytes into the
-// list region carrying lists prefixes of payload bytes in all.
-func (m *Manager) noteListWrite(t workload.TermID, n, lists, payload int64) {
-	m.stats.ListBytesToSSD += n
-	m.stats.ListWritesToSSD++
-	m.stats.ListsWrittenToSSD += lists
-	m.stats.ListPayloadBytesToSSD += payload
-	m.emit(Event{Kind: EvListFlush, Term: t, Bytes: n})
 }
 
 // PinList loads the first scBlocks-sized prefix of term t (per Formulas
@@ -166,7 +151,7 @@ func (m *Manager) PinList(t workload.TermID) bool {
 		m.quarantineListExtent(x)
 		return false
 	}
-	m.noteListWrite(t, n, 1, validBytes)
+	m.emit(Event{Kind: EvListFlush, Term: t, Bytes: n, N: 1, Part: validBytes})
 	x.lists = append(x.lists, sl)
 	m.icStatic[t] = sl
 	return true
@@ -178,13 +163,4 @@ func (m *Manager) StaticListBudget() int64 {
 		return 0
 	}
 	return int64(float64(m.cfg.SSDListBytes) * m.cfg.StaticFraction)
-}
-
-// StaticPinnedLists returns the pinned term set (for inspection).
-func (m *Manager) StaticPinnedLists() []workload.TermID {
-	out := make([]workload.TermID, 0, len(m.icStatic))
-	for t := range m.icStatic {
-		out = append(out, t)
-	}
-	return out
 }

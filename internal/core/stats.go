@@ -7,13 +7,14 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// sourceSet is a bit set of storage levels that contributed to a request.
+// sourceSet is a bit set of storage levels that contributed to a request:
+// bit 1<<l for Level l.
 type sourceSet uint8
 
 const (
-	srcMem sourceSet = 1 << iota
-	srcSSD
-	srcHDD
+	srcMem sourceSet = 1 << LevelMem
+	srcSSD sourceSet = 1 << LevelSSD
+	srcHDD sourceSet = 1 << LevelHDD
 )
 
 // Situation is one of the paper's nine retrieval situations (Table I):
@@ -298,39 +299,29 @@ func (m *Manager) BeginQuery(qid uint64) {
 }
 
 // EndQuery finalizes tracking: classifies the query into its Table I
-// situation and folds per-term source sets into the list hit statistics.
+// situation and counts its term requests served with no HDD bytes.
 // elapsed is the query's simulated wall time.
 func (m *Manager) EndQuery(elapsed time.Duration) {
 	if !m.curQueryActive {
 		return
 	}
 	m.curQueryActive = false
-	m.stats.Queries++
-	m.stats.QueryTime += elapsed
-
-	var sit Situation
+	var union sourceSet
+	var hits int64
+	for _, src := range m.curTermSrc {
+		union |= src
+		if src&srcHDD == 0 {
+			hits++
+		}
+	}
+	sit := classifyLists(union)
 	switch {
 	case m.curResultSrc&srcMem != 0:
 		sit = S1ResultMem
 	case m.curResultSrc&srcSSD != 0:
 		sit = S2ResultSSD
-	default:
-		var union sourceSet
-		for _, src := range m.curTermSrc {
-			union |= src
-		}
-		sit = classifyLists(union)
 	}
-	m.stats.Situations.Counts[sit]++
-	m.stats.Situations.Time[sit] += elapsed
-	m.emit(Event{Kind: EvQueryEnd, Sit: sit})
-
-	for _, src := range m.curTermSrc {
-		m.stats.ListRequests++
-		if src&srcHDD == 0 {
-			m.stats.ListHits++
-		}
-	}
+	m.emit(Event{Kind: EvQueryEnd, Sit: sit, Elapsed: elapsed, N: int64(len(m.curTermSrc)), Part: hits})
 }
 
 // noteTermAccess bumps the term's access frequency, once per query for
@@ -365,18 +356,6 @@ func bumpFreq[K comparable](m map[K]int64, k K, limit int) {
 				m[key] = v
 			}
 		}
-	}
-}
-
-func (m *Manager) noteTermSource(t workload.TermID, src sourceSet) {
-	if m.curQueryActive {
-		m.curTermSrc[t] |= src
-	}
-}
-
-func (m *Manager) noteResultSource(src sourceSet) {
-	if m.curQueryActive {
-		m.curResultSrc |= src
 	}
 }
 

@@ -21,8 +21,17 @@ func TestResultTTLExpiresL1(t *testing.T) {
 	if _, src := f.m.GetResult(1); src != ResultMiss {
 		t.Fatalf("expired entry served (src=%v)", src)
 	}
-	if f.m.Stats().ResultsExpired == 0 {
+	if f.m.Stats().ResultsExpired != 1 {
 		t.Fatal("expiry not counted")
+	}
+	// An entry that expires in L1 is dropped on eviction, not buffered.
+	f.m.PutResult(2, entryOf(2, 5, size))
+	f.clock.AdvanceAttr(2*time.Second, simclock.CompOther)
+	for q := uint64(3); q <= 7; q++ {
+		f.m.PutResult(q, entryOf(q, 5, size))
+	}
+	if got := f.m.Stats().ResultsExpired; got != 2 || f.m.WriteBufferLen() != 0 {
+		t.Fatalf("%d results expired, %d buffered: want the stale eviction dropped and counted", got, f.m.WriteBufferLen())
 	}
 }
 
@@ -65,6 +74,9 @@ func TestResultTTLRefreshOnReput(t *testing.T) {
 	if _, src := f.m.GetResult(1); src != ResultFromMemory {
 		t.Fatal("refreshed entry missed")
 	}
+	if got := f.m.Stats().ResultsExpired; got != 1 {
+		t.Fatalf("ResultsExpired = %d, want the stale content's 1", got)
+	}
 }
 
 func TestListTTLExpires(t *testing.T) {
@@ -105,6 +117,9 @@ func TestExpiredListNotFlushedToSSD(t *testing.T) {
 	// may occur, so check the SSD does not hold term 20.
 	if f.m.ssdListFor(20) != nil {
 		t.Fatal("expired list flushed to SSD")
+	}
+	if got := f.m.Stats().ListsExpired; got != 1 {
+		t.Fatalf("ListsExpired = %d, want term 20's 1", got)
 	}
 	_ = writesBefore
 }

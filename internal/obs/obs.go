@@ -156,10 +156,10 @@ func (o *Observer) BeginQuery(qid uint64, now time.Duration) {
 }
 
 // HandleEvent consumes one cache-manager event (wired to
-// core.Manager.SetEventSink).
+// core.Manager.SetEventSink). Kinds that only feed core.Stats leave no trace.
 func (o *Observer) HandleEvent(e core.Event) {
 	switch e.Kind {
-	case core.EvListRead:
+	case core.EvListRead, core.EvListFill:
 		o.Tracer.ListRead(int64(e.Term), e.Level.String(), e.Bytes)
 	case core.EvResultHit:
 		o.Tracer.ResultProbe(e.Level.String(), e.Bytes)
@@ -167,11 +167,11 @@ func (o *Observer) HandleEvent(e core.Event) {
 		o.Tracer.ResultProbe("miss", 0)
 	case core.EvListFlush:
 		o.Tracer.Flush("flush_list", int64(e.Term), e.Bytes)
-	case core.EvResultFlush:
+	case core.EvResultFlush, core.EvRBFlush:
 		o.Tracer.Flush("flush_result", 0, e.Bytes)
 	case core.EvListEvict:
 		o.Tracer.Evict("evict_list", int64(e.Term), e.Level.String())
-	case core.EvResultEvict:
+	case core.EvResultEvict, core.EvRBRetire:
 		o.Tracer.Evict("evict_result", 0, e.Level.String())
 	case core.EvQueryEnd:
 		o.mu.Lock()

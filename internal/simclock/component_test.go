@@ -33,11 +33,11 @@ func TestComponentNames(t *testing.T) {
 	}
 }
 
-// TestComponentTable is the runtime mirror of the attrib analyzer's
-// totality check, the way TestStatsEventTables mirrors statsevent: every
-// Component constant must carry a componentTable rationale, the table must
-// hold nothing else, and the sentinel must not appear. (tracetool renders
-// components by ranging over NumComponents, so its order needs no test.)
+// TestComponentTable checks the attribution taxonomy is total: every
+// Component constant must carry a componentTable
+// rationale, the table must hold nothing else, and the sentinel must not
+// appear. (tracetool renders components by ranging over NumComponents, so
+// its order needs no test.)
 func TestComponentTable(t *testing.T) {
 	for c := Component(0); c < NumComponents; c++ {
 		reason, ok := componentTable[c]
