@@ -46,7 +46,6 @@ func main() {
 		indexFlag    = flag.String("index-on", "hdd", "index placement: hdd or ssd")
 		codecFlag    = flag.String("codec", "raw", "on-device posting codec: raw or gvarint")
 		ftlFlag      = flag.String("ftl", "pagemap", "cache SSD FTL: page-map, block-map, hybrid-log (hyphen optional)")
-		hetero       = flag.Bool("hetero", false, "heterogeneous cache tier: fast SSD for results, slower dense SSD for lists")
 		resultTTL    = flag.Duration("result-ttl", 0, "dynamic scenario: TTL for cached results (0 = static)")
 		listTTL      = flag.Duration("list-ttl", 0, "dynamic scenario: TTL for cached lists (0 = static)")
 		aolFile      = flag.String("aol", "", "replay queries from an AOL-format log file instead of the synthetic stream")
@@ -114,8 +113,6 @@ func main() {
 		Engine:     engCfg,
 		UseModelPU: true,
 		CacheFTL:   ftl,
-
-		HeteroCacheTier: *hetero,
 	}
 
 	if *serveMode {

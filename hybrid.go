@@ -123,15 +123,14 @@ type Config struct {
 	CacheFTL FTLKind
 	// CacheFaults injects deterministic device faults into the cache SSD:
 	// per-operation error probabilities, latency spikes and sticky bad
-	// extents (see storage.FaultSpec). The zero value injects nothing.
-	// Only meaningful with Mode == CacheTwoLevel.
+	// extents (see storage.FaultSpec). The zero value injects nothing;
+	// Validate refuses any other value unless Mode == CacheTwoLevel.
 	CacheFaults storage.FaultSpec
-	// HeteroCacheTier builds the cache SSD as a heterogeneous two-device
-	// tier (ECI-style): a small fast SSD holding the result region backed
-	// by a denser, slower SSD holding the list region and metadata. Only
-	// meaningful with Mode == CacheTwoLevel and the page-mapped FTL; both
-	// SSD regions must be configured. Wear splits per tier are available
-	// via System.CacheTiered.
+	// HeteroCacheTier has no legal value but false: Validate refuses true.
+	// The heterogeneous two-drive cache tier it once selected was deleted
+	// (DESIGN.md §7); the field stays only because the frozen bench module
+	// reads it, and goes with the change that unfreezes bench/ (ROADMAP
+	// item 4).
 	HeteroCacheTier bool
 	// IndexImage, when non-nil, supplies a prebuilt serialized index for
 	// Collection: New stamps it onto the index device instead of
@@ -163,7 +162,7 @@ func DefaultConfig() Config {
 }
 
 // CacheDevice is the surface of the cache SSD: one drive (*flashsim.SSD,
-// whatever its FTL) or a heterogeneous two-drive tier (*flashsim.Tiered).
+// whatever its FTL).
 type CacheDevice interface {
 	storage.Device
 	storage.Trimmer
@@ -203,9 +202,9 @@ type System struct {
 
 // Validate reports configuration errors a System cannot be built from:
 // unknown enum values, pairings that would silently misconfigure (a
-// static-partition policy without an SSD level, a heterogeneous tier without
-// a two-level cache). New calls it first, so CLIs and library users get
-// identical rejections.
+// static-partition policy without an SSD level, cache faults without a
+// cache SSD to inject them into) and the deleted heterogeneous tier. New
+// calls it first, so CLIs and library users get identical rejections.
 func (c Config) Validate() error {
 	switch c.Mode {
 	case CacheNone, CacheOneLevel, CacheTwoLevel:
@@ -230,16 +229,11 @@ func (c Config) Validate() error {
 				c.Cache.Policy)
 		}
 	}
+	if c.CacheFaults.Enabled() && c.Mode != CacheTwoLevel {
+		return fmt.Errorf("hybrid: CacheFaults requires Mode = CacheTwoLevel (there is no cache SSD to inject into)")
+	}
 	if c.HeteroCacheTier {
-		if c.Mode != CacheTwoLevel {
-			return fmt.Errorf("hybrid: HeteroCacheTier requires Mode = CacheTwoLevel")
-		}
-		if c.CacheFTL != FTLPageMap {
-			return fmt.Errorf("hybrid: HeteroCacheTier requires the page-mapped cache FTL")
-		}
-		if c.Cache.SSDResultBytes <= 0 || c.Cache.SSDListBytes <= 0 {
-			return fmt.Errorf("hybrid: HeteroCacheTier needs both SSD cache regions configured")
-		}
+		return fmt.Errorf("hybrid: HeteroCacheTier is no longer supported: the heterogeneous cache tier was deleted (DESIGN.md §7)")
 	}
 	return nil
 }
@@ -323,21 +317,12 @@ func New(cfg Config) (*System, error) {
 			// service times it returns on the shared clock itself, reads at
 			// once and flushes through its command queue.
 			need := cacheCfg.SSDResultBytes + cacheCfg.SSDListBytes + cacheSSDSpareBytes
-			eff := cacheCfg.Effective()
-			if cfg.HeteroCacheTier {
-				dev, err := buildHeteroCache(eff)
-				if err != nil {
-					return nil, err
-				}
-				s.CacheSSD = dev
-			} else {
-				s.CacheSSD = flashsim.NewFTL(cfg.CacheFTL, "cache-ssd", simclock.New(), flashsim.DefaultParams(need))
-			}
+			s.CacheSSD = flashsim.NewFTL(cfg.CacheFTL, "cache-ssd", simclock.New(), flashsim.DefaultParams(need))
 			// The manager places, flushes and trims in units of BlockBytes on
 			// the premise that each is one erase block of the device.
-			if eb := s.CacheSSD.BlockSize(); eff.BlockBytes != eb {
+			if bb, eb := cacheCfg.Effective().BlockBytes, s.CacheSSD.BlockSize(); bb != eb {
 				return nil, fmt.Errorf("hybrid: Cache.BlockBytes %d differs from the cache SSD's erase block %d",
-					eff.BlockBytes, eb)
+					bb, eb)
 			}
 			cacheDev = s.CacheSSD
 			if cfg.CacheFaults.Enabled() {
@@ -368,53 +353,13 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// cacheSSDSpareBytes is the space a cache SSD (the slow tier, for a
-// heterogeneous one) holds beyond the cache regions. The manager never
-// writes it, so to the FTL it is over-provisioning (and it sizes the spare
-// blocks DefaultParams derives): GC page copies, write amplification and
-// erase counts depend on it. Changing it moves every wear number, and
-// bench/traced.go sizes its cache drive with the same sum.
+// cacheSSDSpareBytes is the space a cache SSD holds beyond the cache
+// regions. The manager never writes it, so to the FTL it is
+// over-provisioning (and it sizes the spare blocks DefaultParams derives):
+// GC page copies, write amplification and erase counts depend on it.
+// Changing it moves every wear number, and bench/traced.go sizes its cache
+// drive with the same sum.
 const cacheSSDSpareBytes = 2 << 20
-
-// heteroSlowFactor scales the slow tier's page-read, page-program and
-// block-erase latencies relative to the paper's Table III device (which
-// the fast tier uses unchanged): roughly a dense QLC drive behind a fast
-// SLC cache drive.
-const heteroSlowFactor = 4.0
-
-// buildHeteroCache assembles the heterogeneous cache device: a fast SSD
-// sized to the (block-rounded) result region, backed by a slower dense SSD
-// holding the list region and the spare area. Both tiers share one private
-// clock, mirroring the single-device cache wiring. eff is the manager's
-// effective configuration, whose block-rounded regions put the tier
-// boundary exactly where the list region starts.
-func buildHeteroCache(eff core.Config) (*flashsim.Tiered, error) {
-	resultBytes, listBytes := eff.SSDResultBytes, eff.SSDListBytes
-
-	fastParams := flashsim.DefaultParams(resultBytes)
-	flashBlock := int64(fastParams.PageSize * fastParams.PagesPerBlock)
-	boundary := (resultBytes + flashBlock - 1) / flashBlock * flashBlock
-
-	slowParams := flashsim.DefaultParams(listBytes + cacheSSDSpareBytes)
-	for _, lat := range []*time.Duration{&slowParams.PageReadLatency, &slowParams.PageWriteLatency, &slowParams.BlockEraseLatency} {
-		*lat = time.Duration(float64(*lat) * heteroSlowFactor)
-	}
-
-	tierClock := simclock.New()
-	fast := flashsim.New("cache-ssd-fast", tierClock, fastParams)
-	if fast.Size() != boundary {
-		return nil, fmt.Errorf("hybrid: hetero tier boundary %d != fast device size %d", boundary, fast.Size())
-	}
-	slow := flashsim.New("cache-ssd-slow", tierClock, slowParams)
-	return flashsim.NewTiered("cache-ssd", fast, slow, boundary), nil
-}
-
-// CacheTiered returns the heterogeneous cache device, or nil when the
-// system was built without Config.HeteroCacheTier.
-func (s *System) CacheTiered() *flashsim.Tiered {
-	t, _ := s.CacheSSD.(*flashsim.Tiered)
-	return t
-}
 
 // SearchInfo describes how one query was served.
 type SearchInfo struct {

@@ -11,6 +11,7 @@ import (
 	"hybridstore/internal/core"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/index"
+	"hybridstore/internal/storage"
 	"hybridstore/internal/workload"
 )
 
@@ -478,58 +479,19 @@ func TestInvalidConfigsRejected(t *testing.T) {
 			t.Fatalf("%v accepted without a two-level cache", p)
 		}
 	}
-	bad6 := smallConfig(core.PolicyCBLRU, CacheOneLevel)
+	// The heterogeneous tier is deleted: the field that selected it is
+	// refused even on a config it used to accept.
+	bad6 := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
 	bad6.HeteroCacheTier = true
-	if _, err := New(bad6); err == nil {
-		t.Fatal("hetero tier accepted without a two-level cache")
+	if _, err := New(bad6); err == nil || !strings.Contains(err.Error(), "DESIGN.md §7") {
+		t.Fatalf("hetero tier on a two-level page-mapped config: %v, want a refusal pointing to DESIGN.md §7", err)
 	}
-	bad7 := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
-	bad7.HeteroCacheTier = true
-	bad7.CacheFTL = FTLBlockMap
+	// Faults need a cache SSD to inject into; without one they would
+	// silently inject nothing.
+	bad7 := smallConfig(core.PolicyCBLRU, CacheOneLevel)
+	bad7.CacheFaults = storage.FaultSpec{BadExtents: 1}
 	if _, err := New(bad7); err == nil {
-		t.Fatal("hetero tier accepted on a non-page-mapped FTL")
-	}
-}
-
-func TestHeteroTierSplitsWear(t *testing.T) {
-	cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
-	cfg.HeteroCacheTier = true
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered := sys.CacheTiered()
-	if tiered == nil {
-		t.Fatal("hetero system has no tiered cache device")
-	}
-	if _, err := sys.Run(1500); err != nil {
-		t.Fatal(err)
-	}
-	fast, slow := tiered.Fast().Wear(), tiered.Slow().Wear()
-	if fast.HostPagesWritten == 0 {
-		t.Fatal("no result traffic reached the fast tier")
-	}
-	if slow.HostPagesWritten == 0 {
-		t.Fatal("no list traffic reached the slow tier")
-	}
-	sum := tiered.Wear()
-	if sum.HostPagesWritten != fast.HostPagesWritten+slow.HostPagesWritten {
-		t.Fatalf("combined wear %d != fast %d + slow %d",
-			sum.HostPagesWritten, fast.HostPagesWritten, slow.HostPagesWritten)
-	}
-
-	// The tier composition must not change any caching decision: the same
-	// config on a homogeneous device yields identical manager stats.
-	homoCfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
-	homo, err := New(homoCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := homo.Run(1500); err != nil {
-		t.Fatal(err)
-	}
-	if h, s := homo.Manager.Stats().CombinedHitRatio(), sys.Manager.Stats().CombinedHitRatio(); h != s {
-		t.Fatalf("hit ratio changed with tiering: homo %v hetero %v", h, s)
+		t.Fatal("cache faults accepted on a one-level cache")
 	}
 }
 
@@ -711,44 +673,31 @@ func TestNewRefusesResultEntryThatCannotFit(t *testing.T) {
 // TestNewRefusesBlockBytesOffTheEraseBlock: the manager's placement unit and
 // the cache SSD's erase block are one number, whichever side it is set on.
 func TestNewRefusesBlockBytesOffTheEraseBlock(t *testing.T) {
-	base := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
-	base.Collection.NumDocs = 50_000
-	for _, hetero := range []bool{false, true} {
-		cfg := base
-		cfg.HeteroCacheTier = hetero
-		cfg.Cache.BlockBytes = 64 << 10
-		_, err := New(cfg)
-		if err == nil || !strings.Contains(err.Error(), "65536") || !strings.Contains(err.Error(), "131072") {
-			t.Fatalf("hetero=%v: 64 KiB BlockBytes on a 128 KiB erase block: %v", hetero, err)
-		}
-		cfg.Cache.BlockBytes = 0 // the default is the device's block
-		if _, err := New(cfg); err != nil {
-			t.Fatalf("hetero=%v: default BlockBytes refused: %v", hetero, err)
-		}
+	cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
+	cfg.Collection.NumDocs = 50_000
+	cfg.Cache.BlockBytes = 64 << 10
+	_, err := New(cfg)
+	if err == nil || !strings.Contains(err.Error(), "65536") || !strings.Contains(err.Error(), "131072") {
+		t.Fatalf("64 KiB BlockBytes on a 128 KiB erase block: %v", err)
+	}
+	cfg.Cache.BlockBytes = 0 // the default is the device's block
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("default BlockBytes refused: %v", err)
 	}
 }
 
 // TestCacheSSDSize pins the cache drive's size, spare area included, as
 // literal numbers: the spare is over-provisioning the wear counts depend on.
 func TestCacheSSDSize(t *testing.T) {
-	base := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
-	base.Collection.NumDocs = 50_000
-	for _, tc := range []struct {
-		hetero bool
-		want   int64
-	}{
-		{false, 13_631_488}, // 2 MiB results + 9 MiB lists + 2 MiB spare
-		{true, 13_631_488},  // fast tier 2 MiB, slow tier 9 MiB + 2 MiB spare
-	} {
-		cfg := base
-		cfg.HeteroCacheTier = tc.hetero
-		sys, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sys.CacheSSD.Size(); got != tc.want {
-			t.Fatalf("hetero=%v: cache SSD holds %d bytes, want %d", tc.hetero, got, tc.want)
-		}
+	cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
+	cfg.Collection.NumDocs = 50_000
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 13_631_488 // 2 MiB results + 9 MiB lists + 2 MiB spare
+	if got := sys.CacheSSD.Size(); got != want {
+		t.Fatalf("cache SSD holds %d bytes, want %d", got, want)
 	}
 }
 

@@ -64,15 +64,12 @@ type Config struct {
 	ListTTL   time.Duration
 
 	// BreakerThreshold trips the SSD circuit breaker after this many
-	// consecutive SSD operation failures: until the cooldown expires the
+	// consecutive SSD operation failures: until breakerCooldown expires the
 	// manager serves around the L2 tier entirely (reads go to the backing
 	// store, flushes are dropped with accounting) instead of hammering a
 	// failing device. Zero selects the default (8); negative disables the
 	// breaker.
 	BreakerThreshold int
-	// BreakerCooldown is how long (simulated time) the breaker stays open
-	// after tripping. Zero selects the default (50ms).
-	BreakerCooldown time.Duration
 
 	// FreqCap bounds the Freq maps behind Formula 2 (per-term and per-query
 	// access counts). When a map exceeds the cap, all counts are halved and
@@ -137,9 +134,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 8
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 50 * time.Millisecond
 	}
 	if c.FreqCap == 0 {
 		c.FreqCap = 1 << 16

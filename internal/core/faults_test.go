@@ -257,7 +257,7 @@ func TestBreakerOpensRoutesAroundAndCools(t *testing.T) {
 
 	// Device recovers, cooldown elapses: the same entry hits SSD again.
 	fd.failWrites = false
-	f.clock.AdvanceAttr(f.m.cfg.BreakerCooldown+time.Millisecond, simclock.CompOther)
+	f.clock.AdvanceAttr(breakerCooldown+time.Millisecond, simclock.CompOther)
 	if f.m.DegradedMode() {
 		t.Fatal("breaker still open after cooldown")
 	}

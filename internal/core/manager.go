@@ -448,10 +448,14 @@ func (m *Manager) ssdTrim(off, n int64) {
 	m.ssdq.enqueue(lat)
 }
 
+// breakerCooldown is how long (simulated time) the breaker stays open after
+// tripping.
+const breakerCooldown = 50 * time.Millisecond
+
 // noteSSDError accounts one failed SSD operation — an EvIOError event, so
 // trace sinks see every device failure — and the circuit-breaker streak.
 // BreakerThreshold consecutive failures open the breaker for
-// BreakerCooldown simulated time.
+// breakerCooldown simulated time.
 func (m *Manager) noteSSDError(op storage.OpKind, n int64) {
 	m.emit(Event{Kind: EvIOError, Level: LevelSSD, Op: op, Bytes: n})
 	if m.cfg.BreakerThreshold <= 0 {
@@ -460,7 +464,7 @@ func (m *Manager) noteSSDError(op storage.OpKind, n int64) {
 	m.ssdFailStreak++
 	if m.ssdFailStreak >= m.cfg.BreakerThreshold {
 		m.ssdFailStreak = 0
-		m.breakerOpenUntil = m.clock.Now() + m.cfg.BreakerCooldown
+		m.breakerOpenUntil = m.clock.Now() + breakerCooldown
 		m.emit(Event{Kind: EvBreakerTrip})
 	}
 }

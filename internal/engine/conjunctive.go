@@ -269,7 +269,7 @@ func (e *Conjunctive) Execute(q workload.Query) (*Result, ConjStats, error) {
 		top.offer(c.doc, c.score)
 	}
 	if e.cfg.Clock != nil {
-		e.cfg.Clock.AdvanceAttr(time.Duration(len(candidates))*e.cfg.PerPostingCost, simclock.CompCPUIntersect)
+		e.cfg.Clock.AdvanceAttr(time.Duration(len(candidates))*perPostingCost, simclock.CompCPUIntersect)
 	}
 	return &Result{QueryID: q.ID, Docs: top.ranked()}, stats, nil
 }

@@ -68,13 +68,14 @@ type Config struct {
 	// DocResultBytes is the serialized size of one result document (URL,
 	// snippet, date...; paper: ~400 B).
 	DocResultBytes int
-	// Clock, when non-nil, is charged PerPostingCost of simulated CPU time
+	// Clock, when non-nil, is charged perPostingCost of simulated CPU time
 	// for every posting scored, so compute time contributes to response
 	// time alongside device time.
 	Clock *simclock.Clock
-	// PerPostingCost is the scoring cost per posting (default 20 ns).
-	PerPostingCost time.Duration
 }
+
+// perPostingCost is the simulated CPU time of scoring one posting.
+const perPostingCost = 20 * time.Nanosecond
 
 // DefaultConfig returns the paper's evaluation settings.
 func DefaultConfig() Config {
@@ -93,9 +94,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.DocResultBytes <= 0 {
 		c.DocResultBytes = 400
-	}
-	if c.PerPostingCost <= 0 {
-		c.PerPostingCost = 20 * time.Nanosecond
 	}
 }
 
@@ -328,7 +326,7 @@ func (e *Engine) scanList(t workload.TermID, w float64, last bool, top *topK, st
 		}
 		stats.PostingsScored += int64(scored)
 		if e.cfg.Clock != nil {
-			e.cfg.Clock.AdvanceAttr(time.Duration(scored)*e.cfg.PerPostingCost, simclock.CompCPUIntersect)
+			e.cfg.Clock.AdvanceAttr(time.Duration(scored)*perPostingCost, simclock.CompCPUIntersect)
 		}
 
 		// Early termination: remaining postings have TF no larger than the

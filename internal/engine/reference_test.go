@@ -98,7 +98,7 @@ func (e *refEngine) scanList(t workload.TermID, w float64, scores map[uint32]flo
 		}
 		stats.PostingsScored += int64(scored)
 		if e.cfg.Clock != nil {
-			e.cfg.Clock.AdvanceAttr(time.Duration(scored)*e.cfg.PerPostingCost, simclock.CompCPUIntersect)
+			e.cfg.Clock.AdvanceAttr(time.Duration(scored)*perPostingCost, simclock.CompCPUIntersect)
 		}
 		if len(top.heap) >= top.k && scored > 0 {
 			if float64(lastTF)*w < e.cfg.TerminationFrac*top.heap[0].score {

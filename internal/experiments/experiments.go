@@ -140,8 +140,8 @@ func (sc Scale) cacheConfig(policy core.Policy) core.Config {
 // config is the one system assembly of the evaluation: the collection at
 // numDocs, the query log, the engine tuning, the codec and the PU model
 // around the given cache. It is a pure value; a sweep sets its own delta
-// (CacheFTL, CacheFaults, HeteroCacheTier, QueryLog.DistinctQueries) on
-// the result, and build stamps the index image.
+// (CacheFTL, CacheFaults, QueryLog.DistinctQueries) on the result, and
+// build stamps the index image.
 func (sc Scale) config(numDocs int, mode hybrid.CacheMode, indexOn hybrid.IndexPlacement, cache core.Config) hybrid.Config {
 	return hybrid.Config{
 		Collection: sc.collection(numDocs),
@@ -256,7 +256,7 @@ func All() []Experiment {
 		{ID: "threelevel", Title: "§VIII/[19]: three-level caching — intersection cache on a conjunctive workload", Run: ThreeLevel},
 		{ID: "faults", Title: "Fault injection: SSD op-error sweep — graceful degradation toward the HDD baseline", Run: Faults},
 		{ID: "serving", Title: "Serving layer: shard count × offered load — throughput and p99/p999 under open-loop arrivals", Run: Serving},
-		{ID: "zoo", Title: "Policy zoo: every registered policy × budget × workload, plus the heterogeneous cache tier", Run: Zoo},
+		{ID: "zoo", Title: "Policy zoo: every registered policy × budget × workload", Run: Zoo},
 	}
 }
 

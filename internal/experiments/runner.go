@@ -21,14 +21,12 @@ import (
 )
 
 // point is what one measured configuration leaves behind: the run and
-// cache statistics of the measured window, the cache SSD's wear, and for a
-// heterogeneous tier the fast and slow drives' wear. It holds no system,
-// so no device outlives its point.
+// cache statistics of the measured window and the cache SSD's wear. It
+// holds no system, so no device outlives its point.
 type point struct {
-	run        hybrid.RunStats
-	st         core.Stats
-	wear       flashsim.WearStats
-	fast, slow flashsim.WearStats
+	run  hybrid.RunStats
+	st   core.Stats
+	wear flashsim.WearStats
 }
 
 // respMS is the measured mean response time in milliseconds.
@@ -49,9 +47,6 @@ func (sc Scale) measure(cfgs []hybrid.Config) ([]point, error) {
 		}
 		if sys.CacheSSD != nil {
 			p.wear = sys.CacheSSD.Wear()
-		}
-		if t := sys.CacheTiered(); t != nil {
-			p.fast, p.slow = t.Fast().Wear(), t.Slow().Wear()
 		}
 		return nil
 	})

@@ -124,7 +124,7 @@ func TestPaperShapes(t *testing.T) {
 			t.Fatalf("no situation read the HDD:\n%s", tb.text)
 		}
 		flash := flashsim.DefaultParams(1 << 20)
-		entryRead := time.Duration(sc.cacheConfig(core.PolicyCBSLRU).ResultEntryBytes/int64(flash.PageSize)) * flash.PageReadLatency
+		entryRead := time.Duration(sc.cacheConfig(core.PolicyCBSLRU).ResultEntryBytes/int64(flash.PageSize)) * flashsim.TablePageRead
 		if cost["S2"] > 2*entryRead {
 			t.Errorf("S2 = %v, over twice the %v of flash page reads a result entry takes:\n%s", cost["S2"], entryRead, tb.text)
 		}

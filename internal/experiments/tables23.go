@@ -31,12 +31,12 @@ func Tables23Environment(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "\n# Table III — simulated SSD parameters (identical to the paper)")
 	ssd := metrics.NewTable("parameter", "value")
 	ssd.AddRow("FTL", "page-mapping")
-	p := flashsim.DefaultParams(0) // geometry and timings do not depend on capacity
+	p := flashsim.DefaultParams(0) // geometry does not depend on capacity
 	ssd.AddRow("page size", fmt.Sprintf("%d KB", p.PageSize>>10))
 	ssd.AddRow("block size", fmt.Sprintf("%d KB (%d pages)", p.PageSize*p.PagesPerBlock>>10, p.PagesPerBlock))
-	ssd.AddRow("page read", spacedUnit(p.PageReadLatency))
-	ssd.AddRow("page write", spacedUnit(p.PageWriteLatency))
-	ssd.AddRow("block erase", spacedUnit(p.BlockEraseLatency))
+	ssd.AddRow("page read", spacedUnit(flashsim.TablePageRead))
+	ssd.AddRow("page write", spacedUnit(flashsim.TablePageWrite))
+	ssd.AddRow("block erase", spacedUnit(flashsim.TableBlockErase))
 	_, err := io.WriteString(w, ssd.String())
 	return err
 }

@@ -26,8 +26,7 @@ var zooWorkloads = []struct {
 
 // Zoo sweeps every registered cache policy over budget x workload on the
 // full two-level hierarchy and reports hit ratio, response time and flash
-// wear per point, then compares a homogeneous cache SSD against the
-// heterogeneous two-device tier (fast result SSD + dense slow list SSD).
+// wear per point.
 // Policies come from the registry, so a newly registered policy joins the
 // sweep without edits here. Each cell is one independent point on the
 // worker pool.
@@ -68,42 +67,5 @@ func Zoo(w io.Writer, sc Scale) error {
 		return err
 	}
 	fmt.Fprintln(w, "(reference = paper's AOL-like locality; lowloc = 4x distinct queries, stretching reuse distances)")
-
-	return zooHetero(w, sc)
-}
-
-// zooHetero compares the homogeneous cache SSD against the heterogeneous
-// tier on two representative policies, reporting the per-tier wear split
-// that motivates the architecture: result traffic (hot, small, rewritten)
-// lands on the fast device while bulk list flushes wear the dense one.
-func zooHetero(w io.Writer, sc Scale) error {
-	policies := []core.Policy{core.PolicyCBLRU, core.PolicyTinyLFU}
-	var cfgs []hybrid.Config
-	for _, policy := range policies {
-		for _, hetero := range []bool{false, true} {
-			cfg := sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.cacheConfig(policy))
-			cfg.HeteroCacheTier = hetero
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	pts, err := sc.measure(cfgs)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintln(w, "\n# Heterogeneous cache tier — homogeneous SSD vs fast/slow two-device tier")
-	tab := metrics.NewTable("policy", "tier", "RIC", "resp_ms", "fast_pages", "slow_pages")
-	for i, p := range pts {
-		tier, fast := "homogeneous", p.wear
-		if cfgs[i].HeteroCacheTier {
-			tier, fast = "hetero", p.fast
-		}
-		tab.AddRow(policies[i/2].String(), tier, p.st.CombinedHitRatio(), p.respMS(),
-			fast.HostPagesWritten, p.slow.HostPagesWritten)
-	}
-	if _, err := io.WriteString(w, tab.String()); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "(hetero: result region on the fast device, list region + metadata on the 4x-slower dense device)")
 	return nil
 }

@@ -34,7 +34,7 @@ func (m *blockMap) program(lp int, content []byte) time.Duration {
 	}
 	if phys := m.l2pBlock.home(lp, ppb); d.nand.pageState[phys] == pageFree {
 		d.nand.programPage(phys, content)
-		return d.p.PageWriteLatency
+		return TablePageWrite
 	}
 	// The slot is taken: merge into a fresh block, substituting the new
 	// content for the overwritten page.
@@ -53,10 +53,10 @@ func (m *blockMap) merge(lb, slot int, content []byte) time.Duration {
 		src, dst := oldPB*ppb+i, newPB*ppb+i
 		if int(i) == slot {
 			d.nand.programPage(dst, content)
-			lat += d.p.PageWriteLatency
+			lat += TablePageWrite
 		} else if d.nand.pageState[src] == pageValid {
 			d.nand.copyPage(src, dst)
-			lat += d.p.PageReadLatency + d.p.PageWriteLatency
+			lat += TablePageRead + TablePageWrite
 		}
 	}
 	m.l2pBlock[lb] = newPB

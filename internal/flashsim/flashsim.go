@@ -30,14 +30,17 @@ import (
 	"hybridstore/internal/storage"
 )
 
-// The paper's Table III medium: the one spelling of each number, feeding
-// DefaultParams and the defaults of a Params that leaves a latency zero.
+// The paper's Table III medium: the one spelling of each number. Every
+// drive runs at these timings; DefaultParams takes its geometry from here.
 const (
 	tablePageSize      = 2 << 10
 	tablePagesPerBlock = 64
-	tablePageRead      = 32725 * time.Nanosecond
-	tablePageWrite     = 101475 * time.Nanosecond
-	tableBlockErase    = 1500 * time.Microsecond
+	// TablePageRead is the cost of reading one page.
+	TablePageRead = 32725 * time.Nanosecond
+	// TablePageWrite is the cost of programming one page.
+	TablePageWrite = 101475 * time.Nanosecond
+	// TableBlockErase is the cost of erasing one block.
+	TableBlockErase = 1500 * time.Microsecond
 )
 
 // Params configures the simulated drive. The zero value is invalid; start
@@ -53,15 +56,6 @@ type Params struct {
 	// has a minimum below which its reclamation cannot make progress (the
 	// ftls table); NewFTL panics under it.
 	SpareBlocks int
-	// PageReadLatency is the cost of reading one page (paper: 32.725 µs).
-	PageReadLatency time.Duration
-	// PageWriteLatency is the cost of programming one page (paper: 101.475 µs).
-	PageWriteLatency time.Duration
-	// BlockEraseLatency is the cost of erasing one block (paper: 1.5 ms).
-	BlockEraseLatency time.Duration
-	// GCLowWater triggers page-mapped garbage collection when the free-block
-	// count drops to this value. Defaults to max(2, SpareBlocks/2).
-	GCLowWater int
 }
 
 // DefaultParams returns the paper's Table III configuration sized to the
@@ -71,13 +65,10 @@ func DefaultParams(logicalBytes int64) Params {
 	blockBytes := int64(tablePageSize * tablePagesPerBlock)
 	blocks := max(1, int((logicalBytes+blockBytes-1)/blockBytes))
 	return Params{
-		PageSize:          tablePageSize,
-		PagesPerBlock:     tablePagesPerBlock,
-		ExportedBlocks:    blocks,
-		SpareBlocks:       max(4, blocks*7/100),
-		PageReadLatency:   tablePageRead,
-		PageWriteLatency:  tablePageWrite,
-		BlockEraseLatency: tableBlockErase,
+		PageSize:       tablePageSize,
+		PagesPerBlock:  tablePagesPerBlock,
+		ExportedBlocks: blocks,
+		SpareBlocks:    max(4, blocks*7/100),
 	}
 }
 
@@ -147,15 +138,6 @@ func NewFTL(kind FTLKind, name string, clock *simclock.Clock, p Params) *SSD {
 		panic(fmt.Sprintf("flashsim: %s FTL needs at least %d spare blocks (%s), have %d",
 			f.name, f.minSpare, f.spareFor, p.SpareBlocks))
 	}
-	if p.PageReadLatency == 0 {
-		p.PageReadLatency = tablePageRead
-	}
-	if p.PageWriteLatency == 0 {
-		p.PageWriteLatency = tablePageWrite
-	}
-	if p.BlockEraseLatency == 0 {
-		p.BlockEraseLatency = tableBlockErase
-	}
 	totalBlocks := p.ExportedBlocks + p.SpareBlocks
 	d := &SSD{
 		name:         name,
@@ -214,7 +196,7 @@ func (d *SSD) ReadAt(p []byte, off int64) (time.Duration, error) {
 		} else {
 			clear(dst)
 		}
-		lat += d.p.PageReadLatency
+		lat += TablePageRead
 		pos += int64(n)
 	}
 	d.clock.AdvanceAttr(lat, simclock.CompSSDRead)
@@ -242,7 +224,7 @@ func (d *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 			content = d.pageBuf
 			if old := d.ftl.lookup(lp); old >= 0 {
 				d.nand.readPage(old, content)
-				lat += d.p.PageReadLatency
+				lat += TablePageRead
 			} else {
 				clear(content)
 			}
@@ -276,7 +258,7 @@ func (d *SSD) Trim(off, n int64) (time.Duration, error) {
 			// Bookkeeping, not host payload: hostPages does not move.
 			d.nand.readPage(old, d.pageBuf)
 			clear(d.pageBuf[po : po+span])
-			lat += d.p.PageReadLatency + d.ftl.program(lp, d.pageBuf)
+			lat += TablePageRead + d.ftl.program(lp, d.pageBuf)
 		}
 		pos += int64(span)
 	}
@@ -314,9 +296,9 @@ func (d *SSD) takeFree() int {
 // charge to whatever operation forced the erase. Caller holds d.mu.
 func (d *SSD) erase(b int) time.Duration {
 	d.nand.eraseBlock(b)
-	d.stats.Record(storage.OpErase, int(d.nand.blockBytes()), d.p.BlockEraseLatency)
+	d.stats.Record(storage.OpErase, int(d.nand.blockBytes()), TableBlockErase)
 	d.freeBlocks = append(d.freeBlocks, b)
-	return d.p.BlockEraseLatency
+	return TableBlockErase
 }
 
 // Stats returns host-visible operation counters (erases included).

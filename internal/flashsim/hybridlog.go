@@ -53,7 +53,7 @@ func (h *hybridLog) program(lp int, content []byte) time.Duration {
 	// a rebuilt data block with the slot free, and the page in the log.
 	if phys := h.l2pBlock.home(lp, ppb); h.logged[lp] < 0 && d.nand.pageState[phys] == pageFree {
 		d.nand.programPage(phys, content)
-		return d.p.PageWriteLatency
+		return TablePageWrite
 	}
 
 	// Overwrite: append to the log. The copy this supersedes — in the log,
@@ -70,7 +70,7 @@ func (h *hybridLog) program(lp int, content []byte) time.Duration {
 	d.nand.programPage(phys, content)
 	h.logged[lp] = phys
 	h.logOwner[phys] = int32(lp)
-	return lat + d.p.PageWriteLatency
+	return lat + TablePageWrite
 }
 
 // ensureLogSpace opens a new log block, merging the oldest when the pool
@@ -122,7 +122,7 @@ func (h *hybridLog) fullMerge(lb int) time.Duration {
 		d.nand.copyPage(src, int32(newPB*ppb+slot))
 		d.nand.invalidatePage(src)
 		h.logged[lp] = -1
-		lat += d.p.PageReadLatency + d.p.PageWriteLatency
+		lat += TablePageRead + TablePageWrite
 	}
 	lat += d.erase(int(h.l2pBlock[lb]))
 	h.l2pBlock[lb] = int32(newPB)

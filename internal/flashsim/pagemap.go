@@ -14,21 +14,17 @@ type pageMap struct {
 
 	active   int // block accepting programs, -1 none
 	next     int // next free page within active
-	lowWater int // collect garbage when this few blocks are free
+	lowWater int // collect garbage when this few blocks are free: max(2, SpareBlocks/2)
 }
 
 func newPageMap(d *SSD) ftl {
-	m := &pageMap{
+	return &pageMap{
 		d:        d,
 		l2p:      unmapped(d.logicalPages),
 		p2l:      make([]int32, len(d.nand.pageState)),
 		active:   -1,
-		lowWater: d.p.GCLowWater,
+		lowWater: max(2, d.p.SpareBlocks/2),
 	}
-	if m.lowWater == 0 {
-		m.lowWater = max(2, d.p.SpareBlocks/2)
-	}
-	return m
 }
 
 func (m *pageMap) lookup(lp int) int32 { return m.l2p[lp] }
@@ -52,7 +48,7 @@ func (m *pageMap) program(lp int, content []byte) time.Duration {
 	}
 	m.l2p[lp] = phys
 	m.p2l[phys] = int32(lp)
-	return lat + m.d.p.PageWriteLatency
+	return lat + TablePageWrite
 }
 
 func (m *pageMap) discard(lp int) time.Duration {
@@ -134,7 +130,7 @@ func (m *pageMap) relocateAndErase(victim int) time.Duration {
 		lp := m.p2l[phys]
 		m.p2l[dst] = lp
 		m.l2p[lp] = dst
-		lat += m.d.p.PageReadLatency + m.d.p.PageWriteLatency
+		lat += TablePageRead + TablePageWrite
 	}
 	return lat + m.d.erase(victim)
 }
