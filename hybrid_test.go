@@ -496,14 +496,18 @@ func TestInvalidConfigsRejected(t *testing.T) {
 }
 
 // TestSteadyStateAllocationBudget bounds what a query allocates on the host
-// once the caches are warm. A cache miss extends L1 prefixes in place, pads
-// SSD extents in one staging buffer, programs flash into recycled block
-// buffers and encodes its result into the System's scratch for a recycled
-// entry buffer of the cache, so what is left is the first-touch prefixes the
-// list cache keeps and the per-query result — not a fresh copy of every list
+// once the caches are warm, under both layouts. A cache miss fills L1 from
+// recycled prefix buffers, pads SSD extents in one staging buffer, programs
+// flash into recycled block buffers and encodes its result into the System's
+// scratch for a recycled entry buffer of the cache, so what is left is the
+// per-query result and a few small records — not a fresh copy of every list
 // prefix, flash block and result entry a miss passes through.
 func TestSteadyStateAllocationBudget(t *testing.T) {
-	checkAllocationBudget(t, smallConfig(core.PolicyCBLRU, CacheTwoLevel), 3000, 2000, 72<<10)
+	for _, p := range []core.Policy{core.PolicyCBLRU, core.PolicyLRU, core.PolicyCBSLRU} {
+		t.Run(p.String(), func(t *testing.T) {
+			checkAllocationBudget(t, smallConfig(p, CacheTwoLevel), 3000, 2000, 4<<10)
+		})
+	}
 }
 
 // TestResultHitAllocationBudget is the hit path's budget, on a system shaped

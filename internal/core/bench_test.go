@@ -74,6 +74,10 @@ func BenchmarkGetResultMemHit(b *testing.B) {
 	benchGetResult(b, ResultFromMemory, func(i int) uint64 { return uint64(i%5 + 1) })
 }
 
+// BenchmarkCacheManagerListRead times Zipf-distributed reads of list heads
+// through a warm CBLRU manager and fails if a warm read allocates. Once warm
+// the stream is served from L1, so this guards the hit path;
+// TestSteadyStateAllocationBudget guards the fills (DESIGN §17).
 func BenchmarkCacheManagerListRead(b *testing.B) {
 	clock := simclock.New()
 	spec := workload.DefaultCollection(200_000)
@@ -93,12 +97,23 @@ func BenchmarkCacheManagerListRead(b *testing.B) {
 	}
 	zipf := workload.NewZipf(simclock.NewRNG(5), spec.VocabSize, 0.9)
 	buf := make([]byte, 8<<10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	read := func() {
 		t := workload.TermID(zipf.Next())
 		n := min(ix.ListBytes(t), int64(len(buf)))
 		if err := m.ReadListRange(t, 0, buf[:n]); err != nil {
 			b.Fatal(err)
 		}
+	}
+	for i := 0; i < 20000; i++ {
+		read() // fills L1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(1000, read); allocs != 0 {
+		b.Fatalf("a warm list read makes %v allocations, want 0", allocs)
 	}
 }

@@ -103,7 +103,7 @@ func TestPlaceListExtentEvictionAndWorstCase(t *testing.T) {
 	// Fill the region with six 1-block extents via direct flushes, the
 	// write buffer forced out after each.
 	for i := 0; i < 6; i++ {
-		ml := &memList{term: workload.TermID(100 + i), prefix: make([]byte, 8<<10),
+		ml := memList{term: workload.TermID(100 + i), prefix: make([]byte, 8<<10),
 			loadedAt: f.clock.Now()}
 		f.m.termFreq[ml.term] = 5
 		f.m.flushListToSSD(ml)
@@ -114,7 +114,7 @@ func TestPlaceListExtentEvictionAndWorstCase(t *testing.T) {
 	}
 	// A 2-block entry cannot overwrite in place (no same-size candidate),
 	// so placement must evict window entries (step 4).
-	big := &memList{term: 50, prefix: make([]byte, 130<<10), loadedAt: f.clock.Now()}
+	big := memList{term: 50, prefix: make([]byte, 130<<10), loadedAt: f.clock.Now()}
 	f.m.termFreq[big.term] = 50
 	f.m.flushListToSSD(big)
 	if f.m.ssdListFor(50) == nil {
@@ -129,7 +129,7 @@ func TestPlaceListExtentEvictionAndWorstCase(t *testing.T) {
 
 	// A 4-block entry exceeds what the W=5 window can free next to the
 	// 2-block resident: it must widen to the whole-list sweep (step 5).
-	huge := &memList{term: 51, prefix: make([]byte, 450<<10), loadedAt: f.clock.Now()}
+	huge := memList{term: 51, prefix: make([]byte, 450<<10), loadedAt: f.clock.Now()}
 	f.m.termFreq[huge.term] = 80
 	f.m.flushListToSSD(huge)
 	if f.m.ssdListFor(51) == nil {
@@ -143,7 +143,7 @@ func TestPlaceListExtentEvictionAndWorstCase(t *testing.T) {
 func TestDropSSDListRewritesLargerPrefix(t *testing.T) {
 	cfg := testConfig(PolicyCBLRU)
 	f := newFixture(t, cfg)
-	small := &memList{term: 60, prefix: make([]byte, 8<<10), loadedAt: f.clock.Now()}
+	small := memList{term: 60, prefix: make([]byte, 8<<10), loadedAt: f.clock.Now()}
 	f.m.termFreq[60] = 10
 	f.m.flushListToSSD(small)
 	f.m.flushListBuffer()
@@ -152,7 +152,7 @@ func TestDropSSDListRewritesLargerPrefix(t *testing.T) {
 		t.Fatalf("first flush: %+v", first)
 	}
 	// A larger prefix replaces the old extent.
-	bigger := &memList{term: 60, prefix: make([]byte, 200<<10), loadedAt: f.clock.Now()}
+	bigger := memList{term: 60, prefix: make([]byte, 200<<10), loadedAt: f.clock.Now()}
 	f.m.flushListToSSD(bigger)
 	second := f.m.ssdListFor(60)
 	if second == nil || second.validBytes != 200<<10 {

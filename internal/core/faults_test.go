@@ -226,7 +226,7 @@ func TestBreakerOpensRoutesAroundAndCools(t *testing.T) {
 	cfg.BreakerThreshold = 3
 	f, fd := newFlakyFixture(t, cfg)
 	putEntries(t, f, 1, 11) // healthy warmup: RB with qids 1..6 on SSD
-	f.m.flushListToSSD(&memList{term: 7, prefix: f.wantList(t, 7, 0, 2<<10)})
+	f.m.flushListToSSD(memList{term: 7, prefix: f.wantList(t, 7, 0, 2<<10)})
 	f.m.flushListBuffer() // and term 7's list
 
 	fd.failWrites = true
@@ -329,7 +329,7 @@ func TestLRUBaselineLosesWhatItCannotPlace(t *testing.T) {
 	cfg.BreakerThreshold = -1
 	f, fd := newFlakyFixture(t, cfg)
 	flush := func(term workload.TermID, n int64) {
-		f.m.flushListToSSD(&memList{term: term, prefix: f.wantList(t, term, 0, n)})
+		f.m.flushListToSSD(memList{term: term, prefix: f.wantList(t, term, 0, n)})
 	}
 	flush(0, 40<<10) // longer than the 32 KiB list region
 	fd.failWrites = true
@@ -629,6 +629,7 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 						t.Fatal(err)
 					}
 					poisonFreeEntries(f.m) // a freed buffer something still reads shows as wrong bytes
+					PoisonFreePrefixes(f.m)
 					term := workload.TermID(rng.Uint64() % uint64(f.spec.VocabSize))
 					n := int64(1<<10) + int64(rng.Uint64()%(16<<10))
 					if total := f.ix.ListBytes(term); n > total {

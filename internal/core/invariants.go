@@ -30,6 +30,9 @@ import (
 //     listBufBytes.
 //  7. Every free entry buffer is whole, listed once and held by neither L1 nor
 //     the write buffer; all of them fit a full L1, a full write buffer and one.
+//  8. Every L1 prefix, buffered prefix and free prefix buffer has exactly one
+//     holder; a free one can serve its size class, and together they hold at
+//     most maxFreePrefixBytes.
 func (m *Manager) CheckInvariants() error {
 	// (1) result mapping bijectivity.
 	for qid, loc := range m.resultLoc {
@@ -199,6 +202,42 @@ func (m *Manager) CheckInvariants() error {
 	}
 	if bound := int(m.cfg.MemResultBytes/m.cfg.ResultEntryBytes) + m.entriesPerRB + 1; len(holder) > bound {
 		return fmt.Errorf("%d entry buffers in existence, bound %d", len(holder), bound)
+	}
+
+	// (8) list prefix buffers, by the address of their backing array.
+	type held struct {
+		buf []byte
+		by  string
+	}
+	var prefixes []held
+	m.ic.Ascend(func(e *cache.Entry[memList]) bool {
+		prefixes = append(prefixes, held{e.Value.prefix, "L1"})
+		return true
+	})
+	for _, sl := range m.listBuf {
+		prefixes = append(prefixes, held{sl.data, "the list write buffer"})
+	}
+	var free int64
+	for c, class := range m.freePrefixes {
+		for _, buf := range class {
+			if int64(cap(buf)) < min(1<<c, m.prefixCap()) {
+				return fmt.Errorf("free prefix buffer of capacity %d in class %d", cap(buf), c)
+			}
+			prefixes = append(prefixes, held{buf, "the free pool"})
+			free += int64(cap(buf))
+		}
+	}
+	if free != m.freePrefixBytes || free > m.maxFreePrefixBytes() {
+		return fmt.Errorf("free prefix buffers hold %d bytes, accounted %d, bound %d",
+			free, m.freePrefixBytes, m.maxFreePrefixBytes())
+	}
+	clear(holder)
+	for _, h := range prefixes {
+		p := &h.buf[:1][0]
+		if other, ok := holder[p]; ok {
+			return fmt.Errorf("list prefix buffer held by %s and %s", other, h.by)
+		}
+		holder[p] = h.by
 	}
 	return nil
 }

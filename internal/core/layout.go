@@ -16,14 +16,16 @@ import (
 type layout interface {
 	// chooseL1ListVictim picks the next L1 inverted-list eviction victim,
 	// never returning exclude. Nil means nothing evictable.
-	chooseL1ListVictim(exclude *cache.Entry[*memList]) *cache.Entry[*memList]
+	chooseL1ListVictim(exclude *cache.Entry[memList]) *cache.Entry[memList]
 	// fillL1 caches the bytes ReadListRange just served for t (p, at list
 	// offset off of a total-byte list) in the L1 list cache. l1 is t's
 	// resident entry or nil; hddTail says the disk head sits at the end of p.
 	fillL1(t workload.TermID, l1 *memList, off int64, p []byte, total int64, hddTail bool)
 	// flushList places an inverted list evicted from L1 in the L2 list
-	// region, or discards it. The region exists and the SSD is healthy.
-	flushList(ml *memList)
+	// region, or discards it, and owns ml.prefix from the call on
+	// (freePrefix once nothing needs it). The region exists and the SSD is
+	// healthy.
+	flushList(ml memList)
 	// evictResult places a result entry evicted from L1 in the L2 result
 	// region, or drops it, and owns mr.data from the call on (freeEntry once
 	// nothing needs it). The region exists.

@@ -23,19 +23,19 @@ type blockLogLayout struct {
 
 // chooseL1ListVictim picks the minimum-EV entry within the replace-first
 // window (Fig 12), skipping exclude.
-func (l blockLogLayout) chooseL1ListVictim(exclude *cache.Entry[*memList]) *cache.Entry[*memList] {
+func (l blockLogLayout) chooseL1ListVictim(exclude *cache.Entry[memList]) *cache.Entry[memList] {
 	m := l.m
 	window := m.cfg.WindowW
 	if window < 8 {
 		window = 8
 	}
-	var best *cache.Entry[*memList]
+	var best *cache.Entry[memList]
 	bestEV := 0.0
 	for _, e := range m.ic.TailWindow(window + 1) { // +1 headroom for exclude
 		if e == exclude {
 			continue
 		}
-		ml := e.Value
+		ml := &e.Value
 		v := ev(m.termFreq[ml.term], m.scBlocks(int64(len(ml.prefix)), m.pu(ml.term)))
 		if best == nil || v < bestEV {
 			best, bestEV = e, v
@@ -48,7 +48,7 @@ func (l blockLogLayout) chooseL1ListVictim(exclude *cache.Entry[*memList]) *cach
 // quantum when the disk head is already positioned past the tail.
 func (l blockLogLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []byte, total int64, hddTail bool) {
 	m := l.m
-	capBytes := m.ic.Capacity() / maxL1EntryShare
+	capBytes := m.prefixCap()
 
 	// Extension is only possible when the served range connects to the
 	// existing prefix.
@@ -87,11 +87,13 @@ func (l blockLogLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []by
 	// failed extension leaves the entry exactly as it was.
 	var grown []byte
 	if l1 == nil {
-		grown = make([]byte, target)
+		grown = m.prefixBuf(target)
 	} else {
 		if int64(cap(l1.prefix)) < target {
-			newCap := min(max(target, 2*int64(cap(l1.prefix))), capBytes)
-			l1.prefix = append(make([]byte, 0, newCap), l1.prefix...)
+			buf := m.prefixBuf(min(max(target, 2*int64(cap(l1.prefix))), capBytes))
+			copy(buf, l1.prefix)
+			m.freePrefix(l1.prefix)
+			l1.prefix = buf[:have]
 		}
 		grown = l1.prefix[:target]
 	}
@@ -121,7 +123,7 @@ func (l blockLogLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []by
 // flushList applies data selection (Formulas 1–2, TEV), then hands the
 // prefix to placement: one of a block or more is written at once into SC
 // blocks of its own, a shorter one joins the list write buffer.
-func (l blockLogLayout) flushList(ml *memList) {
+func (l blockLogLayout) flushList(ml memList) {
 	m := l.m
 	// Formula 1: SC = ceil(SI × PU / SB). SI is the list's full size and
 	// PU its utilization rate, so SI × PU is the used prefix — which is
@@ -134,10 +136,12 @@ func (l blockLogLayout) flushList(ml *memList) {
 	// behind the doorkeeper, which rejects one-hit wonders first.
 	if l.doorkeeper && m.termFreq[ml.term] < 2 {
 		m.emit(Event{Kind: EvListReject, Term: ml.term})
+		m.freePrefix(ml.prefix)
 		return
 	}
 	if ev(m.termFreq[ml.term], sc) < m.cfg.TEV || scBytes > m.icLRU.Capacity() {
 		m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
+		m.freePrefix(ml.prefix)
 		return
 	}
 
@@ -149,6 +153,7 @@ func (l blockLogLayout) flushList(ml *memList) {
 	if existing := m.ssdListFor(ml.term); existing != nil && existing.validBytes >= si {
 		existing.state = stateNormal
 		m.emit(Event{Kind: EvListElide, Term: ml.term})
+		m.freePrefix(ml.prefix)
 		return
 	}
 	if old := m.icDyn[ml.term]; old != nil {
@@ -189,7 +194,8 @@ func (m *Manager) flushListBuffer() {
 // with zeros, as one block-aligned sequential write. When the SSD is failing,
 // has no room or fails the write (the extent is then quarantined), every one
 // of the lists is lost from the cache — still on the HDD — and counted
-// discarded once.
+// discarded once. Either way each prefix buffer is freed, once staging holds
+// its bytes or once the list is lost.
 func (m *Manager) writeListExtent(bytes int64, batch []*ssdList) {
 	x := &listExtent{bytes: bytes, lists: batch}
 	var payload int64
@@ -199,6 +205,10 @@ func (m *Manager) writeListExtent(bytes int64, batch []*ssdList) {
 	}
 	lists, first := int64(len(batch)), batch[0].term
 	if !m.ssdHealthy() || !m.placeListExtent(x) {
+		for _, sl := range batch {
+			m.freePrefix(sl.data)
+			sl.data = nil
+		}
 		m.unmapListExtent(x)
 		m.emit(Event{Kind: EvListDiscard, Term: first, N: lists})
 		return
@@ -207,6 +217,7 @@ func (m *Manager) writeListExtent(bytes int64, batch []*ssdList) {
 	fill := x.off
 	for _, sl := range x.lists {
 		copy(buf[fill-x.off:], sl.data)
+		m.freePrefix(sl.data)
 		sl.off, sl.data = fill, nil
 		fill += sl.validBytes
 	}

@@ -13,9 +13,9 @@ import (
 type entryLayout struct{ m *Manager }
 
 // chooseL1ListVictim picks the least-recently-used entry, skipping exclude.
-func (l entryLayout) chooseL1ListVictim(exclude *cache.Entry[*memList]) *cache.Entry[*memList] {
-	var v *cache.Entry[*memList]
-	l.m.ic.Ascend(func(e *cache.Entry[*memList]) bool {
+func (l entryLayout) chooseL1ListVictim(exclude *cache.Entry[memList]) *cache.Entry[memList] {
+	var v *cache.Entry[memList]
+	l.m.ic.Ascend(func(e *cache.Entry[memList]) bool {
 		if e != exclude {
 			v = e
 			return false
@@ -32,11 +32,11 @@ func (l entryLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []byte,
 	if l1 != nil {
 		return // whole list already resident
 	}
-	if total > m.ic.Capacity()/maxL1EntryShare {
+	if total > m.prefixCap() {
 		m.emit(Event{Kind: EvListTooLarge, Term: t})
 		return
 	}
-	whole := make([]byte, total)
+	whole := m.prefixBuf(total)
 	// Reuse the bytes already in hand; fetch the rest from the
 	// hierarchy below L1 (SSD prefix if cached, index otherwise). A list
 	// that did not arrive whole is not cached.
@@ -44,6 +44,7 @@ func (l entryLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []byte,
 	end := off + int64(len(p))
 	if (off > 0 && m.readThrough(t, 0, whole[:off]) < off) ||
 		(end < total && m.readThrough(t, end, whole[end:]) < total-end) {
+		m.freePrefix(whole)
 		return
 	}
 	m.insertL1List(t, whole)
@@ -51,8 +52,9 @@ func (l entryLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []byte,
 
 // flushList writes the entire list to the SSD at byte granularity wherever
 // the allocator finds room, rewriting unconditionally.
-func (l entryLayout) flushList(ml *memList) {
+func (l entryLayout) flushList(ml memList) {
 	m := l.m
+	defer m.freePrefix(ml.prefix) // written or lost, memory is done with it
 	size := int64(len(ml.prefix))
 	if size == 0 || size > m.icLRU.Capacity() {
 		m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})

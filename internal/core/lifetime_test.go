@@ -17,7 +17,7 @@ import (
 // that needs room cannot get it.
 type noVictim struct{ layout }
 
-func (noVictim) chooseL1ListVictim(*cache.Entry[*memList]) *cache.Entry[*memList] { return nil }
+func (noVictim) chooseL1ListVictim(*cache.Entry[memList]) *cache.Entry[memList] { return nil }
 
 // TestFailedPrefixExtensionLeavesEntryUntouched: the bytes of an extension
 // are written past len(prefix) before the cache is asked for room. When it
@@ -42,7 +42,7 @@ func TestFailedPrefixExtensionLeavesEntryUntouched(t *testing.T) {
 	if !ok {
 		t.Fatal("term 0 evicted while filling L1")
 	}
-	l1 := e.Value
+	l1 := &e.Value
 	have := int64(len(l1.prefix))
 	before := append([]byte(nil), l1.prefix...)
 	used := f.m.ic.Used()

@@ -11,6 +11,9 @@ import (
 // cache, so one giant inverted list cannot monopolize (or overflow) L1.
 const maxL1EntryShare = 2
 
+// prefixCap is the L1 entry cap: the longest prefix a layout caches.
+func (m *Manager) prefixCap() int64 { return m.ic.Capacity() / maxL1EntryShare }
+
 // ReadListRange implements engine.ListSource: it serves list bytes from the
 // memory cache, then the SSD cache, then the backing index, charging each
 // level's simulated cost, and caches what it read in the layout's unit. This
@@ -30,9 +33,10 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 	// Level 1: memory prefix.
 	var l1 *memList
 	if e, ok := m.ic.Get(uint64(t)); ok {
-		l1 = e.Value
+		l1 = &e.Value // valid while the entry is resident
 		if m.listExpired(l1.loadedAt) {
 			m.ic.RemoveEntry(e)
+			m.freePrefix(l1.prefix)
 			m.emit(Event{Kind: EvListExpire, Term: t})
 			l1 = nil
 		}
@@ -156,17 +160,20 @@ func (m *Manager) readThrough(t workload.TermID, off int64, p []byte) int64 {
 	return int64(len(p))
 }
 
-// insertL1List makes room and inserts a fresh L1 entry for t.
+// insertL1List makes room and inserts a fresh L1 entry for t, whose prefix
+// buffer data is; one that does not get in is freed.
 func (m *Manager) insertL1List(t workload.TermID, data []byte) {
 	size := int64(len(data))
-	if size == 0 || size > m.ic.Capacity()/maxL1EntryShare {
+	if size == 0 || size > m.prefixCap() {
+		m.freePrefix(data)
 		return
 	}
 	m.makeRoomIC(size, nil)
 	if !m.ic.Fits(size) {
+		m.freePrefix(data)
 		return
 	}
-	m.ic.Put(uint64(t), size, &memList{term: t, prefix: data, loadedAt: m.clock.Now()})
+	m.ic.Put(uint64(t), size, memList{term: t, prefix: data, loadedAt: m.clock.Now()})
 	m.memCost(int(size))
 }
 
@@ -174,7 +181,7 @@ func (m *Manager) insertL1List(t workload.TermID, data []byte) {
 // exclude. Victim choice is the layout's: strict LRU for the baseline, or
 // minimum efficiency value within the replace-first window for the
 // cost-based policies (Fig 12).
-func (m *Manager) makeRoomIC(need int64, exclude *cache.Entry[*memList]) {
+func (m *Manager) makeRoomIC(need int64, exclude *cache.Entry[memList]) {
 	for !m.ic.Fits(need) {
 		victim := m.lay.chooseL1ListVictim(exclude)
 		if victim == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"hybridstore/internal/cache"
@@ -21,8 +22,10 @@ const (
 	stateReplaceable
 )
 
-// memList is an L1 inverted-list cache entry: the contiguous prefix of a
-// term's list that query processing has touched (Fig 6b).
+// memList is an L1 inverted-list cache payload: the contiguous prefix of a
+// term's list that query processing has touched (Fig 6b). prefix is a prefix
+// buffer of the cache's own: whoever drops its last reference hands it to
+// freePrefix.
 type memList struct {
 	term     workload.TermID
 	prefix   []byte
@@ -155,7 +158,7 @@ type Manager struct {
 
 	// L1.
 	rc *cache.List[memResult] // by query ID
-	ic *cache.List[*memList]  // by term ID
+	ic *cache.List[memList]   // by term ID
 
 	// L2 result cache.
 	entriesPerRB int
@@ -171,6 +174,13 @@ type Manager struct {
 	// buffers in existence within the entries alive at once (CheckInvariants).
 	freeEntries [][]byte
 	staticRBs   []*resultBlock
+
+	// freePrefixes holds the L1 list prefix buffers nothing references any
+	// more, a LIFO per power-of-two size class: class c serves requests of
+	// up to 1<<c bytes, so its buffers hold that much or the L1 entry cap.
+	// freePrefixBytes is their total capacity, which freePrefix bounds.
+	freePrefixes    [64][][]byte
+	freePrefixBytes int64
 
 	// L2 inverted-list cache. Dynamic lists are found by term in icDyn,
 	// whether still in the list write buffer or inside an extent of icLRU;
@@ -296,7 +306,7 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 			m.listBufCap = min(cfg.BlockBytes, cfg.MemListBytes/2)
 		}
 	}
-	m.ic = cache.NewList[*memList](cfg.MemListBytes - m.listBufCap)
+	m.ic = cache.NewList[memList](cfg.MemListBytes - m.listBufCap)
 	return m, nil
 }
 
@@ -419,6 +429,46 @@ func (m *Manager) entryBuf() []byte {
 
 // freeEntry takes back an entry buffer whose last reference was just dropped.
 func (m *Manager) freeEntry(buf []byte) { m.freeEntries = append(m.freeEntries, buf) }
+
+// prefixBuf returns an n-byte list prefix buffer for the caller to overwrite
+// whole: recycled from n's size class, dirty on purpose, before new. A new one
+// gets its class's capacity, never past the L1 entry cap, so it can grow in
+// place and go back to the class. Out of line, like entryBuf.
+//
+//go:noinline
+func (m *Manager) prefixBuf(n int64) []byte {
+	c := bits.Len64(uint64(n - 1))
+	if free := m.freePrefixes[c]; len(free) > 0 {
+		buf := free[len(free)-1]
+		free[len(free)-1] = nil // or the slot keeps it alive once the collector may have it
+		m.freePrefixes[c] = free[:len(free)-1]
+		m.freePrefixBytes -= int64(cap(buf))
+		return buf[:n]
+	}
+	return make([]byte, n, min(1<<c, m.prefixCap()))
+}
+
+// freePrefix takes back a prefix buffer whose last reference was just dropped,
+// into the largest class it can serve, unless the free lists already hold
+// maxFreePrefixBytes; then the collector has it.
+func (m *Manager) freePrefix(buf []byte) {
+	n := int64(cap(buf))
+	if n == 0 || m.freePrefixBytes+n > m.maxFreePrefixBytes() {
+		return
+	}
+	c := bits.Len64(uint64(n)) - 1
+	if n >= m.prefixCap() {
+		c = bits.Len64(uint64(m.prefixCap() - 1)) // the top class: no prefix is longer
+	}
+	m.freePrefixes[c] = append(m.freePrefixes[c], buf[:0])
+	m.freePrefixBytes += n
+}
+
+// maxFreePrefixBytes bounds the free prefix buffers at four L1 list budgets.
+// Idle capacity builds up per class as the mix of prefix sizes drifts, and
+// reaches about twice MemListBytes on the small-scale streams; at one or two
+// budgets the pool turns away buffers it is asked for again (DESIGN §17).
+func (m *Manager) maxFreePrefixBytes() int64 { return 4 * m.cfg.MemListBytes }
 
 // stagingBuf returns the staging buffer sized for an n-byte extent whose
 // first payload bytes the caller is about to overwrite; the rest is zero.

@@ -163,3 +163,44 @@ func TestCheckInvariantsCoversFreeEntries(t *testing.T) {
 		}
 	})
 }
+
+// TestCheckInvariantsCoversFreePrefixes plants each violation clause 8 names.
+func TestCheckInvariantsCoversFreePrefixes(t *testing.T) {
+	plant := func(name, want string, corrupt func(m *Manager)) {
+		t.Run(name, func(t *testing.T) {
+			f := newFixture(t, testConfig(PolicyCBLRU))
+			f.readSome(t, 0, 8<<10) // an L1 prefix
+			f.m.termFreq[1] = 5
+			f.m.flushListToSSD(memList{term: 1, prefix: f.m.prefixBuf(4 << 10)}) // a buffered one
+			f.m.freePrefix(f.m.prefixBuf(2 << 10))                               // a free one
+			if err := f.m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(f.m)
+			if err := f.m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("CheckInvariants = %v, want an error containing %q", err, want)
+			}
+		})
+	}
+	plant("listed_twice", "held by the free pool and the free pool", func(m *Manager) {
+		m.freePrefix(m.freePrefixes[11][0])
+	})
+	plant("still_in_L1", "held by L1 and the free pool", func(m *Manager) {
+		m.freePrefix(m.ic.LRUEntry().Value.prefix)
+	})
+	plant("still_in_write_buffer", "held by the list write buffer and the free pool", func(m *Manager) {
+		m.freePrefix(m.listBuf[0].data)
+	})
+	plant("too_small_for_its_class", "free prefix buffer of capacity", func(m *Manager) {
+		m.freePrefixes[12] = append(m.freePrefixes[12], make([]byte, 0, 3<<10))
+		m.freePrefixBytes += 3 << 10
+	})
+	plant("miscounted", "free prefix buffers hold", func(m *Manager) {
+		m.freePrefixBytes++
+	})
+	plant("over_the_bound", "free prefix buffers hold", func(m *Manager) {
+		big := make([]byte, 0, m.maxFreePrefixBytes())
+		m.freePrefixes[40] = append(m.freePrefixes[40], big)
+		m.freePrefixBytes += int64(cap(big))
+	})
+}

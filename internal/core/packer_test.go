@@ -51,7 +51,7 @@ func newPackerFixture(t *testing.T, cfg Config) (*fixture, *flakyDevice) {
 func (f *fixture) evict(t *testing.T, term workload.TermID, n int64) {
 	t.Helper()
 	f.m.termFreq[term] = 5
-	f.m.flushListToSSD(&memList{term: term, prefix: f.wantList(t, term, 0, n), loadedAt: f.clock.Now()})
+	f.m.flushListToSSD(memList{term: term, prefix: f.wantList(t, term, 0, n), loadedAt: f.clock.Now()})
 }
 
 // readBack reads the first n bytes of term's list through the manager and

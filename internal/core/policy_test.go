@@ -96,7 +96,7 @@ func TestPolicyTraits(t *testing.T) {
 			}
 			// A term never seen before: the doorkeeper rejects its evicted
 			// list, TEV selection accepts it (TEV=0 in testConfig).
-			f.m.lay.flushList(&memList{term: 150, prefix: make([]byte, 4<<10)})
+			f.m.lay.flushList(memList{term: 150, prefix: make([]byte, 4<<10)})
 			if rejected := f.m.Stats().ListsRejectedByAdmission == 1; rejected != c.doorkeeper {
 				t.Errorf("flushList(cold term) rejected = %v", rejected)
 			}
@@ -122,7 +122,7 @@ func TestRegistryIndexedByPolicy(t *testing.T) {
 func TestFreqGatedAdmissionWarmsUp(t *testing.T) {
 	m := newFixture(t, testConfig(PolicyTinyLFU)).m
 	term := workload.TermID(42)
-	flush := func() { m.lay.flushList(&memList{term: term, prefix: make([]byte, 4<<10)}) }
+	flush := func() { m.lay.flushList(memList{term: term, prefix: make([]byte, 4<<10)}) }
 	flush()
 	if m.icDyn[term] != nil || m.stats.ListsRejectedByAdmission != 1 || m.stats.ListsDiscarded != 1 {
 		t.Fatal("admitted a never-seen term")

@@ -12,10 +12,12 @@ func (m *Manager) icBase() int64 { return m.cfg.SSDResultBytes }
 
 // flushListToSSD handles an inverted list evicted from L1 (Fig 5): unless
 // it is stale or the L2 tier is absent or failing, the layout selects,
-// places and writes it in the L2 list region.
-func (m *Manager) flushListToSSD(ml *memList) {
+// places and writes it in the L2 list region. The prefix buffer goes with
+// it: freed here, or the layout's from then on.
+func (m *Manager) flushListToSSD(ml memList) {
 	if m.listExpired(ml.loadedAt) {
 		m.emit(Event{Kind: EvListExpire, Term: ml.term})
+		m.freePrefix(ml.prefix)
 		return
 	}
 	if m.icLRU == nil || !m.ssdHealthy() {
@@ -23,6 +25,7 @@ func (m *Manager) flushListToSSD(ml *memList) {
 		// into a failing device. The list is still fully readable from the
 		// backing index.
 		m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
+		m.freePrefix(ml.prefix)
 		return
 	}
 	m.lay.flushList(ml)
@@ -61,10 +64,10 @@ func (m *Manager) evictListExtent(x *listExtent) {
 }
 
 // dropSSDList unmaps one dynamic L2 list that was superseded by a longer
-// prefix or has expired. A buffered prefix leaves the write buffer. One on
-// the SSD leaves dead bytes in its extent — trimming inside an extent would
-// only fragment physical blocks — and the extent is freed and trimmed at
-// once when this was its last live list.
+// prefix or has expired. A buffered prefix leaves the write buffer and its
+// buffer is freed. One on the SSD leaves dead bytes in its extent — trimming
+// inside an extent would only fragment physical blocks — and the extent is
+// freed and trimmed at once when this was its last live list.
 func (m *Manager) dropSSDList(sl *ssdList) {
 	x := sl.ext
 	if x != nil && len(x.lists) == 1 {
@@ -75,6 +78,8 @@ func (m *Manager) dropSSDList(sl *ssdList) {
 	if x == nil {
 		m.listBuf = slices.DeleteFunc(m.listBuf, same)
 		m.listBufBytes -= sl.validBytes
+		m.freePrefix(sl.data)
+		sl.data = nil
 	} else {
 		x.lists = slices.DeleteFunc(x.lists, same)
 	}

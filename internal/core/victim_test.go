@@ -23,10 +23,10 @@ func l1Victim(t *testing.T, policy Policy, windowW int, freqs []int64, exclude i
 	cfg.SSDResultBytes, cfg.SSDListBytes = 0, 0 // an evicted list is only discarded
 	m := newFixture(t, cfg).m
 	const size = 4 << 10 // one block or less: every entry's SC is 1, its EV its frequency
-	var spare *cache.Entry[*memList]
+	var spare *cache.Entry[memList]
 	for i, freq := range freqs {
 		term := workload.TermID(i)
-		e := m.ic.Put(uint64(term), size, &memList{term: term, prefix: make([]byte, size)})
+		e := m.ic.Put(uint64(term), size, memList{term: term, prefix: make([]byte, size)})
 		m.termFreq[term] = freq
 		if i == exclude {
 			spare = e

@@ -430,6 +430,7 @@ func errDroppedDocRepeated(t workload.TermID, d uint32) error {
 type topK struct {
 	k    int
 	heap []scoredRef
+	keys []uint64 // ranked's sort keys, kept for the next query
 }
 
 type scoredRef struct {
@@ -524,17 +525,20 @@ func (t *topK) offer(doc uint32, score float64) {
 	t.fix(0)
 }
 
-// ranked returns the top-K docs in descending score order (ties by doc id).
+// ranked returns the top-K docs in descending score order (ties by doc id),
+// sorting one integer key per doc: the complement of its float32 score bits
+// above the doc. Scores are finite and ≥ 0, so their bits order as they do
+// and the keys' ascending order is exactly that one (DESIGN §13).
 func (t *topK) ranked() []ScoredDoc {
-	out := make([]ScoredDoc, len(t.heap))
-	for i, e := range t.heap {
-		out[i] = ScoredDoc{Doc: e.doc, Score: float32(e.score)}
+	keys := t.keys[:0]
+	for _, e := range t.heap {
+		keys = append(keys, uint64(^math.Float32bits(float32(e.score)))<<32|uint64(e.doc))
 	}
-	slices.SortFunc(out, func(a, b ScoredDoc) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Doc, b.Doc)
-	})
+	slices.Sort(keys)
+	t.keys = keys
+	out := make([]ScoredDoc, len(keys))
+	for i, key := range keys {
+		out[i] = ScoredDoc{Doc: uint32(key), Score: math.Float32frombits(^uint32(key >> 32))}
+	}
 	return out
 }

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -137,6 +140,49 @@ func TestExecuteIdenticalAcrossCodecs(t *testing.T) {
 		}
 		if s1.BytesRead <= s2.BytesRead {
 			t.Fatalf("query %d: gvarint read %d bytes, raw %d — no byte savings", i, s2.BytesRead, s1.BytesRead)
+		}
+	}
+}
+
+// TestRankedMatchesComparatorSort: ranked sorts one integer key per doc
+// instead of comparing (score, doc) pairs. On random heaps of every size up
+// to K it must give exactly the order of the comparator sort it replaced —
+// score descending, then doc ascending — with ties on score made common
+// (a few distinct values, some only equal once rounded to float32), score 0
+// among them, and doc IDs at both ends of the uint32 range.
+func TestRankedMatchesComparatorSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	scores := []float64{0, 0.5, 1, 1 + 1e-12, 3.25, 3.25 + 1e-9, 1e6, math.MaxFloat32}
+	tk := newTopK(50) // one for all trials, as an engine keeps it: the key scratch is reused
+	for trial := 0; trial < 2000; trial++ {
+		tk.reset()
+		seen := make(map[uint32]bool)
+		for n := rng.Intn(tk.k + 1); len(tk.heap) < n; {
+			doc := uint32(rng.Int63n(1 << 12))
+			if rng.Intn(2) == 0 {
+				doc = math.MaxUint32 - doc
+			}
+			score := scores[rng.Intn(len(scores))]
+			if rng.Intn(4) == 0 {
+				score = rng.Float64() * 100
+			}
+			if !seen[doc] {
+				seen[doc] = true
+				tk.heap = append(tk.heap, scoredRef{doc: doc, score: score}) // ranked reads the entries, not the heap order
+			}
+		}
+		want := make([]ScoredDoc, len(tk.heap))
+		for i, e := range tk.heap {
+			want[i] = ScoredDoc{Doc: e.doc, Score: float32(e.score)}
+		}
+		slices.SortFunc(want, func(a, b ScoredDoc) int {
+			if c := cmp.Compare(b.Score, a.Score); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Doc, b.Doc)
+		})
+		if got := tk.ranked(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: ranked = %v, comparator sort = %v", trial, got, want)
 		}
 	}
 }
