@@ -16,9 +16,9 @@ var bothCodecs = []index.CodecID{index.CodecRaw, index.CodecGVarint}
 // TestExecuteMatchesMapReference replays a few thousand random queries on
 // ONE reused Engine per codec and configuration and requires every result
 // and every ExecStats to equal the map-based reference exactly. Reuse is the
-// point: the sparse set never clears slot, so an entry left by an earlier
-// query that the membership test wrongly believed would show up here as a
-// score carried from one query into the next.
+// point: the accumulator never clears its chain heads, so an entry left by an
+// earlier query that the membership test wrongly believed would show up here
+// as a score carried from one query into the next.
 func TestExecuteMatchesMapReference(t *testing.T) {
 	spec := workload.DefaultCollection(20000)
 	spec.VocabSize = 200
@@ -166,8 +166,8 @@ func TestExecuteRejectsUnaddressableCollection(t *testing.T) {
 
 // TestExecuteMalformedListsMatchReference feeds the engine lists a corrupt
 // device could produce and the map accumulator tolerated: a doc repeated
-// inside one block (scoreBlock must read its slot after the first
-// occurrence inserted it) and a directory entry claiming more postings than
+// inside one block (scoreBlock must find it on its word's chain after the
+// first occurrence inserted it) and a directory entry claiming more postings than
 // the block scratch holds.
 func TestExecuteMalformedListsMatchReference(t *testing.T) {
 	for _, codec := range bothCodecs {

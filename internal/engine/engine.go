@@ -13,13 +13,13 @@
 // The read side is zero-copy: chunks of whole encoded blocks come straight
 // from the source and index.BlockCursor's bulk kernel decodes them one block
 // at a time into the engine's fixed doc and tf columns — no
-// []workload.Posting is materialized. Scores accumulate in a sparse set
-// indexed by doc ID behind a one-bit-per-document seen set (see accumulator),
-// so a posting that cannot change the answer costs one bit test and any other
-// an array slot, not a hash probe. Chunking is measured in blocks (posting
-// counts), not encoded bytes, so scoring, early termination, and therefore
-// results are byte-identical across codecs; only the byte accounting
-// (BytesRead, Utilization) reflects each codec's encoded size.
+// []workload.Posting is materialized. Scores accumulate in one compact
+// member column behind a one-bit-per-document seen set (see accumulator), so
+// a posting that cannot change the answer costs one bit test and any other a
+// walk of at most 64 members, not a hash probe. Chunking is measured in
+// blocks (posting counts), not encoded bytes, so scoring, early termination,
+// and therefore results are byte-identical across codecs; only the byte
+// accounting (BytesRead, Utilization) reflects each codec's encoded size.
 package engine
 
 import (
@@ -162,43 +162,55 @@ type Engine struct {
 	blockTFs  [index.BlockLen]uint16
 }
 
-// accumulator is the per-query score table: a sparse set (Briggs & Torczon)
-// over doc IDs behind a bit set of the documents this query has met.
-// slot[doc] indexes the compact docs/vals columns, and doc is a member iff
-// slot[doc] < len(docs) && docs[slot[doc]] == doc — so whatever earlier
-// queries left in slot is harmless, and reset truncates the columns without
-// clearing slot. seen holds one bit per document and is what a posting's
-// random access lands in (NumDocs/8 bytes stays cached where the 4 B ×
-// NumDocs of slot does not): a clear bit means "not a member" without
-// reading slot, and lets scoreBlock drop a posting that cannot change the
-// answer without writing it either. A set bit on a non-member is a document
-// scoreBlock dropped. Memory is 4 B × NumDocs for slot, NumDocs/8 B for seen,
-// plus 12 B per member of the largest query.
+// accumulator is the per-query score table: a bit set of the documents this
+// query has met, in front of one column of the members, the documents that
+// have a score. seen holds one bit per document and is what a posting's
+// random access lands in: a clear bit means "not a member" and lets
+// scoreBlock drop a posting that cannot change the answer without touching
+// anything else. A set bit on a non-member is a document scoreBlock dropped.
+//
+// Members are chained per seen word: head[w] is the index in mem of the
+// member last inserted in word w, and each member's next is what head[w] was
+// before its insert. A walk from head[w] accepts entry j only if j < len(mem)
+// (so j is a member of this query) and mem[j].doc lies in w, and follows next
+// only while it decreases. Whatever an earlier query left in head[w], or in
+// the next of this query's first member in w, fails that test: a member of
+// this query in w at a lower index would have overwritten head[w] when it was
+// inserted. So a walk visits only w's members, at most 64, and reset clears
+// only seen. Memory is NumDocs/8 B for seen, NumDocs/16 B for head, plus 16 B
+// per member of the largest query.
 type accumulator struct {
-	seen []uint64
-	slot []uint32
-	docs []uint32
-	vals []float64
+	numDocs int64
+	seen    []uint64
+	head    []uint32
+	mem     []member
 }
 
-// reset empties the set for a collection of numDocs documents. slot and seen
+// member is one document with a score in the current query.
+type member struct {
+	doc, next uint32
+	val       float64
+}
+
+// reset empties the set for a collection of numDocs documents. seen and head
 // are allocated on first use and kept; only seen is cleared. The bits past
 // numDocs in its last word stay set, so a doc ID there takes scoreBlock's
-// member path and meets the range check against slot.
+// member path and meets the range check there.
 func (a *accumulator) reset(numDocs int64) error {
-	if int64(len(a.slot)) != numDocs {
+	if numDocs != a.numDocs {
 		if numDocs < 0 || numDocs > 1<<32 {
 			return fmt.Errorf("engine: collection of %d documents is not addressable by 32-bit doc IDs", numDocs)
 		}
-		a.slot = make([]uint32, numDocs)
+		a.numDocs = numDocs
 		a.seen = make([]uint64, (numDocs+63)/64)
+		a.head = make([]uint32, len(a.seen))
 	} else {
 		clear(a.seen)
 	}
 	if r := numDocs % 64; r != 0 {
 		a.seen[len(a.seen)-1] = ^uint64(0) << r
 	}
-	a.docs, a.vals = a.docs[:0], a.vals[:0]
+	a.mem = a.mem[:0]
 	return nil
 }
 
@@ -351,59 +363,63 @@ func (e *Engine) scanList(t workload.TermID, w float64, last bool, top *topK, st
 //
 // A document met for the first time in the query's last list, with a full
 // heap and w·tf at or below the K-th score, is marked seen and dropped: no
-// slot access, no insert, no offer. That is exact for the reason offer's
-// early reject is — its total is final (no later list can add to it) and
-// the K-th score only grows, so it can never be offered and its entry would
-// never be read again. Every other first meeting inserts without reading
-// slot; only a document already seen pays the sparse set's random access.
+// insert, no offer. That is exact for the reason offer's early reject is —
+// its total is final (no later list can add to it) and the K-th score only
+// grows, so it can never be offered and its entry would never be read again.
+// Every other first meeting inserts at the chain's head without reading the
+// chain; only a document already seen walks it.
 //
 // Doc IDs come off a device. One whose seen word does not exist, or whose
 // preset bit (see reset) leads to the range check, is outside the collection;
-// one that is seen but not a member was dropped above and is repeated by the
-// same scan — the map the engine used to have would have summed the two
-// postings, so the query fails rather than rank differently.
+// one that is seen but not found on its word's chain was dropped above and is
+// repeated by the same scan — the map the engine used to have would have
+// summed the two postings, so the query fails rather than rank differently.
 func (e *Engine) scoreBlock(t workload.TermID, w float64, n int, last bool, top *topK) error {
 	a := &e.acc
 	docs, tfs := e.blockDocs[:n], e.blockTFs[:n]
-	seen, slot := a.seen, a.slot
+	seen := a.seen
+	head := a.head[:len(seen)]
+	numDocs := uint64(a.numDocs)
 
-	// Room for n new members up front, so an insert is three stores.
-	m := len(a.docs)
-	adocs := slices.Grow(a.docs, n)[:m+n]
-	avals := slices.Grow(a.vals, n)[:m+n]
+	// Room for n new members up front, so an insert is two stores.
+	m := len(a.mem)
+	mem := slices.Grow(a.mem, n)[:m+n]
 	// offer's early reject, evaluated here: exact for the reason given there.
 	full, kth := top.full(), top.min()
 	for i, d := range docs {
 		s := float64(tfs[i]) * w
 		word, bit := d>>6, uint64(1)<<(d&63)
 		if uint64(word) >= uint64(len(seen)) {
-			return errDocOutsideCollection(t, d, len(slot))
+			return errDocOutsideCollection(t, d, numDocs)
 		}
 		if sw := seen[word]; sw&bit == 0 {
 			seen[word] = sw | bit
 			if last && full && s <= kth {
 				continue
 			}
-			slot[d] = uint32(m)
-			adocs[m], avals[m] = d, s
+			mem[m] = member{doc: d, next: head[word], val: s}
+			head[word] = uint32(m)
 			m++
 		} else {
-			if uint64(d) >= uint64(len(slot)) {
-				return errDocOutsideCollection(t, d, len(slot))
+			if uint64(d) >= numDocs {
+				return errDocOutsideCollection(t, d, numDocs)
 			}
-			j := slot[d]
-			if int(j) >= m || adocs[j] != d {
+			j, lim := head[word], uint32(m)
+			for j < lim && mem[j].doc != d && mem[j].doc>>6 == word {
+				lim, j = j, mem[j].next
+			}
+			if j >= lim || mem[j].doc != d {
 				return errDroppedDocRepeated(t, d)
 			}
-			s += avals[j]
-			avals[j] = s
+			s += mem[j].val
+			mem[j].val = s
 		}
 		if !full || s > kth {
 			top.offer(d, s)
 			full, kth = top.full(), top.min()
 		}
 	}
-	a.docs, a.vals = adocs[:m], avals[:m]
+	a.mem = mem[:m]
 	return nil
 }
 
@@ -411,7 +427,7 @@ func (e *Engine) scoreBlock(t workload.TermID, w float64, n int, last bool, top 
 // arguments would otherwise be charged to the hot loop's function.
 
 //go:noinline
-func errDocOutsideCollection(t workload.TermID, d uint32, numDocs int) error {
+func errDocOutsideCollection(t workload.TermID, d uint32, numDocs uint64) error {
 	return fmt.Errorf("engine: term %d: posting for doc %d outside the collection (NumDocs %d)", t, d, numDocs)
 }
 

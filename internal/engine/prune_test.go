@@ -40,7 +40,7 @@ func TestExecuteRejectsRepeatOfDroppedDoc(t *testing.T) {
 
 // TestExecuteCollectionNotMultipleOf64 walks the edge of the seen set: the
 // last document of a collection that ends mid-word scores, and every ID from
-// NumDocs to the end of that word — present in seen, absent from slot — is
+// NumDocs to the end of that word — present in seen, never a member — is
 // outside the collection exactly as an ID past the last word is.
 func TestExecuteCollectionNotMultipleOf64(t *testing.T) {
 	const numDocs = 1000 // 15 words and 40 bits
@@ -75,6 +75,70 @@ func TestExecuteCollectionNotMultipleOf64(t *testing.T) {
 	}
 }
 
+// TestExecuteFullWordChainMatchesReference fills one seen word: all 64 docs
+// of word 1 become members in insertion order 64…127, so the word's chain is
+// as long as a chain can be, and the last list then meets them in reverse
+// insertion order, each lookup walking one entry further down the chain.
+func TestExecuteFullWordChainMatchesReference(t *testing.T) {
+	first := descendingList(64, 64, 1)
+	reverse := descendingList(64, 0, 1)
+	for i := range reverse {
+		reverse[i].Doc = 127 - uint32(i)
+	}
+	for _, codec := range bothCodecs {
+		src := newStubSource(codec, 1000, first, reverse)
+		for _, cfg := range []Config{DefaultConfig(), {TopK: 100}} { // heap full / never full
+			eng := New(src, cfg)
+			ref := newRefEngine(src, eng.Config())
+			requireSameAsReference(t, eng, ref, workload.Query{ID: 1, Terms: []workload.TermID{0, 1}})
+			if got := len(eng.acc.mem); got != 64 {
+				t.Fatalf("%v: %d members after the query, want the word's 64", codec, got)
+			}
+			requireSameAsReference(t, eng, ref, workload.Query{ID: 2, Terms: []workload.TermID{1, 0, 1}})
+		}
+	}
+}
+
+// TestExecuteStaleChainDoesNotResolveDroppedRepeat: query 1 leaves a chain
+// in word 1 whose head is member 20, doc 123. Query 2, on the same engine,
+// inserts no member in word 1, drops doc 123 in its last list and then meets
+// it again. Its walk starts at that stale head, which must be refused —
+// whether index 20 lies past query 2's members (where the column still holds
+// query 1's entry for doc 123) or on a member of another word — so the query
+// fails as a repeat of a dropped doc instead of summing query 1's score.
+func TestExecuteStaleChainDoesNotResolveDroppedRepeat(t *testing.T) {
+	const doc = 123
+	for _, codec := range bothCodecs {
+		for _, before := range []int{0, 70} { // query 2's members from a first list
+			last := descendingList(300, 200, 2) // docs 200…798: words 3–12
+			last[250].Doc, last[280].Doc = doc, doc
+			src := newStubSource(codec, 1000,
+				descendingList(21, 103, 1),     // docs 103…123: word 1
+				descendingList(before, 801, 1), // docs 801…: words 12–13
+				last)
+			eng := New(src, Config{TopK: 10})
+			ref := newRefEngine(src, eng.Config())
+			requireSameAsReference(t, eng, ref, workload.Query{ID: 1, Terms: []workload.TermID{0, 0}})
+			if m := eng.acc.mem; len(m) != 21 || m[20].doc != doc || eng.acc.head[1] != 20 {
+				t.Fatalf("%v: query 1 left %d members, want 21 with doc %d at the head of word 1", codec, len(m), doc)
+			}
+
+			q := workload.Query{ID: 2, Terms: []workload.TermID{2}}
+			if before > 0 {
+				q.Terms = append(q.Terms, 1)
+			}
+			res, _, err := eng.Execute(q)
+			if err == nil {
+				t.Fatalf("%v, %d members first: repeat of dropped doc %d accepted: %v", codec, before, doc, res.Docs)
+			}
+			if want := "doc 123 repeated in the list after its first posting was dropped"; !strings.Contains(err.Error(), want) {
+				t.Fatalf("%v, %d members first: error %q lacks %q", codec, before, err, want)
+			}
+			requireSameAsReference(t, eng, ref, workload.Query{ID: 3, Terms: []workload.TermID{0, 1}})
+		}
+	}
+}
+
 // TestExecuteEmptyCollection: NumDocs = 0 sizes both arrays to nothing; any
 // posting is then outside the collection, found without indexing either.
 func TestExecuteEmptyCollection(t *testing.T) {
@@ -86,8 +150,8 @@ func TestExecuteEmptyCollection(t *testing.T) {
 	if res, _, err := eng.Execute(workload.Query{}); err != nil || len(res.Docs) != 0 {
 		t.Fatalf("empty query over an empty collection: %v, %v", res, err)
 	}
-	if eng.acc.seen != nil || eng.acc.slot != nil {
-		t.Fatalf("allocated %d seen words and %d slots for no documents", len(eng.acc.seen), len(eng.acc.slot))
+	if eng.acc.seen != nil || eng.acc.head != nil {
+		t.Fatalf("allocated %d seen words and %d chain heads for no documents", len(eng.acc.seen), len(eng.acc.head))
 	}
 }
 
@@ -126,7 +190,7 @@ func TestLastListInsertsOnlyWhatItOffers(t *testing.T) {
 	if bound > len(a)+len(b)/4 {
 		t.Fatalf("lists do not exercise the drop: bound %d of %d documents", bound, len(a)+len(b)-2)
 	}
-	if got := len(eng.acc.docs); got < len(a) || got > bound {
+	if got := len(eng.acc.mem); got < len(a) || got > bound {
 		t.Fatalf("accumulator holds %d documents after the query, want between %d (the first list) and %d (plus what the last list could offer)",
 			got, len(a), bound)
 	}

@@ -23,8 +23,8 @@ type WarmupStats struct {
 // Pinned results are computed with an uncached engine so the dynamic
 // caches stay cold; the simulated time spent is setup cost, charged on the
 // clock like any other work. That engine lives only for this call, so its
-// score accumulator (4 B per document) is not held for the system's
-// lifetime beside s.Engine's.
+// score accumulator (3 B per 16 documents plus its members) is not held for
+// the system's lifetime beside s.Engine's.
 //
 // It is a no-op (returning zero counts) for policies without a static
 // partition (everything but CBSLRU today).
