@@ -39,7 +39,7 @@ func bufaliasInspects(path string) bool {
 // bufOwnerTypes are the named types annotated as legitimate owners of
 // loaned bytes, keyed by {package name, type name}, with the rationale.
 var bufOwnerTypes = map[[2]string]string{
-	{"index", "BlockCursor"}: "owns decode state over the loaned block by design: Reset takes the loan, Next consumes it before the next read",
+	{"index", "BlockCursor"}: "owns decode state over the loaned block by design: Reset takes the loan, and Decode (which returns a raw block as a view of it) and Next consume it before the next read",
 }
 
 func runBufalias(pass *Pass) {

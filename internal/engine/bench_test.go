@@ -41,22 +41,29 @@ func TestExecuteAllocBudget(t *testing.T) {
 // BenchmarkExecute measures Execute alone, lists served from memory, at three
 // collection sizes with the same vocabulary and query log: 200 k documents,
 // 600 k (SmallScale, the bench/ workloads' regime) and 2 M (-scale full,
-// which no bench/ workload reaches). The accumulator's per-document state is
-// the seen bit set plus a chain head per 64 documents, so what grows with the
+// which no bench/ workload reaches), all raw, plus 600 k under gvarint, the
+// churn_lru_gv workload's codec. The accumulator's per-document state is the
+// seen bit set plus a chain head per 64 documents, so what grows with the
 // collection is mostly the number of postings a query scores. ns/posting
 // divides by PostingsScored, which counts every decoded posting whatever
 // scoreBlock does with it.
 func BenchmarkExecute(b *testing.B) {
-	for _, size := range []struct {
-		name string
-		docs int
-	}{{"200k", 200_000}, {"600k", 600_000}, {"2M", 2_000_000}} {
+	for _, c := range []struct {
+		name  string
+		docs  int
+		codec index.CodecID
+	}{
+		{"docs=200k", 200_000, index.CodecRaw},
+		{"docs=600k", 600_000, index.CodecRaw},
+		{"docs=2M", 2_000_000, index.CodecRaw},
+		{"docs=600k/codec=gvarint", 600_000, index.CodecGVarint},
+	} {
 		var ix *index.Index // built on first use, kept across the b.N trials
-		b.Run("docs="+size.name, func(b *testing.B) {
-			spec := workload.DefaultCollection(size.docs)
+		b.Run(c.name, func(b *testing.B) {
+			spec := workload.DefaultCollection(c.docs)
 			spec.VocabSize = 1000
 			if ix == nil {
-				ix = codecIndex(b, spec, index.CodecRaw)
+				ix = codecIndex(b, spec, c.codec)
 			}
 			e := New(ix, DefaultConfig())
 			log := workload.NewQueryLog(workload.DefaultQueryLog(spec.VocabSize))

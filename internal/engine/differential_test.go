@@ -168,7 +168,9 @@ func TestExecuteRejectsUnaddressableCollection(t *testing.T) {
 // device could produce and the map accumulator tolerated: a doc repeated
 // inside one block (scoreBlock must find it on its word's chain after the
 // first occurrence inserted it) and a directory entry claiming more postings than
-// the block scratch holds.
+// the block scratch holds. It also feeds it blocks cut short under a
+// directory entry that still claims all their postings, which both engines
+// must refuse alike.
 func TestExecuteMalformedListsMatchReference(t *testing.T) {
 	for _, codec := range bothCodecs {
 		dup := descendingList(300, 0, 2)
@@ -186,4 +188,31 @@ func TestExecuteMalformedListsMatchReference(t *testing.T) {
 	src.blocks[0] = []index.BlockRef{{MaxDoc: 4999, Off: 0, Count: 700}}
 	requireSameAsReference(t, New(src, DefaultConfig()), newRefEngine(src, DefaultConfig()),
 		workload.Query{ID: 2, Terms: []workload.TermID{0}})
+
+	// The second block of list 1's second chunk, cut 64 postings and two
+	// bytes in: inside a raw posting, and inside a gvarint group's deltas
+	// (the first 64 postings are 16 whole groups). The directory still
+	// claims all 128, so the cut shows only as the bytes running out.
+	cfg := Config{ChunkBytes: 2 * index.BlockLen * index.PostingSize}
+	for _, codec := range bothCodecs {
+		ps := descendingList(4*index.BlockLen, 0, 3)
+		src := newStubSource(codec, 5000, descendingList(40, 1, 9), ps)
+		head, _ := index.EncodeList(nil, nil, codec, ps[3*index.BlockLen:3*index.BlockLen+64])
+		src.lists[1] = src.lists[1][:int(src.blocks[1][3].Off)+len(head)+2]
+		q := workload.Query{ID: 3, Terms: []workload.TermID{0, 1}}
+		_, gotStats, err := New(src, cfg).Execute(q)
+		_, wantStats, wantErr := newRefEngine(src, cfg).Execute(q)
+		if wantErr == nil || !strings.Contains(wantErr.Error(), "truncated") {
+			t.Fatalf("%v: reference error %v, want a truncation", codec, wantErr)
+		}
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%v: error %v, reference %v", codec, err, wantErr)
+		}
+		if !reflect.DeepEqual(gotStats, wantStats) {
+			t.Fatalf("%v: stats differ from the map reference\n got %+v\nwant %+v", codec, gotStats, wantStats)
+		}
+		if len(gotStats.Terms) != 1 || gotStats.PostingsScored != 40+2*index.BlockLen {
+			t.Fatalf("%v: the cut was not met in list 1's second chunk: %+v", codec, gotStats)
+		}
+	}
 }

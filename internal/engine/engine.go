@@ -11,8 +11,9 @@
 // paper's policies exploit.
 //
 // The read side is zero-copy: chunks of whole encoded blocks come straight
-// from the source and index.BlockCursor's bulk kernel decodes them one block
-// at a time into the engine's fixed doc and tf columns — no
+// from the source, and index.BlockCursor's bulk kernel hands them out one
+// block at a time as packed 6-byte postings — a raw block scored where it
+// lies in the chunk, a gvarint block decoded into one fixed scratch — so no
 // []workload.Posting is materialized. Scores accumulate in one compact
 // member column behind a one-bit-per-document seen set (see accumulator), so
 // a posting that cannot change the answer costs one bit test and any other a
@@ -157,9 +158,8 @@ type Engine struct {
 	top     *topK
 	terms   []workload.TermID
 
-	// One decoded block: doc IDs and term frequencies.
-	blockDocs [index.BlockLen]uint32
-	blockTFs  [index.BlockLen]uint16
+	// Where the cursor decodes a block that is not already packed postings.
+	scratch [index.BlockLen * index.PostingSize]byte
 }
 
 // accumulator is the per-query score table: a bit set of the documents this
@@ -319,17 +319,18 @@ func (e *Engine) scanList(t workload.TermID, w float64, last bool, top *topK, st
 			// A directory entry claiming more than BlockLen postings is
 			// drained in BlockLen batches rather than trusted.
 			for {
-				cnt, err := e.cur.Decode(&e.blockDocs, &e.blockTFs)
+				recs, err := e.cur.Decode(&e.scratch)
 				if err != nil {
 					return ts, err
 				}
-				if cnt == 0 {
+				if len(recs) == 0 {
 					break
 				}
-				if err := e.scoreBlock(t, w, cnt, last, top); err != nil {
+				if err := e.scoreBlock(t, w, recs, last, top); err != nil {
 					return ts, err
 				}
-				lastTF = e.blockTFs[cnt-1]
+				cnt := len(recs) / index.PostingSize
+				lastTF = index.DecodePosting(recs[len(recs)-index.PostingSize:]).TF
 				scored += cnt
 				if cnt < index.BlockLen {
 					break
@@ -358,8 +359,9 @@ func (e *Engine) scanList(t workload.TermID, w float64, last bool, top *topK, st
 	return ts, nil
 }
 
-// scoreBlock adds w·tf to the score of each of the n postings decoded into
-// the block scratch and offers the new totals to top, in posting order.
+// scoreBlock adds w·tf to the score of each posting of recs, packed as
+// index.DecodePosting reads them, and offers the new totals to top, in
+// posting order.
 //
 // A document met for the first time in the query's last list, with a full
 // heap and w·tf at or below the K-th score, is marked seen and dropped: no
@@ -374,9 +376,9 @@ func (e *Engine) scanList(t workload.TermID, w float64, last bool, top *topK, st
 // one that is seen but not found on its word's chain was dropped above and is
 // repeated by the same scan — the map the engine used to have would have
 // summed the two postings, so the query fails rather than rank differently.
-func (e *Engine) scoreBlock(t workload.TermID, w float64, n int, last bool, top *topK) error {
+func (e *Engine) scoreBlock(t workload.TermID, w float64, recs []byte, last bool, top *topK) error {
 	a := &e.acc
-	docs, tfs := e.blockDocs[:n], e.blockTFs[:n]
+	n := len(recs) / index.PostingSize
 	seen := a.seen
 	head := a.head[:len(seen)]
 	numDocs := uint64(a.numDocs)
@@ -386,8 +388,9 @@ func (e *Engine) scoreBlock(t workload.TermID, w float64, n int, last bool, top 
 	mem := slices.Grow(a.mem, n)[:m+n]
 	// offer's early reject, evaluated here: exact for the reason given there.
 	full, kth := top.full(), top.min()
-	for i, d := range docs {
-		s := float64(tfs[i]) * w
+	for ; len(recs) >= index.PostingSize; recs = recs[index.PostingSize:] {
+		p := index.DecodePosting(recs)
+		d, s := p.Doc, float64(p.TF)*w
 		word, bit := d>>6, uint64(1)<<(d&63)
 		if uint64(word) >= uint64(len(seen)) {
 			return errDocOutsideCollection(t, d, numDocs)

@@ -20,9 +20,10 @@ package index
 //     to zero at every block start, keeping blocks independently decodable
 //     for skip-driven access.
 //
-// BlockCursor is the zero-copy read side: it decodes a block at a time
-// straight from a device-returned buffer into doc and tf columns, no
-// intermediate []workload.Posting.
+// BlockCursor is the zero-copy read side. It hands a block out at a time as
+// packed PostingSize-byte records, the raw layout: a raw block is returned
+// where it lies in the device-returned buffer, and a gvarint block is
+// decoded straight into that form, with no intermediate []workload.Posting.
 
 import (
 	"encoding/binary"
@@ -165,16 +166,47 @@ func EncodeList(dst []byte, refs []BlockRef, c CodecID, ps []workload.Posting) (
 // the tag byte, four 4-byte deltas and four 3-byte TF varints.
 const gvGroupMaxBytes = 1 + 4*4 + 4*3
 
-// gvDeltaMask keeps the low 1–4 bytes of a 4-byte load, indexed by a tag
-// field.
-var gvDeltaMask = [4]uint32{0xff, 0xffff, 0xffffff, 0xffffffff}
+// gvSlack is the fixed view the gvarint fast path reads one group through:
+// the tag byte and four 4-byte delta loads, the last starting at byte 13 at
+// most (17 bytes), plus one 8-byte load of the group's TFs, starting at byte
+// 17 at most. While the view lies inside the buffer no tag or varint the
+// device supplies can carry a load past its end, so none is bounds-checked.
+const gvSlack = 17 + 8
+
+// gvShape is the layout a group's tag byte gives: where each delta starts,
+// which bytes of a 4-byte load at that offset are the delta's, and where the
+// TF varints start.
+type gvShape struct {
+	off  [4]uint8
+	mask [4]uint32
+	tfs  uint8
+}
+
+// gvShapes maps every tag byte to its group shape, so a group's four delta
+// loads depend on the tag alone, not on one another's lengths.
+var gvShapes = func() (t [256]gvShape) {
+	for tag := range t {
+		s := &t[tag]
+		p := 1
+		for j := range 4 {
+			bl := tag>>(2*j)&3 + 1
+			s.off[j], s.mask[j] = uint8(p), 0xffffffff>>(32-8*bl)
+			p += bl
+		}
+		s.tfs = uint8(p)
+	}
+	return t
+}()
 
 // BlockCursor decodes one block's postings from an encoded buffer. Decode is
-// the bulk kernel: it fills caller-supplied columns a whole block at a time.
-// Next hands the same postings out doc-at-a-time, from a block the cursor
-// decodes into its own columns with that kernel. Use one or the other between
-// Resets. The cursor allocates nothing, so hot paths can embed one and Reset
-// it per block.
+// the bulk kernel: it hands out a block's postings up to BlockLen at a time
+// as packed PostingSize-byte records, the raw codec's layout, read with
+// DecodePosting. A raw block is already in that form, so Decode returns a
+// view of it; a gvarint block is decoded into caller-supplied scratch. Next
+// hands the same postings out doc-at-a-time, from batches the cursor decodes
+// into its own scratch with that kernel. Use one or the other between Resets.
+// The cursor allocates nothing, so hot paths can embed one and Reset it per
+// block.
 type BlockCursor struct {
 	codec CodecID
 	buf   []byte
@@ -184,10 +216,10 @@ type BlockCursor struct {
 	prev  uint32 // gvarint delta base
 	err   error
 
-	// Next's block: docs[k:n] and tfs[k:n] are decoded but not yet handed out.
-	docs [BlockLen]uint32
-	tfs  [BlockLen]uint16
-	n, k int
+	// Next's batch: bytes [k, n) of buf (raw) or of scratch (gvarint) are
+	// records decoded but not yet handed out.
+	scratch [BlockLen * PostingSize]byte
+	k, n    int
 }
 
 // Reset points the cursor at a block payload holding count postings.
@@ -204,139 +236,146 @@ func (c *BlockCursor) Err() error { return c.err }
 // cursor must not be used after Next returns false; check Err for truncation
 // or corruption.
 func (c *BlockCursor) Next() (workload.Posting, bool) {
-	k := c.k
-	if k >= c.n {
-		return c.refill()
-	}
-	c.k = k + 1
-	k &= BlockLen - 1 // k < n ≤ BlockLen already; the mask tells the compiler
-	return workload.Posting{Doc: c.docs[k], TF: c.tfs[k]}, true
-}
-
-// refill decodes the next batch into the cursor's own columns and hands out
-// its first posting.
-func (c *BlockCursor) refill() (workload.Posting, bool) {
-	c.n, _ = c.Decode(&c.docs, &c.tfs)
-	if c.n == 0 {
-		c.k = 0
+	if c.k >= c.n && !c.refill() {
 		return workload.Posting{}, false
 	}
-	c.k = 1
-	return workload.Posting{Doc: c.docs[0], TF: c.tfs[0]}, true
+	recs := c.scratch[:]
+	if c.codec == CodecRaw {
+		recs = c.buf
+	}
+	p := DecodePosting(recs[c.k:])
+	c.k += PostingSize
+	return p, true
 }
 
-// Decode fills docs and tfs with the block's next postings — all of them, or
-// BlockLen at a time when the directory entry claims more, so a count read
-// from a device is drained in batches rather than trusted — and returns how
-// many it wrote. It returns 0, nil once the block is exhausted. On a
-// truncated or corrupt block it returns the postings decoded before the fault
-// together with the error, and 0 and the same error from then on.
-func (c *BlockCursor) Decode(docs *[BlockLen]uint32, tfs *[BlockLen]uint16) (int, error) {
+// refill decodes Next's next batch and notes where its records lie: a raw
+// batch is the view of buf that ends where decoding stopped.
+func (c *BlockCursor) refill() bool {
+	recs, _ := c.Decode(&c.scratch)
+	c.k, c.n = 0, len(recs)
+	if c.codec == CodecRaw {
+		c.k, c.n = c.pos-len(recs), c.pos
+	}
+	return len(recs) > 0
+}
+
+// Decode returns the block's next postings as packed records — all of them,
+// or BlockLen at a time when the directory entry claims more, so a count read
+// from a device is drained in batches rather than trusted. A raw block's
+// records are a view of the buffer Reset was given; a gvarint block's are
+// decoded into scratch. Either way they are valid until the next call on the
+// cursor. It returns no records and nil once the block is exhausted. On a
+// truncated or corrupt block it returns the records decoded before the fault
+// together with the error, and none and the same error from then on.
+func (c *BlockCursor) Decode(scratch *[BlockLen * PostingSize]byte) ([]byte, error) {
 	if c.err != nil || c.done >= c.count {
-		return 0, c.err
+		return nil, c.err
 	}
 	want := min(c.count-c.done, BlockLen)
 	n := 0
+	var recs []byte
 	switch c.codec {
 	case CodecRaw:
-		n = c.decodeRaw(docs, tfs, want)
+		n = min(want, (len(c.buf)-c.pos)/PostingSize)
+		end := c.pos + n*PostingSize
+		recs, c.pos = c.buf[c.pos:end:end], end
+		if n < want {
+			c.err = errRawTruncated(c.done+n, c.count)
+		}
 	case CodecGVarint:
-		n = c.decodeGVarint(docs, tfs, want)
+		n = c.decodeGVarint(scratch, want)
+		recs = scratch[:n*PostingSize]
 	default:
 		c.err = fmt.Errorf("index: unknown codec %d", c.codec)
 	}
 	c.done += n
-	return n, c.err
+	return recs, c.err
 }
 
-// decodeRaw loads as many of the want fixed-width postings as the buffer
-// still holds.
-func (c *BlockCursor) decodeRaw(docs *[BlockLen]uint32, tfs *[BlockLen]uint16, want int) int {
-	n := min(want, (len(c.buf)-c.pos)/PostingSize)
-	b := c.buf[c.pos : c.pos+n*PostingSize]
-	d := docs[:n]
-	f := tfs[:len(d)]
-	for k := range d {
-		if len(b) < PostingSize {
-			break // never taken: it lets the compiler drop the checks below
-		}
-		d[k] = binary.LittleEndian.Uint32(b)
-		f[k] = binary.LittleEndian.Uint16(b[4:])
-		b = b[PostingSize:]
-	}
-	c.pos += n * PostingSize
-	if n < want {
-		c.err = fmt.Errorf("index: raw block truncated at posting %d/%d", c.done+n, c.count)
-	}
-	return n
+// errRawTruncated is built out of line: it is cold, and its fmt arguments
+// would otherwise be charged to Decode.
+//
+//go:noinline
+func errRawTruncated(at, count int) error {
+	return fmt.Errorf("index: raw block truncated at posting %d/%d", at, count)
 }
 
-// decodeGVarint decodes want postings group by group. While a whole group's
-// worst case (gvGroupMaxBytes) still lies inside the buffer, no tag or varint
-// the device supplies can carry an index past its end, so the group is read
-// with four masked 4-byte loads and a one-byte fast path per TF. The last
-// groups of a block, and a group the fast path finds an oversized TF in, go
-// through decodeGroupCareful, which checks every byte and names the fault.
-// A faulty group delivers none of its postings.
-func (c *BlockCursor) decodeGVarint(docs *[BlockLen]uint32, tfs *[BlockLen]uint16, want int) int {
-	buf, pos, prev := c.buf, c.pos, c.prev
+// decodeGVarint decodes want postings into out group by group: as many as it
+// can through decodeFast, and each group that one declines — the last groups
+// of a block, short of gvSlack bytes or of four postings, and a group whose
+// TFs are not all one or all two bytes long — through decodeGroupCareful,
+// which checks every byte and names the fault. A faulty group delivers none
+// of its postings.
+func (c *BlockCursor) decodeGVarint(out *[BlockLen * PostingSize]byte, want int) int {
 	k := 0
-fast:
-	for ; want-k >= 4 && len(buf)-pos >= gvGroupMaxBytes; k += 4 {
-		g := buf[pos : pos+gvGroupMaxBytes]
-		gd, gt := (*[4]uint32)(docs[k:]), (*[4]uint16)(tfs[k:])
-		tag := g[0]
-		p := 1
-		d := prev
-		for j := range gd {
-			bl := int(tag>>(2*j)) & 3
-			d += uint32(unzigzag32(binary.LittleEndian.Uint32(g[p:]) & gvDeltaMask[bl]))
-			gd[j] = d
-			p += bl + 1
-		}
-		for j := range gt {
-			v := uint32(g[p])
-			p++
-			if v >= 0x80 {
-				b := uint32(g[p])
-				p++
-				v = v&0x7f | b<<7
-				if b >= 0x80 {
-					v = v&0x3fff | uint32(g[p])<<14
-					p++
-					if v > 0xffff { // a fourth byte, or a value past uint16
-						break fast
-					}
-				}
-			}
-			gt[j] = uint16(v)
-		}
-		pos, prev = pos+p, d
-	}
-	c.pos, c.prev = pos, prev
-	for k < want {
+	for {
+		k = c.decodeFast(out, k, want)
 		n := min(want-k, 4)
-		if !c.decodeGroupCareful(docs[k:k+n], tfs[k:k+n], c.done+k) {
-			break
+		if n == 0 || !c.decodeGroupCareful(out[k*PostingSize:(k+n)*PostingSize], c.done+k) {
+			return k
 		}
 		k += n
 	}
+}
+
+// decodeFast decodes whole groups of four into out from posting k on while
+// want leaves room for one and a gvSlack view of the buffer remains, and
+// returns how far it got. A group's deltas are four masked loads at the
+// offsets its tag's shape gives; its TFs come from one 8-byte load: four
+// single bytes when no continuation bit is set in the first four, or four
+// two-byte varints when exactly bytes 0, 2, 4 and 6 carry one. It stops
+// short of any other group and leaves it to decodeGroupCareful: one that
+// mixes the two lengths (an impact-ordered list has at most one, where its
+// TFs fall below 128), one with a longer TF, or a faulty one.
+func (c *BlockCursor) decodeFast(out *[BlockLen * PostingSize]byte, k, want int) int {
+	rest, prev := c.buf[c.pos:], c.prev
+fast:
+	for ; want-k >= 4 && len(rest) >= gvSlack; k += 4 {
+		g := (*[gvSlack]byte)(rest)
+		s := &gvShapes[g[0]]
+		d0 := prev + uint32(unzigzag32(binary.LittleEndian.Uint32(g[s.off[0]&15:])&s.mask[0]))
+		d1 := d0 + uint32(unzigzag32(binary.LittleEndian.Uint32(g[s.off[1]&15:])&s.mask[1]))
+		d2 := d1 + uint32(unzigzag32(binary.LittleEndian.Uint32(g[s.off[2]&15:])&s.mask[2]))
+		d3 := d2 + uint32(unzigzag32(binary.LittleEndian.Uint32(g[s.off[3]&15:])&s.mask[3]))
+		e := min(int(s.tfs), gvSlack-8)
+		x := binary.LittleEndian.Uint64(g[e:])
+		var tf [4]uint16
+		n := 4
+		switch {
+		case x&0x80808080 == 0: // four one-byte TFs
+			tf = [4]uint16{uint16(x & 0xff), uint16(x >> 8 & 0xff), uint16(x >> 16 & 0xff), uint16(x >> 24 & 0xff)}
+		case x&0x8080808080808080 == 0x0080008000800080: // four two-byte TFs
+			y := x&0x007f007f007f007f | x>>1&0x3f803f803f803f80
+			tf, n = [4]uint16{uint16(y), uint16(y >> 16), uint16(y >> 32), uint16(y >> 48)}, 8
+		default:
+			break fast
+		}
+		r := (*[4 * PostingSize]byte)(out[((k>>2)&(BlockLen/4-1))*4*PostingSize:])
+		EncodePosting(r[0:], workload.Posting{Doc: d0, TF: tf[0]})
+		EncodePosting(r[PostingSize:], workload.Posting{Doc: d1, TF: tf[1]})
+		EncodePosting(r[2*PostingSize:], workload.Posting{Doc: d2, TF: tf[2]})
+		EncodePosting(r[3*PostingSize:], workload.Posting{Doc: d3, TF: tf[3]})
+		rest, prev = rest[e+n:], d3
+	}
+	c.pos, c.prev = len(c.buf)-len(rest), prev
 	return k
 }
 
-// decodeGroupCareful decodes the group of len(docs) ≤ 4 postings at c.pos one
-// bounds-checked byte at a time. When the group is truncated or a TF
-// overflows it sets c.err, naming the group's first posting (number at), and
-// reports false with the position unmoved.
-func (c *BlockCursor) decodeGroupCareful(docs []uint32, tfs []uint16, at int) bool {
+// decodeGroupCareful decodes the group of len(recs)/PostingSize ≤ 4 postings
+// at c.pos into recs one bounds-checked byte at a time. When the group is
+// truncated or a TF overflows it sets c.err, naming the group's first posting
+// (number at), and reports false with the position unmoved.
+func (c *BlockCursor) decodeGroupCareful(recs []byte, at int) bool {
 	buf, pos, prev := c.buf, c.pos, c.prev
+	var docs [4]uint32
+	n := min(len(recs)/PostingSize, len(docs))
 	if pos >= len(buf) {
 		c.err = fmt.Errorf("index: gvarint block truncated at group tag (posting %d/%d)", at, c.count)
 		return false
 	}
 	tag := buf[pos]
 	pos++
-	for k := range docs {
+	for k := range docs[:n] {
 		bl := int((tag>>(2*k))&3) + 1
 		if pos+bl > len(buf) {
 			c.err = fmt.Errorf("index: gvarint block truncated in doc deltas (posting %d/%d)", at, c.count)
@@ -350,7 +389,7 @@ func (c *BlockCursor) decodeGroupCareful(docs []uint32, tfs []uint16, at int) bo
 		prev += uint32(unzigzag32(z))
 		docs[k] = prev
 	}
-	for k := range tfs {
+	for k, d := range docs[:n] {
 		var v uint32
 		shift := 0
 		for {
@@ -374,7 +413,7 @@ func (c *BlockCursor) decodeGroupCareful(docs []uint32, tfs []uint16, at int) bo
 			c.err = fmt.Errorf("index: gvarint tf %d overflows uint16 (posting %d/%d)", v, at, c.count)
 			return false
 		}
-		tfs[k] = uint16(v)
+		EncodePosting(recs[k*PostingSize:], workload.Posting{Doc: d, TF: uint16(v)})
 	}
 	c.pos, c.prev = pos, prev
 	return true

@@ -163,3 +163,58 @@ func TestBuildImageRejectsUnknownCodec(t *testing.T) {
 		t.Fatal("BuildImage accepted unknown codec")
 	}
 }
+
+// BenchmarkBlockCursorDecode measures the bulk kernel under each codec over
+// what a query scans: the first 35 % of SmallScale-shaped impact-ordered
+// lists (600 k docs, MaxDFShare 0.2; every 25th term, so list lengths span
+// the vocabulary), where the TFs are highest: TF ≥ 128, two gvarint bytes,
+// over the first 29 % of each list. Every record Decode returns is read back with
+// DecodePosting, as the engine reads it, so a raw block, which Decode hands
+// out as a view, costs that read alone.
+func BenchmarkBlockCursorDecode(b *testing.B) {
+	spec := smallScaleSpec()
+	for _, codec := range []CodecID{CodecRaw, CodecGVarint} {
+		b.Run("codec="+codec.String(), func(b *testing.B) {
+			type list struct {
+				buf  []byte
+				refs []BlockRef
+			}
+			var lists []list
+			postings := 0
+			for t := 0; t < spec.VocabSize; t += 25 {
+				ps := spec.Postings(workload.TermID(t))
+				ps = ps[:(len(ps)*35+99)/100]
+				buf, refs := EncodeList(nil, nil, codec, ps)
+				lists = append(lists, list{buf, refs})
+				postings += len(ps)
+			}
+			var cur BlockCursor
+			var scratch [BlockLen * PostingSize]byte
+			var sum uint32
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, l := range lists {
+					for k, ref := range l.refs {
+						end := len(l.buf)
+						if k+1 < len(l.refs) {
+							end = int(l.refs[k+1].Off)
+						}
+						cur.Reset(codec, l.buf[ref.Off:end], int(ref.Count))
+						recs, err := cur.Decode(&scratch)
+						if err != nil {
+							b.Fatal(err)
+						}
+						for ; len(recs) >= PostingSize; recs = recs[PostingSize:] {
+							p := DecodePosting(recs)
+							sum += p.Doc + uint32(p.TF)
+						}
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*postings), "ns/posting")
+			if sum == 1 {
+				b.Log(sum) // keeps the reads live
+			}
+		})
+	}
+}

@@ -120,6 +120,13 @@ func EncodePosting(buf []byte, p workload.Posting) {
 	binary.LittleEndian.PutUint16(buf[4:6], p.TF)
 }
 
+// DecodePosting reads the posting EncodePosting wrote at the start of buf
+// (len >= PostingSize): a raw list's postings, and the records
+// BlockCursor.Decode returns under every codec.
+func DecodePosting(buf []byte) workload.Posting {
+	return workload.Posting{Doc: binary.LittleEndian.Uint32(buf[0:4]), TF: binary.LittleEndian.Uint16(buf[4:6])}
+}
+
 // Build synthesizes the collection described by spec and serializes its
 // inverted index onto dev under the raw codec, returning the opened index.
 // Lists are laid out back-to-back after the header and directories, in

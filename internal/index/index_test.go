@@ -1,7 +1,6 @@
 package index
 
 import (
-	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -15,11 +14,6 @@ func testSpec() workload.CollectionSpec {
 	spec := workload.DefaultCollection(20000)
 	spec.VocabSize = 200
 	return spec
-}
-
-// DecodePosting deserializes one raw posting from buf.
-func DecodePosting(buf []byte) workload.Posting {
-	return workload.Posting{Doc: binary.LittleEndian.Uint32(buf[0:4]), TF: binary.LittleEndian.Uint16(buf[4:6])}
 }
 
 // DecodePostings deserializes as many whole raw postings as buf holds.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hybridstore/internal/workload"
@@ -148,18 +149,21 @@ func requireSameAsRefCursor(t testing.TB, codec CodecID, buf []byte, count int) 
 	}
 
 	var cur BlockCursor
-	var docs [BlockLen]uint32
-	var tfs [BlockLen]uint16
+	var scratch [BlockLen * PostingSize]byte
 	var got []workload.Posting
 	cur.Reset(codec, buf, count)
 	for {
-		n, err := cur.Decode(&docs, &tfs)
+		recs, err := cur.Decode(&scratch)
+		n := len(recs) / PostingSize
+		if len(recs) != n*PostingSize {
+			t.Fatalf("%v: Decode returned %d bytes, not whole records", codec, len(recs))
+		}
 		for i := 0; i < n; i++ {
-			got = append(got, workload.Posting{Doc: docs[i], TF: tfs[i]})
+			got = append(got, DecodePosting(recs[i*PostingSize:]))
 		}
 		if err != nil || n == 0 {
-			if n2, err2 := cur.Decode(&docs, &tfs); n2 != 0 || err2 != err {
-				t.Fatalf("%v: Decode after the end returned %d, %v; want 0, %v", codec, n2, err2, err)
+			if recs2, err2 := cur.Decode(&scratch); len(recs2) != 0 || err2 != err {
+				t.Fatalf("%v: Decode after the end returned %d bytes, %v; want 0, %v", codec, len(recs2), err2, err)
 			}
 			break
 		}
@@ -265,16 +269,27 @@ func TestBlockCursorMatchesReference(t *testing.T) {
 				count := 4 * (lead + 1 + trail)
 				requireSameAsRefCursor(t, CodecGVarint, buf, count)
 				var cur BlockCursor
-				var docs [BlockLen]uint32
-				var tfs [BlockLen]uint16
+				var scratch [BlockLen * PostingSize]byte
 				cur.Reset(CodecGVarint, buf, count)
-				if n, err := cur.Decode(&docs, &tfs); err == nil || n != 4*lead {
-					t.Fatalf("%s, %d groups before, %d after: delivered %d postings, err %v", name, lead, trail, n, err)
+				if recs, err := cur.Decode(&scratch); err == nil || len(recs) != 4*lead*PostingSize {
+					t.Fatalf("%s, %d groups before, %d after: delivered %d postings, err %v", name, lead, trail, len(recs)/PostingSize, err)
 				}
 			}
 		}
 	}
 	requireSameAsRefCursor(t, CodecGVarint, bytes.Repeat(good, 8), 32)
+
+	// The fast path's widest reach: four 4-byte deltas put the TFs at byte
+	// 17, and four two-byte TFs end the group at byte 25, the whole view.
+	// Between such groups, one with one-byte TFs, and one mixing one- and
+	// two-byte TFs, which the fast path leaves to the careful one and then
+	// resumes after.
+	wideDeltas := [4]uint32{1 << 30, 1<<31 | 7, 3 << 24, 0x01020304}
+	wide := gvGroup([4]int{4, 4, 4, 4}, wideDeltas, 0x81, 0x01, 0xff, 0x7f, 0x80, 0x02, 0x90, 0x03) // 129, 16383, 256, 400
+	wideOne := gvGroup([4]int{4, 4, 4, 4}, wideDeltas, 9, 8, 7, 6)
+	mixed := gvGroup(lens, deltas, 0x81, 0x01, 5, 0x90, 0x02, 7) // 129, 5, 272, 7
+	requireSameAsRefCursor(t, CodecGVarint, bytes.Repeat(wide, 8), 32)
+	requireSameAsRefCursor(t, CodecGVarint, bytes.Repeat(slices.Concat(wide, wideOne, mixed), 6), 72)
 }
 
 // FuzzDecodeMatchesReference treats arbitrary bytes as one block under an
