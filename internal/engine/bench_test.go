@@ -38,35 +38,54 @@ func TestExecuteAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkExecute measures Execute alone, lists served from memory, at three
-// collection sizes with the same vocabulary and query log: 200 k documents,
-// 600 k (SmallScale, the bench/ workloads' regime) and 2 M (-scale full,
-// which no bench/ workload reaches), all raw, plus 600 k under gvarint, the
-// churn_lru_gv workload's codec. The accumulator's per-document state is the
-// seen bit set plus a chain head per 64 documents, so what grows with the
-// collection is mostly the number of postings a query scores. ns/posting
-// divides by PostingsScored, which counts every decoded posting whatever
-// scoreBlock does with it.
+// BenchmarkExecute measures Execute alone, lists served from memory. The
+// first four cases share one regime — vocabulary 1 000 and the package
+// defaults MaxDFShare 0.10, TerminationFrac 0.15 and 200 k distinct queries
+// — at three collection sizes, 200 k, 600 k and 2 M documents, all raw,
+// plus 600 k under gvarint, the churn_lru_gv workload's codec. None of them
+// is the bench/ workloads' regime: docs=600k/regime=small is, with
+// experiments.SmallScale's vocabulary 2 500, MaxDFShare 0.2 and 8 000
+// distinct queries and the TerminationFrac 0.35 of experiments'
+// engineConfig, copied here because engine cannot import experiments. The
+// accumulator's per-document state is the seen bit set plus a chain head
+// per 64 documents, so what grows with the collection is mostly the number
+// of postings a query scores. ns/posting divides by PostingsScored, which
+// counts every decoded posting whatever scoreBlock does with it.
 func BenchmarkExecute(b *testing.B) {
+	type regime struct {
+		vocab           int
+		maxDFShare      float64
+		terminationFrac float64
+		distinctQueries int
+	}
+	defaults := regime{1000, 0.10, 0.15, 200_000}
+	small := regime{2500, 0.2, 0.35, 8000} // experiments.SmallScale and engineConfig
 	for _, c := range []struct {
 		name  string
 		docs  int
 		codec index.CodecID
+		regime
 	}{
-		{"docs=200k", 200_000, index.CodecRaw},
-		{"docs=600k", 600_000, index.CodecRaw},
-		{"docs=2M", 2_000_000, index.CodecRaw},
-		{"docs=600k/codec=gvarint", 600_000, index.CodecGVarint},
+		{"docs=200k", 200_000, index.CodecRaw, defaults},
+		{"docs=600k", 600_000, index.CodecRaw, defaults},
+		{"docs=2M", 2_000_000, index.CodecRaw, defaults},
+		{"docs=600k/codec=gvarint", 600_000, index.CodecGVarint, defaults},
+		{"docs=600k/regime=small", 600_000, index.CodecRaw, small},
 	} {
 		var ix *index.Index // built on first use, kept across the b.N trials
 		b.Run(c.name, func(b *testing.B) {
 			spec := workload.DefaultCollection(c.docs)
-			spec.VocabSize = 1000
+			spec.VocabSize = c.vocab
+			spec.MaxDFShare = c.maxDFShare
 			if ix == nil {
 				ix = codecIndex(b, spec, c.codec)
 			}
-			e := New(ix, DefaultConfig())
-			log := workload.NewQueryLog(workload.DefaultQueryLog(spec.VocabSize))
+			cfg := DefaultConfig()
+			cfg.TerminationFrac = c.terminationFrac
+			e := New(ix, cfg)
+			logSpec := workload.DefaultQueryLog(spec.VocabSize)
+			logSpec.DistinctQueries = c.distinctQueries
+			log := workload.NewQueryLog(logSpec)
 			var postings int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

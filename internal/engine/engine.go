@@ -166,8 +166,8 @@ type Engine struct {
 // query has met, in front of one column of the members, the documents that
 // have a score. seen holds one bit per document and is what a posting's
 // random access lands in: a clear bit means "not a member" and lets
-// scoreBlock drop a posting that cannot change the answer without touching
-// anything else. A set bit on a non-member is a document scoreBlock dropped.
+// insertOrDrop drop a posting that cannot change the answer without touching
+// anything else. A set bit on a non-member is a document insertOrDrop dropped.
 //
 // Members are chained per seen word: head[w] is the index in mem of the
 // member last inserted in word w, and each member's next is what head[w] was
@@ -194,7 +194,7 @@ type member struct {
 
 // reset empties the set for a collection of numDocs documents. seen and head
 // are allocated on first use and kept; only seen is cleared. The bits past
-// numDocs in its last word stay set, so a doc ID there takes scoreBlock's
+// numDocs in its last word stay set, so a doc ID there takes scoreRare's
 // member path and meets the range check there.
 func (a *accumulator) reset(numDocs int64) error {
 	if numDocs != a.numDocs {
@@ -282,7 +282,7 @@ func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 // scanList consumes term t's impact-ordered list chunk by chunk (whole
 // encoded blocks), decoding and scoring one block at a time, until the list
 // ends or early termination fires. last says no list is scanned after this
-// one (see scoreBlock).
+// one (see insertOrDrop).
 func (e *Engine) scanList(t workload.TermID, w float64, last bool, top *topK, stats *ExecStats) (TermStats, error) {
 	total := e.src.ListBytes(t)
 	blocks := e.src.ListBlocks(t)
@@ -363,71 +363,126 @@ func (e *Engine) scanList(t workload.TermID, w float64, last bool, top *topK, st
 // index.DecodePosting reads them, and offers the new totals to top, in
 // posting order.
 //
-// A document met for the first time in the query's last list, with a full
-// heap and w·tf at or below the K-th score, is marked seen and dropped: no
-// insert, no offer. That is exact for the reason offer's early reject is —
-// its total is final (no later list can add to it) and the K-th score only
-// grows, so it can never be offered and its entry would never be read again.
-// Every other first meeting inserts at the chain's head without reading the
-// chain; only a document already seen walks it.
-//
-// Doc IDs come off a device. One whose seen word does not exist, or whose
-// preset bit (see reset) leads to the range check, is outside the collection;
-// one that is seen but not found on its word's chain was dropped above and is
-// repeated by the same scan — the map the engine used to have would have
-// summed the two postings, so the query fails rather than rank differently.
+// It splits the postings by what they need. At least 98.9 % of them (DESIGN
+// §13) meet a document for the first time in the query with w·tf at or below
+// kth, the K-th score of a full heap and −1 while the heap has room (see
+// topK.kth). Those are insertOrDrop's: it sets the seen bit and inserts the
+// document at its word's chain head, or in the query's last list drops it.
+// Every other posting — a document already seen, a first meeting that beats
+// kth, a doc ID outside the collection — goes to scoreRare, which returns kth
+// refreshed after its offer.
 func (e *Engine) scoreBlock(t workload.TermID, w float64, recs []byte, last bool, top *topK) error {
 	a := &e.acc
-	n := len(recs) / index.PostingSize
+	// Room for every posting to become a member, so an insert is two stores.
+	n, m := len(recs)/index.PostingSize, len(a.mem)
+	a.mem = slices.Grow(a.mem, n)[:m+n]
+	kth := top.kth()
+	var err error
+	for {
+		if recs, m = a.insertOrDrop(recs, w, kth, last, m); len(recs) < index.PostingSize {
+			break
+		}
+		p := index.DecodePosting(recs)
+		if m, kth, err = e.scoreRare(t, p.Doc, float64(p.TF)*w, m, top); err != nil {
+			break
+		}
+		recs = recs[index.PostingSize:]
+	}
+	a.mem = a.mem[:m]
+	return err
+}
+
+// insertOrDrop is scoreBlock's loop. While the next posting of recs meets a
+// document of the collection for the first time in the query and its score
+// s = w·tf is at or below kth, it sets the document's seen bit and, unless
+// the list is the query's last, inserts it as member m at its word's chain
+// head without reading the chain. It returns at the first posting it does
+// not take, with the new member count.
+//
+// In the last list such a posting is dropped: no insert, no offer. That is
+// exact for the reason offer's early reject is — its total is final (no later
+// list can add to it) and the K-th score only grows, so it can never be
+// offered and its entry would never be read again.
+//
+// The loop calls nothing. Go's register ABI keeps no register across a call,
+// so a call anywhere in it would make its state spill around the call, and
+// the compiler puts part of that traffic on every posting. It stays out of
+// line for the same reason: inlined, its state would share scoreBlock's.
+//
+//go:noinline
+func (a *accumulator) insertOrDrop(recs []byte, w, kth float64, last bool, m int) ([]byte, int) {
 	seen := a.seen
 	head := a.head[:len(seen)]
-	numDocs := uint64(a.numDocs)
-
-	// Room for n new members up front, so an insert is two stores.
-	m := len(a.mem)
-	mem := slices.Grow(a.mem, n)[:m+n]
-	// offer's early reject, evaluated here: exact for the reason given there.
-	full, kth := top.full(), top.min()
+	mem := a.mem
 	for ; len(recs) >= index.PostingSize; recs = recs[index.PostingSize:] {
 		p := index.DecodePosting(recs)
 		d, s := p.Doc, float64(p.TF)*w
 		word, bit := d>>6, uint64(1)<<(d&63)
 		if uint64(word) >= uint64(len(seen)) {
-			return errDocOutsideCollection(t, d, numDocs)
+			break
 		}
-		if sw := seen[word]; sw&bit == 0 {
-			seen[word] = sw | bit
-			if last && full && s <= kth {
-				continue
-			}
+		sw := seen[word]
+		if sw&bit != 0 || s > kth {
+			break
+		}
+		seen[word] = sw | bit
+		if !last {
 			mem[m] = member{doc: d, next: head[word], val: s}
 			head[word] = uint32(m)
 			m++
-		} else {
-			if uint64(d) >= numDocs {
-				return errDocOutsideCollection(t, d, numDocs)
-			}
-			j, lim := head[word], uint32(m)
-			for j < lim && mem[j].doc != d && mem[j].doc>>6 == word {
-				lim, j = j, mem[j].next
-			}
-			if j >= lim || mem[j].doc != d {
-				return errDroppedDocRepeated(t, d)
-			}
-			s += mem[j].val
-			mem[j].val = s
-		}
-		if !full || s > kth {
-			top.offer(d, s)
-			full, kth = top.full(), top.min()
 		}
 	}
-	a.mem = mem[:m]
-	return nil
+	return recs, m
 }
 
-// scoreBlock's errors are built out of line: they are cold, and their fmt
-// arguments would otherwise be charged to the hot loop's function.
+// scoreRare scores the posting of document d with score s = w·tf of term t
+// that insertOrDrop did not take, with a.mem[:m] the query's members and room
+// for one more. It returns the new member count and kth after its offer.
+//
+// Doc IDs come off a device. One whose seen word does not exist, or whose
+// preset bit (see reset) leads to the range check, is outside the collection;
+// one that is seen but not found on its word's chain was dropped by
+// insertOrDrop and is repeated by the same scan — the map the engine used to
+// have would have summed the two postings, so the query fails rather than
+// rank differently.
+//
+//go:noinline
+func (e *Engine) scoreRare(t workload.TermID, d uint32, s float64, m int, top *topK) (int, float64, error) {
+	a := &e.acc
+	seen, mem := a.seen, a.mem
+	head := a.head[:len(seen)]
+	numDocs := uint64(a.numDocs)
+	word, bit := d>>6, uint64(1)<<(d&63)
+	if uint64(word) >= uint64(len(seen)) {
+		return m, 0, errDocOutsideCollection(t, d, numDocs)
+	}
+	if sw := seen[word]; sw&bit == 0 {
+		seen[word] = sw | bit
+		mem[m] = member{doc: d, next: head[word], val: s}
+		head[word] = uint32(m)
+		m++
+	} else {
+		if uint64(d) >= numDocs {
+			return m, 0, errDocOutsideCollection(t, d, numDocs)
+		}
+		j, lim := head[word], uint32(m)
+		for j < lim && mem[j].doc != d && mem[j].doc>>6 == word {
+			lim, j = j, mem[j].next
+		}
+		if j >= lim || mem[j].doc != d {
+			return m, 0, errDroppedDocRepeated(t, d)
+		}
+		s += mem[j].val
+		mem[j].val = s
+	}
+	if s > top.kth() {
+		top.offer(d, s)
+	}
+	return m, top.kth(), nil
+}
+
+// scoreRare's errors are built out of line: they are cold, and their fmt
+// arguments would otherwise be charged to its function.
 
 //go:noinline
 func errDocOutsideCollection(t workload.TermID, d uint32, numDocs uint64) error {
@@ -470,6 +525,15 @@ func (t *topK) full() bool { return len(t.heap) >= t.k }
 func (t *topK) min() float64 {
 	if len(t.heap) == 0 {
 		return 0
+	}
+	return t.heap[0].score
+}
+
+// kth returns the score an offer must beat to change the heap: its minimum
+// once it is full, −1 while it has room, which every score (≥ 0) beats.
+func (t *topK) kth() float64 {
+	if !t.full() {
+		return -1
 	}
 	return t.heap[0].score
 }

@@ -195,3 +195,99 @@ func TestLastListInsertsOnlyWhatItOffers(t *testing.T) {
 			got, len(a), bound)
 	}
 }
+
+// TestScoreBlockThresholdTransitions pins the moments kth changes under
+// scoreBlock: the K-th score of a full heap, against which insertOrDrop
+// takes a posting, and −1 while the heap has room, so that every posting
+// then goes to scoreRare and is offered. Each case runs on both codecs
+// against the map reference, with K small enough that a failure prints the
+// whole ranking, and checks how many members the query left: that count
+// says which postings were inserted, offered or dropped, which the ranking
+// alone does not always show.
+func TestScoreBlockThresholdTransitions(t *testing.T) {
+	const numDocs = 1000 // a list of df postings weighs log2(1 + 1000/df)
+	// desc returns n postings of docs first, first+1, … with TFs top,
+	// top−1, …: strictly impact-ordered, so no two tie.
+	desc := func(n int, first uint32, top uint16) []workload.Posting {
+		ps := make([]workload.Posting, n)
+		for i := range ps {
+			ps[i] = workload.Posting{Doc: first + uint32(i), TF: top - uint16(i)}
+		}
+		return ps
+	}
+	for _, c := range []struct {
+		name    string
+		k       int
+		lists   [][]workload.Posting // in the query's DF order
+		members int
+	}{
+		{
+			// The first list's 5 documents score 40·7.65 = 306, more than
+			// any of the last list's (at most 50·5.67 = 283). The heap has
+			// 3 free places when the last list's block starts: its first 3
+			// postings must be offered and take them, and the rest then
+			// fall at or below the K-th score and are dropped.
+			name:    "heap partly full when a later list's block starts",
+			k:       8,
+			lists:   [][]workload.Posting{desc(5, 100, 40), desc(20, 200, 50)},
+			members: 5 + 3,
+		},
+		{
+			// The heap fills at the first list's 8th posting, inside its
+			// one block, and the K-th score becomes 53·5.67 = 300: the 12
+			// later postings are inserted and not offered. The last list
+			// meets 8 of them again, whose totals (at least 41·5.67 +
+			// 33·5.10 = 401) beat it, then 22 new documents (at most
+			// 32·5.10 = 163) that it drops.
+			name:    "heap fills mid-block",
+			k:       8,
+			lists:   [][]workload.Posting{desc(20, 100, 60), desc(30, 112, 40)},
+			members: 20,
+		},
+		{
+			// After the first list the K-th score is 50·8.97 = 448. The
+			// last list's docs 200 and 201 (100·6.66 = 666) beat it out of
+			// line, and the second offer raises it to 666. Docs 202…209
+			// (90·6.66 = 599) lie between the old and the new K-th score:
+			// at the new one they take the loop and are dropped.
+			name: "kth rises mid-block through an out-of-line offer",
+			k:    2,
+			lists: [][]workload.Posting{
+				{{Doc: 100, TF: 50}, {Doc: 101, TF: 50}},
+				append([]workload.Posting{{Doc: 200, TF: 100}, {Doc: 201, TF: 100}}, desc(8, 202, 90)...),
+			},
+			members: 2 + 2,
+		},
+		{
+			// After the first list the heap holds docs 101 and 102 at
+			// 50·7.97 = 399, and docs 100 (10·7.97 = 80) and 103 are
+			// members, all four on seen word 1's chain, 103 at its head. In
+			// the last list doc 300 is new at 59·6.66 = 393 and is dropped;
+			// doc 100's 58·6.66 = 386 is at or below the K-th score on its
+			// own, but doc 100 is found one step down the chain, totals 466
+			// and must be offered and enter the heap.
+			name: "a member is met in the last list after the heap is full",
+			k:    2,
+			lists: [][]workload.Posting{
+				{{Doc: 101, TF: 50}, {Doc: 102, TF: 50}, {Doc: 100, TF: 10}, {Doc: 103, TF: 9}},
+				append([]workload.Posting{{Doc: 300, TF: 59}, {Doc: 100, TF: 58}}, desc(8, 400, 10)...),
+			},
+			members: 4,
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, codec := range bothCodecs {
+				src := newStubSource(codec, numDocs, c.lists...)
+				eng := New(src, Config{TopK: c.k, TerminationFrac: 1e-12}) // every list read to its end
+				q := workload.Query{ID: 1}
+				for i := range c.lists {
+					q.Terms = append(q.Terms, workload.TermID(i))
+				}
+				requireSameAsReference(t, eng, newRefEngine(src, eng.Config()), q)
+				if got := len(eng.acc.mem); got != c.members {
+					t.Fatalf("%v: %d members after the query, want %d", codec, got, c.members)
+				}
+			}
+		})
+	}
+}
