@@ -218,7 +218,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote host heap profile to %s\n", *memFlag)
 	}
 	images, builds, bytes := experiments.ArtifactStats()
+	measured, reused := experiments.PointStats()
 	//hybridlint:allow detclock host wall-clock progress timing on stderr; never enters simulated results
-	fmt.Fprintf(os.Stderr, "suite completed in %v (jobs=%d; artifact cache: %d index builds for %d specs, %.1f MiB retained)\n",
-		time.Since(suiteStart).Round(time.Millisecond), sc.Jobs, builds, images, float64(bytes)/(1<<20))
+	fmt.Fprintf(os.Stderr, "suite completed in %v (jobs=%d; artifact cache: %d index builds for %d specs, %.1f MiB retained; %d points measured, %d reused)\n",
+		time.Since(suiteStart).Round(time.Millisecond), sc.Jobs, builds, images, float64(bytes)/(1<<20), measured, reused)
 }

@@ -32,23 +32,31 @@ type point struct {
 // respMS is the measured mean response time in milliseconds.
 func (p point) respMS() float64 { return float64(p.run.MeanResponseTime().Microseconds()) / 1000 }
 
-// measure builds each configuration, runs it through runMeasured on the
-// worker pool and returns the points in configuration order.
+// measure returns the points of cfgs in configuration order. Each one the
+// point cache lacks is built and run through runMeasured on the worker
+// pool; a config pointKey refuses is measured on every request.
 func (sc Scale) measure(cfgs []hybrid.Config) ([]point, error) {
 	pts := make([]point, len(cfgs))
 	err := sc.forPoints(len(cfgs), func(i int) error {
-		sys, err := build(cfgs[i])
-		if err != nil {
-			return err
+		measure := func() (p point, err error) {
+			pointsMeasured.Add(1)
+			sys, err := build(cfgs[i])
+			if err != nil {
+				return p, err
+			}
+			if p.run, p.st, err = runMeasured(sys, sc); err == nil && sys.CacheSSD != nil {
+				p.wear = sys.CacheSSD.Wear()
+			}
+			return p, err
 		}
-		p := &pts[i]
-		if p.run, p.st, err = runMeasured(sys, sc); err != nil {
-			return err
+		pointRequests.Add(1)
+		var err error
+		if key, ok := sc.pointKey(cfgs[i]); ok {
+			pts[i], err = cached(artifactPoints, key, measure)
+		} else {
+			pts[i], err = measure()
 		}
-		if sys.CacheSSD != nil {
-			p.wear = sys.CacheSSD.Wear()
-		}
-		return nil
+		return err
 	})
 	return pts, err
 }

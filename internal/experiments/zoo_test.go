@@ -31,12 +31,13 @@ func render(t *testing.T, id string, sc Scale) string {
 	return buf.String()
 }
 
-// runMicro renders one experiment at microScale with the given worker count.
+// runMicro renders one experiment at microScale with the given worker
+// count, measuring every point afresh.
 func runMicro(t *testing.T, id string, jobs int) string {
 	t.Helper()
 	sc := microScale()
 	sc.Jobs = jobs
-	return render(t, id, sc)
+	return renderFresh(t, id, sc)
 }
 
 // checkGolden renders experiment id at microScale with one and with four

@@ -9,6 +9,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 
 	"hybridstore/internal/simclock"
 )
@@ -18,12 +19,13 @@ import (
 // terms (§III: "the access frequency of terms follows Zipf-like
 // distribution").
 type Zipf struct {
-	cdf []float64 // cdf[i] = P(rank <= i)
+	cdf []float64 // cdf[i] = P(rank <= i); shared, never written
 	rng *simclock.RNG
 }
 
 // NewZipf builds a sampler over n ranks with exponent s (s > 0). Typical
-// search workloads use s in [0.6, 1.1].
+// search workloads use s in [0.6, 1.1]. Samplers over one (n, s) share one
+// read-only CDF table, computed once per process.
 func NewZipf(rng *simclock.RNG, n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("workload: Zipf needs n > 0")
@@ -31,18 +33,33 @@ func NewZipf(rng *simclock.RNG, n int, s float64) *Zipf {
 	if s <= 0 {
 		panic("workload: Zipf needs s > 0")
 	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
+	key := [2]uint64{uint64(n), math.Float64bits(s)}
+	zipfMu.Lock()
+	table, ok := zipfTables[key]
+	if !ok {
+		table = sync.OnceValue(func() []float64 {
+			cdf := make([]float64, n)
+			sum := 0.0
+			for i := 0; i < n; i++ {
+				sum += 1 / math.Pow(float64(i+1), s)
+				cdf[i] = sum
+			}
+			for i := range cdf {
+				cdf[i] /= sum
+			}
+			cdf[n-1] = 1 // guard against float round-down
+			return cdf
+		})
+		zipfTables[key] = table
 	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	cdf[n-1] = 1 // guard against float round-down
-	return &Zipf{cdf: cdf, rng: rng}
+	zipfMu.Unlock()
+	return &Zipf{cdf: table(), rng: rng}
 }
+
+// zipfTables holds one CDF table per (n, bits of s), computed at most once
+// per process. A process builds logs over a few specs, so it is unbounded.
+var zipfMu sync.Mutex
+var zipfTables = make(map[[2]uint64]func() []float64)
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return len(z.cdf) }

@@ -2,7 +2,7 @@
 # abpairs.sh — A/B the benchmark between a parent revision and the working
 # tree, in alternating pairs.
 #
-#   scripts/abpairs.sh <parent-rev> <workload> <pairs> [seed]
+#   scripts/abpairs.sh <parent-rev> <workload|all> <pairs> [seed]
 #
 # Checks <parent-rev> out into a temporary git worktree, then runs
 #
@@ -15,45 +15,45 @@
 # on the two record files and prints the workload's rows. It exits non-zero
 # if a run is not correct or has a failed operation, if an exact number
 # differs between the sides, or if an end-to-end metric is worse than its
-# bound.
+# bound. The workload `all` does this for every workload in BENCHMARK.json
+# in turn, then prints one verdict line per workload, and exits non-zero if
+# any workload is not ok.
 # The seed defaults to the benchmark's own (2561). The records and each
 # run's report are kept in a temporary directory whose path is printed.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ] || ! [[ $3 =~ ^[1-9][0-9]*$ ]]; then
-    echo "usage: scripts/abpairs.sh <parent-rev> <workload> <pairs> [seed]" >&2
+    echo "usage: scripts/abpairs.sh <parent-rev> <workload|all> <pairs> [seed]" >&2
     exit 2
 fi
-rev=$1 workload=$2 pairs=$3 seed=${4:-2561}
+rev=$1 pairs=$3 seed=${4:-2561}
 
 cd "$(dirname "$0")/.."
 change=$PWD
+if [ "$2" = all ]; then
+    workloads="$(sed -n '/"workloads"/,/^  \]/s/^ *"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json)"
+    if [ -z "$workloads" ]; then
+        echo "abpairs: no workload names found in BENCHMARK.json" >&2
+        exit 2
+    fi
+else
+    workloads=$2
+fi
 out="$(mktemp -d "${TMPDIR:-/tmp}/abpairs.XXXXXX")"
 parent="$out/parent"
 git worktree add --detach --quiet "$parent" "$rev"
 trap 'git -C "$change" worktree remove --force "$parent"' EXIT
 
-# run <side> <tree>: one timed run in that tree, its record appended to
-# <side>.ndjson and its report to <side>.log.
+# run <side> <tree>: one timed run of $workload in that tree, its record
+# appended to <side>.ndjson and its report to <side>.log under $dir.
 run() {
     (cd "$2" && bash bench/run.sh --workload "$workload" --seed "$seed" \
-        --seconds 8 --trace 0 --out "$out/$1.ndjson" >>"$out/$1.log")
+        --seconds 8 --trace 0 --out "$dir/$1.ndjson" >>"$dir/$1.log")
 }
-
-for ((i = 1; i <= pairs; i++)); do
-    if ((i % 2)); then
-        run parent "$parent"
-        run change "$change"
-    else
-        run change "$change"
-        run parent "$parent"
-    fi
-    echo "abpairs: pair $i of $pairs done" >&2
-done
 
 # values <side> <metric>: the metric of each of the side's runs, in order.
 values() {
-    grep -o "\"$2\":{\"value\":[^,}]*" "$out/$1.ndjson" | cut -d: -f3
+    grep -o "\"$2\":{\"value\":[^,}]*" "$dir/$1.ndjson" | cut -d: -f3
 }
 
 # stats: median (q1–q3) of the numbers on stdin, interpolated.
@@ -63,38 +63,69 @@ stats() {
         END { printf "%.6g %.6g %.6g\n", q(0.5), q(0.25), q(0.75) }'
 }
 
-echo "workload $workload, seed $seed, $pairs pairs: parent $(git rev-parse --short "$rev"), change = working tree"
-printf '%-9s %-32s %-32s %8s %s\n' metric "parent median (q1–q3)" "change median (q1–q3)" change "pairs won"
-for metric in host_qps wall_s; do
-    read -r pm pq1 pq3 < <(values parent "$metric" | stats)
-    read -r cm cq1 cq3 < <(values change "$metric" | stats)
-    better='>'
-    [ "$metric" = wall_s ] && better='<'
-    won="$(paste <(values change "$metric") <(values parent "$metric") |
-        awk -v b="$better" '(b == ">" && $1 > $2) || (b == "<" && $1 < $2) { n++ } END { print n + 0 }')"
-    printf '%-9s %-32s %-32s %7s%% %s/%s\n' "$metric" "$pm ($pq1–$pq3)" "$cm ($cq1–$cq3)" \
-        "$(awk -v a="$pm" -v b="$cm" 'BEGIN { printf "%+.1f", 100 * (b - a) / a }')" "$won" "$pairs"
-done
-echo "records and reports: $out"
+# ab: A/B $workload in $pairs alternating pairs, records under $dir; its
+# exit status is non-zero if the workload is not ok.
+ab() {
+    mkdir -p "$dir"
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then
+            run parent "$parent" && run change "$change"
+        else
+            run change "$change" && run parent "$parent"
+        fi || { echo "abpairs: a $workload run failed: see $dir/*.log" >&2; return 1; }
+        echo "abpairs: $workload pair $i of $pairs done" >&2
+    done
 
-# Every run must be correct with no failed operation.
-status=0
-for side in parent change; do
-    bad="$(grep -vc '"correct":true,"attempted":[0-9]*,"failed":0,' "$out/$side.ndjson" || true)"
-    if [ "$bad" != 0 ]; then
-        echo "abpairs: $bad $side run(s) not correct or with failed operations: see $out/$side.log" >&2
+    echo "workload $workload, seed $seed, $pairs pairs: parent $(git rev-parse --short "$rev"), change = working tree"
+    printf '%-9s %-32s %-32s %8s %s\n' metric "parent median (q1–q3)" "change median (q1–q3)" change "pairs won"
+    for metric in host_qps wall_s; do
+        read -r pm pq1 pq3 < <(values parent "$metric" | stats)
+        read -r cm cq1 cq3 < <(values change "$metric" | stats)
+        better='>'
+        [ "$metric" = wall_s ] && better='<'
+        won="$(paste <(values change "$metric") <(values parent "$metric") |
+            awk -v b="$better" '(b == ">" && $1 > $2) || (b == "<" && $1 < $2) { n++ } END { print n + 0 }')"
+        printf '%-9s %-32s %-32s %7s%% %s/%s\n' "$metric" "$pm ($pq1–$pq3)" "$cm ($cq1–$cq3)" \
+            "$(awk -v a="$pm" -v b="$cm" 'BEGIN { printf "%+.1f", 100 * (b - a) / a }')" "$won" "$pairs"
+    done
+    echo "records and reports: $dir"
+
+    # Every run must be correct with no failed operation.
+    status=0
+    for side in parent change; do
+        bad="$(grep -vc '"correct":true,"attempted":[0-9]*,"failed":0,' "$dir/$side.ndjson" || true)"
+        if [ "$bad" != 0 ]; then
+            echo "abpairs: $bad $side run(s) not correct or with failed operations: see $dir/$side.log" >&2
+            status=1
+        fi
+    done
+
+    # compare covers every workload and calls the ones not run missing: keep
+    # this workload's rows, each of which must be ok (an exact number that
+    # differs between the sides is a "changed" row or an "exact block changed"
+    # line).
+    rows="$(bash bench/run.sh compare "$dir/parent.ndjson" "$dir/change.ndjson" |
+        awk -v w="$workload" 'NR == 1 || $1 == w')" || true
+    printf '%s\n' "$rows"
+    if printf '%s\n' "$rows" | awk -v w="$workload" '$1 == w && $NF != "ok" { bad = 1 } END { exit !bad }'; then
         status=1
     fi
-done
+    return "$status"
+}
 
-# compare covers every workload and calls the ones not run missing: keep
-# this workload's rows, each of which must be ok (an exact number that
-# differs between the sides is a "changed" row or an "exact block changed"
-# line).
-rows="$(bash bench/run.sh compare "$out/parent.ndjson" "$out/change.ndjson" |
-    awk -v w="$workload" 'NR == 1 || $1 == w')" || true
-printf '%s\n' "$rows"
-if printf '%s\n' "$rows" | awk -v w="$workload" '$1 == w && $NF != "ok" { bad = 1 } END { exit !bad }'; then
-    status=1
+# Each workload keeps its records in its own directory; `all` ends with a
+# verdict per workload.
+verdicts="" failed=0
+for workload in $workloads; do
+    dir="$out/$workload"
+    if ab; then
+        verdicts+="$workload ok"$'\n'
+    else
+        verdicts+="$workload NOT OK"$'\n'
+        failed=1
+    fi
+done
+if [ "$2" = all ]; then
+    printf '\nabpairs: verdicts against %s\n%s' "$(git rev-parse --short "$rev")" "$verdicts"
 fi
-exit "$status"
+exit "$failed"
