@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 )
 
 // ResultSource says where a result-cache hit was served from.
@@ -31,10 +32,19 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 		m.freeEntry(mr.data)
 		m.emit(Event{Kind: EvResultExpire})
 	}
-	for _, b := range m.writeBuf {
-		if b.qid == qid && !m.resultExpired(b.loadedAt) {
+	for i, b := range m.writeBuf {
+		if b.qid != qid {
+			continue
+		}
+		if !m.resultExpired(b.loadedAt) {
 			return m.resultMemHit(b.data)
 		}
+		// Dropped like an expired L1 entry, or the recomputed entry would
+		// join it in the buffer and both copies would reach the SSD.
+		m.writeBuf = slices.Delete(m.writeBuf, i, i+1)
+		m.freeEntry(b.data)
+		m.emit(Event{Kind: EvResultExpire})
+		break
 	}
 	if loc, ok := m.resultLoc[qid]; ok {
 		switch {

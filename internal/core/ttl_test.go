@@ -63,6 +63,43 @@ func TestResultTTLExpiresSSDCopies(t *testing.T) {
 	}
 }
 
+// TestExpiredBufferedResultWrittenOnce: a lookup that finds only an expired
+// copy in the write buffer drops it, so the recomputed entry, once evicted,
+// is the only copy of its query that reaches the SSD.
+func TestExpiredBufferedResultWrittenOnce(t *testing.T) {
+	cfg := testConfig(PolicyCBLRU)
+	cfg.ResultTTL = time.Second
+	f := newFixture(t, cfg)
+	putEntries(t, f, 1, 6) // query 1 waits in the write buffer
+	f.clock.AdvanceAttr(2*time.Second, simclock.CompOther)
+	if _, src := f.m.GetResult(1); src != ResultMiss {
+		t.Fatalf("expired buffered entry served (src=%v)", src)
+	}
+	putEntries(t, f, 1, 1)     // recomputed
+	putEntries(t, f, 100, 109) // evicts it again and fills an RB
+	if err := f.m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	copies := 0
+	for _, b := range f.m.writeBuf {
+		if b.qid == 1 {
+			copies++
+		}
+	}
+	for _, loc := range f.m.resultLoc {
+		for _, s := range loc.rb.slots {
+			if s != nil && s.qid == 1 {
+				copies++
+			}
+		}
+		break // one RB was written
+	}
+	if s := f.m.Stats(); copies != 1 || s.RBFlushes != 1 || s.ResultsExpired != 6 {
+		t.Fatalf("%d copies of query 1 in the write buffer and on the SSD, %d RBs, %d expired: want 1, 1, 6",
+			copies, s.RBFlushes, s.ResultsExpired)
+	}
+}
+
 func TestResultTTLRefreshOnReput(t *testing.T) {
 	cfg := testConfig(PolicyCBLRU)
 	cfg.ResultTTL = time.Second
