@@ -457,6 +457,40 @@ func TestWriteBufferServesLookups(t *testing.T) {
 	t.Fatal("buffered entries not served as memory hits")
 }
 
+// TestRePutBufferedResultWrittenOnce: an entry put again while its copy
+// waits in the write buffer, and evicted again before the buffer is flushed,
+// takes that copy's place instead of joining it.
+func TestRePutBufferedResultWrittenOnce(t *testing.T) {
+	f := newFixture(t, testConfig(PolicyCBLRU))
+	putEntries(t, f, 1, 6) // query 1 waits in the write buffer
+	putEntries(t, f, 1, 1) // put again without a lookup
+	for q := uint64(3); q <= 6; q++ {
+		f.m.GetResult(q) // query 1 becomes L1's least recent entry
+	}
+	putEntries(t, f, 100, 104) // evicts it again and fills an RB
+	if err := f.m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	copies := 0
+	for _, b := range f.m.writeBuf {
+		if b.qid == 1 {
+			copies++
+		}
+	}
+	for _, loc := range f.m.resultLoc {
+		for _, s := range loc.rb.slots {
+			if s != nil && s.qid == 1 {
+				copies++
+			}
+		}
+		break // one RB was written
+	}
+	if s := f.m.Stats(); copies != 1 || s.RBFlushes != 1 || s.ResultWritesElided != 1 {
+		t.Fatalf("%d copies of query 1 in the write buffer and on the SSD, %d RBs, %d writes elided: want 1, 1, 1",
+			copies, s.RBFlushes, s.ResultWritesElided)
+	}
+}
+
 func TestStaticPinningCBSLRU(t *testing.T) {
 	f := newFixture(t, testConfig(PolicyCBSLRU))
 	size := f.m.Config().ResultEntryBytes

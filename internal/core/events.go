@@ -82,7 +82,8 @@ const (
 	EvListExpire
 	EvResultExpire
 	// EvListElide, EvResultElide: an eviction found its SSD copy still there
-	// and revalidated it instead of writing.
+	// and revalidated it, or a result its copy in the write buffer and took
+	// its place, instead of writing.
 	EvListElide
 	EvResultElide
 	// EvListOverwrite: a list extent was placed over a same-size victim.

@@ -298,6 +298,17 @@ func (l blockLogLayout) evictResult(qid uint64, mr *memResult) {
 		m.freeEntry(mr.data)
 		return
 	}
+	for i := range m.writeBuf {
+		if b := &m.writeBuf[i]; b.qid == qid {
+			// Put again while its copy waited here (by a caller that did not
+			// look it up first): the newer copy takes the older one's place,
+			// so one is written.
+			m.freeEntry(b.data)
+			b.data, b.loadedAt = mr.data, mr.loadedAt
+			m.emit(Event{Kind: EvResultElide})
+			return
+		}
+	}
 	if l.doorkeeper && m.queryFreq[qid] < 2 {
 		m.emit(Event{Kind: EvResultReject})
 		m.freeEntry(mr.data)
