@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hybridstore/internal/cache"
 	"hybridstore/internal/index"
 	"hybridstore/internal/simclock"
 	"hybridstore/internal/storage"
@@ -388,7 +389,7 @@ func TestResultSSDHitPromotesToL1(t *testing.T) {
 	for q := uint64(100); q < 105; q++ {
 		f.m.PutResult(q, entryOf(q, byte(q), size))
 	}
-	if s := f.m.Stats(); s.ResultWritesElided != 1 || f.m.resultLoc[promoted].state != stateNormal {
+	if s := f.m.Stats(); s.ResultWritesElided != 1 || f.m.results.dyn[promoted].state != stateNormal {
 		t.Fatalf("%d result writes elided: want the re-evicted entry's SSD copy revalidated", s.ResultWritesElided)
 	}
 }
@@ -471,24 +472,30 @@ func TestRePutBufferedResultWrittenOnce(t *testing.T) {
 	if err := f.m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	copies := 0
+	if s := f.m.Stats(); copiesOf(f, 1) != 1 || s.RBFlushes != 1 || s.ResultWritesElided != 1 {
+		t.Fatalf("%d copies of query 1 in the write buffer and on the SSD, %d RBs, %d writes elided: want 1, 1, 1",
+			copiesOf(f, 1), s.RBFlushes, s.ResultWritesElided)
+	}
+}
+
+// copiesOf counts the copies of query qid in the write buffer and in the
+// dynamic result blocks.
+func copiesOf(f *fixture, qid uint64) int {
+	n := 0
 	for _, b := range f.m.writeBuf {
-		if b.qid == 1 {
-			copies++
+		if b.qid == qid {
+			n++
 		}
 	}
-	for _, loc := range f.m.resultLoc {
-		for _, s := range loc.rb.slots {
-			if s != nil && s.qid == 1 {
-				copies++
+	f.m.results.lru.Ascend(func(e *cache.Entry[*extent]) bool {
+		for _, s := range e.Value.entries {
+			if s.key == qid {
+				n++
 			}
 		}
-		break // one RB was written
-	}
-	if s := f.m.Stats(); copies != 1 || s.RBFlushes != 1 || s.ResultWritesElided != 1 {
-		t.Fatalf("%d copies of query 1 in the write buffer and on the SSD, %d RBs, %d writes elided: want 1, 1, 1",
-			copies, s.RBFlushes, s.ResultWritesElided)
-	}
+		return true
+	})
+	return n
 }
 
 func TestStaticPinningCBSLRU(t *testing.T) {
@@ -514,7 +521,7 @@ func TestStaticPinningCBSLRU(t *testing.T) {
 	if f.m.Stats().ListBytesFromHDD != hddBefore {
 		t.Fatal("pinned list read touched HDD")
 	}
-	if len(f.m.icStatic) != 1 {
+	if len(f.m.lists.static) != 1 {
 		t.Fatal("pinned list not tracked")
 	}
 }
@@ -527,7 +534,7 @@ func TestStaticPinningRejectedOutsideCBSLRU(t *testing.T) {
 	if f.m.PinList(1) {
 		t.Fatal("PinList allowed under CBLRU")
 	}
-	if f.m.StaticResultBudget() != 0 || f.m.StaticListBudget() != 0 {
+	if f.m.staticBudget(&f.m.results) != 0 || f.m.staticBudget(&f.m.lists) != 0 {
 		t.Fatal("non-CBSLRU policies report static budget")
 	}
 }
@@ -535,21 +542,69 @@ func TestStaticPinningRejectedOutsideCBSLRU(t *testing.T) {
 func TestStaticBudgetEnforced(t *testing.T) {
 	cfg := testConfig(PolicyCBSLRU)
 	cfg.StaticFraction = 0.25
+	cfg.SSDListBytes = 2 << 20 // a budget of 4 blocks, less than the fixture's lists
 	f := newFixture(t, cfg)
-	size := f.m.Config().ResultEntryBytes
-	budgetRBs := f.m.StaticResultBudget() / f.m.Config().BlockBytes
-	maxEntries := budgetRBs * int64(f.m.Config().BlockBytes/size)
+	size, bs := cfg.ResultEntryBytes, cfg.BlockBytes
+
+	// Results: static RBs fill slot by slot, and exactly as many entries as
+	// the budget's whole RBs hold are pinned.
+	perRB := bs / size
+	maxEntries := f.m.staticBudget(&f.m.results) / bs * perRB
 	var pinned int64
 	for q := uint64(1); q <= uint64(maxEntries)+10; q++ {
-		if f.m.PinResult(q, entryOf(q, 1, size)) {
-			pinned++
+		if !f.m.PinResult(q, entryOf(q, 1, size)) {
+			continue
 		}
+		e := f.m.results.static[q]
+		if slot := pinned % perRB; e.off != e.ext.off+slot*size || (slot > 0 && e.ext != f.m.results.static[q-1].ext) {
+			t.Fatalf("pin %d at offset %d of an RB at %d, want slot %d after the previous pin", pinned, e.off, e.ext.off, slot)
+		}
+		pinned++
 	}
-	if pinned > maxEntries {
+	if pinned != maxEntries || maxEntries == 0 {
 		t.Fatalf("pinned %d entries, budget %d", pinned, maxEntries)
 	}
-	if pinned == 0 {
-		t.Fatal("nothing pinned")
+
+	// Lists: sub-block pins pack end to end into one static block until the
+	// next does not fit, and blocks are opened only while the budget allows.
+	budget := f.m.staticBudget(&f.m.lists)
+	var open *extent
+	blocks, pins := int64(0), 0
+	for term := workload.TermID(0); term < 200; term++ {
+		if !f.m.PinList(term) {
+			if taken := f.m.lists.staticTaken; taken+bs <= budget {
+				t.Fatalf("pin of term %d refused with %d of %d static bytes taken", term, taken, budget)
+			}
+			break
+		}
+		e := f.m.lists.static[uint64(term)]
+		if e.bytes >= bs {
+			t.Fatalf("term %d pinned %d bytes: want sub-block pins", term, e.bytes)
+		}
+		if open != nil && e.ext == open {
+			if want := open.entries[len(open.entries)-2]; e.off != want.off+want.bytes {
+				t.Fatalf("term %d at %d, not right after the previous pin at [%d,+%d)", term, e.off, want.off, want.bytes)
+			}
+		} else {
+			if open != nil && open.fill()+e.bytes <= bs {
+				t.Fatalf("term %d opened a new block with %d bytes left in the open one", term, bs-open.fill())
+			}
+			if e.off != e.ext.off || e.ext.bytes != bs {
+				t.Fatalf("term %d opened [%d,+%d) at %d", term, e.ext.off, e.ext.bytes, e.off)
+			}
+			open = e.ext
+			blocks++
+		}
+		pins++
+		if taken := f.m.lists.staticTaken; taken != blocks*bs || taken > budget {
+			t.Fatalf("%d static bytes taken by %d blocks, budget %d", taken, blocks, budget)
+		}
+	}
+	if blocks != budget/bs || int64(pins) <= blocks {
+		t.Fatalf("%d list pins in %d blocks, budget %d blocks: want the budget full and pins packed", pins, blocks, budget/bs)
+	}
+	if err := f.m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -109,8 +109,8 @@ func TestPlaceListExtentEvictionAndWorstCase(t *testing.T) {
 		f.m.flushListToSSD(ml)
 		f.m.flushListBuffer()
 	}
-	if f.m.icAlloc.FreeBytes() != 0 {
-		t.Fatalf("region not full: %d free", f.m.icAlloc.FreeBytes())
+	if f.m.lists.alloc.FreeBytes() != 0 {
+		t.Fatalf("region not full: %d free", f.m.lists.alloc.FreeBytes())
 	}
 	// A 2-block entry cannot overwrite in place (no same-size candidate),
 	// so placement must evict window entries (step 4).
@@ -148,14 +148,14 @@ func TestDropSSDListRewritesLargerPrefix(t *testing.T) {
 	f.m.flushListToSSD(small)
 	f.m.flushListBuffer()
 	first := f.m.ssdListFor(60)
-	if first == nil || first.ext == nil || first.validBytes != 8<<10 {
+	if first == nil || first.ext == nil || first.bytes != 8<<10 {
 		t.Fatalf("first flush: %+v", first)
 	}
 	// A larger prefix replaces the old extent.
 	bigger := memList{term: 60, prefix: make([]byte, 200<<10), loadedAt: f.clock.Now()}
 	f.m.flushListToSSD(bigger)
 	second := f.m.ssdListFor(60)
-	if second == nil || second.validBytes != 200<<10 {
+	if second == nil || second.bytes != 200<<10 {
 		t.Fatalf("second flush: %+v", second)
 	}
 	if f.m.Stats().L2ListEvictions == 0 {

@@ -134,8 +134,8 @@ func TestFlushWriteErrorRequeuesOnceThenDrops(t *testing.T) {
 	if got := f.m.WriteBufferLen(); got != 6 {
 		t.Fatalf("write buffer %d entries after requeue, want 6", got)
 	}
-	if len(f.m.resultLoc) != 0 {
-		t.Fatalf("failed flush left %d SSD mappings", len(f.m.resultLoc))
+	if len(f.m.results.dyn) != 0 {
+		t.Fatalf("failed flush left %d SSD mappings", len(f.m.results.dyn))
 	}
 
 	// Second attempt: the re-queued batch is dropped, not re-queued again,
@@ -159,8 +159,8 @@ func TestFlushWriteErrorRequeuesOnceThenDrops(t *testing.T) {
 func TestGetResultReadErrorQuarantinesRB(t *testing.T) {
 	f, fd := newFlakyFixture(t, testConfig(PolicyCBLRU))
 	putEntries(t, f, 1, 11) // RB with qids 1..6 lands on SSD
-	if len(f.m.resultLoc) != 6 {
-		t.Fatalf("setup: %d SSD mappings, want 6", len(f.m.resultLoc))
+	if len(f.m.results.dyn) != 6 {
+		t.Fatalf("setup: %d SSD mappings, want 6", len(f.m.results.dyn))
 	}
 	fd.failReads = true
 	if _, src := f.m.GetResult(1); src != ResultMiss {
@@ -173,8 +173,8 @@ func TestGetResultReadErrorQuarantinesRB(t *testing.T) {
 	if s.ExtentsQuarantined != 1 || s.QuarantinedBytes != f.m.cfg.BlockBytes {
 		t.Fatalf("quarantine accounting: %d extents / %d bytes", s.ExtentsQuarantined, s.QuarantinedBytes)
 	}
-	if len(f.m.resultLoc) != 0 {
-		t.Fatalf("quarantined RB left %d mappings", len(f.m.resultLoc))
+	if len(f.m.results.dyn) != 0 {
+		t.Fatalf("quarantined RB left %d mappings", len(f.m.results.dyn))
 	}
 	// Sibling entries now miss without touching the device again.
 	if _, src := f.m.GetResult(2); src != ResultMiss {
@@ -193,8 +193,8 @@ func TestGetResultReadErrorQuarantinesRB(t *testing.T) {
 func TestGetResultReadErrorLRUQuarantinesEntry(t *testing.T) {
 	f, fd := newFlakyFixture(t, testConfig(PolicyLRU))
 	putEntries(t, f, 1, 8) // 3 entries written individually to SSD
-	if len(f.m.resultLoc) != 3 {
-		t.Fatalf("setup: %d SSD mappings, want 3", len(f.m.resultLoc))
+	if len(f.m.results.dyn) != 3 {
+		t.Fatalf("setup: %d SSD mappings, want 3", len(f.m.results.dyn))
 	}
 	fd.failReads = true
 	if _, src := f.m.GetResult(1); src != ResultMiss {
@@ -207,11 +207,11 @@ func TestGetResultReadErrorLRUQuarantinesEntry(t *testing.T) {
 	if s.QuarantinedBytes != f.m.cfg.ResultEntryBytes {
 		t.Fatalf("quarantined %d bytes, want one entry (%d)", s.QuarantinedBytes, f.m.cfg.ResultEntryBytes)
 	}
-	if _, ok := f.m.resultLoc[1]; ok {
+	if _, ok := f.m.results.dyn[1]; ok {
 		t.Fatal("failed entry still mapped")
 	}
-	if len(f.m.resultLoc) != 2 {
-		t.Fatalf("siblings lost: %d mappings, want 2", len(f.m.resultLoc))
+	if len(f.m.results.dyn) != 2 {
+		t.Fatalf("siblings lost: %d mappings, want 2", len(f.m.results.dyn))
 	}
 	if err := f.m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -246,12 +246,12 @@ func TestBreakerOpensRoutesAroundAndCools(t *testing.T) {
 	if got := f.m.Stats().DegradedServes; got != 1 {
 		t.Fatalf("DegradedServes = %d, want 1", got)
 	}
-	if _, ok := f.m.resultLoc[1]; !ok {
+	if _, ok := f.m.results.dyn[1]; !ok {
 		t.Fatal("degraded probe dropped the mapping")
 	}
 	// So does the SSD-resident list, read from the HDD instead.
 	f.readSome(t, 7, 2<<10)
-	if s := f.m.Stats(); s.DegradedServes != 2 || s.ListReqBytesFromHDD != 2<<10 || f.m.icDyn[7] == nil {
+	if s := f.m.Stats(); s.DegradedServes != 2 || s.ListReqBytesFromHDD != 2<<10 || f.m.lists.dyn[7] == nil {
 		t.Fatalf("DegradedServes = %d, %d requested bytes from HDD: want the list read around the SSD, mapping kept", s.DegradedServes, s.ListReqBytesFromHDD)
 	}
 
@@ -492,13 +492,13 @@ func TestPinResultWriteErrorLeavesSlotReusable(t *testing.T) {
 	}
 }
 
-// TestPinResultCursorAdvances: pinning to budget exhaustion moves the
-// first-free cursor monotonically past full static RBs (O(N) total) and
+// TestPinResultCursorAdvances: pinning to budget exhaustion moves the fill
+// cursor through each static RB in turn, leaving the last one full, and
 // stops exactly at the static budget.
 func TestPinResultCursorAdvances(t *testing.T) {
 	f, _ := newFlakyFixture(t, testConfig(PolicyCBSLRU))
 	perRB := f.m.entriesPerRB
-	budgetRBs := int(f.m.StaticResultBudget() / f.m.cfg.BlockBytes)
+	budgetRBs := int(f.m.staticBudget(&f.m.results) / f.m.cfg.BlockBytes)
 	want := perRB * budgetRBs
 	var pinned int
 	for qid := uint64(1); ; qid++ {
@@ -513,8 +513,9 @@ func TestPinResultCursorAdvances(t *testing.T) {
 	if pinned != want {
 		t.Fatalf("pinned %d entries, want %d", pinned, want)
 	}
-	if f.m.staticRBScan != len(f.m.staticRBs) {
-		t.Fatalf("cursor at %d, want %d (all RBs full)", f.m.staticRBScan, len(f.m.staticRBs))
+	if x, taken := f.m.results.staticOpen, f.m.results.staticTaken; x == nil ||
+		x.fill()+f.m.cfg.ResultEntryBytes <= x.bytes || taken != int64(budgetRBs)*f.m.cfg.BlockBytes {
+		t.Fatalf("open RB %+v, %d bytes taken: want the last of %d RBs full", x, taken, budgetRBs)
 	}
 	if err := f.m.CheckInvariants(); err != nil {
 		t.Fatal(err)

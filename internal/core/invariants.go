@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"hybridstore/internal/cache"
 )
@@ -14,166 +16,47 @@ import (
 //
 // Checked invariants:
 //
-//  1. Every resultLoc entry points at a live slot of its RB, and that slot
-//     points back (mapping bijectivity, Fig 7a/7b).
-//  2. Dynamic RBs are exactly the rbLRU contents; static RBs are marked.
-//  3. SSD list extents are disjoint and inside the list region, dynamic ones
-//     are exactly the icLRU contents with matching keys and sizes, and static
-//     ones add up to staticListTaken.
-//  4. Allocator free space + live extents cover each region exactly.
-//  5. The L1 caches are within capacity, and L1 list bytes plus the list
+//  1. In each SSD region, results then lists, extents are disjoint and inside
+//     the region; dynamic ones are exactly the recency list's contents, with
+//     matching keys and sizes, and static ones add up to the static bytes
+//     taken.
+//  2. Allocator free space + live extents + quarantined space cover each
+//     region exactly.
+//  3. The L1 caches are within capacity, and L1 list bytes plus the list
 //     write buffer are within MemListBytes (the buffer is paid-for memory).
-//  6. Extents obey the layout's alignment rule (whole blocks in the block
-//     log); the lists of one are disjoint, inside it, in offset order and
-//     mapped back by icDyn or icStatic, which map nothing else but the
-//     buffered prefixes — each held in memory, not yet placed, and summing to
-//     listBufBytes.
-//  7. Every free entry buffer is whole, listed once and held by neither L1 nor
+//  4. Extents obey the layout's alignment rule (whole blocks in the block
+//     log), and a list extent holds a live list (a result block may stand
+//     empty: its slots count for IREN). The entries of an extent are
+//     disjoint, inside it, in offset order and mapped back by their key in
+//     the region's dynamic or static map, which map nothing else but the
+//     buffered prefixes — each held in memory, not yet placed, and summing
+//     to listBufBytes.
+//  5. Every free entry buffer is whole, listed once and held by neither L1 nor
 //     the write buffer; all of them fit a full L1, a full write buffer and one.
-//  8. Every L1 prefix, buffered prefix and free prefix buffer has exactly one
+//  6. Every L1 prefix, buffered prefix and free prefix buffer has exactly one
 //     holder; a free one can serve its size class, and together they hold at
 //     most maxFreePrefixBytes.
 func (m *Manager) CheckInvariants() error {
-	// (1) result mapping bijectivity.
-	for qid, loc := range m.resultLoc {
-		if loc.qid != qid {
-			return fmt.Errorf("resultLoc[%d] carries qid %d", qid, loc.qid)
-		}
-		if loc.rb == nil || loc.slot < 0 || loc.slot >= len(loc.rb.slots) {
-			return fmt.Errorf("resultLoc[%d] has invalid slot %d", qid, loc.slot)
-		}
-		if loc.rb.slots[loc.slot] != loc {
-			return fmt.Errorf("resultLoc[%d] slot does not point back", qid)
-		}
-	}
-
-	// (2) RB bookkeeping.
-	if m.rbLRU != nil {
-		seen := make(map[uint64]bool)
-		var rbBytes int64
-		m.rbLRU.Ascend(func(e *cache.Entry[*resultBlock]) bool {
-			seen[e.Value.num] = true
-			rbBytes += e.Size
-			return true
-		})
-		if rbBytes != m.rbLRU.Used() {
-			return fmt.Errorf("rbLRU accounting %d != sum %d", m.rbLRU.Used(), rbBytes)
-		}
-		for _, rb := range m.staticRBs {
-			if !rb.static {
-				return fmt.Errorf("staticRBs holds non-static RB %d", rb.num)
-			}
-			if seen[rb.num] {
-				return fmt.Errorf("RB %d both static and dynamic", rb.num)
-			}
-		}
-	}
-
-	// (3)+(6) list extents and the term maps.
-	var extents []*listExtent
-	var staticBytes int64
-	mapped := map[bool]int{} // lists found inside extents, by extent.static
-	collect := func(x *listExtent) error {
-		if x.off < 0 || x.off+x.bytes > m.cfg.SSDListBytes {
-			return fmt.Errorf("list extent [%d,+%d) outside region", x.off, x.bytes)
-		}
-		if err := m.lay.checkListExtent(x); err != nil {
-			return err
-		}
-		if len(x.lists) == 0 {
-			return fmt.Errorf("list extent [%d,+%d) holds no live list", x.off, x.bytes)
-		}
-		end := x.off
-		for _, sl := range x.lists {
-			switch {
-			case sl.ext != x || sl.data != nil || m.listsByTerm(x.static)[sl.term] != sl:
-				return fmt.Errorf("term %d in extent [%d,+%d) not mapped back", sl.term, x.off, x.bytes)
-			case sl.validBytes <= 0 || sl.off < end || sl.off+sl.validBytes > x.off+x.bytes:
-				return fmt.Errorf("term %d at [%d,+%d) overlaps its neighbour or leaves extent [%d,+%d)",
-					sl.term, sl.off, sl.validBytes, x.off, x.bytes)
-			}
-			end = sl.off + sl.validBytes
-		}
-		mapped[x.static] += len(x.lists)
-		extents = append(extents, x)
-		return nil
-	}
-	if m.icLRU != nil {
-		var walkErr error
-		var listBytes int64
-		m.icLRU.Ascend(func(e *cache.Entry[*listExtent]) bool {
-			x := e.Value
-			if x.static || e.Key != uint64(x.off) || e.Size != x.bytes {
-				walkErr = fmt.Errorf("list extent [%d,+%d) in icLRU as key %d, %d bytes, static %v",
-					x.off, x.bytes, e.Key, e.Size, x.static)
-			} else {
-				walkErr = collect(x)
-			}
-			listBytes += e.Size
-			return walkErr == nil
-		})
-		if walkErr != nil {
-			return walkErr
-		}
-		if listBytes != m.icLRU.Used() {
-			return fmt.Errorf("icLRU accounting %d != sum %d", m.icLRU.Used(), listBytes)
-		}
-	}
-	for term, sl := range m.icStatic {
-		if sl.term != term || sl.ext == nil || !sl.ext.static {
-			return fmt.Errorf("icStatic[%d] carries term %d outside a static extent", term, sl.term)
-		}
-		if len(sl.ext.lists) > 0 && sl.ext.lists[0] != sl {
-			continue // its extent is collected once, from its first list
-		}
-		if err := collect(sl.ext); err != nil {
-			return err
-		}
-		staticBytes += sl.ext.bytes
-	}
-	if staticBytes != m.staticListTaken {
-		return fmt.Errorf("static extents hold %d bytes, staticListTaken %d", staticBytes, m.staticListTaken)
+	// (1), (2) and (4), over both regions.
+	if err := m.checkRegion(&m.results, 0); err != nil {
+		return fmt.Errorf("result region: %w", err)
 	}
 	var buffered int64
 	for _, sl := range m.listBuf {
-		if sl.ext != nil || int64(len(sl.data)) != sl.validBytes || m.icDyn[sl.term] != sl {
-			return fmt.Errorf("buffered term %d placed, without its bytes or not mapped back", sl.term)
+		if sl.ext != nil || int64(len(sl.data)) != sl.bytes || m.lists.dyn[sl.key] != sl {
+			return fmt.Errorf("buffered term %d placed, without its bytes or not mapped back", sl.key)
 		}
-		buffered += sl.validBytes
+		buffered += sl.bytes
 	}
 	if buffered != m.listBufBytes || buffered > m.listBufCap {
 		return fmt.Errorf("list write buffer holds %d bytes, accounted %d, capacity %d",
 			buffered, m.listBufBytes, m.listBufCap)
 	}
-	if mapped[false]+len(m.listBuf) != len(m.icDyn) || mapped[true] != len(m.icStatic) {
-		return fmt.Errorf("term maps hold %d dynamic and %d static lists, extents and buffer %d and %d",
-			len(m.icDyn), len(m.icStatic), mapped[false]+len(m.listBuf), mapped[true])
-	}
-	// Extent disjointness (O(n²); n is small in tests).
-	for i, a := range extents {
-		for _, b := range extents[i+1:] {
-			if a.off < b.off+b.bytes && b.off < a.off+a.bytes {
-				return fmt.Errorf("list extents overlap: [%d,+%d) and [%d,+%d)",
-					a.off, a.bytes, b.off, b.bytes)
-			}
-		}
+	if err := m.checkRegion(&m.lists, len(m.listBuf)); err != nil {
+		return fmt.Errorf("list region: %w", err)
 	}
 
-	// (4) allocator coverage of the list region. Quarantined extents are
-	// neither live nor free: space retired after device errors still has
-	// to be accounted for, or faults would masquerade as leaks.
-	if m.icAlloc != nil {
-		var live int64
-		for _, x := range extents {
-			live += x.bytes
-		}
-		if live+m.icAlloc.FreeBytes()+m.icAlloc.QuarantinedBytes() != m.cfg.SSDListBytes {
-			return fmt.Errorf("list region leak: live %d + free %d + quarantined %d != %d",
-				live, m.icAlloc.FreeBytes(), m.icAlloc.QuarantinedBytes(), m.cfg.SSDListBytes)
-		}
-	}
-
-	// (5) L1 capacities.
+	// (3) L1 capacities.
 	if m.rc.Used() > m.rc.Capacity() {
 		return fmt.Errorf("L1 RC over capacity: %d > %d", m.rc.Used(), m.rc.Capacity())
 	}
@@ -182,7 +65,7 @@ func (m *Manager) CheckInvariants() error {
 			m.ic.Used(), m.ic.Capacity(), m.listBufBytes, m.cfg.MemListBytes)
 	}
 
-	// (7) entry buffers, by the address of their first byte.
+	// (5) entry buffers, by the address of their first byte.
 	holder := make(map[*byte]string)
 	m.rc.Ascend(func(e *cache.Entry[memResult]) bool {
 		holder[&e.Value.data[0]] = "L1"
@@ -204,7 +87,7 @@ func (m *Manager) CheckInvariants() error {
 		return fmt.Errorf("%d entry buffers in existence, bound %d", len(holder), bound)
 	}
 
-	// (8) list prefix buffers, by the address of their backing array.
+	// (6) list prefix buffers, by the address of their backing array.
 	type held struct {
 		buf []byte
 		by  string
@@ -238,6 +121,109 @@ func (m *Manager) CheckInvariants() error {
 			return fmt.Errorf("list prefix buffer held by %s and %s", other, h.by)
 		}
 		holder[p] = h.by
+	}
+	return nil
+}
+
+// checkRegion checks clauses 1, 2 and 4 over region r, whose dynamic map also
+// reaches the given number of buffered entries.
+func (m *Manager) checkRegion(r *region, buffered int) error {
+	if r.lru == nil {
+		if len(r.dyn)+len(r.static)+buffered != 0 {
+			return fmt.Errorf("%d entries mapped in a region of no bytes", len(r.dyn)+len(r.static)+buffered)
+		}
+		return nil
+	}
+	var extents []*extent
+	mapped := map[bool]int{} // entries found inside extents, by extent.static
+	collect := func(x *extent) error {
+		if x.off < 0 || x.off+x.bytes > r.alloc.Size() {
+			return fmt.Errorf("extent [%d,+%d) outside the region", x.off, x.bytes)
+		}
+		if err := m.lay.checkExtent(x); err != nil {
+			return err
+		}
+		if len(x.entries) == 0 && r == &m.lists {
+			return fmt.Errorf("list extent [%d,+%d) holds no live list", x.off, x.bytes)
+		}
+		end := x.off
+		for _, e := range x.entries {
+			switch {
+			case e.ext != x || e.data != nil || r.keys(x.static)[e.key] != e:
+				return fmt.Errorf("key %d in extent [%d,+%d) not mapped back", e.key, x.off, x.bytes)
+			case e.bytes <= 0 || e.off < end || e.off+e.bytes > x.off+x.bytes:
+				return fmt.Errorf("key %d at [%d,+%d) overlaps its neighbour or leaves extent [%d,+%d)",
+					e.key, e.off, e.bytes, x.off, x.bytes)
+			}
+			end = e.off + e.bytes
+		}
+		mapped[x.static] += len(x.entries)
+		extents = append(extents, x)
+		return nil
+	}
+	var walkErr error
+	var lruBytes int64
+	r.lru.Ascend(func(e *cache.Entry[*extent]) bool {
+		x := e.Value
+		if x.static || e.Key != uint64(x.off) || e.Size != x.bytes {
+			walkErr = fmt.Errorf("extent [%d,+%d) in the recency list as key %d, %d bytes, static %v",
+				x.off, x.bytes, e.Key, e.Size, x.static)
+		} else {
+			walkErr = collect(x)
+		}
+		lruBytes += e.Size
+		return walkErr == nil
+	})
+	if walkErr != nil {
+		return walkErr
+	}
+	if lruBytes != r.lru.Used() {
+		return fmt.Errorf("recency list accounting %d != sum %d", r.lru.Used(), lruBytes)
+	}
+	var staticBytes int64
+	for key, e := range r.static {
+		if e.key != key || e.ext == nil || !e.ext.static {
+			return fmt.Errorf("static map [%d] carries key %d outside a static extent", key, e.key)
+		}
+		if len(e.ext.entries) > 0 && e.ext.entries[0] != e {
+			continue // its extent is collected once, from its first entry
+		}
+		if err := collect(e.ext); err != nil {
+			return err
+		}
+		staticBytes += e.ext.bytes
+	}
+	if x := r.staticOpen; x != nil && len(x.entries) == 0 {
+		// A result block whose first pin failed to write: its slot is open.
+		if !x.static {
+			return fmt.Errorf("open static extent [%d,+%d) not static", x.off, x.bytes)
+		}
+		if err := collect(x); err != nil {
+			return err
+		}
+		staticBytes += x.bytes
+	}
+	if staticBytes != r.staticTaken {
+		return fmt.Errorf("static extents hold %d bytes, %d taken", staticBytes, r.staticTaken)
+	}
+	if mapped[false]+buffered != len(r.dyn) || mapped[true] != len(r.static) {
+		return fmt.Errorf("maps hold %d dynamic and %d static entries, extents and buffer %d and %d",
+			len(r.dyn), len(r.static), mapped[false]+buffered, mapped[true])
+	}
+	slices.SortFunc(extents, func(a, b *extent) int { return cmp.Compare(a.off, b.off) })
+	var live int64
+	for i, x := range extents {
+		if i > 0 && extents[i-1].off+extents[i-1].bytes > x.off {
+			return fmt.Errorf("extents overlap: [%d,+%d) and [%d,+%d)",
+				extents[i-1].off, extents[i-1].bytes, x.off, x.bytes)
+		}
+		live += x.bytes
+	}
+	// Quarantined extents are neither live nor free: space retired after
+	// device errors still has to be accounted for, or faults would
+	// masquerade as leaks.
+	if free, q := r.alloc.FreeBytes(), r.alloc.QuarantinedBytes(); live+free+q != r.alloc.Size() {
+		return fmt.Errorf("leak: live %d + free %d + quarantined %d != %d", live, free, q, r.alloc.Size())
 	}
 	return nil
 }

@@ -34,11 +34,11 @@ type layout interface {
 	// content was just copied back into memory.
 	copiedUp(st *entryState)
 	// expireResult removes a TTL-expired dynamic SSD result entry.
-	expireResult(loc *ssdResult)
-	// quarantineResult retires the extent behind a dynamic SSD result entry
-	// whose read failed.
-	quarantineResult(loc *ssdResult)
-	// checkListExtent reports a violation of the layout's alignment rule
-	// for one L2 list extent (CheckInvariants).
-	checkListExtent(x *listExtent) error
+	expireResult(e *ssdEntry)
+	// resultRetireKind is the event an extent leaving the result region is
+	// counted as: EvRBRetire for a result block, EvResultEvict for an entry.
+	resultRetireKind() EventKind
+	// checkExtent reports a violation of the layout's alignment rule for
+	// one L2 extent (CheckInvariants).
+	checkExtent(x *extent) error
 }

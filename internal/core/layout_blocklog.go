@@ -139,7 +139,7 @@ func (l blockLogLayout) flushList(ml memList) {
 		m.freePrefix(ml.prefix)
 		return
 	}
-	if ev(m.termFreq[ml.term], sc) < m.cfg.TEV || scBytes > m.icLRU.Capacity() {
+	if ev(m.termFreq[ml.term], sc) < m.cfg.TEV || scBytes > m.lists.lru.Capacity() {
 		m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
 		m.freePrefix(ml.prefix)
 		return
@@ -150,22 +150,22 @@ func (l blockLogLayout) flushList(ml memList) {
 	// SSD left replaceable by an earlier read-back — revalidate instead of
 	// rewriting (§VI-C1, write-buffer check). A dynamic overlay larger than
 	// a conservative static pin is allowed: it fills the pin's coverage gap.
-	if existing := m.ssdListFor(ml.term); existing != nil && existing.validBytes >= si {
+	if existing := m.ssdListFor(ml.term); existing != nil && existing.bytes >= si {
 		existing.state = stateNormal
 		m.emit(Event{Kind: EvListElide, Term: ml.term})
 		m.freePrefix(ml.prefix)
 		return
 	}
-	if old := m.icDyn[ml.term]; old != nil {
+	if old := m.lists.dyn[uint64(ml.term)]; old != nil {
 		// A shorter dynamic copy — the one ssdListFor returned, or one
 		// behind a static pin it preferred — is replaced, not doubled.
 		m.dropSSDList(old)
 	}
 
-	sl := &ssdList{term: ml.term, validBytes: si, loadedAt: ml.loadedAt, data: ml.prefix}
-	m.icDyn[sl.term] = sl
+	sl := &ssdEntry{key: uint64(ml.term), bytes: si, loadedAt: ml.loadedAt, data: ml.prefix}
+	m.lists.dyn[sl.key] = sl
 	if si >= m.cfg.BlockBytes {
-		m.writeListExtent(scBytes, []*ssdList{sl})
+		m.writeListExtent(scBytes, []*ssdEntry{sl})
 		return
 	}
 	if m.listBufBytes+si > m.listBufCap {
@@ -196,39 +196,40 @@ func (m *Manager) flushListBuffer() {
 // of the lists is lost from the cache — still on the HDD — and counted
 // discarded once. Either way each prefix buffer is freed, once staging holds
 // its bytes or once the list is lost.
-func (m *Manager) writeListExtent(bytes int64, batch []*ssdList) {
-	x := &listExtent{bytes: bytes, lists: batch}
+func (m *Manager) writeListExtent(bytes int64, batch []*ssdEntry) {
+	r := &m.lists
+	x := &extent{bytes: bytes, entries: batch}
 	var payload int64
 	for _, sl := range batch {
 		sl.ext = x
-		payload += sl.validBytes
+		payload += sl.bytes
 	}
-	lists, first := int64(len(batch)), batch[0].term
+	lists, first := int64(len(batch)), workload.TermID(batch[0].key)
 	if !m.ssdHealthy() || !m.placeListExtent(x) {
 		for _, sl := range batch {
 			m.freePrefix(sl.data)
 			sl.data = nil
 		}
-		m.unmapListExtent(x)
+		m.unmap(r, x)
 		m.emit(Event{Kind: EvListDiscard, Term: first, N: lists})
 		return
 	}
 	buf := m.stagingBuf(x.bytes, payload)
 	fill := x.off
-	for _, sl := range x.lists {
+	for _, sl := range x.entries {
 		copy(buf[fill-x.off:], sl.data)
 		m.freePrefix(sl.data)
 		sl.off, sl.data = fill, nil
-		fill += sl.validBytes
+		fill += sl.bytes
 	}
-	if err := m.ssdWrite(buf, m.icBase()+x.off); err != nil {
+	if err := m.ssdWrite(buf, r.base+x.off); err != nil {
 		// Error accounted by ssdWrite; the failed extent is retired.
-		m.quarantineListExtent(x)
+		m.quarantineExtent(r, x)
 		m.emit(Event{Kind: EvListDiscard, Term: first, N: lists})
 		return
 	}
 	m.emit(Event{Kind: EvListFlush, Term: first, Bytes: x.bytes, N: lists, Part: payload})
-	m.icLRU.Put(uint64(x.off), x.bytes, x)
+	r.lru.Put(uint64(x.off), x.bytes, x)
 }
 
 // placeListExtent finds x a block-aligned home of x.bytes in the list
@@ -236,46 +237,37 @@ func (m *Manager) writeListExtent(bytes int64, batch []*ssdList) {
 //
 //  1. free space;
 //  2. overwrite in place the same-size extent of the replace-first region
-//     that holds the fewest normal bytes, the least recent on ties — for one
-//     list per extent that is steps 2–3 of the figure (a replaceable entry,
-//     else any), for packed extents the IREN rule of Fig 11;
+//     that holds the fewest normal bytes, the least recent on ties (victim) —
+//     for one list per extent that is steps 2–3 of the figure (a replaceable
+//     entry, else any), for packed extents the IREN rule of Fig 11;
 //  3. assemble room by evicting replace-first-region extents;
 //  4. widen the search to the whole LRU list (the paper's rare worst case).
-func (m *Manager) placeListExtent(x *listExtent) (ok bool) {
-	if x.off, ok = m.icAlloc.AllocAligned(x.bytes, m.cfg.BlockBytes); ok {
+func (m *Manager) placeListExtent(x *extent) (ok bool) {
+	r := &m.lists
+	if x.off, ok = r.alloc.AllocAligned(x.bytes, m.cfg.BlockBytes); ok {
 		return true
 	}
-	window := m.icLRU.TailWindow(m.cfg.WindowW)
-
-	var victim *listExtent
-	var least int64
-	for _, e := range window {
-		if v := e.Value; v.bytes == x.bytes {
-			if nb := v.normalBytes(); victim == nil || nb < least {
-				victim, least = v, nb
-			}
-		}
-	}
-	if victim != nil {
-		m.unmapListExtent(victim)
+	window := r.lru.TailWindow(m.cfg.WindowW)
+	if v := victim(window, x.bytes); v != nil {
+		m.unmap(r, v)
 		m.emit(Event{Kind: EvListOverwrite})
-		x.off = victim.off
+		x.off = v.off
 		return true
 	}
 
 	// Evict window extents, least recent first, until an aligned allocation
 	// succeeds.
 	for _, e := range window {
-		m.evictListExtent(e.Value)
-		if x.off, ok = m.icAlloc.AllocAligned(x.bytes, m.cfg.BlockBytes); ok {
+		m.drop(r, e.Value, true)
+		if x.off, ok = r.alloc.AllocAligned(x.bytes, m.cfg.BlockBytes); ok {
 			return true
 		}
 	}
 
 	// Whole-list sweep, LRU to MRU.
-	m.icLRU.Ascend(func(e *cache.Entry[*listExtent]) bool {
-		m.evictListExtent(e.Value)
-		x.off, ok = m.icAlloc.AllocAligned(x.bytes, m.cfg.BlockBytes)
+	r.lru.Ascend(func(e *cache.Entry[*extent]) bool {
+		m.drop(r, e.Value, true)
+		x.off, ok = r.alloc.AllocAligned(x.bytes, m.cfg.BlockBytes)
 		return !ok
 	})
 	if ok {
@@ -292,8 +284,8 @@ func (l blockLogLayout) evictResult(qid uint64, mr *memResult) {
 	// Write-buffer check (Fig 10): if the SSD already holds a valid copy
 	// (left replaceable by an earlier read-back), revalidate it and skip
 	// the write entirely.
-	if loc, ok := m.resultLoc[qid]; ok {
-		loc.state = stateNormal
+	if e := m.results.lookup(qid); e != nil {
+		e.state = stateNormal
 		m.emit(Event{Kind: EvResultElide})
 		m.freeEntry(mr.data)
 		return
@@ -323,8 +315,7 @@ func (l blockLogLayout) evictResult(qid uint64, mr *memResult) {
 
 // flushResultBlock assembles entriesPerRB buffered entries into one result
 // block and writes it to the SSD as a single block-aligned sequential
-// write (Fig 10b), choosing the victim RB by IREN within the replace-first
-// region when no free block exists (Fig 11).
+// write (Fig 10b).
 func (m *Manager) flushResultBlock() {
 	n := m.entriesPerRB
 	if len(m.writeBuf) < n {
@@ -337,15 +328,11 @@ func (m *Manager) flushResultBlock() {
 
 	// Breaker open (flushing would hammer the failing device) or no block to
 	// be had: drop the batch with accounting, not let the buffer grow unbounded.
+	r, bs, es := &m.results, m.cfg.BlockBytes, m.cfg.ResultEntryBytes
 	var off int64
 	ok := m.ssdHealthy()
 	if ok {
-		if off, ok = m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes); !ok {
-			if rb := m.chooseVictimRB(); rb != nil {
-				m.retireRB(rb)
-				off, ok = m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes)
-			}
-		}
+		off, ok = m.placeResultBlock()
 	}
 	if !ok {
 		m.emit(Event{Kind: EvResultDrop, N: int64(n)})
@@ -353,24 +340,18 @@ func (m *Manager) flushResultBlock() {
 		return
 	}
 
-	rb := &resultBlock{num: m.nextRB, off: off, slots: make([]*ssdResult, n)}
-	m.nextRB++
 	// Entries are exactly ResultEntryBytes each (PutResult enforces it), so
 	// together they overwrite the whole payload.
-	buf := m.stagingBuf(m.cfg.BlockBytes, int64(n)*m.cfg.ResultEntryBytes)
+	buf := m.stagingBuf(bs, int64(n)*es)
 	for i, b := range batch {
-		copy(buf[int64(i)*m.cfg.ResultEntryBytes:], b.data)
-		loc := &ssdResult{qid: b.qid, rb: rb, slot: i, loadedAt: b.loadedAt}
-		rb.slots[i] = loc
-		m.resultLoc[b.qid] = loc
+		copy(buf[int64(i)*es:], b.data)
 	}
-	if err := m.ssdWrite(buf, off); err != nil {
+	if err := m.ssdWrite(buf, r.base+off); err != nil {
 		// The write failed (error accounted by ssdWrite): quarantine the
 		// extent so the bad range is not immediately re-allocated, and
 		// re-queue each entry once — a second failure drops it, counted.
-		m.quarantine(m.rcAlloc, off, m.cfg.BlockBytes)
+		m.quarantine(r.alloc, off, bs)
 		for _, b := range batch {
-			delete(m.resultLoc, b.qid)
 			if b.requeued {
 				m.emit(Event{Kind: EvResultDrop, N: 1})
 				m.freeEntry(b.data)
@@ -382,9 +363,31 @@ func (m *Manager) flushResultBlock() {
 		}
 		return
 	}
+	x := &extent{off: off, bytes: bs, entries: make([]*ssdEntry, n)}
+	for i, b := range batch {
+		e := &ssdEntry{key: b.qid, ext: x, off: off + int64(i)*es, bytes: es, loadedAt: b.loadedAt}
+		x.entries[i] = e
+		r.dyn[b.qid] = e
+	}
 	m.freeBatch(batch) // staging holds the bytes now
-	m.emit(Event{Kind: EvRBFlush, Bytes: m.cfg.BlockBytes})
-	m.rbLRU.Put(rb.num, m.cfg.BlockBytes, rb)
+	m.emit(Event{Kind: EvRBFlush, Bytes: bs})
+	r.lru.Put(uint64(off), bs, x)
+}
+
+// placeResultBlock finds a block of the result region for a new RB: free
+// space, else the victim RB of the replace-first region (Fig 11) is retired
+// and its block allocated again.
+func (m *Manager) placeResultBlock() (int64, bool) {
+	r, bs := &m.results, m.cfg.BlockBytes
+	if off, ok := r.alloc.AllocAligned(bs, bs); ok {
+		return off, true
+	}
+	v := victim(r.lru.TailWindow(m.cfg.WindowW), bs)
+	if v == nil {
+		return 0, false
+	}
+	m.drop(r, v, true)
+	return r.alloc.AllocAligned(bs, bs)
 }
 
 // freeBatch takes back the buffers of write-buffer entries leaving memory.
@@ -394,74 +397,27 @@ func (m *Manager) freeBatch(batch []bufferedResult) {
 	}
 }
 
-// chooseVictimRB returns the RB with the largest IREN inside the
-// replace-first region (Fig 11), or the plain LRU block if the region is
-// empty. Returns nil when no dynamic RB exists.
-func (m *Manager) chooseVictimRB() *resultBlock {
-	window := m.rbLRU.TailWindow(m.cfg.WindowW)
-	if len(window) == 0 {
-		return nil
-	}
-	best := window[0].Value
-	bestIREN := best.iren()
-	for _, e := range window[1:] {
-		rb := e.Value
-		if ir := rb.iren(); ir > bestIREN {
-			best, bestIREN = rb, ir
-		}
-	}
-	return best
-}
-
-// unmapRB drops the mappings of an RB's remaining entries and takes it off
-// the LRU list; what becomes of its extent is the caller's business.
-func (m *Manager) unmapRB(rb *resultBlock) {
-	for _, loc := range rb.slots {
-		if loc != nil {
-			delete(m.resultLoc, loc.qid)
-		}
-	}
-	if e, ok := m.rbLRU.Peek(rb.num); ok {
-		m.rbLRU.RemoveEntry(e)
-	}
-}
-
-// retireRB invalidates an RB's remaining entries and frees its extent.
-func (m *Manager) retireRB(rb *resultBlock) {
-	m.unmapRB(rb)
-	m.rcAlloc.Free(rb.off, m.cfg.BlockBytes)
-	m.ssdTrim(rb.off, m.cfg.BlockBytes)
-	m.emit(Event{Kind: EvRBRetire, Level: LevelSSD})
-}
-
 // copiedUp flips the entry to replaceable: its SSD copy stays readable
 // but may now be overwritten first (Fig 9).
 func (blockLogLayout) copiedUp(st *entryState) { *st = stateReplaceable }
 
 // expireResult invalidates and trims only the slot; the RB lives on for
 // IREN-based replacement.
-func (l blockLogLayout) expireResult(loc *ssdResult) {
+func (l blockLogLayout) expireResult(e *ssdEntry) {
 	m := l.m
-	loc.rb.slots[loc.slot] = nil
-	delete(m.resultLoc, loc.qid)
-	m.ssdTrim(loc.rb.off+int64(loc.slot)*m.cfg.ResultEntryBytes, m.cfg.ResultEntryBytes)
+	e.ext.entries = slices.DeleteFunc(e.ext.entries, func(o *ssdEntry) bool { return o == e })
+	delete(m.results.dyn, e.key)
+	m.ssdTrim(m.results.base+e.off, e.bytes)
 	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
 }
 
-// quarantineResult retires the whole RB around the failing entry: mappings
-// are dropped and the extent is quarantined (never re-allocated) instead of
-// freed. No trim — the range is being abandoned, not recycled.
-func (l blockLogLayout) quarantineResult(loc *ssdResult) {
-	m, rb := l.m, loc.rb
-	m.unmapRB(rb)
-	m.quarantine(m.rcAlloc, rb.off, m.cfg.BlockBytes)
-	m.emit(Event{Kind: EvRBRetire, Level: LevelSSD})
-}
+// resultRetireKind: a result extent is a result block.
+func (blockLogLayout) resultRetireKind() EventKind { return EvRBRetire }
 
-// checkListExtent requires whole, block-aligned extents.
-func (l blockLogLayout) checkListExtent(x *listExtent) error {
+// checkExtent requires whole, block-aligned extents.
+func (l blockLogLayout) checkExtent(x *extent) error {
 	if bs := l.m.cfg.BlockBytes; x.off%bs != 0 || x.bytes%bs != 0 {
-		return fmt.Errorf("list extent [%d,+%d) not block-aligned", x.off, x.bytes)
+		return fmt.Errorf("extent [%d,+%d) not block-aligned", x.off, x.bytes)
 	}
 	return nil
 }

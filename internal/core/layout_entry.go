@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"hybridstore/internal/cache"
 	"hybridstore/internal/workload"
 )
@@ -55,47 +57,12 @@ func (l entryLayout) fillL1(t workload.TermID, l1 *memList, off int64, p []byte,
 func (l entryLayout) flushList(ml memList) {
 	m := l.m
 	defer m.freePrefix(ml.prefix) // written or lost, memory is done with it
+	if !l.write(&m.lists, uint64(ml.term), ml.prefix, ml.loadedAt) {
+		m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
+		return
+	}
 	size := int64(len(ml.prefix))
-	if size == 0 || size > m.icLRU.Capacity() {
-		m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
-		return
-	}
-	if old := m.icDyn[ml.term]; old != nil {
-		m.freeLRUList(old.ext) // the stale copy
-	}
-	var off int64
-	for {
-		var ok bool
-		if off, ok = m.icAlloc.Alloc(size); ok {
-			break
-		}
-		lru := m.icLRU.LRUEntry()
-		if lru == nil {
-			m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
-			return
-		}
-		m.freeLRUList(lru.Value)
-	}
-	if err := m.ssdWrite(ml.prefix, m.icBase()+off); err != nil {
-		m.quarantine(m.icAlloc, off, size)
-		m.emit(Event{Kind: EvListDiscard, Term: ml.term, N: 1})
-		return
-	}
 	m.emit(Event{Kind: EvListFlush, Term: ml.term, Bytes: size, N: 1, Part: size})
-	// Baseline entries are single-list extents, as its results are
-	// single-slot pseudo-RBs, so the same bookkeeping serves both layouts.
-	x := &listExtent{off: off, bytes: size}
-	sl := &ssdList{term: ml.term, ext: x, off: off, validBytes: size, loadedAt: ml.loadedAt}
-	x.lists = []*ssdList{sl}
-	m.icDyn[sl.term] = sl
-	m.icLRU.Put(uint64(off), size, x)
-}
-
-// freeLRUList releases a baseline L2 list entry: unlike evictListExtent, the
-// extent goes back to the allocator without a trim.
-func (m *Manager) freeLRUList(x *listExtent) {
-	m.unmapListExtent(x)
-	m.icAlloc.Free(x.off, x.bytes)
 }
 
 // evictResult writes the 20 KB entry immediately at whatever unaligned
@@ -103,65 +70,58 @@ func (m *Manager) freeLRUList(x *listExtent) {
 func (l entryLayout) evictResult(qid uint64, mr *memResult) {
 	m := l.m
 	defer m.freeEntry(mr.data) // written or lost, memory is done with it
-	size := int64(len(mr.data))
-	if !m.ssdHealthy() {
+	if !m.ssdHealthy() || !l.write(&m.results, qid, mr.data, m.clock.Now()) {
 		m.emit(Event{Kind: EvResultDrop, N: 1})
 		return
 	}
-	if old, ok := m.resultLoc[qid]; ok {
-		m.freeLRUResult(old)
+	m.emit(Event{Kind: EvResultFlush, Bytes: int64(len(mr.data))})
+}
+
+// write stores p, key's content as of loadedAt, in region r as an extent of
+// its own: the key's old copy is freed, then the least recent extents until
+// the allocator finds room anywhere. It reports whether p is on the SSD; the
+// range of a failed write is quarantined.
+func (l entryLayout) write(r *region, key uint64, p []byte, loadedAt time.Duration) bool {
+	m := l.m
+	size := int64(len(p))
+	if size == 0 || size > r.lru.Capacity() {
+		return false
+	}
+	if old := r.dyn[key]; old != nil {
+		m.drop(r, old.ext, false) // the stale copy
 	}
 	var off int64
 	for {
 		var ok bool
-		if off, ok = m.rcAlloc.Alloc(size); ok {
+		if off, ok = r.alloc.Alloc(size); ok {
 			break
 		}
-		e := m.rbLRU.LRUEntry()
-		if e == nil {
-			m.emit(Event{Kind: EvResultDrop, N: 1})
-			return
+		lru := r.lru.LRUEntry()
+		if lru == nil {
+			return false
 		}
-		m.freeLRUResult(e.Value.slots[0])
+		m.drop(r, lru.Value, false)
 	}
-	// Baseline entries are modelled as single-slot pseudo-RBs so the same
-	// bookkeeping serves both layouts.
-	rb := &resultBlock{num: m.nextRB, off: off, slots: make([]*ssdResult, 1)}
-	m.nextRB++
-	loc := &ssdResult{qid: qid, rb: rb, slot: 0, loadedAt: m.clock.Now()}
-	rb.slots[0] = loc
-	if err := m.ssdWrite(mr.data, off); err != nil {
-		// Accounted loss: the entry is gone and the failed range is retired.
-		m.quarantine(m.rcAlloc, off, size)
-		m.emit(Event{Kind: EvResultDrop, N: 1})
-		return
+	if err := m.ssdWrite(p, r.base+off); err != nil {
+		m.quarantine(r.alloc, off, size)
+		return false
 	}
-	m.emit(Event{Kind: EvResultFlush, Bytes: size})
-	m.resultLoc[qid] = loc
-	m.rbLRU.Put(rb.num, size, rb)
-}
-
-// freeLRUResult releases a baseline pseudo-RB.
-func (m *Manager) freeLRUResult(loc *ssdResult) {
-	m.unmapRB(loc.rb)
-	m.rcAlloc.Free(loc.rb.off, m.cfg.ResultEntryBytes)
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
+	x := &extent{off: off, bytes: size}
+	e := &ssdEntry{key: key, ext: x, off: off, bytes: size, loadedAt: loadedAt}
+	x.entries = []*ssdEntry{e}
+	r.dyn[key] = e
+	r.lru.Put(uint64(off), size, x)
+	return true
 }
 
 // copiedUp is a no-op: baseline SSD entries have no replaceable state.
 func (entryLayout) copiedUp(*entryState) {}
 
-// expireResult releases the whole pseudo-RB.
-func (l entryLayout) expireResult(loc *ssdResult) { l.m.freeLRUResult(loc) }
+// expireResult releases the entry's extent.
+func (l entryLayout) expireResult(e *ssdEntry) { l.m.drop(&l.m.results, e.ext, false) }
 
-// quarantineResult retires a single-entry pseudo-RB whose device range
-// failed: the extent is quarantined (never re-allocated) instead of freed.
-func (l entryLayout) quarantineResult(loc *ssdResult) {
-	m := l.m
-	m.unmapRB(loc.rb)
-	m.quarantine(m.rcAlloc, loc.rb.off, m.cfg.ResultEntryBytes)
-	m.emit(Event{Kind: EvResultEvict, Level: LevelSSD})
-}
+// resultRetireKind: a result extent is one entry.
+func (entryLayout) resultRetireKind() EventKind { return EvResultEvict }
 
-// checkListExtent accepts any extent: the baseline writes unaligned.
-func (entryLayout) checkListExtent(*listExtent) error { return nil }
+// checkExtent accepts any extent: the baseline writes unaligned.
+func (entryLayout) checkExtent(*extent) error { return nil }

@@ -90,15 +90,15 @@ func TestFailedPrefixExtensionLeavesEntryUntouched(t *testing.T) {
 // index-equal, and zeros from the end of the last one to the end of the
 // extent. Exact only while no list of x has been dropped, so tests call it
 // from the EvListFlush sink, right after the write.
-func checkExtentOnDevice(t *testing.T, f *fixture, dev storage.Device, x *listExtent) {
+func checkExtentOnDevice(t *testing.T, f *fixture, dev storage.Device, x *extent) {
 	t.Helper()
 	got := make([]byte, x.bytes)
-	if _, err := dev.ReadAt(got, f.m.icBase()+x.off); err != nil {
+	if _, err := dev.ReadAt(got, f.m.lists.base+x.off); err != nil {
 		t.Fatal(err)
 	}
-	for _, sl := range x.lists {
-		if !bytes.Equal(got[sl.off-x.off:][:sl.validBytes], f.wantList(t, sl.term, 0, sl.validBytes)) {
-			t.Errorf("term %d: extent [%d,+%d) does not hold the list prefix at %d", sl.term, x.off, x.bytes, sl.off)
+	for _, sl := range x.entries {
+		if !bytes.Equal(got[sl.off-x.off:][:sl.bytes], f.wantList(t, workload.TermID(sl.key), 0, sl.bytes)) {
+			t.Errorf("term %d: extent [%d,+%d) does not hold the list prefix at %d", sl.key, x.off, x.bytes, sl.off)
 		}
 	}
 	for i, b := range got[x.fill():] {
@@ -129,7 +129,7 @@ func TestStagingBufferPadsEveryExtentWithZeros(t *testing.T) {
 		if e.Kind != EvListFlush {
 			return
 		}
-		x := f.m.icDyn[e.Term].ext
+		x := f.m.lists.dyn[uint64(e.Term)].ext
 		checkExtentOnDevice(t, f, fd.Inner(), x)
 		if pad := x.bytes - x.fill(); pad > 64<<10 {
 			light++

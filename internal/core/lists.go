@@ -86,12 +86,12 @@ func (m *Manager) ReadListRange(t workload.TermID, off int64, p []byte) error {
 // backing index, so a failed read retires the extent, a breaker-gated one is
 // a degraded serve, and either way the caller reads on from the HDD. Only
 // bytes actually delivered count as served traffic.
-func (m *Manager) readL2(kind EventKind, t workload.TermID, pos int64, p []byte) (int64, *ssdList) {
+func (m *Manager) readL2(kind EventKind, t workload.TermID, pos int64, p []byte) (int64, *ssdEntry) {
 	sl := m.ssdListFor(t)
-	if sl == nil || pos >= sl.validBytes {
+	if sl == nil || pos >= sl.bytes {
 		return 0, nil
 	}
-	n := min(sl.validBytes-pos, int64(len(p)))
+	n := min(sl.bytes-pos, int64(len(p)))
 	level := LevelSSD
 	switch {
 	case sl.data != nil:
@@ -102,10 +102,10 @@ func (m *Manager) readL2(kind EventKind, t workload.TermID, pos int64, p []byte)
 		m.emit(Event{Kind: EvDegraded, Level: LevelSSD})
 		return 0, nil
 	default:
-		if err := m.ssdRead(p[:n], m.icBase()+sl.off+pos); err != nil {
+		if err := m.ssdRead(p[:n], m.lists.base+sl.off+pos); err != nil {
 			// Error accounted by ssdRead; retire the failing extent so it
 			// is neither re-read nor re-allocated.
-			m.quarantineListExtent(sl.ext)
+			m.quarantineExtent(&m.lists, sl.ext)
 			return 0, nil
 		}
 	}
@@ -116,9 +116,9 @@ func (m *Manager) readL2(kind EventKind, t workload.TermID, pos int64, p []byte)
 // ssdListFor returns the L2 entry for t: the static pin or the dynamic
 // entry, whichever covers more of the list (a dynamic overlay may exceed a
 // conservatively sized pin). Looking a dynamic entry up promotes its extent.
-func (m *Manager) ssdListFor(t workload.TermID) *ssdList {
-	static := m.icStatic[t]
-	dyn := m.icDyn[t]
+func (m *Manager) ssdListFor(t workload.TermID) *ssdEntry {
+	static := m.lists.static[uint64(t)]
+	dyn := m.lists.dyn[uint64(t)]
 	if dyn == nil {
 		return static
 	}
@@ -128,9 +128,9 @@ func (m *Manager) ssdListFor(t workload.TermID) *ssdList {
 		return static
 	}
 	if dyn.ext != nil {
-		m.icLRU.Get(uint64(dyn.ext.off)) // promotes
+		m.lists.lru.Get(uint64(dyn.ext.off)) // promotes
 	}
-	if static == nil || dyn.validBytes > static.validBytes {
+	if static == nil || dyn.bytes > static.bytes {
 		return dyn
 	}
 	return static
@@ -139,7 +139,7 @@ func (m *Manager) ssdListFor(t workload.TermID) *ssdList {
 // onSSDListHit records that an L2 list copy was just read back into memory:
 // the layout applies its Fig 9 state change, if it has one. Static entries
 // never change state.
-func (m *Manager) onSSDListHit(sl *ssdList) {
+func (m *Manager) onSSDListHit(sl *ssdEntry) {
 	if sl.ext == nil || !sl.ext.static {
 		m.lay.copiedUp(&sl.state)
 	}

@@ -32,95 +32,6 @@ type memList struct {
 	loadedAt time.Duration // simulated insertion time, for ListTTL
 }
 
-// ssdList is an L2 inverted-list cache entry: a prefix of the list, either
-// waiting in the list write buffer (ext nil, data set) or stored in the SSD
-// cache file inside an extent (Fig 7c).
-type ssdList struct {
-	term       workload.TermID
-	ext        *listExtent // nil while the prefix waits in the list write buffer
-	off        int64       // list-region offset of the prefix's first byte
-	validBytes int64       // prefix bytes present
-	state      entryState
-	loadedAt   time.Duration // age of the content, for ListTTL
-	data       []byte        // the prefix, until it is on the SSD
-}
-
-// listExtent is the placement and replacement unit of the L2 list cache, as
-// the RB is for results: SC whole blocks under the block log (any byte range
-// under the baseline) holding one prefix of a block or more, or several
-// sub-block prefixes packed end to end. A list that is superseded or expires
-// leaves dead bytes behind; the extent goes when its last live list does.
-type listExtent struct {
-	off, bytes int64
-	static     bool       // holds CBSLRU pins: never replaced, not in icLRU
-	lists      []*ssdList // live lists, by ascending offset
-}
-
-// normalBytes is the valid, non-replaceable payload an overwrite of the
-// extent would lose — for lists what an RB's valid count is in Fig 11.
-func (x *listExtent) normalBytes() int64 {
-	var n int64
-	for _, sl := range x.lists {
-		if sl.state == stateNormal {
-			n += sl.validBytes
-		}
-	}
-	return n
-}
-
-// fill returns the extent-relative offset just past the last live list.
-func (x *listExtent) fill() int64 {
-	if len(x.lists) == 0 {
-		return 0
-	}
-	last := x.lists[len(x.lists)-1]
-	return last.off + last.validBytes - x.off
-}
-
-// ssdResult locates one cached result entry inside a result block (Fig 7a).
-type ssdResult struct {
-	qid      uint64
-	rb       *resultBlock
-	slot     int
-	state    entryState
-	loadedAt time.Duration // age of the content, for ResultTTL
-}
-
-// resultBlock is one 128 KB "RB": the placement and replacement unit of the
-// L2 result cache (Fig 7b). Slots hold fixed-size result entries; nil slots
-// are invalid (overwritten or never filled).
-type resultBlock struct {
-	num    uint64
-	off    int64 // device offset, block-aligned
-	slots  []*ssdResult
-	static bool
-}
-
-// iren returns the invalid-result-entry number of Fig 11: empty slots plus
-// replaceable entries.
-func (rb *resultBlock) iren() int {
-	n := 0
-	for _, s := range rb.slots {
-		if s == nil || s.state == stateReplaceable {
-			n++
-		}
-	}
-	return n
-}
-
-// validCount returns the number of normal (valid, non-replaceable) entries.
-func (rb *resultBlock) validCount() int { return len(rb.slots) - rb.iren() }
-
-// freeSlot returns the index of the first empty slot, or -1 when full.
-func (rb *resultBlock) freeSlot() int {
-	for i, s := range rb.slots {
-		if s == nil {
-			return i
-		}
-	}
-	return -1
-}
-
 // bufferedResult is one evicted result entry waiting in the write buffer
 // for RB assembly (Fig 10b).
 type bufferedResult struct {
@@ -160,20 +71,17 @@ type Manager struct {
 	rc *cache.List[memResult] // by query ID
 	ic *cache.List[memList]   // by term ID
 
-	// L2 result cache.
+	// L2: the SSD cache file's result and list regions.
+	results, lists region
+
 	entriesPerRB int
-	rbLRU        *cache.List[*resultBlock] // by RB num; dynamic RBs only
-	resultLoc    map[uint64]*ssdResult
-	rcAlloc      *storage.Allocator
 	writeBuf     []bufferedResult
-	nextRB       uint64
 	rbBatch      []bufferedResult // flushResultBlock's batch, entriesPerRB long
 	// freeEntries is the LIFO of entry buffers nothing references any more.
 	// L1 holds a fixed number of fixed-size entries, so an insert takes its
 	// victim's buffer; one is made only while the list is empty, which keeps
 	// buffers in existence within the entries alive at once (CheckInvariants).
 	freeEntries [][]byte
-	staticRBs   []*resultBlock
 
 	// freePrefixes holds the L1 list prefix buffers nothing references any
 	// more, a LIFO per power-of-two size class: class c serves requests of
@@ -182,26 +90,13 @@ type Manager struct {
 	freePrefixes    [64][][]byte
 	freePrefixBytes int64
 
-	// L2 inverted-list cache. Dynamic lists are found by term in icDyn,
-	// whether still in the list write buffer or inside an extent of icLRU;
-	// pins live in static extents that only icStatic reaches.
-	icLRU    *cache.List[*listExtent] // by extent offset; dynamic extents only
-	icAlloc  *storage.Allocator
-	icDyn    map[workload.TermID]*ssdList
-	icStatic map[workload.TermID]*ssdList
-
 	// listBuf is the list write buffer (§VI-B applied to lists): admitted
 	// prefixes shorter than a block wait here, readable, until the next one
 	// would overflow listBufCap, then go out as one whole block. Its capacity
 	// is memory taken out of the L1 list budget.
-	listBuf      []*ssdList
+	listBuf      []*ssdEntry
 	listBufBytes int64
 	listBufCap   int64
-
-	// staticOpen is the static block sub-block pins are appended to, and
-	// staticListTaken the bytes of the list region static extents hold.
-	staticOpen      *listExtent
-	staticListTaken int64
 
 	// Frequency and utilization tracking for Formulas 1–2.
 	termFreq   map[workload.TermID]int64
@@ -238,11 +133,6 @@ type Manager struct {
 	staging      []byte
 	stagingDirty int64
 
-	// staticRBScan is the first-free cursor into staticRBs for PinResult:
-	// static slots are never vacated, so RBs fill monotonically and the
-	// cursor only moves forward.
-	staticRBScan int
-
 	stats Stats
 }
 
@@ -273,10 +163,9 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		ssd:          ssd,
 		ssdq:         ssdQueue{clock: clock},
 		rc:           cache.NewList[memResult](cfg.MemResultBytes),
+		results:      newRegion(0, cfg.SSDResultBytes),
+		lists:        newRegion(cfg.SSDResultBytes, cfg.SSDListBytes),
 		entriesPerRB: int(cfg.BlockBytes / cfg.ResultEntryBytes),
-		resultLoc:    make(map[uint64]*ssdResult),
-		icDyn:        make(map[workload.TermID]*ssdList),
-		icStatic:     make(map[workload.TermID]*ssdList),
 		termFreq:     make(map[workload.TermID]int64),
 		queryFreq:    make(map[uint64]int64),
 		puMeasured:   make(map[workload.TermID]float64),
@@ -287,20 +176,12 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 			cfg.ResultEntryBytes, cfg.BlockBytes)
 	}
 	m.rbBatch = make([]bufferedResult, m.entriesPerRB)
-	if cfg.SSDResultBytes > 0 {
-		m.rbLRU = cache.NewList[*resultBlock](cfg.SSDResultBytes)
-		m.rcAlloc = storage.NewAllocator(cfg.SSDResultBytes)
-	}
-	if cfg.SSDListBytes > 0 {
-		m.icLRU = cache.NewList[*listExtent](cfg.SSDListBytes)
-		m.icAlloc = storage.NewAllocator(cfg.SSDListBytes)
-	}
 	info := policyRegistry[cfg.Policy] // in range: Validate checked it
 	if info.Baseline {
 		m.lay = entryLayout{m}
 	} else {
 		m.lay = blockLogLayout{m: m, doorkeeper: info.Doorkeeper}
-		if m.icLRU != nil {
+		if m.lists.lru != nil {
 			// One block of write buffer, paid for out of the L1 list budget
 			// so policies are compared at equal memory.
 			m.listBufCap = min(cfg.BlockBytes, cfg.MemListBytes/2)
@@ -529,13 +410,6 @@ func (m *Manager) ssdHealthy() bool {
 // (reads and flushes are routed around the SSD tier).
 func (m *Manager) DegradedMode() bool {
 	return m.ssd != nil && m.clock.Now() < m.breakerOpenUntil
-}
-
-// quarantine retires an allocator extent whose device range failed and
-// accounts the lost capacity.
-func (m *Manager) quarantine(a *storage.Allocator, off, n int64) {
-	a.Quarantine(off, n)
-	m.emit(Event{Kind: EvQuarantine, Bytes: n})
 }
 
 // resultExpired reports whether a result entry loaded at the given

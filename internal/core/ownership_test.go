@@ -125,7 +125,7 @@ func TestPutResultCopiesAndDoesNotRetain(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsCoversFreeEntries plants each violation clause 7 names.
+// TestCheckInvariantsCoversFreeEntries plants each violation clause 5 names.
 func TestCheckInvariantsCoversFreeEntries(t *testing.T) {
 	plant := func(name, want string, corrupt func(m *Manager)) {
 		t.Run(name, func(t *testing.T) {
@@ -164,7 +164,7 @@ func TestCheckInvariantsCoversFreeEntries(t *testing.T) {
 	})
 }
 
-// TestCheckInvariantsCoversFreePrefixes plants each violation clause 8 names.
+// TestCheckInvariantsCoversFreePrefixes plants each violation clause 6 names.
 func TestCheckInvariantsCoversFreePrefixes(t *testing.T) {
 	plant := func(name, want string, corrupt func(m *Manager)) {
 		t.Run(name, func(t *testing.T) {

@@ -83,7 +83,7 @@ func TestPackerWritesWholeAlignedBlocks(t *testing.T) {
 	f, dev := newPackerFixture(t, cfg)
 	f.m.SetEventSink(func(e Event) {
 		if e.Kind == EvListFlush {
-			checkExtentOnDevice(t, f, dev, f.m.icDyn[e.Term].ext)
+			checkExtentOnDevice(t, f, dev, f.m.lists.dyn[uint64(e.Term)].ext)
 		}
 	})
 	const lists, each = 90, 2 << 10
@@ -99,7 +99,7 @@ func TestPackerWritesWholeAlignedBlocks(t *testing.T) {
 		t.Fatalf("%d device writes for %d prefixes of %d bytes, want %d", len(dev.writes), lists, each, want)
 	}
 	for _, w := range dev.writes {
-		if w[1] != cfg.BlockBytes || (w[0]-f.m.icBase())%cfg.BlockBytes != 0 {
+		if w[1] != cfg.BlockBytes || (w[0]-f.m.lists.base)%cfg.BlockBytes != 0 {
 			t.Errorf("write [%d,+%d) is not one aligned block of the list region", w[0], w[1])
 		}
 	}
@@ -138,11 +138,11 @@ func TestBufferedListServedFromMemory(t *testing.T) {
 		t.Fatalf("%d device reads; %d memory, %d SSD, %d HDD bytes: want the buffer to serve all of it",
 			dev.reads, s.ListBytesFromMem, s.ListBytesFromSSD, s.ListBytesFromHDD)
 	}
-	if f.m.icDyn[7].state != stateReplaceable {
+	if f.m.lists.dyn[7].state != stateReplaceable {
 		t.Error("buffered copy not replaceable after it was copied up")
 	}
 	f.evict(t, 7, 1<<10)
-	if s := f.m.Stats(); s.ListWritesElided != 1 || f.m.icDyn[7].state != stateNormal || len(f.m.listBuf) != 1 {
+	if s := f.m.Stats(); s.ListWritesElided != 1 || f.m.lists.dyn[7].state != stateNormal || len(f.m.listBuf) != 1 {
 		t.Errorf("%d writes elided, %d prefixes buffered: want the shorter re-eviction elided and the copy revalidated",
 			s.ListWritesElided, len(f.m.listBuf))
 	}
@@ -162,24 +162,24 @@ func TestLongerPrefixSupersedes(t *testing.T) {
 	}
 	f.evict(t, 8, 2<<10)
 	f.m.flushListBuffer()
-	x := f.m.icDyn[7].ext
-	if x == nil || x != f.m.icDyn[8].ext || len(x.lists) != 2 {
+	x := f.m.lists.dyn[7].ext
+	if x == nil || x != f.m.lists.dyn[8].ext || len(x.entries) != 2 {
 		t.Fatal("terms 7 and 8 not packed into one extent")
 	}
 
 	f.evict(t, 7, 3<<10)
-	if sl := f.m.icDyn[7]; sl.ext != nil || sl.validBytes != 3<<10 || len(x.lists) != 1 {
-		t.Fatalf("longer prefix did not supersede the packed copy: %+v, extent holds %d", sl, len(x.lists))
+	if sl := f.m.lists.dyn[7]; sl.ext != nil || sl.bytes != 3<<10 || len(x.entries) != 1 {
+		t.Fatalf("longer prefix did not supersede the packed copy: %+v, extent holds %d", sl, len(x.entries))
 	}
-	if dev.trims != 0 || f.m.icAlloc.FreeBytes() != cfg.SSDListBytes-cfg.BlockBytes {
+	if dev.trims != 0 || f.m.lists.alloc.FreeBytes() != cfg.SSDListBytes-cfg.BlockBytes {
 		t.Fatal("a superseded list must leave dead bytes, not a hole")
 	}
 	f.checkInvariants(t)
 
 	f.evict(t, 8, 3<<10)
-	if dev.trims != 1 || f.m.icAlloc.FreeBytes() != cfg.SSDListBytes || f.m.icLRU.Len() != 0 {
+	if dev.trims != 1 || f.m.lists.alloc.FreeBytes() != cfg.SSDListBytes || f.m.lists.lru.Len() != 0 {
 		t.Fatalf("%d trims, %d bytes free, %d extents: want the emptied extent freed and trimmed at once",
-			dev.trims, f.m.icAlloc.FreeBytes(), f.m.icLRU.Len())
+			dev.trims, f.m.lists.alloc.FreeBytes(), f.m.lists.lru.Len())
 	}
 	if got := f.m.Stats().L2ListEvictions; got != 3 {
 		t.Fatalf("%d L2 list evictions, want one per superseded copy: 3", got)
@@ -209,8 +209,8 @@ func TestPackedReadErrorQuarantinesExtent(t *testing.T) {
 		t.Fatalf("%d extents / %d bytes quarantined, %d lists evicted, want 1 / %d / 3",
 			s.ExtentsQuarantined, s.QuarantinedBytes, s.L2ListEvictions, cfg.BlockBytes)
 	}
-	if s.ListBytesFromHDD != 3*(2<<10) || len(f.m.icDyn) != 0 {
-		t.Fatalf("%d HDD bytes, %d lists still mapped", s.ListBytesFromHDD, len(f.m.icDyn))
+	if s.ListBytesFromHDD != 3*(2<<10) || len(f.m.lists.dyn) != 0 {
+		t.Fatalf("%d HDD bytes, %d lists still mapped", s.ListBytesFromHDD, len(f.m.lists.dyn))
 	}
 	f.checkInvariants(t)
 }
@@ -229,7 +229,7 @@ func TestFailedBlockWriteDiscardsBatchOnce(t *testing.T) {
 		t.Fatalf("%d write errors, %d discarded, %d evicted, %d quarantined, want 1/3/3/1",
 			s.SSDWriteErrors, s.ListsDiscarded, s.L2ListEvictions, s.ExtentsQuarantined)
 	}
-	if s.ListWritesToSSD+s.ListsWrittenToSSD != 0 || len(f.m.icDyn)+len(f.m.listBuf) != 0 {
+	if s.ListWritesToSSD+s.ListsWrittenToSSD != 0 || len(f.m.lists.dyn)+len(f.m.listBuf) != 0 {
 		t.Fatal("a failed block write left lists written, mapped or buffered")
 	}
 	f.checkInvariants(t)
@@ -250,8 +250,8 @@ func TestPackedListExpiresAlone(t *testing.T) {
 		t.Fatal("term 7 did not expire")
 	}
 	f.readBack(t, 8, 2<<10)
-	if s := f.m.Stats(); s.ListBytesFromSSD != 2<<10 || f.m.icLRU.Len() != 1 {
-		t.Fatalf("%d SSD bytes, %d extents: want the neighbour still served from its extent", s.ListBytesFromSSD, f.m.icLRU.Len())
+	if s := f.m.Stats(); s.ListBytesFromSSD != 2<<10 || f.m.lists.lru.Len() != 1 {
+		t.Fatalf("%d SSD bytes, %d extents: want the neighbour still served from its extent", s.ListBytesFromSSD, f.m.lists.lru.Len())
 	}
 	f.checkInvariants(t)
 }
@@ -268,7 +268,7 @@ func TestPlacementSweepsPastTheWindow(t *testing.T) {
 		f.m.flushListBuffer()
 	}
 	f.evict(t, 1, 2*cfg.BlockBytes) // term 11's block alone is no room for two
-	if s := f.m.Stats(); s.ListPlacementWorstCase != 1 || s.L2ListEvictions != 2 || f.m.icDyn[1] == nil {
+	if s := f.m.Stats(); s.ListPlacementWorstCase != 1 || s.L2ListEvictions != 2 || f.m.lists.dyn[1] == nil {
 		t.Fatalf("%d worst-case placements, %d evictions: want term 1 placed after evicting terms 11 and 12",
 			s.ListPlacementWorstCase, s.L2ListEvictions)
 	}
@@ -287,13 +287,13 @@ func TestLadderOverSingleListExtents(t *testing.T) {
 	for term := workload.TermID(1); term <= 4; term++ { // fills the region, 1 least recent
 		place(term)
 	}
-	f.m.icDyn[3].state = stateReplaceable
+	f.m.lists.dyn[3].state = stateReplaceable
 	place(5)
-	if f.m.icDyn[3] != nil || len(f.m.icDyn) != 4 {
-		t.Fatalf("replaceable term 3 not the first victim: %d lists mapped", len(f.m.icDyn))
+	if f.m.lists.dyn[3] != nil || len(f.m.lists.dyn) != 4 {
+		t.Fatalf("replaceable term 3 not the first victim: %d lists mapped", len(f.m.lists.dyn))
 	}
 	place(6)
-	if f.m.icDyn[1] != nil || len(f.m.icDyn) != 4 {
+	if f.m.lists.dyn[1] != nil || len(f.m.lists.dyn) != 4 {
 		t.Fatal("least recent term 1 not the second victim")
 	}
 	if s := f.m.Stats(); s.ListOverwritesInPlace != 2 || s.L2ListEvictions != 2 {

@@ -124,12 +124,12 @@ func TestFreqGatedAdmissionWarmsUp(t *testing.T) {
 	term := workload.TermID(42)
 	flush := func() { m.lay.flushList(memList{term: term, prefix: make([]byte, 4<<10)}) }
 	flush()
-	if m.icDyn[term] != nil || m.stats.ListsRejectedByAdmission != 1 || m.stats.ListsDiscarded != 1 {
+	if m.lists.dyn[uint64(term)] != nil || m.stats.ListsRejectedByAdmission != 1 || m.stats.ListsDiscarded != 1 {
 		t.Fatal("admitted a never-seen term")
 	}
 	m.termFreq[term] = 2
 	flush()
-	if m.icDyn[term] == nil || m.stats.ListsRejectedByAdmission != 1 {
+	if m.lists.dyn[uint64(term)] == nil || m.stats.ListsRejectedByAdmission != 1 {
 		t.Fatal("rejected a term at the frequency threshold")
 	}
 	m.lay.evictResult(7, &memResult{data: m.entryBuf()})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,17 +28,17 @@ func TestVictimRBPrefersHighIREN(t *testing.T) {
 	// 48 on SSD + buffer remainder needs ~60 entries.
 	fillSSDResultCache(t, f, 1, 60)
 	// Read back a few entries from ONE RB to raise its IREN (replaceable).
-	var markedRB *resultBlock
+	var markedRB *extent
 	marked := 0
 	for q := uint64(1); q <= 60 && marked < 3; q++ {
-		loc, ok := f.m.resultLoc[q]
+		loc, ok := f.m.results.dyn[q]
 		if !ok {
 			continue
 		}
 		if markedRB == nil {
-			markedRB = loc.rb
+			markedRB = loc.ext
 		}
-		if loc.rb != markedRB {
+		if loc.ext != markedRB {
 			continue
 		}
 		if _, src := f.m.GetResult(q); src == ResultFromSSD {
@@ -55,10 +56,10 @@ func TestVictimRBPrefersHighIREN(t *testing.T) {
 	if f.m.Stats().RBRetired == retiredBefore {
 		t.Fatal("no RB retired under pressure")
 	}
-	if loc, ok := f.m.resultLoc[1]; ok && loc.rb == markedRB {
+	if loc, ok := f.m.results.dyn[1]; ok && loc.ext == markedRB {
 		// Entry 1's block survived only if it wasn't the marked block.
 		found := false
-		for _, slot := range markedRB.slots {
+		for _, slot := range markedRB.entries {
 			if slot != nil && slot.state == stateReplaceable {
 				found = true
 			}
@@ -70,20 +71,22 @@ func TestVictimRBPrefersHighIREN(t *testing.T) {
 }
 
 func TestIRENCounting(t *testing.T) {
-	rb := &resultBlock{slots: make([]*ssdResult, 6)}
-	if rb.iren() != 6 {
-		t.Fatalf("empty RB iren = %d, want 6", rb.iren())
+	const es, slots = 20 << 10, 6
+	rb := &extent{bytes: 128 << 10}
+	iren := func() int64 { return slots - rb.normalBytes()/es }
+	if iren() != 6 {
+		t.Fatalf("empty RB iren = %d, want 6", iren())
 	}
-	for i := 0; i < 6; i++ {
-		rb.slots[i] = &ssdResult{slot: i}
+	for i := int64(0); i < slots; i++ {
+		rb.entries = append(rb.entries, &ssdEntry{ext: rb, off: i * es, bytes: es})
 	}
-	if rb.iren() != 0 || rb.validCount() != 6 {
-		t.Fatalf("full RB iren=%d valid=%d", rb.iren(), rb.validCount())
+	if iren() != 0 || rb.normalBytes() != 6*es || rb.fill() != 6*es {
+		t.Fatalf("full RB iren=%d normal=%d fill=%d", iren(), rb.normalBytes(), rb.fill())
 	}
-	rb.slots[0].state = stateReplaceable
-	rb.slots[3] = nil
-	if rb.iren() != 2 || rb.validCount() != 4 {
-		t.Fatalf("iren=%d valid=%d, want 2/4", rb.iren(), rb.validCount())
+	rb.entries[0].state = stateReplaceable
+	rb.entries = slices.Delete(rb.entries, 3, 4)
+	if iren() != 2 || rb.normalBytes() != 4*es {
+		t.Fatalf("iren=%d normal=%d, want 2/%d", iren(), rb.normalBytes(), 4*es)
 	}
 }
 
@@ -147,11 +150,11 @@ func TestStaticResultNotMarkedReplaceable(t *testing.T) {
 		t.Fatal("pin failed")
 	}
 	f.m.GetResult(7)
-	loc := f.m.resultLoc[7]
+	loc := f.m.results.static[7]
 	if loc.state == stateReplaceable {
 		t.Fatal("static result flipped replaceable on read")
 	}
-	if !loc.rb.static {
+	if !loc.ext.static {
 		t.Fatal("pinned result not in a static RB")
 	}
 }

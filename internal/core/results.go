@@ -46,37 +46,37 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 		m.emit(Event{Kind: EvResultExpire})
 		break
 	}
-	if loc, ok := m.resultLoc[qid]; ok {
+	r := &m.results
+	if e := r.lookup(qid); e != nil {
 		switch {
-		case !loc.rb.static && m.resultExpired(loc.loadedAt):
+		case !e.ext.static && m.resultExpired(e.loadedAt):
 			// The layout emits the eviction (stats≡trace, DESIGN §9) and
 			// releases what its placement unit allows.
 			m.emit(Event{Kind: EvResultExpire})
-			m.lay.expireResult(loc)
+			m.lay.expireResult(e)
 		case !m.ssdHealthy():
 			// Breaker open: route around the SSD tier. The mapping stays —
 			// the entry may still be readable once the breaker closes.
 			m.emit(Event{Kind: EvDegraded, Level: LevelSSD})
 		default:
 			data := m.entryBuf() // dirty: the device overwrites all of it
-			off := loc.rb.off + int64(loc.slot)*m.cfg.ResultEntryBytes
-			if err := m.ssdRead(data, off); err != nil {
+			if err := m.ssdRead(data, r.base+e.off); err != nil {
 				// Read failure (error already accounted by ssdRead). A dynamic
 				// extent that failed a read is retired and quarantined — on real
 				// SSDs a failing range tends to keep failing, so re-reading or
-				// re-allocating it would convert one fault into many. Static RBs
-				// are left in place (the breaker guards repeated failures; the
-				// static partition is rebuilt offline).
+				// re-allocating it would convert one fault into many. Static
+				// extents are left in place (the breaker guards repeated
+				// failures; the static partition is rebuilt offline).
 				m.freeEntry(data)
-				if !loc.rb.static {
-					m.lay.quarantineResult(loc)
+				if !e.ext.static {
+					m.quarantineExtent(r, e.ext)
 				}
 				break
 			}
 			m.emit(Event{Kind: EvResultHit, Level: LevelSSD, Bytes: int64(len(data))})
-			if !loc.rb.static {
-				m.lay.copiedUp(&loc.state)
-				m.rbLRU.Get(loc.rb.num) // promotes the RB
+			if !e.ext.static {
+				m.lay.copiedUp(&e.state)
+				r.lru.Get(uint64(e.ext.off)) // promotes the RB
 			}
 			m.putResultL1(qid, data)
 			return data, ResultFromSSD
@@ -160,7 +160,7 @@ func (m *Manager) putResultL1(qid uint64, data []byte) {
 func (m *Manager) evictResultToSSD(qid uint64, mr *memResult) {
 	if m.resultExpired(mr.loadedAt) {
 		m.emit(Event{Kind: EvResultExpire})
-	} else if m.rbLRU == nil {
+	} else if m.results.lru == nil {
 		m.emit(Event{Kind: EvResultDrop, N: 1})
 	} else {
 		m.lay.evictResult(qid, mr)
@@ -170,79 +170,38 @@ func (m *Manager) evictResultToSSD(qid uint64, mr *memResult) {
 }
 
 // PinResult stores an encoded result entry in the static partition of the
-// L2 result cache (CBSLRU). Entries are packed into static RBs that are
+// L2 result cache (CBSLRU): entries fill static RBs slot by slot, and are
 // never replaced. Returns false when the static budget is exhausted or the
 // entry is longer than ResultEntryBytes.
 func (m *Manager) PinResult(qid uint64, data []byte) bool {
-	if !m.UsesStaticPartition() || m.rbLRU == nil {
+	r := &m.results
+	if !m.UsesStaticPartition() || r.lru == nil {
 		return false
 	}
-	if _, ok := m.resultLoc[qid]; ok {
+	if r.lookup(qid) != nil {
 		return true
 	}
 	if !m.ssdHealthy() {
 		return false
 	}
-	if data = m.PadResult(data); int64(len(data)) != m.cfg.ResultEntryBytes {
+	n := m.cfg.ResultEntryBytes
+	if int64(len(data)) > n {
 		return false
 	}
-
-	// Find (or open) a static RB with a free slot. Static slots are never
-	// vacated, so the first-free cursor only moves forward: pinning N
-	// entries costs O(N), not O(N²) rescans of already-full RBs.
-	var rb *resultBlock
-	for m.staticRBScan < len(m.staticRBs) {
-		if cand := m.staticRBs[m.staticRBScan]; cand.freeSlot() >= 0 {
-			rb = cand
-			break
-		}
-		m.staticRBScan++
-	}
-	if rb == nil {
-		if int64(len(m.staticRBs)+1)*m.cfg.BlockBytes > m.StaticResultBudget() {
-			return false
-		}
-		off, ok := m.rcAlloc.AllocAligned(m.cfg.BlockBytes, m.cfg.BlockBytes)
-		if !ok {
-			return false
-		}
-		rb = &resultBlock{num: m.nextRB, off: off, slots: make([]*ssdResult, m.entriesPerRB), static: true}
-		m.nextRB++
-		m.staticRBs = append(m.staticRBs, rb)
-	}
-	i := rb.freeSlot()
-	if i < 0 {
+	fill := func(p []byte) error { clear(p[copy(p, data):]); return nil } // padded to the entry size
+	if !m.pin(r, qid, n, m.cfg.BlockBytes, n, fill) {
 		return false
 	}
-	off := rb.off + int64(i)*m.cfg.ResultEntryBytes
-	if err := m.ssdWrite(data, off); err != nil {
-		// Error accounted by ssdWrite; the slot stays open for a retry and
-		// the breaker stops a persistently failing device from being pinned
-		// against repeatedly.
-		return false
-	}
-	m.emit(Event{Kind: EvResultFlush, Bytes: int64(len(data))})
-	loc := &ssdResult{qid: qid, rb: rb, slot: i}
-	rb.slots[i] = loc
-	m.resultLoc[qid] = loc
+	m.emit(Event{Kind: EvResultFlush, Bytes: n})
 	return true
-}
-
-// StaticResultBudget returns the byte budget of the static result
-// partition.
-func (m *Manager) StaticResultBudget() int64 {
-	if !m.UsesStaticPartition() || m.rbLRU == nil {
-		return 0
-	}
-	return int64(float64(m.cfg.SSDResultBytes) * m.cfg.StaticFraction)
 }
 
 // WriteBufferLen returns the number of result entries awaiting RB assembly.
 func (m *Manager) WriteBufferLen() int { return len(m.writeBuf) }
 
 // FlushWriteBuffer forces assembly of any full RBs and reports how many
-// entries remain buffered (used at experiment end). The loop is progress-
-// checked: a flush that re-queues its whole batch after a write failure
+// entries remain buffered; nothing on the serving path calls it.
+// The loop is progress-checked: a flush that re-queues its whole batch after a write failure
 // leaves the buffer length unchanged, and retrying immediately would spin.
 func (m *Manager) FlushWriteBuffer() int {
 	for len(m.writeBuf) >= m.entriesPerRB {

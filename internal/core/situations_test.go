@@ -153,7 +153,7 @@ func TestSituationS1AndS2ResultHits(t *testing.T) {
 		f.m.PutResult(q, entryOf(q, byte(q), size))
 	}
 	f.m.FlushWriteBuffer()
-	if _, ok := f.m.resultLoc[100]; !ok {
+	if _, ok := f.m.results.dyn[100]; !ok {
 		t.Skip("entry 100 did not land on SSD")
 	}
 	if e, ok := f.m.rc.Peek(100); ok {

@@ -46,7 +46,7 @@ func TestResultTTLExpiresSSDCopies(t *testing.T) {
 	// Find one entry on SSD.
 	var onSSD uint64
 	for q := uint64(1); q <= 6; q++ {
-		if _, ok := f.m.resultLoc[q]; ok {
+		if _, ok := f.m.results.dyn[q]; ok {
 			onSSD = q
 			break
 		}
@@ -58,7 +58,7 @@ func TestResultTTLExpiresSSDCopies(t *testing.T) {
 	if _, src := f.m.GetResult(onSSD); src != ResultMiss {
 		t.Fatalf("expired SSD entry served (src=%v)", src)
 	}
-	if _, ok := f.m.resultLoc[onSSD]; ok {
+	if _, ok := f.m.results.dyn[onSSD]; ok {
 		t.Fatal("expired SSD mapping not removed")
 	}
 }
@@ -80,23 +80,9 @@ func TestExpiredBufferedResultWrittenOnce(t *testing.T) {
 	if err := f.m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	copies := 0
-	for _, b := range f.m.writeBuf {
-		if b.qid == 1 {
-			copies++
-		}
-	}
-	for _, loc := range f.m.resultLoc {
-		for _, s := range loc.rb.slots {
-			if s != nil && s.qid == 1 {
-				copies++
-			}
-		}
-		break // one RB was written
-	}
-	if s := f.m.Stats(); copies != 1 || s.RBFlushes != 1 || s.ResultsExpired != 6 {
+	if s := f.m.Stats(); copiesOf(f, 1) != 1 || s.RBFlushes != 1 || s.ResultsExpired != 6 {
 		t.Fatalf("%d copies of query 1 in the write buffer and on the SSD, %d RBs, %d expired: want 1, 1, 6",
-			copies, s.RBFlushes, s.ResultsExpired)
+			copiesOf(f, 1), s.RBFlushes, s.ResultsExpired)
 	}
 }
 
