@@ -77,7 +77,7 @@ func (r *region) keys(static bool) map[uint64]*ssdEntry {
 	return r.dyn
 }
 
-// lookup returns key's entry, dynamic or static; a query has at most one.
+// lookup returns key's dynamic entry, else its static one.
 func (r *region) lookup(key uint64) *ssdEntry {
 	if e := r.dyn[key]; e != nil {
 		return e
