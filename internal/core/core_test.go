@@ -478,6 +478,28 @@ func TestRePutBufferedResultWrittenOnce(t *testing.T) {
 	}
 }
 
+// TestPinBufferedResultWrittenOnce: pinning a query whose copy waits in the
+// write buffer takes that copy out, so the next RB flush does not write it
+// again as a dynamic entry beside the static one.
+func TestPinBufferedResultWrittenOnce(t *testing.T) {
+	f := newFixture(t, testConfig(PolicyCBSLRU))
+	putEntries(t, f, 1, 6) // query 1 waits in the write buffer
+	if !f.m.PinResult(1, entryOf(1, 0xAB, f.m.cfg.ResultEntryBytes)) {
+		t.Fatal("pin failed")
+	}
+	putEntries(t, f, 100, 105) // evicts six entries: an RB flush
+	if err := f.m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if s := f.m.Stats(); copiesOf(f, 1) != 0 || f.m.results.static[1] == nil || s.RBFlushes != 1 {
+		t.Fatalf("%d copies of query 1 in the write buffer and dynamic RBs, static %v, %d RBs: want 0, true, 1",
+			copiesOf(f, 1), f.m.results.static[1] != nil, s.RBFlushes)
+	}
+	if _, src := f.m.GetResult(1); src != ResultFromSSD {
+		t.Fatalf("pinned query 1 served from %v, want the SSD", src)
+	}
+}
+
 // copiesOf counts the copies of query qid in the write buffer and in the
 // dynamic result blocks.
 func copiesOf(f *fixture, qid uint64) int {
