@@ -52,6 +52,7 @@ func (m *blockMap) merge(lb, slot int, content []byte) time.Duration {
 	for i := int32(0); i < ppb; i++ {
 		src, dst := oldPB*ppb+i, newPB*ppb+i
 		if int(i) == slot {
+			d.nand.invalidatePage(src) // first, so the program can take its buffer
 			d.nand.programPage(dst, content)
 			lat += TablePageWrite
 		} else if d.nand.pageState[src] == pageValid {

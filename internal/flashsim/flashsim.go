@@ -16,9 +16,9 @@
 //   - Trim invalidates pages without erasing, making future GC cheaper;
 //   - per-block erase counts provide the wear metric of Fig 19(a).
 //
-// Data is stored physically: garbage collection really copies bytes between
-// physical pages, so data-integrity-across-GC is a testable invariant rather
-// than an assumption.
+// Data is stored physically: each physical page holds its own bytes, and
+// garbage collection moves them to the page it relocates to, so
+// data-integrity-across-GC is a testable invariant rather than an assumption.
 package flashsim
 
 import (
@@ -223,7 +223,7 @@ func (d *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 			// Partial page: read-modify-write.
 			content = d.pageBuf
 			if old := d.ftl.lookup(lp); old >= 0 {
-				d.nand.readPage(old, content)
+				d.nand.readAt(old, 0, content)
 				lat += TablePageRead
 			} else {
 				clear(content)
@@ -256,7 +256,7 @@ func (d *SSD) Trim(off, n int64) (time.Duration, error) {
 		} else if old := d.ftl.lookup(lp); old >= 0 {
 			// Partial-page trim: rewrite the page with the range zeroed.
 			// Bookkeeping, not host payload: hostPages does not move.
-			d.nand.readPage(old, d.pageBuf)
+			d.nand.readAt(old, 0, d.pageBuf)
 			clear(d.pageBuf[po : po+span])
 			lat += TablePageRead + d.ftl.program(lp, d.pageBuf)
 		}

@@ -367,22 +367,47 @@ func TestHybridLogMergeOrderRepeats(t *testing.T) {
 	}
 }
 
-// checkMediumInvariants asserts the bookkeeping the recycled block buffers
-// and the page-mapped FTL's victim choice rest on.
-func checkMediumInvariants(t *testing.T, d *SSD) {
+// checkMediumInvariants asserts the bookkeeping the page buffers and the
+// page-mapped FTL's victim choice rest on. A page holds a buffer only while
+// it is valid with non-zero bytes, cut after its last non-zero byte; no
+// buffer is held twice or both held and pooled; and since a buffer is made
+// only when the pool is empty, the buffers held and pooled never outnumber
+// the most valid non-zero pages there have been. peak carries that most from
+// call to call: it is exact when the caller checks after every page program.
+func checkMediumInvariants(t testing.TB, d *SSD, peak *int) {
 	t.Helper()
 	n := d.nand
-	owned := 0
-	for b, buf := range n.blockBuf {
-		if erased := n.blockFree[b] == n.pagesPerBlock; erased != (buf == nil) {
-			t.Fatalf("block %d: %d free pages but buffer present=%v", b, n.blockFree[b], buf != nil)
+	owner := make(map[*byte]int) // a buffer's first byte -> its page, or -1 for the pool
+	own := func(buf []byte, by int) {
+		if cap(buf) != n.pageSize {
+			t.Fatalf("page buffer of capacity %d, want %d", cap(buf), n.pageSize)
 		}
-		if buf != nil {
-			owned++
+		if was, ok := owner[&buf[0]]; ok {
+			t.Fatalf("a page buffer is held by %d and by %d (-1: the pool)", was, by)
 		}
+		owner[&buf[0]] = by
 	}
-	if owned+len(n.freeBufs) > n.blocks {
-		t.Fatalf("%d owned + %d idle buffers for %d blocks", owned, len(n.freeBufs), n.blocks)
+	held := 0
+	for p, buf := range n.data {
+		if buf == nil {
+			continue
+		}
+		if n.pageState[p] != pageValid || len(buf) == 0 || buf[len(buf)-1] == 0 {
+			t.Fatalf("page %d (state %d) holds %d bytes ending in %v: only a valid page's bytes up to the last non-zero one",
+				p, n.pageState[p], len(buf), buf[max(len(buf)-1, 0):])
+		}
+		own(buf, p)
+		held++
+	}
+	for _, buf := range n.pool {
+		if len(buf) != n.pageSize {
+			t.Fatalf("pooled buffer of %d bytes, want %d", len(buf), n.pageSize)
+		}
+		own(buf, -1)
+	}
+	*peak = max(*peak, held)
+	if held+len(n.pool) > *peak {
+		t.Fatalf("%d held + %d pooled page buffers, but at most %d valid non-zero pages", held, len(n.pool), *peak)
 	}
 	for _, b := range d.freeBlocks {
 		if n.blockFree[b] != n.pagesPerBlock {
@@ -406,12 +431,15 @@ func checkMediumInvariants(t *testing.T, d *SSD) {
 
 // byteModel is a drive under test beside a plain []byte copy of its logical
 // space: every write, trim and read goes to both, and a read that differs from
-// the model fails the test.
+// the model fails the test. The medium's invariants are checked after every
+// write and trim, and a write is issued one page at a time so that no page
+// program goes unchecked (the device splits a write into the same pages).
 type byteModel struct {
 	t     testing.TB
 	d     *SSD
 	model []byte
 	got   []byte
+	peak  int // most valid non-zero pages seen, for checkMediumInvariants
 }
 
 func newByteModel(t testing.TB, d *SSD) *byteModel {
@@ -422,8 +450,13 @@ func newByteModel(t testing.TB, d *SSD) *byteModel {
 // write stores data at off on the drive and in the model.
 func (m *byteModel) write(off int, data []byte) {
 	copy(m.model[off:], data)
-	if _, err := m.d.WriteAt(data, int64(off)); err != nil {
-		m.t.Fatal(err)
+	for pos, end := off, off+len(data); pos < end; {
+		n := min(m.d.PageSize()-pos%m.d.PageSize(), end-pos)
+		if _, err := m.d.WriteAt(data[pos-off:][:n], int64(pos)); err != nil {
+			m.t.Fatal(err)
+		}
+		checkMediumInvariants(m.t, m.d, &m.peak)
+		pos += n
 	}
 }
 
@@ -432,6 +465,7 @@ func (m *byteModel) trim(off, n int) {
 	if _, err := m.d.Trim(int64(off), int64(n)); err != nil {
 		m.t.Fatal(err)
 	}
+	checkMediumInvariants(m.t, m.d, &m.peak) // a trim only drops or rewrites pages
 }
 
 // read checks n bytes at off against the model.
@@ -456,13 +490,15 @@ func (m *byteModel) read(off, n int) {
 // random mix of writes, trims and reads — unaligned, page-straddling, long
 // enough to erase and reuse every block several times — and checks every
 // read byte for byte against a plain []byte model of the logical space.
-// Erased blocks hand their buffers on uncleared, so this is the test that a
+// Freed page buffers are pooled uncleared, so this is the test that a
 // recycled buffer's old bytes never surface in an unmapped, trimmed or
 // partially written page. Most writes store no zero byte, so stale bytes
 // show; two write kinds store zeros — a span of any alignment, and whole
-// aligned pages — so zero pages, which keep no bytes, land in recycled
-// buffers and are then relocated by GC or merges and completed by
-// read-modify-write.
+// aligned pages — so zero pages, which keep no buffer, are relocated by GC
+// or merges and completed by read-modify-write; and one writes whole aligned
+// pages of which the first has a non-zero head and a zero tail, the shape of
+// a result entry's first page, so a short page lands in a buffer that last
+// held a longer one.
 func TestAllFTLsMatchByteModelAcrossRecycling(t *testing.T) {
 	params := Params{PageSize: 256, PagesPerBlock: 8, ExportedBlocks: 6, SpareBlocks: 4}
 	for k := FTLPageMap; k.Valid(); k++ {
@@ -479,13 +515,16 @@ func TestAllFTLsMatchByteModelAcrossRecycling(t *testing.T) {
 				off = rng.Intn(size - n + 1)
 				return off, n
 			}
+			fill := func(p []byte) {
+				for i := range p {
+					p[i] = byte(1 + rng.Intn(255)) // never zero: stale bytes must show
+				}
+			}
 			for op := 0; op < 8000; op++ {
-				switch k := rng.Intn(12); {
+				switch k := rng.Intn(13); {
 				case k < 5:
 					off, n := span()
-					for i := range data[:n] {
-						data[i] = byte(1 + rng.Intn(255)) // never zero: stale bytes must show
-					}
+					fill(data[:n])
 					m.write(off, data[:n])
 				case k < 6:
 					off, n := span()
@@ -493,7 +532,12 @@ func TestAllFTLsMatchByteModelAcrossRecycling(t *testing.T) {
 				case k < 7:
 					pages := 1 + rng.Intn(3)
 					m.write(rng.Intn(size/pageSize-pages+1)*pageSize, zeros[:pages*pageSize])
-				case k < 9:
+				case k < 8:
+					pages := 1 + rng.Intn(3)
+					clear(data[:pages*pageSize])
+					fill(data[:1+rng.Intn(pageSize-1)])
+					m.write(rng.Intn(size/pageSize-pages+1)*pageSize, data[:pages*pageSize])
+				case k < 10:
 					m.trim(span())
 				default:
 					off, n := span()
@@ -502,25 +546,29 @@ func TestAllFTLsMatchByteModelAcrossRecycling(t *testing.T) {
 					}
 					m.read(off, n)
 				}
-				checkMediumInvariants(t, d)
 			}
 			if n := d.nand; n.totalErases < 5*int64(n.blocks) {
 				t.Errorf("%d erases over %d blocks: the sequence is too short to recycle them", n.totalErases, n.blocks)
 			}
-			if zeroPages(d.nand) == 0 {
-				t.Error("no programmed zero page at the end: the zero writes never reached the medium")
+			zero, short := storedPages(d.nand)
+			if zero == 0 || short == 0 {
+				t.Errorf("%d zero and %d short pages programmed at the end: the zero and head writes never reached the medium", zero, short)
 			}
 		})
 	}
 }
 
-// zeroPages counts the programmed pages whose zero bit is set.
-func zeroPages(n *nandArray) int {
-	c := 0
-	for p, z := range n.zero {
-		if z && n.pageState[p] != pageFree {
-			c++
+// storedPages counts the valid pages that hold no buffer (all zeros) and
+// those whose buffer stops short of the page (a zero tail).
+func storedPages(n *nandArray) (zero, short int) {
+	for p, buf := range n.data {
+		switch {
+		case n.pageState[p] != pageValid:
+		case buf == nil:
+			zero++
+		case len(buf) < n.pageSize:
+			short++
 		}
 	}
-	return c
+	return zero, short
 }

@@ -120,7 +120,6 @@ func (h *hybridLog) fullMerge(lb int) time.Duration {
 			continue
 		}
 		d.nand.copyPage(src, int32(newPB*ppb+slot))
-		d.nand.invalidatePage(src)
 		h.logged[lp] = -1
 		lat += TablePageRead + TablePageWrite
 	}

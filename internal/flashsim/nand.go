@@ -11,27 +11,23 @@ import (
 // storage. It charges no time itself — FTLs account latency — and it is
 // not safe for concurrent use (the owning device serializes).
 //
-// Each erase block owns one host buffer from its first program until its
-// erase, which hands the buffer — uncleared — to the next block that needs
-// one. That is sound because state decides what a read returns, bytes
-// don't: a page is always programmed whole, and a free page reads as zeros
-// whatever an earlier life of its buffer left there. Host memory is
-// therefore bounded by the peak number of simultaneously programmed blocks,
-// and steady-state program/erase cycles allocate and clear nothing.
-//
-// By the same rule a page programmed with all-zero content stores no bytes:
-// its zero bit, set on every program, makes a read clear the destination and
-// a relocation carry the bit instead of the bytes.
+// A page holds its bytes in a host buffer of its own, cut after its last
+// non-zero byte, and only while it is valid: an all-zero page holds none, and
+// a page that is invalidated or erased hands its buffer to the drive's pool,
+// uncleared, for the next program. A read copies the stored bytes and clears
+// the rest, so a buffer's earlier life never shows. Host memory is therefore
+// bounded by the peak number of valid non-zero pages, steady-state program/
+// erase cycles allocate nothing, and a relocation moves the buffer to its new
+// page instead of copying bytes.
 type nandArray struct {
 	pageSize      int
 	pagesPerBlock int
 	blocks        int
 
-	blockBuf   [][]byte // per block: its bytes, nil while fully erased
-	freeBufs   [][]byte // buffers of erased blocks, reused as they are
-	pageState  []int8   // pageFree / pageValid / pageInvalid
-	zero       []bool   // per programmed page: its content is all zeros
+	data       [][]byte // per page: its bytes up to the last non-zero one; nil unless valid and non-zero
+	pool       [][]byte // pageSize buffers no page holds, reused as they are
 	zeroPage   []byte   // pageSize zeros, what programPage compares against
+	pageState  []int8   // pageFree / pageValid / pageInvalid
 	blockValid []int    // valid pages per block
 	blockFree  []int    // free (never-programmed-since-erase) pages per block
 	erases     []int64
@@ -50,10 +46,9 @@ func newNANDArray(pageSize, pagesPerBlock, blocks int) *nandArray {
 		pageSize:      pageSize,
 		pagesPerBlock: pagesPerBlock,
 		blocks:        blocks,
-		blockBuf:      make([][]byte, blocks),
-		pageState:     make([]int8, blocks*pagesPerBlock),
-		zero:          make([]bool, blocks*pagesPerBlock),
+		data:          make([][]byte, blocks*pagesPerBlock),
 		zeroPage:      make([]byte, pageSize),
+		pageState:     make([]int8, blocks*pagesPerBlock),
 		blockValid:    make([]int, blocks),
 		blockFree:     make([]int, blocks),
 		erases:        make([]int64, blocks),
@@ -68,82 +63,87 @@ func (n *nandArray) blockBytes() int64 { return int64(n.pageSize * n.pagesPerBlo
 
 func (n *nandArray) blockOf(phys int32) int { return int(phys) / n.pagesPerBlock }
 
-// page returns the bytes of a programmed (valid or invalid) physical page.
-func (n *nandArray) page(phys int32) []byte {
-	off := int(phys) % n.pagesPerBlock * n.pageSize
-	return n.blockBuf[n.blockOf(phys)][off : off+n.pageSize]
-}
-
 // readAt copies len(p) bytes of a physical page, starting po bytes into it,
-// into p. A free page and a zero page read as zeros.
+// into p: the stored bytes, then zeros. A free page and a zero page store none.
 func (n *nandArray) readAt(phys int32, po int, p []byte) {
-	if n.pageState[phys] == pageFree || n.zero[phys] {
-		clear(p)
-	} else {
-		copy(p, n.page(phys)[po:])
+	k := 0
+	if stored := n.data[phys]; po < len(stored) {
+		k = copy(p, stored[po:])
 	}
+	clear(p[k:])
 	n.reads++
 }
 
-// readPage copies a physical page into buf (len >= pageSize).
-func (n *nandArray) readPage(phys int32, buf []byte) { n.readAt(phys, 0, buf[:n.pageSize]) }
-
 // programPage writes content into a free physical page and marks it valid.
-// Programming a non-free page panics: NAND cannot overwrite in place, and
-// an FTL that tries has a bug.
+// An all-zero page, told by one compare, stores nothing; any other takes a
+// pooled buffer for its bytes up to the last non-zero one, its zero tail cut
+// 64 bytes to a compare. Programming a non-free page panics: NAND cannot
+// overwrite in place, and an FTL that tries has a bug.
 func (n *nandArray) programPage(phys int32, content []byte) {
 	if n.pageState[phys] != pageFree {
 		panic(fmt.Sprintf("flashsim: program of non-free page %d (state %d)", phys, n.pageState[phys]))
 	}
 	b := n.blockOf(phys)
-	if n.blockBuf[b] == nil {
-		if last := len(n.freeBufs) - 1; last >= 0 {
-			n.blockBuf[b], n.freeBufs = n.freeBufs[last], n.freeBufs[:last]
-		} else {
-			n.blockBuf[b] = make([]byte, n.blockBytes())
-		}
-	}
 	n.pageState[phys] = pageValid
-	n.zero[phys] = bytes.Equal(content[:n.pageSize], n.zeroPage)
-	if !n.zero[phys] {
-		copy(n.page(phys), content[:n.pageSize])
-	}
 	n.blockValid[b]++
 	n.blockFree[b]--
 	n.programs++
+	content = content[:n.pageSize]
+	if bytes.Equal(content, n.zeroPage) {
+		return
+	}
+	end := n.pageSize
+	for end >= 64 && bytes.Equal(content[end-64:end], n.zeroPage[:64]) {
+		end -= 64
+	}
+	for content[end-1] == 0 {
+		end--
+	}
+	var buf []byte
+	if last := len(n.pool) - 1; last >= 0 {
+		buf, n.pool = n.pool[last], n.pool[:last]
+	} else {
+		buf = make([]byte, n.pageSize)
+	}
+	n.data[phys] = buf[:copy(buf, content[:end])]
 }
 
-// copyPage programs free page dst with the content of programmed page src:
-// one array read and one program, one host copy unless src is a zero page
-// (comparing zeroPage with itself costs nothing).
+// copyPage relocates valid page src to free page dst: one array read and
+// one program on the medium, and no host copy — dst takes src's buffer, and
+// src is left invalid.
 func (n *nandArray) copyPage(src, dst int32) {
+	buf := n.data[src]
+	n.data[src] = nil
+	n.invalidatePage(src)
+	n.programPage(dst, n.zeroPage) // comparing zeroPage with itself costs nothing
+	n.data[dst] = buf
 	n.reads++
 	n.copies++
-	content := n.zeroPage
-	if !n.zero[src] {
-		content = n.page(src)
-	}
-	n.programPage(dst, content)
 }
 
 // invalidatePage marks a valid page invalid (its logical content moved or
-// was trimmed).
+// was trimmed) and pools its buffer.
 func (n *nandArray) invalidatePage(phys int32) {
 	if n.pageState[phys] == pageValid {
 		n.pageState[phys] = pageInvalid
 		n.blockValid[n.blockOf(phys)]--
+		n.release(phys)
+	}
+}
+
+// release hands page phys's buffer, if it holds one, to the pool.
+func (n *nandArray) release(phys int32) {
+	if buf := n.data[phys]; buf != nil {
+		n.pool = append(n.pool, buf[:n.pageSize])
+		n.data[phys] = nil
 	}
 }
 
 // eraseBlock resets every page of block b to free and bumps wear.
 func (n *nandArray) eraseBlock(b int) {
-	base := b * n.pagesPerBlock
-	for i := 0; i < n.pagesPerBlock; i++ {
-		n.pageState[base+i] = pageFree
-	}
-	if buf := n.blockBuf[b]; buf != nil {
-		n.freeBufs = append(n.freeBufs, buf)
-		n.blockBuf[b] = nil
+	for phys := int32(b * n.pagesPerBlock); phys < int32((b+1)*n.pagesPerBlock); phys++ {
+		n.pageState[phys] = pageFree
+		n.release(phys)
 	}
 	n.blockValid[b] = 0
 	n.blockFree[b] = n.pagesPerBlock

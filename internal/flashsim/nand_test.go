@@ -2,6 +2,7 @@ package flashsim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ func TestNANDProgramReadErase(t *testing.T) {
 	}
 	n.programPage(5, page)
 	got := make([]byte, 2<<10)
-	n.readPage(5, got)
+	n.readAt(5, 0, got)
 	if !bytes.Equal(got, page) {
 		t.Fatal("program/read mismatch")
 	}
@@ -24,7 +25,7 @@ func TestNANDProgramReadErase(t *testing.T) {
 	if n.blockValid[0] != 0 || n.blockFree[0] != 64 || n.erases[0] != 1 {
 		t.Fatal("erase did not reset block")
 	}
-	n.readPage(5, got)
+	n.readAt(5, 0, got)
 	for _, b := range got {
 		if b != 0 {
 			t.Fatal("erased page not zero")
@@ -81,46 +82,98 @@ func TestNANDGeometryValidation(t *testing.T) {
 	newNANDArray(0, 64, 4)
 }
 
-// TestNANDZeroPages: an all-zero page stores no bytes, so its zero bit alone
-// must make it read as zeros — in a buffer whose old bytes are not zero — and
-// travel with a relocation; a later non-zero program of the same physical
-// page, before or after an erase, must read back its own bytes.
+// TestNANDZeroPages: a page stores its bytes up to its last non-zero one, an
+// all-zero page none, and a read clears what is not stored — in a
+// destination, and from a pooled buffer whose old bytes are not zero. A
+// relocation moves the buffer, or its absence, to the new page and leaves the
+// old one invalid; an erase pools the buffers of the pages it frees.
 func TestNANDZeroPages(t *testing.T) {
 	const pageSize = 256
 	n := newNANDArray(pageSize, 4, 2)
 	fill := func(v byte) []byte { return bytes.Repeat([]byte{v}, pageSize) }
+	head := func(v byte, k int) []byte { return append(fill(v)[:k], make([]byte, pageSize-k)...) }
 	zeros := make([]byte, pageSize)
-	got := make([]byte, pageSize)
-	check := func(phys int32, want []byte, what string) {
+	check := func(phys int32, want []byte, stored int, what string) {
 		t.Helper()
-		copy(got, fill(0xEE)) // a read must overwrite every byte
-		n.readPage(phys, got)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: page %d reads %#x…, want %#x…", what, phys, got[0], want[0])
+		got := fill(0xEE) // a read must overwrite every byte
+		n.readAt(phys, 0, got)
+		if !bytes.Equal(got, want) || len(n.data[phys]) != stored {
+			t.Fatalf("%s: page %d reads %#x…%#x and stores %d bytes, want %#x…%#x and %d",
+				what, phys, got[0], got[pageSize-1], len(n.data[phys]), want[0], want[pageSize-1], stored)
 		}
 	}
-	// Leave stale non-zero bytes in block 0's buffer, then recycle it.
-	for p := int32(0); p < 4; p++ {
-		n.programPage(p, fill(0xAA))
+
+	// Tails are cut after the last non-zero byte, on and off the 64-byte steps.
+	for _, k := range []int{1, 63, 64, 65, 200, 255, 256} {
+		n.programPage(0, head(0x11, k))
+		check(0, head(0x11, k), k, fmt.Sprintf("%d-byte head", k))
+		n.eraseBlock(0)
 	}
-	n.eraseBlock(0)
-
-	n.programPage(0, zeros) // reuses the stale buffer
-	check(0, zeros, "zero page read")
-	n.copyPage(0, 4) // block 1 takes a fresh buffer
-	n.programPage(5, fill(0x11))
-	n.copyPage(5, 6)
-	check(4, zeros, "zero page copied")
-	check(6, fill(0x11), "non-zero page copied")
-
+	withHole := head(0x22, 200)
+	withHole[150] = 0 // a zero inside the stored bytes stays stored
+	n.programPage(0, withHole)
+	check(0, withHole, 200, "page with a zero inside")
 	n.programPage(1, zeros)
-	n.programPage(2, fill(0x22)) // after a zero page in the same block
-	check(2, fill(0x22), "non-zero page after a zero one")
+	check(1, zeros, 0, "zero page")
 
-	n.eraseBlock(0)
-	n.programPage(1, fill(0x33)) // the physical page that last held zeros
-	check(1, fill(0x33), "non-zero page after an erase")
-	check(0, zeros, "free page after an erase")
+	// A short page in the buffer of a full one, whose old bytes are stale.
+	n.programPage(2, fill(0xAA))
+	n.invalidatePage(2)
+	if n.data[2] != nil || len(n.pool) != 1 {
+		t.Fatalf("invalidated page keeps %d bytes, pool holds %d buffers: want 0, 1", len(n.data[2]), len(n.pool))
+	}
+	n.programPage(3, head(0x33, 100))
+	check(3, head(0x33, 100), 100, "short page in a full page's buffer")
+	part := fill(0xEE)[:50]
+	n.readAt(3, 80, part) // straddles the end of the stored bytes
+	if want := append(bytes.Repeat([]byte{0x33}, 20), make([]byte, 30)...); !bytes.Equal(part, want) {
+		t.Fatalf("read at 80 of a 100-byte head: %x, want %x", part, want)
+	}
+
+	// Relocation moves the buffer: no bytes are copied.
+	moved := &n.data[3][0]
+	n.copyPage(3, 4)
+	n.copyPage(1, 5)
+	if n.data[4] == nil || &n.data[4][0] != moved || n.data[3] != nil || n.pageState[3] != pageInvalid {
+		t.Fatal("relocation did not move the buffer and leave the source invalid")
+	}
+	check(4, head(0x33, 100), 100, "relocated short page")
+	check(5, zeros, 0, "relocated zero page")
+
+	// An erase pools the buffers of valid pages too, and a free page reads zeros.
+	pooled := len(n.pool)
+	n.eraseBlock(0) // page 0 is still valid, holding 200 bytes
+	if len(n.pool) != pooled+1 {
+		t.Fatalf("erase pooled %d buffers, want 1", len(n.pool)-pooled)
+	}
+	check(0, zeros, 0, "free page after an erase")
+	n.programPage(0, fill(0x44))
+	check(0, fill(0x44), pageSize, "full page in a pooled buffer")
+}
+
+// TestNANDSteadyStateAllocatesNothing: once the pool holds the buffers a
+// cycle needs, programming, relocating, invalidating and erasing allocate
+// nothing — zero pages included.
+func TestNANDSteadyStateAllocatesNothing(t *testing.T) {
+	const pageSize = 256
+	n := newNANDArray(pageSize, 4, 2)
+	full := bytes.Repeat([]byte{0x5A}, pageSize)
+	short := append(bytes.Repeat([]byte{0x5A}, 40), make([]byte, pageSize-40)...)
+	zeros := make([]byte, pageSize)
+	cycle := func() {
+		n.programPage(0, full)
+		n.programPage(1, short)
+		n.programPage(2, zeros)
+		n.programPage(3, full)
+		n.invalidatePage(0)
+		n.copyPage(1, 4)
+		n.copyPage(2, 5)
+		n.eraseBlock(0)
+		n.eraseBlock(1)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a program/relocate/invalidate/erase cycle allocates %.1f times, want 0", allocs)
+	}
 }
 
 func TestNANDCountersTrackOps(t *testing.T) {
@@ -128,7 +181,7 @@ func TestNANDCountersTrackOps(t *testing.T) {
 	page := make([]byte, 2<<10)
 	n.programPage(0, page)
 	n.programPage(1, page)
-	n.readPage(0, page)
+	n.readAt(0, 0, page)
 	if n.programs != 2 || n.reads != 1 {
 		t.Fatalf("programs=%d reads=%d", n.programs, n.reads)
 	}

@@ -40,12 +40,13 @@ func (m *pageMap) program(lp int, content []byte) time.Duration {
 		// relocated (cold) pages, until it is a victim itself.
 		m.openBlock()
 	}
-	phys := m.nextPage()
-	m.d.nand.programPage(phys, content)
 	// Looked up only now: the collection above may have moved the old copy.
+	// It is dropped first, so the program can take the buffer it frees.
 	if old := m.l2p[lp]; old >= 0 {
 		m.d.nand.invalidatePage(old)
 	}
+	phys := m.nextPage()
+	m.d.nand.programPage(phys, content)
 	m.l2p[lp] = phys
 	m.p2l[phys] = int32(lp)
 	return lat + TablePageWrite
@@ -126,7 +127,6 @@ func (m *pageMap) relocateAndErase(victim int) time.Duration {
 		}
 		dst := m.nextPage()
 		nand.copyPage(phys, dst)
-		nand.invalidatePage(phys)
 		lp := m.p2l[phys]
 		m.p2l[dst] = lp
 		m.l2p[lp] = dst

@@ -9,9 +9,10 @@
 #   bash bench/run.sh --workload <workload> --seed <seed> --seconds 8 --trace 0 --out <file>
 #
 # <pairs> times in each tree, alternating which one runs first in a pair so
-# that drift on a shared machine falls on both sides alike. Prints each
-# side's host_qps and wall_s median and q1–q3, the change of the medians and
-# how many pairs the working tree won, then runs `bash bench/run.sh compare`
+# that drift on a shared machine falls on both sides alike. Prints, for each
+# end-to-end metric of BENCHMARK.json, each side's median and q1–q3, the
+# change of the medians and how many pairs the working tree won (by the
+# metric's own "better" direction), then runs `bash bench/run.sh compare`
 # on the two record files and prints the workload's rows. It exits non-zero
 # if a run is not correct or has a failed operation, if an exact number
 # differs between the sides, or if an end-to-end metric is worse than its
@@ -38,6 +39,13 @@ if [ "$2" = all ]; then
     fi
 else
     workloads=$2
+fi
+# The end-to-end metrics, one "<name> <lower|higher>" a line.
+metrics="$(sed -n '/"end_to_end"/,/^  \]/p' BENCHMARK.json |
+    awk -F'"' '$2 == "name" { name = $4 } $2 == "better" { print name, $4 }')"
+if [ -z "$metrics" ]; then
+    echo "abpairs: no end-to-end metrics found in BENCHMARK.json" >&2
+    exit 2
 fi
 out="$(mktemp -d "${TMPDIR:-/tmp}/abpairs.XXXXXX")"
 parent="$out/parent"
@@ -77,17 +85,15 @@ ab() {
     done
 
     echo "workload $workload, seed $seed, $pairs pairs: parent $(git rev-parse --short "$rev"), change = working tree"
-    printf '%-9s %-32s %-32s %8s %s\n' metric "parent median (q1–q3)" "change median (q1–q3)" change "pairs won"
-    for metric in host_qps wall_s; do
+    printf '%-20s %-32s %-32s %8s %s\n' metric "parent median (q1–q3)" "change median (q1–q3)" change "pairs won"
+    while read -r metric better; do
         read -r pm pq1 pq3 < <(values parent "$metric" | stats)
         read -r cm cq1 cq3 < <(values change "$metric" | stats)
-        better='>'
-        [ "$metric" = wall_s ] && better='<'
         won="$(paste <(values change "$metric") <(values parent "$metric") |
-            awk -v b="$better" '(b == ">" && $1 > $2) || (b == "<" && $1 < $2) { n++ } END { print n + 0 }')"
-        printf '%-9s %-32s %-32s %7s%% %s/%s\n' "$metric" "$pm ($pq1–$pq3)" "$cm ($cq1–$cq3)" \
-            "$(awk -v a="$pm" -v b="$cm" 'BEGIN { printf "%+.1f", 100 * (b - a) / a }')" "$won" "$pairs"
-    done
+            awk -v b="$better" '(b == "higher" && $1 > $2) || (b == "lower" && $1 < $2) { n++ } END { print n + 0 }')"
+        printf '%-20s %-32s %-32s %7s%% %s/%s\n' "$metric" "$pm ($pq1–$pq3)" "$cm ($cq1–$cq3)" \
+            "$(awk -v a="$pm" -v b="$cm" 'BEGIN { if (a == 0) print "n/a"; else printf "%+.1f", 100 * (b - a) / a }')" "$won" "$pairs"
+    done <<<"$metrics"
     echo "records and reports: $dir"
 
     # Every run must be correct with no failed operation.
