@@ -480,7 +480,8 @@ func TestRePutBufferedResultWrittenOnce(t *testing.T) {
 
 // TestPinBufferedResultWrittenOnce: pinning a query whose copy waits in the
 // write buffer takes that copy out, so the next RB flush does not write it
-// again as a dynamic entry beside the static one.
+// again as a dynamic entry beside the static one, and counts the write as
+// elided.
 func TestPinBufferedResultWrittenOnce(t *testing.T) {
 	f := newFixture(t, testConfig(PolicyCBSLRU))
 	putEntries(t, f, 1, 6) // query 1 waits in the write buffer
@@ -491,9 +492,9 @@ func TestPinBufferedResultWrittenOnce(t *testing.T) {
 	if err := f.m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if s := f.m.Stats(); copiesOf(f, 1) != 0 || f.m.results.static[1] == nil || s.RBFlushes != 1 {
-		t.Fatalf("%d copies of query 1 in the write buffer and dynamic RBs, static %v, %d RBs: want 0, true, 1",
-			copiesOf(f, 1), f.m.results.static[1] != nil, s.RBFlushes)
+	if s := f.m.Stats(); copiesOf(f, 1) != 0 || f.m.results.static[1] == nil || s.RBFlushes != 1 || s.ResultWritesElided != 1 {
+		t.Fatalf("%d copies of query 1 in the write buffer and dynamic RBs, static %v, %d RBs, %d writes elided: want 0, true, 1, 1",
+			copiesOf(f, 1), f.m.results.static[1] != nil, s.RBFlushes, s.ResultWritesElided)
 	}
 	if _, src := f.m.GetResult(1); src != ResultFromSSD {
 		t.Fatalf("pinned query 1 served from %v, want the SSD", src)

@@ -83,7 +83,8 @@ const (
 	EvResultExpire
 	// EvListElide, EvResultElide: an eviction found its SSD copy still there
 	// and revalidated it, or a result its copy in the write buffer and took
-	// its place, instead of writing.
+	// its place, instead of writing; or a pin took a result's copy out of the
+	// write buffer.
 	EvListElide
 	EvResultElide
 	// EvListOverwrite: a list extent was placed over a same-size victim.

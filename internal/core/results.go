@@ -194,10 +194,12 @@ func (m *Manager) PinResult(qid uint64, data []byte) bool {
 	}
 	m.emit(Event{Kind: EvResultFlush, Bytes: n})
 	// A copy waiting in the write buffer would reach the SSD a second time,
-	// as a dynamic entry, at the next RB flush: the pin replaces it.
+	// as a dynamic entry, at the next RB flush: the pin replaces it, and that
+	// write is counted as elided.
 	if i := slices.IndexFunc(m.writeBuf, func(b bufferedResult) bool { return b.qid == qid }); i >= 0 {
 		m.freeEntry(m.writeBuf[i].data)
 		m.writeBuf = slices.Delete(m.writeBuf, i, i+1)
+		m.emit(Event{Kind: EvResultElide})
 	}
 	return true
 }
