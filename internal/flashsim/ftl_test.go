@@ -368,13 +368,13 @@ func TestHybridLogMergeOrderRepeats(t *testing.T) {
 }
 
 // checkMediumInvariants asserts the bookkeeping the page buffers and the
-// page-mapped FTL's victim choice rest on. A page holds a buffer only while
-// it is valid with non-zero bytes, cut after its last non-zero byte; no
-// buffer is held twice or both held and pooled; and since a buffer is made
-// only when the pool is empty, the buffers held and pooled never outnumber
-// the most valid non-zero pages there have been. peak carries that most from
-// call to call: it is exact when the caller checks after every page program.
-func checkMediumInvariants(t testing.TB, d *SSD, peak *int) {
+// page-mapped FTL's victim choice rest on, and returns how many pages hold a
+// buffer. A page holds a buffer only while it is valid with non-zero bytes,
+// cut after its last non-zero byte; no buffer is held twice or both held and
+// pooled; and since a buffer is made only when the pool is empty, the
+// buffers held and pooled never outnumber peak, which the caller keeps at or
+// above the most valid non-zero pages there have been.
+func checkMediumInvariants(t testing.TB, d *SSD, peak int) (held int) {
 	t.Helper()
 	n := d.nand
 	owner := make(map[*byte]int) // a buffer's first byte -> its page, or -1 for the pool
@@ -387,7 +387,6 @@ func checkMediumInvariants(t testing.TB, d *SSD, peak *int) {
 		}
 		owner[&buf[0]] = by
 	}
-	held := 0
 	for p, buf := range n.data {
 		if buf == nil {
 			continue
@@ -405,9 +404,8 @@ func checkMediumInvariants(t testing.TB, d *SSD, peak *int) {
 		}
 		own(buf, -1)
 	}
-	*peak = max(*peak, held)
-	if held+len(n.pool) > *peak {
-		t.Fatalf("%d held + %d pooled page buffers, but at most %d valid non-zero pages", held, len(n.pool), *peak)
+	if held+len(n.pool) > peak {
+		t.Fatalf("%d held + %d pooled page buffers, but at most %d valid non-zero pages", held, len(n.pool), peak)
 	}
 	for _, b := range d.freeBlocks {
 		if n.blockFree[b] != n.pagesPerBlock {
@@ -427,19 +425,21 @@ func checkMediumInvariants(t testing.TB, d *SSD, peak *int) {
 			t.Fatalf("%d erased blocks off the frontier, freeBlocks holds %d", erased, len(d.freeBlocks))
 		}
 	}
+	return held
 }
 
 // byteModel is a drive under test beside a plain []byte copy of its logical
 // space: every write, trim and read goes to both, and a read that differs from
-// the model fails the test. The medium's invariants are checked after every
-// write and trim, and a write is issued one page at a time so that no page
-// program goes unchecked (the device splits a write into the same pages).
+// the model fails the test. Each write is one WriteAt, of any length and
+// alignment, and the medium's invariants are checked after every write and
+// trim.
 type byteModel struct {
 	t     testing.TB
 	d     *SSD
 	model []byte
 	got   []byte
-	peak  int // most valid non-zero pages seen, for checkMediumInvariants
+	held  int // pages holding a buffer at the last check
+	peak  int // at least the most valid non-zero pages there have been
 }
 
 func newByteModel(t testing.TB, d *SSD) *byteModel {
@@ -450,14 +450,10 @@ func newByteModel(t testing.TB, d *SSD) *byteModel {
 // write stores data at off on the drive and in the model.
 func (m *byteModel) write(off int, data []byte) {
 	copy(m.model[off:], data)
-	for pos, end := off, off+len(data); pos < end; {
-		n := min(m.d.PageSize()-pos%m.d.PageSize(), end-pos)
-		if _, err := m.d.WriteAt(data[pos-off:][:n], int64(pos)); err != nil {
-			m.t.Fatal(err)
-		}
-		checkMediumInvariants(m.t, m.d, &m.peak)
-		pos += n
+	if _, err := m.d.WriteAt(data, int64(off)); err != nil {
+		m.t.Fatal(err)
 	}
+	m.check(off, len(data))
 }
 
 func (m *byteModel) trim(off, n int) {
@@ -465,7 +461,24 @@ func (m *byteModel) trim(off, n int) {
 	if _, err := m.d.Trim(int64(off), int64(n)); err != nil {
 		m.t.Fatal(err)
 	}
-	checkMediumInvariants(m.t, m.d, &m.peak) // a trim only drops or rewrites pages
+	m.check(off, n)
+}
+
+// check runs checkMediumInvariants after a write or trim of n bytes at off.
+// The call programmed each page it touched at most once, and GC and merges
+// only moved buffers, so the valid non-zero pages never outnumbered those
+// holding a buffer at the last check plus the touched pages the model now
+// holds non-zero.
+func (m *byteModel) check(off, n int) {
+	ps := m.d.PageSize()
+	grown := m.held
+	for p := off - off%ps; p < off+n; p += ps {
+		if slices.ContainsFunc(m.model[p:p+ps], func(b byte) bool { return b != 0 }) {
+			grown++
+		}
+	}
+	m.peak = max(m.peak, grown)
+	m.held = checkMediumInvariants(m.t, m.d, m.peak)
 }
 
 // read checks n bytes at off against the model.

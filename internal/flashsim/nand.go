@@ -76,9 +76,9 @@ func (n *nandArray) readAt(phys int32, po int, p []byte) {
 
 // programPage writes content into a free physical page and marks it valid.
 // An all-zero page, told by one compare, stores nothing; any other takes a
-// pooled buffer for its bytes up to the last non-zero one, its zero tail cut
-// 64 bytes to a compare. Programming a non-free page panics: NAND cannot
-// overwrite in place, and an FTL that tries has a bug.
+// pooled buffer for its bytes up to the last non-zero one: the cut saves no
+// memory, but copying on program and read (DESIGN §17). Programming a
+// non-free page panics: NAND cannot overwrite in place.
 func (n *nandArray) programPage(phys int32, content []byte) {
 	if n.pageState[phys] != pageFree {
 		panic(fmt.Sprintf("flashsim: program of non-free page %d (state %d)", phys, n.pageState[phys]))
