@@ -99,14 +99,14 @@ func TestAttributionSumsToElapsed(t *testing.T) {
 	}
 }
 
-// TestAttributionUnderFaultInjection: injected errors, latency spikes and
-// degraded-mode serving must not break the contract — every charged
-// nanosecond still lands in exactly one component.
+// TestAttributionUnderFaultInjection: injected errors and degraded-mode
+// serving must not break the contract — every charged nanosecond still
+// lands in exactly one component.
 func TestAttributionUnderFaultInjection(t *testing.T) {
 	cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
 	cfg.CacheFaults = storage.FaultSpec{
 		Seed:       5,
-		Read:       storage.OpFaults{ErrProb: 0.02, SlowProb: 0.02},
+		Read:       storage.OpFaults{ErrProb: 0.02},
 		Write:      storage.OpFaults{ErrProb: 0.02},
 		Trim:       storage.OpFaults{ErrProb: 0.02},
 		StickyProb: 0.25,
@@ -118,6 +118,24 @@ func TestAttributionUnderFaultInjection(t *testing.T) {
 	checkAttributionContract(t, sys, 800)
 	if st := sys.Manager.Stats(); st.SSDReadErrors+st.SSDWriteErrors+st.SSDTrimErrors == 0 {
 		t.Fatal("fault sweep injected nothing — contract not exercised under faults")
+	}
+
+	// The fault section survives a JSON round trip with the injector's
+	// counts.
+	var buf bytes.Buffer
+	if err := sys.WriteJSONReport(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var r JSONReport
+	if err := json.Unmarshal(buf.Bytes(), &r); err != nil {
+		t.Fatal(err)
+	}
+	fs := sys.CacheFaults.FaultStats()
+	if r.SchemaVersion != jsonReportSchemaVersion || r.Faults == nil ||
+		r.Faults.InjectedReadErrors != fs.ReadErrors || r.Faults.InjectedWriteErrors != fs.WriteErrors ||
+		r.Faults.InjectedTrimErrors != fs.TrimErrors || r.Faults.BadExtents != fs.BadExtents ||
+		r.Faults.BadExtentHits != fs.BadExtentHits {
+		t.Fatalf("decoded report (schema %d) fault section %+v, injector says %+v", r.SchemaVersion, r.Faults, fs)
 	}
 }
 

@@ -9,11 +9,9 @@
 //	searchsim -docs 2000000 -mem 3145728 -metrics-every 2000
 //	searchsim -ftl blockmap -queries 3000         # §II-A FTL ablation
 //	searchsim -result-ttl 30s -list-ttl 30s       # §IV-B dynamic scenario
-//	searchsim -aol user-ct-test.txt               # replay a real AOL log
 //	searchsim -trace run.ndjson -metrics-every 1000  # per-query traces + live metrics
 //	searchsim -json report.json                   # machine-readable final report
 //	searchsim -serve -shards 4 -rate 200          # open-loop concurrent serving
-//	searchsim -serve -shards 2 -burst-every 30s   # with periodic flash crowds
 package main
 
 import (
@@ -48,19 +46,15 @@ func main() {
 		ftlFlag      = flag.String("ftl", "pagemap", "cache SSD FTL: page-map, block-map, hybrid-log (hyphen optional)")
 		resultTTL    = flag.Duration("result-ttl", 0, "dynamic scenario: TTL for cached results (0 = static)")
 		listTTL      = flag.Duration("list-ttl", 0, "dynamic scenario: TTL for cached lists (0 = static)")
-		aolFile      = flag.String("aol", "", "replay queries from an AOL-format log file instead of the synthetic stream")
 		traceFile    = flag.String("trace", "", "write one NDJSON trace record per query to this file")
 		metricsEvery = flag.Int("metrics-every", 0, "print a live metrics line every N queries (0 = off)")
 		jsonFile     = flag.String("json", "", "write the machine-readable JSON report to this file ('-' = stdout)")
 		profileFile  = flag.String("profile", "", "write the simulated-time latency profile as gzipped pprof to this file (plus folded stacks to <file>.folded)")
 
-		serveMode   = flag.Bool("serve", false, "concurrent serving mode: open-loop arrivals across -shards cache partitions with singleflight coalescing")
-		shards      = flag.Int("shards", 2, "serve: number of cache shards (cache budgets are split across them)")
-		rate        = flag.Float64("rate", 0, "serve: offered load in queries/simulated-second (0 = 1.5x the calibrated single-shard capacity)")
-		serveWarm   = flag.Int("serve-warm", 1000, "serve: closed-loop warm queries before the open-loop run")
-		hotWarm     = flag.Int("hot-warm", 32, "serve: per-shard hottest queries re-executed after warm (frequency-ranked warming)")
-		burstEvery  = flag.Duration("burst-every", 0, "serve: inject a flash crowd every this much simulated time (0 = off)")
-		burstFactor = flag.Float64("burst-factor", 4, "serve: arrival-rate multiplier during a flash crowd")
+		serveMode = flag.Bool("serve", false, "concurrent serving mode: open-loop arrivals across -shards cache partitions with singleflight coalescing")
+		shards    = flag.Int("shards", 2, "serve: number of cache shards (cache budgets are split across them)")
+		rate      = flag.Float64("rate", 0, "serve: offered load in queries/simulated-second (0 = 1.5x the calibrated single-shard capacity)")
+		serveWarm = flag.Int("serve-warm", 1000, "serve: closed-loop warm queries before the open-loop run")
 	)
 	flag.Parse()
 
@@ -127,9 +121,6 @@ func main() {
 			shards:      *shards,
 			rate:        *rate,
 			warm:        *serveWarm,
-			hotWarm:     *hotWarm,
-			burstEvery:  *burstEvery,
-			burstFactor: *burstFactor,
 			traceFile:   *traceFile,
 			profileFile: *profileFile,
 		})
@@ -153,29 +144,6 @@ func main() {
 	}
 	sys.EnableObservability(observer)
 
-	var replay *workload.ReplayLog
-	if *aolFile != "" {
-		f, err := os.Open(*aolFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		qs, err := workload.ParseAOL(f, workload.AOLParseOptions{
-			VocabSize: *vocab, SkipHeader: true,
-		})
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if len(qs) == 0 {
-			fmt.Fprintln(os.Stderr, "AOL log contained no usable queries")
-			os.Exit(1)
-		}
-		replay = workload.NewReplayLog(qs)
-		fmt.Printf("replaying %d queries from %s (cycling to %d)\n", len(qs), *aolFile, *queries)
-	}
-
 	if sys.Manager != nil && sys.Manager.UsesStaticPartition() {
 		ws, err := sys.WarmupStatic(*queries)
 		if err != nil {
@@ -187,13 +155,7 @@ func main() {
 	}
 
 	for done := 1; done <= *queries; done++ {
-		var q workload.Query
-		if replay != nil {
-			q = replay.Next()
-		} else {
-			q = sys.Log.Next()
-		}
-		if _, _, err := sys.Search(q); err != nil {
+		if _, _, err := sys.Search(sys.Log.Next()); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -237,9 +199,9 @@ func main() {
 }
 
 // serveIgnored are the flags of the closed-loop run that the -serve pool
-// has no counterpart for: it replays no AOL log, writes no JSON report and
-// prints no live metrics.
-var serveIgnored = []string{"aol", "json", "metrics-every"}
+// has no counterpart for: it writes no JSON report and prints no live
+// metrics.
+var serveIgnored = []string{"json", "metrics-every"}
 
 // serveConflict names the first flag in set that -serve cannot honour, so
 // such a run is refused instead of silently dropping the flag.
@@ -258,15 +220,12 @@ type serveOptions struct {
 	shards      int
 	rate        float64
 	warm        int
-	hotWarm     int
-	burstEvery  time.Duration
-	burstFactor float64
 	traceFile   string
 	profileFile string
 }
 
 // runServe drives the concurrent serving layer: open-loop Poisson arrivals
-// (with optional flash crowds) across opt.shards cache partitions, with
+// on a diurnal curve across opt.shards cache partitions, with
 // identical in-flight queries coalesced singleflight-style. It prints the
 // pool's throughput/tail-latency summary plus a per-shard breakdown.
 func runServe(base hybrid.Config, opt serveOptions) {
@@ -280,13 +239,6 @@ func runServe(base hybrid.Config, opt serveOptions) {
 		rate = 1.5 * mu
 		fmt.Printf("calibrated single-shard capacity mu=%.1f q/s; offering 1.5x = %.1f q/s\n", mu, rate)
 	}
-	spec := workload.DefaultArrivals(rate)
-	if opt.burstEvery > 0 {
-		spec.BurstEvery = opt.burstEvery
-		spec.BurstDuration = opt.burstEvery / 5
-		spec.BurstFactor = opt.burstFactor
-	}
-
 	observer, closeTrace, err := obs.NewTraceFile(opt.traceFile, obs.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -295,9 +247,8 @@ func runServe(base hybrid.Config, opt serveOptions) {
 	pool, err := serve.New(serve.Config{
 		Base:        base,
 		Shards:      opt.shards,
-		Arrivals:    spec,
+		Rate:        rate,
 		WarmQueries: opt.warm,
-		HotWarm:     opt.hotWarm,
 		Observer:    observer,
 	})
 	if err != nil {

@@ -48,7 +48,6 @@ func TestFlagParsers(t *testing.T) {
 		{"-ftl", ftl, "", nil},
 		{"-serve with", serve, "shards", "shards"},
 		{"-serve with", serve, "trace", "trace"},
-		{"-serve with", serve, "aol", nil},
 		{"-serve with", serve, "json", nil},
 		{"-serve with", serve, "metrics-every", nil},
 	} {

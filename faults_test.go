@@ -17,7 +17,7 @@ func TestFaultedRunAccountedEndToEnd(t *testing.T) {
 	cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
 	cfg.CacheFaults = storage.FaultSpec{
 		Seed:       5,
-		Read:       storage.OpFaults{ErrProb: 0.01, SlowProb: 0.01},
+		Read:       storage.OpFaults{ErrProb: 0.01},
 		Write:      storage.OpFaults{ErrProb: 0.01},
 		Trim:       storage.OpFaults{ErrProb: 0.01},
 		StickyProb: 0.25,

@@ -122,8 +122,8 @@ type Config struct {
 	// (default: the paper's ideal page-mapped baseline).
 	CacheFTL FTLKind
 	// CacheFaults injects deterministic device faults into the cache SSD:
-	// per-operation error probabilities, latency spikes and sticky bad
-	// extents (see storage.FaultSpec). The zero value injects nothing;
+	// per-operation error probabilities and sticky bad extents (see
+	// storage.FaultSpec). The zero value injects nothing;
 	// Validate refuses any other value unless Mode == CacheTwoLevel.
 	CacheFaults storage.FaultSpec
 	// HeteroCacheTier has no legal value but false: Validate refuses true.

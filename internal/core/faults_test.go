@@ -571,8 +571,8 @@ func TestBumpFreqDecayPreservesOrder(t *testing.T) {
 
 // TestDivergenceUnderInjectedFaults is the extended divergence test of the
 // stats≡trace contract (DESIGN §9): under probabilistic fault injection —
-// transient errors on every op class, sticky bad extents, a pre-seeded dead
-// range — the event stream a sink receives folds to core.Stats exactly, the
+// transient errors on every op class and the sticky bad extents they leave —
+// the event stream a sink receives folds to core.Stats exactly, the
 // invariants hold after every step, every result hit is the query's own entry
 // although freed entry buffers are poisoned, and nothing panics. Each policy runs
 // three times: over the fixture's roomy list region; over one of four blocks,
@@ -587,7 +587,6 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 		Write:      storage.OpFaults{ErrProb: 0.05},
 		Trim:       storage.OpFaults{ErrProb: 0.05},
 		StickyProb: 0.5,
-		BadExtents: 1,
 	}
 	for _, policy := range allPolicies() {
 		for _, v := range []struct {

@@ -195,10 +195,8 @@ func runMeasured(sys *hybrid.System, sc Scale) (hybrid.RunStats, core.Stats, err
 	if o != nil {
 		sys.EnableObservability(o)
 	}
-	if sys.Manager != nil && sys.Manager.UsesStaticPartition() {
-		if _, err := sys.WarmupStatic(2 * sc.WarmQueries); err != nil {
-			return hybrid.RunStats{}, core.Stats{}, err
-		}
+	if _, err := sys.WarmupStatic(2 * sc.WarmQueries); err != nil {
+		return hybrid.RunStats{}, core.Stats{}, err
 	}
 	if _, err := sys.Run(sc.WarmQueries); err != nil {
 		return hybrid.RunStats{}, core.Stats{}, err

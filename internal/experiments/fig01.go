@@ -18,7 +18,7 @@ func engineTrace(sc Scale, queries int) ([]trace.Point, trace.Characteristics, e
 	if err != nil {
 		return nil, trace.Characteristics{}, err
 	}
-	rec := trace.NewRecorder(0)
+	var rec trace.Recorder
 	sys.HDD.SetOpHook(rec.Record)
 	if _, err := sys.Run(queries); err != nil {
 		return nil, trace.Characteristics{}, err

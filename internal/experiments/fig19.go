@@ -35,10 +35,8 @@ func Fig19InsideSSD(w io.Writer, sc Scale) error {
 		if err != nil {
 			return err
 		}
-		if policy == core.PolicyCBSLRU {
-			if _, err := sys.WarmupStatic(2 * sc.WarmQueries); err != nil {
-				return err
-			}
+		if _, err := sys.WarmupStatic(2 * sc.WarmQueries); err != nil {
+			return err
 		}
 		s := &series{}
 		for c := 0; c < checkpoints; c++ {

@@ -8,7 +8,6 @@ import (
 	"hybridstore/internal/core"
 	"hybridstore/internal/metrics"
 	"hybridstore/internal/serve"
-	"hybridstore/internal/workload"
 )
 
 // servingShards and servingLoads define the serving sweep grid: shard
@@ -47,9 +46,8 @@ func Serving(w io.Writer, sc Scale) error {
 		cfg := serve.Config{
 			Base:        base,
 			Shards:      shards,
-			Arrivals:    workload.DefaultArrivals(load * mu),
+			Rate:        load * mu,
 			WarmQueries: sc.WarmQueries,
-			HotWarm:     32,
 			Observer:    sc.observer(),
 		}
 		pool, err := serve.New(cfg)

@@ -51,8 +51,7 @@ func TestSSDUnwrittenReadsZero(t *testing.T) {
 }
 
 func TestSSDPageAlignedWriteCost(t *testing.T) {
-	d, clk := smallSSD(t, 8, 4)
-	clk.Reset()
+	d, _ := smallSSD(t, 8, 4)
 	lat, _ := d.WriteAt(make([]byte, 2<<10), 0) // exactly one page, aligned
 	if lat != 101475*time.Nanosecond {
 		t.Fatalf("aligned page write cost %v, want 101.475µs", lat)

@@ -147,10 +147,3 @@ func Intersect(a, b []workload.Posting) []Posting {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

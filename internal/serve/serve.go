@@ -34,6 +34,11 @@ const (
 	prioArrival    = 1
 )
 
+// hotWarm is how many of the warm phase's most frequent queries Warm
+// re-executes per shard (ranked by the manager's queryFreq sketch), so the
+// hottest results are resident when the open-loop run starts.
+const hotWarm = 32
+
 // Config assembles a serving Pool.
 type Config struct {
 	// Base is the full-system configuration. Each shard is built from it
@@ -42,15 +47,12 @@ type Config struct {
 	Base hybrid.Config
 	// Shards is the number of independent cache partitions (>= 1).
 	Shards int
-	// Arrivals describes the open-loop offered load.
-	Arrivals workload.ArrivalSpec
+	// Rate is the open-loop offered load in queries per simulated second,
+	// the mean of workload.Arrivals' diurnal Poisson stream.
+	Rate float64
 	// WarmQueries runs closed-loop (zero queue delay) through the shards
 	// before measurement to reach cache steady state.
 	WarmQueries int
-	// HotWarm re-executes the top-k most frequent queries of the warm
-	// phase (per shard, ranked by the manager's queryFreq sketch) so the
-	// hottest results are resident when the open-loop run starts.
-	HotWarm int
 	// Observer, when non-nil, is forked per shard: every shard keeps its
 	// own histograms and samples while all traces land in one shared
 	// stream, including synthetic traces for coalesced queries.
@@ -132,7 +134,7 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("serve: Shards = %d", cfg.Shards)
 	}
-	if err := cfg.Arrivals.Validate(); err != nil {
+	if err := workload.ValidateRate(cfg.Rate); err != nil {
 		return nil, err
 	}
 	p := &Pool{
@@ -177,15 +179,13 @@ func (p *Pool) route(qid uint64) *shard {
 
 // Warm reaches cache steady state before the open-loop run: WarmQueries
 // closed-loop queries routed across the shards, then a frequency-ranked
-// warming pass re-executing each shard's HotWarm hottest queries (seeded
+// warming pass re-executing each shard's hotWarm hottest queries (seeded
 // by the queryFreq sketch the warm phase populated), then a stats reset so
 // measurement covers only the open-loop window.
 func (p *Pool) Warm() error {
 	for i, sh := range p.shards {
-		if sh.sys.Manager != nil && sh.sys.Manager.UsesStaticPartition() {
-			if _, err := sh.sys.WarmupStatic(2 * p.cfg.WarmQueries); err != nil {
-				return fmt.Errorf("serve: shard %d static warmup: %w", i, err)
-			}
+		if _, err := sh.sys.WarmupStatic(2 * p.cfg.WarmQueries); err != nil {
+			return fmt.Errorf("serve: shard %d static warmup: %w", i, err)
 		}
 	}
 	for i := 0; i < p.cfg.WarmQueries; i++ {
@@ -195,10 +195,10 @@ func (p *Pool) Warm() error {
 		}
 	}
 	for i, sh := range p.shards {
-		if sh.sys.Manager == nil || p.cfg.HotWarm <= 0 {
+		if sh.sys.Manager == nil {
 			continue
 		}
-		for _, qid := range sh.sys.Manager.HotQueries(p.cfg.HotWarm) {
+		for _, qid := range sh.sys.Manager.HotQueries(hotWarm) {
 			if _, _, err := sh.sys.Search(p.log.QueryByID(qid)); err != nil {
 				return fmt.Errorf("serve: shard %d hot warm qid %d: %w", i, qid, err)
 			}
@@ -231,7 +231,7 @@ func (p *Pool) Run(n int) (Result, error) {
 			sh.sys.EnableObservability(sh.obs)
 		}
 	}
-	arr := workload.NewArrivals(p.cfg.Arrivals)
+	arr := workload.NewArrivals(p.cfg.Rate)
 	remaining := n
 
 	// Arrivals are scheduled lazily — each one schedules its successor —
@@ -376,10 +376,8 @@ func CalibrateQPS(base hybrid.Config, warm, n int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if sys.Manager != nil && sys.Manager.UsesStaticPartition() {
-		if _, err := sys.WarmupStatic(2 * warm); err != nil {
-			return 0, err
-		}
+	if _, err := sys.WarmupStatic(2 * warm); err != nil {
+		return 0, err
 	}
 	if _, err := sys.Run(warm); err != nil {
 		return 0, err

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	hybrid "hybridstore"
 	"hybridstore/internal/core"
@@ -115,9 +114,8 @@ func poolConfig(t *testing.T, shards int, rate float64) Config {
 	return Config{
 		Base:        testBase(t),
 		Shards:      shards,
-		Arrivals:    workload.DefaultArrivals(rate),
+		Rate:        rate,
 		WarmQueries: 300,
-		HotWarm:     20,
 	}
 }
 
@@ -223,9 +221,6 @@ func TestRunDeterminism(t *testing.T) {
 	run := func() (string, string) {
 		var buf bytes.Buffer
 		cfg := poolConfig(t, 2, 2*mu)
-		cfg.Arrivals.BurstEvery = 200 * time.Millisecond
-		cfg.Arrivals.BurstDuration = 50 * time.Millisecond
-		cfg.Arrivals.BurstFactor = 3
 		cfg.Observer = obs.New(obs.Options{SpanLimit: 8, TraceOut: &buf})
 		r := runPool(t, cfg, 500)
 		return r.String(), buf.String()
@@ -269,13 +264,13 @@ func TestShardCacheBounds(t *testing.T) {
 	if _, err := shardCache(base, 64); err == nil {
 		t.Fatal("64 shards should overflow the L1 result budget")
 	}
-	if _, err := New(Config{Base: testBase(t), Shards: 64, Arrivals: workload.DefaultArrivals(100)}); err == nil {
+	if _, err := New(Config{Base: testBase(t), Shards: 64, Rate: 100}); err == nil {
 		t.Fatal("New accepted an unshardable configuration")
 	}
 }
 
 // TestWarmSeedsHotQueries: the warm pass populates the per-shard
-// queryFreq sketch; HotWarm re-executes the hottest of them, so the
+// queryFreq sketch; hotWarm re-executes the hottest of them, so the
 // hottest query IDs must be result-cache resident when Run starts.
 func TestWarmSeedsHotQueries(t *testing.T) {
 	cfg := poolConfig(t, 2, 100)

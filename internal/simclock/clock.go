@@ -65,34 +65,6 @@ func (c *Clock) AdvanceAttr(d time.Duration, comp Component) time.Duration {
 	return now
 }
 
-// AdvanceToAttr moves simulated time forward to t if t is later than the
-// current time, attributing the covered interval to component comp;
-// otherwise it leaves the clock unchanged. It returns the resulting time.
-// This is the idiom for components that compute an absolute completion time
-// (for example a rotating disk whose platter position is periodic).
-func (c *Clock) AdvanceToAttr(t time.Duration, comp Component) time.Duration {
-	c.mu.Lock()
-	d := t - c.now
-	if d > 0 {
-		c.now = t
-	}
-	now := c.now
-	hook := c.onAdvance
-	c.mu.Unlock()
-	if hook != nil && d > 0 {
-		hook(comp, d)
-	}
-	return now
-}
-
-// Reset rewinds the clock to t=0. It is intended for reusing simulation
-// fixtures between experiment runs, never for mid-run time travel.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = 0
-}
-
 // Stopwatch measures a span of simulated time against a clock.
 type Stopwatch struct {
 	clock *Clock

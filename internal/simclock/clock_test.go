@@ -43,26 +43,6 @@ func TestClockAdvanceNegativePanics(t *testing.T) {
 	New().AdvanceAttr(-1, CompOther)
 }
 
-func TestClockAdvanceTo(t *testing.T) {
-	c := New()
-	c.AdvanceAttr(time.Second, CompOther)
-	if got := c.AdvanceToAttr(500*time.Millisecond, CompOther); got != time.Second {
-		t.Fatalf("AdvanceToAttr backwards moved clock to %v", got)
-	}
-	if got := c.AdvanceToAttr(2*time.Second, CompOther); got != 2*time.Second {
-		t.Fatalf("AdvanceToAttr(2s) = %v", got)
-	}
-}
-
-func TestClockReset(t *testing.T) {
-	c := New()
-	c.AdvanceAttr(time.Hour, CompOther)
-	c.Reset()
-	if got := c.Now(); got != 0 {
-		t.Fatalf("after Reset, Now = %v", got)
-	}
-}
-
 func TestClockConcurrentAdvance(t *testing.T) {
 	c := New()
 	const workers = 8

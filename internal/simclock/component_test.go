@@ -65,9 +65,8 @@ func TestOnAdvanceSeesEveryAdvance(t *testing.T) {
 	start := c.Now()
 	c.AdvanceAttr(3*time.Millisecond, CompHDDSeek)
 	c.AdvanceAttr(1*time.Millisecond, CompOther)
-	c.AdvanceToAttr(c.Now()+2*time.Millisecond, CompSSDEraseStall)
-	c.AdvanceToAttr(0, CompSSDEraseStall) // backwards: no movement, no hook
-	c.AdvanceAttr(0, CompSSDRead)         // zero: no hook
+	c.AdvanceAttr(2*time.Millisecond, CompSSDEraseStall)
+	c.AdvanceAttr(0, CompSSDRead) // zero: no hook
 	elapsed := c.Now() - start
 
 	var sum time.Duration

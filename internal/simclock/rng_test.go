@@ -3,7 +3,6 @@ package simclock
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -107,83 +106,5 @@ func TestFloat64Mean(t *testing.T) {
 	mean := sum / n
 	if math.Abs(mean-0.5) > 0.01 {
 		t.Fatalf("mean of uniform = %v, want ~0.5", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid or duplicate element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestPermProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make(map[int]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := NewRNG(21)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d != %d", got, sum)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(31)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := NewRNG(77)
-	for i := 0; i < 10000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative value")
-		}
 	}
 }

@@ -70,18 +70,6 @@ func (q *EventQueue) Schedule(at time.Duration, prio int, fn func(at time.Durati
 // Len returns the number of pending events.
 func (q *EventQueue) Len() int { return q.h.Len() }
 
-// Empty reports whether no events are pending.
-func (q *EventQueue) Empty() bool { return q.h.Len() == 0 }
-
-// NextAt returns the firing time of the earliest pending event; ok is
-// false when the queue is empty.
-func (q *EventQueue) NextAt() (at time.Duration, ok bool) {
-	if q.h.Len() == 0 {
-		return 0, false
-	}
-	return q.h.events[0].at, true
-}
-
 // RunNext pops and fires the earliest event. It reports whether an event
 // fired (false means the queue was empty).
 func (q *EventQueue) RunNext() bool {

@@ -5,9 +5,9 @@ package storage
 // The cache hierarchy's error paths are unreachable while the simulated
 // devices always succeed, which makes them untested dead code. FaultyDevice
 // wraps any Device and injects the failure modes production SSDs exhibit —
-// transient per-operation errors, latency spikes, and sticky bad extents
-// that fail every subsequent access — deterministically, from a
-// simclock.RNG, so a faulted run replays bit-for-bit.
+// transient per-operation errors and sticky bad extents that fail every
+// subsequent access — deterministically, from a simclock.RNG, so a faulted
+// run replays bit-for-bit.
 //
 // Read, write and trim are configured independently (OpFaults per class);
 // a run with only write faults exercises flush paths without disturbing
@@ -30,13 +30,7 @@ var ErrInjected = errors.New("storage: injected device fault")
 type OpFaults struct {
 	// ErrProb is the per-operation probability of failing with ErrInjected.
 	ErrProb float64
-	// SlowProb is the per-operation probability of a latency spike.
-	SlowProb float64
-	// SlowFactor multiplies the operation's latency on a spike (default 10).
-	SlowFactor float64
 }
-
-func (f OpFaults) enabled() bool { return f.ErrProb > 0 || f.SlowProb > 0 }
 
 // FaultSpec configures a FaultyDevice. The zero value injects nothing.
 type FaultSpec struct {
@@ -50,25 +44,18 @@ type FaultSpec struct {
 	// read or write overlapping it fails (trims still succeed — discarding
 	// a dead block is always possible).
 	StickyProb float64
-	// BadExtents pre-seeds this many sticky bad extents of BadExtentBytes
-	// each at deterministic offsets, modelling a device that shipped with
-	// (or developed) dead regions before the run began.
-	BadExtents int
-	// BadExtentBytes sizes pre-seeded bad extents (default 128 KiB).
-	BadExtentBytes int64
 }
 
 // Enabled reports whether the spec injects any fault at all.
 func (s FaultSpec) Enabled() bool {
-	return s.Read.enabled() || s.Write.enabled() || s.Trim.enabled() || s.BadExtents > 0
+	return s.Read.ErrProb > 0 || s.Write.ErrProb > 0 || s.Trim.ErrProb > 0
 }
 
 // FaultStats counts what the injector has done so far.
 type FaultStats struct {
-	ReadErrors    int64
-	WriteErrors   int64
-	TrimErrors    int64
-	LatencySpikes int64
+	ReadErrors  int64
+	WriteErrors int64
+	TrimErrors  int64
 	// BadExtentHits counts operations failed because they overlapped a
 	// sticky bad extent (also included in the per-class error counts).
 	BadExtentHits int64
@@ -90,36 +77,12 @@ type FaultyDevice struct {
 }
 
 // NewFaultyDevice wraps inner with the given fault spec. rng may be nil, in
-// which case a private stream is derived from spec.Seed. Pre-seeded bad
-// extents are placed immediately, so their layout depends only on the seed.
+// which case a private stream is derived from spec.Seed.
 func NewFaultyDevice(inner Device, spec FaultSpec, rng *simclock.RNG) *FaultyDevice {
 	if rng == nil {
 		rng = simclock.NewRNG(spec.Seed ^ 0xfa017dead)
 	}
-	if spec.Read.SlowFactor <= 1 {
-		spec.Read.SlowFactor = 10
-	}
-	if spec.Write.SlowFactor <= 1 {
-		spec.Write.SlowFactor = 10
-	}
-	if spec.Trim.SlowFactor <= 1 {
-		spec.Trim.SlowFactor = 10
-	}
-	if spec.BadExtentBytes <= 0 {
-		spec.BadExtentBytes = 128 << 10
-	}
-	d := &FaultyDevice{inner: inner, spec: spec, rng: rng}
-	for i := 0; i < spec.BadExtents && inner.Size() > 0; i++ {
-		n := spec.BadExtentBytes
-		if n > inner.Size() {
-			n = inner.Size()
-		}
-		off := int64(rng.Uint64() % uint64(inner.Size()-n+1))
-		d.bad = append(d.bad, extent{off, n})
-	}
-	d.stats.BadExtents = len(d.bad)
-	d.stats.BadExtentBytes = int64(len(d.bad)) * spec.BadExtentBytes
-	return d
+	return &FaultyDevice{inner: inner, spec: spec, rng: rng}
 }
 
 // Name implements Device.
@@ -131,7 +94,7 @@ func (d *FaultyDevice) Size() int64 { return d.inner.Size() }
 // Inner returns the wrapped device.
 func (d *FaultyDevice) Inner() Device { return d.inner }
 
-// Stats returns a snapshot of the injector's counters.
+// FaultStats returns a snapshot of the injector's counters.
 func (d *FaultyDevice) FaultStats() FaultStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -150,14 +113,15 @@ func (d *FaultyDevice) overlapsBadLocked(off int64, n int) bool {
 	return false
 }
 
-// injectLocked decides the fate of one operation: returns an error to
-// inject, or a latency multiplier (1 = none). Caller holds d.mu; counters
-// are updated here.
-func (d *FaultyDevice) injectLocked(kind OpKind, f OpFaults, off int64, n int, errCount *int64) (error, float64) {
+// inject decides the fate of one in-range operation: it returns the error
+// to inject, or nil. Counters are updated here.
+func (d *FaultyDevice) inject(kind OpKind, f OpFaults, off int64, n int, errCount *int64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if kind != OpTrim && d.overlapsBadLocked(off, n) {
 		*errCount++
 		d.stats.BadExtentHits++
-		return fmt.Errorf("%s: bad extent, %s [%d,+%d): %w", d.inner.Name(), kind, off, n, ErrInjected), 1
+		return fmt.Errorf("%s: bad extent, %s [%d,+%d): %w", d.inner.Name(), kind, off, n, ErrInjected)
 	}
 	if f.ErrProb > 0 && d.rng.Float64() < f.ErrProb {
 		*errCount++
@@ -166,30 +130,22 @@ func (d *FaultyDevice) injectLocked(kind OpKind, f OpFaults, off int64, n int, e
 			d.stats.BadExtents = len(d.bad)
 			d.stats.BadExtentBytes += int64(n)
 		}
-		return fmt.Errorf("%s: injected %s error at [%d,+%d): %w", d.inner.Name(), kind, off, n, ErrInjected), 1
+		return fmt.Errorf("%s: injected %s error at [%d,+%d): %w", d.inner.Name(), kind, off, n, ErrInjected)
 	}
-	if f.SlowProb > 0 && d.rng.Float64() < f.SlowProb {
-		d.stats.LatencySpikes++
-		return nil, f.SlowFactor
-	}
-	return nil, 1
+	return nil
 }
 
-// ReadAt implements Device. Injected failures happen before the inner read
-// and have no side effects; latency spikes inflate the returned cost (the
-// caller charges it, matching how the cache manager accounts device time).
+// ReadAt implements Device. Range violations are reported before any
+// injection, so they draw nothing from the injector's RNG; injected
+// failures happen before the inner read and have no side effects.
 func (d *FaultyDevice) ReadAt(p []byte, off int64) (time.Duration, error) {
 	if err := CheckRange(d.inner.Name(), d.inner.Size(), off, len(p)); err != nil {
 		return 0, err
 	}
-	d.mu.Lock()
-	err, factor := d.injectLocked(OpRead, d.spec.Read, off, len(p), &d.stats.ReadErrors)
-	d.mu.Unlock()
-	if err != nil {
+	if err := d.inject(OpRead, d.spec.Read, off, len(p), &d.stats.ReadErrors); err != nil {
 		return 0, err
 	}
-	lat, err := d.inner.ReadAt(p, off)
-	return time.Duration(float64(lat) * factor), err
+	return d.inner.ReadAt(p, off)
 }
 
 // WriteAt implements Device.
@@ -197,14 +153,10 @@ func (d *FaultyDevice) WriteAt(p []byte, off int64) (time.Duration, error) {
 	if err := CheckRange(d.inner.Name(), d.inner.Size(), off, len(p)); err != nil {
 		return 0, err
 	}
-	d.mu.Lock()
-	err, factor := d.injectLocked(OpWrite, d.spec.Write, off, len(p), &d.stats.WriteErrors)
-	d.mu.Unlock()
-	if err != nil {
+	if err := d.inject(OpWrite, d.spec.Write, off, len(p), &d.stats.WriteErrors); err != nil {
 		return 0, err
 	}
-	lat, err := d.inner.WriteAt(p, off)
-	return time.Duration(float64(lat) * factor), err
+	return d.inner.WriteAt(p, off)
 }
 
 // Trim implements Trimmer on top of a trim-capable inner device.
@@ -213,12 +165,11 @@ func (d *FaultyDevice) Trim(off, n int64) (time.Duration, error) {
 	if !ok {
 		return 0, fmt.Errorf("%s: device does not support trim", d.inner.Name())
 	}
-	d.mu.Lock()
-	err, factor := d.injectLocked(OpTrim, d.spec.Trim, off, int(n), &d.stats.TrimErrors)
-	d.mu.Unlock()
-	if err != nil {
+	if err := CheckRange(d.inner.Name(), d.inner.Size(), off, int(n)); err != nil {
 		return 0, err
 	}
-	lat, err := t.Trim(off, n)
-	return time.Duration(float64(lat) * factor), err
+	if err := d.inject(OpTrim, d.spec.Trim, off, int(n), &d.stats.TrimErrors); err != nil {
+		return 0, err
+	}
+	return t.Trim(off, n)
 }

@@ -18,34 +18,18 @@ import (
 // Fig 1's y-axis.
 const SectorSize = 512
 
-// Recorder accumulates device operations. It is safe for concurrent use.
+// Recorder accumulates device operations. The zero value is an empty
+// recorder; it is safe for concurrent use.
 type Recorder struct {
 	mu  sync.Mutex
 	ops []storage.Op
-	cap int // 0 = unbounded
-}
-
-// NewRecorder returns a recorder that keeps at most capHint operations
-// (0 keeps everything).
-func NewRecorder(capHint int) *Recorder {
-	return &Recorder{cap: capHint}
 }
 
 // Record appends one op; this is the function to install as a device hook.
 func (r *Recorder) Record(op storage.Op) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cap > 0 && len(r.ops) >= r.cap {
-		return
-	}
 	r.ops = append(r.ops, op)
-}
-
-// Len returns the number of recorded operations.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.ops)
 }
 
 // Ops returns a copy of the recorded operations in arrival order.
@@ -55,13 +39,6 @@ func (r *Recorder) Ops() []storage.Op {
 	cp := make([]storage.Op, len(r.ops))
 	copy(cp, r.ops)
 	return cp
-}
-
-// Reset discards all recorded operations.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.ops = r.ops[:0]
-	r.mu.Unlock()
 }
 
 // Point is one sample of Fig 1: the i-th read in the trace touched logical

@@ -16,34 +16,17 @@ func write(off int64, n int) storage.Op {
 }
 
 func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder(0)
+	var r Recorder
 	r.Record(read(0, 512))
 	r.Record(write(512, 512))
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
-	}
 	ops := r.Ops()
-	if ops[0].Kind != storage.OpRead || ops[1].Kind != storage.OpWrite {
+	if len(ops) != 2 || ops[0].Kind != storage.OpRead || ops[1].Kind != storage.OpWrite {
 		t.Fatalf("ops = %+v", ops)
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-}
-
-func TestRecorderCap(t *testing.T) {
-	r := NewRecorder(3)
-	for i := 0; i < 10; i++ {
-		r.Record(read(int64(i)*512, 512))
-	}
-	if r.Len() != 3 {
-		t.Fatalf("capped recorder kept %d ops", r.Len())
 	}
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(0)
+	var r Recorder
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -55,8 +38,8 @@ func TestRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Len() != 800 {
-		t.Fatalf("Len = %d", r.Len())
+	if n := len(r.Ops()); n != 800 {
+		t.Fatalf("recorded %d ops, want 800", n)
 	}
 }
 

@@ -8,125 +8,68 @@ import (
 	"hybridstore/internal/simclock"
 )
 
-// ArrivalSpec describes an open-loop query-arrival process on the simulated
-// timeline: a Poisson stream whose instantaneous rate is modulated by a
-// diurnal curve and punctuated by periodic flash-crowd bursts. Open-loop
-// means arrivals do not wait for the system — offered load keeps coming at
-// the specified rate whether or not the serving tier keeps up, which is
-// what makes queueing (and tail latency under saturation) visible.
-//
-// Everything is driven by Seed through simclock.RNG: the same spec always
-// produces the same arrival instants.
-type ArrivalSpec struct {
-	// RatePerSec is the base mean arrival rate λ in queries per simulated
-	// second. Must be positive.
-	RatePerSec float64
-	// DiurnalAmplitude in [0, 1) swings the rate sinusoidally between
-	// λ(1−A) and λ(1+A) over DiurnalPeriod — the scaled-down analogue of a
-	// search engine's day/night traffic curve. Zero disables modulation.
-	DiurnalAmplitude float64
-	// DiurnalPeriod is the period of the diurnal curve. Required when
-	// DiurnalAmplitude > 0.
-	DiurnalPeriod time.Duration
-	// BurstEvery injects a flash crowd every BurstEvery of simulated time
-	// (the first starting at BurstEvery, not at zero). Zero disables
-	// bursts.
-	BurstEvery time.Duration
-	// BurstDuration is how long each flash crowd lasts.
-	BurstDuration time.Duration
-	// BurstFactor multiplies the instantaneous rate during a burst
-	// (must be >= 1 when bursts are enabled).
-	BurstFactor float64
-	// Seed drives the Poisson draws.
-	Seed uint64
-}
+// The diurnal curve every arrival stream follows: the rate swings
+// sinusoidally between λ(1−A) and λ(1+A) over diurnalPeriod, the
+// scaled-down analogue of a search engine's day/night traffic. The Poisson
+// draws come from one fixed seed, so a rate fixes every arrival instant.
+const (
+	diurnalAmplitude = 0.25
+	diurnalPeriod    = 10 * time.Second
+	arrivalSeed      = 0xA4471
+)
 
-// DefaultArrivals returns a plain Poisson process at the given rate with a
-// gentle diurnal swing (±25% over 10 simulated seconds) and no bursts.
-func DefaultArrivals(ratePerSec float64) ArrivalSpec {
-	return ArrivalSpec{
-		RatePerSec:       ratePerSec,
-		DiurnalAmplitude: 0.25,
-		DiurnalPeriod:    10 * time.Second,
-		Seed:             0xA4471,
-	}
-}
-
-// Validate reports whether the spec is internally consistent.
-func (s ArrivalSpec) Validate() error {
-	switch {
-	case s.RatePerSec <= 0 || math.IsNaN(s.RatePerSec) || math.IsInf(s.RatePerSec, 0):
-		return fmt.Errorf("workload: arrival RatePerSec = %v", s.RatePerSec)
-	case s.DiurnalAmplitude < 0 || s.DiurnalAmplitude >= 1:
-		return fmt.Errorf("workload: DiurnalAmplitude %v outside [0,1)", s.DiurnalAmplitude)
-	case s.DiurnalAmplitude > 0 && s.DiurnalPeriod <= 0:
-		return fmt.Errorf("workload: DiurnalAmplitude set but DiurnalPeriod = %v", s.DiurnalPeriod)
-	case s.BurstEvery < 0:
-		return fmt.Errorf("workload: BurstEvery = %v", s.BurstEvery)
-	case s.BurstEvery > 0 && (s.BurstDuration <= 0 || s.BurstDuration >= s.BurstEvery):
-		return fmt.Errorf("workload: BurstDuration %v outside (0, BurstEvery)", s.BurstDuration)
-	case s.BurstEvery > 0 && s.BurstFactor < 1:
-		return fmt.Errorf("workload: BurstFactor %v < 1", s.BurstFactor)
+// ValidateRate reports whether ratePerSec is usable as an arrival rate: it
+// must be positive and finite.
+func ValidateRate(ratePerSec float64) error {
+	if ratePerSec <= 0 || math.IsNaN(ratePerSec) || math.IsInf(ratePerSec, 0) {
+		return fmt.Errorf("workload: arrival rate = %v", ratePerSec)
 	}
 	return nil
 }
 
-// Rate returns the instantaneous arrival rate at simulated time t, in
-// queries per simulated second.
-func (s ArrivalSpec) Rate(t time.Duration) float64 {
-	r := s.RatePerSec
-	if s.DiurnalAmplitude > 0 {
-		phase := 2 * math.Pi * float64(t) / float64(s.DiurnalPeriod)
-		r *= 1 + s.DiurnalAmplitude*math.Sin(phase)
-	}
-	if s.inBurst(t) {
-		r *= s.BurstFactor
-	}
-	return r
-}
-
-// inBurst reports whether t falls inside a flash-crowd window.
-func (s ArrivalSpec) inBurst(t time.Duration) bool {
-	if s.BurstEvery <= 0 || t < s.BurstEvery {
-		return false
-	}
-	return t%s.BurstEvery < s.BurstDuration
-}
-
-// maxRate bounds Rate over all t, the majorizing rate for thinning.
-func (s ArrivalSpec) maxRate() float64 {
-	r := s.RatePerSec * (1 + s.DiurnalAmplitude)
-	if s.BurstEvery > 0 {
-		r *= s.BurstFactor
-	}
-	return r
-}
-
-// Arrivals generates the arrival instants of an ArrivalSpec, in order.
+// Arrivals generates the instants of an open-loop query-arrival process on
+// the simulated timeline, in order: a Poisson stream at a mean rate λ
+// modulated by the diurnal curve. Open-loop means arrivals do not wait for
+// the system — offered load keeps coming at the specified rate whether or
+// not the serving tier keeps up, which is what makes queueing (and tail
+// latency under saturation) visible.
+//
 // The non-homogeneous Poisson process is sampled by thinning (Lewis &
 // Shedler): candidate gaps are exponential at the majorizing rate and each
-// candidate survives with probability Rate(t)/maxRate. Both draws come from
-// the spec's own RNG stream, so the process is deterministic.
+// candidate survives with probability rate(t)/maxRate. Both draws come from
+// the generator's own RNG stream, so the process is deterministic.
 type Arrivals struct {
-	spec ArrivalSpec
-	rng  *simclock.RNG
-	t    time.Duration
-	n    int64
+	ratePerSec float64
+	rng        *simclock.RNG
+	t          time.Duration
 }
 
-// NewArrivals builds a generator for the spec. It panics on invalid specs;
-// call Validate first when the spec comes from user input.
-func NewArrivals(spec ArrivalSpec) *Arrivals {
-	if err := spec.Validate(); err != nil {
+// NewArrivals builds a generator at a mean rate of ratePerSec queries per
+// simulated second. It panics on a rate ValidateRate refuses; call
+// ValidateRate first when the rate comes from user input.
+func NewArrivals(ratePerSec float64) *Arrivals {
+	if err := ValidateRate(ratePerSec); err != nil {
 		panic(err)
 	}
-	return &Arrivals{spec: spec, rng: simclock.NewRNG(spec.Seed).Split(7)}
+	return &Arrivals{ratePerSec: ratePerSec, rng: simclock.NewRNG(arrivalSeed).Split(7)}
 }
+
+// rate returns the instantaneous arrival rate at simulated time t, in
+// queries per simulated second.
+func (a *Arrivals) rate(t time.Duration) float64 {
+	r := a.ratePerSec
+	phase := 2 * math.Pi * float64(t) / float64(diurnalPeriod)
+	r *= 1 + diurnalAmplitude*math.Sin(phase)
+	return r
+}
+
+// maxRate bounds rate over all t, the majorizing rate for thinning.
+func (a *Arrivals) maxRate() float64 { return a.ratePerSec * (1 + diurnalAmplitude) }
 
 // Next returns the next absolute arrival time. Arrival times are strictly
 // increasing.
 func (a *Arrivals) Next() time.Duration {
-	lambdaMax := a.spec.maxRate()
+	lambdaMax := a.maxRate()
 	for {
 		// Exponential gap at the majorizing rate. 1−U avoids log(0);
 		// the max(1ns) keeps arrivals strictly increasing even when the
@@ -137,12 +80,8 @@ func (a *Arrivals) Next() time.Duration {
 			gap = 1
 		}
 		a.t += gap
-		if a.rng.Float64()*lambdaMax <= a.spec.Rate(a.t) {
-			a.n++
+		if a.rng.Float64()*lambdaMax <= a.rate(a.t) {
 			return a.t
 		}
 	}
 }
-
-// Generated returns how many arrivals Next has produced.
-func (a *Arrivals) Generated() int64 { return a.n }

@@ -1,40 +1,20 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"time"
 )
 
-// TestArrivalsDeterministic: the same spec always yields the same arrival
-// instants — the open-loop stream is a pure function of its seed.
+// TestArrivalsDeterministic: the same rate always yields the same arrival
+// instants — the open-loop stream is a pure function of its rate.
 func TestArrivalsDeterministic(t *testing.T) {
-	spec := DefaultArrivals(500)
-	spec.BurstEvery = 2 * time.Second
-	spec.BurstDuration = 200 * time.Millisecond
-	spec.BurstFactor = 4
-	a, b := NewArrivals(spec), NewArrivals(spec)
+	a, b := NewArrivals(500), NewArrivals(500)
 	for i := 0; i < 2000; i++ {
 		ta, tb := a.Next(), b.Next()
 		if ta != tb {
 			t.Fatalf("arrival %d differs: %v vs %v", i, ta, tb)
 		}
-	}
-	if a.Generated() != 2000 {
-		t.Fatalf("Generated = %d, want 2000", a.Generated())
-	}
-	other := spec
-	other.Seed++
-	c := NewArrivals(other)
-	same := true
-	a2 := NewArrivals(spec)
-	for i := 0; i < 50; i++ {
-		if a2.Next() != c.Next() {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced an identical arrival prefix")
 	}
 }
 
@@ -43,7 +23,7 @@ func TestArrivalsDeterministic(t *testing.T) {
 // zero nanoseconds.
 func TestArrivalsStrictlyIncreasing(t *testing.T) {
 	for _, rate := range []float64{50, 1e6, 5e9} {
-		a := NewArrivals(ArrivalSpec{RatePerSec: rate, Seed: 42})
+		a := NewArrivals(rate)
 		prev := time.Duration(-1)
 		for i := 0; i < 5000; i++ {
 			at := a.Next()
@@ -55,12 +35,12 @@ func TestArrivalsStrictlyIncreasing(t *testing.T) {
 	}
 }
 
-// TestArrivalsMeanRate: over a long window the empirical rate of a plain
-// Poisson stream tracks λ within a few percent.
+// TestArrivalsMeanRate: over whole diurnal periods the empirical rate
+// tracks λ within a few percent.
 func TestArrivalsMeanRate(t *testing.T) {
 	const lambda = 1000.0
-	a := NewArrivals(ArrivalSpec{RatePerSec: lambda, Seed: 7})
-	const n = 20000
+	a := NewArrivals(lambda)
+	const n = 20000 // two diurnal periods at λ
 	var last time.Duration
 	for i := 0; i < n; i++ {
 		last = a.Next()
@@ -71,62 +51,31 @@ func TestArrivalsMeanRate(t *testing.T) {
 	}
 }
 
-// TestArrivalsDiurnalAndBurst: Rate follows the sinusoid peak/trough and
-// multiplies by BurstFactor only inside burst windows, which start at
-// BurstEvery rather than time zero.
-func TestArrivalsDiurnalAndBurst(t *testing.T) {
-	spec := ArrivalSpec{
-		RatePerSec:       100,
-		DiurnalAmplitude: 0.5,
-		DiurnalPeriod:    4 * time.Second,
-		BurstEvery:       10 * time.Second,
-		BurstDuration:    1 * time.Second,
-		BurstFactor:      3,
-		Seed:             1,
+// TestArrivalsDiurnal: the rate follows the sinusoid's peak and trough,
+// and the majorizing rate is its peak.
+func TestArrivalsDiurnal(t *testing.T) {
+	a := NewArrivals(100)
+	peak := a.rate(diurnalPeriod / 4)       // sin peak: λ(1+A)
+	trough := a.rate(3 * diurnalPeriod / 4) // sin trough: λ(1−A)
+	if math.Abs(peak-125) > 1e-9 {
+		t.Fatalf("peak rate %v, want 125", peak)
 	}
-	if err := spec.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if math.Abs(trough-75) > 1e-9 {
+		t.Fatalf("trough rate %v, want 75", trough)
 	}
-	peak := spec.Rate(1 * time.Second)   // sin peak: λ(1+A)
-	trough := spec.Rate(3 * time.Second) // sin trough: λ(1−A)
-	if peak < 149 || peak > 151 {
-		t.Fatalf("peak rate %v, want ≈150", peak)
-	}
-	if trough < 49 || trough > 51 {
-		t.Fatalf("trough rate %v, want ≈50", trough)
-	}
-	if spec.inBurst(500 * time.Millisecond) {
-		t.Fatal("burst active before the first BurstEvery boundary")
-	}
-	in := spec.Rate(10*time.Second + 500*time.Millisecond)
-	out := spec.Rate(11*time.Second + 500*time.Millisecond)
-	if in <= out || in/out < 2.5 {
-		t.Fatalf("burst rate %v not ≈3x post-burst rate %v", in, out)
-	}
-	if mr := spec.maxRate(); mr != 100*1.5*3 {
-		t.Fatalf("maxRate = %v, want 450", mr)
+	if mr := a.maxRate(); mr != 125 {
+		t.Fatalf("maxRate = %v, want 125", mr)
 	}
 }
 
-// TestArrivalSpecValidate rejects inconsistent specs.
-func TestArrivalSpecValidate(t *testing.T) {
-	bad := []ArrivalSpec{
-		{RatePerSec: 0},
-		{RatePerSec: -1},
-		{RatePerSec: 10, DiurnalAmplitude: 1},
-		{RatePerSec: 10, DiurnalAmplitude: 0.5}, // amplitude without period
-		{RatePerSec: 10, BurstEvery: -time.Second},
-		{RatePerSec: 10, BurstEvery: time.Second}, // burst without duration
-		{RatePerSec: 10, BurstEvery: time.Second, BurstDuration: 2 * time.Second, BurstFactor: 2},    // duration ≥ every
-		{RatePerSec: 10, BurstEvery: time.Second, BurstDuration: time.Millisecond, BurstFactor: 0.5}, // factor < 1
-	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("spec %d (%+v) passed Validate", i, s)
+// TestArrivalRateValidate refuses rates no Poisson stream can have.
+func TestArrivalRateValidate(t *testing.T) {
+	for _, r := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if err := ValidateRate(r); err == nil {
+			t.Errorf("rate %v passed ValidateRate", r)
 		}
 	}
-	ok := DefaultArrivals(100)
-	if err := ok.Validate(); err != nil {
-		t.Errorf("DefaultArrivals failed Validate: %v", err)
+	if err := ValidateRate(100); err != nil {
+		t.Errorf("rate 100 failed ValidateRate: %v", err)
 	}
 }

@@ -52,7 +52,6 @@ type FaultReport struct {
 	InjectedReadErrors  int64 `json:"injected_read_errors"`
 	InjectedWriteErrors int64 `json:"injected_write_errors"`
 	InjectedTrimErrors  int64 `json:"injected_trim_errors"`
-	LatencySpikes       int64 `json:"latency_spikes"`
 	BadExtents          int   `json:"bad_extents"`
 	BadExtentHits       int64 `json:"bad_extent_hits"`
 	// Manager side (how the cache core degraded).
@@ -124,7 +123,7 @@ type JSONReport struct {
 }
 
 // jsonReportSchemaVersion bumps when the report layout changes shape.
-const jsonReportSchemaVersion = 2
+const jsonReportSchemaVersion = 3
 
 // BuildReport assembles the JSON report from the current system state.
 func (s *System) BuildReport() *JSONReport {
@@ -173,7 +172,6 @@ func (s *System) BuildReport() *JSONReport {
 			InjectedReadErrors:  fs.ReadErrors,
 			InjectedWriteErrors: fs.WriteErrors,
 			InjectedTrimErrors:  fs.TrimErrors,
-			LatencySpikes:       fs.LatencySpikes,
 			BadExtents:          fs.BadExtents,
 			BadExtentHits:       fs.BadExtentHits,
 			SSDReadErrors:       st.SSDReadErrors,

@@ -11,6 +11,8 @@
 #   hybridbench -exp fig17,dynamic -scale small -trace <file>   (stdout and trace)
 #   searchsim -docs 300000 -queries 3000 -json - -policy P      (P = lru, cblru, cbslru, tinylfu)
 #   searchsim ... -policy P -result-ttl 200ms -list-ttl 2s      (P = lru, cbslru)
+#   searchsim -serve -shards 2 -docs 60000 -queries 400 -serve-warm 200 -trace <file>
+#                                                               (stdout and trace)
 #
 # hybridbench's wall-clock "completed in" lines are dropped before the
 # compare. Exits non-zero if any pair differs; the outputs are kept in a
@@ -62,10 +64,13 @@ for side in parent change; do
         run "$side" "searchsim-ttl-$policy.json" "$bin/searchsim" -docs 300000 -queries 3000 -json - \
             -policy "$policy" -result-ttl 200ms -list-ttl 2s
     done
+    run "$side" serve.txt "$bin/searchsim" -serve -shards 2 -docs 60000 -queries 400 -serve-warm 200 \
+        -trace serve.ndjson
 done
 
 fail=0
-for f in all.txt traced.txt trace.ndjson searchsim-{lru,cblru,cbslru,tinylfu,ttl-lru,ttl-cbslru}.json; do
+for f in all.txt traced.txt trace.ndjson searchsim-{lru,cblru,cbslru,tinylfu,ttl-lru,ttl-cbslru}.json \
+    serve.txt serve.ndjson; do
     if cmp -s "$out/parent/$f" "$out/change/$f"; then
         echo "same      $f"
     else
