@@ -57,10 +57,8 @@ func NewArrivals(ratePerSec float64) *Arrivals {
 // rate returns the instantaneous arrival rate at simulated time t, in
 // queries per simulated second.
 func (a *Arrivals) rate(t time.Duration) float64 {
-	r := a.ratePerSec
 	phase := 2 * math.Pi * float64(t) / float64(diurnalPeriod)
-	r *= 1 + diurnalAmplitude*math.Sin(phase)
-	return r
+	return a.ratePerSec * (1 + diurnalAmplitude*math.Sin(phase))
 }
 
 // maxRate bounds rate over all t, the majorizing rate for thinning.
