@@ -209,7 +209,7 @@ func TestEvictionFlowsToSSDAndBack(t *testing.T) {
 		f.readSome(t, workload.TermID(30+i), 12<<10)
 	}
 	f.readSome(t, termB, 12<<10)
-	f.m.flushListBuffer()
+	f.m.flush(&f.m.lists, nil)
 	if f.m.Stats().ListWritesToSSD == 0 {
 		t.Fatal("no list flushed to SSD under L1 pressure")
 	}
@@ -505,8 +505,8 @@ func TestPinBufferedResultWrittenOnce(t *testing.T) {
 // dynamic result blocks.
 func copiesOf(f *fixture, qid uint64) int {
 	n := 0
-	for _, b := range f.m.writeBuf {
-		if b.qid == qid {
+	for _, e := range f.m.results.buf {
+		if e.key == qid {
 			n++
 		}
 	}

@@ -107,7 +107,7 @@ func TestPlaceListExtentEvictionAndWorstCase(t *testing.T) {
 			loadedAt: f.clock.Now()}
 		f.m.termFreq[ml.term] = 5
 		f.m.flushListToSSD(ml)
-		f.m.flushListBuffer()
+		f.m.flush(&f.m.lists, nil)
 	}
 	if f.m.lists.alloc.FreeBytes() != 0 {
 		t.Fatalf("region not full: %d free", f.m.lists.alloc.FreeBytes())
@@ -146,7 +146,7 @@ func TestDropSSDListRewritesLargerPrefix(t *testing.T) {
 	small := memList{term: 60, prefix: make([]byte, 8<<10), loadedAt: f.clock.Now()}
 	f.m.termFreq[60] = 10
 	f.m.flushListToSSD(small)
-	f.m.flushListBuffer()
+	f.m.flush(&f.m.lists, nil)
 	first := f.m.ssdListFor(60)
 	if first == nil || first.ext == nil || first.bytes != 8<<10 {
 		t.Fatalf("first flush: %+v", first)

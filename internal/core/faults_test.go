@@ -134,8 +134,10 @@ func TestFlushWriteErrorRequeuesOnceThenDrops(t *testing.T) {
 	if got := f.m.WriteBufferLen(); got != 6 {
 		t.Fatalf("write buffer %d entries after requeue, want 6", got)
 	}
-	if len(f.m.results.dyn) != 0 {
-		t.Fatalf("failed flush left %d SSD mappings", len(f.m.results.dyn))
+	for qid, e := range f.m.results.dyn {
+		if e.ext != nil {
+			t.Fatalf("failed flush left query %d mapped on the SSD", qid)
+		}
 	}
 
 	// Second attempt: the re-queued batch is dropped, not re-queued again,
@@ -227,7 +229,7 @@ func TestBreakerOpensRoutesAroundAndCools(t *testing.T) {
 	f, fd := newFlakyFixture(t, cfg)
 	putEntries(t, f, 1, 11) // healthy warmup: RB with qids 1..6 on SSD
 	f.m.flushListToSSD(memList{term: 7, prefix: f.wantList(t, 7, 0, 2<<10)})
-	f.m.flushListBuffer() // and term 7's list
+	f.m.flush(&f.m.lists, nil) // and term 7's list
 
 	fd.failWrites = true
 	putEntries(t, f, 12, 23) // three failed flushes → streak hits 3
@@ -387,7 +389,7 @@ func TestListReadErrorFallsBackToHDD(t *testing.T) {
 	for i := 0; i < 20; i++ { // force termA's eviction → flush to SSD
 		f.readSome(t, workload.TermID(30+i), 12<<10)
 	}
-	f.m.flushListBuffer()
+	f.m.flush(&f.m.lists, nil)
 	if f.m.Stats().ListWritesToSSD == 0 {
 		t.Fatal("setup: no list flushed to SSD")
 	}
@@ -429,7 +431,7 @@ func TestListFlushWriteErrorQuarantines(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		f.readSome(t, workload.TermID(30+i), 12<<10)
 	}
-	f.m.flushListBuffer()
+	f.m.flush(&f.m.lists, nil)
 	s := f.m.Stats()
 	if s.SSDWriteErrors == 0 || s.ListsDiscarded == 0 {
 		t.Fatalf("write errors %d discarded %d, want both > 0", s.SSDWriteErrors, s.ListsDiscarded)
@@ -647,7 +649,7 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 					}
 				}
 				f.m.FlushWriteBuffer()
-				f.m.flushListBuffer()
+				f.m.flush(&f.m.lists, nil)
 
 				st := f.m.Stats()
 				if st.SSDReadErrors+st.SSDWriteErrors+st.SSDTrimErrors == 0 {

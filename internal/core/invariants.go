@@ -29,30 +29,21 @@ import (
 //     empty: its slots count for IREN). The entries of an extent are
 //     disjoint, inside it, in offset order and mapped back by their key in
 //     the region's dynamic or static map, which map nothing else but the
-//     buffered prefixes — each held in memory, not yet placed, and summing
-//     to listBufBytes.
+//     region's write buffer — each entry held in memory, not yet placed, in
+//     the dynamic map, and together summing to bufBytes, which the list
+//     region's bufCap bounds.
 //  5. Every free entry buffer is whole, listed once and held by neither L1 nor
-//     the write buffer; all of them fit a full L1, a full write buffer and one.
+//     the result write buffer; all of them fit a full L1, a full write buffer
+//     and one.
 //  6. Every L1 prefix, buffered prefix and free prefix buffer has exactly one
 //     holder; a free one can serve its size class, and together they hold at
 //     most maxFreePrefixBytes.
 func (m *Manager) CheckInvariants() error {
 	// (1), (2) and (4), over both regions.
-	if err := m.checkRegion(&m.results, 0); err != nil {
+	if err := m.checkRegion(&m.results); err != nil {
 		return fmt.Errorf("result region: %w", err)
 	}
-	var buffered int64
-	for _, sl := range m.listBuf {
-		if sl.ext != nil || int64(len(sl.data)) != sl.bytes || m.lists.dyn[sl.key] != sl {
-			return fmt.Errorf("buffered term %d placed, without its bytes or not mapped back", sl.key)
-		}
-		buffered += sl.bytes
-	}
-	if buffered != m.listBufBytes || buffered > m.listBufCap {
-		return fmt.Errorf("list write buffer holds %d bytes, accounted %d, capacity %d",
-			buffered, m.listBufBytes, m.listBufCap)
-	}
-	if err := m.checkRegion(&m.lists, len(m.listBuf)); err != nil {
+	if err := m.checkRegion(&m.lists); err != nil {
 		return fmt.Errorf("list region: %w", err)
 	}
 
@@ -60,9 +51,9 @@ func (m *Manager) CheckInvariants() error {
 	if m.rc.Used() > m.rc.Capacity() {
 		return fmt.Errorf("L1 RC over capacity: %d > %d", m.rc.Used(), m.rc.Capacity())
 	}
-	if m.ic.Used() > m.ic.Capacity() || m.ic.Used()+m.listBufBytes > m.cfg.MemListBytes {
+	if m.ic.Used() > m.ic.Capacity() || m.ic.Used()+m.lists.bufBytes > m.cfg.MemListBytes {
 		return fmt.Errorf("L1 IC over capacity: %d > %d, or with %d buffered over %d",
-			m.ic.Used(), m.ic.Capacity(), m.listBufBytes, m.cfg.MemListBytes)
+			m.ic.Used(), m.ic.Capacity(), m.lists.bufBytes, m.cfg.MemListBytes)
 	}
 
 	// (5) entry buffers, by the address of their first byte.
@@ -71,8 +62,8 @@ func (m *Manager) CheckInvariants() error {
 		holder[&e.Value.data[0]] = "L1"
 		return true
 	})
-	for _, b := range m.writeBuf {
-		holder[&b.data[0]] = "the write buffer"
+	for _, e := range m.results.buf {
+		holder[&e.data[0]] = "the write buffer"
 	}
 	for _, buf := range m.freeEntries {
 		if int64(len(buf)) != m.cfg.ResultEntryBytes {
@@ -97,8 +88,8 @@ func (m *Manager) CheckInvariants() error {
 		prefixes = append(prefixes, held{e.Value.prefix, "L1"})
 		return true
 	})
-	for _, sl := range m.listBuf {
-		prefixes = append(prefixes, held{sl.data, "the list write buffer"})
+	for _, e := range m.lists.buf {
+		prefixes = append(prefixes, held{e.data, "the list write buffer"})
 	}
 	var free int64
 	for c, class := range m.freePrefixes {
@@ -125,14 +116,24 @@ func (m *Manager) CheckInvariants() error {
 	return nil
 }
 
-// checkRegion checks clauses 1, 2 and 4 over region r, whose dynamic map also
-// reaches the given number of buffered entries.
-func (m *Manager) checkRegion(r *region, buffered int) error {
+// checkRegion checks clauses 1, 2 and 4 over region r and its write buffer.
+func (m *Manager) checkRegion(r *region) error {
 	if r.lru == nil {
-		if len(r.dyn)+len(r.static)+buffered != 0 {
-			return fmt.Errorf("%d entries mapped in a region of no bytes", len(r.dyn)+len(r.static)+buffered)
+		if n := len(r.dyn) + len(r.static) + len(r.buf); n != 0 {
+			return fmt.Errorf("%d entries mapped in a region of no bytes", n)
 		}
 		return nil
+	}
+	var buffered int64
+	for _, e := range r.buf {
+		if e.ext != nil || int64(len(e.data)) != e.bytes || r.dyn[e.key] != e {
+			return fmt.Errorf("buffered key %d placed, without its bytes or not mapped back", e.key)
+		}
+		buffered += e.bytes
+	}
+	if buffered != r.bufBytes || (r == &m.lists && buffered > r.bufCap) {
+		return fmt.Errorf("write buffer holds %d bytes, accounted %d, capacity %d",
+			buffered, r.bufBytes, r.bufCap)
 	}
 	var extents []*extent
 	mapped := map[bool]int{} // entries found inside extents, by extent.static
@@ -206,9 +207,9 @@ func (m *Manager) checkRegion(r *region, buffered int) error {
 	if staticBytes != r.staticTaken {
 		return fmt.Errorf("static extents hold %d bytes, %d taken", staticBytes, r.staticTaken)
 	}
-	if mapped[false]+buffered != len(r.dyn) || mapped[true] != len(r.static) {
+	if mapped[false]+len(r.buf) != len(r.dyn) || mapped[true] != len(r.static) {
 		return fmt.Errorf("maps hold %d dynamic and %d static entries, extents and buffer %d and %d",
-			len(r.dyn), len(r.static), mapped[false]+buffered, mapped[true])
+			len(r.dyn), len(r.static), mapped[false]+len(r.buf), mapped[true])
 	}
 	slices.SortFunc(extents, func(a, b *extent) int { return cmp.Compare(a.off, b.off) })
 	var live int64

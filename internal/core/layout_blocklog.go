@@ -162,74 +162,121 @@ func (l blockLogLayout) flushList(ml memList) {
 		m.dropSSDList(old)
 	}
 
+	r := &m.lists
 	sl := &ssdEntry{key: uint64(ml.term), bytes: si, loadedAt: ml.loadedAt, data: ml.prefix}
-	m.lists.dyn[sl.key] = sl
+	r.dyn[sl.key] = sl
 	if si >= m.cfg.BlockBytes {
-		m.writeListExtent(scBytes, []*ssdEntry{sl})
+		m.flush(r, sl)
 		return
 	}
-	if m.listBufBytes+si > m.listBufCap {
-		m.flushListBuffer()
+	if r.bufBytes+si > r.bufCap {
+		m.flush(r, nil)
 	}
-	m.listBuf = append(m.listBuf, sl)
-	m.listBufBytes += si
+	r.push(sl)
 	m.memCost(int(si))
 }
 
-// flushListBuffer writes the buffered prefixes out, packed end to end into
-// one block: the write buffer turns sub-block lists into the same whole,
-// aligned, sequential writes long lists and result blocks are (§VI-B).
-func (m *Manager) flushListBuffer() {
-	if len(m.listBuf) == 0 {
-		return
+// flush writes entries of region r that wait in memory to the SSD as one new
+// extent, end to end and padded with zeros, in one aligned sequential write
+// (§VI-B): long, a list prefix of a block or more, into SC blocks of its own;
+// else the head of the write buffer into one block — a result block of
+// entriesPerRB entries (Fig 10b), or every buffered list prefix, which turns
+// sub-block lists into the same whole writes. The region's ladder places the
+// extent (Figs 11, 13). When the SSD is failing or has no room, the entries
+// are lost from the cache: counted, lists still on the HDD, results to be
+// recomputed. A failed write quarantines the range; its lists are lost the
+// same way, its results go back to the buffer once and are dropped the second
+// time. An entry's buffer is freed once the SSD holds its bytes or it is lost.
+func (m *Manager) flush(r *region, long *ssdEntry) {
+	isList := r == &m.lists
+	bytes := m.cfg.BlockBytes
+	var batch []*ssdEntry
+	if long != nil {
+		bytes *= m.scBlocks(long.bytes, 1)
+		batch = []*ssdEntry{long}
+	} else {
+		n := len(r.buf)
+		if !isList {
+			n = m.entriesPerRB
+		}
+		if n == 0 || len(r.buf) < n {
+			return
+		}
+		// The batch moves to the extent's own slice and the buffer shifts
+		// down, so a failed write re-queues its results behind those still
+		// waiting.
+		batch = slices.Clone(r.buf[:n])
+		r.buf = slices.Delete(r.buf, 0, n)
+		for _, e := range batch {
+			r.bufBytes -= e.bytes
+		}
 	}
-	batch := slices.Clone(m.listBuf)
-	clear(m.listBuf)
-	m.listBuf, m.listBufBytes = m.listBuf[:0], 0
-	m.writeListExtent(m.cfg.BlockBytes, batch)
-}
-
-// writeListExtent places an extent of the given whole blocks in the list
-// region (Fig 13) and writes the lists' prefixes into it end to end, padded
-// with zeros, as one block-aligned sequential write. When the SSD is failing,
-// has no room or fails the write (the extent is then quarantined), every one
-// of the lists is lost from the cache — still on the HDD — and counted
-// discarded once. Either way each prefix buffer is freed, once staging holds
-// its bytes or once the list is lost.
-func (m *Manager) writeListExtent(bytes int64, batch []*ssdEntry) {
-	r := &m.lists
 	x := &extent{bytes: bytes, entries: batch}
 	var payload int64
-	for _, sl := range batch {
-		sl.ext = x
-		payload += sl.bytes
+	for _, e := range batch {
+		payload += e.bytes
 	}
-	lists, first := int64(len(batch)), workload.TermID(batch[0].key)
-	if !m.ssdHealthy() || !m.placeListExtent(x) {
-		for _, sl := range batch {
-			m.freePrefix(sl.data)
-			sl.data = nil
-		}
+	n := int64(len(batch))
+	lost, done := Event{Kind: EvResultDrop, N: n}, Event{Kind: EvRBFlush, Bytes: bytes}
+	if isList {
+		first := workload.TermID(batch[0].key)
+		lost = Event{Kind: EvListDiscard, Term: first, N: n}
+		done = Event{Kind: EvListFlush, Term: first, Bytes: bytes, N: n, Part: payload}
+	}
+
+	ok := m.ssdHealthy()
+	if ok && isList {
+		ok = m.placeListExtent(x)
+	} else if ok {
+		ok = m.placeResultBlock(x)
+	}
+	if !ok {
 		m.unmap(r, x)
-		m.emit(Event{Kind: EvListDiscard, Term: first, N: lists})
+		for _, e := range batch {
+			m.release(r, e)
+		}
+		m.emit(lost)
 		return
 	}
-	buf := m.stagingBuf(x.bytes, payload)
-	fill := x.off
-	for _, sl := range x.entries {
-		copy(buf[fill-x.off:], sl.data)
-		m.freePrefix(sl.data)
-		sl.off, sl.data = fill, nil
-		fill += sl.bytes
+	buf := m.stagingBuf(bytes, payload)
+	var fill int64
+	for _, e := range batch {
+		copy(buf[fill:], e.data)
+		fill += e.bytes
 	}
 	if err := m.ssdWrite(buf, r.base+x.off); err != nil {
-		// Error accounted by ssdWrite; the failed extent is retired.
-		m.quarantineExtent(r, x)
-		m.emit(Event{Kind: EvListDiscard, Term: first, N: lists})
+		// Error accounted by ssdWrite: the range is quarantined, not
+		// allocated again. A failed result block retires no RB.
+		if isList {
+			m.quarantineExtent(r, x)
+			for _, e := range batch {
+				m.release(r, e)
+			}
+			m.emit(lost)
+			return
+		}
+		m.quarantine(r.alloc, x.off, bytes)
+		for _, e := range batch {
+			if !e.requeued {
+				e.requeued = true
+				r.push(e)
+				m.emit(Event{Kind: EvResultRequeue})
+				continue
+			}
+			delete(r.dyn, e.key)
+			m.release(r, e)
+			m.emit(Event{Kind: EvResultDrop, N: 1})
+		}
 		return
 	}
-	m.emit(Event{Kind: EvListFlush, Term: first, Bytes: x.bytes, N: lists, Part: payload})
-	r.lru.Put(uint64(x.off), x.bytes, x)
+	fill = x.off
+	for _, e := range batch {
+		e.ext, e.off = x, fill
+		fill += e.bytes
+		m.release(r, e)
+	}
+	m.emit(done)
+	r.lru.Put(uint64(x.off), bytes, x)
 }
 
 // placeListExtent finds x a block-aligned home of x.bytes in the list
@@ -276,125 +323,51 @@ func (m *Manager) placeListExtent(x *extent) (ok bool) {
 	return ok
 }
 
-// evictResult queues the entry in the write buffer for RB assembly, unless
-// the SSD already holds it or the doorkeeper turns it away. The paper buffers
-// every other evicted result entry.
+// evictResult queues the entry in the result write buffer for RB assembly,
+// unless L2 already holds it or the doorkeeper turns it away. The paper
+// buffers every other evicted result entry.
 func (l blockLogLayout) evictResult(qid uint64, mr *memResult) {
 	m := l.m
-	// Write-buffer check (Fig 10): if the SSD already holds a valid copy
-	// (left replaceable by an earlier read-back), revalidate it and skip
-	// the write entirely.
-	if e := m.results.lookup(qid); e != nil {
+	r := &m.results
+	// Write-buffer check (Fig 10): if the write buffer or the SSD already
+	// holds a copy — left replaceable by an earlier read-back, or put again
+	// by a caller that did not look it up first — revalidate it and skip the
+	// write entirely.
+	if e := r.lookup(qid); e != nil {
 		e.state = stateNormal
 		m.emit(Event{Kind: EvResultElide})
 		m.freeEntry(mr.data)
 		return
-	}
-	for i := range m.writeBuf {
-		if b := &m.writeBuf[i]; b.qid == qid {
-			// Put again while its copy waited here (by a caller that did not
-			// look it up first): the newer copy takes the older one's place,
-			// so one is written.
-			m.freeEntry(b.data)
-			b.data, b.loadedAt = mr.data, mr.loadedAt
-			m.emit(Event{Kind: EvResultElide})
-			return
-		}
 	}
 	if l.doorkeeper && m.queryFreq[qid] < 2 {
 		m.emit(Event{Kind: EvResultReject})
 		m.freeEntry(mr.data)
 		return
 	}
-	m.writeBuf = append(m.writeBuf, bufferedResult{qid: qid, data: mr.data, loadedAt: mr.loadedAt})
+	e := &ssdEntry{key: qid, bytes: int64(len(mr.data)), loadedAt: mr.loadedAt, data: mr.data}
+	r.dyn[qid] = e
+	r.push(e)
 	m.memCost(len(mr.data))
-	if len(m.writeBuf) >= m.entriesPerRB {
-		m.flushResultBlock()
+	if len(r.buf) >= m.entriesPerRB {
+		m.flush(r, nil)
 	}
 }
 
-// flushResultBlock assembles entriesPerRB buffered entries into one result
-// block and writes it to the SSD as a single block-aligned sequential
-// write (Fig 10b).
-func (m *Manager) flushResultBlock() {
-	n := m.entriesPerRB
-	if len(m.writeBuf) < n {
-		return
-	}
-	// The batch moves to its own scratch and the buffer shifts down in place,
-	// so a failed write re-queues behind the entries that arrived since.
-	batch := m.rbBatch[:copy(m.rbBatch, m.writeBuf)]
-	m.writeBuf = m.writeBuf[:copy(m.writeBuf, m.writeBuf[n:])]
-
-	// Breaker open (flushing would hammer the failing device) or no block to
-	// be had: drop the batch with accounting, not let the buffer grow unbounded.
-	r, bs, es := &m.results, m.cfg.BlockBytes, m.cfg.ResultEntryBytes
-	var off int64
-	ok := m.ssdHealthy()
-	if ok {
-		off, ok = m.placeResultBlock()
-	}
-	if !ok {
-		m.emit(Event{Kind: EvResultDrop, N: int64(n)})
-		m.freeBatch(batch)
-		return
-	}
-
-	// Entries are exactly ResultEntryBytes each (PutResult enforces it), so
-	// together they overwrite the whole payload.
-	buf := m.stagingBuf(bs, int64(n)*es)
-	for i, b := range batch {
-		copy(buf[int64(i)*es:], b.data)
-	}
-	if err := m.ssdWrite(buf, r.base+off); err != nil {
-		// The write failed (error accounted by ssdWrite): quarantine the
-		// extent so the bad range is not immediately re-allocated, and
-		// re-queue each entry once — a second failure drops it, counted.
-		m.quarantine(r.alloc, off, bs)
-		for _, b := range batch {
-			if b.requeued {
-				m.emit(Event{Kind: EvResultDrop, N: 1})
-				m.freeEntry(b.data)
-				continue
-			}
-			b.requeued = true
-			m.writeBuf = append(m.writeBuf, b)
-			m.emit(Event{Kind: EvResultRequeue})
-		}
-		return
-	}
-	x := &extent{off: off, bytes: bs, entries: make([]*ssdEntry, n)}
-	for i, b := range batch {
-		e := &ssdEntry{key: b.qid, ext: x, off: off + int64(i)*es, bytes: es, loadedAt: b.loadedAt}
-		x.entries[i] = e
-		r.dyn[b.qid] = e
-	}
-	m.freeBatch(batch) // staging holds the bytes now
-	m.emit(Event{Kind: EvRBFlush, Bytes: bs})
-	r.lru.Put(uint64(off), bs, x)
-}
-
-// placeResultBlock finds a block of the result region for a new RB: free
+// placeResultBlock finds x, a new RB, a block of the result region: free
 // space, else the victim RB of the replace-first region (Fig 11) is retired
 // and its block allocated again.
-func (m *Manager) placeResultBlock() (int64, bool) {
+func (m *Manager) placeResultBlock(x *extent) (ok bool) {
 	r, bs := &m.results, m.cfg.BlockBytes
-	if off, ok := r.alloc.AllocAligned(bs, bs); ok {
-		return off, true
+	if x.off, ok = r.alloc.AllocAligned(bs, bs); ok {
+		return true
 	}
 	v := victim(r.lru.TailWindow(m.cfg.WindowW), bs)
 	if v == nil {
-		return 0, false
+		return false
 	}
 	m.drop(r, v, true)
-	return r.alloc.AllocAligned(bs, bs)
-}
-
-// freeBatch takes back the buffers of write-buffer entries leaving memory.
-func (m *Manager) freeBatch(batch []bufferedResult) {
-	for _, b := range batch {
-		m.freeEntry(b.data)
-	}
+	x.off, ok = r.alloc.AllocAligned(bs, bs)
+	return ok
 }
 
 // copiedUp flips the entry to replaceable: its SSD copy stays readable

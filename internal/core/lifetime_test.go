@@ -140,8 +140,8 @@ func TestStagingBufferPadsEveryExtentWithZeros(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		for i := 0; i < 40; i++ {
 			f.readSome(t, workload.TermID(5+40*(round%2)+i), 32<<10)
-			if b := f.m.listBufBytes; i%3 == 0 && b > 0 && b < 24<<10 {
-				f.m.flushListBuffer() // the little a full block left over
+			if b := f.m.lists.bufBytes; i%3 == 0 && b > 0 && b < 24<<10 {
+				f.m.flush(&f.m.lists, nil) // the little a full block left over
 			}
 		}
 	}

@@ -32,18 +32,6 @@ type memList struct {
 	loadedAt time.Duration // simulated insertion time, for ListTTL
 }
 
-// bufferedResult is one evicted result entry waiting in the write buffer
-// for RB assembly (Fig 10b).
-type bufferedResult struct {
-	qid      uint64
-	data     []byte
-	loadedAt time.Duration
-	// requeued marks an entry whose RB flush already failed once; a second
-	// failure drops it (bounded retries keep the buffer from pinning
-	// unflushable data forever).
-	requeued bool
-}
-
 // memResult is an L1 result-cache payload. data is an entry buffer of the
 // cache's own: whoever drops its last reference hands it to freeEntry.
 type memResult struct {
@@ -71,12 +59,11 @@ type Manager struct {
 	rc *cache.List[memResult] // by query ID
 	ic *cache.List[memList]   // by term ID
 
-	// L2: the SSD cache file's result and list regions.
+	// L2: the SSD cache file's result and list regions, each with its write
+	// buffer.
 	results, lists region
 
 	entriesPerRB int
-	writeBuf     []bufferedResult
-	rbBatch      []bufferedResult // flushResultBlock's batch, entriesPerRB long
 	// freeEntries is the LIFO of entry buffers nothing references any more.
 	// L1 holds a fixed number of fixed-size entries, so an insert takes its
 	// victim's buffer; one is made only while the list is empty, which keeps
@@ -89,14 +76,6 @@ type Manager struct {
 	// freePrefixBytes is their total capacity, which freePrefix bounds.
 	freePrefixes    [64][][]byte
 	freePrefixBytes int64
-
-	// listBuf is the list write buffer (§VI-B applied to lists): admitted
-	// prefixes shorter than a block wait here, readable, until the next one
-	// would overflow listBufCap, then go out as one whole block. Its capacity
-	// is memory taken out of the L1 list budget.
-	listBuf      []*ssdEntry
-	listBufBytes int64
-	listBufCap   int64
 
 	// Frequency and utilization tracking for Formulas 1–2.
 	termFreq   map[workload.TermID]int64
@@ -175,7 +154,6 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		return nil, fmt.Errorf("core: result entry %d larger than block %d",
 			cfg.ResultEntryBytes, cfg.BlockBytes)
 	}
-	m.rbBatch = make([]bufferedResult, m.entriesPerRB)
 	info := policyRegistry[cfg.Policy] // in range: Validate checked it
 	if info.Baseline {
 		m.lay = entryLayout{m}
@@ -184,10 +162,10 @@ func New(clock *simclock.Clock, ix *index.Index, ssd storage.Device, cfg Config)
 		if m.lists.lru != nil {
 			// One block of write buffer, paid for out of the L1 list budget
 			// so policies are compared at equal memory.
-			m.listBufCap = min(cfg.BlockBytes, cfg.MemListBytes/2)
+			m.lists.bufCap = min(cfg.BlockBytes, cfg.MemListBytes/2)
 		}
 	}
-	m.ic = cache.NewList[memList](cfg.MemListBytes - m.listBufCap)
+	m.ic = cache.NewList[memList](cfg.MemListBytes - m.lists.bufCap)
 	return m, nil
 }
 

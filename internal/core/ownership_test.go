@@ -152,7 +152,7 @@ func TestCheckInvariantsCoversFreeEntries(t *testing.T) {
 		m.freeEntry(m.rc.LRUEntry().Value.data)
 	})
 	plant("still_in_write_buffer", "held by the write buffer", func(m *Manager) {
-		m.freeEntry(m.writeBuf[0].data)
+		m.freeEntry(m.results.buf[0].data)
 	})
 	plant("wrong_length", "free entry buffer of", func(m *Manager) {
 		m.freeEntry(make([]byte, m.cfg.ResultEntryBytes-1))
@@ -189,7 +189,7 @@ func TestCheckInvariantsCoversFreePrefixes(t *testing.T) {
 		m.freePrefix(m.ic.LRUEntry().Value.prefix)
 	})
 	plant("still_in_write_buffer", "held by the list write buffer and the free pool", func(m *Manager) {
-		m.freePrefix(m.listBuf[0].data)
+		m.freePrefix(m.lists.buf[0].data)
 	})
 	plant("too_small_for_its_class", "free prefix buffer of capacity", func(m *Manager) {
 		m.freePrefixes[12] = append(m.freePrefixes[12], make([]byte, 0, 3<<10))

@@ -91,7 +91,7 @@ func TestPackerWritesWholeAlignedBlocks(t *testing.T) {
 		f.evict(t, term, each)
 		f.checkInvariants(t)
 	}
-	f.m.flushListBuffer()
+	f.m.flush(&f.m.lists, nil)
 	f.checkInvariants(t)
 
 	want := (lists*each + cfg.BlockBytes - 1) / cfg.BlockBytes
@@ -129,8 +129,8 @@ func TestPackerWritesWholeAlignedBlocks(t *testing.T) {
 func TestBufferedListServedFromMemory(t *testing.T) {
 	f, dev := newPackerFixture(t, packerConfig(PolicyCBLRU))
 	f.evict(t, 7, 2<<10)
-	if len(dev.writes) != 0 || f.m.listBufBytes != 2<<10 {
-		t.Fatalf("%d device writes, %d bytes buffered: want the prefix waiting in memory", len(dev.writes), f.m.listBufBytes)
+	if len(dev.writes) != 0 || f.m.lists.bufBytes != 2<<10 {
+		t.Fatalf("%d device writes, %d bytes buffered: want the prefix waiting in memory", len(dev.writes), f.m.lists.bufBytes)
 	}
 	f.readBack(t, 7, 2<<10)
 	s := f.m.Stats()
@@ -142,9 +142,9 @@ func TestBufferedListServedFromMemory(t *testing.T) {
 		t.Error("buffered copy not replaceable after it was copied up")
 	}
 	f.evict(t, 7, 1<<10)
-	if s := f.m.Stats(); s.ListWritesElided != 1 || f.m.lists.dyn[7].state != stateNormal || len(f.m.listBuf) != 1 {
+	if s := f.m.Stats(); s.ListWritesElided != 1 || f.m.lists.dyn[7].state != stateNormal || len(f.m.lists.buf) != 1 {
 		t.Errorf("%d writes elided, %d prefixes buffered: want the shorter re-eviction elided and the copy revalidated",
-			s.ListWritesElided, len(f.m.listBuf))
+			s.ListWritesElided, len(f.m.lists.buf))
 	}
 	f.checkInvariants(t)
 }
@@ -157,11 +157,11 @@ func TestLongerPrefixSupersedes(t *testing.T) {
 	f, dev := newPackerFixture(t, cfg)
 	f.evict(t, 7, 1<<10)
 	f.evict(t, 7, 2<<10) // supersedes inside the buffer
-	if len(f.m.listBuf) != 1 || f.m.listBufBytes != 2<<10 {
-		t.Fatalf("buffer holds %d prefixes, %d bytes: want the longer one alone", len(f.m.listBuf), f.m.listBufBytes)
+	if len(f.m.lists.buf) != 1 || f.m.lists.bufBytes != 2<<10 {
+		t.Fatalf("buffer holds %d prefixes, %d bytes: want the longer one alone", len(f.m.lists.buf), f.m.lists.bufBytes)
 	}
 	f.evict(t, 8, 2<<10)
-	f.m.flushListBuffer()
+	f.m.flush(&f.m.lists, nil)
 	x := f.m.lists.dyn[7].ext
 	if x == nil || x != f.m.lists.dyn[8].ext || len(x.entries) != 2 {
 		t.Fatal("terms 7 and 8 not packed into one extent")
@@ -196,7 +196,7 @@ func TestPackedReadErrorQuarantinesExtent(t *testing.T) {
 	for term := workload.TermID(7); term <= 9; term++ {
 		f.evict(t, term, 2<<10)
 	}
-	f.m.flushListBuffer()
+	f.m.flush(&f.m.lists, nil)
 	dev.failReads = true
 	for term := workload.TermID(7); term <= 9; term++ {
 		f.readBack(t, term, 2<<10)
@@ -223,13 +223,13 @@ func TestFailedBlockWriteDiscardsBatchOnce(t *testing.T) {
 		f.evict(t, term, 2<<10)
 	}
 	dev.failWrites = true
-	f.m.flushListBuffer()
+	f.m.flush(&f.m.lists, nil)
 	s := f.m.Stats()
 	if s.SSDWriteErrors != 1 || s.ListsDiscarded != 3 || s.L2ListEvictions != 3 || s.ExtentsQuarantined != 1 {
 		t.Fatalf("%d write errors, %d discarded, %d evicted, %d quarantined, want 1/3/3/1",
 			s.SSDWriteErrors, s.ListsDiscarded, s.L2ListEvictions, s.ExtentsQuarantined)
 	}
-	if s.ListWritesToSSD+s.ListsWrittenToSSD != 0 || len(f.m.lists.dyn)+len(f.m.listBuf) != 0 {
+	if s.ListWritesToSSD+s.ListsWrittenToSSD != 0 || len(f.m.lists.dyn)+len(f.m.lists.buf) != 0 {
 		t.Fatal("a failed block write left lists written, mapped or buffered")
 	}
 	f.checkInvariants(t)
@@ -244,7 +244,7 @@ func TestPackedListExpiresAlone(t *testing.T) {
 	f.evict(t, 7, 2<<10)
 	f.clock.AdvanceAttr(600*time.Millisecond, simclock.CompOther)
 	f.evict(t, 8, 2<<10)
-	f.m.flushListBuffer()
+	f.m.flush(&f.m.lists, nil)
 	f.clock.AdvanceAttr(600*time.Millisecond, simclock.CompOther)
 	if f.m.ssdListFor(7) != nil || f.m.Stats().ListsExpired != 1 {
 		t.Fatal("term 7 did not expire")
@@ -265,7 +265,7 @@ func TestPlacementSweepsPastTheWindow(t *testing.T) {
 	f, _ := newPackerFixture(t, cfg)
 	for term := workload.TermID(11); term <= 14; term++ { // one extent a block
 		f.evict(t, term, 2<<10)
-		f.m.flushListBuffer()
+		f.m.flush(&f.m.lists, nil)
 	}
 	f.evict(t, 1, 2*cfg.BlockBytes) // term 11's block alone is no room for two
 	if s := f.m.Stats(); s.ListPlacementWorstCase != 1 || s.L2ListEvictions != 2 || f.m.lists.dyn[1] == nil {
@@ -282,7 +282,7 @@ func TestLadderOverSingleListExtents(t *testing.T) {
 	f, _ := newPackerFixture(t, packerConfig(PolicyCBLRU))
 	place := func(term workload.TermID) {
 		f.evict(t, term, 2<<10)
-		f.m.flushListBuffer()
+		f.m.flush(&f.m.lists, nil)
 	}
 	for term := workload.TermID(1); term <= 4; term++ { // fills the region, 1 least recent
 		place(term)

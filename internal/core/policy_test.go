@@ -133,12 +133,12 @@ func TestFreqGatedAdmissionWarmsUp(t *testing.T) {
 		t.Fatal("rejected a term at the frequency threshold")
 	}
 	m.lay.evictResult(7, &memResult{data: m.entryBuf()})
-	if len(m.writeBuf) != 0 || m.stats.ResultsRejectedByAdmission != 1 {
+	if len(m.results.buf) != 0 || m.stats.ResultsRejectedByAdmission != 1 {
 		t.Fatal("admitted a never-seen query result")
 	}
 	m.queryFreq[7] = 2
 	m.lay.evictResult(7, &memResult{data: m.entryBuf()})
-	if len(m.writeBuf) != 1 || m.stats.ResultsRejectedByAdmission != 1 {
+	if len(m.results.buf) != 1 || m.stats.ResultsRejectedByAdmission != 1 {
 		t.Fatal("rejected a query at the frequency threshold")
 	}
 	if err := m.CheckInvariants(); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"hybridstore/internal/cache"
@@ -10,16 +11,20 @@ import (
 
 // ssdEntry is one L2 entry, a result entry or a list prefix, found by its key
 // (query ID or term ID) in its region's maps: stored in the SSD cache file
-// inside an extent (Fig 7a, 7c), or, for a list prefix, waiting in the list
-// write buffer first (ext nil, data set).
+// inside an extent (Fig 7a, 7c), or waiting in its region's write buffer
+// first (ext nil, data set), where lookups serve it from memory.
 type ssdEntry struct {
-	key      uint64
-	ext      *extent // nil while the prefix waits in the list write buffer
-	off      int64   // region offset of the entry's first byte
-	bytes    int64   // bytes present: ResultEntryBytes, or the prefix's length
-	state    entryState
+	key   uint64
+	ext   *extent // nil while the entry waits in the write buffer
+	off   int64   // region offset of the entry's first byte
+	bytes int64   // bytes present: ResultEntryBytes, or the prefix's length
+	state entryState
+	// requeued marks a buffered result whose block write already failed
+	// once; a second failure drops it (bounded retries keep the buffer from
+	// holding unflushable data forever).
+	requeued bool
 	loadedAt time.Duration // age of the content, for ResultTTL and ListTTL
-	data     []byte        // the prefix, until it is on the SSD
+	data     []byte        // the entry or prefix buffer, until it is on the SSD
 }
 
 // extent is the placement and replacement unit of an SSD region (Figs 7b, 11,
@@ -59,6 +64,13 @@ func (x *extent) fill() int64 {
 // region is one of the SSD cache file's two regions, results then lists. Its
 // dynamic extents are in the recency list, keyed by offset; pins live in
 // static extents that only the static map reaches.
+//
+// buf is the region's write buffer (§VI-B, Fig 10b): dynamic entries that
+// wait in memory, in the dynamic map like those on the SSD, until they go out
+// together as one whole block (flush) — results entriesPerRB at a time, list
+// prefixes shorter than a block once the next would overflow bufCap. A
+// result keeps the entry buffer L1 evicted it in, memory outside L1's
+// budget; the list buffer's bufCap is memory taken out of the L1 list budget.
 type region struct {
 	base        int64                // device offset of the region's first byte
 	lru         *cache.List[*extent] // nil when the region has no bytes
@@ -66,6 +78,9 @@ type region struct {
 	dyn, static map[uint64]*ssdEntry
 	staticOpen  *extent // the static extent pins are appended to
 	staticTaken int64   // bytes of the region static extents hold
+	buf         []*ssdEntry
+	bufBytes    int64 // bytes the buffered entries hold
+	bufCap      int64 // list region only: the most bufBytes may reach
 }
 
 // keys returns the map that reaches the entries of static or of dynamic
@@ -83,6 +98,34 @@ func (r *region) lookup(key uint64) *ssdEntry {
 		return e
 	}
 	return r.static[key]
+}
+
+// push appends a waiting entry to the write buffer.
+func (r *region) push(e *ssdEntry) {
+	r.buf = append(r.buf, e)
+	r.bufBytes += e.bytes
+}
+
+// unbuffer takes a waiting entry out of region r, from its write buffer and
+// dynamic map, and frees its memory.
+func (m *Manager) unbuffer(r *region, e *ssdEntry) {
+	i := slices.Index(r.buf, e)
+	r.buf = slices.Delete(r.buf, i, i+1)
+	r.bufBytes -= e.bytes
+	delete(r.dyn, e.key)
+	m.release(r, e)
+}
+
+// release frees the buffer an entry of region r held in memory, once the
+// SSD holds its bytes or the cache gives it up: a result's entry buffer, a
+// list's prefix buffer.
+func (m *Manager) release(r *region, e *ssdEntry) {
+	if r == &m.lists {
+		m.freePrefix(e.data)
+	} else {
+		m.freeEntry(e.data)
+	}
+	e.data = nil
 }
 
 // newRegion returns an empty region of n bytes at device offset base.

@@ -100,7 +100,7 @@ func TestSSDListSameSizeOverwrite(t *testing.T) {
 	// same-size in-place overwrite path triggers.
 	for i := 0; i < 40; i++ {
 		f.readSome(t, workload.TermID(30+i), 12<<10)
-		f.m.flushListBuffer()
+		f.m.flush(&f.m.lists, nil)
 	}
 	s := f.m.Stats()
 	if s.ListWritesToSSD == 0 {

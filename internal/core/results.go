@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // ResultSource says where a result-cache hit was served from.
 type ResultSource int
@@ -15,11 +12,12 @@ const (
 	ResultFromSSD
 )
 
-// GetResult looks a query's cached result entry up: L1, then the write
-// buffer (still memory), then the L2 result cache on SSD. Per the hybrid
-// scheme an SSD hit is promoted to L1 while the SSD copy goes replaceable
-// (Fig 9). The slice returned is a view of a cache-owned buffer, valid until
-// the next call into the Manager: decode it or copy it, never keep or write it.
+// GetResult looks a query's cached result entry up: L1, then the L2 result
+// cache — a copy waiting in its write buffer, still memory, or one on the
+// SSD. Per the hybrid scheme an SSD hit is promoted to L1 while the SSD copy
+// goes replaceable (Fig 9). The slice returned is a view of a cache-owned
+// buffer, valid until the next call into the Manager: decode it or copy it,
+// never keep or write it.
 func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 	bumpFreq(m.queryFreq, qid, m.cfg.FreqCap)
 
@@ -32,28 +30,22 @@ func (m *Manager) GetResult(qid uint64) ([]byte, ResultSource) {
 		m.freeEntry(mr.data)
 		m.emit(Event{Kind: EvResultExpire})
 	}
-	for i, b := range m.writeBuf {
-		if b.qid != qid {
-			continue
-		}
-		if !m.resultExpired(b.loadedAt) {
-			return m.resultMemHit(b.data)
-		}
-		// Dropped like an expired L1 entry, or the recomputed entry would
-		// join it in the buffer and both copies would reach the SSD.
-		m.writeBuf = slices.Delete(m.writeBuf, i, i+1)
-		m.freeEntry(b.data)
-		m.emit(Event{Kind: EvResultExpire})
-		break
-	}
 	r := &m.results
 	if e := r.lookup(qid); e != nil {
 		switch {
-		case !e.ext.static && m.resultExpired(e.loadedAt):
-			// The layout emits the eviction (stats≡trace, DESIGN §9) and
-			// releases what its placement unit allows.
+		case (e.ext == nil || !e.ext.static) && m.resultExpired(e.loadedAt):
+			// A dynamic copy is dropped, or the recomputed entry would join
+			// it in L2. On the SSD, the layout emits the eviction
+			// (stats≡trace, DESIGN §9) and releases what its placement unit
+			// allows.
 			m.emit(Event{Kind: EvResultExpire})
-			m.lay.expireResult(e)
+			if e.ext == nil {
+				m.unbuffer(r, e)
+			} else {
+				m.lay.expireResult(e)
+			}
+		case e.ext == nil:
+			return m.resultMemHit(e.data)
 		case !m.ssdHealthy():
 			// Breaker open: route around the SSD tier. The mapping stays —
 			// the entry may still be readable once the breaker closes.
@@ -178,8 +170,9 @@ func (m *Manager) PinResult(qid uint64, data []byte) bool {
 	if !m.UsesStaticPartition() || r.lru == nil {
 		return false
 	}
-	if r.lookup(qid) != nil {
-		return true
+	e := r.lookup(qid)
+	if e != nil && e.ext != nil {
+		return true // on the SSD already
 	}
 	if !m.ssdHealthy() {
 		return false
@@ -196,28 +189,28 @@ func (m *Manager) PinResult(qid uint64, data []byte) bool {
 	// A copy waiting in the write buffer would reach the SSD a second time,
 	// as a dynamic entry, at the next RB flush: the pin replaces it, and that
 	// write is counted as elided.
-	if i := slices.IndexFunc(m.writeBuf, func(b bufferedResult) bool { return b.qid == qid }); i >= 0 {
-		m.freeEntry(m.writeBuf[i].data)
-		m.writeBuf = slices.Delete(m.writeBuf, i, i+1)
+	if e != nil {
+		m.unbuffer(r, e)
 		m.emit(Event{Kind: EvResultElide})
 	}
 	return true
 }
 
 // WriteBufferLen returns the number of result entries awaiting RB assembly.
-func (m *Manager) WriteBufferLen() int { return len(m.writeBuf) }
+func (m *Manager) WriteBufferLen() int { return len(m.results.buf) }
 
 // FlushWriteBuffer forces assembly of any full RBs and reports how many
 // entries remain buffered; nothing on the serving path calls it.
 // The loop is progress-checked: a flush that re-queues its whole batch after a write failure
 // leaves the buffer length unchanged, and retrying immediately would spin.
 func (m *Manager) FlushWriteBuffer() int {
-	for len(m.writeBuf) >= m.entriesPerRB {
-		before := len(m.writeBuf)
-		m.flushResultBlock()
-		if len(m.writeBuf) >= before {
+	r := &m.results
+	for len(r.buf) >= m.entriesPerRB {
+		before := len(r.buf)
+		m.flush(r, nil)
+		if len(r.buf) >= before {
 			break
 		}
 	}
-	return len(m.writeBuf)
+	return len(r.buf)
 }

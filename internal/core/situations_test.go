@@ -54,7 +54,7 @@ func (f *situationFixture) evictToSSD(t *testing.T, term workload.TermID) {
 	ml := e.Value
 	f.m.ic.RemoveEntry(e)
 	f.m.flushListToSSD(ml)
-	f.m.flushListBuffer()
+	f.m.flush(&f.m.lists, nil)
 	if sl := f.m.ssdListFor(term); sl == nil || sl.ext == nil {
 		t.Fatalf("term %d did not reach SSD", term)
 	}

@@ -33,21 +33,17 @@ func (m *Manager) flushListToSSD(ml memList) {
 // inside an extent would only fragment physical blocks — and the extent is
 // freed and trimmed at once when this was its last live list.
 func (m *Manager) dropSSDList(sl *ssdEntry) {
-	x := sl.ext
-	if x != nil && len(x.entries) == 1 {
-		m.drop(&m.lists, x, true)
+	r, x := &m.lists, sl.ext
+	switch {
+	case x == nil:
+		m.unbuffer(r, sl)
+	case len(x.entries) == 1:
+		m.drop(r, x, true)
 		return
+	default:
+		x.entries = slices.DeleteFunc(x.entries, func(l *ssdEntry) bool { return l == sl })
+		delete(r.dyn, sl.key)
 	}
-	same := func(l *ssdEntry) bool { return l == sl }
-	if x == nil {
-		m.listBuf = slices.DeleteFunc(m.listBuf, same)
-		m.listBufBytes -= sl.bytes
-		m.freePrefix(sl.data)
-		sl.data = nil
-	} else {
-		x.entries = slices.DeleteFunc(x.entries, same)
-	}
-	delete(m.lists.dyn, sl.key)
 	m.emit(Event{Kind: EvListEvict, Term: workload.TermID(sl.key), Level: LevelSSD})
 }
 

@@ -67,9 +67,6 @@ func (q *EventQueue) Schedule(at time.Duration, prio int, fn func(at time.Durati
 	heap.Push(&q.h, event{at: at, prio: prio, seq: q.h.seq, fn: fn})
 }
 
-// Len returns the number of pending events.
-func (q *EventQueue) Len() int { return q.h.Len() }
-
 // RunNext pops and fires the earliest event. It reports whether an event
 // fired (false means the queue was empty).
 func (q *EventQueue) RunNext() bool {

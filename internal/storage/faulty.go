@@ -59,9 +59,8 @@ type FaultStats struct {
 	// BadExtentHits counts operations failed because they overlapped a
 	// sticky bad extent (also included in the per-class error counts).
 	BadExtentHits int64
-	// BadExtents and BadExtentBytes describe the current sticky set.
-	BadExtents     int
-	BadExtentBytes int64
+	// BadExtents is the size of the current sticky set.
+	BadExtents int
 }
 
 // FaultyDevice wraps a Device, injecting deterministic faults per FaultSpec.
@@ -128,7 +127,6 @@ func (d *FaultyDevice) inject(kind OpKind, f OpFaults, off int64, n int, errCoun
 		if d.spec.StickyProb > 0 && d.rng.Float64() < d.spec.StickyProb {
 			d.bad = append(d.bad, extent{off, int64(n)})
 			d.stats.BadExtents = len(d.bad)
-			d.stats.BadExtentBytes += int64(n)
 		}
 		return fmt.Errorf("%s: injected %s error at [%d,+%d): %w", d.inner.Name(), kind, off, n, ErrInjected)
 	}

@@ -176,7 +176,7 @@ func TestFaultyStickyBadExtent(t *testing.T) {
 		t.Fatalf("trim not forwarded: %d", inner.trims)
 	}
 	fs := d.FaultStats()
-	if fs.BadExtents != 1 || fs.BadExtentHits != 1 || fs.BadExtentBytes != 4096 {
+	if fs.BadExtents != 1 || fs.BadExtentHits != 1 {
 		t.Fatalf("sticky accounting wrong: %+v", fs)
 	}
 }

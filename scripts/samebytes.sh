@@ -15,7 +15,8 @@
 #                                                               (stdout and trace)
 #
 # hybridbench's wall-clock "completed in" lines are dropped before the
-# compare. Exits non-zero if any pair differs; the outputs are kept in a
+# compare. A pair that differs is printed DIFFERENT with the first 20 lines
+# of its diff. Exits non-zero if any pair differs; the outputs are kept in a
 # temporary directory whose path is printed.
 set -euo pipefail
 
@@ -75,6 +76,7 @@ for f in all.txt traced.txt trace.ndjson searchsim-{lru,cblru,cbslru,tinylfu,ttl
         echo "same      $f"
     else
         echo "DIFFERENT $f"
+        diff "$out/parent/$f" "$out/change/$f" | head -n 20 || true
         fail=1
     fi
 done
