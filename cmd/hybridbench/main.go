@@ -16,6 +16,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -177,7 +178,11 @@ func main() {
 		if *profFlag != "" {
 			sc.Profile = obs.NewProfile()
 		}
-		if err := e.Run(out, sc); err != nil {
+		// The label splits a -cpuprofile by experiment (go tool pprof
+		// -tagfocus=exp=fig19); the runner's worker goroutines inherit it.
+		var err error
+		pprof.Do(context.Background(), pprof.Labels("exp", e.ID), func(context.Context) { err = e.Run(out, sc) })
+		if err != nil {
 			out.Flush()
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", e.ID, err)
 			stopCPU()
@@ -218,8 +223,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote host heap profile to %s\n", *memFlag)
 	}
 	images, builds, bytes := experiments.ArtifactStats()
-	measured, reused := experiments.PointStats()
+	execs, execBytes, replays := experiments.MemoStats()
 	//hybridlint:allow detclock host wall-clock progress timing on stderr; never enters simulated results
-	fmt.Fprintf(os.Stderr, "suite completed in %v (jobs=%d; artifact cache: %d index builds for %d specs, %.1f MiB retained; %d points measured, %d reused)\n",
-		time.Since(suiteStart).Round(time.Millisecond), sc.Jobs, builds, images, float64(bytes)/(1<<20), measured, reused)
+	fmt.Fprintf(os.Stderr, "suite completed in %v (jobs=%d; artifact cache: %d index builds for %d specs, %.1f MiB retained; %d executions memoized in %.2f MiB, %d replayed)\n",
+		time.Since(suiteStart).Round(time.Millisecond), sc.Jobs, builds, images, float64(bytes)/(1<<20), execs, float64(execBytes)/(1<<20), replays)
 }

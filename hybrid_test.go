@@ -593,43 +593,56 @@ func TestShorterResultLeavesNoBytesOfALongerOne(t *testing.T) {
 	if len(long.Docs) != topK || len(short.Docs) == 0 || len(short.Docs) >= topK {
 		t.Fatalf("results of %d and %d documents, want %d and fewer", len(long.Docs), len(short.Docs), topK)
 	}
-	// Push both out of L1 and through the write buffer onto the SSD.
-	for i := 0; sys.Manager.Stats().RBFlushes < 2 && i < 200; i++ {
+	// The slot of the short result in the SSD result region, or nil.
+	entry := make([]byte, cfg.Cache.ResultEntryBytes)
+	onSSD := func() []byte {
+		for off := int64(0); off+int64(len(entry)) <= cfg.Cache.SSDResultBytes; off += int64(len(entry)) {
+			if off%cfg.Cache.BlockBytes+int64(len(entry)) > cfg.Cache.BlockBytes {
+				off = (off/cfg.Cache.BlockBytes+1)*cfg.Cache.BlockBytes - int64(len(entry))
+				continue // slots do not straddle blocks
+			}
+			if _, err := sys.CacheSSD.ReadAt(entry, off); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := engine.DecodeResult(entry); err == nil && res.QueryID == shortID {
+				return entry
+			}
+		}
+		return nil
+	}
+	// Push both out of L1 and through the write buffer onto the SSD: search
+	// until an RB flush has put the short result's slot there.
+	for i, flushes := 0, int64(0); ; i++ {
+		if n := sys.Manager.Stats().RBFlushes; n > flushes {
+			if flushes = n; onSSD() != nil {
+				break
+			}
+		}
+		if i == 400 {
+			t.Fatal("the short result's entry was not found in the SSD result region")
+		}
 		if _, _, err := sys.Search(workload.Query{ID: uint64(910000 + i), Terms: []workload.TermID{rare}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sys.Manager.FlushWriteBuffer()
 
-	entry := make([]byte, cfg.Cache.ResultEntryBytes)
-	for off := int64(0); off+int64(len(entry)) <= cfg.Cache.SSDResultBytes; off += int64(len(entry)) {
-		if off%cfg.Cache.BlockBytes+int64(len(entry)) > cfg.Cache.BlockBytes {
-			off = (off/cfg.Cache.BlockBytes+1)*cfg.Cache.BlockBytes - int64(len(entry))
-			continue // slots do not straddle blocks
-		}
-		if _, err := sys.CacheSSD.ReadAt(entry, off); err != nil {
-			t.Fatal(err)
-		}
-		res, err := engine.DecodeResult(entry)
-		if err != nil || res.QueryID != shortID {
-			continue
-		}
-		if !reflect.DeepEqual(res.Docs, short.Docs) {
-			t.Fatal("the slot on the SSD decodes to other documents than the query returned")
-		}
-		// Byte for byte: a stale record of the long result would sit inside
-		// the short one's docBytes-per-document span, where decoding never
-		// looks.
-		enc := short.Encode(sys.Engine.Config().DocResultBytes)
-		want := append(enc, make([]byte, len(entry)-len(enc))...)
-		for i := range entry {
-			if entry[i] != want[i] {
-				t.Fatalf("slot byte %d is %#x, want %#x: not the short result's encoding padded with zeros", i, entry[i], want[i])
-			}
-		}
-		return
+	res, err := engine.DecodeResult(entry)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("the short result's entry was not found in the SSD result region")
+	if !reflect.DeepEqual(res.Docs, short.Docs) {
+		t.Fatal("the slot on the SSD decodes to other documents than the query returned")
+	}
+	// Byte for byte: a stale record of the long result would sit inside
+	// the short one's docBytes-per-document span, where decoding never
+	// looks.
+	enc := short.Encode(sys.Engine.Config().DocResultBytes)
+	want := append(enc, make([]byte, len(entry)-len(enc))...)
+	for i := range entry {
+		if entry[i] != want[i] {
+			t.Fatalf("slot byte %d is %#x, want %#x: not the short result's encoding padded with zeros", i, entry[i], want[i])
+		}
+	}
 }
 
 // TestNewRefusesResultEntryThatCannotFit: a full result of TopK documents

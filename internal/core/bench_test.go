@@ -36,7 +36,7 @@ func warmResultFixture(b *testing.B) *fixture {
 			}
 		}
 	}
-	f.m.FlushWriteBuffer()
+	flushResults(f.m)
 	return f
 }
 

@@ -347,7 +347,7 @@ func TestResultEvictionAssemblesRBsAndReadsBack(t *testing.T) {
 		t.Fatal("no L1 evictions")
 	}
 	if s.RBFlushes == 0 {
-		t.Fatalf("no RB assembled (buffer=%d)", f.m.WriteBufferLen())
+		t.Fatalf("no RB assembled (buffer=%d)", len(f.m.results.buf))
 	}
 	// Early queries should now be on SSD.
 	var ssdHit bool
@@ -407,7 +407,7 @@ func TestLRUBaselineWritesResultsImmediately(t *testing.T) {
 	if s.RBFlushes != 0 {
 		t.Fatal("baseline should not assemble RBs")
 	}
-	if f.m.WriteBufferLen() != 0 {
+	if len(f.m.results.buf) != 0 {
 		t.Fatal("baseline buffered results")
 	}
 	// Evicted entries are readable from SSD.
@@ -425,17 +425,28 @@ func TestLRUBaselineWritesResultsImmediately(t *testing.T) {
 	}
 }
 
+// flushResults writes whole RBs from the result write buffer until less than
+// one block's worth waits or a write fails (the failed batch is re-queued,
+// so the buffer does not shrink and retrying at once would spin), and
+// returns how many entries wait.
+func flushResults(m *Manager) int {
+	for len(m.results.buf) >= m.entriesPerRB {
+		before := len(m.results.buf)
+		m.flush(&m.results, nil)
+		if len(m.results.buf) >= before {
+			break
+		}
+	}
+	return len(m.results.buf)
+}
+
 func TestFlushWriteBuffer(t *testing.T) {
 	f := newFixture(t, testConfig(PolicyCBLRU))
 	size := f.m.Config().ResultEntryBytes
 	for q := uint64(1); q <= 9; q++ { // 5 stay in L1, 4 buffered
 		f.m.PutResult(q, entryOf(q, byte(q), size))
 	}
-	left := f.m.FlushWriteBuffer()
-	if left != f.m.WriteBufferLen() {
-		t.Fatal("FlushWriteBuffer return inconsistent")
-	}
-	if left >= 6 {
+	if left := flushResults(f.m); left >= f.m.entriesPerRB {
 		t.Fatalf("%d entries still buffered after flush", left)
 	}
 }
@@ -446,7 +457,7 @@ func TestWriteBufferServesLookups(t *testing.T) {
 	for q := uint64(1); q <= 7; q++ {
 		f.m.PutResult(q, entryOf(q, byte(q), size))
 	}
-	if f.m.WriteBufferLen() == 0 {
+	if len(f.m.results.buf) == 0 {
 		t.Skip("nothing buffered")
 	}
 	// Query 1 or 2 should be in the buffer; find one and look it up.

@@ -131,7 +131,7 @@ func TestFlushWriteErrorRequeuesOnceThenDrops(t *testing.T) {
 	if s.ExtentsQuarantined != 1 || s.QuarantinedBytes != f.m.cfg.BlockBytes {
 		t.Fatalf("quarantine accounting: %d extents / %d bytes", s.ExtentsQuarantined, s.QuarantinedBytes)
 	}
-	if got := f.m.WriteBufferLen(); got != 6 {
+	if got := len(f.m.results.buf); got != 6 {
 		t.Fatalf("write buffer %d entries after requeue, want 6", got)
 	}
 	for qid, e := range f.m.results.dyn {
@@ -142,8 +142,8 @@ func TestFlushWriteErrorRequeuesOnceThenDrops(t *testing.T) {
 
 	// Second attempt: the re-queued batch is dropped, not re-queued again,
 	// and the progress check stops the loop instead of spinning.
-	if rem := f.m.FlushWriteBuffer(); rem != 0 {
-		t.Fatalf("FlushWriteBuffer left %d entries", rem)
+	if rem := flushResults(f.m); rem != 0 {
+		t.Fatalf("flushResults left %d entries", rem)
 	}
 	s = f.m.Stats()
 	if s.SSDWriteErrors != 2 || s.ResultsDropped != 6 || s.ResultsRequeued != 6 {
@@ -287,8 +287,8 @@ func TestFlushDropsWhileBreakerOpen(t *testing.T) {
 	if s.BreakerTrips != 1 || s.ResultsRequeued != 6 {
 		t.Fatalf("trips %d requeued %d, want 1/6", s.BreakerTrips, s.ResultsRequeued)
 	}
-	if rem := f.m.FlushWriteBuffer(); rem != 0 {
-		t.Fatalf("FlushWriteBuffer left %d entries", rem)
+	if rem := flushResults(f.m); rem != 0 {
+		t.Fatalf("flushResults left %d entries", rem)
 	}
 	s = f.m.Stats()
 	if s.ResultsDropped != 6 {
@@ -455,7 +455,7 @@ func TestBreakerDisabled(t *testing.T) {
 	f, fd := newFlakyFixture(t, cfg)
 	fd.failWrites = true
 	putEntries(t, f, 1, 30)
-	f.m.FlushWriteBuffer()
+	flushResults(f.m)
 	s := f.m.Stats()
 	if s.SSDWriteErrors < 2 {
 		t.Fatalf("setup: only %d write errors", s.SSDWriteErrors)
@@ -648,7 +648,7 @@ func TestDivergenceUnderInjectedFaults(t *testing.T) {
 						t.Fatalf("iter %d: %v", i, err)
 					}
 				}
-				f.m.FlushWriteBuffer()
+				flushResults(f.m)
 				f.m.flush(&f.m.lists, nil)
 
 				st := f.m.Stats()

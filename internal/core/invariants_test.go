@@ -98,7 +98,7 @@ func TestInvariantsProperty(t *testing.T) {
 				buf := make([]byte, n)
 				f.m.ReadListRange(term, 0, buf)
 			case 3:
-				f.m.FlushWriteBuffer()
+				flushResults(f.m)
 			}
 		}
 		return f.m.CheckInvariants() == nil

@@ -19,7 +19,7 @@ func fillSSDResultCache(t *testing.T, f *fixture, from, to uint64) {
 			t.Fatal(err)
 		}
 	}
-	f.m.FlushWriteBuffer()
+	flushResults(f.m)
 }
 
 func TestVictimRBPrefersHighIREN(t *testing.T) {

@@ -195,22 +195,3 @@ func (m *Manager) PinResult(qid uint64, data []byte) bool {
 	}
 	return true
 }
-
-// WriteBufferLen returns the number of result entries awaiting RB assembly.
-func (m *Manager) WriteBufferLen() int { return len(m.results.buf) }
-
-// FlushWriteBuffer forces assembly of any full RBs and reports how many
-// entries remain buffered; nothing on the serving path calls it.
-// The loop is progress-checked: a flush that re-queues its whole batch after a write failure
-// leaves the buffer length unchanged, and retrying immediately would spin.
-func (m *Manager) FlushWriteBuffer() int {
-	r := &m.results
-	for len(r.buf) >= m.entriesPerRB {
-		before := len(r.buf)
-		m.flush(r, nil)
-		if len(r.buf) >= before {
-			break
-		}
-	}
-	return len(r.buf)
-}

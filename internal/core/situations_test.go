@@ -152,7 +152,7 @@ func TestSituationS1AndS2ResultHits(t *testing.T) {
 	for q := uint64(101); q <= 130; q++ {
 		f.m.PutResult(q, entryOf(q, byte(q), size))
 	}
-	f.m.FlushWriteBuffer()
+	flushResults(f.m)
 	if _, ok := f.m.results.dyn[100]; !ok {
 		t.Skip("entry 100 did not land on SSD")
 	}

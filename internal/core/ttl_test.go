@@ -30,8 +30,8 @@ func TestResultTTLExpiresL1(t *testing.T) {
 	for q := uint64(3); q <= 7; q++ {
 		f.m.PutResult(q, entryOf(q, 5, size))
 	}
-	if got := f.m.Stats().ResultsExpired; got != 2 || f.m.WriteBufferLen() != 0 {
-		t.Fatalf("%d results expired, %d buffered: want the stale eviction dropped and counted", got, f.m.WriteBufferLen())
+	if got := f.m.Stats().ResultsExpired; got != 2 || len(f.m.results.buf) != 0 {
+		t.Fatalf("%d results expired, %d buffered: want the stale eviction dropped and counted", got, len(f.m.results.buf))
 	}
 }
 

@@ -24,6 +24,7 @@
 package engine
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -160,6 +161,9 @@ type Engine struct {
 
 	// Where the cursor decodes a block that is not already packed postings.
 	scratch [index.BlockLen * index.PostingSize]byte
+
+	memo Memo       // nil unless UseMemo: Execute replays instead of scoring
+	rec  *Execution // non-nil while Record runs: scanList appends its chunks
 }
 
 // accumulator is the per-query score table: a bit set of the documents this
@@ -251,6 +255,9 @@ func sortByDF(src interface {
 // touched, maximizing early-termination effect. Ordering by DF rather than
 // encoded bytes keeps the processing order codec-invariant.
 func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
+	if e.memo != nil {
+		return e.replay(q)
+	}
 	var stats ExecStats
 	e.terms = append(e.terms[:0], q.Terms...)
 	terms := e.terms
@@ -277,6 +284,97 @@ func (e *Engine) Execute(q workload.Query) (*Result, ExecStats, error) {
 	}
 
 	return &Result{QueryID: q.ID, Docs: top.ranked()}, stats, nil
+}
+
+// An Execution is the record of one Execute over an index image: what it
+// returned, and for each chunk it read, the range and the postings it
+// scored. A Memo holds them.
+type Execution struct {
+	Docs   []ScoredDoc
+	Stats  ExecStats
+	Chunks []Chunk
+}
+
+// Chunk is one ReadListRange of an execution: the index of its term in
+// Stats.Terms, the postings scored from it, and the range of the list read.
+type Chunk struct {
+	Term, Scored int32
+	Off, Len     int64
+}
+
+// A Memo holds the executions of engines over one index image under one
+// TopK, ChunkBytes and TerminationFrac, each computed once.
+type Memo interface {
+	// Recall returns the execution of terms, in the order Execute processes
+	// them, recording it on first sight.
+	Recall(terms []workload.TermID) (*Execution, error)
+	// ListRange returns the image's n bytes of term t's list at offset off,
+	// or nil if the range is outside the list.
+	ListRange(t workload.TermID, off, n int64) []byte
+}
+
+// UseMemo makes Execute replay m's executions instead of scoring. m must
+// hold executions over the image the engine's source serves, under the
+// engine's TopK, ChunkBytes and TerminationFrac.
+func (e *Engine) UseMemo(m Memo) { e.memo = m }
+
+// Record runs terms, sorted as Execute sorts them, on an engine without a
+// memo and returns the execution.
+func (e *Engine) Record(terms []workload.TermID) (*Execution, error) {
+	x := &Execution{}
+	e.rec = x
+	res, stats, err := e.Execute(workload.Query{Terms: terms})
+	e.rec = nil
+	if err != nil {
+		return nil, err
+	}
+	x.Docs, x.Stats = res.Docs, stats
+	return x, nil
+}
+
+// replay is Execute with a memo. It issues the recorded execution's reads
+// through the engine's own source, in order, fails on any bytes that differ
+// from the image, charges each chunk's scoring time as Execute does, and
+// returns a copy of the recorded answer. A read error returns what Execute
+// returns at that read: no result, the stats of the terms finished and the
+// postings scored so far.
+func (e *Engine) replay(q workload.Query) (*Result, ExecStats, error) {
+	var stats ExecStats
+	e.terms = append(e.terms[:0], q.Terms...)
+	sortByDF(e.src, e.terms)
+	x, err := e.memo.Recall(e.terms)
+	if err != nil {
+		return nil, stats, err
+	}
+	for _, c := range x.Chunks {
+		t := x.Stats.Terms[c.Term].Term
+		if int64(len(e.scanBuf)) < c.Len {
+			e.scanBuf = make([]byte, c.Len)
+		}
+		buf := e.scanBuf[:c.Len]
+		if err := e.src.ReadListRange(t, c.Off, buf); err != nil {
+			stats.Terms = slices.Clone(x.Stats.Terms[:c.Term])
+			for _, ts := range stats.Terms {
+				stats.BytesRead += ts.BytesRead
+			}
+			return nil, stats, err
+		}
+		if !bytes.Equal(buf, e.memo.ListRange(t, c.Off, c.Len)) {
+			return nil, stats, errReadDiffers(e.terms, t, c.Off, c.Len)
+		}
+		stats.PostingsScored += int64(c.Scored)
+		if e.cfg.Clock != nil {
+			e.cfg.Clock.AdvanceAttr(time.Duration(c.Scored)*perPostingCost, simclock.CompCPUIntersect)
+		}
+	}
+	stats.Terms = slices.Clone(x.Stats.Terms)
+	stats.BytesRead = x.Stats.BytesRead
+	return &Result{QueryID: q.ID, Docs: slices.Clone(x.Docs)}, stats, nil
+}
+
+//go:noinline
+func errReadDiffers(terms []workload.TermID, t workload.TermID, off, n int64) error {
+	return fmt.Errorf("engine: query %v: term %d: the %d bytes read at offset %d differ from the index image", terms, t, n, off)
 }
 
 // scanList consumes term t's impact-ordered list chunk by chunk (whole
@@ -338,6 +436,9 @@ func (e *Engine) scanList(t workload.TermID, w float64, last bool, top *topK, st
 			}
 		}
 		stats.PostingsScored += int64(scored)
+		if e.rec != nil {
+			e.rec.Chunks = append(e.rec.Chunks, Chunk{Term: int32(len(stats.Terms)), Scored: int32(scored), Off: chunkOff, Len: n})
+		}
 		if e.cfg.Clock != nil {
 			e.cfg.Clock.AdvanceAttr(time.Duration(scored)*perPostingCost, simclock.CompCPUIntersect)
 		}

@@ -8,20 +8,27 @@ package experiments
 // point. The cache builds each distinct spec's index image once (guarded
 // singleflight-style so concurrent points wanting the same spec block on
 // one build) and stamps the shared image onto every system's private
-// device. Whole points are shared the same way: the reference CBLRU point
-// is a row of five experiments, and a point is a pure function of its
-// config and the scale's warm-up and measured lengths. A full-scale suite
-// touches well under ten distinct specs and a hundred distinct points, so
-// the cache is deliberately unbounded; ResetArtifacts exists for tests and
-// long-lived embedders.
+// device.
+//
+// Executions are shared the same way. What the engine reads and returns for
+// a query depends only on the image, its TopK, ChunkBytes and
+// TerminationFrac, and the query's terms, as long as its source serves the
+// image's bytes. Every system build assembles replays the memo of its image
+// and engine config (engine.Engine.UseMemo): each distinct execution is
+// scored once, against the image itself, and every system re-issues its
+// reads through its own caches and devices and checks their bytes against
+// the image. A full-scale suite touches well under ten distinct specs and
+// about 20 000 distinct executions of under 1 KiB each, so the cache is
+// deliberately unbounded; ResetArtifacts exists for tests and long-lived
+// embedders.
 
 import (
-	"fmt"
-	"reflect"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
-	hybrid "hybridstore"
+	"hybridstore/internal/engine"
 	"hybridstore/internal/index"
 	"hybridstore/internal/workload"
 )
@@ -37,8 +44,8 @@ var artifactMu sync.Mutex
 var artifactImages = make(map[imageKey]func() (*index.Image, error))
 var artifactBuilds int64
 var artifactBytes int64
-var artifactPoints = make(map[string]func() (point, error))
-var pointRequests, pointsMeasured atomic.Int64
+var artifactMemos = make(map[memoKey]func() (*memo, error))
+var memoEntries, memoBytes, memoReplays atomic.Int64
 
 // cached returns the value m holds under key, running build at most once
 // per process no matter how many callers ask for it concurrently.
@@ -68,39 +75,65 @@ func sharedImage(spec workload.CollectionSpec, codec index.CodecID) (*index.Imag
 	})
 }
 
-// pointKey returns the point cache's key for cfg at sc: the warm-up and
-// measured lengths and cfg's Go-syntax rendering, which holds every field
-// of hybrid.Config and of the configs within it without listing them. It
-// refuses (ok false) an observed or profiled scale, whose points must run
-// to feed the observer, and a config holding a func, pointer or other
-// reference at any depth, which would render as an address.
-func (sc Scale) pointKey(cfg hybrid.Config) (key string, ok bool) {
-	if sc.Obs != nil || sc.Profile != nil || holdsRef(reflect.ValueOf(cfg)) {
-		return "", false
-	}
-	return fmt.Sprintf("%d+%d %#v", sc.WarmQueries, sc.MeasureQueries, cfg), true
+// memoKey identifies one execution memo: an image and the engine settings
+// that change what Execute reads or returns.
+type memoKey struct {
+	image      imageKey
+	topK       int
+	chunkBytes int
+	termFrac   float64
 }
 
-// holdsRef reports whether v holds a non-nil func, pointer, map, slice,
-// channel or interface, looking through structs and arrays.
-func holdsRef(v reflect.Value) bool {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if holdsRef(v.Field(i)) {
-				return true
-			}
-		}
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			if holdsRef(v.Index(i)) {
-				return true
-			}
-		}
-	case reflect.Func, reflect.Pointer, reflect.Map, reflect.Slice, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
-		return !v.IsNil()
+// memo is the engine.Memo of one memoKey. Its image answers ListRange, and
+// its executions are keyed by the query's terms in processing order.
+type memo struct {
+	*index.Image
+	execs   map[string]func() (*engine.Execution, error)
+	engines sync.Pool // clockless engines over the image, for first sights
+}
+
+// sharedMemo returns the memo of img under the engine settings of cfg,
+// creating it on first request.
+func sharedMemo(img *index.Image, cfg engine.Config) *memo {
+	key := memoKey{imageKey{img.Spec(), img.Codec()}, cfg.TopK, cfg.ChunkBytes, cfg.TerminationFrac}
+	m, _ := cached(artifactMemos, key, func() (*memo, error) {
+		cfg.Clock = nil
+		m := &memo{Image: img, execs: make(map[string]func() (*engine.Execution, error))}
+		m.engines.New = func() any { return engine.New(img, cfg) }
+		return m, nil
+	})
+	return m
+}
+
+// Recall implements engine.Memo. The first request for terms runs the
+// engine over the image, never through a system's cache, so a fault or a
+// cache bug in one system cannot reach what the others replay; concurrent
+// requests for it wait on that one run.
+func (m *memo) Recall(terms []workload.TermID) (*engine.Execution, error) {
+	memoReplays.Add(1)
+	key := make([]byte, 0, 4*len(terms))
+	for _, t := range terms {
+		key = binary.LittleEndian.AppendUint32(key, uint32(t))
 	}
-	return false
+	return cached(m.execs, string(key), func() (*engine.Execution, error) {
+		e := m.engines.Get().(*engine.Engine)
+		defer m.engines.Put(e)
+		x, err := e.Record(terms)
+		if err == nil {
+			memoEntries.Add(1)
+			memoBytes.Add(int64(len(key)) + execBytes(x))
+		}
+		return x, err
+	})
+}
+
+// execBytes is the memory one execution holds: the record and its three
+// slices.
+func execBytes(x *engine.Execution) int64 {
+	return int64(unsafe.Sizeof(*x)) +
+		int64(len(x.Docs))*int64(unsafe.Sizeof(engine.ScoredDoc{})) +
+		int64(len(x.Stats.Terms))*int64(unsafe.Sizeof(engine.TermStats{})) +
+		int64(len(x.Chunks))*int64(unsafe.Sizeof(engine.Chunk{}))
 }
 
 // ArtifactStats reports cache contents: distinct specs seen, index builds
@@ -111,21 +144,22 @@ func ArtifactStats() (images int, builds int64, bytes int64) {
 	return len(artifactImages), artifactBuilds, artifactBytes
 }
 
-// PointStats reports how many sweep points were measured and how many were
-// served from the point cache since the last ResetArtifacts.
-func PointStats() (measured, reused int64) {
-	measured = pointsMeasured.Load()
-	return measured, pointRequests.Load() - measured
+// MemoStats reports the execution memos since the last ResetArtifacts:
+// executions recorded (one per distinct key), the bytes they hold, and
+// executions replayed, first sights included.
+func MemoStats() (entries, bytes, replays int64) {
+	return memoEntries.Load(), memoBytes.Load(), memoReplays.Load()
 }
 
-// ResetArtifacts drops every cached image and point.
+// ResetArtifacts drops every cached image and execution memo.
 func ResetArtifacts() {
 	artifactMu.Lock()
 	defer artifactMu.Unlock()
 	clear(artifactImages)
 	artifactBuilds = 0
 	artifactBytes = 0
-	clear(artifactPoints)
-	pointRequests.Store(0)
-	pointsMeasured.Store(0)
+	clear(artifactMemos)
+	memoEntries.Store(0)
+	memoBytes.Store(0)
+	memoReplays.Store(0)
 }

@@ -164,13 +164,19 @@ func stamp(cfg hybrid.Config) (hybrid.Config, error) {
 	return cfg, err
 }
 
-// build assembles the system cfg describes over the shared index image.
+// build assembles the system cfg describes over the shared index image, its
+// engine replaying the image's shared execution memo.
 func build(cfg hybrid.Config) (*hybrid.System, error) {
 	cfg, err := stamp(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return hybrid.New(cfg)
+	sys, err := hybrid.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	sys.Engine.UseMemo(sharedMemo(cfg.IndexImage, sys.Engine.Config()))
+	return sys, nil
 }
 
 // observer returns the observer a measured system attaches, or nil. With

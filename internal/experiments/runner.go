@@ -13,6 +13,7 @@ package experiments
 // sweep that only measures each configuration hands its list to measure.
 
 import (
+	"fmt"
 	"sync"
 
 	hybrid "hybridstore"
@@ -32,31 +33,23 @@ type point struct {
 // respMS is the measured mean response time in milliseconds.
 func (p point) respMS() float64 { return float64(p.run.MeanResponseTime().Microseconds()) / 1000 }
 
-// measure returns the points of cfgs in configuration order. Each one the
-// point cache lacks is built and run through runMeasured on the worker
-// pool; a config pointKey refuses is measured on every request.
+// measure builds and runs each config of cfgs through runMeasured on the
+// worker pool and returns the points in configuration order.
 func (sc Scale) measure(cfgs []hybrid.Config) ([]point, error) {
 	pts := make([]point, len(cfgs))
 	err := sc.forPoints(len(cfgs), func(i int) error {
-		measure := func() (p point, err error) {
-			pointsMeasured.Add(1)
-			sys, err := build(cfgs[i])
-			if err != nil {
-				return p, err
-			}
-			if p.run, p.st, err = runMeasured(sys, sc); err == nil && sys.CacheSSD != nil {
-				p.wear = sys.CacheSSD.Wear()
-			}
-			return p, err
+		sys, err := build(cfgs[i])
+		if err != nil {
+			return err
 		}
-		pointRequests.Add(1)
-		var err error
-		if key, ok := sc.pointKey(cfgs[i]); ok {
-			pts[i], err = cached(artifactPoints, key, measure)
-		} else {
-			pts[i], err = measure()
+		p := &pts[i]
+		if p.run, p.st, err = runMeasured(sys, sc); err != nil {
+			return fmt.Errorf("experiments: point %+v: %w", cfgs[i], err)
 		}
-		return err
+		if sys.CacheSSD != nil {
+			p.wear = sys.CacheSSD.Wear()
+		}
+		return nil
 	})
 	return pts, err
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"flag"
 	"regexp"
 	"strconv"
 	"strings"
@@ -11,10 +10,6 @@ import (
 	"hybridstore/internal/core"
 	"hybridstore/internal/flashsim"
 )
-
-// shapesFull runs TestPaperShapes at FullScale (under 30 s) instead of
-// SmallScale: go test ./internal/experiments -run TestPaperShapes -shapes.full
-var shapesFull = flag.Bool("shapes.full", false, "assert the paper shapes at FullScale instead of SmallScale")
 
 // parsedTable is one metrics.Table read back from an experiment's stdout.
 type parsedTable struct {
@@ -79,11 +74,25 @@ func (tb parsedTable) num(t *testing.T, row []string, col string) float64 {
 // served from the HDD, the two-level cache beats the one-level cache it
 // extends, and the cost-based policies beat LRU in response time (the
 // headline, Fig 17), hit ratio and block erasures.
-func TestPaperShapes(t *testing.T) {
-	sc := SmallScale()
-	if *shapesFull {
-		sc = FullScale()
+func TestPaperShapes(t *testing.T) { paperShapes(t, SmallScale()) }
+
+// raceDetector is set in race builds (race_test.go).
+var raceDetector bool
+
+// TestPaperShapesFullScale asserts the same orderings at FullScale, the scale
+// EXPERIMENTS.md reports (about 10 s on two cores: every distinct execution
+// is scored once, DESIGN §8). Under the race detector the sweep takes about
+// 28 times as long, past the package timeout of CI's -count=3 race job, and
+// it exercises no concurrency TestPaperShapes does not, so it is skipped
+// there.
+func TestPaperShapesFullScale(t *testing.T) {
+	if raceDetector {
+		t.Skip("FullScale under the race detector: TestPaperShapes runs the same code at SmallScale")
 	}
+	paperShapes(t, FullScale())
+}
+
+func paperShapes(t *testing.T, sc Scale) {
 	sc.Jobs = 2
 	tables := func(t *testing.T, id string, want int) []parsedTable {
 		t.Helper()

@@ -32,12 +32,12 @@ func render(t *testing.T, id string, sc Scale) string {
 }
 
 // runMicro renders one experiment at microScale with the given worker
-// count, measuring every point afresh.
+// count.
 func runMicro(t *testing.T, id string, jobs int) string {
 	t.Helper()
 	sc := microScale()
 	sc.Jobs = jobs
-	return renderFresh(t, id, sc)
+	return render(t, id, sc)
 }
 
 // checkGolden renders experiment id at microScale with one and with four

@@ -56,6 +56,45 @@ func (im *Image) Codec() CodecID { return im.codec }
 // Bytes returns the serialized size of the image.
 func (im *Image) Bytes() int64 { return int64(len(im.data)) }
 
+// The read side of engine.ListSource, served from the image's own bytes: no
+// device and no clock, so an engine over an Image computes what one over
+// any stamped copy computes.
+
+// NumDocs returns the collection size.
+func (im *Image) NumDocs() int64 { return int64(im.spec.NumDocs) }
+
+// ListBytes returns the encoded size of term t's impact-ordered list.
+func (im *Image) ListBytes(t workload.TermID) int64 { return im.terms[t].Bytes() }
+
+// TermDF returns term t's document frequency.
+func (im *Image) TermDF(t workload.TermID) int64 { return im.terms[t].DF }
+
+// ListBlocks returns term t's impact-list block directory. Callers must not
+// mutate the returned slice.
+func (im *Image) ListBlocks(t workload.TermID) []BlockRef { return im.listBlocks[t] }
+
+// ListRange returns the n bytes of term t's list at offset off as a view of
+// the image, or nil if the range is outside the list. Callers must not
+// write it.
+func (im *Image) ListRange(t workload.TermID, off, n int64) []byte {
+	m := im.terms[t]
+	if off < 0 || n < 0 || off+n > m.Bytes() {
+		return nil
+	}
+	return im.data[m.Offset+off : m.Offset+off+n : m.Offset+off+n]
+}
+
+// ReadListRange fills p with term t's list bytes starting at offset off.
+func (im *Image) ReadListRange(t workload.TermID, off int64, p []byte) error {
+	v := im.ListRange(t, off, int64(len(p)))
+	if v == nil {
+		return fmt.Errorf("index: term %d range [%d,+%d) outside list of %d bytes: %w",
+			t, off, len(p), im.ListBytes(t), storage.ErrOutOfRange)
+	}
+	copy(p, v)
+	return nil
+}
+
 // BuildImage synthesizes the collection described by spec and serializes
 // its inverted index into memory under the given codec.
 func BuildImage(spec workload.CollectionSpec, codec CodecID) (*Image, error) {
