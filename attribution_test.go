@@ -173,9 +173,9 @@ func TestAttributionReportSections(t *testing.T) {
 
 // TestReportSeries: a run of N queries sampled every k queries carries
 // ⌊N/k⌋ series points in its JSON report. When k divides N the last point
-// is the report's own hit ratios and wear, and forks of one observer keep
-// their series private to their own system. Progress reads the live
-// manager's hit ratios.
+// is the report's own hit ratios and wear, the live manager's hit ratios
+// and the observer's latest sample, stamped with N queries; forks of one
+// observer keep their series private to their own system.
 func TestReportSeries(t *testing.T) {
 	const k = 100
 	parent := obs.New(obs.Options{SampleEvery: k})
@@ -187,11 +187,6 @@ func TestReportSeries(t *testing.T) {
 		sys.EnableObservability(parent.Fork())
 		if _, err := sys.Run(n); err != nil {
 			t.Fatal(err)
-		}
-		st, p := sys.Manager.Stats(), sys.Progress()
-		if p.RC != st.ResultHitRatio() || p.IC != st.ListHitRatio() || p.RIC != st.CombinedHitRatio() {
-			t.Fatalf("N=%d: Progress RC/IC/RIC = %v/%v/%v, manager says %v/%v/%v",
-				n, p.RC, p.IC, p.RIC, st.ResultHitRatio(), st.ListHitRatio(), st.CombinedHitRatio())
 		}
 		var buf bytes.Buffer
 		if err := sys.WriteJSONReport(&buf); err != nil {
@@ -211,6 +206,12 @@ func TestReportSeries(t *testing.T) {
 		if last.RC != h.RC || last.IC != h.IC || last.RIC != h.RIC ||
 			last.SSDErases != w.Erases || last.SSDWriteAmp != w.WriteAmplification {
 			t.Fatalf("N=%d: last point %+v, report says hit ratios %+v, wear %+v", n, last, *h, w)
+		}
+		st := sys.Manager.Stats()
+		if last != sys.Obs().Latest() || last.Queries != int64(n) ||
+			last.RC != st.ResultHitRatio() || last.IC != st.ListHitRatio() || last.RIC != st.CombinedHitRatio() {
+			t.Fatalf("N=%d: last point %+v, latest sample %+v, manager says RC/IC/RIC %v/%v/%v",
+				n, last, sys.Obs().Latest(), st.ResultHitRatio(), st.ListHitRatio(), st.CombinedHitRatio())
 		}
 	}
 }

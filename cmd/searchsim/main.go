@@ -26,6 +26,7 @@ import (
 	"hybridstore/internal/engine"
 	"hybridstore/internal/flashsim"
 	"hybridstore/internal/index"
+	"hybridstore/internal/metrics"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/serve"
 	"hybridstore/internal/workload"
@@ -160,7 +161,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *metricsEvery > 0 && done%*metricsEvery == 0 {
-			fmt.Println(sys.Progress().String())
+			fmt.Println(observer.Latest().Line(observer.OverallLatency()))
 		}
 	}
 	fmt.Println()
@@ -271,8 +272,8 @@ func runServe(base hybrid.Config, opt serveOptions) {
 		r.Horizon.Round(time.Millisecond), r.Makespan.Round(time.Millisecond),
 		(r.Makespan - r.Horizon).Round(time.Millisecond))
 	fmt.Printf("latency: mean=%v p50=%v p99=%v p999=%v total_queue_wait=%v\n",
-		r.MeanLatency().Round(time.Microsecond), r.P50().Round(time.Microsecond),
-		r.P99().Round(time.Microsecond), r.P999().Round(time.Microsecond),
+		metrics.USDuration(r.Latency.Mean), metrics.USDuration(r.Latency.P50),
+		metrics.USDuration(r.Latency.P99), metrics.USDuration(r.Latency.P999),
 		r.QueueWait.Round(time.Millisecond))
 	for i := 0; i < pool.Shards(); i++ {
 		sys := pool.System(i)

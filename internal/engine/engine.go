@@ -318,6 +318,9 @@ type Memo interface {
 // engine's TopK, ChunkBytes and TerminationFrac.
 func (e *Engine) UseMemo(m Memo) { e.memo = m }
 
+// Memo returns the memo UseMemo attached, or nil.
+func (e *Engine) Memo() Memo { return e.memo }
+
 // Record runs terms, sorted as Execute sorts them, on an engine without a
 // memo and returns the execution.
 func (e *Engine) Record(terms []workload.TermID) (*Execution, error) {

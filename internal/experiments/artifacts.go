@@ -108,12 +108,21 @@ func sharedMemo(img *index.Image, cfg engine.Config) *memo {
 // Recall implements engine.Memo. The first request for terms runs the
 // engine over the image, never through a system's cache, so a fault or a
 // cache bug in one system cannot reach what the others replay; concurrent
-// requests for it wait on that one run.
+// requests for it wait on that one run. A replay of a recorded execution
+// allocates nothing: its key is built on the stack and looked up without a
+// string copy.
 func (m *memo) Recall(terms []workload.TermID) (*engine.Execution, error) {
 	memoReplays.Add(1)
-	key := make([]byte, 0, 4*len(terms))
+	var buf [64]byte // the key of up to 16 terms; a longer query's grows on the heap
+	key := buf[:0]
 	for _, t := range terms {
 		key = binary.LittleEndian.AppendUint32(key, uint32(t))
+	}
+	artifactMu.Lock()
+	get, ok := m.execs[string(key)]
+	artifactMu.Unlock()
+	if ok {
+		return get()
 	}
 	return cached(m.execs, string(key), func() (*engine.Execution, error) {
 		e := m.engines.Get().(*engine.Engine)
@@ -121,7 +130,7 @@ func (m *memo) Recall(terms []workload.TermID) (*engine.Execution, error) {
 		x, err := e.Record(terms)
 		if err == nil {
 			memoEntries.Add(1)
-			memoBytes.Add(int64(len(key)) + execBytes(x))
+			memoBytes.Add(4*int64(len(terms)) + execBytes(x))
 		}
 		return x, err
 	})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -299,5 +300,91 @@ func TestMemoReplayCatchesACorruptCacheRead(t *testing.T) {
 	}
 	if silent == 0 {
 		t.Fatal("no flipped byte changed the scoring engine's answer silently: the check proves nothing")
+	}
+}
+
+// TestMemoHitAllocatesNothing: replaying a recorded execution builds its
+// key on the stack and finds it without copying it into a string.
+func TestMemoHitAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own")
+	}
+	ResetArtifacts()
+	defer ResetArtifacts()
+	sc := microScale()
+	sys, err := build(sc.config(sc.BaseDocs, hybrid.CacheNone, hybrid.IndexOnHDD, core.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sys.Engine.Memo()
+	terms := []workload.TermID{5, 17, 301}
+	first, err := m.Recall(terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again *engine.Execution
+	if allocs := testing.AllocsPerRun(100, func() { again, err = m.Recall(terms) }); allocs != 0 {
+		t.Fatalf("a memo hit allocates %v times, want 0", allocs)
+	}
+	if err != nil || again != first {
+		t.Fatalf("a hit returned %p, %v; the first sight recorded %p", again, err, first)
+	}
+}
+
+// TestWarmupStaticReplaysMemo: a CBSLRU system whose engine replays the
+// memo also replays it in static warm-up, one replay per result warm-up
+// computes, and pins the same bytes on the cache SSD, at the same simulated
+// cost, as a system that scores every warm-up query.
+func TestWarmupStaticReplaysMemo(t *testing.T) {
+	ResetArtifacts()
+	defer ResetArtifacts()
+	sc := microScale()
+	cfg := sc.config(sc.BaseDocs, hybrid.CacheTwoLevel, hybrid.IndexOnHDD, sc.cacheConfig(core.PolicyCBSLRU))
+	plain, memod := plainAndMemoized(t, cfg)
+	n := 2 * sc.WarmQueries
+	_, _, before := MemoStats()
+	wsMemo, err := memod.WarmupStatic(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, after := MemoStats()
+	wsPlain, err := plain.WarmupStatic(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wsMemo != wsPlain || wsMemo.PinnedResults == 0 || wsMemo.PinnedLists == 0 {
+		t.Fatalf("warm-up with the memo %+v, without %+v: want equal and pinning both kinds", wsMemo, wsPlain)
+	}
+
+	// Warm-up computes the result of every query the sample holds twice or
+	// more, in turn, until one does not fit the static partition.
+	counts := map[uint64]int{}
+	log := workload.NewQueryLog(cfg.QueryLog)
+	for i := 0; i < n; i++ {
+		counts[log.Next().ID]++
+	}
+	repeated := 0
+	for _, c := range counts {
+		if c >= 2 {
+			repeated++
+		}
+	}
+	computed := min(repeated, wsMemo.PinnedResults+1)
+	if got := after - before; got != int64(computed) {
+		t.Fatalf("warm-up replayed %d executions, want the %d results it computed", got, computed)
+	}
+
+	if plain.Clock.Now() != memod.Clock.Now() {
+		t.Fatalf("warm-up took %v with the memo, %v without", memod.Clock.Now(), plain.Clock.Now())
+	}
+	image := func(sys *hybrid.System) []byte {
+		buf := make([]byte, sys.CacheSSD.Size())
+		if _, err := sys.CacheSSD.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	if !bytes.Equal(image(plain), image(memod)) {
+		t.Fatal("the cache SSD holds different bytes after warm-up with the memo")
 	}
 }

@@ -70,7 +70,7 @@ func Serving(w io.Writer, sc Scale) error {
 				"shards=%d load=%.2fx offered_qps=%.1f tput_qps=%.1f coalesced=%d util=%.3f queue_wait_ms=%.1f p50_us=%.0f p99_us=%.0f p999_us=%.0f maxq=%d",
 				shards, load, r.OfferedQPS(), r.ThroughputQPS(), r.Coalesced,
 				r.Utilization(), float64(r.QueueWait.Microseconds())/1000,
-				r.Latency.Quantile(50), r.Latency.Quantile(99), r.Latency.Quantile(99.9),
+				r.Latency.P50, r.Latency.P99, r.Latency.P999,
 				r.MaxQueue),
 		}
 		return nil
@@ -98,8 +98,8 @@ func Serving(w io.Writer, sc Scale) error {
 		for si := range servingShards {
 			r := cells[si*len(servingLoads)+li].r
 			thr = append(thr, fmtQPS(r.ThroughputQPS()))
-			p99 = append(p99, fmt.Sprintf("%.0f", r.Latency.Quantile(99)))
-			p999 = append(p999, fmt.Sprintf("%.0f", r.Latency.Quantile(99.9)))
+			p99 = append(p99, fmt.Sprintf("%.0f", r.Latency.P99))
+			p999 = append(p999, fmt.Sprintf("%.0f", r.Latency.P999))
 		}
 		thrTab.AddRow(thr...)
 		p99Tab.AddRow(p99...)

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 	"unicode/utf8"
 )
 
@@ -90,13 +91,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.total)
 }
 
-// Sum returns the running sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Quantile estimates the p-th percentile (0 < p <= 100) from the bucket
 // counts by linear interpolation inside the bucket holding the rank.
 // Returns 0 for an empty histogram. Observations that landed in the
@@ -108,6 +102,11 @@ func (h *Histogram) Quantile(p float64) float64 {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.quantile(p)
+}
+
+// quantile is Quantile with h.mu held.
+func (h *Histogram) quantile(p float64) float64 {
 	if h.total == 0 {
 		return 0
 	}
@@ -139,6 +138,37 @@ func (h *Histogram) Quantile(p float64) float64 {
 		return float64(lo) + frac*float64(hi-lo)
 	}
 	return float64(h.bounds[len(h.bounds)-1])
+}
+
+// Summary is the one summary of a latency histogram every report prints:
+// the count, the mean and four quantiles, in the histogram's unit (µs for
+// every latency histogram). USDuration turns a field into a Duration.
+type Summary struct {
+	Count int64   `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+	P999  float64 `json:"p999"`
+}
+
+// Summary reads the count, mean and p50/p95/p99/p99.9 (as Quantile reads
+// them) under one lock, so the six agree on one set of observations.
+func (h *Histogram) Summary() Summary {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := Summary{Count: h.total}
+	if h.total > 0 {
+		s.Mean = float64(h.sum) / float64(h.total)
+	}
+	s.P50, s.P95, s.P99, s.P999 = h.quantile(50), h.quantile(95), h.quantile(99), h.quantile(99.9)
+	return s
+}
+
+// USDuration converts a microsecond quantity to a Duration rounded to the
+// microsecond, for display.
+func USDuration(us float64) time.Duration {
+	return time.Duration(us * float64(time.Microsecond)).Round(time.Microsecond)
 }
 
 // Buckets returns a copy of (upper bound, count) pairs; the final pair has

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func TestExpBounds(t *testing.T) {
@@ -83,10 +84,7 @@ func TestQuantileOverflowClampsToLastBound(t *testing.T) {
 			t.Fatalf("Quantile(%v)=%v, want clamp to last bound 100", p, got)
 		}
 	}
-	// Sum and Mean still see the exact values.
-	if h.Sum() != 12000 {
-		t.Fatalf("Sum=%d want 12000", h.Sum())
-	}
+	// Mean still sees the exact values.
 	if h.Mean() != 6000 {
 		t.Fatalf("Mean=%v want 6000", h.Mean())
 	}
@@ -130,5 +128,45 @@ func TestQuantilePanicsOutOfRange(t *testing.T) {
 			}()
 			h.Quantile(p)
 		}()
+	}
+}
+
+// TestSummaryMatchesReaders: Summary holds exactly what Total, Mean and
+// Quantile(50/95/99/99.9) read, on the distributions the tests above use,
+// and USDuration rounds its fields to the microsecond.
+func TestSummaryMatchesReaders(t *testing.T) {
+	observe := func(bounds []int64, vs ...int64) *Histogram {
+		h := NewHistogram(bounds)
+		for _, v := range vs {
+			h.Observe(v)
+		}
+		return h
+	}
+	uniform := observe([]int64{25, 50, 75, 100})
+	for v := int64(1); v <= 100; v++ {
+		uniform.Observe(v)
+	}
+	for name, h := range map[string]*Histogram{
+		"empty":         observe([]int64{10, 100}),
+		"single bucket": observe([]int64{10, 100, 1000}, 50, 50, 50, 50, 50, 50, 50, 50),
+		"overflow":      observe([]int64{10, 100}, 5000, 7000),
+		"uniform":       uniform,
+		"all buckets":   observe([]int64{10, 100, 1000}, 1, 10, 11, 100, 101, 1000, 1001, 5000),
+	} {
+		want := Summary{
+			Count: h.Total(), Mean: h.Mean(),
+			P50: h.Quantile(50), P95: h.Quantile(95), P99: h.Quantile(99), P999: h.Quantile(99.9),
+		}
+		if got := h.Summary(); got != want {
+			t.Errorf("%s: Summary() = %+v, readers say %+v", name, got, want)
+		}
+	}
+	for us, want := range map[float64]time.Duration{
+		93.4: 93 * time.Microsecond, 93.5: 94 * time.Microsecond, 93.99: 94 * time.Microsecond,
+		10502.6: 10503 * time.Microsecond, 0: 0,
+	} {
+		if got := USDuration(us); got != want {
+			t.Errorf("USDuration(%v) = %v, want %v", us, got, want)
+		}
 	}
 }

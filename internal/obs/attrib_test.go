@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hybridstore/internal/metrics"
 	"hybridstore/internal/simclock"
 )
 
@@ -169,23 +170,22 @@ func TestObserverFoldsProfile(t *testing.T) {
 	}
 }
 
-func TestProgressString(t *testing.T) {
-	p := Progress{
-		Queries:          1234,
-		IntervalMeanTime: 1500 * time.Microsecond,
-		P50:              time.Millisecond,
-		P95:              10 * time.Millisecond,
-		P99:              20 * time.Millisecond,
-		RC:               0.25, IC: 0.5, RIC: 0.625,
+// TestSampleLine: the live line prints the sample's count, interval mean
+// and ratios, and the summary's quantiles rounded to the microsecond.
+func TestSampleLine(t *testing.T) {
+	s := Sample{
+		Queries: 1234, IntervalMeanUS: 1500,
+		RC: 0.25, IC: 0.5, RIC: 0.625,
 		SSDErases: 42, SSDWriteAmp: 1.125,
 	}
-	got := p.String()
+	lat := metrics.Summary{P50: 999.6, P95: 10000, P99: 19999.5}
+	got := s.Line(lat)
 	want := "q=1234 mean=1.5ms p50=1ms p95=10ms p99=20ms RC=0.250 IC=0.500 RIC=0.625 erases=42 WA=1.125"
 	if got != want {
-		t.Fatalf("Progress.String()\n got %q\nwant %q", got, want)
+		t.Fatalf("Sample.Line()\n got %q\nwant %q", got, want)
 	}
-	var zero Progress
-	if s := zero.String(); !strings.Contains(s, "q=0") || !strings.Contains(s, "RC=0.000") {
-		t.Fatalf("zero Progress renders oddly: %q", s)
+	var zero Sample
+	if s := zero.Line(metrics.Summary{}); !strings.Contains(s, "q=0") || !strings.Contains(s, "RC=0.000") {
+		t.Fatalf("zero Sample renders oddly: %q", s)
 	}
 }

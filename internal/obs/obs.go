@@ -34,13 +34,17 @@ type Options struct {
 	SampleEvery int
 }
 
-// Sample is one reading of a run's headline quantities, taken through the
-// system at call time: the Fig 14 hit ratios, the cache SSD's erase count
-// and write amplification (Fig 19), the fault-handling state and the
-// HDD's sequential share. A quantity the configuration lacks (no cache
-// manager, no cache SSD, no fault injector) reads zero.
+// Sample is one reading of a run's headline quantities, taken every
+// SampleEvery queries: the queries completed and the mean latency of the
+// SampleEvery queries since the previous sample (rounded to the µs), then,
+// read through the system at that moment, the Fig 14 hit ratios, the cache
+// SSD's erase count and write amplification (Fig 19), the fault-handling
+// state and the HDD's sequential share. A quantity the configuration lacks
+// (no cache manager, no cache SSD, no fault injector) reads zero.
 type Sample struct {
 	AtUS             int64   `json:"at_us"`
+	Queries          int64   `json:"queries"`
+	IntervalMeanUS   int64   `json:"interval_mean_us"`
 	RC               float64 `json:"rc"`
 	IC               float64 `json:"ic"`
 	RIC              float64 `json:"ric"`
@@ -70,8 +74,7 @@ type Observer struct {
 	series      []Sample
 	curSit      core.Situation
 	curSitSeen  bool
-	intQueries  int64
-	intTime     time.Duration
+	sinceSample time.Duration // summed latency of the queries since the last sample point
 }
 
 // New builds an Observer with a fresh Tracer.
@@ -138,8 +141,8 @@ func fresh(tr *Tracer, sampleEvery int64) *Observer {
 	return o
 }
 
-// SetSampler installs the function Progress and the series read the run's
-// headline quantities through. It is called at sampling time, so it sees
+// SetSampler installs the function the series reads the run's headline
+// quantities through. It is called at sampling time, so it sees
 // whatever the system holds then.
 func (o *Observer) SetSampler(fn func() Sample) {
 	o.mu.Lock()
@@ -204,8 +207,8 @@ func (o *Observer) HandleBackingOp(op storage.Op) {
 
 // EndQuery finalizes the in-flight query: the trace is completed, the
 // latency lands in the overall and per-situation histograms, and every
-// SampleEvery queries one Sample stamped with simulated time now joins the
-// series.
+// SampleEvery queries one Sample stamped with simulated time now, the query
+// count and the interval's mean latency joins the series.
 func (o *Observer) EndQuery(now, elapsed time.Duration) QueryTrace {
 	tr := o.Tracer.End(elapsed)
 	if tr.Attrib != nil {
@@ -222,11 +225,12 @@ func (o *Observer) EndQuery(now, elapsed time.Duration) QueryTrace {
 		slot = int(o.curSit)
 	}
 	o.queries++
-	o.intQueries++
-	o.intTime += elapsed
+	o.sinceSample += elapsed
 	var sampler func() Sample
+	queries, interval := o.queries, o.sinceSample
 	if o.queries%o.sampleEvery == 0 {
 		sampler = o.sampler
+		o.sinceSample = 0
 	}
 	o.mu.Unlock()
 
@@ -235,7 +239,8 @@ func (o *Observer) EndQuery(now, elapsed time.Duration) QueryTrace {
 	o.latSit[slot].Observe(us)
 	if sampler != nil {
 		s := sampler()
-		s.AtUS = now.Microseconds()
+		s.AtUS, s.Queries = now.Microseconds(), queries
+		s.IntervalMeanUS = (interval / time.Duration(o.sampleEvery)).Round(time.Microsecond).Microseconds()
 		o.mu.Lock()
 		o.series = append(o.series, s)
 		o.mu.Unlock()
@@ -269,17 +274,15 @@ func (o *Observer) Queries() int64 {
 }
 
 // OverallLatency summarizes the all-queries latency histogram (µs).
-func (o *Observer) OverallLatency() HistogramSnapshot {
-	return histSnapshot(o.latAll)
-}
+func (o *Observer) OverallLatency() metrics.Summary { return o.latAll.Summary() }
 
 // SituationLatency summarizes the latency histogram of one Table I
 // situation (µs).
-func (o *Observer) SituationLatency(sit core.Situation) HistogramSnapshot {
+func (o *Observer) SituationLatency(sit core.Situation) metrics.Summary {
 	if int(sit) < 0 || int(sit) >= numSituations {
-		return histSnapshot(o.latSit[numSituations])
+		return o.latSit[numSituations].Summary()
 	}
-	return histSnapshot(o.latSit[sit])
+	return o.latSit[sit].Summary()
 }
 
 // Series returns a copy of the Samples taken so far, oldest first.
@@ -289,66 +292,22 @@ func (o *Observer) Series() []Sample {
 	return append([]Sample(nil), o.series...)
 }
 
-// HistogramSnapshot summarizes one latency histogram (µs) for the reports.
-type HistogramSnapshot struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
-}
-
-func histSnapshot(h *metrics.Histogram) HistogramSnapshot {
-	return HistogramSnapshot{
-		Count: h.Total(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(50),
-		P95:   h.Quantile(95),
-		P99:   h.Quantile(99),
-		P999:  h.Quantile(99.9),
-	}
-}
-
-// Progress is a live snapshot for periodic reporting. Interval fields
-// cover the span since the previous Progress call; ratios and quantiles
-// are cumulative.
-type Progress struct {
-	Queries          int64
-	IntervalQueries  int64
-	IntervalMeanTime time.Duration
-	P50, P95, P99    time.Duration
-	RC, IC, RIC      float64
-	SSDErases        int64
-	SSDWriteAmp      float64
-}
-
-// Progress reads the sampler and drains the interval accumulators.
-func (o *Observer) Progress() Progress {
+// Latest returns the last Sample taken, or the zero Sample before the first.
+func (o *Observer) Latest() Sample {
 	o.mu.Lock()
-	p := Progress{Queries: o.queries, IntervalQueries: o.intQueries}
-	if o.intQueries > 0 {
-		p.IntervalMeanTime = o.intTime / time.Duration(o.intQueries)
+	defer o.mu.Unlock()
+	if len(o.series) == 0 {
+		return Sample{}
 	}
-	o.intQueries, o.intTime = 0, 0
-	sampler := o.sampler
-	o.mu.Unlock()
-
-	p.P50 = time.Duration(o.latAll.Quantile(50)) * time.Microsecond
-	p.P95 = time.Duration(o.latAll.Quantile(95)) * time.Microsecond
-	p.P99 = time.Duration(o.latAll.Quantile(99)) * time.Microsecond
-	if sampler != nil {
-		s := sampler()
-		p.RC, p.IC, p.RIC = s.RC, s.IC, s.RIC
-		p.SSDErases, p.SSDWriteAmp = s.SSDErases, s.SSDWriteAmp
-	}
-	return p
+	return o.series[len(o.series)-1]
 }
 
-// String renders a compact single progress line.
-func (p Progress) String() string {
+// Line renders s as one live progress line, with the cumulative latency
+// quantiles of lat (µs, as OverallLatency returns them).
+func (s Sample) Line(lat metrics.Summary) string {
 	return fmt.Sprintf(
 		"q=%d mean=%v p50=%v p95=%v p99=%v RC=%.3f IC=%.3f RIC=%.3f erases=%d WA=%.3f",
-		p.Queries, p.IntervalMeanTime.Round(time.Microsecond),
-		p.P50, p.P95, p.P99, p.RC, p.IC, p.RIC, p.SSDErases, p.SSDWriteAmp)
+		s.Queries, metrics.USDuration(float64(s.IntervalMeanUS)),
+		metrics.USDuration(lat.P50), metrics.USDuration(lat.P95), metrics.USDuration(lat.P99),
+		s.RC, s.IC, s.RIC, s.SSDErases, s.SSDWriteAmp)
 }

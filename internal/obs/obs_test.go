@@ -16,16 +16,24 @@ func TestObserverSampleEveryCheckpoints(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		v = float64(i)
 		o.BeginQuery(uint64(i), 0)
-		o.EndQuery(time.Duration(i)*time.Second, time.Millisecond)
+		o.EndQuery(time.Duration(i)*time.Second, time.Duration(i)*time.Millisecond)
 	}
 	pts := o.Series()
 	if len(pts) != 3 {
 		t.Fatalf("sampled %d times, want 3", len(pts))
 	}
 	for i, p := range pts {
-		if want := float64(2 * (i + 1)); p.RIC != want || p.AtUS != int64(want)*1_000_000 {
-			t.Fatalf("sample %d = %+v, want RIC %v at %vs", i, p, want, want)
+		// Queries 2i+1 and 2i+2 took 2i+1 and 2i+2 ms: their mean is
+		// 2i+1.5 ms.
+		want := float64(2 * (i + 1))
+		if p.RIC != want || p.AtUS != int64(want)*1_000_000 || p.Queries != int64(want) ||
+			p.IntervalMeanUS != int64(2*i+1)*1000+500 {
+			t.Fatalf("sample %d = %+v, want RIC %v and %v queries at %vs, interval mean %d.5 ms",
+				i, p, want, want, want, 2*i+1)
 		}
+	}
+	if o.Latest() != pts[2] {
+		t.Fatalf("Latest() = %+v, want the last sample %+v", o.Latest(), pts[2])
 	}
 	if o.Queries() != 6 {
 		t.Fatalf("Queries=%d want 6", o.Queries())

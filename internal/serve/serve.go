@@ -354,7 +354,7 @@ func (p *Pool) result() Result {
 		Makespan:  p.makespan,
 		QueueWait: p.queueWait,
 		MaxQueue:  p.maxQueue,
-		Latency:   p.lat,
+		Latency:   p.lat.Summary(),
 	}
 	for _, sh := range p.shards {
 		r.Executed += sh.executed
@@ -413,9 +413,9 @@ type Result struct {
 	BusyTime  time.Duration
 	// MaxQueue is the peak number of queued flights on any one shard.
 	MaxQueue int
-	// Latency holds every query's serving latency (µs): leaders measure
-	// queue wait + service, coalesced followers their whole wait.
-	Latency *metrics.Histogram
+	// Latency summarizes every query's serving latency (µs): leaders
+	// measure queue wait + service, coalesced followers their whole wait.
+	Latency metrics.Summary
 }
 
 // OfferedQPS is the arrival rate actually generated (arrivals / horizon).
@@ -444,30 +444,11 @@ func (r Result) Utilization() float64 {
 	return r.BusyTime.Seconds() / (float64(r.Shards) * r.Makespan.Seconds())
 }
 
-// quantile reads one latency quantile (percent) as a duration.
-func (r Result) quantile(pct float64) time.Duration {
-	return time.Duration(r.Latency.Quantile(pct) * float64(time.Microsecond))
-}
-
-// P50 is the median serving latency.
-func (r Result) P50() time.Duration { return r.quantile(50) }
-
-// P99 is the 99th-percentile serving latency.
-func (r Result) P99() time.Duration { return r.quantile(99) }
-
-// P999 is the 99.9th-percentile serving latency.
-func (r Result) P999() time.Duration { return r.quantile(99.9) }
-
-// MeanLatency is the mean serving latency.
-func (r Result) MeanLatency() time.Duration {
-	return time.Duration(r.Latency.Mean() * float64(time.Microsecond))
-}
-
 // String renders the headline measurements on one line.
 func (r Result) String() string {
 	return fmt.Sprintf(
 		"shards=%d queries=%d coalesced=%d offered=%.1fq/s tput=%.1fq/s util=%.2f p50=%v p99=%v p999=%v maxq=%d",
 		r.Shards, r.Arrivals, r.Coalesced, r.OfferedQPS(), r.ThroughputQPS(),
-		r.Utilization(), r.P50().Round(time.Microsecond), r.P99().Round(time.Microsecond),
-		r.P999().Round(time.Microsecond), r.MaxQueue)
+		r.Utilization(), metrics.USDuration(r.Latency.P50), metrics.USDuration(r.Latency.P99),
+		metrics.USDuration(r.Latency.P999), r.MaxQueue)
 }

@@ -151,7 +151,7 @@ func TestCoalescingAccounting(t *testing.T) {
 	if r.Executed == 0 {
 		t.Fatal("nothing executed")
 	}
-	if got := r.Latency.Total(); got != r.Arrivals {
+	if got := r.Latency.Count; got != r.Arrivals {
 		t.Fatalf("latency histogram holds %d samples, want %d", got, r.Arrivals)
 	}
 }
@@ -249,8 +249,8 @@ func TestThroughputScalesWithShards(t *testing.T) {
 		t.Fatalf("throughput did not scale: 1 shard %.1f q/s, 4 shards %.1f q/s",
 			r1.ThroughputQPS(), r4.ThroughputQPS())
 	}
-	if r4.P99() >= r1.P99() {
-		t.Fatalf("p99 did not improve: 1 shard %v, 4 shards %v", r1.P99(), r4.P99())
+	if r4.Latency.P99 >= r1.Latency.P99 {
+		t.Fatalf("p99 did not improve: 1 shard %v µs, 4 shards %v µs", r1.Latency.P99, r4.Latency.P99)
 	}
 }
 

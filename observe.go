@@ -56,12 +56,3 @@ func (s *System) sample() obs.Sample {
 
 // Obs returns the attached observer, or nil when observability is off.
 func (s *System) Obs() *obs.Observer { return s.obs }
-
-// Progress samples the observer's live progress (zero value when
-// observability is off). Interval fields reset on every call.
-func (s *System) Progress() obs.Progress {
-	if s.obs == nil {
-		return obs.Progress{}
-	}
-	return s.obs.Progress()
-}

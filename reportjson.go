@@ -6,22 +6,21 @@ import (
 	"io"
 
 	"hybridstore/internal/core"
+	"hybridstore/internal/flashsim"
+	"hybridstore/internal/metrics"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/storage"
 )
 
-// SituationReport is one Table I row of the JSON report. Latency quantiles
-// are present only when observability is enabled.
+// SituationReport is one Table I row of the JSON report. Latency is
+// present only when observability is enabled and the row has queries.
 type SituationReport struct {
-	ID     string  `json:"id"`   // "S1".."S9"
-	Name   string  `json:"name"` // "S1(R:mem)" ...
-	Count  int64   `json:"count"`
-	P      float64 `json:"p"`
-	MeanUS int64   `json:"mean_us"`
-	P50US  float64 `json:"p50_us,omitempty"`
-	P95US  float64 `json:"p95_us,omitempty"`
-	P99US  float64 `json:"p99_us,omitempty"`
-	P999US float64 `json:"p999_us,omitempty"`
+	ID      string           `json:"id"`   // "S1".."S9"
+	Name    string           `json:"name"` // "S1(R:mem)" ...
+	Count   int64            `json:"count"`
+	P       float64          `json:"p"`
+	MeanUS  int64            `json:"mean_us"`
+	Latency *metrics.Summary `json:"latency,omitempty"`
 }
 
 // DeviceReport summarizes one device's counters for the JSON report.
@@ -114,16 +113,16 @@ type JSONReport struct {
 	Wear       map[string]WearReport `json:"wear,omitempty"`
 	// Latency summarizes every observed query's latency, and Series holds
 	// the Samples taken every SampleEvery queries (observability only).
-	Latency *obs.HistogramSnapshot `json:"latency,omitempty"`
-	Series  []obs.Sample           `json:"series,omitempty"`
-	Traces  int64                  `json:"traces,omitempty"`
+	Latency *metrics.Summary `json:"latency,omitempty"`
+	Series  []obs.Sample     `json:"series,omitempty"`
+	Traces  int64            `json:"traces,omitempty"`
 	// Attribution is the per-situation latency breakdown, present when
 	// observability is enabled and at least one query was attributed.
 	Attribution []AttribReport `json:"attribution,omitempty"`
 }
 
 // jsonReportSchemaVersion bumps when the report layout changes shape.
-const jsonReportSchemaVersion = 3
+const jsonReportSchemaVersion = 4
 
 // BuildReport assembles the JSON report from the current system state.
 func (s *System) BuildReport() *JSONReport {
@@ -159,15 +158,14 @@ func (s *System) BuildReport() *JSONReport {
 			}
 			if s.obs != nil && row.Count > 0 {
 				lat := s.obs.SituationLatency(row.Sit)
-				sr.P50US, sr.P95US, sr.P99US, sr.P999US = lat.P50, lat.P95, lat.P99, lat.P999
+				sr.Latency = &lat
 			}
 			r.Situations = append(r.Situations, sr)
 		}
 	}
 
-	if s.CacheFaults != nil && s.Manager != nil {
+	if st := r.Stats; s.CacheFaults != nil && st != nil {
 		fs := s.CacheFaults.FaultStats()
-		st := s.Manager.Stats()
 		r.Faults = &FaultReport{
 			InjectedReadErrors:  fs.ReadErrors,
 			InjectedWriteErrors: fs.WriteErrors,
@@ -199,26 +197,26 @@ func (s *System) BuildReport() *JSONReport {
 		})
 	}
 	wear := map[string]WearReport{}
+	ssd := func(name string, d interface {
+		Stats() storage.DeviceStats
+		Wear() flashsim.WearStats
+	}) {
+		device(name, d.Stats())
+		w := d.Wear()
+		wear[name] = WearReport{
+			Erases: w.TotalErases, MaxBlockErases: w.MaxBlockErases,
+			GCPageCopies: w.GCPageCopies, WriteAmplification: w.WriteAmplification,
+			FreeBlocks: w.FreeBlocks,
+		}
+	}
 	if s.HDD != nil {
 		device("hdd", s.HDD.Stats())
 	}
 	if s.IndexSSD != nil {
-		device("index-ssd", s.IndexSSD.Stats())
-		w := s.IndexSSD.Wear()
-		wear["index-ssd"] = WearReport{
-			Erases: w.TotalErases, MaxBlockErases: w.MaxBlockErases,
-			GCPageCopies: w.GCPageCopies, WriteAmplification: w.WriteAmplification,
-			FreeBlocks: w.FreeBlocks,
-		}
+		ssd("index-ssd", s.IndexSSD)
 	}
 	if s.CacheSSD != nil {
-		device("cache-ssd", s.CacheSSD.Stats())
-		w := s.CacheSSD.Wear()
-		wear["cache-ssd"] = WearReport{
-			Erases: w.TotalErases, MaxBlockErases: w.MaxBlockErases,
-			GCPageCopies: w.GCPageCopies, WriteAmplification: w.WriteAmplification,
-			FreeBlocks: w.FreeBlocks,
-		}
+		ssd("cache-ssd", s.CacheSSD)
 	}
 	if len(wear) > 0 {
 		r.Wear = wear

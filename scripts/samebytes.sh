@@ -11,6 +11,7 @@
 #   hybridbench -exp fig17,dynamic -scale small -trace <file>   (stdout and trace)
 #   searchsim -docs 300000 -queries 3000 -json - -policy P      (P = lru, cblru, cbslru, tinylfu)
 #   searchsim ... -policy P -result-ttl 200ms -list-ttl 2s      (P = lru, cbslru)
+#   searchsim -docs 300000 -queries 3000 -metrics-every 1000    (live lines and text report)
 #   searchsim -serve -shards 2 -docs 60000 -queries 400 -serve-warm 200 -trace <file>
 #                                                               (stdout and trace)
 #
@@ -65,13 +66,14 @@ for side in parent change; do
         run "$side" "searchsim-ttl-$policy.json" "$bin/searchsim" -docs 300000 -queries 3000 -json - \
             -policy "$policy" -result-ttl 200ms -list-ttl 2s
     done
+    run "$side" searchsim-live.txt "$bin/searchsim" -docs 300000 -queries 3000 -metrics-every 1000
     run "$side" serve.txt "$bin/searchsim" -serve -shards 2 -docs 60000 -queries 400 -serve-warm 200 \
         -trace serve.ndjson
 done
 
 fail=0
 for f in all.txt traced.txt trace.ndjson searchsim-{lru,cblru,cbslru,tinylfu,ttl-lru,ttl-cbslru}.json \
-    serve.txt serve.ndjson; do
+    searchsim-live.txt serve.txt serve.ndjson; do
     if cmp -s "$out/parent/$f" "$out/change/$f"; then
         echo "same      $f"
     else

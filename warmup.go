@@ -24,7 +24,9 @@ type WarmupStats struct {
 // caches stay cold; the simulated time spent is setup cost, charged on the
 // clock like any other work. That engine lives only for this call, so its
 // score accumulator (3 B per 16 documents plus its members) is not held for
-// the system's lifetime beside s.Engine's.
+// the system's lifetime beside s.Engine's. When s.Engine replays a memo
+// (engine.Engine.UseMemo), so does that engine: each read is checked
+// against the image and a query already scored is not scored again.
 //
 // It is a no-op (returning zero counts) for policies without a static
 // partition (everything but CBSLRU today).
@@ -58,6 +60,7 @@ func (s *System) WarmupStatic(sampleQueries int) (WarmupStats, error) {
 		return qids[i] < qids[j]
 	})
 	uncached := engine.New(s.baseline, s.engCfg)
+	uncached.UseMemo(s.Engine.Memo())
 	for _, qid := range qids {
 		if queryCount[qid] < 2 {
 			break // singletons are not worth pinning
