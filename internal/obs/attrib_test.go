@@ -170,9 +170,10 @@ func TestObserverFoldsProfile(t *testing.T) {
 	}
 }
 
-// TestSampleLine: the live line prints the sample's count, interval mean
-// and ratios, and the summary's quantiles rounded to the microsecond.
-func TestSampleLine(t *testing.T) {
+// TestProgressString: the live progress line (Sample.Line) prints the
+// sample's count, interval mean and ratios, and the summary's quantiles
+// rounded to the microsecond.
+func TestProgressString(t *testing.T) {
 	s := Sample{
 		Queries: 1234, IntervalMeanUS: 1500,
 		RC: 0.25, IC: 0.5, RIC: 0.625,
