@@ -100,6 +100,32 @@ func BenchmarkExecute(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeResult decodes a result entry as the caches store it: the
+// paper's K = 50 documents of 400 bytes (§VI), a 20 016-byte entry whose
+// first 416 bytes hold the header and the records. It fails unless a decode
+// makes exactly two allocations, the Result and its Docs.
+func BenchmarkDecodeResult(b *testing.B) {
+	r := &Result{QueryID: 7, Docs: make([]ScoredDoc, 50)}
+	for i := range r.Docs {
+		r.Docs[i] = ScoredDoc{Doc: uint32(1000 + 3*i), Score: float32(50-i) / 8}
+	}
+	entry := r.Encode(400)
+	decode := func() {
+		if got, err := DecodeResult(entry); err != nil || len(got.Docs) != len(r.Docs) {
+			b.Fatalf("decoded %d docs, %v", len(got.Docs), err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 2 {
+		b.Fatalf("DecodeResult makes %v allocations, want 2", allocs)
+	}
+}
+
 func BenchmarkConjunctiveExecute(b *testing.B) {
 	spec := workload.DefaultCollection(200_000)
 	spec.VocabSize = 1000

@@ -70,16 +70,14 @@ func DecodeResult(buf []byte) (*Result, error) {
 		return nil, fmt.Errorf("engine: corrupt result entry (n=%d docBytes=%d len=%d)",
 			n, docBytes, len(buf))
 	}
-	r := &Result{
-		QueryID: binary.LittleEndian.Uint64(buf[0:8]),
-		Docs:    make([]ScoredDoc, n),
+	docs := make([]ScoredDoc, n)
+	// One cut and one 8-byte load per record. The loop is bounded by both
+	// slices, so nothing inside it is bounds-checked.
+	rec := buf[resultHeaderSize:][:n*resultRecordSize]
+	for i := 0; i < len(docs) && len(rec) >= resultRecordSize; i++ {
+		v := binary.LittleEndian.Uint64(rec)
+		rec = rec[resultRecordSize:]
+		docs[i] = ScoredDoc{Doc: uint32(v), Score: math.Float32frombits(uint32(v >> 32))}
 	}
-	rec := buf[resultHeaderSize:]
-	for i := range r.Docs {
-		r.Docs[i] = ScoredDoc{
-			Doc:   binary.LittleEndian.Uint32(rec[i*resultRecordSize:]),
-			Score: math.Float32frombits(binary.LittleEndian.Uint32(rec[i*resultRecordSize+4:])),
-		}
-	}
-	return r, nil
+	return &Result{QueryID: binary.LittleEndian.Uint64(buf[0:8]), Docs: docs}, nil
 }

@@ -168,13 +168,19 @@ func (d *SSD) SetOpHook(fn func(storage.Op)) {
 	d.mu.Unlock()
 }
 
-// pageSpan cuts the byte range [pos, end) at its first page boundary: the
-// logical page holding pos, pos's offset in it, and how many bytes of the
-// range lie in that page.
-func (d *SSD) pageSpan(pos, end int64) (lp, po, n int) {
+// walkPages cuts the byte range [off, off+n) at its page boundaries and
+// calls fn for each piece in order: the logical page, the piece's offset in
+// it, the piece's offset in the range and its length. Only the first piece
+// can start inside a page, so the range is divided once and every later
+// piece starts at offset 0 of the next page.
+func (d *SSD) walkPages(off, n int64, fn func(lp, po, at, span int)) {
 	pageSize := int64(d.p.PageSize)
-	inPage := pos % pageSize
-	return int(pos / pageSize), int(inPage), int(min(pageSize-inPage, end-pos))
+	lp, po := off/pageSize, off%pageSize
+	for at := int64(0); at < n; lp, po = lp+1, 0 {
+		span := min(pageSize-po, n-at)
+		fn(int(lp), int(po), int(at), int(span))
+		at += span
+	}
 }
 
 // ReadAt implements storage.Device. Cost is one page-read per logical page
@@ -188,17 +194,15 @@ func (d *SSD) ReadAt(p []byte, off int64) (time.Duration, error) {
 		return 0, err
 	}
 	var lat time.Duration
-	for pos, end := off, off+int64(len(p)); pos < end; {
-		lp, po, n := d.pageSpan(pos, end)
-		dst := p[pos-off:][:n]
+	d.walkPages(off, int64(len(p)), func(lp, po, at, n int) {
+		dst := p[at:][:n]
 		if phys := d.ftl.lookup(lp); phys >= 0 {
 			d.nand.readAt(phys, po, dst)
 		} else {
 			clear(dst)
 		}
 		lat += TablePageRead
-		pos += int64(n)
-	}
+	})
 	d.clock.AdvanceAttr(lat, simclock.CompSSDRead)
 	return d.done(storage.OpRead, off, len(p), lat)
 }
@@ -215,9 +219,8 @@ func (d *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 		return 0, err
 	}
 	var lat time.Duration
-	for pos, end := off, off+int64(len(p)); pos < end; {
-		lp, po, n := d.pageSpan(pos, end)
-		src := p[pos-off:][:n]
+	d.walkPages(off, int64(len(p)), func(lp, po, at, n int) {
+		src := p[at:][:n]
 		content := src // a whole page is programmed from the caller's bytes
 		if n != d.p.PageSize {
 			// Partial page: read-modify-write.
@@ -232,8 +235,7 @@ func (d *SSD) WriteAt(p []byte, off int64) (time.Duration, error) {
 		}
 		lat += d.ftl.program(lp, content)
 		d.hostPages++
-		pos += int64(n)
-	}
+	})
 	d.clock.AdvanceAttr(lat, simclock.CompSSDProgram)
 	return d.done(storage.OpWrite, off, len(p), lat)
 }
@@ -249,8 +251,7 @@ func (d *SSD) Trim(off, n int64) (time.Duration, error) {
 		return 0, err
 	}
 	var lat time.Duration
-	for pos, end := off, off+n; pos < end; {
-		lp, po, span := d.pageSpan(pos, end)
+	d.walkPages(off, n, func(lp, po, _, span int) {
 		if span == d.p.PageSize {
 			lat += d.ftl.discard(lp)
 		} else if old := d.ftl.lookup(lp); old >= 0 {
@@ -260,8 +261,7 @@ func (d *SSD) Trim(off, n int64) (time.Duration, error) {
 			clear(d.pageBuf[po : po+span])
 			lat += TablePageRead + d.ftl.program(lp, d.pageBuf)
 		}
-		pos += int64(span)
-	}
+	})
 	// Command processing cost for the trim itself is negligible next to
 	// page operations; charge a fixed 10 µs like real NCQ trim commands.
 	lat += 10 * time.Microsecond

@@ -74,38 +74,11 @@ func (h *Histogram) Observe(v int64) {
 	h.sum += v
 }
 
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Mean returns the arithmetic mean of the observations, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Quantile estimates the p-th percentile (0 < p <= 100) from the bucket
-// counts by linear interpolation inside the bucket holding the rank.
-// Returns 0 for an empty histogram. Observations that landed in the
-// overflow bucket (above the last bound) are clamped to the last bound —
-// the histogram does not retain their exact values.
-func (h *Histogram) Quantile(p float64) float64 {
-	if p <= 0 || p > 100 {
-		panic(fmt.Sprintf("metrics: quantile %v out of (0,100]", p))
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantile(p)
-}
-
-// quantile is Quantile with h.mu held.
+// quantile estimates the p-th percentile (0 < p <= 100) from the bucket
+// counts by linear interpolation inside the bucket holding the rank. It
+// returns 0 for an empty histogram. Observations that landed in the overflow
+// bucket (above the last bound) are clamped to the last bound: the histogram
+// does not retain their exact values. Caller holds h.mu.
 func (h *Histogram) quantile(p float64) float64 {
 	if h.total == 0 {
 		return 0
@@ -152,8 +125,9 @@ type Summary struct {
 	P999  float64 `json:"p999"`
 }
 
-// Summary reads the count, mean and p50/p95/p99/p99.9 (as Quantile reads
-// them) under one lock, so the six agree on one set of observations.
+// Summary reads the count, mean and p50/p95/p99/p99.9 under one lock, so the
+// six agree on one set of observations. It is the histogram's only reader of
+// them.
 func (h *Histogram) Summary() Summary {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -170,6 +144,10 @@ func (h *Histogram) Summary() Summary {
 func USDuration(us float64) time.Duration {
 	return time.Duration(us * float64(time.Microsecond)).Round(time.Microsecond)
 }
+
+// RoundUS returns d in whole microseconds, rounded as USDuration rounds: the
+// one conversion of a Duration into a report's µs integer.
+func RoundUS(d time.Duration) int64 { return d.Round(time.Microsecond).Microseconds() }
 
 // Buckets returns a copy of (upper bound, count) pairs; the final pair has
 // bound -1 meaning "overflow" (values above the last bound).

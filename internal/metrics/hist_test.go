@@ -48,11 +48,20 @@ func TestExpBoundsPanics(t *testing.T) {
 	}
 }
 
+// quantileAt reads the p-th percentile the way Summary reads its four, for
+// the percentiles a Summary does not carry.
+func quantileAt(h *Histogram, p float64) float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quantile(p)
+}
+
 func TestQuantileEmpty(t *testing.T) {
 	h := NewHistogram([]int64{10, 100})
-	for _, p := range []float64{50, 95, 99, 100} {
-		if got := h.Quantile(p); got != 0 {
-			t.Fatalf("Quantile(%v) on empty histogram = %v, want 0", p, got)
+	s := h.Summary()
+	for name, got := range map[string]float64{"p50": s.P50, "p95": s.P95, "p99": s.P99, "p100": quantileAt(h, 100)} {
+		if got != 0 {
+			t.Fatalf("%s on empty histogram = %v, want 0", name, got)
 		}
 	}
 }
@@ -64,14 +73,14 @@ func TestQuantileSingleBucket(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		h.Observe(50) // bucket (10, 100]
 	}
-	for _, p := range []float64{1, 50, 99, 100} {
-		q := h.Quantile(p)
+	s := h.Summary()
+	for name, q := range map[string]float64{"p1": quantileAt(h, 1), "p50": s.P50, "p99": s.P99, "p100": quantileAt(h, 100)} {
 		if q <= 10 || q > 100 {
-			t.Fatalf("Quantile(%v)=%v escaped the (10,100] bucket", p, q)
+			t.Fatalf("%s=%v escaped the (10,100] bucket", name, q)
 		}
 	}
-	if got := h.Quantile(100); got != 100 {
-		t.Fatalf("Quantile(100)=%v, want upper bound 100", got)
+	if got := quantileAt(h, 100); got != 100 {
+		t.Fatalf("p100=%v, want upper bound 100", got)
 	}
 }
 
@@ -79,14 +88,15 @@ func TestQuantileOverflowClampsToLastBound(t *testing.T) {
 	h := NewHistogram([]int64{10, 100})
 	h.Observe(5000) // above the last bound
 	h.Observe(7000)
-	for _, p := range []float64{50, 99} {
-		if got := h.Quantile(p); got != 100 {
-			t.Fatalf("Quantile(%v)=%v, want clamp to last bound 100", p, got)
+	s := h.Summary()
+	for name, got := range map[string]float64{"p50": s.P50, "p99": s.P99} {
+		if got != 100 {
+			t.Fatalf("%s=%v, want clamp to last bound 100", name, got)
 		}
 	}
 	// Mean still sees the exact values.
-	if h.Mean() != 6000 {
-		t.Fatalf("Mean=%v want 6000", h.Mean())
+	if s.Mean != 6000 {
+		t.Fatalf("Mean=%v want 6000", s.Mean)
 	}
 }
 
@@ -97,68 +107,60 @@ func TestQuantileInterpolation(t *testing.T) {
 	for v := int64(1); v <= 100; v++ {
 		h.Observe(v)
 	}
-	if got := h.Quantile(50); math.Abs(got-50) > 1e-9 {
-		t.Fatalf("Quantile(50)=%v want 50", got)
+	if got := h.Summary().P50; math.Abs(got-50) > 1e-9 {
+		t.Fatalf("p50=%v want 50", got)
 	}
-	if got := h.Quantile(25); math.Abs(got-25) > 1e-9 {
-		t.Fatalf("Quantile(25)=%v want 25", got)
+	if got := quantileAt(h, 25); math.Abs(got-25) > 1e-9 {
+		t.Fatalf("p25=%v want 25", got)
 	}
-	if got := h.Quantile(100); math.Abs(got-100) > 1e-9 {
-		t.Fatalf("Quantile(100)=%v want 100", got)
+	if got := quantileAt(h, 100); math.Abs(got-100) > 1e-9 {
+		t.Fatalf("p100=%v want 100", got)
 	}
 	// Monotone in p.
 	prev := 0.0
 	for p := 1.0; p <= 100; p++ {
-		q := h.Quantile(p)
+		q := quantileAt(h, p)
 		if q < prev {
-			t.Fatalf("Quantile not monotone: p=%v q=%v prev=%v", p, q, prev)
+			t.Fatalf("quantile not monotone: p=%v q=%v prev=%v", p, q, prev)
 		}
 		prev = q
 	}
 }
 
-func TestQuantilePanicsOutOfRange(t *testing.T) {
-	h := NewHistogram([]int64{10})
-	for _, p := range []float64{0, -1, 101} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Quantile(%v) should panic", p)
-				}
-			}()
-			h.Quantile(p)
-		}()
-	}
-}
-
-// TestSummaryMatchesReaders: Summary holds exactly what Total, Mean and
-// Quantile(50/95/99/99.9) read, on the distributions the tests above use,
-// and USDuration rounds its fields to the microsecond.
+// TestSummaryMatchesReaders: Summary holds the observation count, their exact
+// mean and the bucket quantiles at 50/95/99/99.9, on the distributions the
+// tests above use, and USDuration and RoundUS round to the microsecond.
 func TestSummaryMatchesReaders(t *testing.T) {
-	observe := func(bounds []int64, vs ...int64) *Histogram {
-		h := NewHistogram(bounds)
-		for _, v := range vs {
-			h.Observe(v)
-		}
-		return h
+	type dist struct {
+		bounds []int64
+		vs     []int64
 	}
-	uniform := observe([]int64{25, 50, 75, 100})
+	var uniform []int64
 	for v := int64(1); v <= 100; v++ {
-		uniform.Observe(v)
+		uniform = append(uniform, v)
 	}
-	for name, h := range map[string]*Histogram{
-		"empty":         observe([]int64{10, 100}),
-		"single bucket": observe([]int64{10, 100, 1000}, 50, 50, 50, 50, 50, 50, 50, 50),
-		"overflow":      observe([]int64{10, 100}, 5000, 7000),
-		"uniform":       uniform,
-		"all buckets":   observe([]int64{10, 100, 1000}, 1, 10, 11, 100, 101, 1000, 1001, 5000),
+	for name, d := range map[string]dist{
+		"empty":         {[]int64{10, 100}, nil},
+		"single bucket": {[]int64{10, 100, 1000}, []int64{50, 50, 50, 50, 50, 50, 50, 50}},
+		"overflow":      {[]int64{10, 100}, []int64{5000, 7000}},
+		"uniform":       {[]int64{25, 50, 75, 100}, uniform},
+		"all buckets":   {[]int64{10, 100, 1000}, []int64{1, 10, 11, 100, 101, 1000, 1001, 5000}},
 	} {
+		h := NewHistogram(d.bounds)
+		var sum int64
+		for _, v := range d.vs {
+			h.Observe(v)
+			sum += v
+		}
 		want := Summary{
-			Count: h.Total(), Mean: h.Mean(),
-			P50: h.Quantile(50), P95: h.Quantile(95), P99: h.Quantile(99), P999: h.Quantile(99.9),
+			Count: int64(len(d.vs)),
+			P50:   quantileAt(h, 50), P95: quantileAt(h, 95), P99: quantileAt(h, 99), P999: quantileAt(h, 99.9),
+		}
+		if len(d.vs) > 0 {
+			want.Mean = float64(sum) / float64(len(d.vs))
 		}
 		if got := h.Summary(); got != want {
-			t.Errorf("%s: Summary() = %+v, readers say %+v", name, got, want)
+			t.Errorf("%s: Summary() = %+v, want %+v", name, got, want)
 		}
 	}
 	for us, want := range map[float64]time.Duration{
@@ -167,6 +169,28 @@ func TestSummaryMatchesReaders(t *testing.T) {
 	} {
 		if got := USDuration(us); got != want {
 			t.Errorf("USDuration(%v) = %v, want %v", us, got, want)
+		}
+		// A Duration of us microseconds rounds to the same whole µs.
+		if got := RoundUS(time.Duration(us * float64(time.Microsecond))); got != want.Microseconds() {
+			t.Errorf("RoundUS(%vµs) = %d, want %d", us, got, want.Microseconds())
+		}
+	}
+}
+
+// TestRoundUS: a sub-µs part of 500 ns or more rounds up, less rounds down,
+// where Duration.Microseconds would truncate both (searchsim's S8 mean of
+// 9.039734 ms reads 9 040 µs).
+func TestRoundUS(t *testing.T) {
+	for d, want := range map[time.Duration]int64{
+		9039734 * time.Nanosecond: 9040,
+		9039499 * time.Nanosecond: 9039,
+		9039500 * time.Nanosecond: 9040,
+		499 * time.Nanosecond:     0,
+		500 * time.Nanosecond:     1,
+		0:                         0,
+	} {
+		if got := RoundUS(d); got != want {
+			t.Errorf("RoundUS(%v) = %d, want %d (Microseconds() says %d)", d, got, want, d.Microseconds())
 		}
 	}
 }

@@ -23,8 +23,8 @@ func TestHistogramBuckets(t *testing.T) {
 	if b[3].UpperBound != -1 {
 		t.Errorf("overflow bucket bound = %d", b[3].UpperBound)
 	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d", h.Total())
+	if got := h.Summary().Count; got != 8 {
+		t.Errorf("Count = %d", got)
 	}
 }
 
@@ -32,7 +32,7 @@ func TestHistogramMean(t *testing.T) {
 	h := NewHistogram([]int64{100})
 	h.Observe(10)
 	h.Observe(20)
-	if got := h.Mean(); got != 15 {
+	if got := h.Summary().Mean; got != 15 {
 		t.Fatalf("Mean = %v", got)
 	}
 }

@@ -240,7 +240,7 @@ func (o *Observer) EndQuery(now, elapsed time.Duration) QueryTrace {
 	if sampler != nil {
 		s := sampler()
 		s.AtUS, s.Queries = now.Microseconds(), queries
-		s.IntervalMeanUS = (interval / time.Duration(o.sampleEvery)).Round(time.Microsecond).Microseconds()
+		s.IntervalMeanUS = metrics.RoundUS(interval / time.Duration(o.sampleEvery))
 		o.mu.Lock()
 		o.series = append(o.series, s)
 		o.mu.Unlock()

@@ -10,7 +10,7 @@ package simclock
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,22 +18,20 @@ import (
 //
 // The zero value is a valid clock positioned at t=0. A Clock is safe for
 // concurrent use; simulated components typically share one clock so that
-// device latencies and think time accumulate on a single time line.
+// device latencies and think time accumulate on a single time line. It takes
+// no lock: the time is one atomic word, so every advance is a single atomic
+// add and concurrent advances sum exactly, and the hook is one atomic
+// pointer.
 type Clock struct {
-	mu        sync.Mutex
-	now       time.Duration
-	onAdvance func(Component, time.Duration)
+	now       atomic.Int64
+	onAdvance atomic.Pointer[func(Component, time.Duration)]
 }
 
 // New returns a clock positioned at t=0.
 func New() *Clock { return &Clock{} }
 
 // Now returns the current simulated time since the start of the simulation.
-func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
 // OnAdvance installs a hook invoked after every advance that actually moved
 // time, with the component label and the delta. Because every path that
@@ -41,9 +39,11 @@ func (c *Clock) Now() time.Duration {
 // between two Now() reads reconstructs the elapsed interval exactly. Pass
 // nil to remove the hook.
 func (c *Clock) OnAdvance(fn func(Component, time.Duration)) {
-	c.mu.Lock()
-	c.onAdvance = fn
-	c.mu.Unlock()
+	if fn == nil {
+		c.onAdvance.Store(nil)
+		return
+	}
+	c.onAdvance.Store(&fn)
 }
 
 // AdvanceAttr moves simulated time forward by d, attributing the time to
@@ -54,13 +54,11 @@ func (c *Clock) AdvanceAttr(d time.Duration, comp Component) time.Duration {
 	if d < 0 {
 		panic(fmt.Sprintf("simclock: negative advance %v", d))
 	}
-	c.mu.Lock()
-	c.now += d
-	now := c.now
-	hook := c.onAdvance
-	c.mu.Unlock()
-	if hook != nil && d > 0 {
-		hook(comp, d)
+	now := time.Duration(c.now.Add(int64(d)))
+	if d > 0 {
+		if hook := c.onAdvance.Load(); hook != nil {
+			(*hook)(comp, d)
+		}
 	}
 	return now
 }

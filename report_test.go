@@ -12,6 +12,7 @@ import (
 	"hybridstore/internal/core"
 	"hybridstore/internal/metrics"
 	"hybridstore/internal/obs"
+	"hybridstore/internal/storage"
 )
 
 // TestLiveLineMatchesReport: the live line printed after the last query of
@@ -144,5 +145,51 @@ func TestReportRendersBuildReport(t *testing.T) {
 	if len(devices) != len(r.Devices) || len(wears) != len(r.Wear) || len(wears) != 2 {
 		t.Fatalf("printed devices %v and wear %v, BuildReport has %d devices and wear of %d",
 			devices, wears, len(r.Devices), len(r.Wear))
+	}
+}
+
+// TestReportRoundsMicroseconds: the report's µs integers — the mean response
+// time, each situation's mean and each device's average access time — round
+// their Durations to the microsecond like every latency summary, where
+// Duration.Microseconds would truncate. The run must have at least one of
+// them with a sub-µs part of 500 ns or more, or it shows nothing.
+func TestReportRoundsMicroseconds(t *testing.T) {
+	sys, err := New(smallConfig(core.PolicyCBLRU, CacheTwoLevel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(400); err != nil {
+		t.Fatal(err)
+	}
+	r := sys.BuildReport()
+	st := sys.Manager.Stats()
+	roundsUp := 0
+	check := func(what string, got int64, d time.Duration) {
+		t.Helper()
+		if want := metrics.RoundUS(d); got != want {
+			t.Errorf("%s = %d µs, want %v rounded to %d", what, got, d, want)
+		}
+		if d%time.Microsecond >= 500*time.Nanosecond {
+			roundsUp++
+		}
+	}
+	check("mean_response_us", r.MeanResponseUS, st.MeanQueryTime())
+	for i, row := range st.Situations.Table() {
+		check(r.Situations[i].ID+" mean_us", r.Situations[i].MeanUS, row.MeanTime)
+	}
+	for _, d := range r.Devices {
+		var ds storage.DeviceStats
+		switch d.Name {
+		case "hdd":
+			ds = sys.HDD.Stats()
+		case "cache-ssd":
+			ds = sys.CacheSSD.Stats()
+		default:
+			t.Fatalf("unexpected device %q", d.Name)
+		}
+		check(d.Name+" avg_access_us", d.AvgAccessUS, ds.AvgAccessTime())
+	}
+	if roundsUp == 0 {
+		t.Fatal("no field of this run has a sub-µs part of 500 ns or more")
 	}
 }

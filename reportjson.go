@@ -139,7 +139,7 @@ func (s *System) BuildReport() *JSONReport {
 		st := s.Manager.Stats()
 		r.Policy = s.Manager.Policy().String()
 		r.Queries = st.Queries
-		r.MeanResponseUS = st.MeanQueryTime().Microseconds()
+		r.MeanResponseUS = metrics.RoundUS(st.MeanQueryTime())
 		r.ThroughputQPS = st.Throughput()
 		r.HitRatios = &HitRatioReport{
 			RC:  st.ResultHitRatio(),
@@ -154,7 +154,7 @@ func (s *System) BuildReport() *JSONReport {
 				Name:   row.Sit.String(),
 				Count:  row.Count,
 				P:      row.P,
-				MeanUS: row.MeanTime.Microseconds(),
+				MeanUS: metrics.RoundUS(row.MeanTime),
 			}
 			if s.obs != nil && row.Count > 0 {
 				lat := s.obs.SituationLatency(row.Sit)
@@ -193,7 +193,7 @@ func (s *System) BuildReport() *JSONReport {
 			Trims:       st.Trims,
 			BytesRead:   st.BytesRead,
 			BytesWrit:   st.BytesWrit,
-			AvgAccessUS: st.AvgAccessTime().Microseconds(),
+			AvgAccessUS: metrics.RoundUS(st.AvgAccessTime()),
 		})
 	}
 	wear := map[string]WearReport{}
@@ -246,7 +246,7 @@ func (s *System) BuildReport() *JSONReport {
 		}
 		if s.Manager == nil {
 			r.Queries = s.obs.Queries()
-			r.MeanResponseUS = int64(lat.Mean)
+			r.MeanResponseUS = metrics.USDuration(lat.Mean).Microseconds()
 		}
 	}
 	return r
