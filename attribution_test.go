@@ -106,9 +106,9 @@ func TestAttributionUnderFaultInjection(t *testing.T) {
 	cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
 	cfg.CacheFaults = storage.FaultSpec{
 		Seed:       5,
-		Read:       storage.OpFaults{ErrProb: 0.02},
-		Write:      storage.OpFaults{ErrProb: 0.02},
-		Trim:       storage.OpFaults{ErrProb: 0.02},
+		Read:       0.02,
+		Write:      0.02,
+		Trim:       0.02,
 		StickyProb: 0.25,
 	}
 	sys, err := New(cfg)

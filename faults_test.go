@@ -17,9 +17,9 @@ func TestFaultedRunAccountedEndToEnd(t *testing.T) {
 	cfg := smallConfig(core.PolicyCBLRU, CacheTwoLevel)
 	cfg.CacheFaults = storage.FaultSpec{
 		Seed:       5,
-		Read:       storage.OpFaults{ErrProb: 0.01},
-		Write:      storage.OpFaults{ErrProb: 0.01},
-		Trim:       storage.OpFaults{ErrProb: 0.01},
+		Read:       0.01,
+		Write:      0.01,
+		Trim:       0.01,
 		StickyProb: 0.25,
 	}
 	sys, err := New(cfg)

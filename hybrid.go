@@ -196,8 +196,7 @@ type System struct {
 	// copies it). Everything from entryDirty on is zero: padding stays zero.
 	entry      []byte
 	entryDirty int
-	baseline   engine.ListSource // raw index, for uncached execution
-	obs        *obs.Observer     // nil unless EnableObservability was called
+	obs        *obs.Observer // nil unless EnableObservability was called
 }
 
 // Validate reports configuration errors a System cannot be built from:
@@ -293,7 +292,6 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s.Index = ix
-	s.baseline = ix
 
 	engCfg := cfg.Engine
 	engCfg.Clock = clock

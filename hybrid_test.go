@@ -372,7 +372,7 @@ func TestResultsIdenticalAcrossCodecs(t *testing.T) {
 					}
 					out = append(out, res)
 				}
-				return out, sys.Index.SizeBytes()
+				return out, sys.Index.Bytes()
 			}
 			rawRes, rawBytes := run(index.CodecRaw)
 			gvRes, gvBytes := run(index.CodecGVarint)
@@ -489,7 +489,7 @@ func TestInvalidConfigsRejected(t *testing.T) {
 	// Faults need a cache SSD to inject into; without one they would
 	// silently inject nothing.
 	bad7 := smallConfig(core.PolicyCBLRU, CacheOneLevel)
-	bad7.CacheFaults = storage.FaultSpec{Write: storage.OpFaults{ErrProb: 0.01}}
+	bad7.CacheFaults = storage.FaultSpec{Write: 0.01}
 	if _, err := New(bad7); err == nil {
 		t.Fatal("cache faults accepted on a one-level cache")
 	}

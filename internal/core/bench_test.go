@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"hybridstore/internal/engine"
-	"hybridstore/internal/index"
 	"hybridstore/internal/simclock"
 	"hybridstore/internal/storage"
 	"hybridstore/internal/workload"
@@ -82,11 +81,9 @@ func BenchmarkCacheManagerListRead(b *testing.B) {
 	clock := simclock.New()
 	spec := workload.DefaultCollection(200_000)
 	spec.VocabSize = 1000
-	hdd := storage.NewMemDevice("hdd", index.RequiredBytes(spec)+4096, clock, storage.DefaultMemParams())
-	ix, err := index.Build(hdd, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := stampIndex(b, spec, func(size int64) storage.Device {
+		return storage.NewMemDevice("hdd", size, clock, storage.DefaultMemParams())
+	})
 	cfg := DefaultConfig(2 << 20)
 	cfg.SSDResultBytes = 2 << 20
 	cfg.SSDListBytes = 16 << 20

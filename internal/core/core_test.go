@@ -36,16 +36,29 @@ func testConfig(policy Policy) Config {
 	}
 }
 
+// stampIndex stamps spec's raw image onto the device dev makes of the
+// image's size.
+func stampIndex(tb testing.TB, spec workload.CollectionSpec, dev func(size int64) storage.Device) *index.Index {
+	tb.Helper()
+	img, err := index.BuildImage(spec, index.CodecRaw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ix, err := img.Stamp(dev(img.Bytes()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
 func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	clock := simclock.New()
 	spec := workload.DefaultCollection(200000)
 	spec.VocabSize = 200
-	hdd := storage.NewMemDevice("hdd", index.RequiredBytes(spec)+4096, clock, storage.DefaultMemParams())
-	ix, err := index.Build(hdd, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := stampIndex(t, spec, func(size int64) storage.Device {
+		return storage.NewMemDevice("hdd", size, clock, storage.DefaultMemParams())
+	})
 	var ssd storage.Device
 	if cfg.SSDResultBytes+cfg.SSDListBytes > 0 {
 		// The SSD cache device runs on its own clock; the manager charges
@@ -96,11 +109,9 @@ func TestNewValidation(t *testing.T) {
 	clock := simclock.New()
 	spec := workload.DefaultCollection(1000)
 	spec.VocabSize = 10
-	hdd := storage.NewMemDevice("hdd", index.RequiredBytes(spec)+4096, clock, storage.DefaultMemParams())
-	ix, err := index.Build(hdd, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := stampIndex(t, spec, func(size int64) storage.Device {
+		return storage.NewMemDevice("hdd", size, clock, storage.DefaultMemParams())
+	})
 	// SSD regions configured without a device.
 	cfg := testConfig(PolicyCBLRU)
 	if _, err := New(clock, ix, nil, cfg); err == nil {
@@ -843,11 +854,9 @@ func TestOneLevelCacheWorks(t *testing.T) {
 	clock := simclock.New()
 	spec := workload.DefaultCollection(20000)
 	spec.VocabSize = 200
-	hdd := storage.NewMemDevice("hdd", index.RequiredBytes(spec)+4096, clock, storage.DefaultMemParams())
-	ix, err := index.Build(hdd, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := stampIndex(t, spec, func(size int64) storage.Device {
+		return storage.NewMemDevice("hdd", size, clock, storage.DefaultMemParams())
+	})
 	m, err := New(clock, ix, nil, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"hybridstore/internal/index"
 	"hybridstore/internal/simclock"
 	"hybridstore/internal/storage"
 	"hybridstore/internal/workload"
@@ -76,11 +75,9 @@ func newFaultFixture(t *testing.T, cfg Config, wrap func(storage.Device) storage
 	clock := simclock.New()
 	spec := workload.DefaultCollection(200000)
 	spec.VocabSize = 200
-	hdd := storage.NewMemDevice("hdd", index.RequiredBytes(spec)+4096, clock, storage.DefaultMemParams())
-	ix, err := index.Build(hdd, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := stampIndex(t, spec, func(size int64) storage.Device {
+		return storage.NewMemDevice("hdd", size, clock, storage.DefaultMemParams())
+	})
 	mem := storage.NewMemDevice("ssd", cfg.SSDResultBytes+cfg.SSDListBytes+(1<<20),
 		simclock.New(), storage.DefaultMemParams())
 	ssd := wrap(mem)
@@ -585,9 +582,9 @@ func TestBumpFreqDecayPreservesOrder(t *testing.T) {
 func TestDivergenceUnderInjectedFaults(t *testing.T) {
 	spec := storage.FaultSpec{
 		Seed:       99,
-		Read:       storage.OpFaults{ErrProb: 0.05},
-		Write:      storage.OpFaults{ErrProb: 0.05},
-		Trim:       storage.OpFaults{ErrProb: 0.05},
+		Read:       0.05,
+		Write:      0.05,
+		Trim:       0.05,
 		StickyProb: 0.5,
 	}
 	for _, policy := range allPolicies() {

@@ -121,7 +121,7 @@ func TestStagingBufferPadsEveryExtentWithZeros(t *testing.T) {
 	cfg.BreakerThreshold = -1 // keep writing through the failures
 	var fd *storage.FaultyDevice
 	f := newFaultFixture(t, cfg, func(inner storage.Device) storage.Device {
-		fd = storage.NewFaultyDevice(inner, storage.FaultSpec{Seed: 9, Write: storage.OpFaults{ErrProb: 0.5}}, nil)
+		fd = storage.NewFaultyDevice(inner, storage.FaultSpec{Seed: 9, Write: 0.5}, nil)
 		return fd
 	})
 	full, light := 0, 0

@@ -246,6 +246,19 @@ func ev(freq, scBlocks int64) float64 {
 	return float64(freq) / float64(scBlocks)
 }
 
+// StaticEV returns the efficiency value (Formula 2) by which static warm-up
+// ranks term t for a pin, freq being its count in the sampled log: SC is
+// Formula 1 over the whole list under the configured PU (Config.PU, or 1).
+// It does not read the measured estimate, which warm-up's own executions
+// feed, so recording them does not reorder the pins.
+func (m *Manager) StaticEV(t workload.TermID, freq int64) float64 {
+	pu := 1.0
+	if m.cfg.PU != nil {
+		pu = m.cfg.PU(t)
+	}
+	return ev(freq, m.scBlocks(m.ix.ListBytes(t), pu))
+}
+
 // ssdRead performs a foreground SSD read: it goes ahead of any queued
 // background work and its service time is charged on the shared clock.
 func (m *Manager) ssdRead(p []byte, off int64) error {

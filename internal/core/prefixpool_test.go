@@ -62,9 +62,9 @@ func TestPrefixBuffersRecycledNeverAliased(t *testing.T) {
 			if v.faults {
 				cfg.CacheFaults = storage.FaultSpec{
 					Seed:       7,
-					Read:       storage.OpFaults{ErrProb: 0.02},
-					Write:      storage.OpFaults{ErrProb: 0.02},
-					Trim:       storage.OpFaults{ErrProb: 0.02},
+					Read:       0.02,
+					Write:      0.02,
+					Trim:       0.02,
 					StickyProb: 0.25,
 				}
 			}

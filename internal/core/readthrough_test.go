@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"hybridstore/internal/index"
 	"hybridstore/internal/simclock"
 	"hybridstore/internal/storage"
 	"hybridstore/internal/workload"
@@ -22,11 +21,11 @@ func TestFailedReadThroughIsNotCached(t *testing.T) {
 			clock := simclock.New()
 			spec := workload.DefaultCollection(200000)
 			spec.VocabSize = 200
-			hdd := &flakyDevice{inner: storage.NewMemDevice("hdd", index.RequiredBytes(spec)+4096, clock, storage.DefaultMemParams())}
-			ix, err := index.Build(hdd, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var hdd *flakyDevice
+			ix := stampIndex(t, spec, func(size int64) storage.Device {
+				hdd = &flakyDevice{inner: storage.NewMemDevice("hdd", size, clock, storage.DefaultMemParams())}
+				return hdd
+			})
 			cfg := testConfig(policy)
 			cfg.SSDResultBytes, cfg.SSDListBytes = 0, 0
 			m, err := New(clock, ix, nil, cfg)

@@ -5,8 +5,6 @@ import (
 
 	"hybridstore/internal/index"
 	"hybridstore/internal/intersect"
-	"hybridstore/internal/simclock"
-	"hybridstore/internal/storage"
 	"hybridstore/internal/workload"
 )
 
@@ -129,13 +127,7 @@ func BenchmarkDecodeResult(b *testing.B) {
 func BenchmarkConjunctiveExecute(b *testing.B) {
 	spec := workload.DefaultCollection(200_000)
 	spec.VocabSize = 1000
-	dev := storage.NewMemDevice("idx", index.RequiredBytes(spec)+4096,
-		simclock.New(), storage.DefaultMemParams())
-	ix, err := index.Build(dev, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	conj := NewConjunctive(ix, DefaultConfig(), intersect.New(4<<20, nil))
+	conj := NewConjunctive(stampIndex(b, spec), DefaultConfig(), intersect.New(4<<20, nil))
 	log := workload.NewQueryLog(workload.DefaultQueryLog(spec.VocabSize))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,17 +12,25 @@ import (
 	"hybridstore/internal/workload"
 )
 
+// stampIndex stamps spec's raw image onto a memory device of its size.
+func stampIndex(tb testing.TB, spec workload.CollectionSpec) *index.Index {
+	tb.Helper()
+	img, err := index.BuildImage(spec, index.CodecRaw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ix, err := img.Stamp(storage.NewMemDevice("idx", img.Bytes(), simclock.New(), storage.DefaultMemParams()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
 func testIndex(t *testing.T) (*index.Index, workload.CollectionSpec) {
 	t.Helper()
 	spec := workload.DefaultCollection(20000)
 	spec.VocabSize = 200
-	dev := storage.NewMemDevice("idx", index.RequiredBytes(spec)+4096,
-		simclock.New(), storage.DefaultMemParams())
-	ix, err := index.Build(dev, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix, spec
+	return stampIndex(t, spec), spec
 }
 
 func TestExecuteReturnsTopK(t *testing.T) {

@@ -24,12 +24,11 @@ func faultSpec(rate float64) storage.FaultSpec {
 	if rate <= 0 {
 		return storage.FaultSpec{}
 	}
-	op := storage.OpFaults{ErrProb: rate}
 	return storage.FaultSpec{
 		Seed:       0xfa17 ^ uint64(rate*1e6),
-		Read:       op,
-		Write:      op,
-		Trim:       op,
+		Read:       rate,
+		Write:      rate,
+		Trim:       rate,
 		StickyProb: 0.25,
 	}
 }

@@ -56,6 +56,6 @@ func Table1Situations(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "(paper's goal: maximize P1..P5 — cache-served situations — and keep their T low)")
 	fmt.Fprintf(w, "P(S1..S5) = %.4f\n", cached)
 	fmt.Fprintf(w, "index bytes on device: %d (codec=%s)\n",
-		sys.Index.SizeBytes(), sys.Index.Codec())
+		sys.Index.Bytes(), sys.Index.Codec())
 	return nil
 }

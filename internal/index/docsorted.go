@@ -6,7 +6,7 @@ package index
 // model) processing. Conjunctive (AND) processing — the workload behind
 // the paper's "skipped reads" observation (§III) and its three-level-
 // caching future work (§VIII, [19]) — needs postings sorted by document
-// with skip pointers, like Lucene's skip lists. Build writes both
+// with skip pointers, like Lucene's skip lists. BuildImage writes both
 // representations: each term's doc-sorted payload follows all
 // impact-ordered lists, block-encoded under the same codec, and its skip
 // entries (BlockRef.MaxDoc per block) live in the in-memory block
@@ -20,33 +20,14 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// DocMeta returns the directory entry for term t's doc-sorted payload.
-func (ix *Index) DocMeta(t workload.TermID) TermMeta {
-	if int(t) < 0 || int(t) >= len(ix.docTerms) {
-		panic(fmt.Sprintf("index: term %d out of range [0,%d)", t, len(ix.docTerms)))
-	}
-	return ix.docTerms[t]
-}
-
-// DocBytes returns the encoded size of term t's doc-sorted payload.
-func (ix *Index) DocBytes(t workload.TermID) int64 { return ix.DocMeta(t).Bytes() }
-
-// DocBlocks returns term t's doc-sorted block directory: ascending-MaxDoc
-// skip entries, one per block. In-memory metadata — no device cost.
-// Callers must not mutate the returned slice.
-func (ix *Index) DocBlocks(t workload.TermID) []BlockRef {
-	ix.DocMeta(t) // range check
-	return ix.docBlocks[t]
-}
-
 // ReadDocRange reads n bytes of term t's encoded doc-sorted payload
 // starting at byte offset off within the payload, directly from the
 // device.
 func (ix *Index) ReadDocRange(t workload.TermID, off int64, p []byte) error {
-	m := ix.DocMeta(t)
-	if off < 0 || off+int64(len(p)) > m.Bytes() {
+	m := ix.docTerms[t]
+	if off < 0 || off+int64(len(p)) > m.Size {
 		return fmt.Errorf("index: term %d doc range [%d,+%d) outside payload of %d bytes: %w",
-			t, off, len(p), m.Bytes(), storage.ErrOutOfRange)
+			t, off, len(p), m.Size, storage.ErrOutOfRange)
 	}
 	_, err := ix.dev.ReadAt(p, m.Offset+off)
 	return err

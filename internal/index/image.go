@@ -7,12 +7,10 @@ package index
 // yet every experiment point used to redo it from scratch. An Image is that
 // work done once: the fully serialized index (header, term directory,
 // block directory, impact-ordered payloads, doc-sorted payloads) held in
-// memory, ready to be stamped onto any number of devices. Stamping replays
-// the exact write sequence Build has always issued — header and
-// directories first, lists in flush-sized sequential chunks, then one
-// write per doc-sorted payload — so a stamped system is indistinguishable,
-// byte for byte and simulated-op for simulated-op, from one that built its
-// index directly.
+// memory, ready to be stamped onto any number of devices. Stamping issues
+// the bulk-load write sequence — header and directories first, lists in
+// flush-sized sequential chunks, then one write per doc-sorted payload —
+// so every stamped system is charged the same simulated operations.
 //
 // An Image is immutable after BuildImage returns and safe for concurrent
 // Stamp calls from multiple goroutines. A device that can read through
@@ -30,7 +28,7 @@ import (
 )
 
 // buildFlushSize is the sequential-write granularity of the list region
-// during bulk load (Build's historical flush size).
+// during bulk load.
 const buildFlushSize = 1 << 20
 
 // Image is a fully serialized index for one (CollectionSpec, CodecID)
@@ -56,15 +54,18 @@ func (im *Image) Codec() CodecID { return im.codec }
 // Bytes returns the serialized size of the image.
 func (im *Image) Bytes() int64 { return int64(len(im.data)) }
 
-// The read side of engine.ListSource, served from the image's own bytes: no
-// device and no clock, so an engine over an Image computes what one over
-// any stamped copy computes.
+// The term directory and the read side of engine.ListSource, served from
+// the image's own bytes: no device and no clock, so an engine over an Image
+// computes what one over any stamped copy computes.
+
+// NumTerms returns the vocabulary size.
+func (im *Image) NumTerms() int { return len(im.terms) }
 
 // NumDocs returns the collection size.
 func (im *Image) NumDocs() int64 { return int64(im.spec.NumDocs) }
 
 // ListBytes returns the encoded size of term t's impact-ordered list.
-func (im *Image) ListBytes(t workload.TermID) int64 { return im.terms[t].Bytes() }
+func (im *Image) ListBytes(t workload.TermID) int64 { return im.terms[t].Size }
 
 // TermDF returns term t's document frequency.
 func (im *Image) TermDF(t workload.TermID) int64 { return im.terms[t].DF }
@@ -73,12 +74,19 @@ func (im *Image) TermDF(t workload.TermID) int64 { return im.terms[t].DF }
 // mutate the returned slice.
 func (im *Image) ListBlocks(t workload.TermID) []BlockRef { return im.listBlocks[t] }
 
+// DocBytes returns the encoded size of term t's doc-sorted payload.
+func (im *Image) DocBytes(t workload.TermID) int64 { return im.docTerms[t].Size }
+
+// DocBlocks returns term t's doc-sorted block directory: ascending-MaxDoc
+// skip entries, one per block. Callers must not mutate the returned slice.
+func (im *Image) DocBlocks(t workload.TermID) []BlockRef { return im.docBlocks[t] }
+
 // ListRange returns the n bytes of term t's list at offset off as a view of
 // the image, or nil if the range is outside the list. Callers must not
 // write it.
 func (im *Image) ListRange(t workload.TermID, off, n int64) []byte {
 	m := im.terms[t]
-	if off < 0 || n < 0 || off+n > m.Bytes() {
+	if off < 0 || n < 0 || off+n > m.Size {
 		return nil
 	}
 	return im.data[m.Offset+off : m.Offset+off+n : m.Offset+off+n]
@@ -215,12 +223,12 @@ type baseAdopter interface {
 	AdoptBase(image []byte)
 }
 
-// Stamp writes the image onto dev and returns the opened index, charging
-// the same simulated write operations a direct Build would: the header and
-// directories first, the list region in flush-sized sequential chunks,
-// then each doc-sorted payload in one write. A baseAdopter shares the
-// image's bytes instead of copying them; the write sequence, and so every
-// simulated charge and counter, is the same either way.
+// Stamp writes the image onto dev and returns it as an Index over dev,
+// charging the bulk-load write sequence: the header and directories first,
+// the list region in flush-sized sequential chunks, then each doc-sorted
+// payload in one write. A baseAdopter shares the image's bytes instead of
+// copying them; the write sequence, and so every simulated charge and
+// counter, is the same either way.
 func (im *Image) Stamp(dev storage.Device) (*Index, error) {
 	if im.Bytes() > dev.Size() {
 		return nil, fmt.Errorf("index: needs %d bytes, device %q holds %d",
@@ -252,9 +260,5 @@ func (im *Image) Stamp(dev storage.Device) (*Index, error) {
 			return nil, fmt.Errorf("index: writing doc-sorted payload: %w", err)
 		}
 	}
-	return &Index{
-		dev: dev, codec: im.codec, numDocs: int64(im.spec.NumDocs), size: im.Bytes(),
-		terms: im.terms, docTerms: im.docTerms,
-		listBlocks: im.listBlocks, docBlocks: im.docBlocks,
-	}, nil
+	return &Index{Image: im, dev: dev}, nil
 }

@@ -25,15 +25,25 @@ func DecodePostings(buf []byte) []workload.Posting {
 	return out
 }
 
-func buildTestIndex(t *testing.T) (*Index, workload.CollectionSpec) {
+// stampTestImage builds spec's raw image and stamps it onto dev.
+func stampTestImage(t *testing.T, spec workload.CollectionSpec, dev storage.Device) *Index {
 	t.Helper()
-	spec := testSpec()
-	dev := storage.NewMemDevice("idx", RequiredBytes(spec)+4096, simclock.New(), storage.DefaultMemParams())
-	ix, err := Build(dev, spec)
+	img, err := BuildImage(spec, CodecRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ix, spec
+	ix, err := img.Stamp(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+func buildTestIndex(t *testing.T) (*Index, workload.CollectionSpec) {
+	t.Helper()
+	spec := testSpec()
+	dev := storage.NewMemDevice("idx", 1<<20, simclock.New(), storage.DefaultMemParams())
+	return stampTestImage(t, spec, dev), spec
 }
 
 func TestPostingCodecRoundTrip(t *testing.T) {
@@ -68,9 +78,8 @@ func TestBuildAndMeta(t *testing.T) {
 		t.Fatalf("NumDocs = %d", ix.NumDocs())
 	}
 	for term := 0; term < spec.VocabSize; term++ {
-		m := ix.Meta(workload.TermID(term))
-		if m.DF != int64(spec.DocFreq(workload.TermID(term))) {
-			t.Fatalf("term %d df = %d", term, m.DF)
+		if df := ix.TermDF(workload.TermID(term)); df != int64(spec.DocFreq(workload.TermID(term))) {
+			t.Fatalf("term %d df = %d", term, df)
 		}
 	}
 }
@@ -78,11 +87,10 @@ func TestBuildAndMeta(t *testing.T) {
 func TestBuildLayoutContiguous(t *testing.T) {
 	ix, spec := buildTestIndex(t)
 	for term := 1; term < spec.VocabSize; term++ {
-		prev := ix.Meta(workload.TermID(term - 1))
-		cur := ix.Meta(workload.TermID(term))
-		if cur.Offset != prev.Offset+prev.Bytes() {
+		prev, cur := ix.terms[term-1], ix.terms[term]
+		if cur.Offset != prev.Offset+prev.Size {
 			t.Fatalf("term %d not contiguous: %d != %d+%d",
-				term, cur.Offset, prev.Offset, prev.Bytes())
+				term, cur.Offset, prev.Offset, prev.Size)
 		}
 	}
 }
@@ -135,95 +143,88 @@ func TestReadListRangeBounds(t *testing.T) {
 	}
 }
 
-func TestMetaPanicsOutOfRange(t *testing.T) {
-	ix, _ := buildTestIndex(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Meta out of range did not panic")
-		}
-	}()
-	ix.Meta(workload.TermID(ix.NumTerms()))
-}
-
-func TestOpenRoundTrip(t *testing.T) {
-	spec := testSpec()
-	clk := simclock.New()
-	dev := storage.NewMemDevice("idx", RequiredBytes(spec)+4096, clk, storage.DefaultMemParams())
-	built, err := Build(dev, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opened, err := Open(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opened.NumTerms() != built.NumTerms() || opened.NumDocs() != built.NumDocs() {
-		t.Fatalf("opened header mismatch: %d/%d vs %d/%d",
-			opened.NumTerms(), opened.NumDocs(), built.NumTerms(), built.NumDocs())
-	}
-	for term := 0; term < built.NumTerms(); term++ {
-		if opened.Meta(workload.TermID(term)) != built.Meta(workload.TermID(term)) {
-			t.Fatalf("term %d meta mismatch", term)
-		}
-	}
-}
-
-func TestOpenRejectsGarbage(t *testing.T) {
-	dev := storage.NewMemDevice("junk", 4096, simclock.New(), storage.DefaultMemParams())
-	dev.WriteAt([]byte("NOPE"), 0)
-	if _, err := Open(dev); err == nil {
-		t.Fatal("Open accepted garbage device")
-	}
-}
-
 func TestBuildRejectsTooSmallDevice(t *testing.T) {
-	spec := testSpec()
+	img, err := BuildImage(testSpec(), CodecRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dev := storage.NewMemDevice("tiny", 1024, simclock.New(), storage.DefaultMemParams())
-	if _, err := Build(dev, spec); err == nil {
-		t.Fatal("Build fit an index on a 1 KiB device")
+	if _, err := img.Stamp(dev); err == nil {
+		t.Fatal("Stamp fit an index on a 1 KiB device")
 	}
 }
 
 func TestBuildRejectsInvalidSpec(t *testing.T) {
-	dev := storage.NewMemDevice("idx", 1<<20, simclock.New(), storage.DefaultMemParams())
-	if _, err := Build(dev, workload.CollectionSpec{}); err == nil {
-		t.Fatal("Build accepted zero spec")
+	if _, err := BuildImage(workload.CollectionSpec{}, CodecRaw); err == nil {
+		t.Fatal("BuildImage accepted zero spec")
 	}
 }
 
+// TestRequiredBytesMatchesLayout: the last doc-sorted payload ends the
+// image, and the image fits a device of exactly its size.
 func TestRequiredBytesMatchesLayout(t *testing.T) {
 	spec := testSpec()
-	want := RequiredBytes(spec)
-	dev := storage.NewMemDevice("idx", want, simclock.New(), storage.DefaultMemParams())
-	ix, err := Build(dev, spec)
+	img, err := BuildImage(spec, CodecRaw)
 	if err != nil {
-		t.Fatalf("Build on exactly-sized device failed: %v", err)
+		t.Fatal(err)
 	}
-	lastDoc := ix.DocMeta(workload.TermID(spec.VocabSize - 1))
-	end := lastDoc.Offset + lastDoc.Size
-	if end != want {
-		t.Fatalf("layout end %d != RequiredBytes %d", end, want)
+	dev := storage.NewMemDevice("idx", img.Bytes(), simclock.New(), storage.DefaultMemParams())
+	ix, err := img.Stamp(dev)
+	if err != nil {
+		t.Fatalf("Stamp on exactly-sized device failed: %v", err)
 	}
-	if ix.SizeBytes() != want {
-		t.Fatalf("SizeBytes %d != RequiredBytes %d", ix.SizeBytes(), want)
+	lastDoc := ix.docTerms[spec.VocabSize-1]
+	if end := lastDoc.Offset + lastDoc.Size; end != img.Bytes() {
+		t.Fatalf("layout end %d != image size %d", end, img.Bytes())
 	}
 }
 
 func TestBuildOnHDDWorks(t *testing.T) {
 	// The real configuration: index on a mechanical disk.
 	spec := testSpec()
-	clk := simclock.New()
-	hdd := stubHDD(clk, RequiredBytes(spec)+4096)
-	ix, err := Build(hdd, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := stampTestImage(t, spec, stubHDD(simclock.New(), 1<<20))
 	buf := make([]byte, PostingSize)
 	if err := ix.ReadListRange(5, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if DecodePosting(buf) != spec.Postings(5)[0] {
 		t.Fatal("HDD-backed read mismatch")
+	}
+}
+
+// TestIndexReadsFromDevice: a stamped Index answers its directory from the
+// image it was stamped from, holding it once, and reads every payload byte
+// from the device at device cost.
+func TestIndexReadsFromDevice(t *testing.T) {
+	img, err := BuildImage(testSpec(), CodecRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := simclock.New()
+	dev := storage.NewMemDevice("idx", img.Bytes(), clk, storage.DefaultMemParams())
+	ix, err := img.Stamp(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const term = workload.TermID(3)
+	if &ix.ListBlocks(term)[0] != &img.listBlocks[term][0] || &ix.DocBlocks(term)[0] != &img.docBlocks[term][0] {
+		t.Fatal("the index holds a copy of the image's block directory")
+	}
+	for _, read := range []struct {
+		name string
+		fn   func(p []byte) error
+	}{
+		{"ReadListRange", func(p []byte) error { return ix.ReadListRange(term, 0, p) }},
+		{"ReadDocRange", func(p []byte) error { return ix.ReadDocRange(term, 0, p) }},
+	} {
+		reads, now := dev.Stats().Reads, clk.Now()
+		if err := read.fn(make([]byte, PostingSize)); err != nil {
+			t.Fatal(err)
+		}
+		if dev.Stats().Reads != reads+1 || clk.Now() <= now {
+			t.Fatalf("%s: device reads %d → %d, clock %v → %v: served without the device",
+				read.name, reads, dev.Stats().Reads, now, clk.Now())
+		}
 	}
 }
 

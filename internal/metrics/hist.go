@@ -145,6 +145,14 @@ func USDuration(us float64) time.Duration {
 	return time.Duration(us * float64(time.Microsecond)).Round(time.Microsecond)
 }
 
+// FormatMS renders a microsecond quantity, rounded as USDuration rounds it,
+// as milliseconds with three decimals ("9.040ms"), so every time a text
+// report prints has the same digits whatever its trailing zeros.
+func FormatMS(us float64) string {
+	n := USDuration(us).Microseconds()
+	return fmt.Sprintf("%d.%03dms", n/1000, n%1000)
+}
+
 // RoundUS returns d in whole microseconds, rounded as USDuration rounds: the
 // one conversion of a Duration into a report's µs integer.
 func RoundUS(d time.Duration) int64 { return d.Round(time.Microsecond).Microseconds() }

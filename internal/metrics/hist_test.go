@@ -129,7 +129,8 @@ func TestQuantileInterpolation(t *testing.T) {
 
 // TestSummaryMatchesReaders: Summary holds the observation count, their exact
 // mean and the bucket quantiles at 50/95/99/99.9, on the distributions the
-// tests above use, and USDuration and RoundUS round to the microsecond.
+// tests above use, and USDuration, RoundUS and FormatMS round to the
+// microsecond.
 func TestSummaryMatchesReaders(t *testing.T) {
 	type dist struct {
 		bounds []int64
@@ -163,10 +164,18 @@ func TestSummaryMatchesReaders(t *testing.T) {
 			t.Errorf("%s: Summary() = %+v, want %+v", name, got, want)
 		}
 	}
-	for us, want := range map[float64]time.Duration{
-		93.4: 93 * time.Microsecond, 93.5: 94 * time.Microsecond, 93.99: 94 * time.Microsecond,
-		10502.6: 10503 * time.Microsecond, 0: 0,
+	for us, c := range map[float64]struct {
+		want time.Duration
+		ms   string
+	}{
+		93.4: {93 * time.Microsecond, "0.093ms"}, 93.5: {94 * time.Microsecond, "0.094ms"},
+		93.99: {94 * time.Microsecond, "0.094ms"}, 10502.6: {10503 * time.Microsecond, "10.503ms"},
+		9040: {9040 * time.Microsecond, "9.040ms"}, 0: {0, "0.000ms"},
 	} {
+		want := c.want
+		if got := FormatMS(us); got != c.ms {
+			t.Errorf("FormatMS(%v) = %q, want %q", us, got, c.ms)
+		}
 		if got := USDuration(us); got != want {
 			t.Errorf("USDuration(%v) = %v, want %v", us, got, want)
 		}

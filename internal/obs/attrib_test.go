@@ -172,7 +172,7 @@ func TestObserverFoldsProfile(t *testing.T) {
 
 // TestProgressString: the live progress line (Sample.Line) prints the
 // sample's count, interval mean and ratios, and the summary's quantiles
-// rounded to the microsecond.
+// rounded to the microsecond, every time in milliseconds with three decimals.
 func TestProgressString(t *testing.T) {
 	s := Sample{
 		Queries: 1234, IntervalMeanUS: 1500,
@@ -181,7 +181,7 @@ func TestProgressString(t *testing.T) {
 	}
 	lat := metrics.Summary{P50: 999.6, P95: 10000, P99: 19999.5}
 	got := s.Line(lat)
-	want := "q=1234 mean=1.5ms p50=1ms p95=10ms p99=20ms RC=0.250 IC=0.500 RIC=0.625 erases=42 WA=1.125"
+	want := "q=1234 mean=1.500ms p50=1.000ms p95=10.000ms p99=20.000ms RC=0.250 IC=0.500 RIC=0.625 erases=42 WA=1.125"
 	if got != want {
 		t.Fatalf("Sample.Line()\n got %q\nwant %q", got, want)
 	}

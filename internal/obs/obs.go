@@ -306,8 +306,8 @@ func (o *Observer) Latest() Sample {
 // quantiles of lat (µs, as OverallLatency returns them).
 func (s Sample) Line(lat metrics.Summary) string {
 	return fmt.Sprintf(
-		"q=%d mean=%v p50=%v p95=%v p99=%v RC=%.3f IC=%.3f RIC=%.3f erases=%d WA=%.3f",
-		s.Queries, metrics.USDuration(float64(s.IntervalMeanUS)),
-		metrics.USDuration(lat.P50), metrics.USDuration(lat.P95), metrics.USDuration(lat.P99),
+		"q=%d mean=%s p50=%s p95=%s p99=%s RC=%.3f IC=%.3f RIC=%.3f erases=%d WA=%.3f",
+		s.Queries, metrics.FormatMS(float64(s.IntervalMeanUS)),
+		metrics.FormatMS(lat.P50), metrics.FormatMS(lat.P95), metrics.FormatMS(lat.P99),
 		s.RC, s.IC, s.RIC, s.SSDErases, s.SSDWriteAmp)
 }

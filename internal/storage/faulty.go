@@ -9,7 +9,8 @@ package storage
 // subsequent access — deterministically, from a simclock.RNG, so a faulted
 // run replays bit-for-bit.
 //
-// Read, write and trim are configured independently (OpFaults per class);
+// Read, write and trim are configured independently (one error
+// probability per class);
 // a run with only write faults exercises flush paths without disturbing
 // read-backs, and vice versa.
 
@@ -26,19 +27,14 @@ import (
 // and tests can distinguish injected faults from genuine range violations.
 var ErrInjected = errors.New("storage: injected device fault")
 
-// OpFaults configures fault injection for one operation class.
-type OpFaults struct {
-	// ErrProb is the per-operation probability of failing with ErrInjected.
-	ErrProb float64
-}
-
 // FaultSpec configures a FaultyDevice. The zero value injects nothing.
 type FaultSpec struct {
 	// Seed derives the injector's private RNG stream when no RNG is passed
 	// to NewFaultyDevice, keeping faulted runs reproducible.
 	Seed uint64
-	// Read, Write and Trim configure each operation class independently.
-	Read, Write, Trim OpFaults
+	// Read, Write and Trim are each operation class's per-operation
+	// probability of failing with ErrInjected.
+	Read, Write, Trim float64
 	// StickyProb is the probability that an injected error additionally
 	// marks the touched byte range as a sticky bad extent: every later
 	// read or write overlapping it fails (trims still succeed — discarding
@@ -48,7 +44,7 @@ type FaultSpec struct {
 
 // Enabled reports whether the spec injects any fault at all.
 func (s FaultSpec) Enabled() bool {
-	return s.Read.ErrProb > 0 || s.Write.ErrProb > 0 || s.Trim.ErrProb > 0
+	return s.Read > 0 || s.Write > 0 || s.Trim > 0
 }
 
 // FaultStats counts what the injector has done so far.
@@ -114,7 +110,7 @@ func (d *FaultyDevice) overlapsBadLocked(off int64, n int) bool {
 
 // inject decides the fate of one in-range operation: it returns the error
 // to inject, or nil. Counters are updated here.
-func (d *FaultyDevice) inject(kind OpKind, f OpFaults, off int64, n int, errCount *int64) error {
+func (d *FaultyDevice) inject(kind OpKind, prob float64, off int64, n int, errCount *int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if kind != OpTrim && d.overlapsBadLocked(off, n) {
@@ -122,7 +118,7 @@ func (d *FaultyDevice) inject(kind OpKind, f OpFaults, off int64, n int, errCoun
 		d.stats.BadExtentHits++
 		return fmt.Errorf("%s: bad extent, %s [%d,+%d): %w", d.inner.Name(), kind, off, n, ErrInjected)
 	}
-	if f.ErrProb > 0 && d.rng.Float64() < f.ErrProb {
+	if prob > 0 && d.rng.Float64() < prob {
 		*errCount++
 		if d.spec.StickyProb > 0 && d.rng.Float64() < d.spec.StickyProb {
 			d.bad = append(d.bad, extent{off, int64(n)})

@@ -32,9 +32,9 @@ func TestFaultSpecEnabled(t *testing.T) {
 		t.Fatal("zero spec reports enabled")
 	}
 	cases := []FaultSpec{
-		{Read: OpFaults{ErrProb: 0.1}},
-		{Write: OpFaults{ErrProb: 0.1}},
-		{Trim: OpFaults{ErrProb: 1}},
+		{Read: 0.1},
+		{Write: 0.1},
+		{Trim: 1},
 	}
 	for i, s := range cases {
 		if !s.Enabled() {
@@ -70,8 +70,8 @@ func TestFaultyZeroSpecTransparent(t *testing.T) {
 func TestFaultyDeterministicReplay(t *testing.T) {
 	spec := FaultSpec{
 		Seed:       42,
-		Read:       OpFaults{ErrProb: 0.3},
-		Write:      OpFaults{ErrProb: 0.3},
+		Read:       0.3,
+		Write:      0.3,
 		StickyProb: 0.5,
 	}
 	run := func() ([]bool, FaultStats) {
@@ -106,7 +106,7 @@ func TestFaultyDeterministicReplay(t *testing.T) {
 }
 
 func TestFaultyErrorRateRoughlyMatchesProbability(t *testing.T) {
-	spec := FaultSpec{Seed: 7, Read: OpFaults{ErrProb: 0.25}}
+	spec := FaultSpec{Seed: 7, Read: 0.25}
 	d, _ := newFaultyMem(t, spec)
 	buf := make([]byte, 64)
 	const ops = 4000
@@ -129,7 +129,7 @@ func TestFaultyErrorRateRoughlyMatchesProbability(t *testing.T) {
 }
 
 func TestFaultyWriteFailureHasNoSideEffects(t *testing.T) {
-	d, mem := newFaultyMem(t, FaultSpec{Write: OpFaults{ErrProb: 1}})
+	d, mem := newFaultyMem(t, FaultSpec{Write: 1})
 	if _, err := mem.WriteAt([]byte("baseline"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestFaultyStickyBadExtent(t *testing.T) {
 	mem := NewMemDevice("ssd", 1<<20, simclock.New(), DefaultMemParams())
 	inner := &trimMem{MemDevice: mem}
 	d := NewFaultyDevice(inner, FaultSpec{
-		Write:      OpFaults{ErrProb: 1},
+		Write:      1,
 		StickyProb: 1,
 	}, nil)
 
@@ -157,7 +157,7 @@ func TestFaultyStickyBadExtent(t *testing.T) {
 	if _, err := d.WriteAt(make([]byte, 4096), 0); !errors.Is(err, ErrInjected) {
 		t.Fatalf("write did not fail: %v", err)
 	}
-	// Reads have no ErrProb of their own, so a failing read proves the
+	// Reads have no error probability of their own, so a failing read proves the
 	// sticky extent (any overlap counts).
 	buf := make([]byte, 64)
 	if _, err := d.ReadAt(buf, 4000); !errors.Is(err, ErrInjected) {
@@ -199,17 +199,17 @@ func TestFaultyRangeCheckPrecedesInjection(t *testing.T) {
 	type op func(d *FaultyDevice, off int64) error
 	rows := []struct {
 		name  string
-		spec  func(OpFaults) FaultSpec
+		spec  func(float64) FaultSpec
 		do    op
 		count func(FaultStats) int64
 	}{
-		{"read", func(f OpFaults) FaultSpec { return FaultSpec{Read: f} },
+		{"read", func(p float64) FaultSpec { return FaultSpec{Read: p} },
 			func(d *FaultyDevice, off int64) error { _, err := d.ReadAt(make([]byte, 64), off); return err },
 			func(fs FaultStats) int64 { return fs.ReadErrors }},
-		{"write", func(f OpFaults) FaultSpec { return FaultSpec{Write: f} },
+		{"write", func(p float64) FaultSpec { return FaultSpec{Write: p} },
 			func(d *FaultyDevice, off int64) error { _, err := d.WriteAt(make([]byte, 64), off); return err },
 			func(fs FaultStats) int64 { return fs.WriteErrors }},
-		{"trim", func(f OpFaults) FaultSpec { return FaultSpec{Trim: f} },
+		{"trim", func(p float64) FaultSpec { return FaultSpec{Trim: p} },
 			func(d *FaultyDevice, off int64) error { _, err := d.Trim(off, 64); return err },
 			func(fs FaultStats) int64 { return fs.TrimErrors }},
 	}
@@ -219,7 +219,7 @@ func TestFaultyRangeCheckPrecedesInjection(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			d := newDev(r.spec(OpFaults{ErrProb: 1}))
+			d := newDev(r.spec(1))
 			if err := r.do(d, d.Size()); !errors.Is(err, ErrOutOfRange) {
 				t.Fatalf("out-of-range %s: got %v, want ErrOutOfRange", r.name, err)
 			}
@@ -229,7 +229,7 @@ func TestFaultyRangeCheckPrecedesInjection(t *testing.T) {
 
 			// Same seed, one device first sees an out-of-range access:
 			// the in-range outcomes after it must not move.
-			spec := r.spec(OpFaults{ErrProb: 0.5})
+			spec := r.spec(0.5)
 			clean, probed := newDev(spec), newDev(spec)
 			_ = r.do(probed, probed.Size())
 			for i := int64(0); i < 64; i++ {

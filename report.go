@@ -16,7 +16,7 @@ import (
 // sections appear.
 func (s *System) Report() string {
 	r := s.BuildReport()
-	us := func(v int64) time.Duration { return metrics.USDuration(float64(v)) }
+	ms := func(v int64) string { return metrics.FormatMS(float64(v)) }
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "mode=%s index_on=%s", r.Mode, r.IndexOn)
 	if r.Policy != "" {
@@ -25,8 +25,8 @@ func (s *System) Report() string {
 	sb.WriteByte('\n')
 
 	if st := r.Stats; st != nil {
-		fmt.Fprintf(&sb, "queries=%d mean_response=%v throughput=%.1f q/s\n",
-			r.Queries, us(r.MeanResponseUS), r.ThroughputQPS)
+		fmt.Fprintf(&sb, "queries=%d mean_response=%s throughput=%.1f q/s\n",
+			r.Queries, ms(r.MeanResponseUS), r.ThroughputQPS)
 		fmt.Fprintf(&sb, "hit ratios: RC=%.3f IC=%.3f RIC=%.3f\n",
 			r.HitRatios.RC, r.HitRatios.IC, r.HitRatios.RIC)
 		fmt.Fprintf(&sb, "list bytes: mem=%d ssd=%d hdd=%d to_ssd=%d elided=%d discarded=%d lists_per_write=%.1f padding=%.3f\n",
@@ -41,24 +41,24 @@ func (s *System) Report() string {
 			if row.Count == 0 {
 				continue
 			}
-			fmt.Fprintf(&sb, "  %-18s P=%.4f T=%v", row.Name, row.P, us(row.MeanUS))
+			fmt.Fprintf(&sb, "  %-18s P=%.4f T=%s", row.Name, row.P, ms(row.MeanUS))
 			if lat := row.Latency; lat != nil {
-				fmt.Fprintf(&sb, " p50=%v p95=%v p99=%v",
-					metrics.USDuration(lat.P50), metrics.USDuration(lat.P95), metrics.USDuration(lat.P99))
+				fmt.Fprintf(&sb, " p50=%s p95=%s p99=%s",
+					metrics.FormatMS(lat.P50), metrics.FormatMS(lat.P95), metrics.FormatMS(lat.P99))
 			}
 			sb.WriteByte('\n')
 		}
 	}
 	if lat := r.Latency; lat != nil && lat.Count > 0 {
-		fmt.Fprintf(&sb, "latency (all queries): n=%d mean=%v p50=%v p95=%v p99=%v p999=%v\n",
-			lat.Count, metrics.USDuration(lat.Mean), metrics.USDuration(lat.P50), metrics.USDuration(lat.P95),
-			metrics.USDuration(lat.P99), metrics.USDuration(lat.P999))
+		fmt.Fprintf(&sb, "latency (all queries): n=%d mean=%s p50=%s p95=%s p99=%s p999=%s\n",
+			lat.Count, metrics.FormatMS(lat.Mean), metrics.FormatMS(lat.P50), metrics.FormatMS(lat.P95),
+			metrics.FormatMS(lat.P99), metrics.FormatMS(lat.P999))
 	}
 	if len(r.Attribution) > 0 {
 		sb.WriteString("latency attribution:\n")
 		for _, row := range r.Attribution {
-			fmt.Fprintf(&sb, "  %-18s n=%d total=%v", row.Situation, row.Queries,
-				time.Duration(row.TotalNS).Round(time.Microsecond))
+			fmt.Fprintf(&sb, "  %-18s n=%d total=%s", row.Situation, row.Queries,
+				ms(metrics.RoundUS(time.Duration(row.TotalNS))))
 			for c, v := range row.Components {
 				if v == 0 {
 					continue
@@ -70,8 +70,8 @@ func (s *System) Report() string {
 	}
 
 	for _, d := range r.Devices {
-		fmt.Fprintf(&sb, "%s: reads=%d writes=%d bytesR=%d bytesW=%d avg_access=%v\n",
-			d.Name, d.Reads, d.Writes, d.BytesRead, d.BytesWrit, us(d.AvgAccessUS))
+		fmt.Fprintf(&sb, "%s: reads=%d writes=%d bytesR=%d bytesW=%d avg_access=%s\n",
+			d.Name, d.Reads, d.Writes, d.BytesRead, d.BytesWrit, ms(d.AvgAccessUS))
 		w, ok := r.Wear[d.Name]
 		switch {
 		case !ok:

@@ -57,8 +57,11 @@ func TestLiveLineMatchesReport(t *testing.T) {
 }
 
 // TestReportRendersBuildReport: every number on Report's situation, device
-// and wear lines is the BuildReport field it comes from, and each situation
-// with queries and each device has its line.
+// and wear lines is the BuildReport field it comes from, each situation
+// with queries and each device has its line, and every time prints as
+// milliseconds with three decimals. The run must have a situation mean
+// whose last µs digit is zero (S5's T=3.080ms), which Duration.String
+// would print as 3.08ms, or it cannot show the fixed digits.
 func TestReportRendersBuildReport(t *testing.T) {
 	cfg := smallConfig(core.PolicyCBSLRU, CacheTwoLevel)
 	cfg.IndexOn = IndexOnSSD // adds the index SSD's device and wear lines
@@ -76,13 +79,6 @@ func TestReportRendersBuildReport(t *testing.T) {
 	r := sys.BuildReport()
 	lines := strings.Split(sys.Report(), "\n")
 
-	dur := func(s string) time.Duration {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
 	num := func(s string) int64 {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
@@ -90,10 +86,10 @@ func TestReportRendersBuildReport(t *testing.T) {
 		}
 		return v
 	}
-	us := func(v float64) time.Duration { return metrics.USDuration(v) }
+	ms := metrics.FormatMS
 
 	sitLine := regexp.MustCompile(`^  (\S+)\s+P=(\S+) T=(\S+) p50=(\S+) p95=(\S+) p99=(\S+)$`)
-	seen := map[string]bool{}
+	seen, zeroDigit := map[string]bool{}, false
 	for _, line := range lines {
 		m := sitLine.FindStringSubmatch(line)
 		if m == nil {
@@ -110,10 +106,14 @@ func TestReportRendersBuildReport(t *testing.T) {
 			t.Fatalf("line %q: no situation with latencies %q in BuildReport", line, m[1])
 		}
 		p, err := strconv.ParseFloat(m[2], 64)
-		if err != nil || math.Abs(p-row.P) > 5e-5 || dur(m[3]) != us(float64(row.MeanUS)) ||
-			dur(m[4]) != us(row.Latency.P50) || dur(m[5]) != us(row.Latency.P95) || dur(m[6]) != us(row.Latency.P99) {
+		if err != nil || math.Abs(p-row.P) > 5e-5 || m[3] != ms(float64(row.MeanUS)) ||
+			m[4] != ms(row.Latency.P50) || m[5] != ms(row.Latency.P95) || m[6] != ms(row.Latency.P99) {
 			t.Fatalf("line %q, BuildReport has P=%v mean_us=%d latency %+v", line, row.P, row.MeanUS, *row.Latency)
 		}
+		zeroDigit = zeroDigit || row.MeanUS%10 == 0
+	}
+	if !zeroDigit {
+		t.Fatal("no situation mean ends in a zero µs digit: the run cannot tell fixed digits from trimmed ones")
 	}
 	for _, row := range r.Situations {
 		if (row.Count > 0) != seen[row.Name] {
@@ -129,7 +129,7 @@ func TestReportRendersBuildReport(t *testing.T) {
 			d := r.Devices[len(devices)]
 			devices = append(devices, m[1])
 			if m[1] != d.Name || num(m[2]) != d.Reads || num(m[3]) != d.Writes || num(m[4]) != d.BytesRead ||
-				num(m[5]) != d.BytesWrit || dur(m[6]) != us(float64(d.AvgAccessUS)) {
+				num(m[5]) != d.BytesWrit || m[6] != ms(float64(d.AvgAccessUS)) {
 				t.Fatalf("line %q, BuildReport has %+v", line, d)
 			}
 		}

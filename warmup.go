@@ -59,7 +59,7 @@ func (s *System) WarmupStatic(sampleQueries int) (WarmupStats, error) {
 		}
 		return qids[i] < qids[j]
 	})
-	uncached := engine.New(s.baseline, s.engCfg)
+	uncached := engine.New(s.Index, s.engCfg)
 	uncached.UseMemo(s.Engine.Memo())
 	for _, qid := range qids {
 		if queryCount[qid] < 2 {
@@ -80,29 +80,13 @@ func (s *System) WarmupStatic(sampleQueries int) (WarmupStats, error) {
 		ws.PinnedResults++
 	}
 
-	// Pin the highest-efficiency lists. EV estimates use the sampled
-	// frequency and the Formula 1 size the pin would occupy.
+	// Pin the highest-efficiency lists, ranked by the sampled frequency and
+	// the Formula 1 size the pin would occupy.
 	terms := make([]workload.TermID, 0, len(termCount))
 	for t := range termCount {
 		terms = append(terms, t)
 	}
-	blockBytes := s.Manager.Config().BlockBytes
-	var puModel *workload.UtilizationModel
-	if s.cfg.UseModelPU {
-		puModel = workload.NewUtilizationModel(s.cfg.Collection)
-	}
-	evOf := func(t workload.TermID) float64 {
-		pu := 1.0
-		if puModel != nil {
-			pu = puModel.PU(t)
-		}
-		si := int64(float64(s.Index.ListBytes(t)) * pu)
-		sc := (si + blockBytes - 1) / blockBytes
-		if sc < 1 {
-			sc = 1
-		}
-		return float64(termCount[t]) / float64(sc)
-	}
+	evOf := func(t workload.TermID) float64 { return s.Manager.StaticEV(t, termCount[t]) }
 	sort.Slice(terms, func(i, j int) bool {
 		ei, ej := evOf(terms[i]), evOf(terms[j])
 		if ei != ej {
