@@ -25,14 +25,15 @@ func DecodePostings(buf []byte) []workload.Posting {
 	return out
 }
 
-// stampTestImage builds spec's raw image and stamps it onto dev.
-func stampTestImage(t *testing.T, spec workload.CollectionSpec, dev storage.Device) *Index {
+// stampTestImage stamps spec's raw image onto the device dev makes of the
+// image's size.
+func stampTestImage(t *testing.T, spec workload.CollectionSpec, dev func(size int64) storage.Device) *Index {
 	t.Helper()
 	img, err := BuildImage(spec, CodecRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := img.Stamp(dev)
+	ix, err := img.Stamp(dev(img.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +43,9 @@ func stampTestImage(t *testing.T, spec workload.CollectionSpec, dev storage.Devi
 func buildTestIndex(t *testing.T) (*Index, workload.CollectionSpec) {
 	t.Helper()
 	spec := testSpec()
-	dev := storage.NewMemDevice("idx", 1<<20, simclock.New(), storage.DefaultMemParams())
-	return stampTestImage(t, spec, dev), spec
+	return stampTestImage(t, spec, func(size int64) storage.Device {
+		return storage.NewMemDevice("idx", size, simclock.New(), storage.DefaultMemParams())
+	}), spec
 }
 
 func TestPostingCodecRoundTrip(t *testing.T) {
@@ -182,7 +184,7 @@ func TestRequiredBytesMatchesLayout(t *testing.T) {
 func TestBuildOnHDDWorks(t *testing.T) {
 	// The real configuration: index on a mechanical disk.
 	spec := testSpec()
-	ix := stampTestImage(t, spec, stubHDD(simclock.New(), 1<<20))
+	ix := stampTestImage(t, spec, func(size int64) storage.Device { return stubHDD(simclock.New(), size) })
 	buf := make([]byte, PostingSize)
 	if err := ix.ReadListRange(5, 0, buf); err != nil {
 		t.Fatal(err)
